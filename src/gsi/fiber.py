@@ -2,20 +2,19 @@
 
 For a nonempty J inside {1..r}, the open fiber of alpha holds the members
 agreeing with alpha on J and strictly larger elsewhere; the closed fiber
-relaxes strict to weak.  Only emptiness and one witness are ever needed, so
-searches run over capped boxes: meeting a remote witness with a member above
-the conductor pulls coordinate k down to max(c_k, alpha_k + 1) without
-leaving the fiber.
+relaxes strict to weak.  Emptiness is read from the ideal's fiber table
+(:attr:`SmallRep.fiber_table`), one lookup per J after clamping alpha into
+[m, c].  Only :func:`fiber_witness` still searches a box, and only to name a
+witness point once the table says one exists.
 """
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ideal import SmallRep, frobenius, search_member
-from .lattice import Point, box_points, normalize_index_set, ones, vsub
+from .ideal import SmallRep, search_member
+from .lattice import Point, box_points, check_same_dim, normalize_index_set, ones, vsub
 
 
 def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
@@ -23,38 +22,49 @@ def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
     """Some member of the fiber F_J(E, alpha) (closed variant on request),
     or None when the fiber is empty.
 
-    Coordinates in J are pinned to alpha; each free coordinate k is searched
-    over (alpha_k, max(c_k, alpha_k + 1)] when open, [alpha_k, max(c_k,
-    alpha_k)] when closed.
+    The table decides emptiness.  A witness is then searched with the
+    coordinates in J pinned to alpha and each free coordinate k over
+    (alpha_k, max(c_k, alpha_k + 1)] when open, [alpha_k, max(c_k, alpha_k)]
+    when closed: meeting a remote witness with a member above the conductor
+    pulls it into that box without leaving the fiber.
     """
-    js = set(normalize_index_set(E.r, J))
+    check_same_dim(alpha, E.c)
+    js = normalize_index_set(E.r, J)
+    if not E.fiber_occupied(alpha, sum(1 << (j - 1) for j in js), closed):
+        return None
     ranges = []
     for k in range(E.r):
         if k + 1 in js:
             ranges.append((alpha[k], alpha[k]))
-        elif closed:
-            ranges.append((alpha[k], max(E.c[k], alpha[k])))
         else:
-            low = alpha[k] + 1
+            low = alpha[k] if closed else alpha[k] + 1
             ranges.append((low, max(E.c[k], low)))
     return search_member(E, ranges)
 
 
 def fiber_empty(E: SmallRep, alpha: Point) -> bool:
     """Emptiness of F(E, alpha), the union of the singleton open fibers."""
-    return all(fiber_witness(E, alpha, (i,)) is None for i in range(1, E.r + 1))
+    check_same_dim(alpha, E.c)
+    return not any(E.fiber_occupied(alpha, 1 << k) for k in range(E.r))
 
 
 def is_maximal(E: SmallRep, alpha: Point) -> bool:
     return E.contains(alpha) and fiber_empty(E, alpha)
 
 
-def _emptiness_by_size(E: SmallRep, alpha: Point) -> dict[int, list[bool]]:
-    out: dict[int, list[bool]] = {}
-    for k in range(1, E.r + 1):
-        out[k] = [fiber_witness(E, alpha, J) is None
-                  for J in itertools.combinations(range(1, E.r + 1), k)]
-    return out
+def _fiber_sizes(E: SmallRep, alpha: Point) -> tuple[int, int]:
+    """The least size of an occupied open fiber of alpha (r + 1 if none) and
+    the largest size of an empty one (0 if none), over all nonempty J."""
+    check_same_dim(alpha, E.c)
+    least_occupied, most_empty = E.r + 1, 0
+    occupancy = E.fiber_occupancy(alpha)
+    for J in range(1, 1 << E.r):
+        n = J.bit_count()
+        if occupancy[J]:
+            least_occupied = min(least_occupied, n)
+        else:
+            most_empty = max(most_empty, n)
+    return least_occupied, most_empty
 
 
 def p_value(E: SmallRep, alpha: Point) -> int:
@@ -63,14 +73,7 @@ def p_value(E: SmallRep, alpha: Point) -> int:
     Returns 0 when some singleton fiber is nonempty, r when every fiber is
     empty (which forces alpha outside E).
     """
-    emp = _emptiness_by_size(E, alpha)
-    p = 0
-    for k in range(1, E.r + 1):
-        if all(emp[k]):
-            p = k
-        else:
-            break
-    return p
+    return _fiber_sizes(E, alpha)[0] - 1
 
 
 def q_value(E: SmallRep, alpha: Point) -> int:
@@ -79,13 +82,7 @@ def q_value(E: SmallRep, alpha: Point) -> int:
     Returns r + 1 exactly when alpha is not a member (the full fiber is
     empty); always exceeds p_value.
     """
-    emp = _emptiness_by_size(E, alpha)
-    q = 1
-    for k in range(E.r, 0, -1):
-        if any(emp[k]):
-            q = k + 1
-            break
-    return q
+    return _fiber_sizes(E, alpha)[1] + 1
 
 
 class MaximalKind(enum.Enum):
@@ -129,8 +126,3 @@ def maximals(E: SmallRep) -> list[MaximalInfo]:
             q = q_value(E, alpha)
             out.append(MaximalInfo(alpha, p, q, _classify(E.r, p, q)))
     return out
-
-
-def frobenius_fiber_empty(E: SmallRep) -> bool:
-    """The fiber of the Frobenius vector is always empty for a valid ideal."""
-    return fiber_empty(E, frobenius(E))

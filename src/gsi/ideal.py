@@ -12,7 +12,9 @@ fixture.  Everything here is immutable and pure.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch
 from .lattice import (
@@ -37,6 +39,11 @@ class SmallRep:
     Invariants (enforced by :func:`validate`, not by construction): m and c
     are small elements, every small element lies in [m, c], small is closed
     under meet, the exchange axiom E2 holds, and c is the least conductor.
+
+    Fiber questions are answered from :attr:`fiber_table`, which is built on
+    the first fiber query and then kept on the instance for as long as the
+    ideal lives.  It is a pure function of the four fields, so it takes no
+    part in equality or hashing.
     """
 
     r: int
@@ -61,6 +68,74 @@ class SmallRep:
 
     def __contains__(self, alpha: Point) -> bool:
         return self.contains(alpha)
+
+    @cached_property
+    def fiber_table(self) -> tuple[frozenset[Point], ...]:
+        """Occupied closed fibers, indexed by a bitmask J of 0-based axes.
+
+        Entry J holds the points x of [m, c] whose closed J-fiber (members
+        equal to x on J and at least x elsewhere) is nonempty: the small
+        elements closed downward, within [m, c], along the axes outside J.
+        Entry 0 is empty.  Each entry adds one axis to the closure of an
+        entry already built, so the cost is proportional to the output.
+        """
+        full = (1 << self.r) - 1
+        table: list[frozenset[Point]] = [frozenset()] * (full + 1)
+        table[full] = self.small
+        for J in range(full - 1, 0, -1):
+            k = ((full ^ J) & -(full ^ J)).bit_length() - 1  # lowest free axis
+            table[J] = _close_down(table[J | 1 << k], k, self.m[k])
+        return tuple(table)
+
+    def fiber_occupied(self, alpha: Point, J: int, closed: bool = False) -> bool:
+        """Whether the J-fiber of alpha (J a bitmask of 0-based axes) meets E.
+
+        One lookup in :attr:`fiber_table` after clamping alpha into [m, c].
+        The clamp is exact because membership is constant beyond c in each
+        coordinate and empty below m: on an axis in J the fiber is empty
+        below m_j and unchanged above c_j; on a free axis any value below m_k
+        is as good as m_k and any value above c_k as good as c_k.  The open
+        fiber is the closed fiber at alpha + 1 on the free axes.  alpha must
+        have dimension r; the public fiber functions check it.
+        """
+        x = []
+        for k, (a, lo, hi) in enumerate(zip(alpha, self.m, self.c)):
+            if J >> k & 1:
+                if a < lo:
+                    return False
+            elif not closed:
+                a += 1
+            x.append(lo if a < lo else hi if a > hi else a)
+        return tuple(x) in self.fiber_table[J]
+
+    def fiber_occupancy(self, alpha: Point, closed: bool = False) -> list[bool]:
+        """:meth:`fiber_occupied` for every J at once, indexed by the bitmask
+        (entry 0 is False).  alpha is clamped once per axis, both as a pinned
+        value (None below m, which no table entry holds) and as a free one;
+        the key for J takes the pinned value on the axes in J."""
+        pinned, free = [], []
+        for a, lo, hi in zip(alpha, self.m, self.c):
+            pinned.append(None if a < lo else hi if a > hi else a)
+            if not closed:
+                a += 1
+            free.append(lo if a < lo else hi if a > hi else a)
+        # product() varies its last factor fastest, so with the axes reversed
+        # the n-th key picks the pinned value exactly on the axes in J = n
+        keys = itertools.product(*zip(reversed(free), reversed(pinned)))
+        return [key[::-1] in entry for key, entry in zip(keys, self.fiber_table)]
+
+
+def _close_down(points: frozenset[Point], k: int, low: int) -> frozenset[Point]:
+    """points together with everything below them along axis k, down to low."""
+    out = set(points)
+    for p in points:
+        head, tail = p[:k], p[k + 1:]
+        for v in range(p[k] - 1, low - 1, -1):
+            q = head + (v,) + tail
+            if q in out:
+                break  # below q is covered by the walk that added q, or q's own
+            out.add(q)
+    return frozenset(out)
 
 
 def contains(E: SmallRep, alpha: Point) -> bool:

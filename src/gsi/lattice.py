@@ -45,10 +45,6 @@ def leq(a: Point, b: Point) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def lt(a: Point, b: Point) -> bool:
-    return leq(a, b) and a != b
-
-
 def partial_cmp(a: Point, b: Point) -> Cmp:
     check_same_dim(a, b)
     if a == b:

@@ -50,7 +50,3 @@ class CheckReport:
             counterexamples=list(d.get("counterexamples", [])),
             flags=dict(d.get("flags", {})),
         )
-
-
-def passing(name: str, universe: str, **flags) -> CheckReport:
-    return CheckReport(name, True, universe, flags=dict(flags))

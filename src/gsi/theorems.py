@@ -17,9 +17,9 @@ from .duality import (
     is_gorenstein,
 )
 from .errors import InvalidIndexSet
-from .fiber import fiber_witness, is_maximal, maximals, p_value, q_value
+from .fiber import is_maximal, maximals, p_value, q_value
 from .ideal import SmallRep, equals, frobenius, members, translate
-from .lattice import Point, box_points, join, meet, ones, vadd, vsub
+from .lattice import Point, box_points, check_same_dim, join, meet, ones, vadd, vsub
 from .report import CheckReport, pt
 
 
@@ -29,9 +29,10 @@ def length_step(E: SmallRep, alpha: Point, i: int) -> int:
     This is the combinatorial value of the one-step quotient length along
     coordinate i; module lengths themselves are never computed.
     """
+    check_same_dim(alpha, E.c)
     if i < 1 or i > E.r:
         raise InvalidIndexSet(f"index {i} out of range 1..{E.r}")
-    return 1 if fiber_witness(E, alpha, (i,), closed=True) is not None else 0
+    return 1 if E.fiber_occupied(alpha, 1 << (i - 1), closed=True) else 0
 
 
 def check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckReport:

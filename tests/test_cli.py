@@ -1,7 +1,10 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
+import gsi
 from gsi.cli import main
 from gsi.gsi_format import parse_gsi
 
@@ -132,8 +135,11 @@ def test_gen_commands(capsys, data_dir, tmp_path):
 
 
 def test_module_entrypoint_smoke(data_dir):
+    # the child imports the same gsi as this process, installed or not
+    root = str(pathlib.Path(gsi.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "gsi", "gorenstein", str(data_dir / "n2.gsi")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "gorenstein: true" in proc.stdout

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsi.constructors import node, product, random_good
-from gsi.errors import InvalidIndexSet
+from gsi.constructors import node, numerical, product, random_good
+from gsi.errors import DimensionMismatch, InvalidIndexSet
 from gsi.fiber import (
     MaximalKind,
     fiber_empty,
@@ -16,6 +18,7 @@ from gsi.fiber import (
 from gsi.ideal import frobenius
 from gsi.lattice import box_points, leq, ones, unit_vector, vadd, vsub
 from gsi.oracle import brute_fiber
+from gsi.theorems import length_step
 
 
 def test_fiber_witness_examples(ex2):
@@ -135,3 +138,64 @@ def test_open_fiber_as_shifted_closed_fibers(ex2, node2):
                                       for j in full if j != i)}
                         rhs = fi if rhs is None else rhs & fi
                     assert lhs == rhs
+
+
+FIBER_QUERIES = {
+    "fiber_witness": lambda E, a: fiber_witness(E, a, (1,)),
+    "fiber_witness_closed": lambda E, a: fiber_witness(E, a, (1,), closed=True),
+    "fiber_empty": fiber_empty,
+    "is_maximal": is_maximal,
+    "p_value": p_value,
+    "q_value": q_value,
+    "length_step": lambda E, a: length_step(E, a, 1),
+}
+
+
+@pytest.mark.parametrize("alpha", [(3, 3, 9), (3,), ()])
+@pytest.mark.parametrize("query", sorted(FIBER_QUERIES))
+def test_fiber_queries_reject_wrong_dimension(ex2, query, alpha):
+    with pytest.raises(DimensionMismatch):
+        FIBER_QUERIES[query](ex2, alpha)
+
+
+def _assert_table_agrees_with_oracle(E):
+    """Every fiber answer at every alpha of [m - 2e, c + 2e] against the
+    literal fiber enumeration, with p and q taken from their definitions."""
+    r = E.r
+    e2 = vadd(ones(r), ones(r))
+    masks = range(1, 1 << r)
+    size = {J: bin(J).count("1") for J in masks}
+    for alpha in box_points(vsub(E.m, e2), vadd(E.c, e2)):
+        occ = {}
+        for closed in (False, True):
+            every = E.fiber_occupancy(alpha, closed)
+            for J in masks:
+                js = [k + 1 for k in range(r) if J >> k & 1]
+                occ[J, closed] = bool(brute_fiber(E, alpha, js, closed))
+                assert E.fiber_occupied(alpha, J, closed) == occ[J, closed], \
+                    (alpha, js, closed)
+                assert every[J] == occ[J, closed], (alpha, js, closed)
+        member = occ[(1 << r) - 1, True]  # the closed full fiber is {alpha}
+        empty = not any(occ[1 << k, False] for k in range(r))
+        p = max(n for n in range(r + 1)
+                if not any(occ[J, False] for J in masks if size[J] <= n))
+        q = min(n for n in range(1, r + 2)
+                if all(occ[J, False] for J in masks if size[J] >= n))
+        assert fiber_empty(E, alpha) == empty, alpha
+        assert is_maximal(E, alpha) == (member and empty), alpha
+        assert (p_value(E, alpha), q_value(E, alpha)) == (p, q), alpha
+        for i in range(1, r + 1):
+            assert length_step(E, alpha, i) == occ[1 << (i - 1), True], (alpha, i)
+
+
+def test_table_agrees_with_oracle_exhaustive(ex2, n1, node2, node3, prod22):
+    # random_good(node3, 11) is a non-principal r = 3 ideal (5 small elements)
+    for E in (ex2, n1, node2, node3, prod22, random_good(node3, 11)):
+        _assert_table_agrees_with_oracle(E)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["node2", "prod22"]), st.integers(0, 10_000))
+def test_table_agrees_with_oracle_random(name, seed):
+    S = node(2) if name == "node2" else product(numerical([2, 3]), numerical([2, 3]))
+    _assert_table_agrees_with_oracle(random_good(S, seed))

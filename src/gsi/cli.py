@@ -13,8 +13,8 @@ from . import constructors, duality, theorems
 from .errors import GsiError, ParseError, ValidationError
 from .fiber import maximals
 from .gsi_format import emit_gsi, parse_gsi
-from .ideal import SmallRep, frobenius, validate
-from .lattice import box_points, ones, vadd, vsub
+from .ideal import SmallRep, _compatibility_failure, frobenius, validate
+from .lattice import box_points, join, ones, unit_vector, vadd, vsub
 from .report import CheckReport
 
 USAGE_ERROR = 2
@@ -40,6 +40,28 @@ def _load_semigroup(path: str) -> SmallRep:
     if not report.passed:
         raise _InputError(f"{path} is not a good semigroup: {report.summary()}")
     return S
+
+
+def _require_ideal_of(path: str, E: SmallRep, s_path: str, S: SmallRep) -> None:
+    """Reject E unless S + E <= E, naming the file and the failing sum."""
+    if E.r != S.r:
+        raise _InputError(
+            f"{path} has dimension {E.r} but the semigroup {s_path} has {S.r}")
+    failure = _compatibility_failure(E, S)
+    if failure is None:
+        return
+    if "sum" in failure:
+        s, p, q = (tuple(failure[k]) for k in ("s", "p", "sum"))
+    else:
+        # c exceeds m + c(S) at some i, so q = join(c - e_i, m + c(S)) meets
+        # down to c - e_i, which is not in E (c is least); q - m is in S
+        bound = tuple(failure["bound"])
+        i = next(k for k in range(E.r) if E.c[k] > bound[k])
+        q = join(vsub(E.c, unit_vector(E.r, [i + 1])), bound)
+        s, p = vsub(q, E.m), E.m
+    s, p, q = (f"({', '.join(map(str, x))})" for x in (s, p, q))
+    raise _InputError(f"{path} is not an ideal of the semigroup {s_path}: "
+                      f"{s} + {p} = {q} is not in {path}")
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -183,6 +205,9 @@ def _cmd_check(args) -> int:
     EJ = _load(args.J)
     EI = _load(args.I)
     S = _load_semigroup(args.semigroup) if args.semigroup else None
+    if S is not None:
+        _require_ideal_of(args.J, EJ, args.semigroup, S)
+        _require_ideal_of(args.I, EI, args.semigroup, S)
     name = args.which
     if name == "all" and S is None:
         raise _InputError("check all requires --semigroup")

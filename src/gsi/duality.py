@@ -153,10 +153,14 @@ def is_canonical(EJ: SmallRep, S: SmallRep) -> bool:
     agreement; disagreement is an internal soundness bug.
     """
     _require_same_r(EJ, S)
-    can = canonical_ideal(S)
+    return _is_canonical(EJ, S, canonical_ideal(S), fiber_dual(EJ, S))
+
+
+def _is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep, fd: RegionSet) -> bool:
+    """:func:`is_canonical` from K = canonical_ideal(S) and fd =
+    fiber_dual(EJ, S), for callers that already hold them."""
     shift = vsub(frobenius(EJ), frobenius(S))
-    by_translate = equals(EJ, translate(can, shift))
-    fd = fiber_dual(EJ, S)
+    by_translate = equals(EJ, translate(K, shift))
     by_fixpoint = all((p in fd.points) == EJ.contains(p) for p in fd.box)
     if by_translate != by_fixpoint:
         raise SoundnessError(

@@ -249,6 +249,29 @@ def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
     return None
 
 
+def _compatibility_failure(E: SmallRep, S: SmallRep,
+                           mem: list[Point] | None = None) -> dict | None:
+    """The first violation of S + E <= E as report data, or None.
+
+    E and S must have the same dimension; ``mem`` is E's members over
+    [m, c + e] when the caller already has them.  S + E <= E forces
+    c <= m + c(S); checking it first makes the box quantifier exhaustive.
+    """
+    e = ones(E.r)
+    bound = vadd(E.m, S.c)
+    if not leq(E.c, bound):
+        return {"reason": "conductor exceeds min + c(S)",
+                "conductor": pt(E.c), "bound": pt(bound)}
+    if mem is None:
+        mem = members(E, E.m, vadd(E.c, e))
+    for s in members(S, S.m, vadd(S.c, e)):
+        for p in mem:
+            q = vadd(s, p)
+            if not E.contains(q):
+                return {"s": pt(s), "p": pt(p), "sum": pt(q)}
+    return None
+
+
 def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False) -> CheckReport:
     """Check the good-semigroup-ideal axioms on the finite box [m, c + e].
 
@@ -316,18 +339,9 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     if S is not None:
         if S.r != r:
             return fail("structural", reason="semigroup dimension mismatch")
-        # S + E <= E forces c <= m + c(S); checking it first makes the box
-        # quantifier below exhaustive.
-        bound = vadd(E.m, S.c)
-        if not leq(E.c, bound):
-            return fail("compatibility", reason="conductor exceeds min + c(S)",
-                        conductor=pt(E.c), bound=pt(bound))
-        smem = members(S, S.m, vadd(S.c, e))
-        for s in smem:
-            for p in mem:
-                q = vadd(s, p)
-                if not E.contains(q):
-                    return fail("compatibility", s=pt(s), p=pt(p), sum=pt(q))
+        failure = _compatibility_failure(E, S, mem)
+        if failure is not None:
+            return fail("compatibility", **failure)
 
     if semigroup:
         z = (0,) * r

@@ -6,21 +6,67 @@ boundary behavior of the all-of-Z^r quantifiers is exercised and wider
 sweeps would be redundant.  Reports carry witnesses for equality cases and
 counterexamples for violated relations; a counterexample to one of the
 unconditional claims means an implementation bug and fails the build.
+
+A private check context holds what the checks of a triple share: each
+dual and fiber dual, K(S), the canonicity of EJ, and the length, rho and
+duality equality flags per sampled pair, each computed once on first use
+and keyed by value (SmallRep is canonical).  check_all makes one context
+that lives for its call; it holds values, never reports.
 """
 from __future__ import annotations
 
-from .duality import (
-    canonical_ideal,
-    cd_difference,
-    fiber_dual,
-    is_canonical,
-    is_gorenstein,
-)
+from typing import Any, Callable
+
+from .duality import _is_canonical, canonical_ideal, cd_difference, fiber_dual
 from .errors import InvalidIndexSet
 from .fiber import is_maximal, maximals, p_value, q_value
-from .ideal import SmallRep, equals, frobenius, members, translate
+from .ideal import RegionSet, SmallRep, equals, frobenius, members, translate
 from .lattice import Point, box_points, check_same_dim, join, meet, ones, vadd, vsub
 from .report import CheckReport, pt
+
+
+class _CheckContext:
+    def __init__(self) -> None:
+        self.values: dict[tuple, Any] = {}  # (kind, *argument ideals) -> value
+
+    def _get(self, key: tuple, compute: Callable[[], Any]) -> Any:
+        if key not in self.values:
+            self.values[key] = compute()
+        return self.values[key]
+
+    def dual(self, EJ: SmallRep, EI: SmallRep) -> SmallRep:
+        return self._get(("dual", EJ, EI), lambda: cd_difference(EJ, EI))
+
+    def fiber_dual(self, EJ: SmallRep, EI: SmallRep) -> RegionSet:
+        return self._get(("fiber_dual", EJ, EI), lambda: fiber_dual(EJ, EI))
+
+    def canonical(self, S: SmallRep) -> SmallRep:
+        return self._get(("canonical", S), lambda: canonical_ideal(S))
+
+    def is_canonical(self, EJ: SmallRep, S: SmallRep) -> bool:
+        return self._get(("is_canonical", EJ, S), lambda: _is_canonical(
+            EJ, S, self.canonical(S), self.fiber_dual(EJ, S)))
+
+    def equality(self, EJ: SmallRep, EI: SmallRep) -> tuple[bool, bool, bool]:
+        """The equality flags of the length, rho and duality sweeps of a pair."""
+        return self._get(("equality", EJ, EI), lambda: _equality_flags(
+            check_length_pairing(EJ, EI, self.dual(EJ, EI)),
+            _check_rho(self, EI, EJ),
+            _check_duality(self, EJ, EI)))
+
+
+def _context(EJ: SmallRep, EI: SmallRep, D: SmallRep | None) -> _CheckContext:
+    """A context for one public check, holding D when the caller gave it."""
+    ctx = _CheckContext()
+    if D is not None:
+        ctx.values["dual", EJ, EI] = D
+    return ctx
+
+
+def _equality_flags(length: CheckReport, rho_rep: CheckReport,
+                    duality: CheckReport) -> tuple[bool, bool, bool]:
+    return (length.flags["equality_everywhere"],
+            rho_rep.flags["equality_everywhere"], duality.flags["equal"])
 
 
 def length_step(E: SmallRep, alpha: Point, i: int) -> int:
@@ -58,9 +104,12 @@ def check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckRep
 
 def check_fibra(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckReport:
     """The CD-difference sits inside the fiber-formula dual (inclusion only)."""
-    if D is None:
-        D = cd_difference(EJ, EI)
-    fd = fiber_dual(EJ, EI)
+    return _check_fibra(_context(EJ, EI, D), EJ, EI)
+
+
+def _check_fibra(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> CheckReport:
+    D = ctx.dual(EJ, EI)
+    fd = ctx.fiber_dual(EJ, EI)
     rep = CheckReport(
         "fibra", True,
         f"beta over dual box [{list(fd.box.lo)}, {list(fd.box.hi)}]")
@@ -82,9 +131,13 @@ def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None,
                   D: SmallRep | None = None) -> CheckReport:
     """Set equality of CD-difference and fiber dual over the dual box,
     cross-referenced with canonicity of EJ when a semigroup is supplied."""
-    if D is None:
-        D = cd_difference(EJ, EI)
-    fd = fiber_dual(EJ, EI)
+    return _check_duality(_context(EJ, EI, D), EJ, EI, S)
+
+
+def _check_duality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep,
+                   S: SmallRep | None = None) -> CheckReport:
+    D = ctx.dual(EJ, EI)
+    fd = ctx.fiber_dual(EJ, EI)
     rep = CheckReport(
         "duality", True,
         f"beta over dual box [{list(fd.box.lo)}, {list(fd.box.hi)}]")
@@ -95,7 +148,7 @@ def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None,
         rep.witnesses.append({"beta": pt(diffs[0]),
                               "note": "fiber dual strictly larger here"})
     if S is not None:
-        can = is_canonical(EJ, S)
+        can = ctx.is_canonical(EJ, S)
         rep.flags["ej_canonical"] = can
         if can and diffs:
             rep.passed = False
@@ -161,8 +214,12 @@ def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None,
     Cross-references is_canonical(EJ, S) when a semigroup context is
     supplied.
     """
-    if D is None:
-        D = cd_difference(EJ, EI)
+    return _check_rho(_context(EJ, EI, D), EI, EJ, S)
+
+
+def _check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
+               S: SmallRep | None = None) -> CheckReport:
+    D = ctx.dual(EJ, EI)
     r = EJ.r
     e = ones(r)
     e2 = vadd(e, e)
@@ -185,7 +242,7 @@ def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None,
                                   "note": "strictly above r"})
     rep.flags["equality_everywhere"] = equality
     if S is not None:
-        rep.flags["ej_canonical"] = is_canonical(EJ, S)
+        rep.flags["ej_canonical"] = ctx.is_canonical(EJ, S)
     return rep
 
 
@@ -199,9 +256,14 @@ def check_maximal_symmetry(EI: SmallRep, EJ: SmallRep,
     pairing is unconditional: a bijection of maximal sets with the type map
     (p, q) -> (r + 1 - q, r + 1 - p).
     """
-    D = cd_difference(EJ, EI)
-    B = cd_difference(EJ, D)
-    T = cd_difference(EJ, B)  # third dual; always equal to D
+    return _check_maximal_symmetry(_CheckContext(), EI, EJ, S)
+
+
+def _check_maximal_symmetry(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
+                            S: SmallRep | None = None) -> CheckReport:
+    D = ctx.dual(EJ, EI)
+    B = ctx.dual(EJ, D)
+    T = ctx.dual(EJ, B)  # third dual; always equal to D, and D itself if B == EI
     r = EJ.r
     e = ones(r)
     f = frobenius(EJ)
@@ -251,7 +313,7 @@ def check_maximal_symmetry(EI: SmallRep, EJ: SmallRep,
                 {"alpha": pt(alpha), "type": [p, q], "dual_type": [p2, q2]})
     rep.flags["skipped"] = skipped
     rep.flags["pairs_checked"] = pairs_checked
-    canonical_mode = is_canonical(EJ, S) if S is not None else None
+    canonical_mode = ctx.is_canonical(EJ, S) if S is not None else None
     rep.flags["canonical_mode"] = canonical_mode
     if canonical_mode:
         mi = maximals(EI)
@@ -271,8 +333,8 @@ def check_maximal_symmetry(EI: SmallRep, EJ: SmallRep,
     return rep
 
 
-def _gorenstein_consistency(S: SmallRep, EJ: SmallRep, EI: SmallRep,
-                            seed: int) -> CheckReport:
+def _gorenstein_consistency(ctx: _CheckContext, S: SmallRep, EJ: SmallRep,
+                            EI: SmallRep, seed: int) -> CheckReport:
     """Equality flags must track canonicity, with EI = S as the decisive pair.
 
     For a sample of ideals over S: when the reference ideal is canonical the
@@ -282,7 +344,7 @@ def _gorenstein_consistency(S: SmallRep, EJ: SmallRep, EI: SmallRep,
     """
     from .constructors import random_good
 
-    can_s = canonical_ideal(S)
+    can_s = ctx.canonical(S)
     sample: list[tuple[str, SmallRep]] = [("S", S), ("canonical", can_s)]
     sample.append(("canonical+e", translate(can_s, ones(S.r))))
     sample.append(("EI", EI))
@@ -291,15 +353,13 @@ def _gorenstein_consistency(S: SmallRep, EJ: SmallRep, EI: SmallRep,
     rep = CheckReport(
         "consistency", True,
         f"EJ fixed, EI sampled over {[name for name, _ in sample]}, seed={seed}")
-    gor = is_gorenstein(S)
-    can_j = is_canonical(EJ, S)
+    gor = equals(S, can_s)  # is_gorenstein(S), from the shared K(S)
+    can_j = ctx.is_canonical(EJ, S)
     rep.flags["gorenstein"] = gor
     rep.flags["ej_canonical"] = can_j
     for ej_name, ej, expect in (("S", S, gor), ("EJ", EJ, can_j)):
         for name, e_i in sample:
-            lf = check_length_pairing(ej, e_i).flags["equality_everywhere"]
-            rf = check_rho(e_i, ej).flags["equality_everywhere"]
-            df = check_duality(ej, e_i).flags["equal"]
+            lf, rf, df = ctx.equality(ej, e_i)
             entry = {"EJ": ej_name, "EI": name, "length": lf, "rho": rf,
                      "duality": df}
             if lf != rf or lf != df:
@@ -324,15 +384,19 @@ def _gorenstein_consistency(S: SmallRep, EJ: SmallRep, EI: SmallRep,
 
 def check_all(S: SmallRep, EJ: SmallRep, EI: SmallRep,
               seed: int = 0) -> list[CheckReport]:
-    """Run every check for the triple, plus the Gorenstein consistency sweep."""
-    D = cd_difference(EJ, EI)
+    """Run every check for the triple, plus the Gorenstein consistency sweep,
+    all from one check context."""
+    ctx = _CheckContext()
+    D = ctx.dual(EJ, EI)
     reports = [
         check_sum(EJ, EI, D),
-        check_fibra(EJ, EI, D),
-        check_duality(EJ, EI, S, D),
+        _check_fibra(ctx, EJ, EI),
+        _check_duality(ctx, EJ, EI, S),
         check_length_pairing(EJ, EI, D),
-        check_rho(EI, EJ, S, D),
-        check_maximal_symmetry(EI, EJ, S),
-        _gorenstein_consistency(S, EJ, EI, seed),
+        _check_rho(ctx, EI, EJ, S),
+        _check_maximal_symmetry(ctx, EI, EJ, S),
     ]
+    # the consistency sweep samples (EJ, EI) too
+    ctx.values["equality", EJ, EI] = _equality_flags(reports[3], reports[4], reports[2])
+    reports.append(_gorenstein_consistency(ctx, S, EJ, EI, seed))
     return reports

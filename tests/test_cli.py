@@ -56,6 +56,25 @@ def test_usage_errors(capsys, data_dir, tmp_path):
     assert run(capsys, "info", str(bad))[0] == 2
 
 
+def test_check_rejects_ideal_of_another_semigroup(capsys, data_dir, tmp_path):
+    ex2, node2 = str(data_dir / "ex2.gsi"), str(data_dir / "node2.gsi")
+    # node2 + ex2 is not inside ex2: the conductor of ex2 exceeds min + c(node2)
+    for J in (ex2, node2):
+        code, out, err = run(capsys, "check", "all", J, ex2, "--semigroup", node2)
+        assert code == 2 and out == ""
+        assert err == (f"{ex2} is not an ideal of the semigroup {node2}: "
+                       f"(4, 5) + (0, 0) = (4, 5) is not in {ex2}\n")
+    # N(3,4,5) is not an N(2,5)-ideal: 2 + 0 = 2 is missing
+    s25 = str(tmp_path / "s25.gsi")
+    assert run(capsys, "gen", "numerical", "2", "5", "-o", s25)[0] == 0
+    n1 = str(data_dir / "n1.gsi")
+    code, _, err = run(capsys, "check", "rho", n1, n1, "--semigroup", s25)
+    assert code == 2
+    assert err == f"{n1} is not an ideal of the semigroup {s25}: (2) + (0) = (2) is not in {n1}\n"
+    code, _, err = run(capsys, "check", "rho", ex2, ex2, "--semigroup", n1)
+    assert code == 2 and "dimension" in err
+
+
 def test_info_output(capsys, data_dir):
     code, out, _ = run(capsys, "info", str(data_dir / "ex2.gsi"))
     assert code == 0

@@ -116,6 +116,20 @@ def test_is_canonical_examples(n1, ex2):
     assert is_canonical(translate(canonical_ideal(n1), (7,)), n1)
 
 
+def test_is_canonical_runs_both_tests(ex2, monkeypatch):
+    import gsi.duality as duality
+    from gsi.errors import SoundnessError
+    from gsi.ideal import RegionSet
+
+    kx = canonical_ideal(ex2)
+    real = fiber_dual(kx, ex2)
+    # an empty fiber dual fails the fixpoint test while the translate test holds
+    monkeypatch.setattr(duality, "fiber_dual",
+                        lambda EJ, EI: RegionSet(real.r, real.box, frozenset()))
+    with pytest.raises(SoundnessError, match="canonicity tests disagree"):
+        is_canonical(kx, ex2)
+
+
 def test_is_gorenstein_examples(n1, n2, node2, node3, ex2):
     assert is_gorenstein(n2)
     assert not is_gorenstein(n1)

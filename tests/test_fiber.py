@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsi.constructors import node, numerical, product, random_good
+from gsi.constructors import from_small_elements, node, numerical, product, random_good
+from gsi.duality import canonical_ideal, cd_difference
 from gsi.errors import DimensionMismatch, InvalidIndexSet
 from gsi.fiber import (
     MaximalKind,
@@ -15,7 +16,7 @@ from gsi.fiber import (
     p_value,
     q_value,
 )
-from gsi.ideal import frobenius
+from gsi.ideal import frobenius, translate
 from gsi.lattice import box_points, leq, ones, unit_vector, vadd, vsub
 from gsi.oracle import brute_fiber
 from gsi.theorems import length_step
@@ -194,8 +195,39 @@ def test_table_agrees_with_oracle_exhaustive(ex2, n1, node2, node3, prod22):
         _assert_table_agrees_with_oracle(E)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(["node2", "prod22"]), st.integers(0, 10_000))
-def test_table_agrees_with_oracle_random(name, seed):
-    S = node(2) if name == "node2" else product(numerical([2, 3]), numerical([2, 3]))
-    _assert_table_agrees_with_oracle(random_good(S, seed))
+_PROPERTY_SEMIGROUPS = {
+    "node2": lambda: node(2),
+    "ex2": lambda: from_small_elements(
+        2, (0, 0), (5, 5), {(0, 0), (3, 3), (3, 4), (4, 3), (5, 5)}),
+    "n34xn23": lambda: product(numerical([3, 4]), numerical([2, 3])),
+}
+
+
+def _property_ideal(name, kind, seed):
+    """A seeded ideal over node(2), the README's ex2 or N(3,4)xN(2,3).
+
+    random_good mostly returns m + N^r, on which open and closed fibers
+    agree, so only the "random_good" kind takes it as it comes.  The other
+    kinds have at least two small elements: the first random_good ideal from
+    the seed on that is not m + N^r, its dual into K(S), and a translate of S
+    or of K(S).  Over a product of numerical semigroups every nonempty
+    closed fiber has an open neighbour, so the non-product semigroups are
+    the ones that tell open fibers from closed ones.
+    """
+    S = _PROPERTY_SEMIGROUPS[name]()
+    if kind == "translate":
+        base = S if seed % 2 else canonical_ideal(S)
+        return translate(base, (seed % 7 - 3, seed // 7 % 7 - 3))
+    E = random_good(S, seed)
+    while kind != "random_good" and len(E.small) < 2:
+        seed += 1
+        E = random_good(S, seed)
+    return cd_difference(canonical_ideal(S), E) if kind == "dual" else E
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_PROPERTY_SEMIGROUPS)),
+       st.sampled_from(["random_good", "non_principal", "dual", "translate"]),
+       st.integers(0, 10_000))
+def test_table_agrees_with_oracle_random(name, kind, seed):
+    _assert_table_agrees_with_oracle(_property_ideal(name, kind, seed))

@@ -190,3 +190,46 @@ def test_reports_deterministic(ex2):
     a = [r.to_dict() for r in check_all(ex2, ex2, ex2, seed=3)]
     b = [r.to_dict() for r in check_all(ex2, ex2, ex2, seed=3)]
     assert a == b
+
+
+def _golden_triples(ex2, node2, node3):
+    return {
+        "ex2-ex2-ex2": (ex2, ex2, ex2),
+        "ex2-K-ex2": (ex2, canonical_ideal(ex2), ex2),
+        "node2-node2-random4": (node2, node2, random_good(node2, 4)),
+        "node3-K-node3": (node3, canonical_ideal(node3), node3),
+    }
+
+
+def test_check_all_matches_golden_reports(ex2, node2, node3, data_dir):
+    # reports recorded before the checks shared one context per call
+    golden = json.loads((data_dir / "check_all_golden.json").read_text())
+    for name, (S, EJ, EI) in _golden_triples(ex2, node2, node3).items():
+        got = json.loads(json.dumps([r.to_dict() for r in check_all(S, EJ, EI)]))
+        assert got == golden[name], name
+
+
+def test_check_all_computes_each_value_once(ex2, node2, node3, monkeypatch):
+    import collections
+
+    import gsi.theorems as theorems
+
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(theorems, name)
+
+        def wrapper(*args):
+            calls[name, args] += 1
+            return original(*args)
+
+        monkeypatch.setattr(theorems, name, wrapper)
+
+    for name in ("cd_difference", "fiber_dual", "canonical_ideal", "_is_canonical"):
+        counted(name)
+    for S, EJ, EI in _golden_triples(ex2, node2, node3).values():
+        calls.clear()
+        check_all(S, EJ, EI)
+        assert calls and set(calls.values()) == {1}, calls.most_common(3)
+        names = collections.Counter(name for name, _ in calls)
+        assert names["canonical_ideal"] == names["_is_canonical"] == 1

@@ -91,7 +91,7 @@ def _cmd_validate(args) -> int:
         print(f"cannot read {args.file}: no such file", file=sys.stderr)
         return USAGE_ERROR
     try:
-        E = parse_gsi(text)
+        parse_gsi(text)
     except ParseError as err:
         print(f"{args.file}: {err}", file=sys.stderr)
         return USAGE_ERROR
@@ -99,11 +99,7 @@ def _cmd_validate(args) -> int:
         print(f"{args.file}: invalid")
         _print_report(err.report)
         return 1
-    rep = validate(E)
-    print(f"{args.file}: valid" if rep.passed else f"{args.file}: invalid")
-    if not rep.passed:
-        _print_report(rep)
-        return 1
+    print(f"{args.file}: valid")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Builders for valid good semigroups and good semigroup ideals.
 
 Every constructor normalizes its data (clip to the conductor, shrink the
-conductor to the least one consistent with the stored elements) and runs full
-axiom validation before returning.  All constructors are deterministic given
-their inputs plus seed.
+conductor to the least one consistent with the stored elements, through the
+same ``ideal._least_conductor`` that promotes computed duals) and runs full
+axiom validation once before returning.  All constructors are deterministic
+given their inputs plus seed.
 """
 from __future__ import annotations
 
@@ -11,42 +12,24 @@ import math
 import random
 
 from .errors import GenerationError, ValidationError
-from .ideal import SmallRep, members, validate
+from .ideal import (
+    SmallRep,
+    _compatibility_failure,
+    _e2_witness_ranges,
+    _least_conductor,
+    validate,
+)
 from .lattice import Point, box_points, leq, meet, ones, vadd, zero
-
-
-def _shrink_conductor(m: Point, c: Point, pts: set[Point]) -> tuple[Point, frozenset[Point]]:
-    """Replace c by the least stored element that already conducts the data.
-
-    A candidate must head a full sub-box [gamma, c] of stored points, and
-    re-clipping to it must leave membership unchanged on [m, c + e]; when no
-    candidate qualifies the given c is kept and validation will judge.
-    """
-    cands = []
-    for g in sorted(pts):
-        if all(q in pts for q in box_points(g, c)):
-            cands.append(g)
-    if not cands:
-        return c, frozenset(pts)
-    low = cands[0]
-    for g in cands[1:]:
-        low = meet(low, g)
-    if low not in cands:
-        return c, frozenset(pts)
-    small = frozenset(meet(p, low) for p in pts)
-    hi = vadd(c, ones(len(c)))
-    for q in box_points(m, hi):
-        if (meet(q, c) in pts) != (meet(q, low) in small):
-            return c, frozenset(pts)
-    return low, small
+from .report import CheckReport
 
 
 def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
-    """Normalize raw small-element data and validate it.
+    """Normalize raw small-element data and validate it once.
 
-    Points are clipped by meet with the conductor; the conductor is shrunk to
-    the least one the data supports.  Raises ValidationError carrying the
-    failing axiom otherwise.
+    Points are clipped by meet with the conductor.  The conductor is shrunk
+    to the least one the data supports, read off the clipped points on [m, c]
+    by ``_least_conductor``; when that finds none, c is kept and validation
+    judges.  Raises ValidationError carrying the failing axiom otherwise.
     """
     pts = {meet(tuple(p), c) for p in elems}
     pts.add(meet(m, c))
@@ -60,8 +43,10 @@ def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
                     "point": list(p)})
             raise ValidationError(report)
     pts.add(c)
-    c2, small = _shrink_conductor(m, c, pts)
-    rep = SmallRep(r, m, c2, small)
+    found = _least_conductor(pts, m, c)
+    if isinstance(found, str):
+        found = c, frozenset(pts)
+    rep = SmallRep(r, m, *found)
     report = validate(rep)
     if not report.passed:
         raise ValidationError(report)
@@ -138,9 +123,6 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
                       S: SmallRep | None) -> set[Point]:
     """Grow pts inside [m, c] until meet-closed, E2-repaired, and compatible
     with S.  Terminates: additions are monotone within a finite box."""
-    def rule(p: Point) -> bool:
-        return meet(p, c) in pts
-
     if S is not None:
         # c <= m + c(S) must hold, so the top sub-box is forced in.
         base = meet(vadd(m, S.c), c)
@@ -174,29 +156,11 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
                         continue
                     if a[k] >= c[k]:
                         continue  # rule supplies a witness above the conductor
-                    lows = []
-                    highs = []
-                    for j in range(r):
-                        if j == k:
-                            lows.append(a[j] + 1)
-                            highs.append(max(c[j], a[j] + 1))
-                        elif a[j] != b[j]:
-                            v = min(a[j], b[j])
-                            lows.append(v)
-                            highs.append(v)  # differing coordinates are pinned
-                        else:
-                            lows.append(a[j])
-                            highs.append(max(c[j], a[j]))
-                    found = False
-                    for g in box_points(tuple(lows), tuple(highs)):
-                        if rule(g):
-                            found = True
-                            break
-                    if not found:
-                        w = tuple(lows)
-                        if w not in pts:
-                            pts.add(w)
-                            changed = True
+                    lows, highs = zip(*_e2_witness_ranges(a, b, k, c))
+                    if (lows not in pts and not any(
+                            meet(g, c) in pts for g in box_points(lows, highs))):
+                        pts.add(lows)
+                        changed = True
     return pts
 
 
@@ -206,7 +170,8 @@ def random_good(S: SmallRep, seed: int, *, max_width: int = 4,
 
     Sample points in a bounded box, close under meet, repair E2 with minimal
     witnesses, force compatibility, iterate to a fixpoint, then normalize and
-    validate.  Deterministic per (S, seed, bounds).
+    validate the axioms once (``from_small_elements``) and compatibility with
+    S.  Deterministic per (S, seed, bounds).
     """
     r = S.r
     rng = random.Random(f"{seed}:{max_width}:{samples}:{offset}")
@@ -223,10 +188,11 @@ def random_good(S: SmallRep, seed: int, *, max_width: int = 4,
         except ValidationError as err:
             last_report = err.report
             continue
-        report = validate(rep, S)
-        if report.passed:
+        failure = _compatibility_failure(rep, S)
+        if failure is None:
             return rep
-        last_report = report
+        last_report = CheckReport("validate", False, "compatibility with S",
+                                  counterexamples=[{"axiom": "compatibility", **failure}])
     raise GenerationError(
         f"no valid ideal after {retries} attempts (seed {seed}); "
         f"last failure: {last_report.summary() if last_report else 'none'}")

@@ -5,16 +5,22 @@ The CD-difference D = {beta : beta + EI <= EJ} is computed over the box
 U = c_J - m_I upward beta + EI lands past the conductor of EJ.  The inner
 quantifier is truncated by the conductor cap: a failing alpha beyond the cap
 meets down to a failing alpha inside it.  Results are normalized to SmallRep
-and re-validated; any failure there is an internal bug, never expected on
-valid inputs.
+by ``ideal._least_conductor``, the routine the constructors use too, and
+validated once; any failure there is an internal bug, never expected on valid
+inputs.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 from .errors import BoundaryInstabilityError, SoundnessError
 from .fiber import fiber_empty
 from .ideal import (
     RegionSet,
     SmallRep,
+    _compatibility_failure,
+    _least_conductor,
+    _require_same_r,
     equals,
     frobenius,
     is_subset,
@@ -23,13 +29,6 @@ from .ideal import (
     validate,
 )
 from .lattice import Box, Point, box_points, join, meet, ones, vadd, vsub, zero
-
-
-def _require_same_r(EJ: SmallRep, EI: SmallRep) -> None:
-    if EJ.r != EI.r:
-        from .errors import DimensionMismatch
-
-        raise DimensionMismatch("ideals of different dimension")
 
 
 def _dual_box(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, Point]:
@@ -44,36 +43,22 @@ def _promote_region(r: int, points: set[Point], lo: Point, hi: Point,
                     U: Point) -> tuple[SmallRep | None, str | None]:
     """Try to read a bounded point set as the box window of a good ideal.
 
-    Requires a minimum, a least conducting element (everything from U up is
-    known to belong), and exact agreement between the membership rule and the
-    computed points on the whole box.  Any miss returns a reason instead.
+    Requires a minimum and the point U (everything from U up is known to
+    belong), then reads the least conductor and the small elements off the
+    points with ``_least_conductor`` on [lo, hi], and validates the axioms.
+    Any miss returns a reason instead.
     """
     if not points:
         return None, "empty region"
-    pts = sorted(points)
-    m = pts[0]
-    for p in pts[1:]:
-        m = meet(m, p)
+    m = reduce(meet, points)
     if m not in points:
         return None, f"no minimum: meet of region is {m}, not a region point"
     if U not in points:
         return None, f"expected conducting point {U} missing"
-    cands = []
-    for g in pts:
-        if all(q in points for q in box_points(g, hi)):
-            cands.append(g)
-    if not cands:
-        return None, "no conducting candidate"
-    cstar = cands[0]
-    for g in cands[1:]:
-        cstar = meet(cstar, g)
-    if cstar not in cands:
-        return None, "conducting candidates are not meet-closed"
-    small = frozenset(p for p in points if all(x <= y for x, y in zip(p, cstar)))
-    rep = SmallRep(r, m, cstar, small)
-    for p in box_points(lo, hi):
-        if (p in points) != rep.contains(p):
-            return None, f"membership rule disagrees with region at {p}"
+    found = _least_conductor(points, lo, hi)
+    if isinstance(found, str):
+        return None, found
+    rep = SmallRep(r, m, *found)
     report = validate(rep)
     if not report.passed:
         return None, f"axiom validation failed: {report.summary()}"
@@ -118,7 +103,8 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     """The canonical ideal {alpha : F(S, frobenius(S) - alpha) = empty}.
 
     Postconditions are asserted: the Frobenius vector is preserved, S is
-    contained in the result, and the result validates as an S-ideal.
+    contained in the result, and the result, validated on promotion, is
+    compatible with S.
     """
     if not S.contains(zero(S.r)):
         raise ValueError("canonical ideal needs a good semigroup (0 missing)")
@@ -140,9 +126,9 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
             f"canonical ideal changed the Frobenius vector: {frobenius(rep)} != {f}")
     if not is_subset(S, rep):
         raise SoundnessError("canonical ideal does not contain the semigroup")
-    report = validate(rep, S)
-    if not report.passed:
-        raise SoundnessError(f"canonical ideal fails validation: {report.summary()}")
+    failure = _compatibility_failure(rep, S)
+    if failure is not None:
+        raise SoundnessError(f"canonical ideal is not an ideal of S: {failure}")
     return rep
 
 

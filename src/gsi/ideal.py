@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import DimensionMismatch
 from .lattice import (
@@ -178,22 +178,52 @@ def _decision_box(E1: SmallRep, E2: SmallRep) -> Box:
     return Box(lo, hi)
 
 
+def _require_same_r(E1: SmallRep, E2: SmallRep) -> None:
+    if E1.r != E2.r:
+        raise DimensionMismatch("ideals of different dimension")
+
+
 def equals(E1: SmallRep, E2: SmallRep) -> bool:
     """Equality of the represented (infinite) sets.
 
     Decided on [meet(m1,m2), join(c1,c2) + e]: outside that box membership of
     both sides is forced by their meet-with-conductor rules.
     """
-    if E1.r != E2.r:
-        raise DimensionMismatch("ideals of different dimension")
+    _require_same_r(E1, E2)
     return all(E1.contains(p) == E2.contains(p) for p in _decision_box(E1, E2))
 
 
 def is_subset(E1: SmallRep, E2: SmallRep) -> bool:
     """Inclusion of represented sets, decided on the shared box."""
-    if E1.r != E2.r:
-        raise DimensionMismatch("ideals of different dimension")
+    _require_same_r(E1, E2)
     return all(E2.contains(p) for p in _decision_box(E1, E2) if E1.contains(p))
+
+
+def _least_conductor(points: set[Point], lo: Point,
+                     hi: Point) -> tuple[Point, frozenset[Point]] | str:
+    """The least conductor of a point set inside [lo, hi], or why it has none.
+
+    hi must be the top corner of the box, which the set's membership rule
+    treats as conducting.  The candidates are the points g with the whole
+    sub-box [g, hi] in the set; their meet must be one of them.  With g that
+    meet and small the points below g, the rule ``q in E <=> meet(q, g) in
+    small`` must agree with the set on all of [lo, hi].  Returns (g, small),
+    or the failure reason as a string.
+    """
+    cands = [g for g in points if all(q in points for q in box_points(g, hi))]
+    if not cands:
+        return "no conducting candidate"
+    g = reduce(meet, cands)
+    if g not in cands:
+        return "conducting candidates are not meet-closed"
+    small = frozenset(p for p in points if leq(p, g))
+    # With g == hi, small is the whole set and meet(q, hi) = q on the box, so
+    # the rule reads the set unchanged and cannot disagree with it.
+    if g != hi:
+        for q in box_points(lo, hi):
+            if (q in points) != (tuple(map(min, q, g)) in small):
+                return f"membership rule disagrees with region at {q}"
+    return g, small
 
 
 @dataclass(frozen=True)

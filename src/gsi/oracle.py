@@ -122,10 +122,6 @@ def brute_fiber(E: SmallRep, alpha: Point, J: Iterable[int],
     return out
 
 
-def brute_fiber_empty(E: SmallRep, alpha: Point) -> bool:
-    return all(not brute_fiber(E, alpha, (i,)) for i in range(1, E.r + 1))
-
-
 def brute_dual(EJ: SmallRep, EI: SmallRep) -> set[Point]:
     """The set {beta : beta + EI <= EJ} enumerated over an extended dual box.
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,38 @@ from gsi.constructors import (
     product,
     random_good,
 )
-from gsi.errors import ValidationError
+from gsi.errors import GenerationError, ValidationError
 from gsi.fiber import fiber_empty, maximals
-from gsi.ideal import frobenius, validate
-from gsi.lattice import zero
+from gsi.ideal import _least_conductor, frobenius, validate
+from gsi.lattice import Point, box_points, meet, ones, vadd, zero
+
+
+# The former conductor normaliser of from_small_elements, kept verbatim as the
+# reference that ideal._least_conductor is compared against.
+def _shrink_conductor(m: Point, c: Point, pts: set[Point]) -> tuple[Point, frozenset[Point]]:
+    """Replace c by the least stored element that already conducts the data.
+
+    A candidate must head a full sub-box [gamma, c] of stored points, and
+    re-clipping to it must leave membership unchanged on [m, c + e]; when no
+    candidate qualifies the given c is kept and validation will judge.
+    """
+    cands = []
+    for g in sorted(pts):
+        if all(q in pts for q in box_points(g, c)):
+            cands.append(g)
+    if not cands:
+        return c, frozenset(pts)
+    low = cands[0]
+    for g in cands[1:]:
+        low = meet(low, g)
+    if low not in cands:
+        return c, frozenset(pts)
+    small = frozenset(meet(p, low) for p in pts)
+    hi = vadd(c, ones(len(c)))
+    for q in box_points(m, hi):
+        if (meet(q, c) in pts) != (meet(q, low) in small):
+            return c, frozenset(pts)
+    return low, small
 
 
 def test_numerical_fixtures(n1, n2):
@@ -106,6 +136,15 @@ def test_random_good_postconditions(ex2, node2):
             assert validate(E, S).passed
 
 
+def test_random_good_gives_up_on_incompatible_ideals(monkeypatch, ex2):
+    import gsi.constructors
+
+    monkeypatch.setattr(gsi.constructors, "_compatibility_failure",
+                        lambda E, S: {"s": [0, 0], "p": [1, 1], "sum": [1, 1]})
+    with pytest.raises(GenerationError, match="after 2 attempts .*'compatibility'"):
+        random_good(ex2, 0, retries=2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_random_good_always_valid_r1(seed):
@@ -126,3 +165,44 @@ def test_constructors_are_semigroups(n1, n2, node2, node3, prod22):
     for S in (n1, n2, node2, node3, prod22):
         assert S.contains(zero(S.r))
         assert validate(S, semigroup=True).passed
+
+
+def _random_point_sets(seed: int):
+    """Seeded point sets inside [m, c] holding m and c, as from_small_elements
+    hands them over: sparse and dense, with and without a full top sub-box,
+    meet-closed or not."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        m = tuple(rng.randint(-2, 2) for _ in range(r))
+        c = tuple(x + rng.randint(0, 3) for x in m)
+        box = list(box_points(m, c))
+        density = rng.choice((0.2, 0.5, 0.8))
+        pts = {m, c} | {p for p in box if rng.random() < density}
+        if rng.random() < 0.6:
+            g = rng.choice(box)
+            pts.update(box_points(g, c))
+        if rng.random() < 0.5:
+            while True:
+                meets = {meet(a, b) for a in pts for b in pts} - pts
+                if not meets:
+                    break
+                pts |= meets
+        yield m, c, pts
+
+
+def test_least_conductor_matches_shrink_conductor():
+    reasons = set()
+    shrunk = 0
+    for m, c, pts in _random_point_sets(20241):
+        found = _least_conductor(pts, m, c)
+        if isinstance(found, str):
+            reasons.add(found.split(" at ")[0])
+            found = c, frozenset(pts)
+        elif found[0] != c:
+            shrunk += 1
+        assert found == _shrink_conductor(m, c, pts), (m, c, sorted(pts))
+    # every path of the routine is exercised
+    assert shrunk >= 20
+    assert reasons == {"conducting candidates are not meet-closed",
+                            "membership rule disagrees with region"}

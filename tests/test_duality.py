@@ -9,7 +9,7 @@ from gsi.duality import (
     is_canonical,
     is_gorenstein,
 )
-from gsi.ideal import equals, frobenius, is_subset, translate
+from gsi.ideal import equals, frobenius, is_subset, translate, validate
 from gsi.lattice import box_points, ones, vadd, vsub
 from gsi.oracle import brute_canonical, brute_dual
 
@@ -169,6 +169,38 @@ def test_promotion_rejects_non_good_regions():
     rep, why = _promote_region(2, {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)},
                                (0, 0), (2, 2), (1, 1))
     assert why is None and rep is not None and rep.c == (1, 1)
+    # the top corner (2,2) is missing, so no point heads a full sub-box
+    rep, why = _promote_region(2, {(0, 0), (1, 1)}, (0, 0), (2, 2), (1, 1))
+    assert rep is None and why == "no conducting candidate"
+    # (0,2) and (2,0) head full sub-boxes, their meet (0,0) does not
+    rep, why = _promote_region(2, {(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)},
+                               (0, 0), (2, 2), (1, 1))
+    assert rep is None and why == "conducting candidates are not meet-closed"
+    # least conductor (2,2); the rule puts (0,3) in with (0,2), the region not
+    top = {(x, y) for x in (2, 3) for y in (2, 3)}
+    rep, why = _promote_region(2, {(0, 0), (0, 2)} | top, (0, 0), (3, 3), (2, 2))
+    assert rep is None and why == "membership rule disagrees with region at (0, 3)"
+
+
+def test_each_built_ideal_validated_once(monkeypatch, ex2, node2):
+    import gsi.constructors
+    import gsi.duality
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return validate(*args, **kwargs)
+
+    for module in (gsi.constructors, gsi.duality):
+        monkeypatch.setattr(module, "validate", counted)
+    for S in (ex2, node2):
+        for build in (lambda: canonical_ideal(S),
+                      lambda: cd_difference(S, S),
+                      lambda: random_good(S, 3)):
+            calls.clear()
+            E = build()
+            assert calls == [E]
 
 
 def test_lemma_fibra_inclusion(ex2, n1, node2):

@@ -2,7 +2,7 @@ import pytest
 
 from gsi.errors import ParseError, ValidationError
 from gsi.gsi_format import emit_gsi, parse_gsi
-from gsi.ideal import equals
+from gsi.ideal import equals, members
 
 
 def test_parse_ex2_file(data_dir, ex2):
@@ -15,6 +15,20 @@ def test_roundtrip_byte_identity(data_dir):
     for name in ("n1", "n2", "node2", "ex2"):
         text = (data_dir / f"{name}.gsi").read_text()
         assert emit_gsi(parse_gsi(text)) == text
+
+
+@pytest.mark.parametrize("name", ["n1", "n2", "node2", "ex2"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_non_minimal_conductor_normalizes(data_dir, name, k):
+    # declare c + k*e with every member of [m, c + k*e] listed: the conductor
+    # must shrink back to c and the document emit as the fixture
+    text = (data_dir / f"{name}.gsi").read_text()
+    E = parse_gsi(text)
+    c = tuple(x + k for x in E.c)
+    lines = ["gsi 1", f"r {E.r}", "min " + " ".join(map(str, E.m)),
+             "conductor " + " ".join(map(str, c))]
+    lines += ["elem " + " ".join(map(str, p)) for p in members(E, E.m, c)]
+    assert emit_gsi(parse_gsi("\n".join(lines) + "\n")) == text
 
 
 def test_emit_is_normalization(ex2):

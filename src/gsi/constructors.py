@@ -14,8 +14,9 @@ import random
 from .errors import GenerationError, ValidationError
 from .ideal import (
     SmallRep,
+    _capped_ranges,
     _compatibility_failure,
-    _e2_witness_ranges,
+    _e2_fiber,
     _least_conductor,
     validate,
 )
@@ -156,7 +157,7 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
                         continue
                     if a[k] >= c[k]:
                         continue  # rule supplies a witness above the conductor
-                    lows, highs = zip(*_e2_witness_ranges(a, b, k, c))
+                    lows, highs = zip(*_capped_ranges(*_e2_fiber(a, b, k), True, c))
                     if (lows not in pts and not any(
                             meet(g, c) in pts for g in box_points(lows, highs))):
                         pts.add(lows)

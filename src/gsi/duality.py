@@ -4,10 +4,13 @@ The CD-difference D = {beta : beta + EI <= EJ} is computed over the box
 [m_J - c_I, c_J - m_I + e]: below it beta + c_I drops under m_J, and from
 U = c_J - m_I upward beta + EI lands past the conductor of EJ.  The inner
 quantifier is truncated by the conductor cap: a failing alpha beyond the cap
-meets down to a failing alpha inside it.  Results are normalized to SmallRep
-by ``ideal._least_conductor``, the routine the constructors use too, and
-validated once; any failure there is an internal bug, never expected on valid
-inputs.
+meets down to a failing alpha inside it.  It runs on the membership grid of
+``ideal`` (``ideal._quotient``): one window of EJ covers every sum beta +
+alpha, its shift by alpha's offset answers the quantifier for every beta at
+once, and D's box is the AND of those shifts over the members alpha of EI.
+Results are normalized to SmallRep by ``ideal._least_conductor``, the routine
+the constructors use too, and validated once; any failure there is an
+internal bug, never expected on valid inputs.
 """
 from __future__ import annotations
 
@@ -20,11 +23,11 @@ from .ideal import (
     SmallRep,
     _compatibility_failure,
     _least_conductor,
+    _quotient,
     _require_same_r,
     equals,
     frobenius,
     is_subset,
-    members,
     translate,
     validate,
 )
@@ -73,11 +76,7 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     # superset of every per-beta quantifier cap K(beta); quantifying over the
     # larger window is equivalent by the cap argument
     kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
-    alphas = members(EI, EI.m, kmax)
-    points = set()
-    for beta in box_points(lo, hi):
-        if all(EJ.contains(vadd(beta, a)) for a in alphas):
-            points.add(beta)
+    points = _quotient(EJ, EI, lo, hi, kmax)
     rep, failure = _promote_region(EJ.r, points, lo, hi, U)
     if rep is None:
         raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")

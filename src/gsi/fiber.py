@@ -3,9 +3,10 @@
 For a nonempty J inside {1..r}, the open fiber of alpha holds the members
 agreeing with alpha on J and strictly larger elsewhere; the closed fiber
 relaxes strict to weak.  Emptiness is read from the ideal's fiber table
-(:attr:`SmallRep.fiber_table`), one lookup per J after clamping alpha into
-[m, c].  Only :func:`fiber_witness` still searches a box, and only to name a
-witness point once the table says one exists.
+(:attr:`SmallRep.fiber_table`), one mask per J over the ideal's clamp-class
+grid: a query clamps alpha into [m - e, c] and tests one bit.  Only
+:func:`fiber_witness` still searches a box, and only to name a witness point
+once the table says one exists.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ideal import SmallRep, search_member
+from .ideal import SmallRep, _capped_ranges, search_member
 from .lattice import Point, box_points, check_same_dim, normalize_index_set, ones, vsub
 
 
@@ -22,24 +23,16 @@ def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
     """Some member of the fiber F_J(E, alpha) (closed variant on request),
     or None when the fiber is empty.
 
-    The table decides emptiness.  A witness is then searched with the
-    coordinates in J pinned to alpha and each free coordinate k over
-    (alpha_k, max(c_k, alpha_k + 1)] when open, [alpha_k, max(c_k, alpha_k)]
-    when closed: meeting a remote witness with a member above the conductor
-    pulls it into that box without leaving the fiber.
+    The table decides emptiness.  A witness is then searched in the capped
+    box of ``ideal._capped_ranges``: the coordinates in J pinned to alpha and
+    each free coordinate k over (alpha_k, max(c_k, alpha_k + 1)] when open,
+    [alpha_k, max(c_k, alpha_k)] when closed.
     """
     check_same_dim(alpha, E.c)
-    js = normalize_index_set(E.r, J)
-    if not E.fiber_occupied(alpha, sum(1 << (j - 1) for j in js), closed):
+    axes = sum(1 << (j - 1) for j in normalize_index_set(E.r, J))
+    if not E.fiber_occupied(alpha, axes, closed):
         return None
-    ranges = []
-    for k in range(E.r):
-        if k + 1 in js:
-            ranges.append((alpha[k], alpha[k]))
-        else:
-            low = alpha[k] if closed else alpha[k] + 1
-            ranges.append((low, max(E.c[k], low)))
-    return search_member(E, ranges)
+    return search_member(E, _capped_ranges(alpha, axes, closed, E.c))
 
 
 def fiber_empty(E: SmallRep, alpha: Point) -> bool:

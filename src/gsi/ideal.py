@@ -9,12 +9,22 @@ elements* E intersected with [m, c].  Membership anywhere follows the rule
 Meet-closure forces the forward direction; the converse is an axiom of the
 representation and is cross-checked against the brute-force oracle on every
 fixture.  Everything here is immutable and pure.
+
+Membership, and with it every open or closed fiber, is constant on *clamp
+classes*: clamping each coordinate into [m_k - 1, c_k] changes nothing.  So
+an ideal is one bit mask over the grid [m - e, c] (:attr:`SmallRep.grid`),
+laid out with the last axis fastest, which makes bit order lexicographic
+order.  The fiber table, ``validate``'s exchange test, the sum sweeps and the
+quotient behind ``duality.cd_difference`` all read that mask: a window of E
+over any box (``_window``) is built row by row from it, and a translate of a
+box is a shift of its window.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 from .errors import DimensionMismatch
 from .lattice import (
@@ -32,6 +42,20 @@ from .lattice import (
 from .report import CheckReport, pt
 
 
+class Grid(NamedTuple):
+    """The clamp-class grid [lo, c] of an ideal, lo = m - e, as one bit mask.
+
+    Axis k has dims[k] = c_k - m_k + 2 values; a point t of the grid (offset
+    from lo) has bit sum(t_k * strides[k]), the last axis fastest.  Row
+    m_k - 1 of each axis holds no member.
+    """
+
+    lo: Point
+    dims: tuple[int, ...]
+    strides: tuple[int, ...]
+    mask: int
+
+
 @dataclass(frozen=True)
 class SmallRep:
     """Canonical finite data of a good semigroup ideal.
@@ -40,10 +64,10 @@ class SmallRep:
     are small elements, every small element lies in [m, c], small is closed
     under meet, the exchange axiom E2 holds, and c is the least conductor.
 
-    Fiber questions are answered from :attr:`fiber_table`, which is built on
-    the first fiber query and then kept on the instance for as long as the
-    ideal lives.  It is a pure function of the four fields, so it takes no
-    part in equality or hashing.
+    The membership grid and the fiber table are built on first use and then
+    kept on the instance for as long as the ideal lives.  They are pure
+    functions of the four fields, so they take no part in equality or
+    hashing.
     """
 
     r: int
@@ -70,72 +94,174 @@ class SmallRep:
         return self.contains(alpha)
 
     @cached_property
-    def fiber_table(self) -> tuple[frozenset[Point], ...]:
-        """Occupied closed fibers, indexed by a bitmask J of 0-based axes.
+    def grid(self) -> Grid:
+        """The small elements as a mask over the grid [m - e, c].
 
-        Entry J holds the points x of [m, c] whose closed J-fiber (members
-        equal to x on J and at least x elsewhere) is nonempty: the small
-        elements closed downward, within [m, c], along the axes outside J.
-        Entry 0 is empty.  Each entry adds one axis to the closure of an
-        entry already built, so the cost is proportional to the output.
+        Small elements outside [m, c], which only a rep failing
+        :func:`validate` has, are left out.
         """
+        lo = vsub(self.m, ones(self.r))
+        dims = tuple(c - l + 1 for l, c in zip(lo, self.c))
+        strides = _strides(dims)
+        bits = bytearray((math.prod(dims) + 7) // 8)
+        for p in self.small:
+            if all(l < x <= c for l, x, c in zip(lo, p, self.c)):
+                i = sum((x - l) * s for x, l, s in zip(p, lo, strides))
+                bits[i >> 3] |= 1 << (i & 7)
+        return Grid(lo, dims, strides, int.from_bytes(bits, "little"))
+
+    @cached_property
+    def fiber_table(self) -> tuple[int, ...]:
+        """Occupied closed fibers as grid masks, indexed by a bitmask J of
+        0-based axes.
+
+        Bit t of entry J is set when the closed J-fiber (members equal to the
+        point on J and at least it elsewhere) of grid point t is nonempty.
+        Entry 0 is 0 and the full entry is the grid mask.  Every other entry
+        suffix-ORs the entry with its lowest free axis k pinned along k, so
+        a bit takes the OR of the bits at or above it on its k-line.
+        """
+        g = self.grid
         full = (1 << self.r) - 1
-        table: list[frozenset[Point]] = [frozenset()] * (full + 1)
-        table[full] = self.small
+        table = [0] * (full + 1)
+        table[full] = g.mask
         for J in range(full - 1, 0, -1):
             k = ((full ^ J) & -(full ^ J)).bit_length() - 1  # lowest free axis
-            table[J] = _close_down(table[J | 1 << k], k, self.m[k])
+            table[J] = _suffix_or(table[J | 1 << k], g.dims, k)
         return tuple(table)
 
     def fiber_occupied(self, alpha: Point, J: int, closed: bool = False) -> bool:
         """Whether the J-fiber of alpha (J a bitmask of 0-based axes) meets E.
 
-        One lookup in :attr:`fiber_table` after clamping alpha into [m, c].
+        One bit of :attr:`fiber_table` after clamping alpha into [m - e, c].
         The clamp is exact because membership is constant beyond c in each
         coordinate and empty below m: on an axis in J the fiber is empty
-        below m_j and unchanged above c_j; on a free axis any value below m_k
-        is as good as m_k and any value above c_k as good as c_k.  The open
-        fiber is the closed fiber at alpha + 1 on the free axes.  alpha must
-        have dimension r; the public fiber functions check it.
+        below m_j (grid row m_j - 1 is empty) and unchanged above c_j; on a
+        free axis any value below m_k is as good as m_k - 1 and any value
+        above c_k as good as c_k.  The open fiber is the closed fiber at
+        alpha + 1 on the free axes.  alpha must have dimension r; the public
+        fiber functions check it.
         """
-        x = []
-        for k, (a, lo, hi) in enumerate(zip(alpha, self.m, self.c)):
-            if J >> k & 1:
-                if a < lo:
-                    return False
-            elif not closed:
+        g = self.grid
+        i = 0
+        for k, (a, lo, hi, s) in enumerate(zip(alpha, g.lo, self.c, g.strides)):
+            if not (closed or J >> k & 1):
                 a += 1
-            x.append(lo if a < lo else hi if a > hi else a)
-        return tuple(x) in self.fiber_table[J]
+            i += ((hi if a > hi else a if a > lo else lo) - lo) * s
+        return self.fiber_table[J] >> i & 1 == 1
 
     def fiber_occupancy(self, alpha: Point, closed: bool = False) -> list[bool]:
         """:meth:`fiber_occupied` for every J at once, indexed by the bitmask
         (entry 0 is False).  alpha is clamped once per axis, both as a pinned
-        value (None below m, which no table entry holds) and as a free one;
-        the key for J takes the pinned value on the axes in J."""
-        pinned, free = [], []
-        for a, lo, hi in zip(alpha, self.m, self.c):
-            pinned.append(None if a < lo else hi if a > hi else a)
+        value and as a free one; the bit index for J adds the pinned offset on
+        the axes in J and the free offset elsewhere."""
+        g = self.grid
+        index = [0]
+        for a, lo, hi, s in zip(alpha, g.lo, self.c, g.strides):
+            pinned = ((hi if a > hi else a if a > lo else lo) - lo) * s
             if not closed:
                 a += 1
-            free.append(lo if a < lo else hi if a > hi else a)
-        # product() varies its last factor fastest, so with the axes reversed
-        # the n-th key picks the pinned value exactly on the axes in J = n
-        keys = itertools.product(*zip(reversed(free), reversed(pinned)))
-        return [key[::-1] in entry for key, entry in zip(keys, self.fiber_table)]
+            free = ((hi if a > hi else a if a > lo else lo) - lo) * s
+            # doubling the list adds this axis as the next bit of J
+            index = [i + free for i in index] + [i + pinned for i in index]
+        return [entry >> i & 1 == 1 for entry, i in zip(self.fiber_table, index)]
 
 
-def _close_down(points: frozenset[Point], k: int, low: int) -> frozenset[Point]:
-    """points together with everything below them along axis k, down to low."""
-    out = set(points)
-    for p in points:
-        head, tail = p[:k], p[k + 1:]
-        for v in range(p[k] - 1, low - 1, -1):
-            q = head + (v,) + tail
-            if q in out:
-                break  # below q is covered by the walk that added q, or q's own
-            out.add(q)
-    return frozenset(out)
+def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Bit strides of a box layout, the last axis fastest."""
+    out = [1] * len(dims)
+    for k in range(len(dims) - 1, 0, -1):
+        out[k - 1] = out[k] * dims[k]
+    return tuple(out)
+
+
+def _repeat(block: int, width: int, n: int) -> int:
+    """n copies of a block of width bits, side by side from bit 0."""
+    if n <= 0:
+        return 0
+    return block * (((1 << width * n) - 1) // ((1 << width) - 1))
+
+
+def _box_mask(dims: tuple[int, ...], sub: tuple[int, ...]) -> int:
+    """The points t with t_k < sub_k for every k, in the layout of dims."""
+    mask, width = 1, 1
+    for d, n in zip(reversed(dims), reversed(sub)):
+        mask = _repeat(mask, width, n)
+        width *= d
+    return mask
+
+
+def _suffix_or(mask: int, dims: tuple[int, ...], k: int) -> int:
+    """Each bit ORed with the bits above it along axis k, by shift-and-OR
+    with doubling steps; before a step of s a bit holds the OR of s bits,
+    after it of 2s, and the keep mask stops a shifted bit from crossing
+    into the next k-line."""
+    d, stride = dims[k], _strides(dims)[k]
+    s = 1
+    while s < d:
+        keep = _box_mask(dims, dims[:k] + (d - s,) + dims[k + 1:])
+        mask |= mask >> s * stride & keep
+        s *= 2
+    return mask
+
+
+def _window(E: SmallRep, lo: Point, hi: Point) -> int:
+    """E's membership over [lo, hi] as a mask in that box's layout.
+
+    Built row by row from the grid: a coordinate below m reads nothing, one
+    in [m, c] its grid row, and the rows above c repeat the row at c.  The
+    box may reach below m and beyond c anywhere.
+    """
+    dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+    if min(dims) <= 0:
+        return 0
+    g = E.grid
+    strides = _strides(dims)
+    last = E.r - 1
+
+    def rows(k: int, base: int) -> int:
+        # the window of axes k.. for the grid prefix whose bits start at base
+        l, h, m, c = lo[k], hi[k], E.m[k], E.c[k]
+        origin, step = g.lo[k], g.strides[k]
+        top = max(l, c + 1)  # first row above c
+        if k == last:
+            out = 0
+            if max(l, m) <= min(h, c):
+                a = max(l, m)
+                out = (g.mask >> base + a - origin & (1 << min(h, c) - a + 1) - 1) << a - l
+            if h > c and g.mask >> base + c - origin & 1:
+                out |= (1 << h - top + 1) - 1 << top - l
+            return out
+        width = strides[k]
+        out = 0
+        for x in range(max(l, m), min(h, c) + 1):
+            out |= rows(k + 1, base + (x - origin) * step) << (x - l) * width
+        if h > c:
+            row = rows(k + 1, base + (c - origin) * step)
+            out |= _repeat(row, width, h - top + 1) << (top - l) * width
+        return out
+
+    return rows(0, 0)
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, ascending."""
+    digits = format(mask, "b")[::-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _point(i: int, lo: Point, strides: tuple[int, ...]) -> Point:
+    """The point of bit i in the layout with these strides, based at lo."""
+    out = []
+    for l, s in zip(lo, strides):
+        q, i = divmod(i, s)
+        out.append(l + q)
+    return tuple(out)
 
 
 def contains(E: SmallRep, alpha: Point) -> bool:
@@ -247,26 +373,37 @@ class RegionSet:
                 raise ValueError(f"region point {p} outside box")
 
 
-def _e2_witness_ranges(a: Point, b: Point, i: int, c: Point) -> list[tuple[int, int]]:
-    """Search ranges for an E2 witness for the pair (a, b) agreeing at 0-based i.
+def _capped_ranges(alpha: Point, J: int, closed: bool,
+                   c: Point) -> list[tuple[int, int]]:
+    """Search ranges for a member of the J-fiber of alpha (J a bitmask of
+    0-based axes), open or closed.
 
-    The witness needs coordinate i strictly above a[i], coordinates pinned to
-    min(a, b) where a and b differ, and at least a[j] elsewhere.  Caps at
-    max(c_k, low_k) are lossless: meeting any remote witness with a member
-    above the conductor pulls it into the box.
+    Axes in J are pinned to alpha; a free axis k runs over [low, max(c_k,
+    low)], with low = alpha_k when closed and alpha_k + 1 when open.  The cap
+    is lossless: meeting a remote member of the fiber with a member above the
+    conductor pulls it into the box without leaving the fiber.
     """
     ranges = []
-    for k in range(len(a)):
-        if k == i:
-            low = a[k] + 1
-            ranges.append((low, max(c[k], low)))
-        elif a[k] != b[k]:
-            v = min(a[k], b[k])
-            ranges.append((v, v))
+    for k, (a, ck) in enumerate(zip(alpha, c)):
+        if J >> k & 1:
+            ranges.append((a, a))
         else:
-            low = a[k]
-            ranges.append((low, max(c[k], low)))
+            low = a if closed else a + 1
+            ranges.append((low, max(ck, low)))
     return ranges
+
+
+def _e2_fiber(a: Point, b: Point, i: int) -> tuple[Point, int]:
+    """The point and axes of the closed fiber holding the E2 witnesses for a
+    pair (a, b) that agrees at 0-based i: meet(a, b) + e_i, pinned where a
+    and b differ."""
+    x = [*map(min, a, b)]
+    x[i] += 1
+    J = 0
+    for k, (u, v) in enumerate(zip(a, b)):
+        if u != v:
+            J |= 1 << k
+    return tuple(x), J
 
 
 def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
@@ -279,26 +416,77 @@ def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
     return None
 
 
-def _compatibility_failure(E: SmallRep, S: SmallRep,
-                           mem: list[Point] | None = None) -> dict | None:
+def _members_in(E: SmallRep, top: Point, dims: tuple[int, ...]) -> int:
+    """E's members over [m, top] in the layout of dims, based at m."""
+    e = ones(E.r)
+    return (_window(E, E.m, vadd(E.m, vsub(dims, e)))
+            & _box_mask(dims, vadd(vsub(top, E.m), e)))
+
+
+def _sum_failure(outer: SmallRep, inner: SmallRep,
+                 target: SmallRep) -> tuple[Point, Point, Point] | None:
+    """The first o + i outside target, for o over the members of outer in
+    [m, c + e] and then i over those of inner, both in lexicographic order,
+    as (o, i, o + i); None when every sum lands in target.
+
+    One window W of target covers all the sums, with o + i at bit
+    offset(o - m_o) + offset(i - m_i).  For each o, the bits of the inner
+    members P that W >> offset(o - m_o) lacks are the failing i, and the
+    lowest one is the first.
+    """
+    e = ones(target.r)
+    lo = vadd(outer.m, inner.m)
+    hi = vadd(vadd(outer.c, inner.c), vadd(e, e))
+    W = _window(target, lo, hi)
+    dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+    strides = _strides(dims)
+    P = _members_in(inner, vadd(inner.c, e), dims)
+    for off in _bits(_members_in(outer, vadd(outer.c, e), dims)):
+        bad = P & ~(W >> off)
+        if bad:
+            o = _point(off, outer.m, strides)
+            i = _point((bad & -bad).bit_length() - 1, inner.m, strides)
+            return o, i, vadd(o, i)
+    return None
+
+
+def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
+              cap: Point) -> set[Point]:
+    """The beta of [lo, hi] with beta + alpha in EJ for every member alpha
+    of EI in [m_I, cap].
+
+    One window W of EJ covers every sum, with beta at bit offset(beta - lo),
+    so W >> offset(alpha - m_I) reads beta + alpha there; the answer is the
+    AND of those shifts over the alphas, cut to the box of the betas.
+    """
+    e = ones(EJ.r)
+    wlo, whi = vadd(lo, EI.m), vadd(hi, cap)
+    W = _window(EJ, wlo, whi)
+    dims = tuple(h - l + 1 for l, h in zip(wlo, whi))
+    acc = _box_mask(dims, vadd(vsub(hi, lo), e))
+    for off in _bits(_members_in(EI, cap, dims)):
+        acc &= W >> off
+        if not acc:
+            break
+    strides = _strides(dims)
+    return {_point(i, lo, strides) for i in _bits(acc)}
+
+
+def _compatibility_failure(E: SmallRep, S: SmallRep) -> dict | None:
     """The first violation of S + E <= E as report data, or None.
 
-    E and S must have the same dimension; ``mem`` is E's members over
-    [m, c + e] when the caller already has them.  S + E <= E forces
-    c <= m + c(S); checking it first makes the box quantifier exhaustive.
+    E and S must have the same dimension.  S + E <= E forces c <= m + c(S);
+    checking it first makes the sweep of s over S's members in [m_S, c_S + e]
+    against p over E's members in [m, c + e] exhaustive.
     """
-    e = ones(E.r)
     bound = vadd(E.m, S.c)
     if not leq(E.c, bound):
         return {"reason": "conductor exceeds min + c(S)",
                 "conductor": pt(E.c), "bound": pt(bound)}
-    if mem is None:
-        mem = members(E, E.m, vadd(E.c, e))
-    for s in members(S, S.m, vadd(S.c, e)):
-        for p in mem:
-            q = vadd(s, p)
-            if not E.contains(q):
-                return {"s": pt(s), "p": pt(p), "sum": pt(q)}
+    failure = _sum_failure(S, E, E)
+    if failure is not None:
+        s, p, q = failure
+        return {"s": pt(s), "p": pt(p), "sum": pt(q)}
     return None
 
 
@@ -345,16 +533,13 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
             if not E.contains(g):
                 return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
 
-    # E2: exchange witness for every pair agreeing in some coordinate.
+    # E2: exchange witness for every pair agreeing in some coordinate, one
+    # fiber-table lookup per pair and coordinate.
     for idx, a in enumerate(mem):
         for b in mem[idx + 1:]:
-            if a == b:
-                continue
             for i in range(r):
-                if a[i] != b[i]:
-                    continue
-                w = search_member(E, _e2_witness_ranges(a, b, i, E.c))
-                if w is None:
+                if a[i] == b[i] and not E.fiber_occupied(*_e2_fiber(a, b, i),
+                                                         closed=True):
                     return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
 
     # Conductor minimality: c - e_i must not conduct.  Every point above
@@ -369,7 +554,7 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     if S is not None:
         if S.r != r:
             return fail("structural", reason="semigroup dimension mismatch")
-        failure = _compatibility_failure(E, S, mem)
+        failure = _compatibility_failure(E, S)
         if failure is not None:
             return fail("compatibility", **failure)
 
@@ -377,10 +562,11 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
         z = (0,) * r
         if not E.contains(z):
             return fail("semigroup", reason="0 not a member")
-        for idx, a in enumerate(mem):
-            for b in mem[idx:]:
-                q = vadd(a, b)
-                if not E.contains(q):
-                    return fail("semigroup", pair=[pt(a), pt(b)], sum=pt(q))
+        # the first failing pair has b >= a: a failing (b, a) with b < a
+        # would have come first
+        failure = _sum_failure(E, E, E)
+        if failure is not None:
+            a, b, q = failure
+            return fail("semigroup", pair=[pt(a), pt(b)], sum=pt(q))
 
     return rep

@@ -7,6 +7,7 @@ agreement with these functions; any disagreement is a hard failure.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from .errors import SoundnessError
@@ -74,16 +75,17 @@ def _recheck_axioms(E: SmallRep, mset: set[Point], lo: Point, hi: Point) -> None
                         f"oracle: E2 fails on window for pair {a}, {b} at {k + 1}")
 
 
-_cache: dict[SmallRep, set[Point]] = {}
+# The rechecked windows of the most recently used ideals; older ones are
+# rebuilt on demand, so the bound changes no answer.
+WINDOW_CACHE_SIZE = 64
 
 
+@functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)
 def _checked_window(E: SmallRep) -> set[Point]:
-    if E not in _cache:
-        lo, hi = oracle_box(E)
-        mset = materialize(E, lo, hi)
-        _recheck_axioms(E, mset, lo, hi)
-        _cache[E] = mset
-    return _cache[E]
+    lo, hi = oracle_box(E)
+    mset = materialize(E, lo, hi)
+    _recheck_axioms(E, mset, lo, hi)
+    return mset
 
 
 def brute_contains(E: SmallRep, alpha: Point) -> bool:

@@ -20,7 +20,7 @@ from typing import Any, Callable
 from .duality import _is_canonical, canonical_ideal, cd_difference, fiber_dual
 from .errors import InvalidIndexSet
 from .fiber import is_maximal, maximals, p_value, q_value
-from .ideal import RegionSet, SmallRep, equals, frobenius, members, translate
+from .ideal import RegionSet, SmallRep, _sum_failure, equals, frobenius, translate
 from .lattice import Point, box_points, check_same_dim, join, meet, ones, vadd, vsub
 from .report import CheckReport, pt
 
@@ -90,15 +90,11 @@ def check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckRep
         "sum", True,
         f"alpha in EI over [{list(EI.m)}, {list(vadd(EI.c, e))}], "
         f"beta in D over [{list(D.m)}, {list(vadd(D.c, e))}]")
-    al = members(EI, EI.m, vadd(EI.c, e))
-    for beta in members(D, D.m, vadd(D.c, e)):
-        for a in al:
-            s = vadd(beta, a)
-            if not EJ.contains(s):
-                rep.passed = False
-                rep.counterexamples.append(
-                    {"beta": pt(beta), "alpha": pt(a), "sum": pt(s)})
-                return rep
+    failure = _sum_failure(D, EI, EJ)
+    if failure is not None:
+        beta, a, s = failure
+        rep.passed = False
+        rep.counterexamples.append({"beta": pt(beta), "alpha": pt(a), "sum": pt(s)})
     return rep
 
 

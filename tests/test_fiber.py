@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsi.constructors import from_small_elements, node, numerical, product, random_good
+from gsi.constructors import (
+    _closure_fixpoint,
+    from_small_elements,
+    node,
+    numerical,
+    product,
+    random_good,
+)
 from gsi.duality import canonical_ideal, cd_difference
 from gsi.errors import DimensionMismatch, InvalidIndexSet
 from gsi.fiber import (
@@ -18,7 +25,7 @@ from gsi.fiber import (
 )
 from gsi.ideal import frobenius, translate
 from gsi.lattice import box_points, leq, ones, unit_vector, vadd, vsub
-from gsi.oracle import brute_fiber
+from gsi.oracle import brute_fiber, materialize
 from gsi.theorems import length_step
 
 
@@ -159,7 +166,39 @@ def test_fiber_queries_reject_wrong_dimension(ex2, query, alpha):
         FIBER_QUERIES[query](ex2, alpha)
 
 
-def _assert_table_agrees_with_oracle(E):
+def _brute_occupancy(E, alpha):
+    """Occupancy of every (J, closed) fiber of alpha, one literal fiber
+    enumeration (``oracle.brute_fiber``) each."""
+    return {(J, closed): bool(brute_fiber(
+                E, alpha, [k + 1 for k in range(E.r) if J >> k & 1], closed))
+            for J in range(1, 1 << E.r) for closed in (False, True)}
+
+
+def _window_occupancy(E):
+    """Occupancy as ``_brute_occupancy`` gives it, read off the oracle's
+    members of [m - e, c + 3e] once per ideal: that window holds all that
+    ``brute_fiber`` enumerates for any alpha up to c + 2e.  A member beta at
+    or above alpha lies in the closed J-fiber for every nonempty J inside the
+    axes where beta equals alpha, and in the open fiber for exactly that J."""
+    e = ones(E.r)
+    window = materialize(E, vsub(E.m, e), vadd(E.c, vadd(e, vadd(e, e))))
+
+    def occupancy(E, alpha):
+        occ = {(J, closed): False for J in range(1, 1 << E.r) for closed in (False, True)}
+        for beta in window:
+            if all(b >= a for a, b in zip(alpha, beta)):
+                eq = sum(1 << k for k, (a, b) in enumerate(zip(alpha, beta)) if a == b)
+                if eq:
+                    occ[eq, False] = True
+                    for J in range(1, eq + 1):
+                        if J & eq == J:
+                            occ[J, True] = True
+        return occ
+
+    return occupancy
+
+
+def _assert_table_agrees_with_oracle(E, occupancy=_brute_occupancy):
     """Every fiber answer at every alpha of [m - 2e, c + 2e] against the
     literal fiber enumeration, with p and q taken from their definitions."""
     r = E.r
@@ -167,12 +206,11 @@ def _assert_table_agrees_with_oracle(E):
     masks = range(1, 1 << r)
     size = {J: bin(J).count("1") for J in masks}
     for alpha in box_points(vsub(E.m, e2), vadd(E.c, e2)):
-        occ = {}
+        occ = occupancy(E, alpha)
         for closed in (False, True):
             every = E.fiber_occupancy(alpha, closed)
             for J in masks:
                 js = [k + 1 for k in range(r) if J >> k & 1]
-                occ[J, closed] = bool(brute_fiber(E, alpha, js, closed))
                 assert E.fiber_occupied(alpha, J, closed) == occ[J, closed], \
                     (alpha, js, closed)
                 assert every[J] == occ[J, closed], (alpha, js, closed)
@@ -193,6 +231,16 @@ def test_table_agrees_with_oracle_exhaustive(ex2, n1, node2, node3, prod22):
     # random_good(node3, 11) is a non-principal r = 3 ideal (5 small elements)
     for E in (ex2, n1, node2, node3, prod22, random_good(node3, 11)):
         _assert_table_agrees_with_oracle(E)
+
+
+def test_table_agrees_with_oracle_large_sparse():
+    # a sparse r = 3 ideal with span (12, 9, 7): seven sample points repaired
+    # to 15 small elements, so each table mask has many rows and lines
+    m, c = (0, 0, 0), (12, 9, 7)
+    sample = {m, c, (3, 2, 1), (5, 4, 4), (9, 6, 5), (2, 7, 3), (10, 1, 6)}
+    E = from_small_elements(3, m, c, _closure_fixpoint(3, m, c, sample, None))
+    assert E.c == c and len(E.small) == 15
+    _assert_table_agrees_with_oracle(E, _window_occupancy(E))
 
 
 _PROPERTY_SEMIGROUPS = {

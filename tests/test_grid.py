@@ -1,0 +1,320 @@
+"""The bit-grid kernel against the point-by-point code it replaced.
+
+The references below are the former implementations, copied verbatim: the
+box sweeps of ``validate`` (its E2 witness search included), of the
+compatibility test and of ``check_sum``, and the per-point quantifier of
+``cd_difference``.  The fast paths must give the same reports and the same
+first counterexamples, byte for byte.
+"""
+import random
+
+from gsi.constructors import node, numerical, product, random_good
+from gsi.duality import _dual_box, _promote_region, canonical_ideal, cd_difference
+from gsi.errors import SoundnessError
+from gsi.ideal import (
+    SmallRep,
+    _compatibility_failure,
+    _window,
+    members,
+    translate,
+    validate,
+)
+from gsi.lattice import Point, box_points, join, leq, meet, ones, vadd, vsub
+from gsi.report import CheckReport, pt
+from gsi.theorems import check_sum
+
+
+def _old_e2_witness_ranges(a: Point, b: Point, i: int, c: Point) -> list[tuple[int, int]]:
+    """Search ranges for an E2 witness for the pair (a, b) agreeing at 0-based i.
+
+    The witness needs coordinate i strictly above a[i], coordinates pinned to
+    min(a, b) where a and b differ, and at least a[j] elsewhere.  Caps at
+    max(c_k, low_k) are lossless: meeting any remote witness with a member
+    above the conductor pulls it into the box.
+    """
+    ranges = []
+    for k in range(len(a)):
+        if k == i:
+            low = a[k] + 1
+            ranges.append((low, max(c[k], low)))
+        elif a[k] != b[k]:
+            v = min(a[k], b[k])
+            ranges.append((v, v))
+        else:
+            low = a[k]
+            ranges.append((low, max(c[k], low)))
+    return ranges
+
+
+def _old_search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
+    """First member of E (lexicographically) in the product of closed ranges."""
+    lo = tuple(a for a, _ in ranges)
+    hi = tuple(b for _, b in ranges)
+    for p in box_points(lo, hi):
+        if E.contains(p):
+            return p
+    return None
+
+
+def _old_compatibility_failure(E: SmallRep, S: SmallRep,
+                               mem: list[Point] | None = None) -> dict | None:
+    """The first violation of S + E <= E as report data, or None.
+
+    E and S must have the same dimension; ``mem`` is E's members over
+    [m, c + e] when the caller already has them.  S + E <= E forces
+    c <= m + c(S); checking it first makes the box quantifier exhaustive.
+    """
+    e = ones(E.r)
+    bound = vadd(E.m, S.c)
+    if not leq(E.c, bound):
+        return {"reason": "conductor exceeds min + c(S)",
+                "conductor": pt(E.c), "bound": pt(bound)}
+    if mem is None:
+        mem = members(E, E.m, vadd(E.c, e))
+    for s in members(S, S.m, vadd(S.c, e)):
+        for p in mem:
+            q = vadd(s, p)
+            if not E.contains(q):
+                return {"s": pt(s), "p": pt(p), "sum": pt(q)}
+    return None
+
+
+def _old_validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False) -> CheckReport:
+    """Check the good-semigroup-ideal axioms on the finite box [m, c + e].
+
+    Beyond the conductor, membership is monotone by construction of the rule,
+    so the box quantifiers are exhaustive for the represented set.  With S
+    given, compatibility S + E <= E is checked over boxes; with ``semigroup``,
+    0 in E and E + E <= E are checked as well.  The first failing axiom is
+    reported with its violating pair.
+    """
+    r = E.r
+    e = ones(r)
+    hi = vadd(E.c, e)
+    universe = f"axiom box [{list(E.m)}, {list(hi)}]"
+    rep = CheckReport("validate", True, universe)
+
+    def fail(axiom: str, **data) -> CheckReport:
+        rep.passed = False
+        rep.counterexamples.append({"axiom": axiom, **data})
+        return rep
+
+    # Structural part: reported as its own failure class, not an axiom.
+    if not leq(E.m, E.c):
+        return fail("structural", reason="min exceeds conductor",
+                    min=pt(E.m), conductor=pt(E.c))
+    if E.m not in E.small:
+        return fail("structural", reason="min not among small elements", min=pt(E.m))
+    if E.c not in E.small:
+        return fail("structural", reason="conductor not among small elements",
+                    conductor=pt(E.c))
+    for p in sorted(E.small):
+        if not (leq(E.m, p) and leq(p, E.c)):
+            return fail("structural", reason="small element outside [min, conductor]",
+                        point=pt(p))
+
+    mem = members(E, E.m, hi)
+
+    # E1: closure under componentwise minimum.
+    for idx, a in enumerate(mem):
+        for b in mem[idx + 1:]:
+            g = tuple(map(min, a, b))
+            if not E.contains(g):
+                return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
+
+    # E2: exchange witness for every pair agreeing in some coordinate.
+    for idx, a in enumerate(mem):
+        for b in mem[idx + 1:]:
+            if a == b:
+                continue
+            for i in range(r):
+                if a[i] != b[i]:
+                    continue
+                w = _old_search_member(E, _old_e2_witness_ranges(a, b, i, E.c))
+                if w is None:
+                    return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
+
+    # Conductor minimality: c - e_i must not conduct.  Every point above
+    # c - e_i with coordinate i pinned to c_i - 1 meets down to c - e_i, so
+    # membership of that single point decides it.
+    for i in range(r):
+        down = tuple(E.c[k] - 1 if k == i else E.c[k] for k in range(r))
+        if E.contains(down):
+            return fail("conductor", coordinate=i + 1, point=pt(down),
+                        reason="conductor not minimal: c - e_i already conducts")
+
+    if S is not None:
+        if S.r != r:
+            return fail("structural", reason="semigroup dimension mismatch")
+        failure = _old_compatibility_failure(E, S, mem)
+        if failure is not None:
+            return fail("compatibility", **failure)
+
+    if semigroup:
+        z = (0,) * r
+        if not E.contains(z):
+            return fail("semigroup", reason="0 not a member")
+        for idx, a in enumerate(mem):
+            for b in mem[idx:]:
+                q = vadd(a, b)
+                if not E.contains(q):
+                    return fail("semigroup", pair=[pt(a), pt(b)], sum=pt(q))
+
+    return rep
+
+
+def _old_check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckReport:
+    """beta in D and alpha in EI always sum into EJ (sum rule)."""
+    if D is None:
+        D = cd_difference(EJ, EI)
+    e = ones(EJ.r)
+    rep = CheckReport(
+        "sum", True,
+        f"alpha in EI over [{list(EI.m)}, {list(vadd(EI.c, e))}], "
+        f"beta in D over [{list(D.m)}, {list(vadd(D.c, e))}]")
+    al = members(EI, EI.m, vadd(EI.c, e))
+    for beta in members(D, D.m, vadd(D.c, e)):
+        for a in al:
+            s = vadd(beta, a)
+            if not EJ.contains(s):
+                rep.passed = False
+                rep.counterexamples.append(
+                    {"beta": pt(beta), "alpha": pt(a), "sum": pt(s)})
+                return rep
+    return rep
+
+
+def _old_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
+    """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient)."""
+    e = ones(EJ.r)
+    lo, hi, U = _dual_box(EJ, EI)
+    # superset of every per-beta quantifier cap K(beta); quantifying over the
+    # larger window is equivalent by the cap argument
+    kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
+    alphas = members(EI, EI.m, kmax)
+    points = set()
+    for beta in box_points(lo, hi):
+        if all(EJ.contains(vadd(beta, a)) for a in alphas):
+            points.add(beta)
+    rep, failure = _promote_region(EJ.r, points, lo, hi, U)
+    if rep is None:
+        raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
+    return rep
+
+
+def _semigroups() -> dict[str, SmallRep]:
+    n2, n1 = numerical([2, 3]), numerical([3, 4, 5])
+    return {
+        "n1": n1, "n2": n2, "n57": numerical([5, 7]),
+        "node2": node(2), "node3": node(3), "prod22": product(n2, n2),
+        "n1xn2": product(n1, n2), "n2xnode2": product(n2, node(2)),
+    }
+
+
+def _meet_closure(pts: set[Point]) -> set[Point]:
+    pts = set(pts)
+    while True:
+        new = {meet(a, b) for a in pts for b in pts} - pts
+        if not new:
+            return pts
+        pts |= new
+
+
+def _random_rep(rng: random.Random, S: SmallRep, within_bound: bool = False) -> SmallRep:
+    """A seeded ideal of S's dimension: a random point set in a small box,
+    closed under meet in most draws, or a translate of an ideal over S, so
+    all axioms fail now and then.  With ``within_bound`` the box obeys
+    c <= m + c(S), which compatibility needs before it sweeps."""
+    r = S.r
+    kind = rng.randrange(4)
+    if kind == 3 and not within_bound:
+        E = random_good(S, rng.randrange(1000))
+        return translate(E, tuple(rng.randint(-2, 2) for _ in range(r)))
+    m = tuple(rng.randint(-2, 2) for _ in range(r))
+    span = S.c if within_bound else (4 if r < 3 else 3,) * r
+    c = tuple(x + rng.randint(0, w) for x, w in zip(m, span))
+    pts = {m, c}
+    for _ in range(rng.randint(0, 6)):
+        pts.add(tuple(rng.randint(lo, hi) for lo, hi in zip(m, c)))
+    if kind:
+        pts = _meet_closure(pts)
+    return SmallRep(r, m, c, frozenset(pts))
+
+
+def test_validate_matches_point_sweep_reference():
+    semigroups = _semigroups()
+    names = sorted(semigroups)
+    rng = random.Random(20260)
+    axioms = set()
+    for _ in range(500):
+        S = semigroups[rng.choice(names)]
+        E = _random_rep(rng, S)
+        for S_arg, semigroup in ((None, False), (S, False), (S, True), (None, True)):
+            want = _old_validate(E, S_arg, semigroup=semigroup).to_dict()
+            got = validate(E, S_arg, semigroup=semigroup).to_dict()
+            assert got == want, (E, S_arg, semigroup)
+            axioms.update(c["axiom"] for c in got["counterexamples"])
+    assert axioms >= {"E1", "E2", "conductor", "compatibility", "semigroup"}, axioms
+
+
+def test_first_counterexamples_match_point_sweeps():
+    semigroups = _semigroups()
+    rng = random.Random(7)
+    failures = {"compatibility": 0, "sum": 0}
+    for name, S in sorted(semigroups.items()):
+        K = canonical_ideal(S)
+        ideals = [S, K, translate(K, ones(S.r))]
+        ideals += [random_good(S, seed) for seed in range(4)]
+        ideals += [random_good(T, 3) for T in semigroups.values() if T.r == S.r]
+        for E in ideals + [_random_rep(rng, S, True) for _ in range(20)]:
+            want = _old_compatibility_failure(E, S)
+            assert _compatibility_failure(E, S) == want, (name, E)
+            failures["compatibility"] += want is not None and "sum" in want
+        for EJ in (S, K):
+            for EI in ideals[:5]:
+                D = cd_difference(EJ, EI)
+                # D itself never fails; its translates and other ideals do
+                shift = tuple(rng.randint(-2, 1) for _ in range(S.r))
+                for cand in (D, translate(D, shift), rng.choice(ideals)):
+                    want = _old_check_sum(EJ, EI, cand).to_dict()
+                    assert check_sum(EJ, EI, cand).to_dict() == want, (name, EJ, EI)
+                    failures["sum"] += not want["passed"]
+    assert min(failures.values()) >= 20, failures
+
+
+def test_cd_difference_matches_point_quantifier():
+    semigroups = _semigroups()
+    for name, S in sorted(semigroups.items()):
+        K = canonical_ideal(S)
+        ideals = [S, K] + [random_good(S, seed) for seed in (1, 5, 9)]
+        pairs = [(K, S), (S, K), (K, K), (S, S)]
+        pairs += [(EJ, EI) for EJ in (S, K) for EI in ideals[2:]]
+        pairs += [(ideals[2], ideals[3]), (translate(K, ones(S.r)), ideals[4])]
+        for EJ, EI in pairs:
+            assert cd_difference(EJ, EI) == _old_cd_difference(EJ, EI), (name, EJ, EI)
+
+
+def test_window_matches_contains():
+    semigroups = _semigroups()
+    ideals = list(semigroups.values())
+    ideals += [canonical_ideal(S) for S in semigroups.values()]
+    ideals += [random_good(S, 11) for S in semigroups.values()]
+    for E in ideals:
+        e = ones(E.r)
+        e2 = vadd(e, e)
+        boxes = [
+            (vsub(E.m, e2), vadd(E.c, e2)),           # around the whole grid
+            (vadd(E.m, e), vadd(E.c, vadd(e2, e))),   # inside m, well past c
+            (vadd(E.c, e), vadd(E.c, e2)),            # above c only
+            (vsub(E.m, vadd(e2, e)), vsub(E.m, e)),   # below m only
+            (vsub(E.m, e), vsub(E.c, e)),             # inside the grid
+            (E.c, vadd(E.c, e)),
+        ]
+        # a box below m on one axis and beyond c on the others
+        boxes.append(((E.m[0] - 3,) + vadd(E.c, e)[1:], (E.m[0] - 1,) + vadd(E.c, e2)[1:]))
+        for lo, hi in boxes:
+            W = _window(E, lo, hi)
+            points = list(box_points(lo, hi))
+            for i, p in enumerate(points):
+                assert (W >> i & 1 == 1) == E.contains(p), (E, lo, hi, p)
+            assert W >> len(points) == 0

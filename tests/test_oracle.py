@@ -1,6 +1,8 @@
 import pytest
 
+from gsi import oracle
 from gsi.duality import canonical_ideal, cd_difference
+from gsi.ideal import translate
 from gsi.lattice import box_points, ones, vadd, vsub
 from gsi.oracle import (
     brute_canonical,
@@ -67,3 +69,17 @@ def test_fast_paths_equal_oracle(ex2, n2):
     bc = brute_canonical(n2)
     for p in box_points((-8,), (5,)):
         assert K.contains(p) == (p in bc)
+
+
+def test_window_cache_stays_bounded(ex2):
+    oracle._checked_window.cache_clear()
+    # many distinct ideals: translates of ex2, each queried at its minimum
+    for k in range(3 * oracle.WINDOW_CACHE_SIZE):
+        E = translate(ex2, (k, -k))
+        assert brute_contains(E, E.m)
+        assert not brute_contains(E, vsub(E.m, ones(2)))
+        assert oracle._checked_window.cache_info().currsize <= oracle.WINDOW_CACHE_SIZE
+    # an evicted ideal is rebuilt with the same answers
+    lo, hi = oracle_box(ex2)
+    for p in box_points(lo, hi):
+        assert brute_contains(ex2, p) == ex2.contains(p)

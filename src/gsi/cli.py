@@ -85,16 +85,7 @@ def _print_report(rep: CheckReport) -> None:
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        print(f"cannot read {args.file}: no such file", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        parse_gsi(text)
-    except ParseError as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        _load(args.file)
     except ValidationError as err:
         print(f"{args.file}: invalid")
         _print_report(err.report)

@@ -28,6 +28,7 @@ from .ideal import (
     equals,
     frobenius,
     is_subset,
+    members,
     translate,
     validate,
 )
@@ -146,7 +147,7 @@ def _is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep, fd: RegionSet) -> bool
     fiber_dual(EJ, S), for callers that already hold them."""
     shift = vsub(frobenius(EJ), frobenius(S))
     by_translate = equals(EJ, translate(K, shift))
-    by_fixpoint = all((p in fd.points) == EJ.contains(p) for p in fd.box)
+    by_fixpoint = set(members(EJ, fd.box.lo, fd.box.hi)) == fd.points
     if by_translate != by_fixpoint:
         raise SoundnessError(
             f"canonicity tests disagree: translate={by_translate}, "

@@ -4,9 +4,9 @@ For a nonempty J inside {1..r}, the open fiber of alpha holds the members
 agreeing with alpha on J and strictly larger elsewhere; the closed fiber
 relaxes strict to weak.  Emptiness is read from the ideal's fiber table
 (:attr:`SmallRep.fiber_table`), one mask per J over the ideal's clamp-class
-grid: a query clamps alpha into [m - e, c] and tests one bit.  Only
-:func:`fiber_witness` still searches a box, and only to name a witness point
-once the table says one exists.
+grid: a query clamps alpha into [m - e, c] and tests one bit.  Once the table
+says a fiber is occupied, :func:`fiber_witness` names its first member in a
+capped box; member lists come from ``ideal.members``, a window of the mask.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ideal import SmallRep, _capped_ranges, search_member
-from .lattice import Point, box_points, check_same_dim, normalize_index_set, ones, vsub
+from .ideal import SmallRep, _capped_ranges, members, search_member
+from .lattice import Point, check_same_dim, normalize_index_set, ones, vsub
 
 
 def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
@@ -112,9 +112,8 @@ def maximals(E: SmallRep) -> list[MaximalInfo]:
     reaches the conductor and the matching singleton fiber is nonempty.
     """
     out = []
-    hi = vsub(E.c, ones(E.r))
-    for alpha in box_points(E.m, hi):
-        if E.contains(alpha) and fiber_empty(E, alpha):
+    for alpha in members(E, E.m, vsub(E.c, ones(E.r))):
+        if fiber_empty(E, alpha):
             p = p_value(E, alpha)
             q = q_value(E, alpha)
             out.append(MaximalInfo(alpha, p, q, _classify(E.r, p, q)))

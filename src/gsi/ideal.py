@@ -14,10 +14,10 @@ Membership, and with it every open or closed fiber, is constant on *clamp
 classes*: clamping each coordinate into [m_k - 1, c_k] changes nothing.  So
 an ideal is one bit mask over the grid [m - e, c] (:attr:`SmallRep.grid`),
 laid out with the last axis fastest, which makes bit order lexicographic
-order.  The fiber table, ``validate``'s exchange test, the sum sweeps and the
-quotient behind ``duality.cd_difference`` all read that mask: a window of E
-over any box (``_window``) is built row by row from it, and a translate of a
-box is a shift of its window.
+order.  Box questions read that mask: ``members`` lists the set bits of E's
+window over a box (``_window``, built row by row from the grid), ``equals``
+and ``is_subset`` compare windows, the sum sweeps and the quotient behind
+``duality.cd_difference`` shift them, and no box is walked point by point.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .errors import DimensionMismatch
 from .lattice import (
     Box,
     Point,
-    box_points,
     check_same_dim,
     join,
     leq,
@@ -294,14 +293,15 @@ def translate(E: SmallRep, delta: Point) -> SmallRep:
 
 
 def members(E: SmallRep, lo: Point, hi: Point) -> list[Point]:
-    """Members of E inside [lo, hi], in lexicographic order."""
-    return [p for p in box_points(lo, hi) if E.contains(p)]
+    """Members of E inside [lo, hi], in lexicographic order (window bit order)."""
+    check_same_dim(lo, E.c)
+    check_same_dim(hi, E.c)
+    strides = _strides(tuple(h - l + 1 for l, h in zip(lo, hi)))
+    return [_point(i, lo, strides) for i in _bits(_window(E, lo, hi))]
 
 
-def _decision_box(E1: SmallRep, E2: SmallRep) -> Box:
-    lo = meet(E1.m, E2.m)
-    hi = vadd(join(E1.c, E2.c), ones(E1.r))
-    return Box(lo, hi)
+def _decision_box(E1: SmallRep, E2: SmallRep) -> tuple[Point, Point]:
+    return meet(E1.m, E2.m), vadd(join(E1.c, E2.c), ones(E1.r))
 
 
 def _require_same_r(E1: SmallRep, E2: SmallRep) -> None:
@@ -316,13 +316,15 @@ def equals(E1: SmallRep, E2: SmallRep) -> bool:
     both sides is forced by their meet-with-conductor rules.
     """
     _require_same_r(E1, E2)
-    return all(E1.contains(p) == E2.contains(p) for p in _decision_box(E1, E2))
+    box = _decision_box(E1, E2)
+    return _window(E1, *box) == _window(E2, *box)
 
 
 def is_subset(E1: SmallRep, E2: SmallRep) -> bool:
     """Inclusion of represented sets, decided on the shared box."""
     _require_same_r(E1, E2)
-    return all(E2.contains(p) for p in _decision_box(E1, E2) if E1.contains(p))
+    box = _decision_box(E1, E2)
+    return _window(E1, *box) & ~_window(E2, *box) == 0
 
 
 def _least_conductor(points: set[Point], lo: Point,
@@ -336,7 +338,13 @@ def _least_conductor(points: set[Point], lo: Point,
     small`` must agree with the set on all of [lo, hi].  Returns (g, small),
     or the failure reason as a string.
     """
-    cands = [g for g in points if all(q in points for q in box_points(g, hi))]
+    # [g, hi] is g plus the sub-boxes [g + e_k, hi] with g_k < hi_k, and each
+    # g + e_k comes before g in reverse lexicographic order.
+    cands = set()
+    for g in sorted(points, reverse=True):
+        if all(g[k] == h or g[:k] + (g[k] + 1,) + g[k + 1:] in cands
+               for k, h in enumerate(hi)):
+            cands.add(g)
     if not cands:
         return "no conducting candidate"
     g = reduce(meet, cands)
@@ -346,9 +354,10 @@ def _least_conductor(points: set[Point], lo: Point,
     # With g == hi, small is the whole set and meet(q, hi) = q on the box, so
     # the rule reads the set unchanged and cannot disagree with it.
     if g != hi:
-        for q in box_points(lo, hi):
-            if (q in points) != (tuple(map(min, q, g)) in small):
-                return f"membership rule disagrees with region at {q}"
+        rule = SmallRep(len(hi), reduce(meet, small), g, small)
+        wrong = points ^ set(members(rule, lo, hi))
+        if wrong:
+            return f"membership rule disagrees with region at {min(wrong)}"
     return g, small
 
 
@@ -408,12 +417,8 @@ def _e2_fiber(a: Point, b: Point, i: int) -> tuple[Point, int]:
 
 def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
     """First member of E (lexicographically) in the product of closed ranges."""
-    lo = tuple(a for a, _ in ranges)
-    hi = tuple(b for _, b in ranges)
-    for p in box_points(lo, hi):
-        if E.contains(p):
-            return p
-    return None
+    found = members(E, tuple(a for a, _ in ranges), tuple(b for _, b in ranges))
+    return found[0] if found else None
 
 
 def _members_in(E: SmallRep, top: Point, dims: tuple[int, ...]) -> int:
@@ -494,15 +499,18 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     """Check the good-semigroup-ideal axioms on the finite box [m, c + e].
 
     Beyond the conductor, membership is monotone by construction of the rule,
-    so the box quantifiers are exhaustive for the represented set.  With S
-    given, compatibility S + E <= E is checked over boxes; with ``semigroup``,
-    0 in E and E + E <= E are checked as well.  The first failing axiom is
-    reported with its violating pair.
+    so the box quantifiers are exhaustive for the represented set.  E1 and E2
+    pair the small elements alone, the clamps min(a, c) of the members a:
+    clamping commutes with meet, a member pair has the E2 witness fiber of its
+    clamped pair, and that pair lies below it, hence comes first in
+    lexicographic order, so the first failing member pair is a small one
+    (pairs whose clamps coincide, or that agree at a coordinate >= c_i, pass).
+    With S given, compatibility S + E <= E is checked over boxes; with
+    ``semigroup``, 0 in E and E + E <= E are checked as well.  The first
+    failing axiom is reported with its violating pair.
     """
     r = E.r
-    e = ones(r)
-    hi = vadd(E.c, e)
-    universe = f"axiom box [{list(E.m)}, {list(hi)}]"
+    universe = f"axiom box [{list(E.m)}, {list(vadd(E.c, ones(r)))}]"
     rep = CheckReport("validate", True, universe)
 
     def fail(axiom: str, **data) -> CheckReport:
@@ -519,24 +527,23 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     if E.c not in E.small:
         return fail("structural", reason="conductor not among small elements",
                     conductor=pt(E.c))
-    for p in sorted(E.small):
+    small = sorted(E.small)
+    for p in small:
         if not (leq(E.m, p) and leq(p, E.c)):
             return fail("structural", reason="small element outside [min, conductor]",
                         point=pt(p))
 
-    mem = members(E, E.m, hi)
-
     # E1: closure under componentwise minimum.
-    for idx, a in enumerate(mem):
-        for b in mem[idx + 1:]:
+    for idx, a in enumerate(small):
+        for b in small[idx + 1:]:
             g = tuple(map(min, a, b))
-            if not E.contains(g):
+            if g not in E.small:
                 return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
 
     # E2: exchange witness for every pair agreeing in some coordinate, one
     # fiber-table lookup per pair and coordinate.
-    for idx, a in enumerate(mem):
-        for b in mem[idx + 1:]:
+    for idx, a in enumerate(small):
+        for b in small[idx + 1:]:
             for i in range(r):
                 if a[i] == b[i] and not E.fiber_occupied(*_e2_fiber(a, b, i),
                                                          closed=True):

@@ -20,7 +20,7 @@ from typing import Any, Callable
 from .duality import _is_canonical, canonical_ideal, cd_difference, fiber_dual
 from .errors import InvalidIndexSet
 from .fiber import is_maximal, maximals, p_value, q_value
-from .ideal import RegionSet, SmallRep, _sum_failure, equals, frobenius, translate
+from .ideal import RegionSet, SmallRep, _sum_failure, equals, frobenius, members, translate
 from .lattice import Point, box_points, check_same_dim, join, meet, ones, vadd, vsub
 from .report import CheckReport, pt
 
@@ -109,14 +109,15 @@ def _check_fibra(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> CheckReport:
     rep = CheckReport(
         "fibra", True,
         f"beta over dual box [{list(fd.box.lo)}, {list(fd.box.hi)}]")
-    for beta in fd.box:
-        if D.contains(beta) and beta not in fd.points:
+    inside = members(D, fd.box.lo, fd.box.hi)
+    for beta in inside:
+        if beta not in fd.points:
             rep.passed = False
             rep.counterexamples.append(
                 {"beta": pt(beta),
                  "note": "in CD-difference but fiber of frobenius(EJ) - beta is occupied"})
             return rep
-    strict = sorted(p for p in fd.points if not D.contains(p))
+    strict = sorted(fd.points.difference(inside))
     if strict:
         rep.witnesses.append({"beta": pt(strict[0]), "note": "strict inclusion witness"})
     rep.flags["strict"] = bool(strict)
@@ -137,8 +138,7 @@ def _check_duality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep,
     rep = CheckReport(
         "duality", True,
         f"beta over dual box [{list(fd.box.lo)}, {list(fd.box.hi)}]")
-    diffs = sorted(p for p in fd.box
-                   if D.contains(p) != (p in fd.points))
+    diffs = sorted(fd.points.symmetric_difference(members(D, fd.box.lo, fd.box.hi)))
     rep.flags["equal"] = not diffs
     if diffs:
         rep.witnesses.append({"beta": pt(diffs[0]),

@@ -46,6 +46,22 @@ def test_validate_good(capsys, data_dir):
     assert "valid" in out
 
 
+def test_validate_output_pinned(capsys, data_dir, tmp_path):
+    ex2, broken = str(data_dir / "ex2.gsi"), str(data_dir / "broken.gsi")
+    missing, bad = str(tmp_path / "missing.gsi"), tmp_path / "bad.gsi"
+    bad.write_text("gsi 1\nr 1\nmin 0\nconductor x\n")
+    ce = ("{'axiom': 'E1', 'pair': [[3, 4], [4, 3]], 'missing_meet': [3, 3], "
+          "'line': 6}")
+    assert run(capsys, "validate", ex2) == (0, f"{ex2}: valid\n", "")
+    assert run(capsys, "validate", broken) == (
+        1, f"{broken}: invalid\nvalidate: FAIL (first counterexample: {ce})\n"
+           f"  counterexample: {ce}\n", "")
+    assert run(capsys, "validate", missing) == (
+        2, "", f"cannot read {missing}: no such file\n")
+    assert run(capsys, "validate", str(bad)) == (
+        2, "", f"{bad}: line 4: expected integer, got 'x'\n")
+
+
 def test_usage_errors(capsys, data_dir, tmp_path):
     assert run(capsys, "validate", str(tmp_path / "missing.gsi"))[0] == 2
     assert run(capsys, "nonsense")[0] == 2

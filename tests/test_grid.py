@@ -1,16 +1,19 @@
 """The bit-grid kernel against the point-by-point code it replaced.
 
 The references below are the former implementations, copied verbatim: the
-box sweeps of ``validate`` (its E2 witness search included), of the
-compatibility test and of ``check_sum``, and the per-point quantifier of
-``cd_difference``.  The fast paths must give the same reports and the same
-first counterexamples, byte for byte.
+point-by-point ``members`` they all enumerate with, the box sweeps of
+``validate`` (its E2 witness search included), of the compatibility test and
+of ``check_sum``, and the per-point quantifier of ``cd_difference``.  The
+fast paths must give the same reports and the same first counterexamples,
+byte for byte.
 """
 import random
 
+import pytest
+
 from gsi.constructors import node, numerical, product, random_good
 from gsi.duality import _dual_box, _promote_region, canonical_ideal, cd_difference
-from gsi.errors import SoundnessError
+from gsi.errors import DimensionMismatch, SoundnessError
 from gsi.ideal import (
     SmallRep,
     _compatibility_failure,
@@ -20,6 +23,7 @@ from gsi.ideal import (
     validate,
 )
 from gsi.lattice import Point, box_points, join, leq, meet, ones, vadd, vsub
+from gsi.oracle import materialize
 from gsi.report import CheckReport, pt
 from gsi.theorems import check_sum
 
@@ -56,6 +60,11 @@ def _old_search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | No
     return None
 
 
+def _old_members(E: SmallRep, lo: Point, hi: Point) -> list[Point]:
+    """Members of E inside [lo, hi], in lexicographic order."""
+    return [p for p in box_points(lo, hi) if E.contains(p)]
+
+
 def _old_compatibility_failure(E: SmallRep, S: SmallRep,
                                mem: list[Point] | None = None) -> dict | None:
     """The first violation of S + E <= E as report data, or None.
@@ -70,8 +79,8 @@ def _old_compatibility_failure(E: SmallRep, S: SmallRep,
         return {"reason": "conductor exceeds min + c(S)",
                 "conductor": pt(E.c), "bound": pt(bound)}
     if mem is None:
-        mem = members(E, E.m, vadd(E.c, e))
-    for s in members(S, S.m, vadd(S.c, e)):
+        mem = _old_members(E, E.m, vadd(E.c, e))
+    for s in _old_members(S, S.m, vadd(S.c, e)):
         for p in mem:
             q = vadd(s, p)
             if not E.contains(q):
@@ -113,7 +122,7 @@ def _old_validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = F
             return fail("structural", reason="small element outside [min, conductor]",
                         point=pt(p))
 
-    mem = members(E, E.m, hi)
+    mem = _old_members(E, E.m, hi)
 
     # E1: closure under componentwise minimum.
     for idx, a in enumerate(mem):
@@ -172,8 +181,8 @@ def _old_check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> Che
         "sum", True,
         f"alpha in EI over [{list(EI.m)}, {list(vadd(EI.c, e))}], "
         f"beta in D over [{list(D.m)}, {list(vadd(D.c, e))}]")
-    al = members(EI, EI.m, vadd(EI.c, e))
-    for beta in members(D, D.m, vadd(D.c, e)):
+    al = _old_members(EI, EI.m, vadd(EI.c, e))
+    for beta in _old_members(D, D.m, vadd(D.c, e)):
         for a in al:
             s = vadd(beta, a)
             if not EJ.contains(s):
@@ -191,7 +200,7 @@ def _old_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     # superset of every per-beta quantifier cap K(beta); quantifying over the
     # larger window is equivalent by the cap argument
     kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
-    alphas = members(EI, EI.m, kmax)
+    alphas = _old_members(EI, EI.m, kmax)
     points = set()
     for beta in box_points(lo, hi):
         if all(EJ.contains(vadd(beta, a)) for a in alphas):
@@ -318,3 +327,6 @@ def test_window_matches_contains():
             for i, p in enumerate(points):
                 assert (W >> i & 1 == 1) == E.contains(p), (E, lo, hi, p)
             assert W >> len(points) == 0
+            assert members(E, lo, hi) == sorted(materialize(E, lo, hi)), (E, lo, hi)
+        with pytest.raises(DimensionMismatch):
+            members(E, E.m + (0,), E.c + (0,))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -73,6 +75,32 @@ def test_validate_e2_witnessed(ex2):
     rep = validate(broken)
     assert not rep.passed
     assert rep.counterexamples[0]["axiom"] == "E2"
+
+
+def test_validate_work_bounded_by_small_elements(monkeypatch):
+    # {0} together with c + N^2 for c = (1000, 1000): two small elements in a
+    # box of a million points.  validate reads the small elements, so it makes
+    # O(|small|^2) membership tests and sweeps no box point by point.
+    c = (1000, 1000)
+    E = SmallRep(2, (0, 0), c, frozenset({(0, 0), c}))
+    calls = {"contains": 0, "box_points": 0}
+    contains_ = SmallRep.contains
+
+    def counted_contains(self, alpha):
+        calls["contains"] += 1
+        return contains_(self, alpha)
+
+    monkeypatch.setattr(SmallRep, "contains", counted_contains)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gsi" and hasattr(module, "box_points"):
+            def counted_box_points(lo, hi, box_points=module.box_points):
+                calls["box_points"] += 1
+                return box_points(lo, hi)
+
+            monkeypatch.setattr(module, "box_points", counted_box_points)
+    assert validate(E).passed
+    n = len(E.small)
+    assert calls["contains"] <= 2 * n * n and calls["box_points"] <= n * n, calls
 
 
 def test_min_conductor_frobenius(ex2, n1, node2):

@@ -65,33 +65,19 @@ def numerical(generators: list[int]) -> SmallRep:
         raise ValueError("generators must be positive integers")
     if math.gcd(*gens) != 1:
         raise ValueError(f"gcd of generators {gens} is not 1; no conductor exists")
-    step = gens[0]
-    bound = max(gens) * step + step + 1
-    while True:
-        reach = [False] * (bound + 1)
-        reach[0] = True
-        for n in range(1, bound + 1):
-            for g in gens:
-                if g <= n and reach[n - g]:
-                    reach[n] = True
-                    break
-        run_start = None
-        run = 0
-        for n in range(bound + 1):
-            run = run + 1 if reach[n] else 0
-            if run >= step:
-                run_start = n - step + 1
-                break
-        if run_start is not None:
-            gaps = [n for n in range(run_start) if not reach[n]]
-            cond = (gaps[-1] + 1) if gaps else 0
-            small = frozenset((n,) for n in range(cond + 1) if reach[n])
-            rep = SmallRep(1, (0,), (cond,), small)
-            report = validate(rep, semigroup=True)
-            if not report.passed:
-                raise ValidationError(report)
-            return rep
-        bound *= 2
+    # Schur: every n >= (a_1 - 1)(a_n - 1) is reachable, well below bound
+    bound = max(gens) * gens[0] + gens[0] + 1
+    reach = [False] * (bound + 1)
+    reach[0] = True
+    for n in range(1, bound + 1):
+        reach[n] = any(g <= n and reach[n - g] for g in gens)
+    cond = max((n + 1 for n in range(bound + 1) if not reach[n]), default=0)
+    small = frozenset((n,) for n in range(cond + 1) if reach[n])
+    rep = SmallRep(1, (0,), (cond,), small)
+    report = validate(rep, semigroup=True)
+    if not report.passed:
+        raise ValidationError(report)
+    return rep
 
 
 def node(r: int) -> SmallRep:

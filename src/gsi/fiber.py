@@ -114,7 +114,7 @@ def maximals(E: SmallRep) -> list[MaximalInfo]:
     out = []
     for alpha in members(E, E.m, vsub(E.c, ones(E.r))):
         if fiber_empty(E, alpha):
-            p = p_value(E, alpha)
-            q = q_value(E, alpha)
+            least_occupied, most_empty = _fiber_sizes(E, alpha)
+            p, q = least_occupied - 1, most_empty + 1
             out.append(MaximalInfo(alpha, p, q, _classify(E.r, p, q)))
     return out

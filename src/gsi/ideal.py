@@ -175,10 +175,18 @@ def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _repeat(block: int, width: int, n: int) -> int:
-    """n copies of a block of width bits, side by side from bit 0."""
-    if n <= 0:
-        return 0
-    return block * (((1 << width * n) - 1) // ((1 << width) - 1))
+    """n copies of a block of width bits, side by side from bit 0, built by
+    doubling shifts (a repunit by big-integer division is quadratic)."""
+    out, size = 0, 0
+    while n > 0:
+        if n & 1:
+            out |= block << size
+            size += width
+        n >>= 1
+        if n:
+            block |= block << width
+            width *= 2
+    return out
 
 
 def _box_mask(dims: tuple[int, ...], sub: tuple[int, ...]) -> int:

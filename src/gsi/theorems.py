@@ -1,11 +1,13 @@
 """Executable verification of the duality and symmetry results.
 
-Each check sweeps a finite box covering every point where the quantities
-involved are not yet stabilized by the membership rule, with margin, so the
-boundary behavior of the all-of-Z^r quantifiers is exercised and wider
-sweeps would be redundant.  Reports carry witnesses for equality cases and
-counterexamples for violated relations; a counterexample to one of the
-unconditional claims means an implementation bug and fails the build.
+The length and rho checks sweep a finite box covering every point where the
+quantities involved are not yet stabilized by the membership rule, with
+margin, so the boundary behavior of the all-of-Z^r quantifiers is exercised
+and wider sweeps would be redundant; the maximal-symmetry check reads the
+maximal points, which lie in its box, and their types from ``maximals``.
+Reports carry witnesses for equality cases and counterexamples for violated
+relations; a counterexample to one of the unconditional claims means an
+implementation bug and fails the build.
 
 A private check context holds what the checks of a triple share: each
 dual and fiber dual, K(S), the canonicity of EJ, and the length, rho and
@@ -19,7 +21,7 @@ from typing import Any, Callable
 
 from .duality import _is_canonical, canonical_ideal, cd_difference, fiber_dual
 from .errors import InvalidIndexSet
-from .fiber import is_maximal, maximals, p_value, q_value
+from .fiber import maximals, p_value, q_value
 from .ideal import RegionSet, SmallRep, _sum_failure, equals, frobenius, members, translate
 from .lattice import Point, box_points, check_same_dim, join, meet, ones, vadd, vsub
 from .report import CheckReport, pt
@@ -55,18 +57,20 @@ class _CheckContext:
             _check_duality(self, EJ, EI)))
 
 
-def _context(EJ: SmallRep, EI: SmallRep, D: SmallRep | None) -> _CheckContext:
-    """A context for one public check, holding D when the caller gave it."""
-    ctx = _CheckContext()
-    if D is not None:
-        ctx.values["dual", EJ, EI] = D
-    return ctx
-
-
 def _equality_flags(length: CheckReport, rho_rep: CheckReport,
                     duality: CheckReport) -> tuple[bool, bool, bool]:
-    return (length.flags["equality_everywhere"],
-            rho_rep.flags["equality_everywhere"], duality.flags["equal"])
+    # a sweep that found a counterexample stops before setting its flag
+    return (length.flags.get("equality_everywhere", False),
+            rho_rep.flags.get("equality_everywhere", False), duality.flags["equal"])
+
+
+def _sweep_box(EI: SmallRep, D: SmallRep, top: Point, margin: int) -> tuple[Point, Point]:
+    """The box covering the EI side around [m_I, c_I] and the dual side
+    around top - [m_D, c_D], widened by margin; outside it both sides are
+    stabilized."""
+    e = (margin,) * EI.r
+    return (vsub(meet(EI.m, vsub(top, D.c)), e),
+            vadd(join(EI.c, vsub(top, D.m)), e))
 
 
 def length_step(E: SmallRep, alpha: Point, i: int) -> int:
@@ -98,9 +102,9 @@ def check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckRep
     return rep
 
 
-def check_fibra(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckReport:
+def check_fibra(EJ: SmallRep, EI: SmallRep) -> CheckReport:
     """The CD-difference sits inside the fiber-formula dual (inclusion only)."""
-    return _check_fibra(_context(EJ, EI, D), EJ, EI)
+    return _check_fibra(_CheckContext(), EJ, EI)
 
 
 def _check_fibra(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> CheckReport:
@@ -124,11 +128,10 @@ def _check_fibra(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> CheckReport:
     return rep
 
 
-def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None,
-                  D: SmallRep | None = None) -> CheckReport:
+def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None) -> CheckReport:
     """Set equality of CD-difference and fiber dual over the dual box,
     cross-referenced with canonicity of EJ when a semigroup is supplied."""
-    return _check_duality(_context(EJ, EI, D), EJ, EI, S)
+    return _check_duality(_CheckContext(), EJ, EI, S)
 
 
 def _check_duality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep,
@@ -166,12 +169,7 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
     if D is None:
         D = cd_difference(EJ, EI)
     r = EJ.r
-    e = ones(r)
-    e2 = vadd(e, e)
-    # cover the regions where either summand is not yet stabilized: the EI
-    # side around [m_I, c_I] and the dual side around c(EJ) - [m_D, c_D]
-    lo = vsub(meet(EI.m, vsub(EJ.c, D.c)), e2)
-    hi = vadd(join(EI.c, vsub(EJ.c, D.m)), e2)
+    lo, hi = _sweep_box(EI, D, EJ.c, 2)
     rep = CheckReport("length", True,
                       f"alpha over [{list(lo)}, {list(hi)}], i in 1..{r}")
     equality = True
@@ -203,27 +201,20 @@ def rho(EI: SmallRep, EJ: SmallRep, alpha: Point,
     return p_value(EI, alpha) + q_value(D, vsub(frobenius(EJ), alpha)) - 1
 
 
-def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None,
-              D: SmallRep | None = None) -> CheckReport:
+def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None) -> CheckReport:
     """rho >= r on a full sweep; equality everywhere is the canonicity flag.
 
     Cross-references is_canonical(EJ, S) when a semigroup context is
     supplied.
     """
-    return _check_rho(_context(EJ, EI, D), EI, EJ, S)
+    return _check_rho(_CheckContext(), EI, EJ, S)
 
 
 def _check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
                S: SmallRep | None = None) -> CheckReport:
     D = ctx.dual(EJ, EI)
     r = EJ.r
-    e = ones(r)
-    e2 = vadd(e, e)
-    f = frobenius(EJ)
-    # cover both the p side around [m_I, c_I] and the q side around
-    # frobenius(EJ) - [m_D, c_D]; outside, both statistics are stabilized
-    lo = vsub(meet(EI.m, vsub(f, D.c)), e2)
-    hi = vadd(join(EI.c, vsub(f, D.m)), e2)
+    lo, hi = _sweep_box(EI, D, frobenius(EJ), 2)
     rep = CheckReport("rho", True, f"alpha over [{list(lo)}, {list(hi)}]")
     equality = True
     for alpha in box_points(lo, hi):
@@ -261,61 +252,49 @@ def _check_maximal_symmetry(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
     B = ctx.dual(EJ, D)
     T = ctx.dual(EJ, B)  # third dual; always equal to D, and D itself if B == EI
     r = EJ.r
-    e = ones(r)
     f = frobenius(EJ)
-    lo = vsub(meet(EI.m, vsub(f, D.c)), e)
-    hi = vadd(join(EI.c, vsub(f, D.m)), e)
+    lo, hi = _sweep_box(EI, D, f, 1)
     rep = CheckReport("maxsym", True, f"alpha over [{list(lo)}, {list(hi)}]")
     rep.flags["triple_dual_stable"] = equals(T, D)
     if not rep.flags["triple_dual_stable"]:
         rep.passed = False
         rep.counterexamples.append({"note": "third dual differs from first"})
+    max_i = {info.point: info for info in maximals(EI)}
+    max_d = {info.point: info for info in maximals(D)}
     skipped = []
     pairs_checked = 0
-    for alpha in box_points(lo, hi):
+    for alpha in sorted(max_i.keys() | {vsub(f, beta) for beta in max_d}):
         beta = vsub(f, alpha)
-        in_i = EI.contains(alpha)
-        in_d = D.contains(beta)
-        if not (in_i and in_d):
-            if (in_i and is_maximal(EI, alpha)) or (in_d and is_maximal(D, beta)):
-                skipped.append(pt(alpha))
+        if not (EI.contains(alpha) and D.contains(beta)):
+            skipped.append(pt(alpha))
             continue
-        mi = is_maximal(EI, alpha)
-        md = is_maximal(D, beta)
-        if mi != md:
+        mi, md = max_i.get(alpha), max_d.get(beta)
+        if mi is None or md is None:
             rep.passed = False
             rep.counterexamples.append(
                 {"alpha": pt(alpha), "beta": pt(beta),
-                 "maximal_in_EI": mi, "maximal_in_dual": md})
-            continue
-        if not mi:
+                 "maximal_in_EI": mi is not None, "maximal_in_dual": md is not None})
             continue
         pairs_checked += 1
-        p = p_value(EI, alpha)
-        q = q_value(EI, alpha)
-        p2 = p_value(D, beta)
-        q2 = q_value(D, beta)
         # q' from rho over EI; p' from rho over the bidual B
-        q_formula = rho(EI, EJ, alpha, D) + 1 - p
+        q_formula = rho(EI, EJ, alpha, D) + 1 - mi.p
         rho_b = p_value(B, beta) + q_value(T, alpha) - 1
         p_formula = rho_b + 1 - q_value(B, alpha)
-        if q2 != q_formula or p2 != p_formula:
+        if md.q != q_formula or md.p != p_formula:
             rep.passed = False
             rep.counterexamples.append(
-                {"alpha": pt(alpha), "type": [p, q], "dual_type": [p2, q2],
+                {"alpha": pt(alpha), "type": [mi.p, mi.q], "dual_type": [md.p, md.q],
                  "formula_type": [p_formula, q_formula]})
         else:
             rep.witnesses.append(
-                {"alpha": pt(alpha), "type": [p, q], "dual_type": [p2, q2]})
+                {"alpha": pt(alpha), "type": [mi.p, mi.q], "dual_type": [md.p, md.q]})
     rep.flags["skipped"] = skipped
     rep.flags["pairs_checked"] = pairs_checked
     canonical_mode = ctx.is_canonical(EJ, S) if S is not None else None
     rep.flags["canonical_mode"] = canonical_mode
     if canonical_mode:
-        mi = maximals(EI)
-        md = maximals(D)
-        fwd = {vsub(f, info.point): (r + 1 - info.q, r + 1 - info.p) for info in mi}
-        got = {info.point: (info.p, info.q) for info in md}
+        fwd = {vsub(f, a): (r + 1 - info.q, r + 1 - info.p) for a, info in max_i.items()}
+        got = {b: (info.p, info.q) for b, info in max_d.items()}
         if fwd != got:
             rep.passed = False
             rep.counterexamples.append(

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from functools import reduce
 
@@ -15,7 +17,7 @@ from gsi.constructors import (
 )
 from gsi.errors import GenerationError, ValidationError
 from gsi.fiber import fiber_empty, maximals
-from gsi.ideal import _least_conductor, frobenius, validate
+from gsi.ideal import SmallRep, _least_conductor, frobenius, validate
 from gsi.lattice import Point, box_points, leq, meet, ones, vadd, zero
 
 
@@ -105,6 +107,57 @@ def test_numerical_against_combination_oracle():
                     frontier.append(y)
         for x in range(limit + 1):
             assert S.contains((x,)) == (x in reachable), (gens, x)
+
+
+# The former numerical constructor, kept verbatim (it doubled its sieve bound
+# until a run of a_1 reachable integers showed, which never took a second
+# round) as the reference for the single sieve.
+def _old_numerical(generators: list[int]) -> SmallRep:
+    gens = sorted(set(int(g) for g in generators))
+    if not gens or gens[0] < 1:
+        raise ValueError("generators must be positive integers")
+    if math.gcd(*gens) != 1:
+        raise ValueError(f"gcd of generators {gens} is not 1; no conductor exists")
+    step = gens[0]
+    bound = max(gens) * step + step + 1
+    while True:
+        reach = [False] * (bound + 1)
+        reach[0] = True
+        for n in range(1, bound + 1):
+            for g in gens:
+                if g <= n and reach[n - g]:
+                    reach[n] = True
+                    break
+        run_start = None
+        run = 0
+        for n in range(bound + 1):
+            run = run + 1 if reach[n] else 0
+            if run >= step:
+                run_start = n - step + 1
+                break
+        if run_start is not None:
+            gaps = [n for n in range(run_start) if not reach[n]]
+            cond = (gaps[-1] + 1) if gaps else 0
+            small = frozenset((n,) for n in range(cond + 1) if reach[n])
+            rep = SmallRep(1, (0,), (cond,), small)
+            report = validate(rep, semigroup=True)
+            if not report.passed:
+                raise ValidationError(report)
+            return rep
+        bound *= 2
+
+
+def test_numerical_matches_doubling_sieve():
+    sets = [gens for k in (1, 2, 3) for gens in itertools.combinations(range(1, 21), k)
+            if math.gcd(*gens) == 1]
+    assert len(sets) > 1000
+    for gens in sets:
+        assert numerical(list(gens)) == _old_numerical(list(gens)), gens
+    for gens in ([2, 4], [0, 3], []):
+        with pytest.raises(ValueError):
+            _old_numerical(gens)
+        with pytest.raises(ValueError):
+            numerical(gens)
 
 
 def test_numerical_trivial():

@@ -279,3 +279,28 @@ def _property_ideal(name, kind, seed):
        st.integers(0, 10_000))
 def test_table_agrees_with_oracle_random(name, kind, seed):
     _assert_table_agrees_with_oracle(_property_ideal(name, kind, seed))
+
+
+def _assert_maximals_complete(E):
+    # the maximal-symmetry check reads maximal points and their types from
+    # maximals alone, so it must list every maximal point of a wide box
+    e2 = vadd(ones(E.r), ones(E.r))
+    box = box_points(vsub(E.m, e2), vadd(E.c, e2))
+    infos = maximals(E)
+    assert [m.point for m in infos] == [a for a in box if is_maximal(E, a)], E
+    for m in infos:
+        assert (m.p, m.q) == (p_value(E, m.point), q_value(E, m.point)), (E, m)
+
+
+def test_maximals_complete_on_fixtures(ex2, n1, n2, node2, node3, prod22):
+    semigroups = (ex2, n1, n2, node2, node3, prod22)
+    for E in (*semigroups, *map(canonical_ideal, semigroups), random_good(node3, 11)):
+        _assert_maximals_complete(E)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_PROPERTY_SEMIGROUPS)),
+       st.sampled_from(["random_good", "non_principal", "dual", "translate"]),
+       st.integers(0, 10_000))
+def test_maximals_complete_random(name, kind, seed):
+    _assert_maximals_complete(_property_ideal(name, kind, seed))

@@ -17,6 +17,7 @@ from gsi.errors import DimensionMismatch, SoundnessError
 from gsi.ideal import (
     SmallRep,
     _compatibility_failure,
+    _repeat,
     _window,
     members,
     translate,
@@ -330,3 +331,14 @@ def test_window_matches_contains():
             assert members(E, lo, hi) == sorted(materialize(E, lo, hi)), (E, lo, hi)
         with pytest.raises(DimensionMismatch):
             members(E, E.m + (0,), E.c + (0,))
+
+
+def test_repeat_matches_repunit_division():
+    # the former formula: the block times the base-2^width repunit of length n
+    rng = random.Random(5)
+    cases = [(0, 1, 3), (1, 1, 0), (1, 1, -1), (1, 1, 1), (5, 3, 1), (1, 7, 64)]
+    cases += [(rng.getrandbits(w), w, rng.randrange(-1, 80))
+              for w in rng.choices(range(1, 48), k=400)]
+    for block, width, n in cases:
+        want = block * (((1 << width * n) - 1) // ((1 << width) - 1)) if n > 0 else 0
+        assert _repeat(block, width, n) == want, (block, width, n)

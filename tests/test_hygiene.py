@@ -1,0 +1,59 @@
+"""Source hygiene of the package, read with the standard library's ast: no
+module imports a name it never uses, and every private module-level function
+is referenced somewhere in the package."""
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsi"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names read in a module, attributes taken and names imported from others."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{name}:{node.lineno} {b}" for b in bound if b not in used]
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_private_functions_are_referenced():
+    modules = _modules()
+    referenced = set().union(*map(_referenced, modules.values()))
+    dead = [f"{name}:{node.lineno} {node.name}"
+            for name, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in referenced]
+    assert not dead, f"private functions nothing in the package calls: {dead}"

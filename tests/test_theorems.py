@@ -2,13 +2,15 @@ import json
 
 import pytest
 
-from gsi.constructors import random_good
+from gsi.constructors import from_small_elements, node, numerical, product, random_good
 from gsi.duality import canonical_ideal, cd_difference, fiber_dual, is_canonical
-from gsi.fiber import maximals
-from gsi.ideal import frobenius, translate
-from gsi.lattice import ones, vsub
-from gsi.report import CheckReport
+from gsi.fiber import is_maximal, maximals, p_value, q_value
+from gsi.ideal import SmallRep, equals, frobenius, translate
+from gsi.lattice import box_points, join, meet, ones, vadd, vsub
+from gsi.report import CheckReport, pt
 from gsi.theorems import (
+    _CheckContext,
+    _check_maximal_symmetry,
     check_all,
     check_duality,
     check_fibra,
@@ -233,3 +235,124 @@ def test_check_all_computes_each_value_once(ex2, node2, node3, monkeypatch):
         assert calls and set(calls.values()) == {1}, calls.most_common(3)
         names = collections.Counter(name for name, _ in calls)
         assert names["canonical_ideal"] == names["_is_canonical"] == 1
+
+
+def test_check_all_reports_failing_sweep(ex2, capsys, data_dir, monkeypatch):
+    # a sweep that finds a counterexample stops before its equality flag;
+    # check_all and the CLI must still report, not raise
+    import gsi.theorems as theorems
+    from gsi.cli import main
+
+    monkeypatch.setattr(theorems, "length_step", lambda E, alpha, i: 1)
+    by_name = {r.check_name: r for r in check_all(ex2, ex2, ex2)}
+    assert not by_name["length"].passed
+    assert by_name["length"].counterexamples
+    assert "equality_everywhere" not in by_name["length"].flags
+    f = str(data_dir / "ex2.gsi")
+    assert main(["check", "all", f, f, "--semigroup", f]) == 1
+    out = capsys.readouterr()
+    assert "length: FAIL" in out.out and "Traceback" not in out.err
+
+
+# The former maximal-symmetry check, kept verbatim: it walked every point of
+# the sweep box and asked membership, maximality and p/q values point by point.
+def _old_check_maximal_symmetry(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
+                                S: SmallRep | None = None) -> CheckReport:
+    D = ctx.dual(EJ, EI)
+    B = ctx.dual(EJ, D)
+    T = ctx.dual(EJ, B)  # third dual; always equal to D, and D itself if B == EI
+    r = EJ.r
+    e = ones(r)
+    f = frobenius(EJ)
+    lo = vsub(meet(EI.m, vsub(f, D.c)), e)
+    hi = vadd(join(EI.c, vsub(f, D.m)), e)
+    rep = CheckReport("maxsym", True, f"alpha over [{list(lo)}, {list(hi)}]")
+    rep.flags["triple_dual_stable"] = equals(T, D)
+    if not rep.flags["triple_dual_stable"]:
+        rep.passed = False
+        rep.counterexamples.append({"note": "third dual differs from first"})
+    skipped = []
+    pairs_checked = 0
+    for alpha in box_points(lo, hi):
+        beta = vsub(f, alpha)
+        in_i = EI.contains(alpha)
+        in_d = D.contains(beta)
+        if not (in_i and in_d):
+            if (in_i and is_maximal(EI, alpha)) or (in_d and is_maximal(D, beta)):
+                skipped.append(pt(alpha))
+            continue
+        mi = is_maximal(EI, alpha)
+        md = is_maximal(D, beta)
+        if mi != md:
+            rep.passed = False
+            rep.counterexamples.append(
+                {"alpha": pt(alpha), "beta": pt(beta),
+                 "maximal_in_EI": mi, "maximal_in_dual": md})
+            continue
+        if not mi:
+            continue
+        pairs_checked += 1
+        p = p_value(EI, alpha)
+        q = q_value(EI, alpha)
+        p2 = p_value(D, beta)
+        q2 = q_value(D, beta)
+        # q' from rho over EI; p' from rho over the bidual B
+        q_formula = rho(EI, EJ, alpha, D) + 1 - p
+        rho_b = p_value(B, beta) + q_value(T, alpha) - 1
+        p_formula = rho_b + 1 - q_value(B, alpha)
+        if q2 != q_formula or p2 != p_formula:
+            rep.passed = False
+            rep.counterexamples.append(
+                {"alpha": pt(alpha), "type": [p, q], "dual_type": [p2, q2],
+                 "formula_type": [p_formula, q_formula]})
+        else:
+            rep.witnesses.append(
+                {"alpha": pt(alpha), "type": [p, q], "dual_type": [p2, q2]})
+    rep.flags["skipped"] = skipped
+    rep.flags["pairs_checked"] = pairs_checked
+    canonical_mode = ctx.is_canonical(EJ, S) if S is not None else None
+    rep.flags["canonical_mode"] = canonical_mode
+    if canonical_mode:
+        mi = maximals(EI)
+        md = maximals(D)
+        fwd = {vsub(f, info.point): (r + 1 - info.q, r + 1 - info.p) for info in mi}
+        got = {info.point: (info.p, info.q) for info in md}
+        if fwd != got:
+            rep.passed = False
+            rep.counterexamples.append(
+                {"note": "unconditional pairing or type map broken",
+                 "expected": sorted((pt(k), list(v)) for k, v in fwd.items()),
+                 "got": sorted((pt(k), list(v)) for k, v in got.items())})
+        else:
+            rep.witnesses.append(
+                {"note": "bijection with type map verified",
+                 "maximals": sorted((pt(k), list(v)) for k, v in got.items())})
+    return rep
+
+
+def test_maximal_symmetry_matches_box_walk():
+    semigroups = [numerical([3, 4, 5]), numerical([2, 3]), numerical([3, 5]),
+                  numerical([4, 5, 7]), numerical([2, 5]), node(2), node(3),
+                  from_small_elements(2, (0, 0), (5, 5),
+                                      {(0, 0), (3, 3), (3, 4), (4, 3), (5, 5)}),
+                  product(numerical([2, 3]), numerical([2, 3])),
+                  product(numerical([3, 4]), numerical([2, 3])),
+                  product(node(2), numerical([2, 3]))]
+    triples = 0
+    seen = {"skipped": 0, "pairs": 0, "canonical": 0}
+    for S in semigroups:
+        K = canonical_ideal(S)
+        ideals = [S, K, translate(K, ones(S.r))] + [random_good(S, k) for k in range(1, 6)]
+        for EJ in ideals[:4]:
+            for EI in ideals:
+                for context in (None, S):
+                    ctx = _CheckContext()
+                    want = _old_check_maximal_symmetry(ctx, EI, EJ, context).to_dict()
+                    got = _check_maximal_symmetry(ctx, EI, EJ, context).to_dict()
+                    assert got == want, (S, EJ, EI, context)
+                seen["skipped"] += bool(want["flags"]["skipped"])
+                seen["pairs"] += bool(want["flags"]["pairs_checked"])
+                seen["canonical"] += bool(want["flags"]["canonical_mode"])
+                triples += 1
+    assert triples >= 300
+    assert min(seen.values()) >= 10, seen

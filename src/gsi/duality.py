@@ -8,6 +8,10 @@ meets down to a failing alpha inside it.  It runs on the membership grid of
 ``ideal`` (``ideal._quotient``): one window of EJ covers every sum beta +
 alpha, its shift by alpha's offset answers the quantifier for every beta at
 once, and D's box is the AND of those shifts over the members alpha of EI.
+``fiber_dual`` and ``canonical_ideal`` read their regions off fiber-table
+windows instead of walking their boxes: the points beta with F(E, f - beta)
+empty are the box minus the OR of E's singleton open windows over the
+reflected box f - box, bit-reversed to the box's own indexing.
 Results are normalized to SmallRep by ``ideal._least_conductor``, the routine
 the constructors use too, and validated once; any failure there is an
 internal bug, never expected on valid inputs.
@@ -17,13 +21,16 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import BoundaryInstabilityError, SoundnessError
-from .fiber import fiber_empty
 from .ideal import (
     RegionSet,
     SmallRep,
+    _bits,
     _compatibility_failure,
+    _layout,
     _least_conductor,
+    _point,
     _quotient,
+    _reflected,
     _require_same_r,
     equals,
     frobenius,
@@ -32,7 +39,7 @@ from .ideal import (
     translate,
     validate,
 )
-from .lattice import Box, Point, box_points, join, meet, ones, vadd, vsub, zero
+from .lattice import Box, Point, join, meet, ones, vadd, vsub, zero
 
 
 def _dual_box(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, Point]:
@@ -84,6 +91,16 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     return rep
 
 
+def _empty_fibers(E: SmallRep, f: Point, lo: Point, hi: Point) -> set[Point]:
+    """The beta of [lo, hi] with F(E, f - beta) empty: the box minus the OR
+    of E's reflected singleton open windows, F being their union."""
+    box, strides = _layout(lo, hi)
+    occupied = 0
+    for k in range(E.r):
+        occupied |= _reflected(E, f, lo, hi, 1 << k, closed=False)
+    return {_point(i, lo, strides) for i in _bits(box & ~occupied)}
+
+
 def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box.
 
@@ -93,8 +110,7 @@ def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     _require_same_r(EJ, EI)
     lo, hi, U = _dual_box(EJ, EI)
     f = frobenius(EJ)
-    points = {beta for beta in box_points(lo, hi)
-              if fiber_empty(EI, vsub(f, beta))}
+    points = _empty_fibers(EI, f, lo, hi)
     rep, failure = _promote_region(EJ.r, points, lo, hi, U)
     return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
 
@@ -113,7 +129,7 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     lo = vsub(vsub(S.m, span), e)
     hi = S.c
     f = frobenius(S)
-    points = {a for a in box_points(lo, hi) if fiber_empty(S, vsub(f, a))}
+    points = _empty_fibers(S, f, lo, hi)
     for p in points:
         if any(x == l for x, l in zip(p, lo)):
             raise BoundaryInstabilityError(

@@ -15,9 +15,10 @@ classes*: clamping each coordinate into [m_k - 1, c_k] changes nothing.  So
 an ideal is one bit mask over the grid [m - e, c] (:attr:`SmallRep.grid`),
 laid out with the last axis fastest, which makes bit order lexicographic
 order.  Box questions read that mask: ``members`` lists the set bits of E's
-window over a box (``_window``, built row by row from the grid), ``equals``
-and ``is_subset`` compare windows, the sum sweeps and the quotient behind
-``duality.cd_difference`` shift them, and no box is walked point by point.
+window over a box (``_window``, which cuts any fiber-table entry over any
+box the same way), ``equals`` and ``is_subset`` compare windows, the sum
+sweeps and the quotient behind ``duality.cd_difference`` shift them, and no
+box is walked point by point.
 """
 from __future__ import annotations
 
@@ -212,13 +213,27 @@ def _suffix_or(mask: int, dims: tuple[int, ...], k: int) -> int:
     return mask
 
 
-def _window(E: SmallRep, lo: Point, hi: Point) -> int:
-    """E's membership over [lo, hi] as a mask in that box's layout.
+def _window(E: SmallRep, lo: Point, hi: Point, J: int | None = None,
+            closed: bool = True) -> int:
+    """Entry J of E's fiber table over [lo, hi], as a mask in that box's
+    layout; membership (the grid mask) when J is None.
 
-    Built row by row from the grid: a coordinate below m reads nothing, one
-    in [m, c] its grid row, and the rows above c repeat the row at c.  The
-    box may reach below m and beyond c anywhere.
+    Bit t is :meth:`SmallRep.fiber_occupied` of the box point t for J: each
+    coordinate is clamped into [m - e, c], and an open fiber reads the closed
+    entry one step up on the free axes.  Membership clamps the same way,
+    since grid row m - 1 holds no member.  The box may reach below m and
+    beyond c anywhere.  Rows of each axis are cut out by halving and the
+    windows of distinct rows joined by halving, so a window costs its bits
+    times the log of its rows; the clamped-off rows repeat the first or the
+    last grid row.
     """
+    if J is None:
+        mask = E.grid.mask
+    else:
+        mask = E.fiber_table[J]
+        if not closed:
+            lo, hi = (tuple(x if J >> k & 1 else x + 1 for k, x in enumerate(p))
+                      for p in (lo, hi))
     dims = tuple(h - l + 1 for l, h in zip(lo, hi))
     if min(dims) <= 0:
         return 0
@@ -226,29 +241,50 @@ def _window(E: SmallRep, lo: Point, hi: Point) -> int:
     strides = _strides(dims)
     last = E.r - 1
 
-    def rows(k: int, base: int) -> int:
-        # the window of axes k.. for the grid prefix whose bits start at base
-        l, h, m, c = lo[k], hi[k], E.m[k], E.c[k]
-        origin, step = g.lo[k], g.strides[k]
-        top = max(l, c + 1)  # first row above c
-        if k == last:
-            out = 0
-            if max(l, m) <= min(h, c):
-                a = max(l, m)
-                out = (g.mask >> base + a - origin & (1 << min(h, c) - a + 1) - 1) << a - l
-            if h > c and g.mask >> base + c - origin & 1:
-                out |= (1 << h - top + 1) - 1 << top - l
-            return out
-        width = strides[k]
-        out = 0
-        for x in range(max(l, m), min(h, c) + 1):
-            out |= rows(k + 1, base + (x - origin) * step) << (x - l) * width
-        if h > c:
-            row = rows(k + 1, base + (c - origin) * step)
-            out |= _repeat(row, width, h - top + 1) << (top - l) * width
+    def axis(k: int, slab: int) -> int:
+        # the window of axes k.. from the grid bits of axes k..
+        l, h, origin, c, width = lo[k], hi[k], g.lo[k], E.c[k], strides[k]
+        first, top = (min(max(x, origin), c) - origin for x in (l, h))
+        n = top - first + 1
+        step = g.strides[k]
+        out = rows(k, slab >> first * step & (1 << n * step) - 1, n)
+        below = min(h, origin) - l  # box rows past the first, clamped to row 0
+        above = h - max(l, c)       # box rows past the first, clamped to row c
+        if above > 0:
+            out |= _repeat(out >> (n - 1) * width, width, above) << n * width
+        if below > 0:
+            out = _repeat(out & (1 << width) - 1, width, below) | out << below * width
         return out
 
-    return rows(0, 0)
+    def rows(k: int, chunk: int, n: int) -> int:
+        # the windows of n grid rows of axis k, side by side
+        if k == last or not chunk:
+            return chunk  # a last-axis row is one bit, its own window
+        if n == 1:
+            return axis(k + 1, chunk)
+        half = n // 2
+        cut = half * g.strides[k]
+        return (rows(k, chunk & (1 << cut) - 1, half)
+                | rows(k, chunk >> cut, n - half) << half * strides[k])
+
+    return axis(0, mask)
+
+
+def _layout(lo: Point, hi: Point) -> tuple[int, tuple[int, ...]]:
+    """The mask of every point of [lo, hi] and the bit strides of its layout."""
+    dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+    return (1 << math.prod(dims)) - 1, _strides(dims)
+
+
+def _reflected(E: SmallRep, f: Point, lo: Point, hi: Point, J: int,
+               closed: bool = True) -> int:
+    """Entry J of E's fiber table at f - beta for beta over [lo, hi], as a
+    mask indexed like [lo, hi]: the window over [f - hi, f - lo] read
+    backwards, since its bit s is the point f - hi + s = f - beta for the
+    beta of bit n - 1 - s in [lo, hi]."""
+    n = math.prod(h - l + 1 for l, h in zip(lo, hi))
+    W = _window(E, vsub(f, hi), vsub(f, lo), J, closed)
+    return int(format(W, f"0{n}b")[::-1], 2) if W else 0
 
 
 def _bits(mask: int) -> list[int]:

@@ -5,6 +5,13 @@ quantities involved are not yet stabilized by the membership rule, with
 margin, so the boundary behavior of the all-of-Z^r quantifiers is exercised
 and wider sweeps would be redundant; the maximal-symmetry check reads the
 maximal points, which lie in its box, and their types from ``maximals``.
+The length and rho sweeps read fiber-table windows (``ideal._window``): the
+EI side over the box, the dual side over its reflection (f - box for a
+point f), bit-reversed so that both are indexed like the box.  Each
+relation is then an AND or OR of masks, the first counterexample and the
+first equality witness in sweep order are lowest set bits, and the
+per-point ``length_step`` and ``rho`` are left for the public API and for
+the values a report shows.
 Reports carry witnesses for equality cases and counterexamples for violated
 relations; a counterexample to one of the unconditional claims means an
 implementation bug and fails the build.
@@ -17,13 +24,27 @@ that lives for its call; it holds values, never reports.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Any, Callable
 
 from .duality import _is_canonical, canonical_ideal, cd_difference, fiber_dual
 from .errors import InvalidIndexSet
 from .fiber import maximals, p_value, q_value
-from .ideal import RegionSet, SmallRep, _sum_failure, equals, frobenius, members, translate
-from .lattice import Point, box_points, check_same_dim, join, meet, ones, vadd, vsub
+from .ideal import (
+    RegionSet,
+    SmallRep,
+    _layout,
+    _point,
+    _reflected,
+    _sum_failure,
+    _window,
+    equals,
+    frobenius,
+    members,
+    translate,
+)
+from .lattice import Point, check_same_dim, join, meet, ones, unit_vector, vadd, vsub
 from .report import CheckReport, pt
 
 
@@ -165,6 +186,10 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
     For every alpha in the sweep box, with beta = c(EJ) - alpha and every i:
     step(EI, alpha, i) + step(D, beta - e_i, i) <= 1.  The
     ``equality_everywhere`` flag records whether the sum is 1 throughout.
+    Per i, the EI side is EI's closed {i} window over the box and the D side
+    D's closed {i} window over c(EJ) - e_i - box, reversed; the first
+    (alpha, i) in sweep order is the lowest (bit, i) of their AND, and the
+    first equality gap the lowest of their NOR.
     """
     if D is None:
         D = cd_difference(EJ, EI)
@@ -172,25 +197,32 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
     lo, hi = _sweep_box(EI, D, EJ.c, 2)
     rep = CheckReport("length", True,
                       f"alpha over [{list(lo)}, {list(hi)}], i in 1..{r}")
-    equality = True
-    for alpha in box_points(lo, hi):
-        beta = vsub(EJ.c, alpha)
-        for i in range(1, r + 1):
-            ei = tuple(1 if k == i - 1 else 0 for k in range(r))
-            a = length_step(EI, alpha, i)
-            b = length_step(D, vsub(beta, ei), i)
-            if a + b > 1:
-                rep.passed = False
-                rep.counterexamples.append(
-                    {"alpha": pt(alpha), "beta": pt(beta), "i": i,
-                     "lhs": a, "rhs": b})
-                return rep
-            if a + b == 0 and equality:
-                equality = False
-                rep.witnesses.append(
-                    {"alpha": pt(alpha), "i": i, "note": "equality gap"})
-    rep.flags["equality_everywhere"] = equality
+    box, strides = _layout(lo, hi)
+    both, neither = [], []
+    for k in range(r):
+        a = _window(EI, lo, hi, 1 << k)
+        b = _reflected(D, vsub(EJ.c, unit_vector(r, [k + 1])), lo, hi, 1 << k)
+        both.append(a & b)
+        neither.append(box & ~(a | b))
+    bad, gap = _first(both), _first(neither)
+    if gap is not None and (bad is None or gap < bad):
+        rep.witnesses.append({"alpha": pt(_point(gap[0], lo, strides)),
+                              "i": gap[1] + 1, "note": "equality gap"})
+    if bad is not None:
+        alpha = _point(bad[0], lo, strides)
+        rep.passed = False
+        rep.counterexamples.append(
+            {"alpha": pt(alpha), "beta": pt(vsub(EJ.c, alpha)), "i": bad[1] + 1,
+             "lhs": 1, "rhs": 1})
+        return rep
+    rep.flags["equality_everywhere"] = gap is None
     return rep
+
+
+def _first(masks: list[int]) -> tuple[int, int] | None:
+    """The least (bit, index) over the set bits of the masks, None if none."""
+    return min((((m & -m).bit_length() - 1, i) for i, m in enumerate(masks) if m),
+               default=None)
 
 
 def rho(EI: SmallRep, EJ: SmallRep, alpha: Point,
@@ -212,22 +244,44 @@ def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None) -> CheckRep
 
 def _check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
                S: SmallRep | None = None) -> CheckReport:
+    """The rho sweep on masks over the box, indexed like it.
+
+    With f = frobenius(EJ), A_k (p < k at alpha) is the OR of EI's open
+    J-windows with |J| <= k, and B_k (q <= k at f - alpha) the AND of D's
+    open J-windows with |J| >= k over f - box, reversed; A_{r+1} and
+    B_{r+1} are the whole box.  rho < r is the OR over a < r of
+    A_{a+1} & B_{r-a}, rho > r the complement of the OR over a <= r of
+    A_{a+1} & B_{r+1-a}, and rho itself is evaluated only where reported.
+    """
     D = ctx.dual(EJ, EI)
     r = EJ.r
-    lo, hi = _sweep_box(EI, D, frobenius(EJ), 2)
+    f = frobenius(EJ)
+    lo, hi = _sweep_box(EI, D, f, 2)
     rep = CheckReport("rho", True, f"alpha over [{list(lo)}, {list(hi)}]")
-    equality = True
-    for alpha in box_points(lo, hi):
-        val = rho(EI, EJ, alpha, D)
-        if val < r:
-            rep.passed = False
-            rep.counterexamples.append({"alpha": pt(alpha), "rho": val, "r": r})
-            return rep
-        if val > r and equality:
-            equality = False
-            rep.witnesses.append({"alpha": pt(alpha), "rho": val,
-                                  "note": "strictly above r"})
-    rep.flags["equality_everywhere"] = equality
+    box, strides = _layout(lo, hi)
+    A, B = [0] * (r + 2), [box] * (r + 2)
+    for J in range(1, 1 << r):
+        size = J.bit_count()
+        A[size] |= _window(EI, lo, hi, J, closed=False)
+        B[size] &= _reflected(D, f, lo, hi, J, closed=False)
+    for k in range(1, r + 1):
+        A[k] |= A[k - 1]
+    for k in range(r, 0, -1):
+        B[k] &= B[k + 1]
+    A[r + 1] = box
+    below = _first([reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))])
+    above = _first([box & ~reduce(or_, (A[a + 1] & B[r + 1 - a] for a in range(r + 1)))])
+    if above is not None and (below is None or above < below):
+        alpha = _point(above[0], lo, strides)
+        rep.witnesses.append({"alpha": pt(alpha), "rho": rho(EI, EJ, alpha, D),
+                              "note": "strictly above r"})
+    if below is not None:
+        alpha = _point(below[0], lo, strides)
+        rep.passed = False
+        rep.counterexamples.append({"alpha": pt(alpha), "rho": rho(EI, EJ, alpha, D),
+                                    "r": r})
+        return rep
+    rep.flags["equality_everywhere"] = above is None
     if S is not None:
         rep.flags["ej_canonical"] = ctx.is_canonical(EJ, S)
     return rep
@@ -238,10 +292,13 @@ def check_maximal_symmetry(EI: SmallRep, EJ: SmallRep,
     """Maximal points pair up under alpha -> frobenius(EJ) - alpha.
 
     Conditionally (both memberships assumed) maximality transfers both ways
-    and the dual type obeys the p'/q' formulas computed from rho over the
-    bidual and over EI.  With EJ canonical (semigroup context required) the
-    pairing is unconditional: a bijection of maximal sets with the type map
-    (p, q) -> (r + 1 - q, r + 1 - p).
+    and the dual type obeys the p' formula computed from rho over the bidual
+    B and the third dual.  The q' side of the reported formula type, rho over
+    EI plus 1 - p, is definitional: rho(EI, EJ, alpha, D) is p_value(EI,
+    alpha) + q_value(D, frobenius(EJ) - alpha) - 1, so q' restates the dual
+    q and that comparison cannot fail; only the p' side tests anything.  With
+    EJ canonical (semigroup context required) the pairing is unconditional: a
+    bijection of maximal sets with the type map (p, q) -> (r + 1 - q, r + 1 - p).
     """
     return _check_maximal_symmetry(_CheckContext(), EI, EJ, S)
 
@@ -276,7 +333,8 @@ def _check_maximal_symmetry(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
                  "maximal_in_EI": mi is not None, "maximal_in_dual": md is not None})
             continue
         pairs_checked += 1
-        # q' from rho over EI; p' from rho over the bidual B
+        # p' from rho over the bidual B; q' from rho over EI equals md.q by
+        # the definition of rho
         q_formula = rho(EI, EJ, alpha, D) + 1 - mi.p
         rho_b = p_value(B, beta) + q_value(T, alpha) - 1
         p_formula = rho_b + 1 - q_value(B, alpha)

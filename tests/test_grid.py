@@ -3,30 +3,49 @@
 The references below are the former implementations, copied verbatim: the
 point-by-point ``members`` they all enumerate with, the box sweeps of
 ``validate`` (its E2 witness search included), of the compatibility test and
-of ``check_sum``, and the per-point quantifier of ``cd_difference``.  The
-fast paths must give the same reports and the same first counterexamples,
-byte for byte.
+of ``check_sum``, the per-point quantifier of ``cd_difference``, the
+per-point length and rho sweeps, and the per-point ``fiber_empty`` sweeps of
+``fiber_dual`` and ``canonical_ideal``.  The fast paths must give the same
+reports, regions and first counterexamples, byte for byte.
 """
 import random
 
 import pytest
 
 from gsi.constructors import node, numerical, product, random_good
-from gsi.duality import _dual_box, _promote_region, canonical_ideal, cd_difference
-from gsi.errors import DimensionMismatch, SoundnessError
+from gsi.duality import (
+    _dual_box,
+    _promote_region,
+    canonical_ideal,
+    cd_difference,
+    fiber_dual,
+)
+from gsi.errors import BoundaryInstabilityError, DimensionMismatch, GsiError, SoundnessError
+from gsi.fiber import fiber_empty
 from gsi.ideal import (
+    RegionSet,
     SmallRep,
     _compatibility_failure,
     _repeat,
     _window,
+    frobenius,
+    is_subset,
     members,
     translate,
     validate,
 )
-from gsi.lattice import Point, box_points, join, leq, meet, ones, vadd, vsub
+from gsi.lattice import Box, Point, box_points, join, leq, meet, ones, vadd, vsub, zero
 from gsi.oracle import materialize
 from gsi.report import CheckReport, pt
-from gsi.theorems import check_sum
+from gsi.theorems import (
+    _check_rho,
+    _CheckContext,
+    _sweep_box,
+    check_length_pairing,
+    check_sum,
+    length_step,
+    rho,
+)
 
 
 def _old_e2_witness_ranges(a: Point, b: Point, i: int, c: Point) -> list[tuple[int, int]]:
@@ -212,6 +231,112 @@ def _old_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     return rep
 
 
+def _old_check_length_pairing(EJ: SmallRep, EI: SmallRep,
+                              D: SmallRep | None = None) -> CheckReport:
+    """Length pairing: the two one-step lengths at complementary points never
+    both fire, and they complement exactly when EJ is canonical.
+
+    For every alpha in the sweep box, with beta = c(EJ) - alpha and every i:
+    step(EI, alpha, i) + step(D, beta - e_i, i) <= 1.  The
+    ``equality_everywhere`` flag records whether the sum is 1 throughout.
+    """
+    if D is None:
+        D = cd_difference(EJ, EI)
+    r = EJ.r
+    lo, hi = _sweep_box(EI, D, EJ.c, 2)
+    rep = CheckReport("length", True,
+                      f"alpha over [{list(lo)}, {list(hi)}], i in 1..{r}")
+    equality = True
+    for alpha in box_points(lo, hi):
+        beta = vsub(EJ.c, alpha)
+        for i in range(1, r + 1):
+            ei = tuple(1 if k == i - 1 else 0 for k in range(r))
+            a = length_step(EI, alpha, i)
+            b = length_step(D, vsub(beta, ei), i)
+            if a + b > 1:
+                rep.passed = False
+                rep.counterexamples.append(
+                    {"alpha": pt(alpha), "beta": pt(beta), "i": i,
+                     "lhs": a, "rhs": b})
+                return rep
+            if a + b == 0 and equality:
+                equality = False
+                rep.witnesses.append(
+                    {"alpha": pt(alpha), "i": i, "note": "equality gap"})
+    rep.flags["equality_everywhere"] = equality
+    return rep
+
+
+def _old_check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
+                   S: SmallRep | None = None) -> CheckReport:
+    D = ctx.dual(EJ, EI)
+    r = EJ.r
+    lo, hi = _sweep_box(EI, D, frobenius(EJ), 2)
+    rep = CheckReport("rho", True, f"alpha over [{list(lo)}, {list(hi)}]")
+    equality = True
+    for alpha in box_points(lo, hi):
+        val = rho(EI, EJ, alpha, D)
+        if val < r:
+            rep.passed = False
+            rep.counterexamples.append({"alpha": pt(alpha), "rho": val, "r": r})
+            return rep
+        if val > r and equality:
+            equality = False
+            rep.witnesses.append({"alpha": pt(alpha), "rho": val,
+                                  "note": "strictly above r"})
+    rep.flags["equality_everywhere"] = equality
+    if S is not None:
+        rep.flags["ej_canonical"] = ctx.is_canonical(EJ, S)
+    return rep
+
+
+def _old_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
+    """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box.
+
+    Goodness of this set is not guaranteed for non-canonical EJ, so the raw
+    region is returned with the outcome of a promotion attempt.
+    """
+    lo, hi, U = _dual_box(EJ, EI)
+    f = frobenius(EJ)
+    points = {beta for beta in box_points(lo, hi)
+              if fiber_empty(EI, vsub(f, beta))}
+    rep, failure = _promote_region(EJ.r, points, lo, hi, U)
+    return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
+
+
+def _old_canonical_ideal(S: SmallRep) -> SmallRep:
+    """The canonical ideal {alpha : F(S, frobenius(S) - alpha) = empty}.
+
+    Postconditions are asserted: the Frobenius vector is preserved, S is
+    contained in the result, and the result, validated on promotion, is
+    compatible with S.
+    """
+    if not S.contains(zero(S.r)):
+        raise ValueError("canonical ideal needs a good semigroup (0 missing)")
+    e = ones(S.r)
+    span = vsub(S.c, S.m)
+    lo = vsub(vsub(S.m, span), e)
+    hi = S.c
+    f = frobenius(S)
+    points = {a for a in box_points(lo, hi) if fiber_empty(S, vsub(f, a))}
+    for p in points:
+        if any(x == l for x, l in zip(p, lo)):
+            raise BoundaryInstabilityError(
+                f"canonical-ideal member {p} touches the search-box face at {lo}")
+    rep, failure = _promote_region(S.r, points, lo, hi, S.c)
+    if rep is None:
+        raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")
+    if frobenius(rep) != f:
+        raise SoundnessError(
+            f"canonical ideal changed the Frobenius vector: {frobenius(rep)} != {f}")
+    if not is_subset(S, rep):
+        raise SoundnessError("canonical ideal does not contain the semigroup")
+    failure = _compatibility_failure(rep, S)
+    if failure is not None:
+        raise SoundnessError(f"canonical ideal is not an ideal of S: {failure}")
+    return rep
+
+
 def _semigroups() -> dict[str, SmallRep]:
     n2, n1 = numerical([2, 3]), numerical([3, 4, 5])
     return {
@@ -342,3 +467,140 @@ def test_repeat_matches_repunit_division():
     for block, width, n in cases:
         want = block * (((1 << width * n) - 1) // ((1 << width) - 1)) if n > 0 else 0
         assert _repeat(block, width, n) == want, (block, width, n)
+
+
+def test_fiber_windows_match_fiber_occupied():
+    semigroups = _semigroups()
+    ideals = list(semigroups.values())
+    ideals += [canonical_ideal(S) for S in semigroups.values()]
+    ideals += [random_good(S, 11) for S in semigroups.values()]
+    for E in ideals:
+        e = ones(E.r)
+        e2 = vadd(e, e)
+        boxes = [
+            (vsub(E.m, vadd(e2, e)), vadd(E.c, e2)),  # the grid and both sides
+            (vsub(E.m, vadd(e2, e2)), vsub(E.m, e2)),  # wholly below m - e
+            (vadd(E.c, e), vadd(E.c, vadd(e2, e))),   # wholly past c
+            ((E.m[0] - 4,) + E.c[1:], (E.m[0] - 2,) + vadd(E.c, e2)[1:]),
+        ]
+        for lo, hi in boxes:
+            points = list(box_points(lo, hi))
+            for J in range(1, 1 << E.r):
+                for closed in (True, False):
+                    W = _window(E, lo, hi, J, closed)
+                    want = sum(1 << i for i, p in enumerate(points)
+                               if E.fiber_occupied(p, J, closed))
+                    assert W == want, (E, lo, hi, J, closed)
+
+
+def _mixed_ideals(S: SmallRep, K: SmallRep, seed: int) -> list[SmallRep]:
+    """S, K(S), K(S) + e, a random_good draw, the first draw from the seed on
+    with two or more small elements, and its dual into K(S)."""
+    E = random_good(S, seed)
+    while len(E.small) < 2:
+        seed += 1
+        E = random_good(S, seed)
+    return [S, K, translate(K, ones(S.r)), random_good(S, seed + 1), E,
+            cd_difference(K, E)]
+
+
+def test_length_and_rho_match_point_sweeps():
+    # planted wrong duals (D translated by +-e, or another pair's dual) make
+    # the sweeps find counterexamples, some of them after an equality witness
+    rng = random.Random(41)
+    seen = {"length_fail": 0, "length_witness_first": 0, "length_gap": 0,
+            "rho_fail": 0, "rho_witness_first": 0, "rho_above": 0}
+    for name, S in sorted(_semigroups().items()):
+        K = canonical_ideal(S)
+        ideals = _mixed_ideals(S, K, 7)
+        e = ones(S.r)
+        for EJ in ideals[:3] + ideals[4:5]:
+            duals = [cd_difference(EJ, EI) for EI in ideals]
+            for EI, D in zip(ideals, duals):
+                cands = [D, translate(D, e), translate(D, vsub(zero(S.r), e)),
+                         rng.choice(duals)]
+                for cand in cands:
+                    want = _old_check_length_pairing(EJ, EI, cand).to_dict()
+                    got = check_length_pairing(EJ, EI, cand).to_dict()
+                    assert got == want, (name, EJ, EI, cand)
+                    fail = not want["passed"]
+                    seen["length_fail"] += fail
+                    seen["length_witness_first"] += fail and bool(want["witnesses"])
+                    seen["length_gap"] += bool(want["witnesses"])
+                    for context in ((None, S) if cand is D else (None,)):
+                        old, new = _CheckContext(), _CheckContext()
+                        old.values["dual", EJ, EI] = new.values["dual", EJ, EI] = cand
+                        want = _old_check_rho(old, EI, EJ, context).to_dict()
+                        got = _check_rho(new, EI, EJ, context).to_dict()
+                        assert got == want, (name, EJ, EI, cand, context)
+                        fail = not want["passed"]
+                        seen["rho_fail"] += fail
+                        seen["rho_witness_first"] += fail and bool(want["witnesses"])
+                        seen["rho_above"] += bool(want["witnesses"])
+    assert min(seen.values()) >= 50, seen
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, GsiError) as err:
+        return type(err), str(err)
+
+
+def test_fiber_dual_and_canonical_match_point_sweeps():
+    rng = random.Random(43)
+    for name, S in sorted(_semigroups().items()):
+        K = canonical_ideal(S)
+        assert K == _old_canonical_ideal(S), name
+        ideals = _mixed_ideals(S, K, 3)
+        # EJ only sets the reflection point f, so seeded point sets serve too
+        for EJ in ideals[:3] + ideals[4:5] + [_random_rep(rng, S) for _ in range(2)]:
+            for EI in ideals:
+                assert fiber_dual(EJ, EI) == _old_fiber_dual(EJ, EI), (name, EJ, EI)
+        # canonical_ideal of sets that hold 0 but need not be semigroups: the
+        # same ideal, or the same error
+        for E in ideals + [_random_rep(rng, S) for _ in range(10)]:
+            if E.contains(zero(S.r)):
+                want = _outcome(_old_canonical_ideal, E)
+                assert _outcome(canonical_ideal, E) == want, (name, E)
+
+
+def test_sweeps_work_bounded_by_reports(ex2, node3, monkeypatch):
+    # The length, rho, fiber-dual and canonical-ideal sweeps read fiber-table
+    # windows, so their per-point fiber queries do not grow with the volume
+    # of the sweep box: the only ones left are the two of each rho value a
+    # rho report shows.  validate, run on promotion, queries per pair of
+    # small elements and is not counted.
+    import gsi.duality as duality
+    from gsi.theorems import check_rho
+
+    calls, paused = [0], []
+    for name in ("fiber_occupied", "fiber_occupancy"):
+        def counted(self, *args, original=getattr(SmallRep, name), **kwargs):
+            calls[0] += not paused
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SmallRep, name, counted)
+
+    def uncounted_validate(*args, validate=duality.validate, **kwargs):
+        paused.append(True)
+        try:
+            return validate(*args, **kwargs)
+        finally:
+            paused.pop()
+
+    monkeypatch.setattr(duality, "validate", uncounted_validate)
+    for S in (ex2, node3):
+        K = canonical_ideal(S)
+        D = cd_difference(K, S)
+        lo, hi = _sweep_box(S, D, K.c, 2)
+        assert len(list(box_points(lo, hi))) >= 100
+        sweeps = [lambda: canonical_ideal(S), lambda: fiber_dual(K, S),
+                  lambda: fiber_dual(S, S), lambda: check_length_pairing(K, S, D),
+                  lambda: check_length_pairing(S, S), lambda: check_rho(S, K, S),
+                  lambda: check_rho(S, S, S)]
+        for sweep in sweeps:
+            calls[0] = 0
+            sweep()
+            assert calls[0] <= 4, (S, calls[0])

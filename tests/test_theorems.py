@@ -243,11 +243,15 @@ def test_check_all_reports_failing_sweep(ex2, capsys, data_dir, monkeypatch):
     import gsi.theorems as theorems
     from gsi.cli import main
 
-    monkeypatch.setattr(theorems, "length_step", lambda E, alpha, i: 1)
+    # the dual side of the length and rho sweeps reads every step as fired
+    monkeypatch.setattr(theorems, "_reflected", lambda E, f, lo, hi, J, closed=True:
+                        theorems._layout(lo, hi)[0])
     by_name = {r.check_name: r for r in check_all(ex2, ex2, ex2)}
     assert not by_name["length"].passed
     assert by_name["length"].counterexamples
     assert "equality_everywhere" not in by_name["length"].flags
+    assert not by_name["rho"].passed
+    assert "equality_everywhere" not in by_name["rho"].flags
     f = str(data_dir / "ex2.gsi")
     assert main(["check", "all", f, f, "--semigroup", f]) == 1
     out = capsys.readouterr()
@@ -356,3 +360,22 @@ def test_maximal_symmetry_matches_box_walk():
                 triples += 1
     assert triples >= 300
     assert min(seen.values()) >= 10, seen
+
+
+def test_maximal_symmetry_wrong_bidual_fails_p_side(ex2):
+    # the p' formula reads the bidual from the context; a wrong one seeded
+    # there breaks it, while the q' side, definitional, still agrees
+    K = canonical_ideal(ex2)
+    D = cd_difference(K, ex2)
+    B = cd_difference(K, D)
+    assert _check_maximal_symmetry(_CheckContext(), ex2, K, None).passed
+    for wrong in (translate(B, (1, 1)), translate(B, (-1, -1))):
+        ctx = _CheckContext()
+        ctx.values["dual", K, D] = wrong
+        rep = _check_maximal_symmetry(ctx, ex2, K, None)
+        assert not rep.passed
+        typed = [c for c in rep.counterexamples if "formula_type" in c]
+        assert len(typed) == rep.flags["pairs_checked"] == 3
+        for c in typed:
+            assert c["formula_type"][0] != c["dual_type"][0]
+            assert c["formula_type"][1] == c["dual_type"][1]

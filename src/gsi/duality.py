@@ -8,10 +8,11 @@ meets down to a failing alpha inside it.  It runs on the membership grid of
 ``ideal`` (``ideal._quotient``): one window of EJ covers every sum beta +
 alpha, its shift by alpha's offset answers the quantifier for every beta at
 once, and D's box is the AND of those shifts over the members alpha of EI.
-``fiber_dual`` and ``canonical_ideal`` read their regions off fiber-table
-windows instead of walking their boxes: the points beta with F(E, f - beta)
-empty are the box minus the OR of E's singleton open windows over the
-reflected box f - box, bit-reversed to the box's own indexing.
+``fiber_dual`` and ``canonical_ideal`` read their regions off one window
+instead of walking their boxes: the points beta with F(E, f - beta) empty
+are the box minus the window of E's layer P[1] (some singleton open fiber
+occupied) over the reflected box f - box, bit-reversed to the box's own
+indexing.
 Results are normalized to SmallRep by ``ideal._least_conductor``, the routine
 the constructors use too, and validated once; any failure there is an
 internal bug, never expected on valid inputs.
@@ -92,12 +93,11 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
 
 
 def _empty_fibers(E: SmallRep, f: Point, lo: Point, hi: Point) -> set[Point]:
-    """The beta of [lo, hi] with F(E, f - beta) empty: the box minus the OR
-    of E's reflected singleton open windows, F being their union."""
+    """The beta of [lo, hi] with F(E, f - beta) empty: the box minus E's
+    reflected window of the layer P[1], F being the union of the singleton
+    open fibers."""
     box, strides = _layout(lo, hi)
-    occupied = 0
-    for k in range(E.r):
-        occupied |= _reflected(E, f, lo, hi, 1 << k, closed=False)
+    occupied = _reflected(E, f, lo, hi, E.fiber_layers[0][1])
     return {_point(i, lo, strides) for i in _bits(box & ~occupied)}
 
 

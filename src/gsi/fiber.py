@@ -2,11 +2,12 @@
 
 For a nonempty J inside {1..r}, the open fiber of alpha holds the members
 agreeing with alpha on J and strictly larger elsewhere; the closed fiber
-relaxes strict to weak.  Emptiness is read from the ideal's fiber table
-(:attr:`SmallRep.fiber_table`), one mask per J over the ideal's clamp-class
-grid: a query clamps alpha into [m - e, c] and tests one bit.  Once the table
-says a fiber is occupied, :func:`fiber_witness` names its first member in a
-capped box; member lists come from ``ideal.members``, a window of the mask.
+relaxes strict to weak.  Each answer is one bit, at alpha clamped into
+[m - e, c] (:meth:`SmallRep.index`), of the fiber table for a single fiber
+and of the (p, q) layers (:attr:`SmallRep.fiber_layers`) for emptiness, p, q
+and maximal points.  Once the table says a fiber is occupied,
+:func:`fiber_witness` names its first member in a capped box; member lists
+come from ``ideal.members``, a window of the mask.
 """
 from __future__ import annotations
 
@@ -38,26 +39,19 @@ def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
 def fiber_empty(E: SmallRep, alpha: Point) -> bool:
     """Emptiness of F(E, alpha), the union of the singleton open fibers."""
     check_same_dim(alpha, E.c)
-    return not any(E.fiber_occupied(alpha, 1 << k) for k in range(E.r))
+    return not E.fiber_layers[0][1] >> E.index(alpha) & 1
 
 
 def is_maximal(E: SmallRep, alpha: Point) -> bool:
     return E.contains(alpha) and fiber_empty(E, alpha)
 
 
-def _fiber_sizes(E: SmallRep, alpha: Point) -> tuple[int, int]:
-    """The least size of an occupied open fiber of alpha (r + 1 if none) and
-    the largest size of an empty one (0 if none), over all nonempty J."""
-    check_same_dim(alpha, E.c)
-    least_occupied, most_empty = E.r + 1, 0
-    occupancy = E.fiber_occupancy(alpha)
-    for J in range(1, 1 << E.r):
-        n = J.bit_count()
-        if occupancy[J]:
-            least_occupied = min(least_occupied, n)
-        else:
-            most_empty = max(most_empty, n)
-    return least_occupied, most_empty
+def _pq(E: SmallRep, i: int) -> tuple[int, int]:
+    """(p, q) at grid bit i: the least k with bit i of P[k], minus 1, and
+    the least k >= 1 with bit i of Q[k]."""
+    P, Q = E.fiber_layers
+    return (next(k for k in range(E.r + 2) if P[k] >> i & 1) - 1,
+            next(k for k in range(1, E.r + 2) if Q[k] >> i & 1))
 
 
 def p_value(E: SmallRep, alpha: Point) -> int:
@@ -66,7 +60,8 @@ def p_value(E: SmallRep, alpha: Point) -> int:
     Returns 0 when some singleton fiber is nonempty, r when every fiber is
     empty (which forces alpha outside E).
     """
-    return _fiber_sizes(E, alpha)[0] - 1
+    check_same_dim(alpha, E.c)
+    return _pq(E, E.index(alpha))[0]
 
 
 def q_value(E: SmallRep, alpha: Point) -> int:
@@ -75,7 +70,8 @@ def q_value(E: SmallRep, alpha: Point) -> int:
     Returns r + 1 exactly when alpha is not a member (the full fiber is
     empty); always exceeds p_value.
     """
-    return _fiber_sizes(E, alpha)[1] + 1
+    check_same_dim(alpha, E.c)
+    return _pq(E, E.index(alpha))[1]
 
 
 class MaximalKind(enum.Enum):
@@ -110,11 +106,13 @@ def maximals(E: SmallRep) -> list[MaximalInfo]:
 
     Maximal points live in [m, c - e]: beyond that region some coordinate
     reaches the conductor and the matching singleton fiber is nonempty.
+    They are the members there off the layer P[1].
     """
+    P1 = E.fiber_layers[0][1]
     out = []
     for alpha in members(E, E.m, vsub(E.c, ones(E.r))):
-        if fiber_empty(E, alpha):
-            least_occupied, most_empty = _fiber_sizes(E, alpha)
-            p, q = least_occupied - 1, most_empty + 1
+        i = E.index(alpha)
+        if not P1 >> i & 1:
+            p, q = _pq(E, i)
             out.append(MaximalInfo(alpha, p, q, _classify(E.r, p, q)))
     return out

@@ -14,11 +14,12 @@ Membership, and with it every open or closed fiber, is constant on *clamp
 classes*: clamping each coordinate into [m_k - 1, c_k] changes nothing.  So
 an ideal is one bit mask over the grid [m - e, c] (:attr:`SmallRep.grid`),
 laid out with the last axis fastest, which makes bit order lexicographic
-order.  Box questions read that mask: ``members`` lists the set bits of E's
-window over a box (``_window``, which cuts any fiber-table entry over any
-box the same way), ``equals`` and ``is_subset`` compare windows, the sum
-sweeps and the quotient behind ``duality.cd_difference`` shift them, and no
-box is walked point by point.
+order.  The fiber table (a mask per index set) and the (p, q) layers (a
+mask per fiber size) live on that grid too.  Box questions read masks:
+``members`` lists the set bits of E's window over a box (``_window``, which
+cuts a table entry or layer the same way), ``equals`` and ``is_subset``
+compare windows, the sum sweeps and the quotient behind
+``duality.cd_difference`` shift them, and no box is walked point by point.
 """
 from __future__ import annotations
 
@@ -64,10 +65,10 @@ class SmallRep:
     are small elements, every small element lies in [m, c], small is closed
     under meet, the exchange axiom E2 holds, and c is the least conductor.
 
-    The membership grid and the fiber table are built on first use and then
-    kept on the instance for as long as the ideal lives.  They are pure
-    functions of the four fields, so they take no part in equality or
-    hashing.
+    The membership grid, the fiber table and the layers are built on first
+    use and then kept on the instance for as long as the ideal lives.  They
+    are pure functions of the four fields, so they take no part in equality
+    or hashing.
     """
 
     r: int
@@ -130,41 +131,56 @@ class SmallRep:
             table[J] = _suffix_or(table[J | 1 << k], g.dims, k)
         return tuple(table)
 
-    def fiber_occupied(self, alpha: Point, J: int, closed: bool = False) -> bool:
-        """Whether the J-fiber of alpha (J a bitmask of 0-based axes) meets E.
+    @cached_property
+    def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (p, q) layers (P, Q), grid masks for k = 0..r + 1: bit t of
+        P[k] is set when some open fiber of grid point t with at most k
+        indices is occupied (p < k), of Q[k] when all with at least k are
+        (q <= k).  An open J-fiber is the closed one a grid step up on the
+        free axes, the top row staying put, so each entry stepped up is ORed
+        into P[|J|] and ANDed into Q[|J|]; a prefix OR and a suffix AND
+        finish, and P[r + 1] = Q[r + 1] is the whole grid."""
+        g, r = self.grid, self.r
+        whole = (1 << math.prod(g.dims)) - 1
+        # keep[k]: the grid points below the top row of axis k
+        keep = [_box_mask(g.dims, g.dims[:k] + (g.dims[k] - 1,) + g.dims[k + 1:])
+                for k in range(r)]
+        P, Q = [0] * (r + 1) + [whole], [whole] * (r + 2)
+        for J in range(1, 1 << r):
+            entry = self.fiber_table[J]
+            for k in range(r):
+                if not J >> k & 1:
+                    entry = entry >> g.strides[k] & keep[k] | entry & ~keep[k]
+            n = J.bit_count()
+            P[n] |= entry
+            Q[n] &= entry
+        for k in range(1, r + 1):
+            P[k] |= P[k - 1]
+        for k in range(r, -1, -1):
+            Q[k] &= Q[k + 1]
+        return tuple(P), tuple(Q)
 
-        One bit of :attr:`fiber_table` after clamping alpha into [m - e, c].
-        The clamp is exact because membership is constant beyond c in each
-        coordinate and empty below m: on an axis in J the fiber is empty
-        below m_j (grid row m_j - 1 is empty) and unchanged above c_j; on a
-        free axis any value below m_k is as good as m_k - 1 and any value
-        above c_k as good as c_k.  The open fiber is the closed fiber at
-        alpha + 1 on the free axes.  alpha must have dimension r; the public
-        fiber functions check it.
-        """
+    def index(self, alpha: Point) -> int:
+        """The grid bit of alpha clamped into [m - e, c], where every table
+        entry and layer reads alpha.  The clamp is exact: membership is
+        constant beyond c in each coordinate and empty below m, so on a
+        pinned axis the fiber is empty below m_j and unchanged above c_j, and
+        on a free axis any value below m_k is as good as m_k - 1 and any
+        above c_k as good as c_k.  alpha must have dimension r; the public
+        fiber functions check it."""
         g = self.grid
         i = 0
-        for k, (a, lo, hi, s) in enumerate(zip(alpha, g.lo, self.c, g.strides)):
-            if not (closed or J >> k & 1):
-                a += 1
-            i += ((hi if a > hi else a if a > lo else lo) - lo) * s
-        return self.fiber_table[J] >> i & 1 == 1
-
-    def fiber_occupancy(self, alpha: Point, closed: bool = False) -> list[bool]:
-        """:meth:`fiber_occupied` for every J at once, indexed by the bitmask
-        (entry 0 is False).  alpha is clamped once per axis, both as a pinned
-        value and as a free one; the bit index for J adds the pinned offset on
-        the axes in J and the free offset elsewhere."""
-        g = self.grid
-        index = [0]
         for a, lo, hi, s in zip(alpha, g.lo, self.c, g.strides):
-            pinned = ((hi if a > hi else a if a > lo else lo) - lo) * s
-            if not closed:
-                a += 1
-            free = ((hi if a > hi else a if a > lo else lo) - lo) * s
-            # doubling the list adds this axis as the next bit of J
-            index = [i + free for i in index] + [i + pinned for i in index]
-        return [entry >> i & 1 == 1 for entry, i in zip(self.fiber_table, index)]
+            i += ((hi if a > hi else a if a > lo else lo) - lo) * s
+        return i
+
+    def fiber_occupied(self, alpha: Point, J: int, closed: bool = False) -> bool:
+        """Whether the J-fiber of alpha (J a bitmask of 0-based axes) meets E:
+        one bit of :attr:`fiber_table`.  The open fiber is the closed fiber
+        at alpha + 1 on the free axes."""
+        if not closed:
+            alpha = tuple(a if J >> k & 1 else a + 1 for k, a in enumerate(alpha))
+        return self.fiber_table[J] >> self.index(alpha) & 1 == 1
 
 
 def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -213,27 +229,19 @@ def _suffix_or(mask: int, dims: tuple[int, ...], k: int) -> int:
     return mask
 
 
-def _window(E: SmallRep, lo: Point, hi: Point, J: int | None = None,
-            closed: bool = True) -> int:
-    """Entry J of E's fiber table over [lo, hi], as a mask in that box's
-    layout; membership (the grid mask) when J is None.
+def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
+    """A grid mask of E over [lo, hi], in that box's layout: a fiber-table
+    entry or a layer, membership (the grid mask) when None.
 
-    Bit t is :meth:`SmallRep.fiber_occupied` of the box point t for J: each
-    coordinate is clamped into [m - e, c], and an open fiber reads the closed
-    entry one step up on the free axes.  Membership clamps the same way,
-    since grid row m - 1 holds no member.  The box may reach below m and
-    beyond c anywhere.  Rows of each axis are cut out by halving and the
+    Bit t is the mask's bit at :meth:`SmallRep.index` of the box point t,
+    each coordinate clamped into [m - e, c], so the box may reach below m
+    and beyond c anywhere.  Rows of each axis are cut out by halving and the
     windows of distinct rows joined by halving, so a window costs its bits
     times the log of its rows; the clamped-off rows repeat the first or the
     last grid row.
     """
-    if J is None:
+    if mask is None:
         mask = E.grid.mask
-    else:
-        mask = E.fiber_table[J]
-        if not closed:
-            lo, hi = (tuple(x if J >> k & 1 else x + 1 for k, x in enumerate(p))
-                      for p in (lo, hi))
     dims = tuple(h - l + 1 for l, h in zip(lo, hi))
     if min(dims) <= 0:
         return 0
@@ -276,14 +284,13 @@ def _layout(lo: Point, hi: Point) -> tuple[int, tuple[int, ...]]:
     return (1 << math.prod(dims)) - 1, _strides(dims)
 
 
-def _reflected(E: SmallRep, f: Point, lo: Point, hi: Point, J: int,
-               closed: bool = True) -> int:
-    """Entry J of E's fiber table at f - beta for beta over [lo, hi], as a
-    mask indexed like [lo, hi]: the window over [f - hi, f - lo] read
-    backwards, since its bit s is the point f - hi + s = f - beta for the
-    beta of bit n - 1 - s in [lo, hi]."""
+def _reflected(E: SmallRep, f: Point, lo: Point, hi: Point, mask: int) -> int:
+    """A grid mask of E at f - beta for beta over [lo, hi], indexed like
+    [lo, hi]: the window over [f - hi, f - lo] read backwards, since its bit
+    s is the point f - hi + s = f - beta for the beta of bit n - 1 - s in
+    [lo, hi]."""
     n = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    W = _window(E, vsub(f, hi), vsub(f, lo), J, closed)
+    W = _window(E, vsub(f, hi), vsub(f, lo), mask)
     return int(format(W, f"0{n}b")[::-1], 2) if W else 0
 
 

@@ -199,8 +199,9 @@ def _window_occupancy(E):
 
 
 def _assert_table_agrees_with_oracle(E, occupancy=_brute_occupancy):
-    """Every fiber answer at every alpha of [m - 2e, c + 2e] against the
-    literal fiber enumeration, with p and q taken from their definitions."""
+    """Every fiber answer and layer bit at every alpha of [m - 2e, c + 2e]
+    against the literal fiber enumeration, with p and q taken from their
+    definitions."""
     r = E.r
     e2 = vadd(ones(r), ones(r))
     masks = range(1, 1 << r)
@@ -208,12 +209,10 @@ def _assert_table_agrees_with_oracle(E, occupancy=_brute_occupancy):
     for alpha in box_points(vsub(E.m, e2), vadd(E.c, e2)):
         occ = occupancy(E, alpha)
         for closed in (False, True):
-            every = E.fiber_occupancy(alpha, closed)
             for J in masks:
                 js = [k + 1 for k in range(r) if J >> k & 1]
                 assert E.fiber_occupied(alpha, J, closed) == occ[J, closed], \
                     (alpha, js, closed)
-                assert every[J] == occ[J, closed], (alpha, js, closed)
         member = occ[(1 << r) - 1, True]  # the closed full fiber is {alpha}
         empty = not any(occ[1 << k, False] for k in range(r))
         p = max(n for n in range(r + 1)
@@ -223,6 +222,13 @@ def _assert_table_agrees_with_oracle(E, occupancy=_brute_occupancy):
         assert fiber_empty(E, alpha) == empty, alpha
         assert is_maximal(E, alpha) == (member and empty), alpha
         assert (p_value(E, alpha), q_value(E, alpha)) == (p, q), alpha
+        # every layer bit, not only the least set one that p and q read;
+        # Q[0] = Q[1], as every fiber has at least one index
+        P, Q = E.fiber_layers
+        bit = E.index(alpha)
+        for k in range(r + 2):
+            assert (P[k] >> bit & 1 == 1) == (p < k), (alpha, "P", k)
+            assert (Q[k] >> bit & 1 == 1) == (q <= max(k, 1)), (alpha, "Q", k)
         for i in range(1, r + 1):
             assert length_step(E, alpha, i) == occ[1 << (i - 1), True], (alpha, i)
 
@@ -231,6 +237,12 @@ def test_table_agrees_with_oracle_exhaustive(ex2, n1, node2, node3, prod22):
     # random_good(node3, 11) is a non-principal r = 3 ideal (5 small elements)
     for E in (ex2, n1, node2, node3, prod22, random_good(node3, 11)):
         _assert_table_agrees_with_oracle(E)
+    # node(4) and its canonical ideal (12 small elements) run the layers'
+    # prefix OR and suffix AND over four fiber sizes; the oracle's members
+    # are enumerated once per ideal, since one brute_fiber call per (alpha,
+    # J, closed) takes about a minute per ideal at r = 4
+    for E in (node(4), canonical_ideal(node(4))):
+        _assert_table_agrees_with_oracle(E, _window_occupancy(E))
 
 
 def test_table_agrees_with_oracle_large_sparse():

@@ -21,7 +21,7 @@ from gsi.duality import (
     fiber_dual,
 )
 from gsi.errors import BoundaryInstabilityError, DimensionMismatch, GsiError, SoundnessError
-from gsi.fiber import fiber_empty
+from gsi.fiber import fiber_empty, p_value, q_value
 from gsi.ideal import (
     RegionSet,
     SmallRep,
@@ -483,14 +483,24 @@ def test_fiber_windows_match_fiber_occupied():
             (vadd(E.c, e), vadd(E.c, vadd(e2, e))),   # wholly past c
             ((E.m[0] - 4,) + E.c[1:], (E.m[0] - 2,) + vadd(E.c, e2)[1:]),
         ]
+        P, Q = E.fiber_layers
         for lo, hi in boxes:
             points = list(box_points(lo, hi))
+
+            def want(holds):
+                return sum(1 << i for i, p in enumerate(points) if holds(p))
+
             for J in range(1, 1 << E.r):
-                for closed in (True, False):
-                    W = _window(E, lo, hi, J, closed)
-                    want = sum(1 << i for i, p in enumerate(points)
-                               if E.fiber_occupied(p, J, closed))
-                    assert W == want, (E, lo, hi, J, closed)
+                W = _window(E, lo, hi, E.fiber_table[J])
+                assert W == want(lambda p: E.fiber_occupied(p, J, closed=True)), \
+                    (E, lo, hi, J)
+            # Q[0] = Q[1], as every fiber has at least one index
+            for k in range(E.r + 2):
+                W = _window(E, lo, hi, P[k])
+                assert W == want(lambda p: p_value(E, p) < k), (E, lo, hi, "P", k)
+                W = _window(E, lo, hi, Q[k])
+                assert W == want(lambda p: q_value(E, p) <= max(k, 1)), \
+                    (E, lo, hi, "Q", k)
 
 
 def _mixed_ideals(S: SmallRep, K: SmallRep, seed: int) -> list[SmallRep]:
@@ -567,21 +577,22 @@ def test_fiber_dual_and_canonical_match_point_sweeps():
 
 
 def test_sweeps_work_bounded_by_reports(ex2, node3, monkeypatch):
-    # The length, rho, fiber-dual and canonical-ideal sweeps read fiber-table
-    # windows, so their per-point fiber queries do not grow with the volume
-    # of the sweep box: the only ones left are the two of each rho value a
-    # rho report shows.  validate, run on promotion, queries per pair of
-    # small elements and is not counted.
+    # The length, rho, fiber-dual and canonical-ideal sweeps read windows of
+    # fiber-table entries and layers, so their per-point grid lookups (the
+    # clamp of SmallRep.index, which every single fiber, p and q query
+    # takes) do not grow with the volume of the sweep box: the only ones
+    # left are the two of each rho value a rho report shows.  validate, run
+    # on promotion, queries per pair of small elements and is not counted.
     import gsi.duality as duality
     from gsi.theorems import check_rho
 
     calls, paused = [0], []
-    for name in ("fiber_occupied", "fiber_occupancy"):
-        def counted(self, *args, original=getattr(SmallRep, name), **kwargs):
-            calls[0] += not paused
-            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(SmallRep, name, counted)
+    def counted(self, *args, original=SmallRep.index, **kwargs):
+        calls[0] += not paused
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SmallRep, "index", counted)
 
     def uncounted_validate(*args, validate=duality.validate, **kwargs):
         paused.append(True)

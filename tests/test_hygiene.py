@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the standard library's ast: no
 module imports a name it never uses, and every private module-level function
-is referenced somewhere in the package."""
+and every method or property of a class is referenced somewhere in the
+package."""
 import ast
 import pathlib
 
@@ -57,3 +58,24 @@ def test_private_functions_are_referenced():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in referenced]
     assert not dead, f"private functions nothing in the package calls: {dead}"
+
+
+# Public methods the package does not call itself, each with its reason.
+UNCALLED_API = {
+    "from_dict",  # CheckReport: the documented inverse of to_dict
+}
+
+
+def test_methods_are_referenced():
+    # public methods count too: a method the package never calls is dead
+    # unless the package exports it by name
+    modules = _modules()
+    used = set().union(*map(_referenced, modules.values()),
+                       *map(_exported, modules.values()), UNCALLED_API)
+    dead = [f"{name}:{item.lineno} {cls.name}.{item.name}"
+            for name, tree in modules.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))
+            and item.name not in used]
+    assert not dead, f"methods nothing in the package references: {dead}"

@@ -176,3 +176,21 @@ def test_equals_subset_agree_with_pointwise_oracle(node2):
         s2 = materialize(E2, lo, hi)
         assert equals(E1, E2) == (s1 == s2)
         assert is_subset(E1, E2) == (s1 <= s2)
+
+
+def test_parse_and_validate_leave_layers_unbuilt(data_dir):
+    # the (p, q) layers cost 2^r stepped table entries; ideals that are only
+    # parsed and validated, as most ingested ones are, never pay for them
+    from gsi.errors import ValidationError
+    from gsi.fiber import fiber_empty
+    from gsi.gsi_format import parse_gsi
+
+    for path in sorted(data_dir.glob("*.gsi")):
+        try:
+            E = parse_gsi(path.read_text(encoding="utf-8"))
+        except ValidationError:
+            continue  # broken.gsi: a document that fails validation
+        validate(E, E, semigroup=True)
+        assert "fiber_layers" not in vars(E), path.name
+        fiber_empty(E, E.m)
+        assert "fiber_layers" in vars(E), path.name

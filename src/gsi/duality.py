@@ -6,8 +6,11 @@ U = c_J - m_I upward beta + EI lands past the conductor of EJ.  The inner
 quantifier is truncated by the conductor cap: a failing alpha beyond the cap
 meets down to a failing alpha inside it.  It runs on the membership grid of
 ``ideal`` (``ideal._quotient``): one window of EJ covers every sum beta +
-alpha, its shift by alpha's offset answers the quantifier for every beta at
-once, and D's box is the AND of those shifts over the members alpha of EI.
+alpha, and its shift by alpha's offset answers the quantifier for every beta
+at once.  The members alpha of EI are the clamp classes of its small
+elements, each a small element plus a box on the axes where it reaches the
+conductor, so D's box is the AND, over the small elements, of one shift of
+the window already ANDed over that box by doubling shifts.
 ``fiber_dual`` and ``canonical_ideal`` read their regions off one window
 instead of walking their boxes: the points beta with F(E, f - beta) empty
 are the box minus the window of E's layer P[1] (some singleton open fiber

@@ -14,12 +14,15 @@ Membership, and with it every open or closed fiber, is constant on *clamp
 classes*: clamping each coordinate into [m_k - 1, c_k] changes nothing.  So
 an ideal is one bit mask over the grid [m - e, c] (:attr:`SmallRep.grid`),
 laid out with the last axis fastest, which makes bit order lexicographic
-order.  The fiber table (a mask per index set) and the (p, q) layers (a
-mask per fiber size) live on that grid too.  Box questions read masks:
-``members`` lists the set bits of E's window over a box (``_window``, which
-cuts a table entry or layer the same way), ``equals`` and ``is_subset``
-compare windows, the sum sweeps and the quotient behind
-``duality.cd_difference`` shift them, and no box is walked point by point.
+order.  The fiber tables (a mask per index set, closed and open) and the
+(p, q) layers (a mask per fiber size) live on that grid too.  ``validate``
+decides E1 and E2 for all pairs of small elements from a few ANDs of table
+entries when the grid is no larger than the number of pairs.  Box questions
+read masks: ``members`` lists the set bits of E's window over a box
+(``_window``, which cuts a table entry or layer the same way), ``equals``
+and ``is_subset`` compare windows, the sum sweeps shift them, and the
+quotient behind ``duality.cd_difference`` shifts one window per small
+element of the divisor, so no box is walked point by point.
 """
 from __future__ import annotations
 
@@ -65,7 +68,7 @@ class SmallRep:
     are small elements, every small element lies in [m, c], small is closed
     under meet, the exchange axiom E2 holds, and c is the least conductor.
 
-    The membership grid, the fiber table and the layers are built on first
+    The membership grid, the fiber tables and the layers are built on first
     use and then kept on the instance for as long as the ideal lives.  They
     are pure functions of the four fields, so they take no part in equality
     or hashing.
@@ -132,25 +135,45 @@ class SmallRep:
         return tuple(table)
 
     @cached_property
+    def open_table(self) -> tuple[int, ...]:
+        """Occupied open fibers as grid masks, indexed like
+        :attr:`fiber_table`.  The open J-fiber of t is the closed one at
+        t + 1 on the free axes, clamped, so each closed entry is stepped
+        :meth:`up` once along every free axis."""
+        table = list(self.fiber_table)
+        for J in range(1, len(table)):
+            for k in range(self.r):
+                if not J >> k & 1:
+                    table[J] = self.up(table[J], k)
+        return tuple(table)
+
+    @cached_property
+    def _below_top(self) -> tuple[int, ...]:
+        """Per axis k, the grid points below the top row of axis k."""
+        dims = self.grid.dims
+        return tuple(_box_mask(dims, dims[:k] + (dims[k] - 1,) + dims[k + 1:])
+                     for k in range(self.r))
+
+    def up(self, mask: int, k: int) -> int:
+        """A grid mask stepped one row up along axis k: bit t reads the mask
+        at t + e_k, clamped into the grid as :meth:`index` clamps, so the top
+        row stays put."""
+        keep = self._below_top[k]
+        return mask >> self.grid.strides[k] & keep | mask & ~keep
+
+    @cached_property
     def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The (p, q) layers (P, Q), grid masks for k = 0..r + 1: bit t of
         P[k] is set when some open fiber of grid point t with at most k
         indices is occupied (p < k), of Q[k] when all with at least k are
-        (q <= k).  An open J-fiber is the closed one a grid step up on the
-        free axes, the top row staying put, so each entry stepped up is ORed
-        into P[|J|] and ANDed into Q[|J|]; a prefix OR and a suffix AND
-        finish, and P[r + 1] = Q[r + 1] is the whole grid."""
-        g, r = self.grid, self.r
-        whole = (1 << math.prod(g.dims)) - 1
-        # keep[k]: the grid points below the top row of axis k
-        keep = [_box_mask(g.dims, g.dims[:k] + (g.dims[k] - 1,) + g.dims[k + 1:])
-                for k in range(r)]
+        (q <= k).  Each :attr:`open_table` entry is ORed into P[|J|] and
+        ANDed into Q[|J|]; a prefix OR and a suffix AND finish, and
+        P[r + 1] = Q[r + 1] is the whole grid."""
+        r = self.r
+        whole = (1 << math.prod(self.grid.dims)) - 1
         P, Q = [0] * (r + 1) + [whole], [whole] * (r + 2)
         for J in range(1, 1 << r):
-            entry = self.fiber_table[J]
-            for k in range(r):
-                if not J >> k & 1:
-                    entry = entry >> g.strides[k] & keep[k] | entry & ~keep[k]
+            entry = self.open_table[J]
             n = J.bit_count()
             P[n] |= entry
             Q[n] &= entry
@@ -466,6 +489,43 @@ def _e2_fiber(a: Point, b: Point, i: int) -> tuple[Point, int]:
     return tuple(x), J
 
 
+def _pairs_good(E: SmallRep) -> bool:
+    """Whether every pair of small elements passes E1 and E2, read off the
+    fiber table T and the open table O.  E must be structurally valid.
+
+    E1: a pair meets at x exactly when, for J the axes where a equals x, a
+    lies in the closed J-fiber of x and b in the closed (full ^ J)-fiber,
+    so T[J] & T[full ^ J] must lie inside the grid mask.  E2: a pair that
+    agrees on K (0 < K < full) and meets at x, with Ja the axes where
+    a = x < b and Jb the rest of J = full ^ K, has a in the open
+    (K | Ja)-fiber of x and b in the open (K | Jb)-fiber; its witness at
+    i in K is the closed J-fiber of x + e_i, the entry T[J] stepped
+    :meth:`SmallRep.up` along i.
+    """
+    T, O = E.fiber_table, E.open_table
+    full = (1 << E.r) - 1
+    outside = ~E.grid.mask
+    for J in range(1, full, 2):  # each split once, axis 0 in J
+        if T[J] & T[full ^ J] & outside:
+            return False
+    for K in range(1, full):
+        J = full ^ K
+        # each unordered split once: Jb runs over the subsets of J without
+        # its lowest axis, and Ja is the rest of J
+        rest = J & J - 1
+        Jb, pairs = rest, 0
+        while True:
+            pairs |= O[K | J ^ Jb] & O[K | Jb]
+            if not Jb:
+                break
+            Jb = Jb - 1 & rest
+        if pairs:
+            for i in range(E.r):
+                if K >> i & 1 and pairs & ~E.up(T[J], i):
+                    return False
+    return True
+
+
 def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
     """First member of E (lexicographically) in the product of closed ranges."""
     found = members(E, tuple(a for a, _ in ranges), tuple(b for _, b in ranges))
@@ -506,25 +566,50 @@ def _sum_failure(outer: SmallRep, inner: SmallRep,
     return None
 
 
+def _and_run(mask: int, stride: int, n: int) -> int:
+    """The AND of mask >> t * stride over t in [0, n), by doubling shifts:
+    before a step of s a bit holds the AND of width shifts, after it of
+    width + s."""
+    width = 1
+    while width < n:
+        step = min(width, n - width)
+        mask &= mask >> step * stride
+        width += step
+    return mask
+
+
 def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
               cap: Point) -> set[Point]:
     """The beta of [lo, hi] with beta + alpha in EJ for every member alpha
     of EI in [m_I, cap].
 
     One window W of EJ covers every sum, with beta at bit offset(beta - lo),
-    so W >> offset(alpha - m_I) reads beta + alpha there; the answer is the
-    AND of those shifts over the alphas, cut to the box of the betas.
+    so W >> offset(alpha - m_I) reads beta + alpha there.  The members are
+    the disjoint clamp classes of the small elements s: s plus the box
+    [0, cap_k - c_k] on the axes J(s) where s_k = c_k.  W_J, the AND of W
+    shifted over that box on the axes of J, is W_{J without its top axis}
+    ANDed along that axis by doubling, built once per J; the answer is the
+    AND of W_{J(s)} >> offset(s - m_I) over the small elements, cut to the
+    box of the betas.
     """
     e = ones(EJ.r)
     wlo, whi = vadd(lo, EI.m), vadd(hi, cap)
-    W = _window(EJ, wlo, whi)
     dims = tuple(h - l + 1 for l, h in zip(wlo, whi))
+    strides = _strides(dims)
+    runs = {0: _window(EJ, wlo, whi)}
+
+    def run(J: int) -> int:
+        if J not in runs:
+            k = J.bit_length() - 1
+            runs[J] = _and_run(run(J ^ 1 << k), strides[k], cap[k] - EI.c[k] + 1)
+        return runs[J]
+
     acc = _box_mask(dims, vadd(vsub(hi, lo), e))
-    for off in _bits(_members_in(EI, cap, dims)):
-        acc &= W >> off
+    for s in sorted(EI.small):
+        J = sum(1 << k for k, (x, c) in enumerate(zip(s, EI.c)) if x == c)
+        acc &= run(J) >> sum((x - m) * st for x, m, st in zip(s, EI.m, strides))
         if not acc:
             break
-    strides = _strides(dims)
     return {_point(i, lo, strides) for i in _bits(acc)}
 
 
@@ -556,9 +641,14 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     clamped pair, and that pair lies below it, hence comes first in
     lexicographic order, so the first failing member pair is a small one
     (pairs whose clamps coincide, or that agree at a coordinate >= c_i, pass).
-    With S given, compatibility S + E <= E is checked over boxes; with
-    ``semigroup``, 0 in E and E + E <= E are checked as well.  The first
-    failing axiom is reported with its violating pair.
+    When the grid [m - e, c] has at most n^2 points for n small elements,
+    :func:`_pairs_good` decides both axioms for every pair on the fiber-table
+    masks, and the pair loops run only to name the first failing pair; on a
+    larger grid they run instead, so the work is at most the smaller of the
+    two and a sparse ideal's grid is never built.  With S given,
+    compatibility S + E <= E is checked over boxes; with ``semigroup``, 0 in
+    E and E + E <= E are checked as well.  The first failing axiom is
+    reported with its violating pair.
     """
     r = E.r
     universe = f"axiom box [{list(E.m)}, {list(vadd(E.c, ones(r)))}]"
@@ -584,21 +674,27 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
             return fail("structural", reason="small element outside [min, conductor]",
                         point=pt(p))
 
-    # E1: closure under componentwise minimum.
-    for idx, a in enumerate(small):
-        for b in small[idx + 1:]:
-            g = tuple(map(min, a, b))
-            if g not in E.small:
-                return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
+    # E1 and E2 on the masks when the grid has at most as many points as
+    # there are pairs; the pair loops run otherwise, or to name the first
+    # failing pair.
+    n = len(small)
+    volume = math.prod(c - m + 2 for m, c in zip(E.m, E.c))
+    if volume > n * n or not _pairs_good(E):
+        # E1: closure under componentwise minimum.
+        for idx, a in enumerate(small):
+            for b in small[idx + 1:]:
+                g = tuple(map(min, a, b))
+                if g not in E.small:
+                    return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
 
-    # E2: exchange witness for every pair agreeing in some coordinate, one
-    # fiber-table lookup per pair and coordinate.
-    for idx, a in enumerate(small):
-        for b in small[idx + 1:]:
-            for i in range(r):
-                if a[i] == b[i] and not E.fiber_occupied(*_e2_fiber(a, b, i),
-                                                         closed=True):
-                    return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
+        # E2: exchange witness for every pair agreeing in some coordinate,
+        # one fiber-table lookup per pair and coordinate.
+        for idx, a in enumerate(small):
+            for b in small[idx + 1:]:
+                for i in range(r):
+                    if a[i] == b[i] and not E.fiber_occupied(*_e2_fiber(a, b, i),
+                                                             closed=True):
+                        return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
 
     # Conductor minimality: c - e_i must not conduct.  Every point above
     # c - e_i with coordinate i pinned to c_i - 1 meets down to c - e_i, so

@@ -392,6 +392,76 @@ def test_validate_matches_point_sweep_reference():
     assert axioms >= {"E1", "E2", "conductor", "compatibility", "semigroup"}, axioms
 
 
+def _dense_rep(rng: random.Random, r: int) -> SmallRep:
+    """A seeded point set dense in a small box, so that its grid has at most
+    n^2 points for n small elements in most draws; meet-closed in most
+    draws, so that E1 and E2 pass about as often as they fail."""
+    m = tuple(rng.randint(-2, 2) for _ in range(r))
+    c = tuple(x + rng.randint(0, 3 if r < 3 else 2) for x in m)
+    density = rng.uniform(0.3, 0.9)
+    pts = {p for p in box_points(m, c) if rng.random() < density} | {m, c}
+    if rng.randrange(4):
+        pts = _meet_closure(pts)
+    return SmallRep(r, m, c, frozenset(pts))
+
+
+def _document_rep(text: str) -> SmallRep:
+    """The SmallRep a GSI document lists, unvalidated."""
+    fields, elems = {}, set()
+    for line in text.splitlines():
+        key, *rest = line.split("#", 1)[0].split() or [""]
+        if key == "elem":
+            elems.add(tuple(map(int, rest)))
+        elif key:
+            fields[key] = tuple(map(int, rest))
+    return SmallRep(fields["r"][0], fields["min"], fields["conductor"], frozenset(elems))
+
+
+def test_validate_mask_path_matches_point_sweep_reference(data_dir, monkeypatch):
+    # validate decides E1 and E2 on the fiber-table masks when the grid has
+    # at most n^2 points; these inputs reach that path, pass and fail on it,
+    # and must give the reports of the verbatim point sweeps
+    import gsi.ideal as ideal
+
+    outcomes = []
+
+    def counted(E, pairs_good=ideal._pairs_good):
+        outcomes.append(pairs_good(E))
+        return outcomes[-1]
+
+    monkeypatch.setattr(ideal, "_pairs_good", counted)
+    rng = random.Random(20261)
+    semigroups = _semigroups()
+    semigroups["n57xn56"] = product(numerical([5, 7]), numerical([5, 6]))
+    assert len(semigroups["n57xn56"].small) == 143
+    bases = [(_dense_rep(rng, rng.randint(1, 3)), None) for _ in range(300)]
+    for S in semigroups.values():
+        bases += [(E, S) for E in [S, canonical_ideal(S)]
+                  + [random_good(S, seed) for seed in range(3)]]
+    bases += [(_document_rep(path.read_text(encoding="utf-8")), None)
+              for path in sorted(data_dir.glob("*.gsi"))]
+    cases = []
+    for E, S in bases:
+        cases.append((E, S))
+        inner = sorted(E.small - {E.m, E.c})
+        if inner:  # one small element short: E1, E2 or the conductor fail
+            cases.append((SmallRep(E.r, E.m, E.c, E.small - {rng.choice(inner)}), S))
+    failed_on_masks = set()
+    for E, S in cases:
+        for S_arg, semigroup in [(None, False)] + [(S, True)] * (S is not None):
+            before = len(outcomes)
+            want = _old_validate(E, S_arg, semigroup=semigroup).to_dict()
+            got = validate(E, S_arg, semigroup=semigroup).to_dict()
+            assert got == want, (E, S_arg, semigroup)
+            if len(outcomes) > before and not outcomes[-1]:
+                # the masks found a failure, so the pair loops must name one
+                first = got["counterexamples"][:1]
+                failed_on_masks.add(first[0]["axiom"] if first else "passed")
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50, \
+        (outcomes.count(True), outcomes.count(False))
+    assert failed_on_masks == {"E1", "E2"}, failed_on_masks
+
+
 def test_first_counterexamples_match_point_sweeps():
     semigroups = _semigroups()
     rng = random.Random(7)
@@ -427,6 +497,24 @@ def test_cd_difference_matches_point_quantifier():
         pairs += [(ideals[2], ideals[3]), (translate(K, ones(S.r)), ideals[4])]
         for EJ, EI in pairs:
             assert cd_difference(EJ, EI) == _old_cd_difference(EJ, EI), (name, EJ, EI)
+    # sparse ideals: two or three small elements in a large box, some on a
+    # face of the conductor, so that clamp classes are lines as well as boxes
+    sparse = [
+        [(0, 0), (40, 40)],
+        [(0, 0), (7, 3), (25, 31)],
+        [(0, 0), (5, 20), (20, 20)],
+        [(2, -1), (9, 12), (30, 12)],
+        [(0, 0, 0), (10, 10, 10)],
+        [(0, 0, 0), (2, 5, 3), (9, 10, 8)],
+        [(0, 0, 0), (3, 10, 10), (10, 10, 10)],
+    ]
+    ideals = [SmallRep(len(s[0]), s[0], s[-1], frozenset(s)) for s in sparse]
+    for E in ideals:
+        assert validate(E).passed, E
+    for EJ in ideals:
+        for EI in ideals:
+            if EJ.r == EI.r:
+                assert cd_difference(EJ, EI) == _old_cd_difference(EJ, EI), (EJ, EI)
 
 
 def test_window_matches_contains():

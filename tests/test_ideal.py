@@ -20,7 +20,7 @@ from gsi.ideal import (
 )
 from gsi.lattice import box_points, ones, vadd, vsub
 from gsi.oracle import brute_contains, oracle_box
-from gsi.duality import canonical_ideal
+from gsi.duality import canonical_ideal, cd_difference
 
 
 def test_contains_examples(ex2, n1):
@@ -101,6 +101,47 @@ def test_validate_work_bounded_by_small_elements(monkeypatch):
     assert validate(E).passed
     n = len(E.small)
     assert calls["contains"] <= 2 * n * n and calls["box_points"] <= n * n, calls
+
+
+def test_validate_leaves_sparse_grid_unbuilt():
+    # {0} together with c + N^2 for c = (10^4, 10^4): a grid of 10^8 points
+    # for one pair of small elements, so validate pairs them and builds
+    # neither the grid nor the fiber table
+    c = (10**4, 10**4)
+    E = SmallRep(2, (0, 0), c, frozenset({(0, 0), c}))
+    assert validate(E).passed
+    assert "grid" not in vars(E) and "fiber_table" not in vars(E), sorted(vars(E))
+
+
+def test_cd_difference_work_bounded_by_small_elements(monkeypatch):
+    # {0} together with c + N^2 for c = (300, 300): its quotient by itself
+    # quantifies over the 91,205 members of [0, cap], cap = (601, 601).  Every
+    # member is in the clamp class of one of the two small elements, so the
+    # quotient shifts its window once per small element, plus the doubling
+    # shifts that AND the 302 rows [c_k, cap_k] of each axis together.
+    import gsi.ideal as ideal
+
+    shifts = []
+
+    class Counted(int):
+        def __rshift__(self, n):
+            shifts.append(n)
+            return Counted(int(self) >> n)
+
+        def __and__(self, other):
+            return Counted(int(self) & other)
+
+        __rand__ = __and__
+
+    def counted_window(*args, window=ideal._window):
+        return Counted(window(*args))
+
+    monkeypatch.setattr(ideal, "_window", counted_window)
+    c = (300, 300)
+    E = SmallRep(2, (0, 0), c, frozenset({(0, 0), c}))
+    assert equals(cd_difference(E, E), E)
+    doubling = 2 * (302 - 1).bit_length()
+    assert 0 < len(shifts) <= len(E.small) + doubling, len(shifts)
 
 
 def test_min_conductor_frobenius(ex2, n1, node2):

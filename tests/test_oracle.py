@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from gsi import oracle
 from gsi.duality import canonical_ideal, cd_difference
-from gsi.ideal import translate
-from gsi.lattice import box_points, ones, vadd, vsub
+from gsi.errors import SoundnessError
+from gsi.ideal import SmallRep, translate, validate
+from gsi.lattice import box_points, meet, ones, vadd, vsub
 from gsi.oracle import (
     brute_canonical,
     brute_contains,
@@ -83,3 +86,35 @@ def test_window_cache_stays_bounded(ex2):
     lo, hi = oracle_box(ex2)
     for p in box_points(lo, hi):
         assert brute_contains(ex2, p) == ex2.contains(p)
+
+
+def test_validate_e1_e2_agree_with_recheck_axioms():
+    # validate reads E1 and E2 off fiber-table masks or pairs the small
+    # elements; the oracle's recheck pairs every member of its window and
+    # searches witnesses point by point, sharing no code with either path.
+    # On structurally valid point sets the two must fail together.
+    rng = random.Random(31)
+    failing = 0
+    for _ in range(1000):
+        r = rng.randint(1, 3)
+        m = tuple(rng.randint(-2, 2) for _ in range(r))
+        c = tuple(x + rng.randint(0, 3 if r < 3 else 2) for x in m)
+        density = rng.uniform(0.1, 0.9)
+        pts = {p for p in box_points(m, c) if rng.random() < density} | {m, c}
+        if rng.randrange(2):  # meet-closed in half the draws
+            new = pts
+            while new:
+                new = {meet(a, b) for a in pts for b in pts} - pts
+                pts |= new
+        E = SmallRep(r, m, c, frozenset(pts))
+        rep = validate(E)
+        reported = not rep.passed and rep.counterexamples[0]["axiom"] in ("E1", "E2")
+        lo, hi = oracle_box(E)
+        try:
+            oracle._recheck_axioms(E, oracle.materialize(E, lo, hi), lo, hi)
+            raised = False
+        except SoundnessError:
+            raised = True
+        assert reported == raised, (E, rep.to_dict())
+        failing += raised
+    assert 200 <= failing <= 800, failing

@@ -3,18 +3,20 @@
 Every constructor normalizes its data (clip to the conductor, shrink the
 conductor to the least one consistent with the stored elements, through the
 same ``ideal._least_conductor`` that promotes computed duals) and runs full
-axiom validation once before returning.  All constructors are deterministic
-given their inputs plus seed.
+axiom validation once before returning.  ``random_good`` first grows its
+sample by rounds of meets, compatibility with S and E2 witnesses, each
+witness a closed fiber looked up among the stored points.  All constructors
+are deterministic given their inputs plus seed.
 """
 from __future__ import annotations
 
 import math
 import random
+from operator import le
 
 from .errors import GenerationError, ValidationError
 from .ideal import (
     SmallRep,
-    _capped_ranges,
     _compatibility_failure,
     _e2_fiber,
     _least_conductor,
@@ -108,46 +110,44 @@ def product(A: SmallRep, B: SmallRep) -> SmallRep:
 
 def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
                       S: SmallRep | None) -> set[Point]:
-    """Grow pts inside [m, c] until meet-closed, E2-repaired, and compatible
-    with S.  Terminates: additions are monotone within a finite box."""
+    """Grow pts inside [m, c] by rounds of three steps until a round adds
+    nothing.  Every input point must be <= c, as both callers ensure; each
+    added point is a meet with such a point, so the set stays below c.
+
+    Meet: meet(a, b) over the pairs of the round's sorted snapshot.
+    Compatibility: for each small s of S in order, meet(s + p, c) over the
+    set as it stands.  E2: for each pair of a fresh sorted snapshot and axis
+    k with a_k = b_k < c_k (at c_k the rule supplies a witness), the witness
+    fiber is x = meet(a, b) + e_k pinned where a and b differ
+    (``ideal._e2_fiber``); below c it is the box [x, x on the pinned axes
+    and c elsewhere], and x is added when no stored point lies in it.
+    """
     if S is not None:
         # c <= m + c(S) must hold, so the top sub-box is forced in.
         base = meet(vadd(m, S.c), c)
         pts.update(box_points(base, c))
 
-    changed = True
-    while changed:
-        changed = False
+    size = None
+    while size != len(pts):
+        size = len(pts)
         snap = sorted(pts)
-        # meet closure
-        for i, a in enumerate(snap):
-            for b in snap[i + 1:]:
-                g = meet(a, b)
-                if g not in pts:
-                    pts.add(g)
-                    changed = True
-        # compatibility: S + E <= E on stored data
+        pts.update(meet(a, b) for i, a in enumerate(snap) for b in snap[i + 1:])
         if S is not None:
             for s in sorted(S.small):
-                for p in sorted(pts):
-                    q = meet(vadd(s, p), c)
-                    if q not in pts:
-                        pts.add(q)
-                        changed = True
-        # E2 repair with the componentwise-minimal admissible witness
+                pts.update([meet(vadd(s, p), c) for p in pts])
         snap = sorted(pts)
         for i, a in enumerate(snap):
             for b in snap[i + 1:]:
                 for k in range(r):
-                    if a[k] != b[k]:
-                        continue
-                    if a[k] >= c[k]:
-                        continue  # rule supplies a witness above the conductor
-                    lows, highs = zip(*_capped_ranges(*_e2_fiber(a, b, k), True, c))
-                    if (lows not in pts and not any(
-                            meet(g, c) in pts for g in box_points(lows, highs))):
-                        pts.add(lows)
-                        changed = True
+                    if a[k] == b[k] < c[k]:
+                        x, J = _e2_fiber(a, b, k)
+                        if x in pts:
+                            continue
+                        hi = tuple(v if J >> j & 1 else cj
+                                   for j, (v, cj) in enumerate(zip(x, c)))
+                        if not any(all(map(le, x, g)) and all(map(le, g, hi))
+                                   for g in pts):
+                            pts.add(x)
     return pts
 
 
@@ -155,8 +155,8 @@ def random_good(S: SmallRep, seed: int, *, max_width: int = 4,
                 samples: int = 6, offset: int = 2, retries: int = 20) -> SmallRep:
     """A seeded random good semigroup ideal E with S + E <= E.
 
-    Sample points in a bounded box, close under meet, repair E2 with minimal
-    witnesses, force compatibility, iterate to a fixpoint, then normalize and
+    Sample points in a bounded box, close under meet, force compatibility,
+    repair E2 with minimal witnesses, iterate to a fixpoint, then normalize and
     validate the axioms once (``from_small_elements``) and compatibility with
     S.  Deterministic per (S, seed, bounds).
     """

@@ -6,8 +6,10 @@ relaxes strict to weak.  Each answer is one bit, at alpha clamped into
 [m - e, c] (:meth:`SmallRep.index`), of the fiber table for a single fiber
 and of the (p, q) layers (:attr:`SmallRep.fiber_layers`) for emptiness, p, q
 and maximal points.  Once the table says a fiber is occupied,
-:func:`fiber_witness` names its first member in a capped box; member lists
-come from ``ideal.members``, a window of the mask.
+:func:`fiber_witness` names its first member in a capped box it builds
+itself (the pinned axes at alpha, each free axis from alpha or alpha + 1 up
+to the conductor); member lists come from ``ideal.members``, a window of the
+mask.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ideal import SmallRep, _capped_ranges, members, search_member
+from .ideal import SmallRep, members, search_member
 from .lattice import Point, check_same_dim, normalize_index_set, ones, vsub
 
 
@@ -24,16 +26,25 @@ def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
     """Some member of the fiber F_J(E, alpha) (closed variant on request),
     or None when the fiber is empty.
 
-    The table decides emptiness.  A witness is then searched in the capped
-    box of ``ideal._capped_ranges``: the coordinates in J pinned to alpha and
-    each free coordinate k over (alpha_k, max(c_k, alpha_k + 1)] when open,
-    [alpha_k, max(c_k, alpha_k)] when closed.
+    The table decides emptiness.  A witness is then searched in a capped
+    box: the coordinates in J pinned to alpha and each free coordinate k
+    over [low, max(c_k, low)], low = alpha_k + 1 when open and alpha_k when
+    closed.  The cap is lossless: meeting a remote member of the fiber with
+    a member above the conductor pulls it into the box without leaving the
+    fiber.
     """
     check_same_dim(alpha, E.c)
     axes = sum(1 << (j - 1) for j in normalize_index_set(E.r, J))
     if not E.fiber_occupied(alpha, axes, closed):
         return None
-    return search_member(E, _capped_ranges(alpha, axes, closed, E.c))
+    ranges = []
+    for k, (a, ck) in enumerate(zip(alpha, E.c)):
+        if axes >> k & 1:
+            ranges.append((a, a))
+        else:
+            low = a if closed else a + 1
+            ranges.append((low, max(ck, low)))
+    return search_member(E, ranges)
 
 
 def fiber_empty(E: SmallRep, alpha: Point) -> bool:

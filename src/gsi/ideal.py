@@ -456,26 +456,6 @@ class RegionSet:
                 raise ValueError(f"region point {p} outside box")
 
 
-def _capped_ranges(alpha: Point, J: int, closed: bool,
-                   c: Point) -> list[tuple[int, int]]:
-    """Search ranges for a member of the J-fiber of alpha (J a bitmask of
-    0-based axes), open or closed.
-
-    Axes in J are pinned to alpha; a free axis k runs over [low, max(c_k,
-    low)], with low = alpha_k when closed and alpha_k + 1 when open.  The cap
-    is lossless: meeting a remote member of the fiber with a member above the
-    conductor pulls it into the box without leaving the fiber.
-    """
-    ranges = []
-    for k, (a, ck) in enumerate(zip(alpha, c)):
-        if J >> k & 1:
-            ranges.append((a, a))
-        else:
-            low = a if closed else a + 1
-            ranges.append((low, max(ck, low)))
-    return ranges
-
-
 def _e2_fiber(a: Point, b: Point, i: int) -> tuple[Point, int]:
     """The point and axes of the closed fiber holding the E2 witnesses for a
     pair (a, b) that agrees at 0-based i: meet(a, b) + e_i, pinned where a
@@ -644,8 +624,10 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     When the grid [m - e, c] has at most n^2 points for n small elements,
     :func:`_pairs_good` decides both axioms for every pair on the fiber-table
     masks, and the pair loops run only to name the first failing pair; on a
-    larger grid they run instead, so the work is at most the smaller of the
-    two and a sparse ideal's grid is never built.  With S given,
+    larger grid they run instead.  E1 pairs need no grid, but an E2 pair
+    that agrees at a coordinate reads one bit of the fiber table, which
+    builds the grid, so a sparse ideal's grid stays unbuilt only when no two
+    small elements agree at a coordinate.  With S given,
     compatibility S + E <= E is checked over boxes; with ``semigroup``, 0 in
     E and E + E <= E are checked as well.  The first failing axiom is
     reported with its violating pair.

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsi import duality
+from gsi import constructors, duality
 from gsi.constructors import (
+    _closure_fixpoint,
     from_small_elements,
     node,
     numerical,
@@ -17,7 +18,8 @@ from gsi.constructors import (
 )
 from gsi.errors import GenerationError, ValidationError
 from gsi.fiber import fiber_empty, maximals
-from gsi.ideal import SmallRep, _least_conductor, frobenius, validate
+from gsi.gsi_format import emit_gsi
+from gsi.ideal import SmallRep, _e2_fiber, _least_conductor, frobenius, validate
 from gsi.lattice import Point, box_points, leq, meet, ones, vadd, zero
 
 
@@ -318,3 +320,125 @@ def test_least_conductor_matches_box_sweep_on_dual_regions(monkeypatch):
     # the rule-agreement test runs on these; the failure reasons are covered
     # by the random point sets above
     assert shrunk >= 20, (shrunk, len(regions))
+
+
+# The former witness box of ideal._capped_ranges and the former point-set
+# closure of random_good, which walked that box for every pair, kept verbatim
+# (under _old_ names) as the references that constructors._closure_fixpoint
+# and fiber.fiber_witness are compared against.
+def _old_capped_ranges(alpha: Point, J: int, closed: bool,
+                       c: Point) -> list[tuple[int, int]]:
+    """Search ranges for a member of the J-fiber of alpha (J a bitmask of
+    0-based axes), open or closed.
+
+    Axes in J are pinned to alpha; a free axis k runs over [low, max(c_k,
+    low)], with low = alpha_k when closed and alpha_k + 1 when open.  The cap
+    is lossless: meeting a remote member of the fiber with a member above the
+    conductor pulls it into the box without leaving the fiber.
+    """
+    ranges = []
+    for k, (a, ck) in enumerate(zip(alpha, c)):
+        if J >> k & 1:
+            ranges.append((a, a))
+        else:
+            low = a if closed else a + 1
+            ranges.append((low, max(ck, low)))
+    return ranges
+
+
+def _old_closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
+                          S: SmallRep | None) -> set[Point]:
+    """Grow pts inside [m, c] until meet-closed, E2-repaired, and compatible
+    with S.  Terminates: additions are monotone within a finite box."""
+    if S is not None:
+        # c <= m + c(S) must hold, so the top sub-box is forced in.
+        base = meet(vadd(m, S.c), c)
+        pts.update(box_points(base, c))
+
+    changed = True
+    while changed:
+        changed = False
+        snap = sorted(pts)
+        # meet closure
+        for i, a in enumerate(snap):
+            for b in snap[i + 1:]:
+                g = meet(a, b)
+                if g not in pts:
+                    pts.add(g)
+                    changed = True
+        # compatibility: S + E <= E on stored data
+        if S is not None:
+            for s in sorted(S.small):
+                for p in sorted(pts):
+                    q = meet(vadd(s, p), c)
+                    if q not in pts:
+                        pts.add(q)
+                        changed = True
+        # E2 repair with the componentwise-minimal admissible witness
+        snap = sorted(pts)
+        for i, a in enumerate(snap):
+            for b in snap[i + 1:]:
+                for k in range(r):
+                    if a[k] != b[k]:
+                        continue
+                    if a[k] >= c[k]:
+                        continue  # rule supplies a witness above the conductor
+                    lows, highs = zip(*_old_capped_ranges(*_e2_fiber(a, b, k), True, c))
+                    if (lows not in pts and not any(
+                            meet(g, c) in pts for g in box_points(lows, highs))):
+                        pts.add(lows)
+                        changed = True
+    return pts
+
+
+def _random_good_outcome(S: SmallRep, seed: int, width: int) -> str:
+    try:
+        return emit_gsi(random_good(S, seed, max_width=width))
+    except GenerationError as err:
+        return str(err)
+
+
+def test_closure_fixpoint_matches_point_set_reference(monkeypatch):
+    from test_grid import _semigroups
+
+    def recording(fixpoint, sets):
+        def run(r, m, c, pts, S):
+            got = fixpoint(r, m, c, pts, S)
+            sets.append(frozenset(got))
+            return got
+        return run
+
+    # random_good draws, r <= 4: every fixpoint call of each draw (retries
+    # included) returns the same set, and the emitted ideal is the same
+    semigroups = [*_semigroups().values(), node(4),
+                  product(numerical([2, 3]), node(3))]
+    widths = {1: (2, 4, 6), 2: (2, 4, 6), 3: (2, 3, 4), 4: (2, 3)}
+    draws = [(S, seed, width) for S in semigroups for seed in range(12)
+             for width in widths[S.r]]
+    draws += [(S, seed, 6) for S in semigroups if S.r == 3 for seed in range(2)]
+    calls = 0
+    for S, seed, width in draws:
+        runs = []
+        for fixpoint in (_old_closure_fixpoint, _closure_fixpoint):
+            sets = []
+            monkeypatch.setattr(constructors, "_closure_fixpoint", recording(fixpoint, sets))
+            runs.append((_random_good_outcome(S, seed, width), sets))
+        assert runs[0] == runs[1], (S, seed, width)
+        calls += len(runs[0][1])
+    assert calls >= len(draws)
+    monkeypatch.undo()
+
+    # S = None on seeded point sets inside [m, c], r <= 3, and r = 4 samples
+    samples = list(_random_point_sets(20251))
+    rng = random.Random(20252)
+    for _ in range(40):
+        m = tuple(rng.randint(-2, 2) for _ in range(4))
+        c = tuple(x + rng.randint(0, 3) for x in m)
+        box = list(box_points(m, c))
+        samples.append((m, c, {m, c, *rng.sample(box, min(len(box), 6))}))
+    grown = 0
+    for m, c, pts in samples:
+        want = _old_closure_fixpoint(len(m), m, c, set(pts), None)
+        assert _closure_fixpoint(len(m), m, c, set(pts), None) == want, (m, c, sorted(pts))
+        grown += want != pts
+    assert grown >= 100, grown

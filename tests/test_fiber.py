@@ -104,18 +104,32 @@ def test_frobenius_fiber_always_empty(ex2, n1, n2, node2, node3):
 
 
 def test_witness_agrees_with_oracle_exhaustive(ex2, n1, node2):
-    for E in (ex2, n1, node2):
-        e = ones(E.r)
-        subsets = [J for k in range(1, E.r + 1)
-                   for J in itertools.combinations(range(1, E.r + 1), k)]
-        for alpha in box_points(vsub(E.m, e), vadd(E.c, e)):
+    # the witness is a member of the literal fiber and the first member of
+    # the former capped box, over [m - e, c + e] and over points far below m
+    # and past c, where the cap sets a free axis's range
+    from test_constructors import _old_capped_ranges
+
+    for E in (ex2, n1, node2, random_good(node(3), 11)):
+        r = E.r
+        e = ones(r)
+        e2, e3 = vadd(e, e), vadd(e, vadd(e, e))
+        subsets = [J for k in range(1, r + 1)
+                   for J in itertools.combinations(range(1, r + 1), k)]
+        far = [vsub(E.m, e2), vsub(E.m, e3), vadd(E.c, e2), vadd(E.c, e3)]
+        far += [tuple(m - 4 if k % 2 else c + 3 for k, (m, c) in enumerate(zip(E.m, E.c))),
+                tuple(c + 4 if k % 2 else m - 3 for k, (m, c) in enumerate(zip(E.m, E.c)))]
+        for alpha in [*box_points(vsub(E.m, e), vadd(E.c, e)), *far]:
             for J in subsets:
+                axes = sum(1 << (j - 1) for j in J)
                 for closed in (False, True):
                     w = fiber_witness(E, alpha, J, closed)
                     brute = brute_fiber(E, alpha, J, closed)
                     assert (w is not None) == bool(brute)
+                    lows, highs = zip(*_old_capped_ranges(alpha, axes, closed, E.c))
+                    first = next((p for p in box_points(lows, highs) if E.contains(p)), None)
+                    assert w == first, (E, alpha, J, closed)
                     if w is not None:
-                        assert E.contains(w)
+                        assert E.contains(w) and w in brute
 
 
 def test_open_fiber_as_shifted_closed_fibers(ex2, node2):

@@ -1,9 +1,9 @@
 """Builders for valid good semigroups and good semigroup ideals.
 
-Every constructor normalizes its data (clip to the conductor, shrink the
-conductor to the least one consistent with the stored elements, through the
-same ``ideal._least_conductor`` that promotes computed duals) and runs full
-axiom validation once before returning.  ``random_good`` first grows its
+Every constructor normalizes its data (clip to the conductor, then shrink
+the conductor of that provisional rep to the least one consistent with the
+stored elements, through the same ``ideal._least_conductor`` that promotes
+computed duals) and runs full axiom validation once before returning.  ``random_good`` first grows its
 sample by rounds of meets, compatibility with S and E2 witnesses, each
 witness a closed fiber looked up among the stored points.  All constructors
 are deterministic given their inputs plus seed.
@@ -29,10 +29,10 @@ from .report import CheckReport
 def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
     """Normalize raw small-element data and validate it once.
 
-    Points are clipped by meet with the conductor.  The conductor is shrunk
-    to the least one the data supports, read off the clipped points on [m, c]
-    by ``_least_conductor``; when that finds none, c is kept and validation
-    judges.  Raises ValidationError carrying the failing axiom otherwise.
+    Points are clipped by meet with the conductor, and ``_least_conductor``
+    shrinks their provisional rep on [m, c] to the least conductor the data
+    supports; when it finds none, the rep is kept and validation judges.
+    Raises ValidationError carrying the failing axiom otherwise.
     """
     pts = {meet(tuple(p), c) for p in elems}
     pts.add(meet(m, c))
@@ -46,10 +46,10 @@ def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
                     "point": list(p)})
             raise ValidationError(report)
     pts.add(c)
-    found = _least_conductor(pts, m, c)
-    if isinstance(found, str):
-        found = c, frozenset(pts)
-    rep = SmallRep(r, m, *found)
+    P = SmallRep(r, m, c, frozenset(pts))
+    rep = _least_conductor(P)
+    if isinstance(rep, str):
+        rep = P
     report = validate(rep)
     if not report.passed:
         raise ValidationError(report)

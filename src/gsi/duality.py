@@ -8,17 +8,18 @@ meets down to a failing alpha inside it.  It runs on the membership grid of
 ``ideal`` (``ideal._quotient``): one window of EJ covers every sum beta +
 alpha, and its shift by alpha's offset answers the quantifier for every beta
 at once.  The members alpha of EI are the clamp classes of its small
-elements, each a small element plus a box on the axes where it reaches the
-conductor, so D's box is the AND, over the small elements, of one shift of
-the window already ANDed over that box by doubling shifts.
+elements, and by E2 in EJ only the top class, c_I plus a box, needs the
+window ANDed over its box by doubling shifts; every other small element
+takes one shift of the plain window.
 ``fiber_dual`` and ``canonical_ideal`` read their regions off one window
 instead of walking their boxes: the points beta with F(E, f - beta) empty
 are the box minus the window of E's layer P[1] (some singleton open fiber
 occupied) over the reflected box f - box, bit-reversed to the box's own
 indexing.
-Results are normalized to SmallRep by ``ideal._least_conductor``, the routine
-the constructors use too, and validated once; any failure there is an
-internal bug, never expected on valid inputs.
+Results are normalized to SmallRep by ``ideal._least_conductor``, which
+walks runs down the axes from the box top, as the constructors' data is, and
+validated once; any failure there is an internal bug, never expected on
+valid inputs.
 """
 from __future__ import annotations
 
@@ -54,14 +55,14 @@ def _dual_box(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, Point]:
     return lo, hi, U
 
 
-def _promote_region(r: int, points: set[Point], lo: Point, hi: Point,
+def _promote_region(r: int, points: set[Point], hi: Point,
                     U: Point) -> tuple[SmallRep | None, str | None]:
     """Try to read a bounded point set as the box window of a good ideal.
 
-    Requires a minimum and the point U (everything from U up is known to
-    belong), then reads the least conductor and the small elements off the
-    points with ``_least_conductor`` on [lo, hi], and validates the axioms.
-    Any miss returns a reason instead.
+    Requires a minimum m and the point U (everything from U up is known to
+    belong), then normalises the points on [m, hi], hi the box top, with
+    ``_least_conductor`` and validates the axioms; below m the region and
+    its membership rule are both empty.  Any miss returns a reason instead.
     """
     if not points:
         return None, "empty region"
@@ -70,10 +71,9 @@ def _promote_region(r: int, points: set[Point], lo: Point, hi: Point,
         return None, f"no minimum: meet of region is {m}, not a region point"
     if U not in points:
         return None, f"expected conducting point {U} missing"
-    found = _least_conductor(points, lo, hi)
-    if isinstance(found, str):
-        return None, found
-    rep = SmallRep(r, m, *found)
+    rep = _least_conductor(SmallRep(r, m, hi, frozenset(points)))
+    if isinstance(rep, str):
+        return None, rep
     report = validate(rep)
     if not report.passed:
         return None, f"axiom validation failed: {report.summary()}"
@@ -89,7 +89,7 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     # larger window is equivalent by the cap argument
     kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
     points = _quotient(EJ, EI, lo, hi, kmax)
-    rep, failure = _promote_region(EJ.r, points, lo, hi, U)
+    rep, failure = _promote_region(EJ.r, points, hi, U)
     if rep is None:
         raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
     return rep
@@ -114,7 +114,7 @@ def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     lo, hi, U = _dual_box(EJ, EI)
     f = frobenius(EJ)
     points = _empty_fibers(EI, f, lo, hi)
-    rep, failure = _promote_region(EJ.r, points, lo, hi, U)
+    rep, failure = _promote_region(EJ.r, points, hi, U)
     return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
 
 
@@ -137,7 +137,7 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
         if any(x == l for x, l in zip(p, lo)):
             raise BoundaryInstabilityError(
                 f"canonical-ideal member {p} touches the search-box face at {lo}")
-    rep, failure = _promote_region(S.r, points, lo, hi, S.c)
+    rep, failure = _promote_region(S.r, points, hi, S.c)
     if rep is None:
         raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")
     if frobenius(rep) != f:

@@ -8,8 +8,8 @@ and of the (p, q) layers (:attr:`SmallRep.fiber_layers`) for emptiness, p, q
 and maximal points.  Once the table says a fiber is occupied,
 :func:`fiber_witness` names its first member in a capped box it builds
 itself (the pinned axes at alpha, each free axis from alpha or alpha + 1 up
-to the conductor); member lists come from ``ideal.members``, a window of the
-mask.
+to the conductor); the maximal points are the grid mask's set bits off the
+layer P[1].
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ideal import SmallRep, members, search_member
-from .lattice import Point, check_same_dim, normalize_index_set, ones, vsub
+from .ideal import SmallRep, _bits, _point, search_member
+from .lattice import Point, check_same_dim, normalize_index_set
 
 
 def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
@@ -115,15 +115,13 @@ def _classify(r: int, p: int, q: int) -> MaximalKind:
 def maximals(E: SmallRep) -> list[MaximalInfo]:
     """All maximal points with their (p, q) types, in lexicographic order.
 
-    Maximal points live in [m, c - e]: beyond that region some coordinate
-    reaches the conductor and the matching singleton fiber is nonempty.
-    They are the members there off the layer P[1].
+    They are the set bits of E's grid mask off the layer P[1], in bit
+    order.  Each is a point of [m, c - e]: a member with alpha_k >= c_k has
+    alpha + N(e - e_k), which meets down to c, in its open {k}-fiber.
     """
-    P1 = E.fiber_layers[0][1]
+    g = E.grid
     out = []
-    for alpha in members(E, E.m, vsub(E.c, ones(E.r))):
-        i = E.index(alpha)
-        if not P1 >> i & 1:
-            p, q = _pq(E, i)
-            out.append(MaximalInfo(alpha, p, q, _classify(E.r, p, q)))
+    for i in _bits(g.mask & ~E.fiber_layers[0][1]):
+        p, q = _pq(E, i)
+        out.append(MaximalInfo(_point(i, g.lo, g.strides), p, q, _classify(E.r, p, q)))
     return out

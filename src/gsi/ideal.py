@@ -22,19 +22,23 @@ read masks: ``members`` lists the set bits of E's window over a box
 (``_window``, which cuts a table entry or layer the same way), ``equals``
 and ``is_subset`` compare windows, the sum sweeps shift them, and the
 quotient behind ``duality.cd_difference`` shifts one window per small
-element of the divisor, so no box is walked point by point.
+element of the divisor (for the top class ANDed over its box), so no box is
+walked point by point.  ``_least_conductor`` reads a point set's least
+conductor off the runs down the axes from its box top and checks the
+membership rule against the set in one mask comparison.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DimensionMismatch
 from .lattice import (
     Box,
     Point,
+    box_points,
     check_same_dim,
     join,
     leq,
@@ -401,38 +405,39 @@ def is_subset(E1: SmallRep, E2: SmallRep) -> bool:
     return _window(E1, *box) & ~_window(E2, *box) == 0
 
 
-def _least_conductor(points: set[Point], lo: Point,
-                     hi: Point) -> tuple[Point, frozenset[Point]] | str:
-    """The least conductor of a point set inside [lo, hi], or why it has none.
+def _least_conductor(P: SmallRep) -> SmallRep | str:
+    """P normalised to its least conductor, or why its point set is not the
+    window of a good ideal.
 
-    hi must be the top corner of the box, which the set's membership rule
-    treats as conducting.  The candidates are the points g with the whole
-    sub-box [g, hi] in the set; their meet must be one of them.  With g that
-    meet and small the points below g, the rule ``q in E <=> meet(q, g) in
-    small`` must agree with the set on all of [lo, hi].  Returns (g, small),
-    or the failure reason as a string.
+    P holds the set on [m, c], m its minimum and c the box top, which the
+    set treats as conducting; P need not be valid.  The candidates are the
+    h with [h, c] in the set, and their meet g must be one of them.  With
+    small the points below g, the rule ``q in E <=> meet(q, g) in small``
+    must agree with the set on P's grid [m - e, c].
     """
-    # [g, hi] is g plus the sub-boxes [g + e_k, hi] with g_k < hi_k, and each
-    # g + e_k comes before g in reverse lexicographic order.
-    cands = set()
-    for g in sorted(points, reverse=True):
-        if all(g[k] == h or g[:k] + (g[k] + 1,) + g[k + 1:] in cands
-               for k, h in enumerate(hi)):
-            cands.add(g)
-    if not cands:
+    c, small = P.c, P.small
+    if c not in small:
         return "no conducting candidate"
-    g = reduce(meet, cands)
-    if g not in cands:
+    # A candidate h has [h_k, c_k] on the k-line through c in the set, so h
+    # is at least g, the ends of the runs down from c, which are candidates.
+    g = list(c)
+    for k in range(P.r):
+        while c[:k] + (g[k] - 1,) + c[k + 1:] in small:
+            g[k] -= 1
+    g = tuple(g)
+    if not all(q in small for q in box_points(g, c)):
         return "conducting candidates are not meet-closed"
-    small = frozenset(p for p in points if leq(p, g))
-    # With g == hi, small is the whole set and meet(q, hi) = q on the box, so
-    # the rule reads the set unchanged and cannot disagree with it.
-    if g != hi:
-        rule = SmallRep(len(hi), reduce(meet, small), g, small)
-        wrong = points ^ set(members(rule, lo, hi))
-        if wrong:
-            return f"membership rule disagrees with region at {min(wrong)}"
-    return g, small
+    # With g == c, meet(q, c) = q on the box, so the rule reads the set
+    # unchanged and cannot disagree with it.
+    if g == c:
+        return P
+    rep = SmallRep(P.r, P.m, g, frozenset(p for p in small if leq(p, g)))
+    # bit order is lexicographic, so the lowest wrong bit is the least point
+    wrong = P.grid.mask ^ _window(rep, P.grid.lo, c)
+    if wrong:
+        at = _point((wrong & -wrong).bit_length() - 1, P.grid.lo, P.grid.strides)
+        return f"membership rule disagrees with region at {at}"
+    return rep
 
 
 @dataclass(frozen=True)
@@ -561,33 +566,29 @@ def _and_run(mask: int, stride: int, n: int) -> int:
 def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
               cap: Point) -> set[Point]:
     """The beta of [lo, hi] with beta + alpha in EJ for every member alpha
-    of EI in [m_I, cap].
+    of EI in [m_I, cap], where beta + cap >= c_J + e.
 
     One window W of EJ covers every sum, with beta at bit offset(beta - lo),
-    so W >> offset(alpha - m_I) reads beta + alpha there.  The members are
-    the disjoint clamp classes of the small elements s: s plus the box
-    [0, cap_k - c_k] on the axes J(s) where s_k = c_k.  W_J, the AND of W
-    shifted over that box on the axes of J, is W_{J without its top axis}
-    ANDed along that axis by doubling, built once per J; the answer is the
-    AND of W_{J(s)} >> offset(s - m_I) over the small elements, cut to the
-    box of the betas.
+    so W >> offset(alpha - m_I) reads beta + alpha there.  The answer is the
+    AND of W >> offset(s - m_I) over the small elements s, with W ANDed over
+    [0, cap - c_I] by doubling shifts for s = c_I, cut to the box of betas.
+    That puts beta + c_I + N^r in EJ, as EJ clamps past beta + cap.  The
+    rest of the clamp class of s steps along the axes i with s_i = c_i, and
+    x = beta + s in EJ takes each step: x and beta + c_I + e - e_i agree at
+    i and x is lower elsewhere, so E2 puts some x + t e_i, t >= 1, in EJ,
+    and its meet with beta + c_I + e is x + e_i; repeat from there.
     """
     e = ones(EJ.r)
     wlo, whi = vadd(lo, EI.m), vadd(hi, cap)
     dims = tuple(h - l + 1 for l, h in zip(wlo, whi))
     strides = _strides(dims)
-    runs = {0: _window(EJ, wlo, whi)}
-
-    def run(J: int) -> int:
-        if J not in runs:
-            k = J.bit_length() - 1
-            runs[J] = _and_run(run(J ^ 1 << k), strides[k], cap[k] - EI.c[k] + 1)
-        return runs[J]
-
+    W = _window(EJ, wlo, whi)
     acc = _box_mask(dims, vadd(vsub(hi, lo), e))
     for s in sorted(EI.small):
-        J = sum(1 << k for k, (x, c) in enumerate(zip(s, EI.c)) if x == c)
-        acc &= run(J) >> sum((x - m) * st for x, m, st in zip(s, EI.m, strides))
+        if s == EI.c:  # the last small element, as all lie below c_I
+            for k, st in enumerate(strides):
+                W = _and_run(W, st, cap[k] - EI.c[k] + 1)
+        acc &= W >> sum((x - m) * st for x, m, st in zip(s, EI.m, strides))
         if not acc:
             break
     return {_point(i, lo, strides) for i in _bits(acc)}

@@ -277,11 +277,31 @@ def _random_point_sets(seed: int):
         yield m, c, pts
 
 
+def _normalised(points: set[Point], m: Point,
+                c: Point) -> tuple[Point, frozenset[Point]] | str:
+    """ideal._least_conductor on the provisional rep of points on [m, c],
+    read back as the (g, small) pair or the reason the references return."""
+    found = _least_conductor(SmallRep(len(c), m, c, frozenset(points)))
+    if isinstance(found, str):
+        return found
+    assert found.m == m, (found, m)
+    return found.c, found.small
+
+
+def _sparse_documents(n: int):
+    """Two sparse documents of conductor (n, n), as from_small_elements hands
+    them over: {0, c}, which keeps c, and five elements whose top 2 x 2
+    block shrinks c to (n - 1, n - 1)."""
+    m, c = (0, 0), (n, n)
+    yield m, c, {m, c}
+    yield m, c, {m, c} | {(x, y) for x in (n - 1, n) for y in (n - 1, n)}
+
+
 def test_least_conductor_matches_shrink_conductor():
     reasons = set()
     shrunk = 0
-    for m, c, pts in _random_point_sets(20241):
-        found = _least_conductor(pts, m, c)
+    for m, c, pts in (*_random_point_sets(20241), *_sparse_documents(300)):
+        found = _normalised(pts, m, c)
         # the full result, reason text and reported point included
         assert found == _old_least_conductor(pts, m, c), (m, c, sorted(pts))
         if isinstance(found, str):
@@ -299,27 +319,35 @@ def test_least_conductor_matches_shrink_conductor():
 def test_least_conductor_matches_box_sweep_on_dual_regions(monkeypatch):
     from test_grid import _semigroups
 
-    regions = []
+    inputs = []
 
-    def record(points, lo, hi):
-        regions.append((set(points), lo, hi))
-        return _least_conductor(points, lo, hi)
+    def record(P):
+        inputs.append(P)
+        return _least_conductor(P)
 
+    # the promoted regions of duals and canonical ideals, and the raw data
+    # from_small_elements normalises for random_good, r = 4 included
     monkeypatch.setattr(duality, "_least_conductor", record)
+    monkeypatch.setattr(constructors, "_least_conductor", record)
     for S in _semigroups().values():
         K = duality.canonical_ideal(S)
         for EJ, EI in ((S, S), (K, S), (S, K), (K, random_good(S, 1))):
             duality.cd_difference(EJ, EI)
             duality.fiber_dual(EJ, EI)
+    for S in (node(4), product(numerical([2, 3]), node(3))):
+        for seed in range(4):
+            random_good(S, seed, max_width=3)
     monkeypatch.undo()
     shrunk = 0
-    for points, lo, hi in regions:
-        found = _least_conductor(points, lo, hi)
+    assert any(P.r == 4 for P in inputs)
+    for P in inputs:
+        points, lo, hi = set(P.small), P.m, P.c
+        found = _normalised(points, lo, hi)
         assert found == _old_least_conductor(points, lo, hi), (lo, hi, sorted(points))
         shrunk += not isinstance(found, str) and found[0] != hi
     # the rule-agreement test runs on these; the failure reasons are covered
     # by the random point sets above
-    assert shrunk >= 20, (shrunk, len(regions))
+    assert shrunk >= 20, (shrunk, len(inputs))
 
 
 # The former witness box of ideal._capped_ranges and the former point-set

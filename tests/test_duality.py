@@ -162,23 +162,22 @@ def test_promotion_rejects_non_good_regions():
     from gsi.duality import _promote_region
 
     # not meet-closed: (0,1) and (1,0) without (0,0)
-    rep, why = _promote_region(2, {(0, 1), (1, 0), (1, 1), (2, 2)},
-                               (0, 0), (2, 2), (1, 1))
+    rep, why = _promote_region(2, {(0, 1), (1, 0), (1, 1), (2, 2)}, (2, 2), (1, 1))
     assert rep is None and "minimum" in why
     # fine region: the node shape
     rep, why = _promote_region(2, {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)},
-                               (0, 0), (2, 2), (1, 1))
+                               (2, 2), (1, 1))
     assert why is None and rep is not None and rep.c == (1, 1)
     # the top corner (2,2) is missing, so no point heads a full sub-box
-    rep, why = _promote_region(2, {(0, 0), (1, 1)}, (0, 0), (2, 2), (1, 1))
+    rep, why = _promote_region(2, {(0, 0), (1, 1)}, (2, 2), (1, 1))
     assert rep is None and why == "no conducting candidate"
     # (0,2) and (2,0) head full sub-boxes, their meet (0,0) does not
     rep, why = _promote_region(2, {(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)},
-                               (0, 0), (2, 2), (1, 1))
+                               (2, 2), (1, 1))
     assert rep is None and why == "conducting candidates are not meet-closed"
     # least conductor (2,2); the rule puts (0,3) in with (0,2), the region not
     top = {(x, y) for x in (2, 3) for y in (2, 3)}
-    rep, why = _promote_region(2, {(0, 0), (0, 2)} | top, (0, 0), (3, 3), (2, 2))
+    rep, why = _promote_region(2, {(0, 0), (0, 2)} | top, (3, 3), (2, 2))
     assert rep is None and why == "membership rule disagrees with region at (0, 3)"
 
 

@@ -15,7 +15,10 @@ from gsi.constructors import (
 from gsi.duality import canonical_ideal, cd_difference
 from gsi.errors import DimensionMismatch, InvalidIndexSet
 from gsi.fiber import (
+    MaximalInfo,
     MaximalKind,
+    _classify,
+    _pq,
     fiber_empty,
     fiber_witness,
     is_maximal,
@@ -23,7 +26,7 @@ from gsi.fiber import (
     p_value,
     q_value,
 )
-from gsi.ideal import frobenius, translate
+from gsi.ideal import frobenius, members, translate
 from gsi.lattice import box_points, leq, ones, unit_vector, vadd, vsub
 from gsi.oracle import brute_fiber, materialize
 from gsi.theorems import length_step
@@ -330,3 +333,34 @@ def test_maximals_complete_on_fixtures(ex2, n1, n2, node2, node3, prod22):
        st.integers(0, 10_000))
 def test_maximals_complete_random(name, kind, seed):
     _assert_maximals_complete(_property_ideal(name, kind, seed))
+
+
+# The former maximals, kept verbatim as the reference for the grid read: it
+# walked the members of [m, c - e] and kept those off the layer P[1].
+def _old_maximals(E):
+    P1 = E.fiber_layers[0][1]
+    out = []
+    for alpha in members(E, E.m, vsub(E.c, ones(E.r))):
+        i = E.index(alpha)
+        if not P1 >> i & 1:
+            p, q = _pq(E, i)
+            out.append(MaximalInfo(alpha, p, q, _classify(E.r, p, q)))
+    return out
+
+
+def test_maximals_match_member_walk():
+    from test_grid import _semigroups
+
+    ideals = [node(4), node(5), canonical_ideal(node(4))]
+    for S in (*_semigroups().values(), _PROPERTY_SEMIGROUPS["ex2"]()):
+        K = canonical_ideal(S)
+        ideals += [S, K]
+        for seed in range(6):
+            E = random_good(S, seed, max_width=6)
+            ideals += [E, cd_difference(K, E), cd_difference(S, E)]
+    with_maximals = 0
+    for E in ideals:
+        got = maximals(E)
+        assert got == _old_maximals(E), E
+        with_maximals += bool(got)
+    assert with_maximals >= 10, (with_maximals, len(ideals))

@@ -225,7 +225,7 @@ def _old_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     for beta in box_points(lo, hi):
         if all(EJ.contains(vadd(beta, a)) for a in alphas):
             points.add(beta)
-    rep, failure = _promote_region(EJ.r, points, lo, hi, U)
+    rep, failure = _promote_region(EJ.r, points, hi, U)
     if rep is None:
         raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
     return rep
@@ -300,7 +300,7 @@ def _old_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     f = frobenius(EJ)
     points = {beta for beta in box_points(lo, hi)
               if fiber_empty(EI, vsub(f, beta))}
-    rep, failure = _promote_region(EJ.r, points, lo, hi, U)
+    rep, failure = _promote_region(EJ.r, points, hi, U)
     return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
 
 
@@ -323,7 +323,7 @@ def _old_canonical_ideal(S: SmallRep) -> SmallRep:
         if any(x == l for x, l in zip(p, lo)):
             raise BoundaryInstabilityError(
                 f"canonical-ideal member {p} touches the search-box face at {lo}")
-    rep, failure = _promote_region(S.r, points, lo, hi, S.c)
+    rep, failure = _promote_region(S.r, points, hi, S.c)
     if rep is None:
         raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")
     if frobenius(rep) != f:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gsi.constructors import from_small_elements, node, random_good
 from gsi.errors import DimensionMismatch
+from gsi.gsi_format import parse_gsi
 from gsi.ideal import (
     SmallRep,
     conductor,
@@ -110,6 +111,12 @@ def test_validate_leaves_sparse_grid_unbuilt():
     c = (10**4, 10**4)
     E = SmallRep(2, (0, 0), c, frozenset({(0, 0), c}))
     assert validate(E).passed
+    assert "grid" not in vars(E) and "fiber_table" not in vars(E), sorted(vars(E))
+    # parsed, the document is normalised first, and the least conductor is
+    # read off the two points without the grid of the provisional rep
+    E = parse_gsi("gsi 1\nr 2\nmin 0 0\nconductor 10000 10000\n"
+                  "elem 0 0\nelem 10000 10000\n")
+    assert E.c == c and E.small == {(0, 0), c}
     assert "grid" not in vars(E) and "fiber_table" not in vars(E), sorted(vars(E))
 
 

@@ -30,6 +30,7 @@ membership rule against the set in one mask comparison.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -318,7 +319,20 @@ def _reflected(E: SmallRep, f: Point, lo: Point, hi: Point, mask: int) -> int:
     [lo, hi]."""
     n = math.prod(h - l + 1 for l, h in zip(lo, hi))
     W = _window(E, vsub(f, hi), vsub(f, lo), mask)
-    return int(format(W, f"0{n}b")[::-1], 2) if W else 0
+    return _reversed_bits(W, n) if W else 0
+
+
+# each byte with its bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_bits(W: int, n: int) -> int:
+    """W < 2^n with its n low bits in reverse order: the bytes of W are
+    reversed in order and each bit by bit through a table, which reverses
+    8 * nb bits, and the 8 * nb - n padding bits are shifted off."""
+    nb = (n + 7) // 8
+    return int.from_bytes(W.to_bytes(nb, "little").translate(_REVERSED_BYTES),
+                          "big") >> 8 * nb - n
 
 
 def _bits(mask: int) -> list[int]:
@@ -474,6 +488,24 @@ def _e2_fiber(a: Point, b: Point, i: int) -> tuple[Point, int]:
     return tuple(x), J
 
 
+def _in_fiber(points: list[Point], x: Point, J: int) -> bool:
+    """Whether one of the sorted points lies in the closed J-fiber of x:
+    equal to x on the axes of J and at least x elsewhere.  Such a point is
+    at least x, so the search starts where x would be inserted.
+
+    Over E's sorted small elements and x clamped to min(x, c), this is
+    whether E's closed J-fiber of x is occupied, as
+    :meth:`SmallRep.fiber_occupied` reads it: a member y of the fiber clamps
+    to the small element min(y, c), which lies in the fiber of min(x, c),
+    and a small element g there lifts to the member of x's fiber that
+    equals x on J and max(g, x) elsewhere, whose clamp is g."""
+    for i in range(bisect_left(points, x), len(points)):
+        if all(u == v if J >> k & 1 else u >= v
+               for k, (u, v) in enumerate(zip(points[i], x))):
+            return True
+    return False
+
+
 def _pairs_good(E: SmallRep) -> bool:
     """Whether every pair of small elements passes E1 and E2, read off the
     fiber table T and the open table O.  E must be structurally valid.
@@ -625,10 +657,10 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     When the grid [m - e, c] has at most n^2 points for n small elements,
     :func:`_pairs_good` decides both axioms for every pair on the fiber-table
     masks, and the pair loops run only to name the first failing pair; on a
-    larger grid they run instead.  E1 pairs need no grid, but an E2 pair
-    that agrees at a coordinate reads one bit of the fiber table, which
-    builds the grid, so a sparse ideal's grid stays unbuilt only when no two
-    small elements agree at a coordinate.  With S given,
+    larger grid they run instead.  The pair loops build no grid: E1 is a set
+    lookup, and an E2 witness is looked up among the sorted small elements
+    (:func:`_in_fiber`), so a sparse ideal's grid stays unbuilt.  With
+    S given,
     compatibility S + E <= E is checked over boxes; with ``semigroup``, 0 in
     E and E + E <= E are checked as well.  The first failing axiom is
     reported with its violating pair.
@@ -671,13 +703,14 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
                     return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
 
         # E2: exchange witness for every pair agreeing in some coordinate,
-        # one fiber-table lookup per pair and coordinate.
+        # looked up among the small elements.
         for idx, a in enumerate(small):
             for b in small[idx + 1:]:
                 for i in range(r):
-                    if a[i] == b[i] and not E.fiber_occupied(*_e2_fiber(a, b, i),
-                                                             closed=True):
-                        return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
+                    if a[i] == b[i]:
+                        x, J = _e2_fiber(a, b, i)
+                        if not _in_fiber(small, meet(x, E.c), J):
+                            return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
 
     # Conductor minimality: c - e_i must not conduct.  Every point above
     # c - e_i with coordinate i pinned to c_i - 1 meets down to c - e_i, so

@@ -436,14 +436,21 @@ def test_closure_fixpoint_matches_point_set_reference(monkeypatch):
             return got
         return run
 
-    # random_good draws, r <= 4: every fixpoint call of each draw (retries
-    # included) returns the same set, and the emitted ideal is the same
-    semigroups = [*_semigroups().values(), node(4),
-                  product(numerical([2, 3]), node(3))]
+    # random_good draws, r <= 5: every fixpoint call of each draw (retries
+    # included) returns the same set, and the emitted ideal is the same.
+    # Over N(5,7) x N(5,6), with 143 small elements, c - m lies below c(S)
+    # on some axes and above it on others.
+    n23 = numerical([2, 3])
+    semigroups = [*_semigroups().values(), node(4), product(n23, node(3)),
+                  product(numerical([5, 7]), numerical([5, 6]))]
     widths = {1: (2, 4, 6), 2: (2, 4, 6), 3: (2, 3, 4), 4: (2, 3)}
     draws = [(S, seed, width) for S in semigroups for seed in range(12)
              for width in widths[S.r]]
     draws += [(S, seed, 6) for S in semigroups if S.r == 3 for seed in range(2)]
+    draws += [(node(5), seed, 4) for seed in range(2)]
+    # replaying the E2 demands in bit order instead of first-pair order
+    # changes the ideal of this draw
+    draws += [(product(product(n23, n23), product(n23, n23)), 13, 4)]
     calls = 0
     for S, seed, width in draws:
         runs = []
@@ -456,6 +463,24 @@ def test_closure_fixpoint_matches_point_set_reference(monkeypatch):
     assert calls >= len(draws)
     monkeypatch.undo()
 
+    # S given on seeded samples in wider boxes, r <= 3.  The first input
+    # has c - m = (1, 2, 4) against c(S) = (2, 2, 2): a compatibility step
+    # that also scans the points it adds (a worklist, closing each shift
+    # under itself) grows a different set from it.
+    n23_3 = product(product(n23, n23), n23)
+    cases = [(n23_3, (0, 0, 1), (1, 2, 5), {(0, 0, 1), (1, 0, 5), (1, 2, 1), (1, 2, 5)})]
+    rng = random.Random(20253)
+    for _ in range(150):
+        S = rng.choice((node(2), node(3), n23, product(n23, n23), n23_3,
+                        product(numerical([5, 7]), numerical([5, 6]))))
+        m = tuple(rng.randint(-2, 2) for _ in range(S.r))
+        c = tuple(x + rng.randint(0, 7 if S.r <= 2 else 4) for x in m)
+        pts = {m, c} | {tuple(map(rng.randint, m, c)) for _ in range(rng.randint(1, 8))}
+        cases.append((S, m, c, pts))
+    for S, m, c, pts in cases:
+        want = _old_closure_fixpoint(S.r, m, c, set(pts), S)
+        assert _closure_fixpoint(S.r, m, c, set(pts), S) == want, (S, m, c, sorted(pts))
+
     # S = None on seeded point sets inside [m, c], r <= 3, and r = 4 samples
     samples = list(_random_point_sets(20251))
     rng = random.Random(20252)
@@ -464,9 +489,54 @@ def test_closure_fixpoint_matches_point_set_reference(monkeypatch):
         c = tuple(x + rng.randint(0, 3) for x in m)
         box = list(box_points(m, c))
         samples.append((m, c, {m, c, *rng.sample(box, min(len(box), 6))}))
+    # r = 5: replaying the E2 demands in the order they are found (by the
+    # agreeing axes, then the meet) instead of first-pair order grows a
+    # different set from this one
+    samples.append(((1, -1, 0, 1, 1), (2, 1, 1, 3, 3), {
+        (1, -1, 0, 1, 1), (1, -1, 0, 3, 1), (1, -1, 1, 1, 3), (1, 1, 1, 1, 1),
+        (2, 0, 0, 3, 1), (2, 0, 1, 3, 2), (2, 1, 1, 3, 3)}))
+    # r = 4: keying a demand by the least point of the closed K-fiber of its
+    # meet t, whether or not that point pairs with another at t, grows a
+    # different set from this one
+    samples.append(((0, 0, 0, 0), (4, 1, 1, 4), {
+        (0, 0, 0, 0), (2, 1, 0, 1), (3, 1, 0, 1), (3, 1, 1, 4), (4, 0, 1, 1),
+        (4, 0, 1, 3), (4, 1, 0, 3), (4, 1, 1, 4)}))
     grown = 0
     for m, c, pts in samples:
         want = _old_closure_fixpoint(len(m), m, c, set(pts), None)
         assert _closure_fixpoint(len(m), m, c, set(pts), None) == want, (m, c, sorted(pts))
         grown += want != pts
     assert grown >= 100, grown
+
+
+def test_closure_fixpoint_makes_no_meet_or_vadd_calls(monkeypatch):
+    # counts, not times: the fixpoint works on one mask of its box, so it
+    # calls neither lattice.meet nor lattice.vadd, through any module; the
+    # normalisation and validation after it still do
+    import sys
+
+    from gsi import lattice
+
+    calls = {"fixpoint": 0, "elsewhere": 0}
+    depth = [0]
+    for f in (lattice.meet, lattice.vadd):
+        def counted(*args, f=f):
+            calls["fixpoint" if depth[0] else "elsewhere"] += 1
+            return f(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gsi" and getattr(module, f.__name__, None) is f:
+                monkeypatch.setattr(module, f.__name__, counted)
+
+    def traced(*args, fixpoint=constructors._closure_fixpoint):
+        depth[0] += 1
+        try:
+            return fixpoint(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(constructors, "_closure_fixpoint", traced)
+    n57xn56 = product(numerical([5, 7]), numerical([5, 6]))
+    for S, seed in ((node(5), 2), (n57xn56, 0), (n57xn56, 1)):
+        random_good(S, seed)
+    assert calls["fixpoint"] == 0 and calls["elsewhere"] > 0, calls

@@ -27,6 +27,7 @@ from gsi.ideal import (
     SmallRep,
     _compatibility_failure,
     _repeat,
+    _reversed_bits,
     _window,
     frobenius,
     is_subset,
@@ -555,6 +556,18 @@ def test_repeat_matches_repunit_division():
     for block, width, n in cases:
         want = block * (((1 << width * n) - 1) // ((1 << width) - 1)) if n > 0 else 0
         assert _repeat(block, width, n) == want, (block, width, n)
+
+
+def test_reversed_bits_matches_format_round_trip():
+    # the former reversal of _reflected: the n-digit binary string reversed
+    rng = random.Random(6)
+    cases = [(0, n) for n in range(1, 71)]
+    cases += [(rng.getrandbits(n), n) for n in range(1, 71) for _ in range(5)]
+    cases += [((1 << n) - 1, n) for n in (1, 7, 9, 63, 65, 70)]
+    cases += [(rng.getrandbits(n), n) for n in (1000, 10_001)]
+    assert any(n % 8 for _, n in cases)
+    for W, n in cases:
+        assert _reversed_bits(W, n) == int(format(W, f"0{n}b")[::-1], 2), (W, n)
 
 
 def test_fiber_windows_match_fiber_occupied():

@@ -118,6 +118,21 @@ def test_validate_leaves_sparse_grid_unbuilt():
                   "elem 0 0\nelem 10000 10000\n")
     assert E.c == c and E.small == {(0, 0), c}
     assert "grid" not in vars(E) and "fiber_table" not in vars(E), sorted(vars(E))
+    # {0, (0, N), (N, 0), c}: its pairs that agree in a coordinate find their
+    # E2 witnesses among the small elements, so the grid stays unbuilt too,
+    # and without (0, N) or (N, 0) a pair lacks its witness
+    N = c[0]
+    small = {(0, 0), (0, N), (N, 0), c}
+    E = SmallRep(2, (0, 0), c, frozenset(small))
+    assert validate(E).to_dict() == {
+        "check_name": "validate", "passed": True,
+        "universe": f"axiom box [[0, 0], [{N + 1}, {N + 1}]]",
+        "witnesses": [], "counterexamples": [], "flags": {}}
+    assert "grid" not in vars(E), sorted(vars(E))
+    for gone, pair, i in (((0, N), [[0, 0], [N, 0]], 2), ((N, 0), [[0, 0], [0, N]], 1)):
+        F = SmallRep(2, (0, 0), c, frozenset(small - {gone}))
+        assert validate(F).counterexamples == [{"axiom": "E2", "pair": pair, "coordinate": i}]
+        assert "grid" not in vars(F), sorted(vars(F))
 
 
 def test_cd_difference_work_bounded_by_small_elements(monkeypatch):

@@ -2,10 +2,20 @@
 
 Exit codes: 0 the claim holds, 1 the claim fails (counterexample printed),
 2 usage or input error.
+
+``main`` parses with one parser tree per process, built by
+:func:`build_parser` on the first call and reused after it.  Building the
+tree of eight subcommands costs about as much as validating a small ideal,
+so callers that run ``main`` many times in one process (the tests, the
+benchmark, embedders) would otherwise pay it per call; a one-shot ``gsi``
+process builds it once either way, and ``import gsi`` does not build it.
+Reuse is safe: parsing does not change the parser, ``prog`` is fixed, and
+help and errors look up ``sys.stdout`` and ``sys.stderr`` when they print.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -307,10 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use (see the module docstring)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else USAGE_ERROR
     try:

@@ -20,6 +20,7 @@ from .ideal import (
     SmallRep,
     _bits,
     _box_mask,
+    _closed_fibers,
     _compatibility_failure,
     _least_conductor,
     _point,
@@ -41,15 +42,18 @@ def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
     """
     pts = {meet(tuple(p), c) for p in elems}
     pts.add(meet(m, c))
-    for p in pts:
-        if not leq(m, p):
-            rep = SmallRep(r, m, c, frozenset(pts | {m, c}))
-            report = validate(rep)
-            report.passed = False
-            report.counterexamples.insert(
-                0, {"axiom": "structural", "reason": "element below declared min",
-                    "point": list(p)})
-            raise ValidationError(report)
+    # every point is >= m iff the per-axis minima are; the loop names the
+    # first point below m in the set's order
+    if not leq(m, tuple(map(min, zip(*pts)))):
+        for p in pts:
+            if not leq(m, p):
+                rep = SmallRep(r, m, c, frozenset(pts | {m, c}))
+                report = validate(rep)
+                report.passed = False
+                report.counterexamples.insert(
+                    0, {"axiom": "structural", "reason": "element below declared min",
+                        "point": list(p)})
+                raise ValidationError(report)
     pts.add(c)
     P = SmallRep(r, m, c, frozenset(pts))
     rep = _least_conductor(P)
@@ -119,7 +123,9 @@ class _Box:
     m, and holding a point set, which, unlike an ideal, has nothing past c.
     A point is held by its row offsets t = p - m.  Per axis k and row v,
     ``below[k][v]`` is the mask of the points with t_k < v, and ``eq``,
-    ``ge`` and ``gt`` those with t_k = v, t_k >= v and t_k > v."""
+    ``ge`` and ``gt`` those with t_k = v, t_k >= v and t_k > v.  ``steps``
+    holds the doubling steps of each axis, kept for the fiber tables
+    (``ideal._closed_fibers``) of every round."""
 
     def __init__(self, m: Point, c: Point):
         self.m = m
@@ -127,7 +133,7 @@ class _Box:
         self.strides = strides = _strides(dims)
         size = math.prod(dims)
         whole = (1 << size) - 1
-        self.below, self.eq, self.ge, self.gt = [], [], [], []
+        self.below, self.eq, self.ge, self.gt, self.steps = [], [], [], [], []
         for d, s in zip(dims, strides):
             starts = _repeat(1, d * s, size // (d * s))  # bit 0 of each k-line
             below = [((1 << v * s) - 1) * starts for v in range(d + 1)]
@@ -135,6 +141,11 @@ class _Box:
             self.eq.append([below[v + 1] ^ below[v] for v in range(d)])
             self.ge.append([whole ^ b for b in below[:d]])
             self.gt.append([whole ^ b for b in below[1:]])
+            # the doubling steps of a suffix OR along k, as
+            # ideal._doubling_steps gives them, with their keep masks
+            # taken from below
+            self.steps.append([(s << i, below[d - (1 << i)])
+                               for i in range((d - 1).bit_length())])
 
     def index(self, p: Point) -> int:
         return sum((x - l) * s for x, l, s in zip(p, self.m, self.strides))
@@ -150,24 +161,6 @@ class _Box:
                 break
             mask &= (self.eq if J >> k & 1 else self.ge if closed else self.gt)[k][v]
         return mask
-
-    def table(self, M: int) -> list[int]:
-        """The closed fibers of M, one mask per bitmask J of axes: bit t of
-        entry J is set when some point of M equals t on J and is at least t
-        elsewhere.  As in :attr:`SmallRep.fiber_table`, each entry suffix-ORs
-        the entry with its lowest free axis pinned along that axis, by
-        doubling shifts, here with the keep masks (which stop a bit from
-        crossing into the next line) taken from ``below``."""
-        full = (1 << len(self.dims)) - 1
-        T = [0] * full + [M]
-        for J in range(full - 1, 0, -1):
-            k = ((full ^ J) & -(full ^ J)).bit_length() - 1
-            X, d, s, step = T[J | 1 << k], self.dims[k], self.strides[k], 1
-            while step < d:
-                X |= X >> step * s & self.below[k][d - step]
-                step *= 2
-            T[J] = X
-        return T
 
     def shift(self, M: int, d: tuple[int, ...]) -> int:
         """T_d(M): every t of M sent to min(t + d, c - m), one axis at a
@@ -185,8 +178,9 @@ class _Box:
         return M
 
 
-def _e2_repairs(box: _Box, M: int) -> int:
-    """The points the E2 step adds to M, as a mask.
+def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
+    """The points the E2 step adds to M, as a mask, T the closed fibers of
+    M (``ideal._closed_fibers``).
 
     A pair a < b of M that agrees exactly on K meets at t with a in the
     open (K | Ja)-fiber of t and b in the open (K | Jb)-fiber, Ja and Jb
@@ -216,7 +210,6 @@ def _e2_repairs(box: _Box, M: int) -> int:
     """
     r = len(box.dims)
     full = (1 << r) - 1
-    T = box.table(M)
     O = list(T)  # open fibers
     for J in range(1, full):
         for k in range(r):
@@ -274,7 +267,7 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     exactly when, for J the axes where a equals t, a lies in the closed
     J-fiber of t and b in the closed (full ^ J)-fiber, so M gains
     T[J] & T[full ^ J] over the splits of the axes, T the closed fibers
-    (``_Box.table``).
+    (``ideal._closed_fibers``).
 
     Compatibility: for each small s of S in order, meet(s + p, c) over the
     p of M as it stands, M |= T_d(M).  As s >= 0 and p >= m, the k-th
@@ -306,12 +299,14 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     prev = None
     while M != prev:
         prev = M
-        T = box.table(M)
+        T = _closed_fibers(M, box.steps)
         for J in range(1, full, 2):  # each split once, axis 0 in J
             M |= T[J] & T[full ^ J]
         for d in shifts:
             M |= box.shift(M, d)
-        M |= _e2_repairs(box, M)
+        if M != prev:  # else the round's fibers are still M's
+            T = _closed_fibers(M, box.steps)
+        M |= _e2_repairs(box, M, T)
     return {_point(i, m, box.strides) for i in _bits(M)}
 
 

@@ -33,7 +33,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .lattice import (
@@ -125,19 +125,12 @@ class SmallRep:
         0-based axes.
 
         Bit t of entry J is set when the closed J-fiber (members equal to the
-        point on J and at least it elsewhere) of grid point t is nonempty.
-        Entry 0 is 0 and the full entry is the grid mask.  Every other entry
-        suffix-ORs the entry with its lowest free axis k pinned along k, so
-        a bit takes the OR of the bits at or above it on its k-line.
+        point on J and at least it elsewhere) of grid point t is nonempty
+        (:func:`_closed_fibers`).
         """
         g = self.grid
-        full = (1 << self.r) - 1
-        table = [0] * (full + 1)
-        table[full] = g.mask
-        for J in range(full - 1, 0, -1):
-            k = ((full ^ J) & -(full ^ J)).bit_length() - 1  # lowest free axis
-            table[J] = _suffix_or(table[J | 1 << k], g.dims, k)
-        return tuple(table)
+        return tuple(_closed_fibers(
+            g.mask, [_doubling_steps(g.dims, g.strides, k) for k in range(self.r)]))
 
     @cached_property
     def open_table(self) -> tuple[int, ...]:
@@ -243,18 +236,44 @@ def _box_mask(dims: tuple[int, ...], sub: tuple[int, ...]) -> int:
     return mask
 
 
-def _suffix_or(mask: int, dims: tuple[int, ...], k: int) -> int:
-    """Each bit ORed with the bits above it along axis k, by shift-and-OR
-    with doubling steps; before a step of s a bit holds the OR of s bits,
-    after it of 2s, and the keep mask stops a shifted bit from crossing
-    into the next k-line."""
-    d, stride = dims[k], _strides(dims)[k]
-    s = 1
-    while s < d:
-        keep = _box_mask(dims, dims[:k] + (d - s,) + dims[k + 1:])
-        mask |= mask >> s * stride & keep
-        s *= 2
-    return mask
+def _closed_fibers(mask: int, steps: Sequence[Iterable[tuple[int, int]]]) -> list[int]:
+    """The closed fibers of a point set, one mask per bitmask J of axes:
+    bit t of entry J is set when some point of the mask equals t on the
+    axes of J and is at least t on the others.
+
+    Entry 0 is 0 and the full entry is the mask.  Every other entry
+    suffix-ORs the entry with its lowest free axis k pinned along k, so a
+    bit takes the OR of the bits at or above it on its k-line, by
+    shift-and-OR with the doubling steps ``steps[k]`` of
+    :func:`_doubling_steps`.  The entries of k depend only on entries of
+    higher axes, so the axes run from the last down, and each step of k is
+    taken once for all entries of k.
+    """
+    r = len(steps)
+    full = (1 << r) - 1
+    T = [0] * full + [mask]
+    for k in range(r - 1, -1, -1):
+        group = range((1 << k) - 1 or 2, full, 2 << k)  # J: axes below k pinned, k free
+        for J in group:
+            T[J] = T[J | 1 << k]
+        for shift, keep in steps[k]:
+            for J in group:
+                T[J] |= T[J] >> shift & keep
+    return T
+
+
+def _doubling_steps(dims: tuple[int, ...], strides: tuple[int, ...],
+                    k: int) -> Iterator[tuple[int, int]]:
+    """The steps s = 1, 2, 4, ... < d_k of a suffix OR along axis k of the
+    layout of dims, as (shift, keep) pairs built when taken: before a step
+    a bit holds the OR of s bits, after it of 2s, and the keep mask (the
+    points with t_k < d_k - s, a run of d_k - s rows repeated once per
+    k-line) stops a shifted bit from crossing into the next k-line."""
+    d, stride = dims[k], strides[k]
+    lines = math.prod(dims) // (d * stride)
+    for i in range((d - 1).bit_length()):
+        s = 1 << i
+        yield s * stride, _repeat((1 << (d - s) * stride) - 1, d * stride, lines)
 
 
 def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
@@ -647,6 +666,11 @@ def _compatibility_failure(E: SmallRep, S: SmallRep) -> dict | None:
 def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False) -> CheckReport:
     """Check the good-semigroup-ideal axioms on the finite box [m, c + e].
 
+    The structural part comes first: m <= c, both are small elements, and
+    every small element lies in [m, c], which holds exactly when the
+    per-axis minima and maxima of the small elements are m and c, so it
+    costs two passes over the coordinates; only when it fails are the small
+    elements walked in sorted order to name the first one outside.
     Beyond the conductor, membership is monotone by construction of the rule,
     so the box quantifiers are exhaustive for the represented set.  E1 and E2
     pair the small elements alone, the clamps min(a, c) of the members a:
@@ -684,10 +708,11 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
         return fail("structural", reason="conductor not among small elements",
                     conductor=pt(E.c))
     small = sorted(E.small)
-    for p in small:
-        if not (leq(E.m, p) and leq(p, E.c)):
-            return fail("structural", reason="small element outside [min, conductor]",
-                        point=pt(p))
+    if tuple(map(min, zip(*small))) != E.m or tuple(map(max, zip(*small))) != E.c:
+        for p in small:
+            if not (leq(E.m, p) and leq(p, E.c)):
+                return fail("structural", reason="small element outside [min, conductor]",
+                            point=pt(p))
 
     # E1 and E2 on the masks when the grid has at most as many points as
     # there are pairs; the pair loops run otherwise, or to name the first

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -5,6 +6,7 @@ import subprocess
 import sys
 
 import gsi
+from gsi import cli
 from gsi.cli import main
 from gsi.gsi_format import parse_gsi
 
@@ -169,12 +171,66 @@ def test_gen_commands(capsys, data_dir, tmp_path):
     parse_gsi(out)  # generated ideal parses and validates
 
 
-def test_module_entrypoint_smoke(data_dir):
-    # the child imports the same gsi as this process, installed or not
+def _child(*args):
+    """A Python child run with args; it imports the same gsi as this
+    process, installed or not."""
     root = str(pathlib.Path(gsi.__file__).parents[1])
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gsi", "gorenstein", str(data_dir / "n2.gsi")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entrypoint_smoke(data_dir):
+    proc = _child("-m", "gsi", "gorenstein", str(data_dir / "n2.gsi"))
     assert proc.returncode == 0
     assert "gorenstein: true" in proc.stdout
+
+
+def _reuse_sequence(data_dir):
+    ex2, broken = str(data_dir / "ex2.gsi"), str(data_dir / "broken.gsi")
+    return [
+        ["check", "bogus"],
+        ["--help"],
+        ["validate", ex2],
+        ["validate", broken],
+        ["info", ex2, "--plot"],
+        ["check", "all", ex2, ex2, "--semigroup", ex2, "--json", "--seed", "3"],
+        ["gen", "random", "--semigroup", str(data_dir / "node2.gsi"), "--seed", "4"],
+    ]
+
+
+def test_in_process_reuse_changes_nothing(capsys, data_dir):
+    # one parser serves the whole sequence; each command then runs again on
+    # a parser of its own, and the outputs must not differ by a byte
+    seq = _reuse_sequence(data_dir)
+    cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in seq]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 1, 0, 0, 0]
+    for argv, want in zip(seq, shared):
+        cli._parser.cache_clear()
+        assert run(capsys, *argv) == want, argv
+
+
+def test_main_builds_one_parser_tree(capsys, data_dir, monkeypatch):
+    # counts, not times: twenty calls construct the root parser and its
+    # eight subcommand parsers once
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._parser.cache_clear()
+    seq = _reuse_sequence(data_dir)
+    for i in range(20):
+        run(capsys, *seq[i % len(seq)])
+    assert len(built) == 9 and built.count("gsi") == 1, built
+    cli._parser.cache_clear()  # drop the parser built through the wrapper
+
+
+def test_import_builds_no_parser():
+    proc = _child("-c", "import gsi, gsi.cli; print(gsi.cli._parser.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

@@ -4,15 +4,18 @@ The references below are the former implementations, copied verbatim: the
 point-by-point ``members`` they all enumerate with, the box sweeps of
 ``validate`` (its E2 witness search included), of the compatibility test and
 of ``check_sum``, the per-point quantifier of ``cd_difference``, the
-per-point length and rho sweeps, and the per-point ``fiber_empty`` sweeps of
-``fiber_dual`` and ``canonical_ideal``.  The fast paths must give the same
+per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
+``fiber_dual`` and ``canonical_ideal``, the two fiber-table routines that
+``ideal._closed_fibers`` replaced, and the structural loop of
+``from_small_elements``.  The fast paths must give the same
 reports, regions and first counterexamples, byte for byte.
 """
+import math
 import random
 
 import pytest
 
-from gsi.constructors import node, numerical, product, random_good
+from gsi.constructors import _Box, from_small_elements, node, numerical, product, random_good
 from gsi.duality import (
     _dual_box,
     _promote_region,
@@ -20,14 +23,26 @@ from gsi.duality import (
     cd_difference,
     fiber_dual,
 )
-from gsi.errors import BoundaryInstabilityError, DimensionMismatch, GsiError, SoundnessError
+from gsi.errors import (
+    BoundaryInstabilityError,
+    DimensionMismatch,
+    GsiError,
+    SoundnessError,
+    ValidationError,
+)
 from gsi.fiber import fiber_empty, p_value, q_value
+from gsi.gsi_format import parse_gsi
 from gsi.ideal import (
     RegionSet,
     SmallRep,
+    _bits,
+    _box_mask,
+    _closed_fibers,
     _compatibility_failure,
+    _least_conductor,
     _repeat,
     _reversed_bits,
+    _strides,
     _window,
     frobenius,
     is_subset,
@@ -716,3 +731,161 @@ def test_sweeps_work_bounded_by_reports(ex2, node3, monkeypatch):
             calls[0] = 0
             sweep()
             assert calls[0] <= 4, (S, calls[0])
+
+
+def _old_suffix_or(mask: int, dims: tuple[int, ...], k: int) -> int:
+    """Each bit ORed with the bits above it along axis k, by shift-and-OR
+    with doubling steps; before a step of s a bit holds the OR of s bits,
+    after it of 2s, and the keep mask stops a shifted bit from crossing
+    into the next k-line."""
+    d, stride = dims[k], _strides(dims)[k]
+    s = 1
+    while s < d:
+        keep = _box_mask(dims, dims[:k] + (d - s,) + dims[k + 1:])
+        mask |= mask >> s * stride & keep
+        s *= 2
+    return mask
+
+
+def _old_fiber_table(E: SmallRep) -> tuple[int, ...]:
+    """The former ``SmallRep.fiber_table``, through ``_old_suffix_or``."""
+    g = E.grid
+    full = (1 << E.r) - 1
+    table = [0] * (full + 1)
+    table[full] = g.mask
+    for J in range(full - 1, 0, -1):
+        k = ((full ^ J) & -(full ^ J)).bit_length() - 1  # lowest free axis
+        table[J] = _old_suffix_or(table[J | 1 << k], g.dims, k)
+    return tuple(table)
+
+
+def _old_box_table(box: _Box, M: int) -> list[int]:
+    """The former ``_Box.table``, with its keep masks read from ``below``."""
+    full = (1 << len(box.dims)) - 1
+    T = [0] * full + [M]
+    for J in range(full - 1, 0, -1):
+        k = ((full ^ J) & -(full ^ J)).bit_length() - 1
+        X, d, s, step = T[J | 1 << k], box.dims[k], box.strides[k], 1
+        while step < d:
+            X |= X >> step * s & box.below[k][d - step]
+            step *= 2
+        T[J] = X
+    return T
+
+
+def test_closed_fibers_match_former_tables():
+    # SmallRep.fiber_table and the closure's box tables share one routine;
+    # both must give the tables of the routines each used before
+    semigroups = _semigroups()
+    semigroups.update(node4=node(4), node5=node(5))
+    rng = random.Random(18)
+    sizes = set()
+    for name, S in sorted(semigroups.items()):
+        for E in [S] + [random_good(S, seed) for seed in range(4)]:
+            assert E.fiber_table == _old_fiber_table(E), (name, E)
+            box = _Box(E.m, E.c)
+            for M in (0, rng.getrandbits(math.prod(box.dims)),
+                      (1 << math.prod(box.dims)) - 1):
+                assert _closed_fibers(M, box.steps) == _old_box_table(box, M), (name, M)
+            sizes.add(box.dims)
+    # a sparse grid with long lines, and boxes with a one-row axis
+    E = SmallRep(3, (0, 0, 0), (40, 3, 57), frozenset({(0, 0, 0), (7, 1, 20), (40, 3, 57)}))
+    assert E.fiber_table == _old_fiber_table(E)
+    for dims in [(1,), (1, 4), (3, 1, 2), (2, 2, 2, 2, 2)]:
+        box = _Box((0,) * len(dims), tuple(d - 1 for d in dims))
+        M = rng.getrandbits(math.prod(dims))
+        assert _closed_fibers(M, box.steps) == _old_box_table(box, M), dims
+    assert any(len(d) >= 4 for d in sizes), sizes
+
+
+def test_bits_matches_bit_scan():
+    # _bits keeps its format-and-find form, measured faster than bin/rfind
+    # and than a lowest-bit loop on masks of 6,000 and 60,000 bits
+    rng = random.Random(19)
+    cases = [0, 1, 2, 3, 1 << 70, (1 << 64) - 1]
+    cases += [rng.getrandbits(n) for n in (1, 7, 8, 9, 63, 64, 65, 1000, 6000)]
+    cases += [rng.getrandbits(60_000) & rng.getrandbits(60_000)]
+    for m in cases:
+        assert _bits(m) == [i for i in range(m.bit_length()) if m >> i & 1], m
+
+
+def _old_from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
+    """The former ``constructors.from_small_elements``, whose loop names the
+    first point below m in the set's order."""
+    pts = {meet(tuple(p), c) for p in elems}
+    pts.add(meet(m, c))
+    for p in pts:
+        if not leq(m, p):
+            rep = SmallRep(r, m, c, frozenset(pts | {m, c}))
+            report = validate(rep)
+            report.passed = False
+            report.counterexamples.insert(
+                0, {"axiom": "structural", "reason": "element below declared min",
+                    "point": list(p)})
+            raise ValidationError(report)
+    pts.add(c)
+    P = SmallRep(r, m, c, frozenset(pts))
+    rep = _least_conductor(P)
+    if isinstance(rep, str):
+        rep = P
+    report = validate(rep)
+    if not report.passed:
+        raise ValidationError(report)
+    return rep
+
+
+def _outcome_report(f, *args):
+    """f's result, or the report of the ValidationError it raised."""
+    try:
+        return f(*args)
+    except ValidationError as err:
+        return err.report.to_dict()
+
+
+def test_structural_failures_name_the_former_point():
+    # validate decides "every small element in [m, c]" and the constructor
+    # "every clipped point >= m" from per-axis bounds, and walk the points
+    # in the former order only to name one; with several offending points
+    # the reports must be those of the former loops, line annotations too
+    rng = random.Random(20)
+    named = set()
+    for _ in range(400):
+        r = rng.randint(1, 3)
+        m = tuple(rng.randint(-3, 3) for _ in range(r))
+        c = tuple(x + rng.randint(0, 4) for x in m)
+        pts = {m, c} | {tuple(rng.randint(x - 3, y + 3) for x, y in zip(m, c))
+                        for _ in range(rng.randint(1, 8))}
+        E = SmallRep(r, m, c, frozenset(pts))
+        for S_arg, semigroup in ((None, False), (E, False), (None, True)):
+            want = _old_validate(E, S_arg, semigroup=semigroup).to_dict()
+            assert validate(E, S_arg, semigroup=semigroup).to_dict() == want, E
+        first = validate(E).counterexamples[:1]
+        if first and first[0].get("reason") == "small element outside [min, conductor]":
+            named.add(tuple(first[0]["point"]))
+        elems = list(pts - {m})
+        rng.shuffle(elems)
+        want = _outcome_report(_old_from_small_elements, r, m, c, elems)
+        assert _outcome_report(from_small_elements, r, m, c, elems) == want, (m, c, elems)
+    assert len(named) >= 50, len(named)
+    # three elements below the declared min: the document names the same
+    # point, and the line it is listed on, as the former loop
+    lines = ["gsi 1", "r 2", "min 2 2", "conductor 6 6", "elem 2 2",
+             "elem 1 4", "elem 4 4", "elem 3 0", "elem 6 6", "elem 0 5"]
+    text = "\n".join(lines) + "\n"
+    elems = [tuple(map(int, line.split()[1:])) for line in lines[4:]]
+    with pytest.raises(ValidationError) as err:
+        parse_gsi(text)
+    got = err.value.report.to_dict()
+    want = _outcome_report(_old_from_small_elements, 2, (2, 2), (6, 6), elems)
+    first = got["counterexamples"][0]
+    assert first["reason"] == "element below declared min"
+    assert first["line"] == 5 + elems.index(tuple(first["point"]))
+    for counter in got["counterexamples"]:
+        counter.pop("line", None)
+    assert got == want
+    # a rep with two small elements outside [m, c], one above and one below
+    E = SmallRep(2, (0, 0), (3, 3), frozenset({(0, 0), (3, 3), (4, 1), (1, -1)}))
+    assert validate(E).counterexamples == [{
+        "axiom": "structural", "reason": "small element outside [min, conductor]",
+        "point": [1, -1]}]
+    assert validate(E).to_dict() == _old_validate(E).to_dict()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gsi.constructors import from_small_elements, node, random_good
+from gsi.constructors import from_small_elements, node, numerical, product, random_good
 from gsi.errors import DimensionMismatch
 from gsi.gsi_format import parse_gsi
 from gsi.ideal import (
@@ -257,3 +257,32 @@ def test_parse_and_validate_leave_layers_unbuilt(data_dir):
         assert "fiber_layers" not in vars(E), path.name
         fiber_empty(E, E.m)
         assert "fiber_layers" in vars(E), path.name
+
+
+def test_structural_checks_make_leq_calls_independent_of_small_elements(monkeypatch):
+    # counts, not times: validate and from_small_elements read per-axis
+    # bounds of the small elements, so their componentwise comparisons do
+    # not grow with the number of small elements
+    import gsi.constructors as constructors
+    import gsi.ideal as ideal
+
+    calls = [0]
+
+    def counted_leq(a, b, leq=ideal.leq):
+        calls[0] += 1
+        return leq(a, b)
+
+    monkeypatch.setattr(ideal, "leq", counted_leq)
+    monkeypatch.setattr(constructors, "leq", counted_leq)
+    S = product(numerical([5, 7]), numerical([5, 6]))
+    counts = {}
+    for name, E in (("node3", node(3)), ("n57xn56", S)):
+        counts[name] = []
+        for run in (lambda: validate(E), lambda: validate(E, E, semigroup=True),
+                    lambda: from_small_elements(E.r, E.m, E.c, E.small)):
+            calls[0] = 0
+            run()
+            counts[name].append(calls[0])
+    assert len(node(3).small) == 2 and len(S.small) == 143
+    assert counts["node3"] == counts["n57xn56"], counts
+    assert max(counts["n57xn56"]) <= 3, counts

@@ -121,6 +121,8 @@ def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
 def canonical_ideal(S: SmallRep) -> SmallRep:
     """The canonical ideal {alpha : F(S, frobenius(S) - alpha) = empty}.
 
+    A member on a low face of the search box raises
+    BoundaryInstabilityError, naming the lexicographically least such member.
     Postconditions are asserted: the Frobenius vector is preserved, S is
     contained in the result, and the result, validated on promotion, is
     compatible with S.
@@ -133,10 +135,10 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     hi = S.c
     f = frobenius(S)
     points = _empty_fibers(S, f, lo, hi)
-    for p in points:
-        if any(x == l for x, l in zip(p, lo)):
-            raise BoundaryInstabilityError(
-                f"canonical-ideal member {p} touches the search-box face at {lo}")
+    face = min((p for p in points if any(x == l for x, l in zip(p, lo))), default=None)
+    if face is not None:
+        raise BoundaryInstabilityError(
+            f"canonical-ideal member {face} touches the search-box face at {lo}")
     rep, failure = _promote_region(S.r, points, hi, S.c)
     if rep is None:
         raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")

@@ -19,13 +19,14 @@ order.  The fiber tables (a mask per index set, closed and open) and the
 decides E1 and E2 for all pairs of small elements from a few ANDs of table
 entries when the grid is no larger than the number of pairs.  Box questions
 read masks: ``members`` lists the set bits of E's window over a box
-(``_window``, which cuts a table entry or layer the same way), ``equals``
-and ``is_subset`` compare windows, the sum sweeps shift them, and the
-quotient behind ``duality.cd_difference`` shifts one window per small
-element of the divisor (for the top class ANDed over its box), so no box is
-walked point by point.  ``_least_conductor`` reads a point set's least
-conductor off the runs down the axes from its box top and checks the
-membership rule against the set in one mask comparison.
+(``_window``, which cuts a table entry or layer the same way, in r passes
+of whole-integer shifts and masks, one per axis), ``search_member`` reads
+its lowest set bit, ``equals`` and ``is_subset`` compare windows, the sum
+sweeps shift them, and the quotient behind ``duality.cd_difference`` shifts
+one window per small element of the divisor (for the top class ANDed over
+its box), so no box is walked point by point.  ``_least_conductor`` reads a
+point set's least conductor off the runs down the axes from its box top and
+checks the membership rule against the set in one mask comparison.
 """
 from __future__ import annotations
 
@@ -282,10 +283,21 @@ def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
 
     Bit t is the mask's bit at :meth:`SmallRep.index` of the box point t,
     each coordinate clamped into [m - e, c], so the box may reach below m
-    and beyond c anywhere.  Rows of each axis are cut out by halving and the
-    windows of distinct rows joined by halving, so a window costs its bits
-    times the log of its rows; the clamped-off rows repeat the first or the
-    last grid row.
+    and beyond c anywhere.  The rows of axis 0 that the box clamps to are
+    cut out first; then the axes are turned from the grid's layout into the
+    box's one at a time, the last first, each by a few operations on the
+    whole integer (Warren, *Hacker's Delight*, ch. 7).  Before the pass of
+    axis k, a row of k is B bits, B the product of the box dims of the
+    later axes, and the mask holds L lines of g_k rows, L the product of the
+    grid dims g of the earlier axes (g_0 counting the kept rows only).  The
+    pass keeps the rows [first, top]
+    that the box clamps to, moves line i from bit i * g_k * B to
+    i * d_k * B (d_k the box dim) in log2(L) steps, step t moving the lines
+    with bit t of i set by 2^t (d_k - g_k) B, and repeats the first and the
+    last kept row into the clamped-off rows by doubling shifts.  A step
+    selects its lines with one repeated run: when the lines widen, the high
+    bits of i go first, so that every moved line lands in space no line
+    holds; when they narrow, the low bits do.
     """
     if mask is None:
         mask = E.grid.mask
@@ -293,36 +305,49 @@ def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
     if min(dims) <= 0:
         return 0
     g = E.grid
-    strides = _strides(dims)
-    last = E.r - 1
-
-    def axis(k: int, slab: int) -> int:
-        # the window of axes k.. from the grid bits of axes k..
-        l, h, origin, c, width = lo[k], hi[k], g.lo[k], E.c[k], strides[k]
-        first, top = (min(max(x, origin), c) - origin for x in (l, h))
+    kept = [(min(max(l, o), c) - o, min(max(h, o), c) - o)  # rows [first, top]
+            for l, h, o, c in zip(lo, hi, g.lo, E.c)]
+    # axis 0 is one line, so its cut is one shift and one mask, and a box
+    # that keeps few of its rows leaves the passes little to turn
+    first, top = kept[0]
+    x = mask >> first * g.strides[0] & (1 << (top - first + 1) * g.strides[0]) - 1
+    gdims = (top - first + 1, *g.dims[1:])
+    kept[0] = (0, top - first)
+    B, L = 1, math.prod(gdims)
+    for k in range(E.r - 1, -1, -1):
+        l, h, origin, c, gd, d = lo[k], hi[k], g.lo[k], E.c[k], gdims[k], dims[k]
+        L //= gd
+        first, top = kept[k]
         n = top - first + 1
-        step = g.strides[k]
-        out = rows(k, slab >> first * step & (1 << n * step) - 1, n)
+        a, b = gd * B, d * B  # line widths before and after
+        if n < gd:
+            x = x >> first * B & _repeat((1 << n * B) - 1, a, L)
+            if not x:
+                return 0
+        if a != b:
+            steps = range((L - 1).bit_length())
+            for t in reversed(steps) if b > a else steps:
+                # widening, line j 2^(t+1) + u (u < 2^(t+1)) is at
+                # j 2^(t+1) b + u a, and u >= 2^t moves; narrowing, line
+                # j 2^t + u (u < 2^t) is at j 2^t a + u b, and odd j moves:
+                # either way the bits [2^t a, 2^(t+1) a) of each 2^(t+1)
+                # max(a, b) bits
+                run = a << t
+                moved = x & _repeat(((1 << run) - 1) << run, max(a, b) << t + 1,
+                                    (L - 1 >> t + 1) + 1)
+                x ^= moved
+                x |= moved << (b - a << t) if b > a else moved >> (a - b << t)
         below = min(h, origin) - l  # box rows past the first, clamped to row 0
         above = h - max(l, c)       # box rows past the first, clamped to row c
-        if above > 0:
-            out |= _repeat(out >> (n - 1) * width, width, above) << n * width
-        if below > 0:
-            out = _repeat(out & (1 << width) - 1, width, below) | out << below * width
-        return out
-
-    def rows(k: int, chunk: int, n: int) -> int:
-        # the windows of n grid rows of axis k, side by side
-        if k == last or not chunk:
-            return chunk  # a last-axis row is one bit, its own window
-        if n == 1:
-            return axis(k + 1, chunk)
-        half = n // 2
-        cut = half * g.strides[k]
-        return (rows(k, chunk & (1 << cut) - 1, half)
-                | rows(k, chunk >> cut, n - half) << half * strides[k])
-
-    return axis(0, mask)
+        if below > 0 or above > 0:
+            # each line's row 0: x itself when it keeps one row
+            row = _repeat((1 << B) - 1, b, L) if n > 1 else x
+            if above > 0:
+                x |= _repeat(x >> (n - 1) * B & row, B, above) << n * B
+            if below > 0:
+                x = x << below * B | _repeat(x & row, B, below)
+        B = b
+    return x
 
 
 def _layout(lo: Point, hi: Point) -> tuple[int, tuple[int, ...]]:
@@ -563,9 +588,16 @@ def _pairs_good(E: SmallRep) -> bool:
 
 
 def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
-    """First member of E (lexicographically) in the product of closed ranges."""
-    found = members(E, tuple(a for a, _ in ranges), tuple(b for _, b in ranges))
-    return found[0] if found else None
+    """First member of E (lexicographically) in the product of closed ranges:
+    the lowest set bit of E's window over them, as bit order is
+    lexicographic order."""
+    lo, hi = tuple(a for a, _ in ranges), tuple(b for _, b in ranges)
+    check_same_dim(lo, E.c)
+    W = _window(E, lo, hi)
+    if not W:
+        return None
+    strides = _strides(tuple(h - l + 1 for l, h in zip(lo, hi)))
+    return _point((W & -W).bit_length() - 1, lo, strides)
 
 
 def _members_in(E: SmallRep, top: Point, dims: tuple[int, ...]) -> int:

@@ -1,5 +1,6 @@
 import pytest
 
+import gsi.duality as duality
 from gsi.constructors import random_good
 from gsi.duality import (
     bidual,
@@ -9,9 +10,23 @@ from gsi.duality import (
     is_canonical,
     is_gorenstein,
 )
+from gsi.errors import BoundaryInstabilityError
 from gsi.ideal import equals, frobenius, is_subset, translate, validate
 from gsi.lattice import box_points, ones, vadd, vsub
 from gsi.oracle import brute_canonical, brute_dual
+
+
+def test_canonical_face_error_names_least_point(ex2, monkeypatch):
+    # ex2's search box starts at lo = m - (c - m) - e = (-6, -6); of two
+    # members on its faces the error names the lexicographically least,
+    # which is not the one a set iterates first
+    face = {(-6, -5), (-3, -6)}
+    assert next(iter(face)) != min(face)
+    monkeypatch.setattr(duality, "_empty_fibers", lambda *args: set(face))
+    with pytest.raises(BoundaryInstabilityError) as err:
+        canonical_ideal(ex2)
+    assert str(err.value) == (
+        "canonical-ideal member (-6, -5) touches the search-box face at (-6, -6)")
 
 
 def test_cd_identity(n1, n2, ex2):

@@ -6,10 +6,12 @@ point-by-point ``members`` they all enumerate with, the box sweeps of
 of ``check_sum``, the per-point quantifier of ``cd_difference``, the
 per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
 ``fiber_dual`` and ``canonical_ideal``, the two fiber-table routines that
-``ideal._closed_fibers`` replaced, and the structural loop of
-``from_small_elements``.  The fast paths must give the same
+``ideal._closed_fibers`` replaced, the structural loop of
+``from_small_elements``, the per-row recursion of ``_window`` and the
+``members`` scan of ``search_member``.  The fast paths must give the same
 reports, regions and first counterexamples, byte for byte.
 """
+import functools
 import math
 import random
 
@@ -47,6 +49,7 @@ from gsi.ideal import (
     frobenius,
     is_subset,
     members,
+    search_member,
     translate,
     validate,
 )
@@ -560,6 +563,173 @@ def test_window_matches_contains():
             assert members(E, lo, hi) == sorted(materialize(E, lo, hi)), (E, lo, hi)
         with pytest.raises(DimensionMismatch):
             members(E, E.m + (0,), E.c + (0,))
+
+
+def _old_window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
+    """A grid mask of E over [lo, hi], in that box's layout: a fiber-table
+    entry or a layer, membership (the grid mask) when None.
+
+    Bit t is the mask's bit at :meth:`SmallRep.index` of the box point t,
+    each coordinate clamped into [m - e, c], so the box may reach below m
+    and beyond c anywhere.  Rows of each axis are cut out by halving and the
+    windows of distinct rows joined by halving, so a window costs its bits
+    times the log of its rows; the clamped-off rows repeat the first or the
+    last grid row.
+    """
+    if mask is None:
+        mask = E.grid.mask
+    dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+    if min(dims) <= 0:
+        return 0
+    g = E.grid
+    strides = _strides(dims)
+    last = E.r - 1
+
+    def axis(k: int, slab: int) -> int:
+        # the window of axes k.. from the grid bits of axes k..
+        l, h, origin, c, width = lo[k], hi[k], g.lo[k], E.c[k], strides[k]
+        first, top = (min(max(x, origin), c) - origin for x in (l, h))
+        n = top - first + 1
+        step = g.strides[k]
+        out = rows(k, slab >> first * step & (1 << n * step) - 1, n)
+        below = min(h, origin) - l  # box rows past the first, clamped to row 0
+        above = h - max(l, c)       # box rows past the first, clamped to row c
+        if above > 0:
+            out |= _repeat(out >> (n - 1) * width, width, above) << n * width
+        if below > 0:
+            out = _repeat(out & (1 << width) - 1, width, below) | out << below * width
+        return out
+
+    def rows(k: int, chunk: int, n: int) -> int:
+        # the windows of n grid rows of axis k, side by side
+        if k == last or not chunk:
+            return chunk  # a last-axis row is one bit, its own window
+        if n == 1:
+            return axis(k + 1, chunk)
+        half = n // 2
+        cut = half * g.strides[k]
+        return (rows(k, chunk & (1 << cut) - 1, half)
+                | rows(k, chunk >> cut, n - half) << half * strides[k])
+
+    return axis(0, mask)
+
+
+def _random_span(rng: random.Random, E: SmallRep, k: int) -> tuple[int, int]:
+    """Box bounds on axis k, each end drawn on its own from below m - e,
+    the grid or above c; now and then one row, or empty (hi below lo)."""
+    lo, c = E.m[k] - 1, E.c[k]
+    zones = [(lo - 4, lo - 1), (lo, c), (c + 1, c + 4)]
+    a, b = sorted(rng.randint(*rng.choice(zones)) for _ in range(2))
+    kind = rng.randrange(8)
+    if kind == 0:
+        return a, a
+    if kind == 1:
+        return b, a - 1
+    return a, b
+
+
+@functools.cache
+def _window_ideals() -> tuple[SmallRep, ...]:
+    """Ideals of dimension 1 to 5: the semigroups, their canonical ideals,
+    random_good draws, seeded point sets that may fail the axioms, and
+    products up to r = 5."""
+    rng = random.Random(47)
+    semigroups = _semigroups()
+    ideals = list(semigroups.values())
+    ideals += [canonical_ideal(S) for S in semigroups.values()]
+    ideals += [random_good(S, 13) for S in semigroups.values()]
+    ideals += [_random_rep(rng, S) for S in semigroups.values()]
+    n1, n2 = semigroups["n1"], semigroups["n2"]
+    for S in (node(4), product(n1, node(3)), node(5), product(n2, product(n1, node(3)))):
+        ideals += [S, canonical_ideal(S), random_good(S, 5)]
+    assert {E.r for E in ideals} == {1, 2, 3, 4, 5}
+    return tuple(ideals)
+
+
+def test_window_matches_former_recursion():
+    # every table entry and layer, the grid mask, 0 and sparse masks, over
+    # boxes whose ends fall below m - e, inside the grid or past c per axis
+    rng = random.Random(53)
+    seen = {"empty": 0, "one_row": 0, "nonzero": 0}
+    for E in _window_ideals():
+        g = E.grid
+        P, Q = E.fiber_layers
+        size = math.prod(g.dims)
+        masks = [g.mask, 0, *E.fiber_table, *E.open_table, *P, *Q]
+        masks += [1 << rng.randrange(size) | 1 << rng.randrange(size) for _ in range(3)]
+        masks += [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)]
+        boxes = [(vsub(E.m, ones(E.r)), E.c)]
+        boxes += [tuple(zip(*(_random_span(rng, E, k) for k in range(E.r))))
+                  for _ in range(12 if E.r < 4 else 4)]
+        for lo, hi in boxes:
+            dims = [h - l + 1 for l, h in zip(lo, hi)]
+            seen["empty"] += min(dims) <= 0
+            seen["one_row"] += 1 in dims
+            for mask in masks:
+                W = _window(E, lo, hi, mask)
+                assert W == _old_window(E, lo, hi, mask), (E, lo, hi, mask)
+                seen["nonzero"] += W != 0
+        assert _window(E, E.m, E.c) == _old_window(E, E.m, E.c)
+    assert min(seen.values()) > 10, seen
+
+
+def test_window_work_grows_with_log_rows(monkeypatch):
+    # one window of the whole-grid layer of the two-element ideal
+    # {0} u ((300, 300) + N^2) over a box of 600 rows per axis, reaching
+    # below m - e and past c on both: the passes make O(r log rows) _repeat
+    # calls, where the former recursion made calls per row.  A 3 x 3 box at
+    # c keeps two rows of axis 0, which are cut first, so no mask the passes
+    # build is longer than a few of its rows.
+    import gsi.ideal as ideal
+
+    calls, sizes = [0], []
+
+    def counted(*args, original=ideal._repeat):
+        calls[0] += 1
+        out = original(*args)
+        sizes.append(out.bit_length())
+        return out
+
+    c = (300, 300)
+    E = SmallRep(2, (0, 0), c, frozenset({(0, 0), c}))
+    lo, hi = (-150, -150), (449, 449)
+    whole = E.fiber_layers[0][E.r + 1]
+    bound = 2 * E.r * math.log2(hi[0] - lo[0] + 1)
+    want = _old_window(E, lo, hi, whole)
+    monkeypatch.setattr(ideal, "_repeat", counted)
+    assert _window(E, lo, hi, whole) == want
+    assert 0 < calls[0] <= bound, calls[0]
+    calls[0] = 0
+    monkeypatch.setitem(globals(), "_repeat", counted)
+    _old_window(E, lo, hi, whole)
+    assert calls[0] > 10 * bound, calls[0]
+    sizes.clear()
+    near = (vsub(c, (1, 1)), vadd(c, (1, 1)))
+    assert _window(E, *near, whole) == _old_window(E, *near, whole)
+    assert 0 < max(sizes) <= 4 * E.grid.dims[1], sizes
+
+
+def test_search_member_matches_box_scan():
+    # the E2 witness ranges of the pairs among the first six small elements,
+    # the capped open and closed fiber-witness ranges of random points, and
+    # random ranges, empty ones among them
+    rng = random.Random(59)
+    for E in _window_ideals():
+        small = sorted(E.small)
+        cases = [_old_e2_witness_ranges(a, b, i, E.c)
+                 for a in small[:6] for b in small[:6] for i in range(E.r)
+                 if a < b and a[i] == b[i]]
+        for _ in range(10):
+            alpha = tuple(rng.randint(m - 2, c + 1) for m, c in zip(E.m, E.c))
+            J, low = rng.randrange(1 << E.r), rng.randrange(2)
+            cases.append([(a, a) if J >> k & 1 else (a + low, max(ck, a + low))
+                          for k, (a, ck) in enumerate(zip(alpha, E.c))])
+        cases += [[_random_span(rng, E, k) for k in range(E.r)] for _ in range(20)]
+        assert any(_old_search_member(E, ranges) is None for ranges in cases)
+        for ranges in cases:
+            assert search_member(E, ranges) == _old_search_member(E, ranges), (E, ranges)
+    with pytest.raises(DimensionMismatch):
+        search_member(node(2), [(0, 1)])
 
 
 def test_repeat_matches_repunit_division():

@@ -3,8 +3,8 @@
 Each property compares the package with itself on transformed inputs
 (products, coordinate permutations, translations) or with a count taken
 here from the generators, so it holds whichever way the fast paths or the
-oracle compute; it shares no code with either.  Inputs are fixtures and
-small hypothesis draws.
+oracle compute; it shares no code with either.  Inputs are fixtures, small
+hypothesis draws, and products of dimension 6 to 8, past the oracle's reach.
 """
 import functools
 import math
@@ -12,11 +12,12 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsi.constructors as constructors
 from gsi.constructors import from_small_elements, node, numerical, product, random_good
 from gsi.duality import canonical_ideal, cd_difference, is_gorenstein
 from gsi.fiber import maximals
 from gsi.ideal import SmallRep, equals, translate
-from gsi.lattice import vsub
+from gsi.lattice import ones, vsub
 from gsi.theorems import check_all
 
 
@@ -131,6 +132,76 @@ def test_permutation_commutes_on_fixtures():
 def test_permutation_commutes_random(gens_a, gens_b, seed):
     S = product(numerical(gens_a), numerical(gens_b))
     _assert_permutation_commutes(S, canonical_ideal(S), random_good(S, seed), (1, 0))
+
+
+@functools.cache
+def _high_r_pairs() -> tuple[tuple[SmallRep, SmallRep], ...]:
+    """Factor pairs whose products have dimension 6, 7 and 8; the factor
+    with N(3,4,5) is not Gorenstein, the nodes are."""
+    A = product(numerical([3, 4, 5]), node(2))
+    return (A, node(3)), (node(4), A), (product(numerical([3, 4, 5]), node(3)), node(4))
+
+
+def test_product_rules_high_r():
+    assert [A.r + B.r for A, B in _high_r_pairs()] == [6, 7, 8]
+    for A, B in _high_r_pairs():
+        _assert_product_rules(A, B)
+
+
+# check_all flags that hold on a product exactly when they hold on both
+# factors: canonicity and Gorenstein-ness, by K(A x B) = K(A) x K(B), and
+# the bidual equality, as the quotient of products is the product of the
+# quotients
+_PRODUCT_FLAGS = (("duality", "equal"), ("duality", "ej_canonical"),
+                  ("rho", "ej_canonical"), ("consistency", "gorenstein"),
+                  ("consistency", "ej_canonical"))
+
+
+def _product_draws(A: SmallRep, B: SmallRep):
+    """random_good, except that over A x B it draws the product of a draw
+    over A and one over B, an ideal of A x B too."""
+    AB = product(A, B)
+
+    def draw(S: SmallRep, seed: int, **kwargs) -> SmallRep:
+        if S == AB:
+            return product(random_good(A, seed), random_good(B, seed))
+        return random_good(S, seed, **kwargs)
+
+    return draw
+
+
+def test_product_check_flags_high_r(monkeypatch):
+    # each check passes on (A x B, EJ_A x EJ_B, EI_A x EI_B) exactly when it
+    # passes on both factor triples.  The consistency sample of the product
+    # comes from _product_draws, as a draw of random_good itself takes
+    # seconds at r = 8.  At r = 8, where a triple takes a second or more,
+    # only (S, S, S) runs.
+    seen = set()
+    for A, B in _high_r_pairs():
+        KA, KB = canonical_ideal(A), canonical_ideal(B)
+        AB = product(A, B)
+        monkeypatch.setattr(constructors, "random_good", _product_draws(A, B))
+        triples = [((A, A), (B, B)), ((KA, A), (KB, B)), ((A, KA), (B, KB))]
+        for (EJA, EIA), (EJB, EIB) in triples[:1 if AB.r == 8 else 3]:
+            fa, fb = (_flags(check_all(*trip)) for trip in ((A, EJA, EIA), (B, EJB, EIB)))
+            got = _flags(check_all(AB, product(EJA, EJB), product(EIA, EIB)))
+            assert got.keys() == fa.keys()
+            for name, (passed, _) in got.items():
+                assert passed == (fa[name][0] and fb[name][0]), (A, B, name)
+            for name, flag in _PRODUCT_FLAGS:
+                assert got[name][1][flag] == (fa[name][1][flag] and fb[name][1][flag]), \
+                    (A, B, EJA, EIA, name, flag)
+                seen.add(got[name][1][flag])
+    assert seen == {True, False}
+
+
+def test_permutation_commutes_high_r():
+    A, B = _high_r_pairs()[0]
+    S = product(A, B)
+    K = canonical_ideal(S)
+    _assert_permutation_commutes(S, S, S, (3, 4, 5, 0, 1, 2))
+    _assert_permutation_commutes(S, K, translate(random_good(S, 4), ones(S.r)),
+                                 (5, 0, 2, 1, 4, 3))
 
 
 def _assert_translation_equivariant(EJ: SmallRep, EI: SmallRep, u, v) -> None:

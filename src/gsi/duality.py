@@ -15,7 +15,9 @@ takes one shift of the plain window.
 instead of walking their boxes: the points beta with F(E, f - beta) empty
 are the box minus the window of E's layer P[1] (some singleton open fiber
 occupied) over the reflected box f - box, bit-reversed to the box's own
-indexing.
+indexing.  ``_fiber_region`` returns the fiber dual as that mask with its
+box; ``is_canonical`` and the check layer compare it with windows and
+never promote it, and only the public ``fiber_dual`` decodes it.
 Results are normalized to SmallRep by ``ideal._least_conductor``, which
 walks runs down the axes from the box top, as the constructors' data is, and
 validated once; any failure there is an internal bug, never expected on
@@ -29,18 +31,17 @@ from .errors import BoundaryInstabilityError, SoundnessError
 from .ideal import (
     RegionSet,
     SmallRep,
-    _bits,
     _compatibility_failure,
     _layout,
     _least_conductor,
-    _point,
+    _points,
     _quotient,
     _reflected,
     _require_same_r,
+    _window,
     equals,
     frobenius,
     is_subset,
-    members,
     translate,
     validate,
 )
@@ -96,12 +97,24 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
 
 
 def _empty_fibers(E: SmallRep, f: Point, lo: Point, hi: Point) -> set[Point]:
-    """The beta of [lo, hi] with F(E, f - beta) empty: the box minus E's
-    reflected window of the layer P[1], F being the union of the singleton
-    open fibers."""
-    box, strides = _layout(lo, hi)
-    occupied = _reflected(E, f, lo, hi, E.fiber_layers[0][1])
-    return {_point(i, lo, strides) for i in _bits(box & ~occupied)}
+    """The beta of [lo, hi] with F(E, f - beta) empty, decoded from
+    :func:`_empty_mask`."""
+    return set(_points(_empty_mask(E, f, lo, hi), lo, hi))
+
+
+def _empty_mask(E: SmallRep, f: Point, lo: Point, hi: Point) -> int:
+    """The mask, in the layout of [lo, hi], of the beta with F(E, f - beta)
+    empty: the box minus E's reflected window of the layer P[1], F being
+    the union of the singleton open fibers."""
+    return _layout(lo, hi)[0] & ~_reflected(E, f, lo, hi, E.fiber_layers[0][1])
+
+
+def _fiber_region(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
+    """The dual box [lo, hi] and the mask, in its layout, of the fiber dual
+    {beta : F(EI, frobenius(EJ) - beta) = empty}, neither decoded nor
+    promoted."""
+    lo, hi, _ = _dual_box(EJ, EI)
+    return lo, hi, _empty_mask(EI, frobenius(EJ), lo, hi)
 
 
 def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
@@ -111,10 +124,9 @@ def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     region is returned with the outcome of a promotion attempt.
     """
     _require_same_r(EJ, EI)
-    lo, hi, U = _dual_box(EJ, EI)
-    f = frobenius(EJ)
-    points = _empty_fibers(EI, f, lo, hi)
-    rep, failure = _promote_region(EJ.r, points, hi, U)
+    lo, hi, region = _fiber_region(EJ, EI)
+    points = set(_points(region, lo, hi))
+    rep, failure = _promote_region(EJ.r, points, hi, vsub(hi, ones(EJ.r)))
     return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
 
 
@@ -160,15 +172,19 @@ def is_canonical(EJ: SmallRep, S: SmallRep) -> bool:
     agreement; disagreement is an internal soundness bug.
     """
     _require_same_r(EJ, S)
-    return _is_canonical(EJ, S, canonical_ideal(S), fiber_dual(EJ, S))
+    return _is_canonical(EJ, S, canonical_ideal(S), _fiber_region(EJ, S))
 
 
-def _is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep, fd: RegionSet) -> bool:
-    """:func:`is_canonical` from K = canonical_ideal(S) and fd =
-    fiber_dual(EJ, S), for callers that already hold them."""
+def _is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep,
+                  region: tuple[Point, Point, int]) -> bool:
+    """:func:`is_canonical` from K = canonical_ideal(S) and the fiber-dual
+    region ``_fiber_region(EJ, S)``, for callers that already hold them; the
+    fixpoint test compares EJ's window over the region's box with its
+    mask."""
     shift = vsub(frobenius(EJ), frobenius(S))
     by_translate = equals(EJ, translate(K, shift))
-    by_fixpoint = set(members(EJ, fd.box.lo, fd.box.hi)) == fd.points
+    lo, hi, mask = region
+    by_fixpoint = _window(EJ, lo, hi) == mask
     if by_translate != by_fixpoint:
         raise SoundnessError(
             f"canonicity tests disagree: translate={by_translate}, "

@@ -26,7 +26,8 @@ sweeps shift them, and the quotient behind ``duality.cd_difference`` shifts
 one window per small element of the divisor (for the top class ANDed over
 its box), so no box is walked point by point.  ``_least_conductor`` reads a
 point set's least conductor off the runs down the axes from its box top and
-checks the membership rule against the set in one mask comparison.
+checks the membership rule against the set by counting its clamp classes,
+building grids only to name the first point where the two disagree.
 """
 from __future__ import annotations
 
@@ -432,8 +433,14 @@ def members(E: SmallRep, lo: Point, hi: Point) -> list[Point]:
     """Members of E inside [lo, hi], in lexicographic order (window bit order)."""
     check_same_dim(lo, E.c)
     check_same_dim(hi, E.c)
-    strides = _strides(tuple(h - l + 1 for l, h in zip(lo, hi)))
-    return [_point(i, lo, strides) for i in _bits(_window(E, lo, hi))]
+    return _points(_window(E, lo, hi), lo, hi)
+
+
+def _points(mask: int, lo: Point, hi: Point) -> list[Point]:
+    """The points of [lo, hi] at the set bits of a mask in its layout, in
+    lexicographic order."""
+    strides = _layout(lo, hi)[1]
+    return [_point(i, lo, strides) for i in _bits(mask)]
 
 
 def _decision_box(E1: SmallRep, E2: SmallRep) -> tuple[Point, Point]:
@@ -468,10 +475,11 @@ def _least_conductor(P: SmallRep) -> SmallRep | str:
     window of a good ideal.
 
     P holds the set on [m, c], m its minimum and c the box top, which the
-    set treats as conducting; P need not be valid.  The candidates are the
-    h with [h, c] in the set, and their meet g must be one of them.  With
-    small the points below g, the rule ``q in E <=> meet(q, g) in small``
-    must agree with the set on P's grid [m - e, c].
+    set treats as conducting, and no point outside [m, c]; P need not be
+    valid otherwise.  The candidates are the h with [h, c] in the set, and
+    their meet g must be one of them.  With small the points below g, the
+    rule ``q in E <=> meet(q, g) in small`` must agree with the set on P's
+    grid [m - e, c].
     """
     c, small = P.c, P.small
     if c not in small:
@@ -489,13 +497,21 @@ def _least_conductor(P: SmallRep) -> SmallRep | str:
     # unchanged and cannot disagree with it.
     if g == c:
         return P
-    rep = SmallRep(P.r, P.m, g, frozenset(p for p in small if leq(p, g)))
+    # The rule's set on [m, c] is the disjoint union of the clamp classes
+    # {q : meet(q, g) = s} of the s in small below g, and the class of s has
+    # prod(c_k - g_k + 1) points over the axes with s_k = g_k.  The set lies
+    # in that union iff the meets with g of its points are all in it, and
+    # then equals it iff the sizes agree; only a disagreement builds grids.
+    meets = frozenset(tuple(map(min, p, g)) for p in small)
+    rep = SmallRep(P.r, P.m, g, meets & small)  # the points below g
+    size = sum(math.prod(y - x + 1 for u, x, y in zip(s, g, c) if u == x)
+               for s in rep.small)
+    if meets <= small and size == len(small):
+        return rep
     # bit order is lexicographic, so the lowest wrong bit is the least point
     wrong = P.grid.mask ^ _window(rep, P.grid.lo, c)
-    if wrong:
-        at = _point((wrong & -wrong).bit_length() - 1, P.grid.lo, P.grid.strides)
-        return f"membership rule disagrees with region at {at}"
-    return rep
+    at = _point((wrong & -wrong).bit_length() - 1, P.grid.lo, P.grid.strides)
+    return f"membership rule disagrees with region at {at}"
 
 
 @dataclass(frozen=True)

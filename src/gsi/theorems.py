@@ -11,14 +11,17 @@ box, the dual side over its reflection (f - box for a point f),
 bit-reversed so that both are indexed like the box.  Each relation is an
 AND or OR of masks, the first counterexample and equality witness in sweep
 order are lowest set bits, and the per-point ``length_step`` and ``rho``
-are left for the public API and for the values a report shows.
+are left for the public API and for the values a report shows.  The fibra
+and duality checks compare D's window over the dual box with the
+fiber-dual mask of ``duality._fiber_region`` the same way, so no fiber
+dual is decoded or promoted.
 Reports carry witnesses for equality cases and counterexamples for violated
 relations; a counterexample to one of the unconditional claims means an
 implementation bug and fails the build.
 
 A private check context holds what the checks of a triple share: each
-dual and fiber dual, K(S), the canonicity of EJ, and the length, rho and
-duality equality flags per sampled pair, each computed once on first use
+dual and fiber-dual region, K(S), the canonicity of EJ, and the length,
+rho and duality equality flags per sampled pair, each computed once on first use
 and keyed by value (SmallRep is canonical).  check_all makes one context
 that lives for its call; it holds values, never reports.
 """
@@ -28,11 +31,10 @@ from functools import reduce
 from operator import or_
 from typing import Any, Callable
 
-from .duality import _is_canonical, canonical_ideal, cd_difference, fiber_dual
+from .duality import _fiber_region, _is_canonical, canonical_ideal, cd_difference
 from .errors import InvalidIndexSet
 from .fiber import maximals, p_value, q_value
 from .ideal import (
-    RegionSet,
     SmallRep,
     _layout,
     _point,
@@ -41,7 +43,6 @@ from .ideal import (
     _window,
     equals,
     frobenius,
-    members,
     translate,
 )
 from .lattice import Point, check_same_dim, join, meet, ones, unit_vector, vadd, vsub
@@ -60,15 +61,15 @@ class _CheckContext:
     def dual(self, EJ: SmallRep, EI: SmallRep) -> SmallRep:
         return self._get(("dual", EJ, EI), lambda: cd_difference(EJ, EI))
 
-    def fiber_dual(self, EJ: SmallRep, EI: SmallRep) -> RegionSet:
-        return self._get(("fiber_dual", EJ, EI), lambda: fiber_dual(EJ, EI))
+    def fiber_region(self, EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
+        return self._get(("fiber_region", EJ, EI), lambda: _fiber_region(EJ, EI))
 
     def canonical(self, S: SmallRep) -> SmallRep:
         return self._get(("canonical", S), lambda: canonical_ideal(S))
 
     def is_canonical(self, EJ: SmallRep, S: SmallRep) -> bool:
         return self._get(("is_canonical", EJ, S), lambda: _is_canonical(
-            EJ, S, self.canonical(S), self.fiber_dual(EJ, S)))
+            EJ, S, self.canonical(S), self.fiber_region(EJ, S)))
 
     def equality(self, EJ: SmallRep, EI: SmallRep) -> tuple[bool, bool, bool]:
         """The equality flags of the length, rho and duality sweeps of a pair."""
@@ -129,24 +130,32 @@ def check_fibra(EJ: SmallRep, EI: SmallRep) -> CheckReport:
 
 
 def _check_fibra(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> CheckReport:
+    """D's window over the dual box against the fiber-dual mask: the first
+    counterexample is the lowest bit of D minus the region, the strictness
+    witness the lowest of the region minus D."""
     D = ctx.dual(EJ, EI)
-    fd = ctx.fiber_dual(EJ, EI)
-    rep = CheckReport(
-        "fibra", True,
-        f"beta over dual box [{list(fd.box.lo)}, {list(fd.box.hi)}]")
-    inside = members(D, fd.box.lo, fd.box.hi)
-    for beta in inside:
-        if beta not in fd.points:
-            rep.passed = False
-            rep.counterexamples.append(
-                {"beta": pt(beta),
-                 "note": "in CD-difference but fiber of frobenius(EJ) - beta is occupied"})
-            return rep
-    strict = sorted(fd.points.difference(inside))
+    lo, hi, region = ctx.fiber_region(EJ, EI)
+    rep = CheckReport("fibra", True, f"beta over dual box [{list(lo)}, {list(hi)}]")
+    inside = _window(D, lo, hi)
+    missing = inside & ~region
+    if missing:
+        rep.passed = False
+        rep.counterexamples.append(
+            {"beta": pt(_lowest(missing, lo, hi)),
+             "note": "in CD-difference but fiber of frobenius(EJ) - beta is occupied"})
+        return rep
+    strict = region & ~inside
     if strict:
-        rep.witnesses.append({"beta": pt(strict[0]), "note": "strict inclusion witness"})
+        rep.witnesses.append({"beta": pt(_lowest(strict, lo, hi)),
+                              "note": "strict inclusion witness"})
     rep.flags["strict"] = bool(strict)
     return rep
+
+
+def _lowest(mask: int, lo: Point, hi: Point) -> Point:
+    """The point of the lowest set bit of a nonzero mask in the layout of
+    [lo, hi]: its least point, as bit order is lexicographic order."""
+    return _point((mask & -mask).bit_length() - 1, lo, _layout(lo, hi)[1])
 
 
 def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None) -> CheckReport:
@@ -158,14 +167,12 @@ def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None) -> Chec
 def _check_duality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep,
                    S: SmallRep | None = None) -> CheckReport:
     D = ctx.dual(EJ, EI)
-    fd = ctx.fiber_dual(EJ, EI)
-    rep = CheckReport(
-        "duality", True,
-        f"beta over dual box [{list(fd.box.lo)}, {list(fd.box.hi)}]")
-    diffs = sorted(fd.points.symmetric_difference(members(D, fd.box.lo, fd.box.hi)))
+    lo, hi, region = ctx.fiber_region(EJ, EI)
+    rep = CheckReport("duality", True, f"beta over dual box [{list(lo)}, {list(hi)}]")
+    diffs = region ^ _window(D, lo, hi)
     rep.flags["equal"] = not diffs
     if diffs:
-        rep.witnesses.append({"beta": pt(diffs[0]),
+        rep.witnesses.append({"beta": pt(_lowest(diffs, lo, hi)),
                               "note": "fiber dual strictly larger here"})
     if S is not None:
         can = ctx.is_canonical(EJ, S)
@@ -173,7 +180,7 @@ def _check_duality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep,
         if can and diffs:
             rep.passed = False
             rep.counterexamples.append(
-                {"beta": pt(diffs[0]),
+                {"beta": pt(_lowest(diffs, lo, hi)),
                  "note": "EJ canonical but CD-difference misses this point"})
     return rep
 

@@ -64,6 +64,15 @@ def test_validate_output_pinned(capsys, data_dir, tmp_path):
         2, "", f"{bad}: line 4: expected integer, got 'x'\n")
 
 
+def test_validate_sparse_shrinking_document(capsys, tmp_path):
+    # five elements whose top 2 x 2 block shrinks the declared conductor
+    # (2000, 2000) to (1999, 1999)
+    doc = tmp_path / "sparse.gsi"
+    doc.write_text("gsi 1\nr 2\nmin 0 0\nconductor 2000 2000\nelem 0 0\n"
+                   + "".join(f"elem {x} {y}\n" for x in (1999, 2000) for y in (1999, 2000)))
+    assert run(capsys, "validate", str(doc)) == (0, f"{doc}: valid\n", "")
+
+
 def test_usage_errors(capsys, data_dir, tmp_path):
     assert run(capsys, "validate", str(tmp_path / "missing.gsi"))[0] == 2
     assert run(capsys, "nonsense")[0] == 2

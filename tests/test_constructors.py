@@ -316,6 +316,15 @@ def test_least_conductor_matches_shrink_conductor():
                             "membership rule disagrees with region"}
 
 
+def test_least_conductor_builds_no_grid_for_sparse_documents():
+    # the shrunk rule is checked by counting its clamp classes, so neither
+    # the 4M-bit grid of the provisional rep nor that of the result is built
+    m, c, pts = list(_sparse_documents(2000))[1]
+    E = from_small_elements(2, m, c, pts)
+    assert E.c == (1999, 1999) and E.small == {m, E.c}
+    assert "grid" not in vars(E), sorted(vars(E))
+
+
 def test_least_conductor_matches_box_sweep_on_dual_regions(monkeypatch):
     from test_grid import _semigroups
 

@@ -134,15 +134,30 @@ def test_is_canonical_examples(n1, ex2):
 def test_is_canonical_runs_both_tests(ex2, monkeypatch):
     import gsi.duality as duality
     from gsi.errors import SoundnessError
-    from gsi.ideal import RegionSet
 
     kx = canonical_ideal(ex2)
-    real = fiber_dual(kx, ex2)
+    lo, hi, _ = duality._fiber_region(kx, ex2)
     # an empty fiber dual fails the fixpoint test while the translate test holds
-    monkeypatch.setattr(duality, "fiber_dual",
-                        lambda EJ, EI: RegionSet(real.r, real.box, frozenset()))
+    monkeypatch.setattr(duality, "_fiber_region", lambda EJ, EI: (lo, hi, 0))
     with pytest.raises(SoundnessError, match="canonicity tests disagree"):
         is_canonical(kx, ex2)
+
+
+def test_is_canonical_promotes_once(ex2, node3, monkeypatch):
+    # the fixpoint test compares EJ's window with the fiber-dual mask, so
+    # the canonical ideal is the one region promoted
+    calls = [0]
+
+    def counted(*args, original=duality._promote_region):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(duality, "_promote_region", counted)
+    for S in (ex2, node3):
+        for EJ in (S, canonical_ideal(S)):
+            calls[0] = 0
+            is_canonical(EJ, S)
+            assert calls[0] == 1, (S, EJ, calls[0])
 
 
 def test_is_gorenstein_examples(n1, n2, node2, node3, ex2):

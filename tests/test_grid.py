@@ -7,11 +7,15 @@ of ``check_sum``, the per-point quantifier of ``cd_difference``, the
 per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
 ``fiber_dual`` and ``canonical_ideal``, the two fiber-table routines that
 ``ideal._closed_fibers`` replaced, the structural loop of
-``from_small_elements``, the per-row recursion of ``_window`` and the
-``members`` scan of ``search_member``.  The fast paths must give the same
-reports, regions and first counterexamples, byte for byte.
+``from_small_elements``, the per-row recursion of ``_window``, the
+``members`` scan of ``search_member`` and the point-set reads of the fiber
+dual in the fibra and duality checks and in ``_is_canonical``.  The fast
+paths must give the same reports, regions and first counterexamples, byte
+for byte.
 """
+import collections
 import functools
+import json
 import math
 import random
 
@@ -20,6 +24,8 @@ import pytest
 from gsi.constructors import _Box, from_small_elements, node, numerical, product, random_good
 from gsi.duality import (
     _dual_box,
+    _fiber_region,
+    _is_canonical,
     _promote_region,
     canonical_ideal,
     cd_difference,
@@ -41,11 +47,14 @@ from gsi.ideal import (
     _box_mask,
     _closed_fibers,
     _compatibility_failure,
+    _layout,
     _least_conductor,
+    _points,
     _repeat,
     _reversed_bits,
     _strides,
     _window,
+    equals,
     frobenius,
     is_subset,
     members,
@@ -57,6 +66,8 @@ from gsi.lattice import Box, Point, box_points, join, leq, meet, ones, vadd, vsu
 from gsi.oracle import materialize
 from gsi.report import CheckReport, pt
 from gsi.theorems import (
+    _check_duality,
+    _check_fibra,
     _check_rho,
     _CheckContext,
     _sweep_box,
@@ -860,6 +871,147 @@ def test_fiber_dual_and_canonical_match_point_sweeps():
             if E.contains(zero(S.r)):
                 want = _outcome(_old_canonical_ideal, E)
                 assert _outcome(canonical_ideal, E) == want, (name, E)
+
+
+# The former point-set reads of the fiber dual, kept verbatim: the context
+# held fiber_dual's decoded and promoted RegionSet, and the fibra and
+# duality checks and the fixpoint test of _is_canonical compared its points
+# with the members of D or EJ.
+class _OldContext(_CheckContext):
+    def fiber_dual(self, EJ: SmallRep, EI: SmallRep) -> RegionSet:
+        return self._get(("fiber_dual", EJ, EI), lambda: fiber_dual(EJ, EI))
+
+    def is_canonical(self, EJ: SmallRep, S: SmallRep) -> bool:
+        return self._get(("is_canonical", EJ, S), lambda: _old_is_canonical(
+            EJ, S, self.canonical(S), self.fiber_dual(EJ, S)))
+
+
+def _old_is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep, fd: RegionSet) -> bool:
+    """:func:`is_canonical` from K = canonical_ideal(S) and fd =
+    fiber_dual(EJ, S), for callers that already hold them."""
+    shift = vsub(frobenius(EJ), frobenius(S))
+    by_translate = equals(EJ, translate(K, shift))
+    by_fixpoint = set(members(EJ, fd.box.lo, fd.box.hi)) == fd.points
+    if by_translate != by_fixpoint:
+        raise SoundnessError(
+            f"canonicity tests disagree: translate={by_translate}, "
+            f"fiber fixpoint={by_fixpoint}")
+    return by_translate
+
+
+def _old_check_fibra(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> CheckReport:
+    D = ctx.dual(EJ, EI)
+    fd = ctx.fiber_dual(EJ, EI)
+    rep = CheckReport(
+        "fibra", True,
+        f"beta over dual box [{list(fd.box.lo)}, {list(fd.box.hi)}]")
+    inside = members(D, fd.box.lo, fd.box.hi)
+    for beta in inside:
+        if beta not in fd.points:
+            rep.passed = False
+            rep.counterexamples.append(
+                {"beta": pt(beta),
+                 "note": "in CD-difference but fiber of frobenius(EJ) - beta is occupied"})
+            return rep
+    strict = sorted(fd.points.difference(inside))
+    if strict:
+        rep.witnesses.append({"beta": pt(strict[0]), "note": "strict inclusion witness"})
+    rep.flags["strict"] = bool(strict)
+    return rep
+
+
+def _old_check_duality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep,
+                       S: SmallRep | None = None) -> CheckReport:
+    D = ctx.dual(EJ, EI)
+    fd = ctx.fiber_dual(EJ, EI)
+    rep = CheckReport(
+        "duality", True,
+        f"beta over dual box [{list(fd.box.lo)}, {list(fd.box.hi)}]")
+    diffs = sorted(fd.points.symmetric_difference(members(D, fd.box.lo, fd.box.hi)))
+    rep.flags["equal"] = not diffs
+    if diffs:
+        rep.witnesses.append({"beta": pt(diffs[0]),
+                              "note": "fiber dual strictly larger here"})
+    if S is not None:
+        can = ctx.is_canonical(EJ, S)
+        rep.flags["ej_canonical"] = can
+        if can and diffs:
+            rep.passed = False
+            rep.counterexamples.append(
+                {"beta": pt(diffs[0]),
+                 "note": "EJ canonical but CD-difference misses this point"})
+    return rep
+
+
+def _fiber_dual_reports(old: _CheckContext, new: _CheckContext, EJ: SmallRep,
+                        EI: SmallRep, S: SmallRep) -> list[str]:
+    """The fibra and duality reports (with and without S) from the former
+    and the mask checks, as JSON: equal, or the test fails."""
+    want = [_old_check_fibra(old, EJ, EI), _old_check_duality(old, EJ, EI, S),
+            _old_check_duality(old, EJ, EI)]
+    got = [_check_fibra(new, EJ, EI), _check_duality(new, EJ, EI, S),
+           _check_duality(new, EJ, EI)]
+    want = [json.dumps(r.to_dict()) for r in want]
+    assert [json.dumps(r.to_dict()) for r in got] == want, (EJ, EI, S)
+    return want
+
+
+def test_fiber_dual_checks_match_point_set_reference():
+    seen = collections.Counter()
+    for name, S in sorted(_semigroups().items()):
+        K = canonical_ideal(S)
+        ideals = _mixed_ideals(S, K, 5)
+        for EJ in ideals:
+            for EI in ideals:
+                fibra, duality, _ = map(json.loads, _fiber_dual_reports(
+                    _OldContext(), _CheckContext(), EJ, EI, S))
+                seen["strict"] += fibra["flags"]["strict"]
+                seen["differs"] += not duality["flags"]["equal"]
+                seen["canonical"] += duality["flags"]["ej_canonical"]
+            want = _old_is_canonical(EJ, S, K, fiber_dual(EJ, S))
+            assert _is_canonical(EJ, S, K, _fiber_region(EJ, S)) == want, (name, EJ)
+            seen["not_canonical"] += not want
+    # non-canonical EJ: strict inclusions and differing duals
+    assert min(seen.values()) >= 20, seen
+
+
+def test_fiber_dual_checks_match_reference_on_planted_regions():
+    # wrong regions reach the counterexample branches: a point of D taken
+    # out fails fibra, and with EJ canonical it fails duality too; a
+    # disagreeing fixpoint test fails _is_canonical
+    rng = random.Random(47)
+    seen = collections.Counter()
+    for name, S in sorted(_semigroups().items()):
+        K = canonical_ideal(S)
+        for EJ in (S, K, translate(K, ones(S.r))):
+            can = _old_is_canonical(EJ, S, K, fiber_dual(EJ, S))
+            for EI in (S, K, random_good(S, 3)):
+                lo, hi, region = _fiber_region(EJ, EI)
+                inside = _window(cd_difference(EJ, EI), lo, hi)
+                box = _layout(lo, hi)[0]
+                planted = [region ^ (1 << rng.randrange(box.bit_length()))
+                           for _ in range(3)]
+                planted += [region & ~(1 << rng.choice(_bits(inside))),
+                            region & rng.getrandbits(box.bit_length()), 0, box]
+                for mask in planted:
+                    old, new = _OldContext(), _CheckContext()
+                    old.values["is_canonical", EJ, S] = can
+                    new.values["is_canonical", EJ, S] = can
+                    old.values["fiber_dual", EJ, EI] = RegionSet(
+                        S.r, Box(lo, hi), frozenset(_points(mask, lo, hi)))
+                    new.values["fiber_region", EJ, EI] = lo, hi, mask
+                    fibra, duality, _ = map(json.loads, _fiber_dual_reports(
+                        old, new, EJ, EI, S))
+                    seen["fibra_fail"] += not fibra["passed"]
+                    seen["duality_fail"] += not duality["passed"]
+                    seen["strict"] += fibra["passed"] and fibra["flags"]["strict"]
+                    if EI == S:
+                        region_set = old.values["fiber_dual", EJ, EI]
+                        want = _outcome(_old_is_canonical, EJ, S, K, region_set)
+                        got = _outcome(_is_canonical, EJ, S, K, (lo, hi, mask))
+                        assert got == want, (name, EJ, mask)
+                        seen["disagree"] += isinstance(want, tuple)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_sweeps_work_bounded_by_reports(ex2, node3, monkeypatch):

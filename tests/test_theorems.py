@@ -227,7 +227,7 @@ def test_check_all_computes_each_value_once(ex2, node2, node3, monkeypatch):
 
         monkeypatch.setattr(theorems, name, wrapper)
 
-    for name in ("cd_difference", "fiber_dual", "canonical_ideal", "_is_canonical"):
+    for name in ("cd_difference", "_fiber_region", "canonical_ideal", "_is_canonical"):
         counted(name)
     for S, EJ, EI in _golden_triples(ex2, node2, node3).values():
         calls.clear()
@@ -235,6 +235,38 @@ def test_check_all_computes_each_value_once(ex2, node2, node3, monkeypatch):
         assert calls and set(calls.values()) == {1}, calls.most_common(3)
         names = collections.Counter(name for name, _ in calls)
         assert names["canonical_ideal"] == names["_is_canonical"] == 1
+
+
+def test_check_all_promotes_no_fiber_dual(ex2, node2, node3, monkeypatch):
+    # the fibra and duality checks and the canonicity fixpoint read the fiber
+    # dual as a mask, so the only regions promoted are the context's distinct
+    # duals and canonical ideals
+    import collections
+
+    import gsi.duality as duality
+    import gsi.theorems as theorems
+
+    calls = collections.Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(duality, "_promote_region")
+    counted(duality, "fiber_dual")
+    counted(theorems, "cd_difference")
+    counted(theorems, "canonical_ideal")
+    for S, EJ, EI in _golden_triples(ex2, node2, node3).values():
+        calls.clear()
+        check_all(S, EJ, EI)
+        assert calls["fiber_dual"] == 0, calls
+        assert calls["_promote_region"] == (
+            calls["cd_difference"] + calls["canonical_ideal"]), calls
 
 
 def test_check_all_reports_failing_sweep(ex2, capsys, data_dir, monkeypatch):

@@ -22,9 +22,11 @@ from .ideal import (
     _box_mask,
     _closed_fibers,
     _compatibility_failure,
+    _doubling_steps,
     _least_conductor,
     _point,
     _repeat,
+    _split_pairs,
     _strides,
     validate,
 )
@@ -122,9 +124,10 @@ class _Box:
     axis fastest, so bit order is lexicographic order) but with no row below
     m, and holding a point set, which, unlike an ideal, has nothing past c.
     A point is held by its row offsets t = p - m.  Per axis k and row v,
-    ``below[k][v]`` is the mask of the points with t_k < v, and ``eq``,
-    ``ge`` and ``gt`` those with t_k = v, t_k >= v and t_k > v.  ``steps``
-    holds the doubling steps of each axis, kept for the fiber tables
+    ``below[k][v]`` is the mask of the points with t_k < v, and ``eq`` and
+    ``ge`` those with t_k = v and t_k >= v (so t_k > v is ``ge[k][v + 1]``).
+    ``steps`` holds the doubling steps of each axis
+    (``ideal._doubling_steps``), kept for the fiber tables
     (``ideal._closed_fibers``) of every round."""
 
     def __init__(self, m: Point, c: Point):
@@ -133,19 +136,14 @@ class _Box:
         self.strides = strides = _strides(dims)
         size = math.prod(dims)
         whole = (1 << size) - 1
-        self.below, self.eq, self.ge, self.gt, self.steps = [], [], [], [], []
+        self.steps = [list(_doubling_steps(dims, strides, k)) for k in range(len(dims))]
+        self.below, self.eq, self.ge = [], [], []
         for d, s in zip(dims, strides):
             starts = _repeat(1, d * s, size // (d * s))  # bit 0 of each k-line
             below = [((1 << v * s) - 1) * starts for v in range(d + 1)]
             self.below.append(below)
             self.eq.append([below[v + 1] ^ below[v] for v in range(d)])
-            self.ge.append([whole ^ b for b in below[:d]])
-            self.gt.append([whole ^ b for b in below[1:]])
-            # the doubling steps of a suffix OR along k, as
-            # ideal._doubling_steps gives them, with their keep masks
-            # taken from below
-            self.steps.append([(s << i, below[d - (1 << i)])
-                               for i in range((d - 1).bit_length())])
+            self.ge.append([whole ^ b for b in below])
 
     def index(self, p: Point) -> int:
         return sum((x - l) * s for x, l, s in zip(p, self.m, self.strides))
@@ -159,7 +157,7 @@ class _Box:
         for k, v in enumerate(t):
             if not mask:
                 break
-            mask &= (self.eq if J >> k & 1 else self.ge if closed else self.gt)[k][v]
+            mask &= self.eq[k][v] if J >> k & 1 else self.ge[k][v if closed else v + 1]
         return mask
 
     def shift(self, M: int, d: tuple[int, ...]) -> int:
@@ -186,11 +184,11 @@ def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
     open (K | Ja)-fiber of t and b in the open (K | Jb)-fiber, Ja and Jb
     the axes of J = full ^ K where a and b equal t.  So the t with such a
     pair are ``pairs``, the OR over the unordered splits of J of the ANDs of
-    open-table entries (the open J-fiber of t being the closed one at t + 1
-    on the free axes, empty past c).  At k in K with t_k < c_k the pair
-    demands a point of M in the closed J-fiber of x = t + e_k; the demands
-    failing on M are ``pairs`` below the top row of k and off T[J] read at
-    t + e_k (T[J] shifted down one row along k).
+    open-table entries (``ideal._split_pairs``; the open J-fiber of t being
+    the closed one at t + 1 on the free axes, empty past c).  At k in K with
+    t_k < c_k the pair demands a point of M in the closed J-fiber of
+    x = t + e_k; the demands failing on M are ``pairs`` below the top row of
+    k and off T[J] read at t + e_k (T[J] shifted down one row along k).
 
     Replayed in the order of the first point a of their first pair, a
     failing demand adds x iff its fiber holds none of the points added
@@ -218,15 +216,7 @@ def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
     demands = []
     for K in range(1, full):
         J = full ^ K
-        # each unordered split once: Jb runs over the subsets of J without
-        # its lowest axis, and Ja is the rest of J
-        rest = J & J - 1
-        Jb, pairs = rest, 0
-        while True:
-            pairs |= O[K | J ^ Jb] & O[K | Jb]
-            if not Jb:
-                break
-            Jb = Jb - 1 & rest
+        pairs = _split_pairs(O, K, J)
         failing, union = {}, 0
         for k in range(r):
             if K >> k & 1:

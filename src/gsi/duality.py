@@ -25,8 +25,6 @@ valid inputs.
 """
 from __future__ import annotations
 
-from functools import reduce
-
 from .errors import BoundaryInstabilityError, SoundnessError
 from .ideal import (
     RegionSet,
@@ -45,7 +43,7 @@ from .ideal import (
     translate,
     validate,
 )
-from .lattice import Box, Point, join, meet, ones, vadd, vsub, zero
+from .lattice import Box, Point, join, ones, vadd, vsub, zero
 
 
 def _dual_box(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, Point]:
@@ -67,7 +65,7 @@ def _promote_region(r: int, points: set[Point], hi: Point,
     """
     if not points:
         return None, "empty region"
-    m = reduce(meet, points)
+    m = tuple(map(min, zip(*points)))
     if m not in points:
         return None, f"no minimum: meet of region is {m}, not a region point"
     if U not in points:

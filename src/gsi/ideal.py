@@ -566,6 +566,19 @@ def _in_fiber(points: list[Point], x: Point, J: int) -> bool:
     return False
 
 
+def _split_pairs(O: Sequence[int], K: int, J: int) -> int:
+    """The OR of O[K | Ja] & O[K | Jb] over the splits of J into Ja and Jb,
+    O an open table: each unordered split once, as Jb runs over the subsets
+    of J without its lowest axis and Ja is the rest of J."""
+    rest = J & J - 1
+    Jb, pairs = rest, 0
+    while True:
+        pairs |= O[K | J ^ Jb] & O[K | Jb]
+        if not Jb:
+            return pairs
+        Jb = Jb - 1 & rest
+
+
 def _pairs_good(E: SmallRep) -> bool:
     """Whether every pair of small elements passes E1 and E2, read off the
     fiber table T and the open table O.  E must be structurally valid.
@@ -587,15 +600,7 @@ def _pairs_good(E: SmallRep) -> bool:
             return False
     for K in range(1, full):
         J = full ^ K
-        # each unordered split once: Jb runs over the subsets of J without
-        # its lowest axis, and Ja is the rest of J
-        rest = J & J - 1
-        Jb, pairs = rest, 0
-        while True:
-            pairs |= O[K | J ^ Jb] & O[K | Jb]
-            if not Jb:
-                break
-            Jb = Jb - 1 & rest
+        pairs = _split_pairs(O, K, J)
         if pairs:
             for i in range(E.r):
                 if K >> i & 1 and pairs & ~E.up(T[J], i):

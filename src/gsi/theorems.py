@@ -23,7 +23,8 @@ A private check context holds what the checks of a triple share: each
 dual and fiber-dual region, K(S), the canonicity of EJ, and the length,
 rho and duality equality flags per sampled pair, each computed once on first use
 and keyed by value (SmallRep is canonical).  check_all makes one context
-that lives for its call; it holds values, never reports.
+that lives for its call and passes it to the public checks as ``ctx``; a
+check called without one makes its own.  It holds values, never reports.
 """
 from __future__ import annotations
 
@@ -75,8 +76,8 @@ class _CheckContext:
         """The equality flags of the length, rho and duality sweeps of a pair."""
         return self._get(("equality", EJ, EI), lambda: _equality_flags(
             check_length_pairing(EJ, EI, self.dual(EJ, EI)),
-            _check_rho(self, EI, EJ),
-            _check_duality(self, EJ, EI)))
+            check_rho(EI, EJ, ctx=self),
+            check_duality(EJ, EI, ctx=self)))
 
 
 def _equality_flags(length: CheckReport, rho_rep: CheckReport,
@@ -124,15 +125,15 @@ def check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckRep
     return rep
 
 
-def check_fibra(EJ: SmallRep, EI: SmallRep) -> CheckReport:
-    """The CD-difference sits inside the fiber-formula dual (inclusion only)."""
-    return _check_fibra(_CheckContext(), EJ, EI)
+def check_fibra(EJ: SmallRep, EI: SmallRep, *,
+                ctx: _CheckContext | None = None) -> CheckReport:
+    """The CD-difference sits inside the fiber-formula dual (inclusion only).
 
-
-def _check_fibra(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> CheckReport:
-    """D's window over the dual box against the fiber-dual mask: the first
+    D's window over the dual box against the fiber-dual mask: the first
     counterexample is the lowest bit of D minus the region, the strictness
-    witness the lowest of the region minus D."""
+    witness the lowest of the region minus D.
+    """
+    ctx = ctx or _CheckContext()
     D = ctx.dual(EJ, EI)
     lo, hi, region = ctx.fiber_region(EJ, EI)
     rep = CheckReport("fibra", True, f"beta over dual box [{list(lo)}, {list(hi)}]")
@@ -158,14 +159,11 @@ def _lowest(mask: int, lo: Point, hi: Point) -> Point:
     return _point((mask & -mask).bit_length() - 1, lo, _layout(lo, hi)[1])
 
 
-def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None) -> CheckReport:
+def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None, *,
+                  ctx: _CheckContext | None = None) -> CheckReport:
     """Set equality of CD-difference and fiber dual over the dual box,
     cross-referenced with canonicity of EJ when a semigroup is supplied."""
-    return _check_duality(_CheckContext(), EJ, EI, S)
-
-
-def _check_duality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep,
-                   S: SmallRep | None = None) -> CheckReport:
+    ctx = ctx or _CheckContext()
     D = ctx.dual(EJ, EI)
     lo, hi, region = ctx.fiber_region(EJ, EI)
     rep = CheckReport("duality", True, f"beta over dual box [{list(lo)}, {list(hi)}]")
@@ -241,19 +239,12 @@ def rho(EI: SmallRep, EJ: SmallRep, alpha: Point,
     return p_value(EI, alpha) + q_value(D, vsub(frobenius(EJ), alpha)) - 1
 
 
-def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None) -> CheckReport:
+def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None, *,
+              ctx: _CheckContext | None = None) -> CheckReport:
     """rho >= r on a full sweep; equality everywhere is the canonicity flag.
 
     Cross-references is_canonical(EJ, S) when a semigroup context is
-    supplied.
-    """
-    return _check_rho(_CheckContext(), EI, EJ, S)
-
-
-def _check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
-               S: SmallRep | None = None) -> CheckReport:
-    """The rho sweep on masks over the box, indexed like it.
-
+    supplied.  The sweep runs on masks over the box, indexed like it.
     With f = frobenius(EJ), A_k (p < k at alpha) is the window of EI's layer
     P[k] over the box, and B_k (q <= k at f - alpha) the window of D's layer
     Q[k] over f - box, reversed; A_{r+1} and B_{r+1} are the whole box.
@@ -261,6 +252,7 @@ def _check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
     complement of the OR over a <= r of A_{a+1} & B_{r+1-a}, and rho itself
     is evaluated only where reported.
     """
+    ctx = ctx or _CheckContext()
     D = ctx.dual(EJ, EI)
     r = EJ.r
     f = frobenius(EJ)
@@ -288,8 +280,8 @@ def _check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
     return rep
 
 
-def check_maximal_symmetry(EI: SmallRep, EJ: SmallRep,
-                           S: SmallRep | None = None) -> CheckReport:
+def check_maximal_symmetry(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None, *,
+                           ctx: _CheckContext | None = None) -> CheckReport:
     """Maximal points pair up under alpha -> frobenius(EJ) - alpha.
 
     Conditionally (both memberships assumed) maximality transfers both ways
@@ -301,11 +293,7 @@ def check_maximal_symmetry(EI: SmallRep, EJ: SmallRep,
     EJ canonical (semigroup context required) the pairing is unconditional: a
     bijection of maximal sets with the type map (p, q) -> (r + 1 - q, r + 1 - p).
     """
-    return _check_maximal_symmetry(_CheckContext(), EI, EJ, S)
-
-
-def _check_maximal_symmetry(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
-                            S: SmallRep | None = None) -> CheckReport:
+    ctx = ctx or _CheckContext()
     D = ctx.dual(EJ, EI)
     B = ctx.dual(EJ, D)
     T = ctx.dual(EJ, B)  # third dual; always equal to D, and D itself if B == EI
@@ -423,11 +411,11 @@ def check_all(S: SmallRep, EJ: SmallRep, EI: SmallRep,
     D = ctx.dual(EJ, EI)
     reports = [
         check_sum(EJ, EI, D),
-        _check_fibra(ctx, EJ, EI),
-        _check_duality(ctx, EJ, EI, S),
+        check_fibra(EJ, EI, ctx=ctx),
+        check_duality(EJ, EI, S, ctx=ctx),
         check_length_pairing(EJ, EI, D),
-        _check_rho(ctx, EI, EJ, S),
-        _check_maximal_symmetry(ctx, EI, EJ, S),
+        check_rho(EI, EJ, S, ctx=ctx),
+        check_maximal_symmetry(EI, EJ, S, ctx=ctx),
     ]
     # the consistency sweep samples (EJ, EI) too
     ctx.values["equality", EJ, EI] = _equality_flags(reports[3], reports[4], reports[2])

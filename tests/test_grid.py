@@ -66,12 +66,12 @@ from gsi.lattice import Box, Point, box_points, join, leq, meet, ones, vadd, vsu
 from gsi.oracle import materialize
 from gsi.report import CheckReport, pt
 from gsi.theorems import (
-    _check_duality,
-    _check_fibra,
-    _check_rho,
     _CheckContext,
     _sweep_box,
+    check_duality,
+    check_fibra,
     check_length_pairing,
+    check_rho,
     check_sum,
     length_step,
     rho,
@@ -838,7 +838,7 @@ def test_length_and_rho_match_point_sweeps():
                         old, new = _CheckContext(), _CheckContext()
                         old.values["dual", EJ, EI] = new.values["dual", EJ, EI] = cand
                         want = _old_check_rho(old, EI, EJ, context).to_dict()
-                        got = _check_rho(new, EI, EJ, context).to_dict()
+                        got = check_rho(EI, EJ, context, ctx=new).to_dict()
                         assert got == want, (name, EJ, EI, cand, context)
                         fail = not want["passed"]
                         seen["rho_fail"] += fail
@@ -949,8 +949,8 @@ def _fiber_dual_reports(old: _CheckContext, new: _CheckContext, EJ: SmallRep,
     and the mask checks, as JSON: equal, or the test fails."""
     want = [_old_check_fibra(old, EJ, EI), _old_check_duality(old, EJ, EI, S),
             _old_check_duality(old, EJ, EI)]
-    got = [_check_fibra(new, EJ, EI), _check_duality(new, EJ, EI, S),
-           _check_duality(new, EJ, EI)]
+    got = [check_fibra(EJ, EI, ctx=new), check_duality(EJ, EI, S, ctx=new),
+           check_duality(EJ, EI, ctx=new)]
     want = [json.dumps(r.to_dict()) for r in want]
     assert [json.dumps(r.to_dict()) for r in got] == want, (EJ, EI, S)
     return want

@@ -1,7 +1,7 @@
 """Source hygiene of the package, read with the standard library's ast: no
 module imports a name it never uses, and every private module-level function
 and every method or property of a class is referenced somewhere in the
-package."""
+package, and no module defines both a name and a private twin _name of it."""
 import ast
 import pathlib
 
@@ -58,6 +58,39 @@ def test_private_functions_are_referenced():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in referenced]
     assert not dead, f"private functions nothing in the package calls: {dead}"
+
+
+# Private module-level names that share a name with a public one, each with
+# its reason.
+PRIVATE_TWINS = {
+    # takes K(S) and the fiber region, so that the check context can share
+    # them; is_canonical computes both itself, and duality cannot import the
+    # context from theorems
+    "duality._is_canonical",
+}
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_no_private_twins():
+    # a public name and a private body of it are one function split in two:
+    # a trace of one never shows the calls made through the other
+    twins = []
+    for name, tree in _modules().items():
+        defined = _module_names(tree)
+        twins += [f"{name[:-3]}.{n}" for n in sorted(defined)
+                  if n.startswith("_") and not n.startswith("__") and n[1:] in defined]
+    twins = [t for t in twins if t not in PRIVATE_TWINS]
+    assert not twins, f"private twins of public names: {twins}"
 
 
 # Public methods the package does not call itself, each with its reason.

@@ -10,7 +10,6 @@ from gsi.lattice import box_points, join, meet, ones, vadd, vsub
 from gsi.report import CheckReport, pt
 from gsi.theorems import (
     _CheckContext,
-    _check_maximal_symmetry,
     check_all,
     check_duality,
     check_fibra,
@@ -269,6 +268,34 @@ def test_check_all_promotes_no_fiber_dual(ex2, node2, node3, monkeypatch):
             calls["cd_difference"] + calls["canonical_ideal"]), calls
 
 
+def test_check_all_calls_the_public_checks(ex2, monkeypatch):
+    # the bench tracer times the public check names in the theorems
+    # namespace, so check_all must run its work through them
+    import collections
+
+    import gsi.theorems as theorems
+
+    K = canonical_ideal(ex2)
+    want = [r.to_dict() for r in check_all(ex2, K, ex2)]
+    calls = collections.Counter()
+    names = ("check_sum", "check_fibra", "check_duality", "check_length_pairing",
+             "check_rho", "check_maximal_symmetry")
+
+    def counted(name):
+        original = getattr(theorems, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, name, wrapper)
+
+    for name in names:
+        counted(name)
+    assert [r.to_dict() for r in check_all(ex2, K, ex2)] == want
+    assert all(calls[name] >= 1 for name in names), calls
+
+
 def test_check_all_reports_failing_sweep(ex2, capsys, data_dir, monkeypatch):
     # a sweep that finds a counterexample stops before its equality flag;
     # check_all and the CLI must still report, not raise
@@ -384,7 +411,7 @@ def test_maximal_symmetry_matches_box_walk():
                 for context in (None, S):
                     ctx = _CheckContext()
                     want = _old_check_maximal_symmetry(ctx, EI, EJ, context).to_dict()
-                    got = _check_maximal_symmetry(ctx, EI, EJ, context).to_dict()
+                    got = check_maximal_symmetry(EI, EJ, context, ctx=ctx).to_dict()
                     assert got == want, (S, EJ, EI, context)
                 seen["skipped"] += bool(want["flags"]["skipped"])
                 seen["pairs"] += bool(want["flags"]["pairs_checked"])
@@ -400,11 +427,11 @@ def test_maximal_symmetry_wrong_bidual_fails_p_side(ex2):
     K = canonical_ideal(ex2)
     D = cd_difference(K, ex2)
     B = cd_difference(K, D)
-    assert _check_maximal_symmetry(_CheckContext(), ex2, K, None).passed
+    assert check_maximal_symmetry(ex2, K).passed
     for wrong in (translate(B, (1, 1)), translate(B, (-1, -1))):
         ctx = _CheckContext()
         ctx.values["dual", K, D] = wrong
-        rep = _check_maximal_symmetry(ctx, ex2, K, None)
+        rep = check_maximal_symmetry(ex2, K, ctx=ctx)
         assert not rep.passed
         typed = [c for c in rep.counterexamples if "formula_type" in c]
         assert len(typed) == rep.flags["pairs_checked"] == 3

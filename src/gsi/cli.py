@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 the claim holds, 1 the claim fails (counterexample printed),
-2 usage or input error.
+2 usage or input error, running out of memory on an oversized input among
+them.
 
 ``main`` parses with one parser tree per process, built by
 :func:`build_parser` on the first call and reused after it.  Building the
@@ -338,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except (GsiError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -17,6 +17,7 @@ import random
 
 from .errors import GenerationError, ValidationError
 from .ideal import (
+    Layout,
     SmallRep,
     _bits,
     _box_mask,
@@ -24,10 +25,8 @@ from .ideal import (
     _compatibility_failure,
     _doubling_steps,
     _least_conductor,
-    _point,
     _repeat,
     _split_pairs,
-    _strides,
     validate,
 )
 from .lattice import Point, leq, meet, ones, zero
@@ -120,36 +119,27 @@ def product(A: SmallRep, B: SmallRep) -> SmallRep:
 
 
 class _Box:
-    """The box [m, c] as bit masks, laid out like ``ideal.Grid`` (the last
-    axis fastest, so bit order is lexicographic order) but with no row below
-    m, and holding a point set, which, unlike an ideal, has nothing past c.
-    A point is held by its row offsets t = p - m.  Per axis k and row v,
-    ``below[k][v]`` is the mask of the points with t_k < v, and ``eq`` and
-    ``ge`` those with t_k = v and t_k >= v (so t_k > v is ``ge[k][v + 1]``).
-    ``steps`` holds the doubling steps of each axis
-    (``ideal._doubling_steps``), kept for the fiber tables
-    (``ideal._closed_fibers``) of every round."""
+    """The box [m, c] as bit masks in ``layout`` (``ideal.Layout``, whose
+    bit order is lexicographic order), holding a point set, which, unlike
+    an ideal, has no row below m and nothing past c.  Per axis k and row
+    offset v, ``below[k][v]`` is the mask of the points p with
+    t_k = p_k - m_k < v, and ``eq`` and ``ge`` those with t_k = v and
+    t_k >= v (so t_k > v is ``ge[k][v + 1]``).  ``steps`` holds the
+    doubling steps of each axis (``ideal._doubling_steps``), kept for the
+    fiber tables (``ideal._closed_fibers``) of every round."""
 
     def __init__(self, m: Point, c: Point):
-        self.m = m
-        self.dims = dims = tuple(h - l + 1 for l, h in zip(m, c))
-        self.strides = strides = _strides(dims)
-        size = math.prod(dims)
-        whole = (1 << size) - 1
-        self.steps = [list(_doubling_steps(dims, strides, k)) for k in range(len(dims))]
+        self.layout = layout = Layout.of(m, c)
+        size = math.prod(layout.dims)
+        whole = layout.whole
+        self.steps = [list(_doubling_steps(layout, k)) for k in range(len(m))]
         self.below, self.eq, self.ge = [], [], []
-        for d, s in zip(dims, strides):
+        for d, s in zip(layout.dims, layout.strides):
             starts = _repeat(1, d * s, size // (d * s))  # bit 0 of each k-line
             below = [((1 << v * s) - 1) * starts for v in range(d + 1)]
             self.below.append(below)
             self.eq.append([below[v + 1] ^ below[v] for v in range(d)])
             self.ge.append([whole ^ b for b in below])
-
-    def index(self, p: Point) -> int:
-        return sum((x - l) * s for x, l, s in zip(p, self.m, self.strides))
-
-    def offsets(self, i: int) -> Point:
-        return _point(i, (0,) * len(self.dims), self.strides)
 
     def fiber(self, mask: int, t: Point, J: int, closed: bool) -> int:
         """The points of mask equal to t on the axes of J and at least t
@@ -166,7 +156,7 @@ class _Box:
         doubling shifts, land on the top row."""
         for k, dk in enumerate(d):
             if dk:
-                s, low = self.strides[k], self.dims[k] - 1 - dk
+                s, low = self.layout.strides[k], self.layout.dims[k] - 1 - dk
                 fold, width = M, 1
                 while width <= dk:
                     step = min(width, dk + 1 - width)
@@ -206,13 +196,15 @@ def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
     the open (K | J ^ Z)-fiber of t), so whole patterns Z are dropped until
     the least point left has one.
     """
-    r = len(box.dims)
+    _, dims, strides = box.layout
+    r = len(dims)
+    offsets = Layout(zero(r), dims, strides)  # bits read as row offsets t
     full = (1 << r) - 1
     O = list(T)  # open fibers
     for J in range(1, full):
         for k in range(r):
             if not J >> k & 1:
-                O[J] = O[J] >> box.strides[k] & box.below[k][box.dims[k] - 1]
+                O[J] = O[J] >> strides[k] & box.below[k][dims[k] - 1]
     demands = []
     for K in range(1, full):
         J = full ^ K
@@ -220,21 +212,21 @@ def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
         failing, union = {}, 0
         for k in range(r):
             if K >> k & 1:
-                F = pairs & box.below[k][box.dims[k] - 1] & ~(T[J] >> box.strides[k])
+                F = pairs & box.below[k][dims[k] - 1] & ~(T[J] >> strides[k])
                 if F:
                     failing[k] = F
                     union |= F
         for i in _bits(union):
-            t = box.offsets(i)
+            t = offsets.point(i)
             G = box.fiber(M, t, K, True)
             while True:
                 a = (G & -G).bit_length() - 1
-                Z = sum(1 << j for j, (u, v) in enumerate(zip(box.offsets(a), t))
+                Z = sum(1 << j for j, (u, v) in enumerate(zip(offsets.point(a), t))
                         if J >> j & 1 and u == v)
                 if O[K | J ^ Z] >> i & 1:
                     break
                 G &= ~box.fiber(-1, t, K | Z, False)
-            demands += [(a, i + box.strides[k], J, t[:k] + (t[k] + 1,) + t[k + 1:])
+            demands += [(a, i + strides[k], J, t[:k] + (t[k] + 1,) + t[k + 1:])
                         for k, F in failing.items() if F >> i & 1]
     added = 0
     for _, bit, J, x in sorted(demands):
@@ -273,14 +265,16 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     (``_e2_repairs``).
     """
     box = _Box(m, c)
+    layout = box.layout
     M = 0
     for p in pts:
-        M |= 1 << box.index(p)
+        M |= 1 << layout.index(p)
     shifts = []
     if S is not None:
         base = tuple(min(x + y, z) for x, y, z in zip(m, S.c, c))
-        M |= _box_mask(box.dims, tuple(z - b + 1 for b, z in zip(base, c))) << box.index(base)
-        top = tuple(d - 1 for d in box.dims)
+        sub = tuple(z - b + 1 for b, z in zip(base, c))
+        M |= _box_mask(layout.dims, sub) << layout.index(base)
+        top = tuple(d - 1 for d in layout.dims)
         for s in sorted(S.small):
             d = tuple(map(min, s, top))
             if any(d) and d != top:
@@ -297,7 +291,7 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
         if M != prev:  # else the round's fibers are still M's
             T = _closed_fibers(M, box.steps)
         M |= _e2_repairs(box, M, T)
-    return {_point(i, m, box.strides) for i in _bits(M)}
+    return set(layout.points(M))
 
 
 def random_good(S: SmallRep, seed: int, *, max_width: int = 4,

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from .errors import BoundaryInstabilityError, SoundnessError
 from .ideal import (
+    Layout,
     RegionSet,
     SmallRep,
     _compatibility_failure,
-    _layout,
     _least_conductor,
-    _points,
     _quotient,
     _reflected,
     _require_same_r,
@@ -94,17 +93,11 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     return rep
 
 
-def _empty_fibers(E: SmallRep, f: Point, lo: Point, hi: Point) -> set[Point]:
-    """The beta of [lo, hi] with F(E, f - beta) empty, decoded from
-    :func:`_empty_mask`."""
-    return set(_points(_empty_mask(E, f, lo, hi), lo, hi))
-
-
 def _empty_mask(E: SmallRep, f: Point, lo: Point, hi: Point) -> int:
     """The mask, in the layout of [lo, hi], of the beta with F(E, f - beta)
     empty: the box minus E's reflected window of the layer P[1], F being
     the union of the singleton open fibers."""
-    return _layout(lo, hi)[0] & ~_reflected(E, f, lo, hi, E.fiber_layers[0][1])
+    return Layout.of(lo, hi).whole & ~_reflected(E, f, lo, hi, E.fiber_layers[0][1])
 
 
 def _fiber_region(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
@@ -123,7 +116,7 @@ def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     """
     _require_same_r(EJ, EI)
     lo, hi, region = _fiber_region(EJ, EI)
-    points = set(_points(region, lo, hi))
+    points = set(Layout.of(lo, hi).points(region))
     rep, failure = _promote_region(EJ.r, points, hi, vsub(hi, ones(EJ.r)))
     return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
 
@@ -144,7 +137,7 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     lo = vsub(vsub(S.m, span), e)
     hi = S.c
     f = frobenius(S)
-    points = _empty_fibers(S, f, lo, hi)
+    points = set(Layout.of(lo, hi).points(_empty_mask(S, f, lo, hi)))
     face = min((p for p in points if any(x == l for x, l in zip(p, lo))), default=None)
     if face is not None:
         raise BoundaryInstabilityError(

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ideal import SmallRep, _bits, _point, search_member
+from .ideal import SmallRep, _bits, search_member
 from .lattice import Point, check_same_dim, normalize_index_set
 
 
@@ -119,9 +119,8 @@ def maximals(E: SmallRep) -> list[MaximalInfo]:
     order.  Each is a point of [m, c - e]: a member with alpha_k >= c_k has
     alpha + N(e - e_k), which meets down to c, in its open {k}-fiber.
     """
-    g = E.grid
     out = []
-    for i in _bits(g.mask & ~E.fiber_layers[0][1]):
+    for i in _bits(E.grid & ~E.fiber_layers[0][1]):
         p, q = _pq(E, i)
-        out.append(MaximalInfo(_point(i, g.lo, g.strides), p, q, _classify(E.r, p, q)))
+        out.append(MaximalInfo(E.layout.point(i), p, q, _classify(E.r, p, q)))
     return out

@@ -12,13 +12,15 @@ fixture.  Everything here is immutable and pure.
 
 Membership, and with it every open or closed fiber, is constant on *clamp
 classes*: clamping each coordinate into [m_k - 1, c_k] changes nothing.  So
-an ideal is one bit mask over the grid [m - e, c] (:attr:`SmallRep.grid`),
-laid out with the last axis fastest, which makes bit order lexicographic
-order.  The fiber tables (a mask per index set, closed and open) and the
-(p, q) layers (a mask per fiber size) live on that grid too.  ``validate``
-decides E1 and E2 for all pairs of small elements from a few ANDs of table
-entries when the grid is no larger than the number of pairs.  Box questions
-read masks: ``members`` lists the set bits of E's window over a box
+an ideal is one bit mask (:attr:`SmallRep.grid`) over the grid [m - e, c],
+whose geometry is :attr:`SmallRep.layout`.  A :class:`Layout` is the one
+bit layout of every box mask here: the last axis fastest, which makes bit
+order lexicographic order, so a mask's lowest set bit, read as a point by
+:meth:`Layout.lowest`, is its least point.  The fiber tables (a mask per
+index set, closed and open) and the (p, q) layers (a mask per fiber size)
+live on that grid too.  ``validate`` decides E1 and E2 for all pairs of
+small elements from a few ANDs of table entries when the grid is no larger
+than the number of pairs.  Box questions read masks: ``members`` lists the set bits of E's window over a box
 (``_window``, which cuts a table entry or layer the same way, in r passes
 of whole-integer shifts and masks, one per axis), ``search_member`` reads
 its lowest set bit, ``equals`` and ``is_subset`` compare windows, the sum
@@ -53,18 +55,54 @@ from .lattice import (
 from .report import CheckReport, pt
 
 
-class Grid(NamedTuple):
-    """The clamp-class grid [lo, c] of an ideal, lo = m - e, as one bit mask.
-
-    Axis k has dims[k] = c_k - m_k + 2 values; a point t of the grid (offset
-    from lo) has bit sum(t_k * strides[k]), the last axis fastest.  Row
-    m_k - 1 of each axis holds no member.
-    """
+class Layout(NamedTuple):
+    """The bit layout of the box [lo, lo + dims - e]: the point lo + t has
+    bit sum(t_k * strides[k]), the last axis fastest, so bit order is
+    lexicographic order.  Every mask over a box is read through one."""
 
     lo: Point
     dims: tuple[int, ...]
     strides: tuple[int, ...]
-    mask: int
+
+    @classmethod
+    def of(cls, lo: Point, hi: Point) -> Layout:
+        """The layout of [lo, hi]; a reversed box has a dim of 0 and no bits."""
+        dims = tuple([h - l + 1 if h >= l else 0 for l, h in zip(lo, hi)])
+        stride, strides = 1, []
+        for d in dims[::-1]:
+            strides.append(stride)
+            stride *= d
+        return cls(lo, dims, tuple(strides[::-1]))
+
+    @property
+    def whole(self) -> int:
+        """The mask of every point of the box."""
+        return (1 << math.prod(self.dims)) - 1
+
+    def index(self, p: Point) -> int:
+        """The bit of a point of the box."""
+        return sum((x - l) * s for x, l, s in zip(p, self.lo, self.strides))
+
+    def point(self, i: int) -> Point:
+        """The point of bit i."""
+        out = []
+        for l, s in zip(self.lo, self.strides):
+            q, i = divmod(i, s)
+            out.append(l + q)
+        return tuple(out)
+
+    def points(self, mask: int) -> list[Point]:
+        """The points at the set bits of a mask, in lexicographic order:
+        coordinate k of bit i is lo_k + (i // strides[k]) mod dims[k], taken
+        one axis at a time over all the bits."""
+        bits = _bits(mask)
+        return list(zip(*[[l + i // s % d for i in bits]
+                          for l, d, s in zip(self.lo, self.dims, self.strides)]))
+
+    def lowest(self, mask: int) -> Point:
+        """The point of the lowest set bit of a nonzero mask: its least
+        point."""
+        return self.point((mask & -mask).bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -105,21 +143,25 @@ class SmallRep:
         return self.contains(alpha)
 
     @cached_property
-    def grid(self) -> Grid:
-        """The small elements as a mask over the grid [m - e, c].
+    def layout(self) -> Layout:
+        """The layout of the grid [m - e, c]: axis k has c_k - m_k + 2 rows,
+        and row m_k - 1 holds no member."""
+        return Layout.of(tuple(x - 1 for x in self.m), self.c)
+
+    @cached_property
+    def grid(self) -> int:
+        """The small elements as a mask in :attr:`layout`.
 
         Small elements outside [m, c], which only a rep failing
         :func:`validate` has, are left out.
         """
-        lo = vsub(self.m, ones(self.r))
-        dims = tuple(c - l + 1 for l, c in zip(lo, self.c))
-        strides = _strides(dims)
-        bits = bytearray((math.prod(dims) + 7) // 8)
+        g = self.layout
+        bits = bytearray((math.prod(g.dims) + 7) // 8)
         for p in self.small:
-            if all(l < x <= c for l, x, c in zip(lo, p, self.c)):
-                i = sum((x - l) * s for x, l, s in zip(p, lo, strides))
+            if all(l < x <= c for l, x, c in zip(g.lo, p, self.c)):
+                i = g.index(p)
                 bits[i >> 3] |= 1 << (i & 7)
-        return Grid(lo, dims, strides, int.from_bytes(bits, "little"))
+        return int.from_bytes(bits, "little")
 
     @cached_property
     def fiber_table(self) -> tuple[int, ...]:
@@ -130,9 +172,8 @@ class SmallRep:
         point on J and at least it elsewhere) of grid point t is nonempty
         (:func:`_closed_fibers`).
         """
-        g = self.grid
         return tuple(_closed_fibers(
-            g.mask, [_doubling_steps(g.dims, g.strides, k) for k in range(self.r)]))
+            self.grid, [_doubling_steps(self.layout, k) for k in range(self.r)]))
 
     @cached_property
     def open_table(self) -> tuple[int, ...]:
@@ -150,7 +191,7 @@ class SmallRep:
     @cached_property
     def _below_top(self) -> tuple[int, ...]:
         """Per axis k, the grid points below the top row of axis k."""
-        dims = self.grid.dims
+        dims = self.layout.dims
         return tuple(_box_mask(dims, dims[:k] + (dims[k] - 1,) + dims[k + 1:])
                      for k in range(self.r))
 
@@ -159,7 +200,7 @@ class SmallRep:
         at t + e_k, clamped into the grid as :meth:`index` clamps, so the top
         row stays put."""
         keep = self._below_top[k]
-        return mask >> self.grid.strides[k] & keep | mask & ~keep
+        return mask >> self.layout.strides[k] & keep | mask & ~keep
 
     @cached_property
     def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -170,7 +211,7 @@ class SmallRep:
         ANDed into Q[|J|]; a prefix OR and a suffix AND finish, and
         P[r + 1] = Q[r + 1] is the whole grid."""
         r = self.r
-        whole = (1 << math.prod(self.grid.dims)) - 1
+        whole = self.layout.whole
         P, Q = [0] * (r + 1) + [whole], [whole] * (r + 2)
         for J in range(1, 1 << r):
             entry = self.open_table[J]
@@ -191,7 +232,7 @@ class SmallRep:
         on a free axis any value below m_k is as good as m_k - 1 and any
         above c_k as good as c_k.  alpha must have dimension r; the public
         fiber functions check it."""
-        g = self.grid
+        g = self.layout
         i = 0
         for a, lo, hi, s in zip(alpha, g.lo, self.c, g.strides):
             i += ((hi if a > hi else a if a > lo else lo) - lo) * s
@@ -204,14 +245,6 @@ class SmallRep:
         if not closed:
             alpha = tuple(a if J >> k & 1 else a + 1 for k, a in enumerate(alpha))
         return self.fiber_table[J] >> self.index(alpha) & 1 == 1
-
-
-def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Bit strides of a box layout, the last axis fastest."""
-    out = [1] * len(dims)
-    for k in range(len(dims) - 1, 0, -1):
-        out[k - 1] = out[k] * dims[k]
-    return tuple(out)
 
 
 def _repeat(block: int, width: int, n: int) -> int:
@@ -264,15 +297,14 @@ def _closed_fibers(mask: int, steps: Sequence[Iterable[tuple[int, int]]]) -> lis
     return T
 
 
-def _doubling_steps(dims: tuple[int, ...], strides: tuple[int, ...],
-                    k: int) -> Iterator[tuple[int, int]]:
-    """The steps s = 1, 2, 4, ... < d_k of a suffix OR along axis k of the
-    layout of dims, as (shift, keep) pairs built when taken: before a step
-    a bit holds the OR of s bits, after it of 2s, and the keep mask (the
-    points with t_k < d_k - s, a run of d_k - s rows repeated once per
-    k-line) stops a shifted bit from crossing into the next k-line."""
-    d, stride = dims[k], strides[k]
-    lines = math.prod(dims) // (d * stride)
+def _doubling_steps(layout: Layout, k: int) -> Iterator[tuple[int, int]]:
+    """The steps s = 1, 2, 4, ... < d_k of a suffix OR along axis k of a
+    layout, as (shift, keep) pairs built when taken: before a step a bit
+    holds the OR of s bits, after it of 2s, and the keep mask (the points
+    with t_k < d_k - s, a run of d_k - s rows repeated once per k-line)
+    stops a shifted bit from crossing into the next k-line."""
+    d, stride = layout.dims[k], layout.strides[k]
+    lines = math.prod(layout.dims) // (d * stride)
     for i in range((d - 1).bit_length()):
         s = 1 << i
         yield s * stride, _repeat((1 << (d - s) * stride) - 1, d * stride, lines)
@@ -301,11 +333,11 @@ def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
     holds; when they narrow, the low bits do.
     """
     if mask is None:
-        mask = E.grid.mask
+        mask = E.grid
     dims = tuple(h - l + 1 for l, h in zip(lo, hi))
     if min(dims) <= 0:
         return 0
-    g = E.grid
+    g = E.layout
     kept = [(min(max(l, o), c) - o, min(max(h, o), c) - o)  # rows [first, top]
             for l, h, o, c in zip(lo, hi, g.lo, E.c)]
     # axis 0 is one line, so its cut is one shift and one mask, and a box
@@ -351,12 +383,6 @@ def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
     return x
 
 
-def _layout(lo: Point, hi: Point) -> tuple[int, tuple[int, ...]]:
-    """The mask of every point of [lo, hi] and the bit strides of its layout."""
-    dims = tuple(h - l + 1 for l, h in zip(lo, hi))
-    return (1 << math.prod(dims)) - 1, _strides(dims)
-
-
 def _reflected(E: SmallRep, f: Point, lo: Point, hi: Point, mask: int) -> int:
     """A grid mask of E at f - beta for beta over [lo, hi], indexed like
     [lo, hi]: the window over [f - hi, f - lo] read backwards, since its bit
@@ -389,15 +415,6 @@ def _bits(mask: int) -> list[int]:
         out.append(i)
         i = digits.find("1", i + 1)
     return out
-
-
-def _point(i: int, lo: Point, strides: tuple[int, ...]) -> Point:
-    """The point of bit i in the layout with these strides, based at lo."""
-    out = []
-    for l, s in zip(lo, strides):
-        q, i = divmod(i, s)
-        out.append(l + q)
-    return tuple(out)
 
 
 def contains(E: SmallRep, alpha: Point) -> bool:
@@ -433,14 +450,7 @@ def members(E: SmallRep, lo: Point, hi: Point) -> list[Point]:
     """Members of E inside [lo, hi], in lexicographic order (window bit order)."""
     check_same_dim(lo, E.c)
     check_same_dim(hi, E.c)
-    return _points(_window(E, lo, hi), lo, hi)
-
-
-def _points(mask: int, lo: Point, hi: Point) -> list[Point]:
-    """The points of [lo, hi] at the set bits of a mask in its layout, in
-    lexicographic order."""
-    strides = _layout(lo, hi)[1]
-    return [_point(i, lo, strides) for i in _bits(mask)]
+    return Layout.of(lo, hi).points(_window(E, lo, hi))
 
 
 def _decision_box(E1: SmallRep, E2: SmallRep) -> tuple[Point, Point]:
@@ -509,9 +519,8 @@ def _least_conductor(P: SmallRep) -> SmallRep | str:
     if meets <= small and size == len(small):
         return rep
     # bit order is lexicographic, so the lowest wrong bit is the least point
-    wrong = P.grid.mask ^ _window(rep, P.grid.lo, c)
-    at = _point((wrong & -wrong).bit_length() - 1, P.grid.lo, P.grid.strides)
-    return f"membership rule disagrees with region at {at}"
+    wrong = P.grid ^ _window(rep, P.layout.lo, c)
+    return f"membership rule disagrees with region at {P.layout.lowest(wrong)}"
 
 
 @dataclass(frozen=True)
@@ -594,7 +603,7 @@ def _pairs_good(E: SmallRep) -> bool:
     """
     T, O = E.fiber_table, E.open_table
     full = (1 << E.r) - 1
-    outside = ~E.grid.mask
+    outside = ~E.grid
     for J in range(1, full, 2):  # each split once, axis 0 in J
         if T[J] & T[full ^ J] & outside:
             return False
@@ -615,10 +624,7 @@ def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
     lo, hi = tuple(a for a, _ in ranges), tuple(b for _, b in ranges)
     check_same_dim(lo, E.c)
     W = _window(E, lo, hi)
-    if not W:
-        return None
-    strides = _strides(tuple(h - l + 1 for l, h in zip(lo, hi)))
-    return _point((W & -W).bit_length() - 1, lo, strides)
+    return Layout.of(lo, hi).lowest(W) if W else None
 
 
 def _members_in(E: SmallRep, top: Point, dims: tuple[int, ...]) -> int:
@@ -643,14 +649,13 @@ def _sum_failure(outer: SmallRep, inner: SmallRep,
     lo = vadd(outer.m, inner.m)
     hi = vadd(vadd(outer.c, inner.c), vadd(e, e))
     W = _window(target, lo, hi)
-    dims = tuple(h - l + 1 for l, h in zip(lo, hi))
-    strides = _strides(dims)
+    _, dims, strides = Layout.of(lo, hi)
     P = _members_in(inner, vadd(inner.c, e), dims)
     for off in _bits(_members_in(outer, vadd(outer.c, e), dims)):
         bad = P & ~(W >> off)
         if bad:
-            o = _point(off, outer.m, strides)
-            i = _point((bad & -bad).bit_length() - 1, inner.m, strides)
+            o = Layout(outer.m, dims, strides).point(off)
+            i = Layout(inner.m, dims, strides).lowest(bad)
             return o, i, vadd(o, i)
     return None
 
@@ -684,18 +689,18 @@ def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
     """
     e = ones(EJ.r)
     wlo, whi = vadd(lo, EI.m), vadd(hi, cap)
-    dims = tuple(h - l + 1 for l, h in zip(wlo, whi))
-    strides = _strides(dims)
+    _, dims, strides = Layout.of(wlo, whi)
+    alphas = Layout(EI.m, dims, strides)
     W = _window(EJ, wlo, whi)
     acc = _box_mask(dims, vadd(vsub(hi, lo), e))
     for s in sorted(EI.small):
         if s == EI.c:  # the last small element, as all lie below c_I
             for k, st in enumerate(strides):
                 W = _and_run(W, st, cap[k] - EI.c[k] + 1)
-        acc &= W >> sum((x - m) * st for x, m, st in zip(s, EI.m, strides))
+        acc &= W >> alphas.index(s)
         if not acc:
             break
-    return {_point(i, lo, strides) for i in _bits(acc)}
+    return set(Layout(lo, dims, strides).points(acc))
 
 
 def _compatibility_failure(E: SmallRep, S: SmallRep) -> dict | None:

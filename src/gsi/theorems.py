@@ -36,9 +36,8 @@ from .duality import _fiber_region, _is_canonical, canonical_ideal, cd_differenc
 from .errors import InvalidIndexSet
 from .fiber import maximals, p_value, q_value
 from .ideal import (
+    Layout,
     SmallRep,
-    _layout,
-    _point,
     _reflected,
     _sum_failure,
     _window,
@@ -137,26 +136,21 @@ def check_fibra(EJ: SmallRep, EI: SmallRep, *,
     D = ctx.dual(EJ, EI)
     lo, hi, region = ctx.fiber_region(EJ, EI)
     rep = CheckReport("fibra", True, f"beta over dual box [{list(lo)}, {list(hi)}]")
+    layout = Layout.of(lo, hi)
     inside = _window(D, lo, hi)
     missing = inside & ~region
     if missing:
         rep.passed = False
         rep.counterexamples.append(
-            {"beta": pt(_lowest(missing, lo, hi)),
+            {"beta": pt(layout.lowest(missing)),
              "note": "in CD-difference but fiber of frobenius(EJ) - beta is occupied"})
         return rep
     strict = region & ~inside
     if strict:
-        rep.witnesses.append({"beta": pt(_lowest(strict, lo, hi)),
+        rep.witnesses.append({"beta": pt(layout.lowest(strict)),
                               "note": "strict inclusion witness"})
     rep.flags["strict"] = bool(strict)
     return rep
-
-
-def _lowest(mask: int, lo: Point, hi: Point) -> Point:
-    """The point of the lowest set bit of a nonzero mask in the layout of
-    [lo, hi]: its least point, as bit order is lexicographic order."""
-    return _point((mask & -mask).bit_length() - 1, lo, _layout(lo, hi)[1])
 
 
 def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None, *,
@@ -170,7 +164,8 @@ def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None, *,
     diffs = region ^ _window(D, lo, hi)
     rep.flags["equal"] = not diffs
     if diffs:
-        rep.witnesses.append({"beta": pt(_lowest(diffs, lo, hi)),
+        first = Layout.of(lo, hi).lowest(diffs)
+        rep.witnesses.append({"beta": pt(first),
                               "note": "fiber dual strictly larger here"})
     if S is not None:
         can = ctx.is_canonical(EJ, S)
@@ -178,7 +173,7 @@ def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None, *,
         if can and diffs:
             rep.passed = False
             rep.counterexamples.append(
-                {"beta": pt(_lowest(diffs, lo, hi)),
+                {"beta": pt(first),
                  "note": "EJ canonical but CD-difference misses this point"})
     return rep
 
@@ -193,8 +188,8 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
     ``equality_everywhere`` flag records whether the sum is 1 throughout.
     Per i, the EI side is EI's closed {i} window over the box and the D side
     D's closed {i} window over c(EJ) - e_i - box, reversed; the first
-    (alpha, i) in sweep order is the lowest (bit, i) of their AND, and the
-    first equality gap the lowest of their NOR.
+    (alpha, i) in sweep order is the least (point, i) of their AND, and the
+    first equality gap the least of their NOR.
     """
     if D is None:
         D = cd_difference(EJ, EI)
@@ -202,7 +197,8 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
     lo, hi = _sweep_box(EI, D, EJ.c, 2)
     rep = CheckReport("length", True,
                       f"alpha over [{list(lo)}, {list(hi)}], i in 1..{r}")
-    box, strides = _layout(lo, hi)
+    layout = Layout.of(lo, hi)
+    box = layout.whole
     both, neither = [], []
     for k in range(r):
         a = _window(EI, lo, hi, EI.fiber_table[1 << k])
@@ -210,12 +206,12 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
                        D.fiber_table[1 << k])
         both.append(a & b)
         neither.append(box & ~(a | b))
-    bad, gap = _first(both), _first(neither)
+    bad, gap = _first(layout, both), _first(layout, neither)
     if gap is not None and (bad is None or gap < bad):
-        rep.witnesses.append({"alpha": pt(_point(gap[0], lo, strides)),
-                              "i": gap[1] + 1, "note": "equality gap"})
+        rep.witnesses.append({"alpha": pt(gap[0]), "i": gap[1] + 1,
+                              "note": "equality gap"})
     if bad is not None:
-        alpha = _point(bad[0], lo, strides)
+        alpha = bad[0]
         rep.passed = False
         rep.counterexamples.append(
             {"alpha": pt(alpha), "beta": pt(vsub(EJ.c, alpha)), "i": bad[1] + 1,
@@ -225,10 +221,11 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
     return rep
 
 
-def _first(masks: list[int]) -> tuple[int, int] | None:
-    """The least (bit, index) over the set bits of the masks, None if none."""
-    return min((((m & -m).bit_length() - 1, i) for i, m in enumerate(masks) if m),
-               default=None)
+def _first(layout: Layout, masks: list[int]) -> tuple[Point, int] | None:
+    """The least (point, index) over the set bits of the masks in a layout,
+    None if none: the lowest bits m & -m order as their points do."""
+    first = min(((m & -m, i) for i, m in enumerate(masks) if m), default=None)
+    return None if first is None else (layout.lowest(first[0]), first[1])
 
 
 def rho(EI: SmallRep, EJ: SmallRep, alpha: Point,
@@ -258,18 +255,20 @@ def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None, *,
     f = frobenius(EJ)
     lo, hi = _sweep_box(EI, D, f, 2)
     rep = CheckReport("rho", True, f"alpha over [{list(lo)}, {list(hi)}]")
-    box, strides = _layout(lo, hi)
+    layout = Layout.of(lo, hi)
+    box = layout.whole
     P, Q = EI.fiber_layers[0], D.fiber_layers[1]
     A = [0, *(_window(EI, lo, hi, P[k]) for k in range(1, r + 1)), box]
     B = [box, *(_reflected(D, f, lo, hi, Q[k]) for k in range(1, r + 1)), box]
-    below = _first([reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))])
-    above = _first([box & ~reduce(or_, (A[a + 1] & B[r + 1 - a] for a in range(r + 1)))])
+    below = _first(layout, [reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))])
+    above = _first(layout, [box & ~reduce(or_, (A[a + 1] & B[r + 1 - a]
+                                                for a in range(r + 1)))])
     if above is not None and (below is None or above < below):
-        alpha = _point(above[0], lo, strides)
+        alpha = above[0]
         rep.witnesses.append({"alpha": pt(alpha), "rho": rho(EI, EJ, alpha, D),
                               "note": "strictly above r"})
     if below is not None:
-        alpha = _point(below[0], lo, strides)
+        alpha = below[0]
         rep.passed = False
         rep.counterexamples.append({"alpha": pt(alpha), "rho": rho(EI, EJ, alpha, D),
                                     "r": r})

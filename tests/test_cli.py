@@ -83,6 +83,18 @@ def test_usage_errors(capsys, data_dir, tmp_path):
     assert run(capsys, "info", str(bad))[0] == 2
 
 
+def test_memory_error_exits_two(capsys, data_dir, monkeypatch):
+    # a computation that runs out of memory says so on one line and exits as
+    # an input error, not as a failed claim (1) with a traceback
+    def out_of_memory(S):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.duality, "canonical_ideal", out_of_memory)
+    code, out, err = run(capsys, "canonical", str(data_dir / "ex2.gsi"))
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: the input is too large\n"
+
+
 def test_check_rejects_ideal_of_another_semigroup(capsys, data_dir, tmp_path):
     ex2, node2 = str(data_dir / "ex2.gsi"), str(data_dir / "node2.gsi")
     # node2 + ex2 is not inside ex2: the conductor of ex2 exceeds min + c(node2)

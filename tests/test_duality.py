@@ -11,7 +11,7 @@ from gsi.duality import (
     is_gorenstein,
 )
 from gsi.errors import BoundaryInstabilityError
-from gsi.ideal import equals, frobenius, is_subset, translate, validate
+from gsi.ideal import Layout, equals, frobenius, is_subset, translate, validate
 from gsi.lattice import box_points, ones, vadd, vsub
 from gsi.oracle import brute_canonical, brute_dual
 
@@ -22,7 +22,8 @@ def test_canonical_face_error_names_least_point(ex2, monkeypatch):
     # which is not the one a set iterates first
     face = {(-6, -5), (-3, -6)}
     assert next(iter(face)) != min(face)
-    monkeypatch.setattr(duality, "_empty_fibers", lambda *args: set(face))
+    monkeypatch.setattr(duality, "_empty_mask", lambda E, f, lo, hi: sum(
+        1 << Layout.of(lo, hi).index(p) for p in face))
     with pytest.raises(BoundaryInstabilityError) as err:
         canonical_ideal(ex2)
     assert str(err.value) == (

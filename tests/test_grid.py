@@ -41,18 +41,16 @@ from gsi.errors import (
 from gsi.fiber import fiber_empty, p_value, q_value
 from gsi.gsi_format import parse_gsi
 from gsi.ideal import (
+    Layout,
     RegionSet,
     SmallRep,
     _bits,
     _box_mask,
     _closed_fibers,
     _compatibility_failure,
-    _layout,
     _least_conductor,
-    _points,
     _repeat,
     _reversed_bits,
-    _strides,
     _window,
     equals,
     frobenius,
@@ -565,6 +563,9 @@ def test_window_matches_contains():
         ]
         # a box below m on one axis and beyond c on the others
         boxes.append(((E.m[0] - 3,) + vadd(E.c, e)[1:], (E.m[0] - 1,) + vadd(E.c, e2)[1:]))
+        # reversed boxes, with no points: on axis 0 only, and on every axis
+        boxes.append(((E.c[0] + 1,) + E.m[1:], (E.m[0],) + E.c[1:]))
+        boxes.append((vadd(E.c, e), E.m))
         for lo, hi in boxes:
             W = _window(E, lo, hi)
             points = list(box_points(lo, hi))
@@ -588,12 +589,12 @@ def _old_window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> i
     last grid row.
     """
     if mask is None:
-        mask = E.grid.mask
+        mask = E.grid
     dims = tuple(h - l + 1 for l, h in zip(lo, hi))
     if min(dims) <= 0:
         return 0
-    g = E.grid
-    strides = _strides(dims)
+    g = E.layout
+    strides = Layout.of(lo, hi).strides
     last = E.r - 1
 
     def axis(k: int, slab: int) -> int:
@@ -663,10 +664,9 @@ def test_window_matches_former_recursion():
     rng = random.Random(53)
     seen = {"empty": 0, "one_row": 0, "nonzero": 0}
     for E in _window_ideals():
-        g = E.grid
         P, Q = E.fiber_layers
-        size = math.prod(g.dims)
-        masks = [g.mask, 0, *E.fiber_table, *E.open_table, *P, *Q]
+        size = math.prod(E.layout.dims)
+        masks = [E.grid, 0, *E.fiber_table, *E.open_table, *P, *Q]
         masks += [1 << rng.randrange(size) | 1 << rng.randrange(size) for _ in range(3)]
         masks += [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)]
         boxes = [(vsub(E.m, ones(E.r)), E.c)]
@@ -717,7 +717,7 @@ def test_window_work_grows_with_log_rows(monkeypatch):
     sizes.clear()
     near = (vsub(c, (1, 1)), vadd(c, (1, 1)))
     assert _window(E, *near, whole) == _old_window(E, *near, whole)
-    assert 0 < max(sizes) <= 4 * E.grid.dims[1], sizes
+    assert 0 < max(sizes) <= 4 * E.layout.dims[1], sizes
 
 
 def test_search_member_matches_box_scan():
@@ -988,7 +988,7 @@ def test_fiber_dual_checks_match_reference_on_planted_regions():
             for EI in (S, K, random_good(S, 3)):
                 lo, hi, region = _fiber_region(EJ, EI)
                 inside = _window(cd_difference(EJ, EI), lo, hi)
-                box = _layout(lo, hi)[0]
+                box = Layout.of(lo, hi).whole
                 planted = [region ^ (1 << rng.randrange(box.bit_length()))
                            for _ in range(3)]
                 planted += [region & ~(1 << rng.choice(_bits(inside))),
@@ -998,7 +998,7 @@ def test_fiber_dual_checks_match_reference_on_planted_regions():
                     old.values["is_canonical", EJ, S] = can
                     new.values["is_canonical", EJ, S] = can
                     old.values["fiber_dual", EJ, EI] = RegionSet(
-                        S.r, Box(lo, hi), frozenset(_points(mask, lo, hi)))
+                        S.r, Box(lo, hi), frozenset(Layout.of(lo, hi).points(mask)))
                     new.values["fiber_region", EJ, EI] = lo, hi, mask
                     fibra, duality, _ = map(json.loads, _fiber_dual_reports(
                         old, new, EJ, EI, S))
@@ -1055,12 +1055,13 @@ def test_sweeps_work_bounded_by_reports(ex2, node3, monkeypatch):
             assert calls[0] <= 4, (S, calls[0])
 
 
-def _old_suffix_or(mask: int, dims: tuple[int, ...], k: int) -> int:
+def _old_suffix_or(mask: int, layout: Layout, k: int) -> int:
     """Each bit ORed with the bits above it along axis k, by shift-and-OR
     with doubling steps; before a step of s a bit holds the OR of s bits,
     after it of 2s, and the keep mask stops a shifted bit from crossing
     into the next k-line."""
-    d, stride = dims[k], _strides(dims)[k]
+    dims = layout.dims
+    d, stride = dims[k], layout.strides[k]
     s = 1
     while s < d:
         keep = _box_mask(dims, dims[:k] + (d - s,) + dims[k + 1:])
@@ -1071,23 +1072,22 @@ def _old_suffix_or(mask: int, dims: tuple[int, ...], k: int) -> int:
 
 def _old_fiber_table(E: SmallRep) -> tuple[int, ...]:
     """The former ``SmallRep.fiber_table``, through ``_old_suffix_or``."""
-    g = E.grid
     full = (1 << E.r) - 1
     table = [0] * (full + 1)
-    table[full] = g.mask
+    table[full] = E.grid
     for J in range(full - 1, 0, -1):
         k = ((full ^ J) & -(full ^ J)).bit_length() - 1  # lowest free axis
-        table[J] = _old_suffix_or(table[J | 1 << k], g.dims, k)
+        table[J] = _old_suffix_or(table[J | 1 << k], E.layout, k)
     return tuple(table)
 
 
 def _old_box_table(box: _Box, M: int) -> list[int]:
     """The former ``_Box.table``, with its keep masks read from ``below``."""
-    full = (1 << len(box.dims)) - 1
+    full = (1 << len(box.layout.dims)) - 1
     T = [0] * full + [M]
     for J in range(full - 1, 0, -1):
         k = ((full ^ J) & -(full ^ J)).bit_length() - 1
-        X, d, s, step = T[J | 1 << k], box.dims[k], box.strides[k], 1
+        X, d, s, step = T[J | 1 << k], box.layout.dims[k], box.layout.strides[k], 1
         while step < d:
             X |= X >> step * s & box.below[k][d - step]
             step *= 2
@@ -1106,10 +1106,9 @@ def test_closed_fibers_match_former_tables():
         for E in [S] + [random_good(S, seed) for seed in range(4)]:
             assert E.fiber_table == _old_fiber_table(E), (name, E)
             box = _Box(E.m, E.c)
-            for M in (0, rng.getrandbits(math.prod(box.dims)),
-                      (1 << math.prod(box.dims)) - 1):
+            for M in (0, rng.getrandbits(math.prod(box.layout.dims)), box.layout.whole):
                 assert _closed_fibers(M, box.steps) == _old_box_table(box, M), (name, M)
-            sizes.add(box.dims)
+            sizes.add(box.layout.dims)
     # a sparse grid with long lines, and boxes with a one-row axis
     E = SmallRep(3, (0, 0, 0), (40, 3, 57), frozenset({(0, 0, 0), (7, 1, 20), (40, 3, 57)}))
     assert E.fiber_table == _old_fiber_table(E)

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with the standard library's ast: no
-module imports a name it never uses, and every private module-level function
-and every method or property of a class is referenced somewhere in the
-package, and no module defines both a name and a private twin _name of it."""
+module imports a name it never uses, every module-level class not exported
+through __all__, every private module-level function and every method or
+property of a class is referenced somewhere in the package, and no module
+defines both a name and a private twin _name of it."""
 import ast
 import pathlib
 
@@ -47,6 +48,22 @@ def test_no_unused_imports():
                 continue
             unused += [f"{name}:{node.lineno} {b}" for b in bound if b not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_classes_are_referenced():
+    # a module-level class counts as used when code outside its own body
+    # names it, or when its module exports it through __all__
+    modules = _modules()
+    exported = set().union(*map(_exported, modules.values()))
+    dead = []
+    for name, tree in modules.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name not in exported:
+                rest = [_referenced(t) for n, t in modules.items() if n != name]
+                rest += [_referenced(node) for node in tree.body if node is not cls]
+                if cls.name not in set().union(*rest):
+                    dead.append(f"{name}:{cls.lineno} {cls.name}")
+    assert not dead, f"classes nothing in the package references: {dead}"
 
 
 def test_private_functions_are_referenced():

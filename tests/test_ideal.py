@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from gsi.constructors import from_small_elements, node, numerical, product, rand
 from gsi.errors import DimensionMismatch
 from gsi.gsi_format import parse_gsi
 from gsi.ideal import (
+    Layout,
     SmallRep,
     conductor,
     contains,
@@ -220,6 +222,32 @@ def test_membership_above_and_below(ex2):
     for t in box_points((0, 0), (2, 2)):
         assert contains(ex2, vadd(ex2.c, t))
     assert not contains(ex2, vsub(ex2.m, e))
+
+
+def test_layout_bit_order_is_lexicographic_order():
+    # every report names its first witness or counterexample as the lowest
+    # set bit of a mask read as a point: that rests on the layout's bit
+    # order being box_points' order, on every box, reversed ones included
+    rng = random.Random(61)
+    for r in range(1, 5):
+        lo = tuple(rng.randint(-3, 3) for _ in range(r))
+        spans = [tuple(rng.randint(1, 4) for _ in range(r)) for _ in range(4)]
+        spans += [(1,) * r,                 # one point
+                  (1,) + spans[0][1:],      # one row of axis 0
+                  spans[0][:-1] + (1,),     # one row of the last axis
+                  (0,) + spans[0][1:],      # reversed on axis 0
+                  (-1,) * r]                # reversed on every axis
+        for span in spans:
+            hi = tuple(l + s - 1 for l, s in zip(lo, span))
+            layout = Layout.of(lo, hi)
+            points = list(box_points(lo, hi))
+            assert layout.points(layout.whole) == points, (lo, hi)
+            n = len(points)
+            assert [layout.point(i) for i in range(n)] == points
+            assert [layout.index(layout.point(i)) for i in range(n)] == list(range(n))
+            for _ in range(10 if n else 0):
+                mask = rng.getrandbits(n) or 1 << rng.randrange(n)
+                assert layout.lowest(mask) == min(layout.points(mask)), (lo, hi, mask)
 
 
 def test_members_listing(n2):

@@ -304,7 +304,7 @@ def test_check_all_reports_failing_sweep(ex2, capsys, data_dir, monkeypatch):
 
     # the dual side of the length and rho sweeps reads every step as fired
     monkeypatch.setattr(theorems, "_reflected", lambda E, f, lo, hi, mask:
-                        theorems._layout(lo, hi)[0])
+                        theorems.Layout.of(lo, hi).whole)
     by_name = {r.check_name: r for r in check_all(ex2, ex2, ex2)}
     assert not by_name["length"].passed
     assert by_name["length"].counterexamples

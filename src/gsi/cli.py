@@ -249,13 +249,11 @@ def _cmd_gen(args) -> int:
         if len(args.args) != 2:
             raise _InputError("gen product needs two input files")
         E = constructors.product(_load(args.args[0]), _load(args.args[1]))
-    elif kind == "random":
+    else:  # random, the last of the parser's choices
         if args.semigroup is None:
             raise _InputError("gen random requires --semigroup")
         S = _load_semigroup(args.semigroup)
         E = constructors.random_good(S, args.seed)
-    else:  # unreachable through argparse
-        raise _InputError(f"unknown generator {kind}")
     _write_out(emit_gsi(E), args.output)
     return 0
 

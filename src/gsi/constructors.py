@@ -294,8 +294,11 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     return set(layout.points(M))
 
 
+_OFFSET = 2  # each coordinate of the box minimum is drawn from [-_OFFSET, _OFFSET]
+
+
 def random_good(S: SmallRep, seed: int, *, max_width: int = 4,
-                samples: int = 6, offset: int = 2, retries: int = 20) -> SmallRep:
+                samples: int = 6, retries: int = 20) -> SmallRep:
     """A seeded random good semigroup ideal E with S + E <= E.
 
     Sample points in a bounded box, close under meet, force compatibility,
@@ -304,10 +307,10 @@ def random_good(S: SmallRep, seed: int, *, max_width: int = 4,
     S.  Deterministic per (S, seed, bounds).
     """
     r = S.r
-    rng = random.Random(f"{seed}:{max_width}:{samples}:{offset}")
+    rng = random.Random(f"{seed}:{max_width}:{samples}:{_OFFSET}")
     last_report = None
     for _ in range(retries):
-        m = tuple(rng.randint(-offset, offset) for _ in range(r))
+        m = tuple(rng.randint(-_OFFSET, _OFFSET) for _ in range(r))
         c = tuple(m[k] + rng.randint(0, max_width) for k in range(r))
         pts = {m, c}
         for _ in range(samples):

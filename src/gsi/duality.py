@@ -22,8 +22,18 @@ Results are normalized to SmallRep by ``ideal._least_conductor``, which
 walks runs down the axes from the box top, as the constructors' data is, and
 validated once; any failure there is an internal bug, never expected on
 valid inputs.
+
+A private check context holds what the checks of a triple share: each
+dual and fiber-dual region, K(S) and the canonicity of EJ, computed once on
+first use and keyed by value (SmallRep is canonical).  ``is_canonical`` and
+``is_gorenstein`` read K(S) and the region from the one passed as ``ctx``,
+or from a fresh one.  It lives for one call of ``theorems.check_all``,
+which adds the equality flags of its sweeps, and holds values, never
+reports.
 """
 from __future__ import annotations
+
+from typing import Any, Callable
 
 from .errors import BoundaryInstabilityError, SoundnessError
 from .ideal import (
@@ -156,25 +166,41 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     return rep
 
 
-def is_canonical(EJ: SmallRep, S: SmallRep) -> bool:
+class _CheckContext:
+    def __init__(self) -> None:
+        self.values: dict[tuple, Any] = {}  # (kind, *argument ideals) -> value
+
+    def _get(self, key: tuple, compute: Callable[[], Any]) -> Any:
+        if key not in self.values:
+            self.values[key] = compute()
+        return self.values[key]
+
+    def dual(self, EJ: SmallRep, EI: SmallRep) -> SmallRep:
+        return self._get(("dual", EJ, EI), lambda: cd_difference(EJ, EI))
+
+    def fiber_region(self, EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
+        return self._get(("fiber_region", EJ, EI), lambda: _fiber_region(EJ, EI))
+
+    def canonical(self, S: SmallRep) -> SmallRep:
+        return self._get(("canonical", S), lambda: canonical_ideal(S))
+
+    def is_canonical(self, EJ: SmallRep, S: SmallRep) -> bool:
+        return self._get(("is_canonical", EJ, S), lambda: is_canonical(EJ, S, ctx=self))
+
+
+def is_canonical(EJ: SmallRep, S: SmallRep, *,
+                 ctx: _CheckContext | None = None) -> bool:
     """Whether EJ is a translate of the canonical ideal of S.
 
     Runs both the translate test and the fiber-dual fixpoint test and demands
-    agreement; disagreement is an internal soundness bug.
+    agreement; disagreement is an internal soundness bug.  The fixpoint
+    test compares EJ's window over the fiber-dual region's box with its mask.
     """
     _require_same_r(EJ, S)
-    return _is_canonical(EJ, S, canonical_ideal(S), _fiber_region(EJ, S))
-
-
-def _is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep,
-                  region: tuple[Point, Point, int]) -> bool:
-    """:func:`is_canonical` from K = canonical_ideal(S) and the fiber-dual
-    region ``_fiber_region(EJ, S)``, for callers that already hold them; the
-    fixpoint test compares EJ's window over the region's box with its
-    mask."""
+    ctx = ctx or _CheckContext()
     shift = vsub(frobenius(EJ), frobenius(S))
-    by_translate = equals(EJ, translate(K, shift))
-    lo, hi, mask = region
+    by_translate = equals(EJ, translate(ctx.canonical(S), shift))
+    lo, hi, mask = ctx.fiber_region(EJ, S)
     by_fixpoint = _window(EJ, lo, hi) == mask
     if by_translate != by_fixpoint:
         raise SoundnessError(
@@ -183,10 +209,10 @@ def _is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep,
     return by_translate
 
 
-def is_gorenstein(S: SmallRep) -> bool:
+def is_gorenstein(S: SmallRep, *, ctx: _CheckContext | None = None) -> bool:
     """A good semigroup is Gorenstein exactly when it is its own canonical
-    ideal (symmetry)."""
-    return equals(S, canonical_ideal(S))
+    ideal (symmetry); K(S) comes from ``ctx``, or from a fresh context."""
+    return equals(S, (ctx or _CheckContext()).canonical(S))
 
 
 def bidual(EJ: SmallRep, EI: SmallRep) -> SmallRep:

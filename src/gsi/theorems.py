@@ -19,20 +19,17 @@ Reports carry witnesses for equality cases and counterexamples for violated
 relations; a counterexample to one of the unconditional claims means an
 implementation bug and fails the build.
 
-A private check context holds what the checks of a triple share: each
-dual and fiber-dual region, K(S), the canonicity of EJ, and the length,
-rho and duality equality flags per sampled pair, each computed once on first use
-and keyed by value (SmallRep is canonical).  check_all makes one context
-that lives for its call and passes it to the public checks as ``ctx``; a
-check called without one makes its own.  It holds values, never reports.
+check_all passes one check context (``duality._CheckContext``) to the public
+checks as ``ctx``, and memoizes the equality flags per sampled pair in it; a
+check called without one makes its own.
 """
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Any, Callable
 
-from .duality import _fiber_region, _is_canonical, canonical_ideal, cd_difference
+from .constructors import random_good
+from .duality import _CheckContext, cd_difference, is_gorenstein
 from .errors import InvalidIndexSet
 from .fiber import maximals, p_value, q_value
 from .ideal import (
@@ -49,34 +46,11 @@ from .lattice import Point, check_same_dim, join, meet, ones, unit_vector, vadd,
 from .report import CheckReport, pt
 
 
-class _CheckContext:
-    def __init__(self) -> None:
-        self.values: dict[tuple, Any] = {}  # (kind, *argument ideals) -> value
-
-    def _get(self, key: tuple, compute: Callable[[], Any]) -> Any:
-        if key not in self.values:
-            self.values[key] = compute()
-        return self.values[key]
-
-    def dual(self, EJ: SmallRep, EI: SmallRep) -> SmallRep:
-        return self._get(("dual", EJ, EI), lambda: cd_difference(EJ, EI))
-
-    def fiber_region(self, EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
-        return self._get(("fiber_region", EJ, EI), lambda: _fiber_region(EJ, EI))
-
-    def canonical(self, S: SmallRep) -> SmallRep:
-        return self._get(("canonical", S), lambda: canonical_ideal(S))
-
-    def is_canonical(self, EJ: SmallRep, S: SmallRep) -> bool:
-        return self._get(("is_canonical", EJ, S), lambda: _is_canonical(
-            EJ, S, self.canonical(S), self.fiber_region(EJ, S)))
-
-    def equality(self, EJ: SmallRep, EI: SmallRep) -> tuple[bool, bool, bool]:
-        """The equality flags of the length, rho and duality sweeps of a pair."""
-        return self._get(("equality", EJ, EI), lambda: _equality_flags(
-            check_length_pairing(EJ, EI, self.dual(EJ, EI)),
-            check_rho(EI, EJ, ctx=self),
-            check_duality(EJ, EI, ctx=self)))
+def _equality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> tuple[bool, bool, bool]:
+    """The equality flags of the length, rho and duality sweeps of a pair."""
+    return ctx._get(("equality", EJ, EI), lambda: _equality_flags(
+        check_length_pairing(EJ, EI, ctx.dual(EJ, EI)),
+        check_rho(EI, EJ, ctx=ctx), check_duality(EJ, EI, ctx=ctx)))
 
 
 def _equality_flags(length: CheckReport, rho_rep: CheckReport,
@@ -362,8 +336,6 @@ def _gorenstein_consistency(ctx: _CheckContext, S: SmallRep, EJ: SmallRep,
     decided on the EI = S pair, which the proofs single out.  Per-pair
     equality against other EI without canonicity is recorded, not failed.
     """
-    from .constructors import random_good
-
     can_s = ctx.canonical(S)
     sample: list[tuple[str, SmallRep]] = [("S", S), ("canonical", can_s)]
     sample.append(("canonical+e", translate(can_s, ones(S.r))))
@@ -373,13 +345,13 @@ def _gorenstein_consistency(ctx: _CheckContext, S: SmallRep, EJ: SmallRep,
     rep = CheckReport(
         "consistency", True,
         f"EJ fixed, EI sampled over {[name for name, _ in sample]}, seed={seed}")
-    gor = equals(S, can_s)  # is_gorenstein(S), from the shared K(S)
+    gor = is_gorenstein(S, ctx=ctx)
     can_j = ctx.is_canonical(EJ, S)
     rep.flags["gorenstein"] = gor
     rep.flags["ej_canonical"] = can_j
     for ej_name, ej, expect in (("S", S, gor), ("EJ", EJ, can_j)):
         for name, e_i in sample:
-            lf, rf, df = ctx.equality(ej, e_i)
+            lf, rf, df = _equality(ctx, ej, e_i)
             entry = {"EJ": ej_name, "EI": name, "length": lf, "rho": rf,
                      "duality": df}
             if lf != rf or lf != df:

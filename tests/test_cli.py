@@ -9,6 +9,8 @@ import gsi
 from gsi import cli
 from gsi.cli import main
 from gsi.gsi_format import parse_gsi
+from gsi.ideal import RegionSet
+from gsi.lattice import Box
 
 
 def run(capsys, *argv):
@@ -255,3 +257,56 @@ def test_import_builds_no_parser():
     proc = _child("-c", "import gsi, gsi.cli; print(gsi.cli._parser.cache_info().currsize)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_info_invalid_file_output_pinned(capsys, data_dir):
+    broken = str(data_dir / "broken.gsi")
+    ce = ("{'axiom': 'E1', 'pair': [[3, 4], [4, 3]], 'missing_meet': [3, 3], "
+          "'line': 6}")
+    assert run(capsys, "info", broken) == (
+        2, "", f"invalid input: validate: FAIL (first counterexample: {ce})\n")
+
+
+def test_info_plot_one_dimension_pinned(capsys, data_dir):
+    # the legend lists C, but the r = 1 row never marks the conductor
+    assert run(capsys, "info", str(data_dir / "n1.gsi"), "--plot") == (
+        0, "r: 1\nmin: 0\nconductor: 3\nfrobenius: 2\nmaximals: 0\n"
+           "x in [-1, 4]: .o..oo\nlegend: o member, * maximal, C conductor, . gap\n", "")
+
+
+def test_info_plot_rejects_three_dimensions(capsys, tmp_path):
+    node3 = str(tmp_path / "node3.gsi")
+    assert run(capsys, "gen", "node", "3", "-o", node3)[0] == 0
+    assert run(capsys, "info", node3, "--plot") == (
+        2, "r: 3\nmin: 0 0 0\nconductor: 1 1 1\nfrobenius: 0 0 0\nmaximals: 1\n"
+           "  (0 0 0)  type (2,3)  absolute\n", "--plot supports r <= 2 only\n")
+
+
+def test_single_checks_output_pinned(capsys, data_dir):
+    ex2 = str(data_dir / "ex2.gsi")
+    assert run(capsys, "check", "sum", ex2, ex2) == (0, "sum: pass\n", "")
+    assert run(capsys, "check", "fibra", ex2, ex2) == (
+        0, "fibra: pass\n  strict: True\n"
+           "  witness: {'beta': [0, 1], 'note': 'strict inclusion witness'}\n", "")
+    assert run(capsys, "check", "maxsym", ex2, ex2) == (
+        0, "maxsym: pass\n  canonical_mode: None\n  pairs_checked: 0\n"
+           "  skipped: [[0, 0], [0, 1], [1, 0], [3, 4], [4, 3], [4, 4]]\n"
+           "  triple_dual_stable: True\n", "")
+
+
+def test_gen_argument_errors(capsys, data_dir):
+    n1 = str(data_dir / "n1.gsi")
+    for argv, err in ((["numerical"], "gen numerical needs generators"),
+                      (["node"], "gen node needs a dimension"),
+                      (["product", n1], "gen product needs two input files"),
+                      (["random"], "gen random requires --semigroup")):
+        assert run(capsys, "gen", *argv) == (2, "", err + "\n"), argv
+
+
+def test_dual_fiber_failure_output(capsys, data_dir, monkeypatch):
+    ex2 = str(data_dir / "ex2.gsi")
+    region = RegionSet(2, Box((0, 0), (1, 1)), frozenset({(0, 0)}), None, "empty region")
+    monkeypatch.setattr(cli.duality, "fiber_dual", lambda EJ, EI: region)
+    assert run(capsys, "dual", ex2, ex2, "--method", "fiber") == (
+        1, "fiber dual is not a good ideal: empty region\n"
+           "region box [[0, 0], [1, 1]], 1 points\n", "")

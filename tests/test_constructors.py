@@ -198,6 +198,16 @@ def test_from_small_elements_e1_failure():
     assert first["pair"] == [[3, 4], [4, 3]]
 
 
+def test_from_small_elements_without_least_conductor_validates_as_given():
+    # the conducting candidates (1, 2), (2, 1) and (2, 2) are not
+    # meet-closed, so no least conductor exists and the data is validated
+    # on the declared box
+    with pytest.raises(ValidationError) as err:
+        from_small_elements(2, (0, 0), (2, 2), {(0, 0), (1, 2), (2, 1), (2, 2)})
+    assert err.value.report.counterexamples[0] == {
+        "axiom": "E1", "pair": [[1, 2], [2, 1]], "missing_meet": [1, 1]}
+
+
 def test_from_small_elements_singleton():
     nat = from_small_elements(1, (0,), (0,), {(0,)})
     assert nat.contains((5,)) and not nat.contains((-1,))

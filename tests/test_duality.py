@@ -161,6 +161,19 @@ def test_is_canonical_promotes_once(ex2, node3, monkeypatch):
             assert calls[0] == 1, (S, EJ, calls[0])
 
 
+def test_canonicity_same_with_and_without_context(n1, n2, ex2, node2, node3):
+    # a shared context changes where K(S) and the fiber-dual region come
+    # from, not the answers; one context serves every call over S
+    for S in (n1, n2, ex2, node2, node3):
+        ctx = duality._CheckContext()
+        assert is_gorenstein(S, ctx=ctx) == is_gorenstein(S)
+        K = canonical_ideal(S)
+        for EJ in (S, K, translate(K, ones(S.r)), random_good(S, 1)):
+            assert is_canonical(EJ, S, ctx=ctx) == is_canonical(EJ, S), (S, EJ)
+            assert ctx.is_canonical(EJ, S) == is_canonical(EJ, S), (S, EJ)
+        assert ctx.values["canonical", S] == K
+
+
 def test_is_gorenstein_examples(n1, n2, node2, node3, ex2):
     assert is_gorenstein(n2)
     assert not is_gorenstein(n1)

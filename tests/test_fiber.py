@@ -90,6 +90,21 @@ def test_maximals_node3(node3):
         ((0, 0, 0), 2, 3, MaximalKind.ABSOLUTE)]
 
 
+def test_maximal_of_type_pq_matches_oracle():
+    # a maximal point with neither p = r - 1 nor (p, q) = (1, 2); its (p, q)
+    # from the definitions over all 15 open fibers of the literal enumeration
+    E = random_good(node(4), 24)
+    alpha = (-1, 0, 1, -1)
+    info = next(m for m in maximals(E) if m.point == alpha)
+    assert (info.p, info.q, info.kind) == (1, 4, MaximalKind.TYPE_PQ)
+    occ = {J: bool(brute_fiber(E, alpha, [k + 1 for k in range(4) if J >> k & 1]))
+           for J in range(1, 16)}
+    size = {J: bin(J).count("1") for J in occ}
+    p = max(n for n in range(5) if not any(occ[J] for J in occ if size[J] <= n))
+    q = min(n for n in range(1, 6) if all(occ[J] for J in occ if size[J] >= n))
+    assert (p, q) == (1, 4)
+
+
 def test_maximals_inside_region(ex2, node3):
     for E in (ex2, node3):
         top = vsub(E.c, ones(E.r))

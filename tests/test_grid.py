@@ -9,7 +9,7 @@ per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
 ``ideal._closed_fibers`` replaced, the structural loop of
 ``from_small_elements``, the per-row recursion of ``_window``, the
 ``members`` scan of ``search_member`` and the point-set reads of the fiber
-dual in the fibra and duality checks and in ``_is_canonical``.  The fast
+dual in the fibra and duality checks and in ``is_canonical``.  The fast
 paths must give the same reports, regions and first counterexamples, byte
 for byte.
 """
@@ -25,11 +25,11 @@ from gsi.constructors import _Box, from_small_elements, node, numerical, product
 from gsi.duality import (
     _dual_box,
     _fiber_region,
-    _is_canonical,
     _promote_region,
     canonical_ideal,
     cd_difference,
     fiber_dual,
+    is_canonical,
 )
 from gsi.errors import (
     BoundaryInstabilityError,
@@ -875,7 +875,7 @@ def test_fiber_dual_and_canonical_match_point_sweeps():
 
 # The former point-set reads of the fiber dual, kept verbatim: the context
 # held fiber_dual's decoded and promoted RegionSet, and the fibra and
-# duality checks and the fixpoint test of _is_canonical compared its points
+# duality checks and the fixpoint test of is_canonical compared its points
 # with the members of D or EJ.
 class _OldContext(_CheckContext):
     def fiber_dual(self, EJ: SmallRep, EI: SmallRep) -> RegionSet:
@@ -954,6 +954,14 @@ def _fiber_dual_reports(old: _CheckContext, new: _CheckContext, EJ: SmallRep,
     want = [json.dumps(r.to_dict()) for r in want]
     assert [json.dumps(r.to_dict()) for r in got] == want, (EJ, EI, S)
     return want
+
+
+def _is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep,
+                  region: tuple[Point, Point, int]) -> bool:
+    """is_canonical with K and the fiber-dual region seeded in its context."""
+    ctx = _CheckContext()
+    ctx.values["canonical", S], ctx.values["fiber_region", EJ, S] = K, region
+    return is_canonical(EJ, S, ctx=ctx)
 
 
 def test_fiber_dual_checks_match_point_set_reference():

@@ -1,8 +1,9 @@
-"""Source hygiene of the package, read with the standard library's ast: no
-module imports a name it never uses, every module-level class not exported
-through __all__, every private module-level function and every method or
-property of a class is referenced somewhere in the package, and no module
-defines both a name and a private twin _name of it."""
+"""Source hygiene of the package, read with the standard library's ast: every
+import sits at module level, no module imports a name it never uses, every
+module-level class not exported through __all__, every private module-level
+function and every method or property of a class is referenced somewhere in
+the package, and no module defines both a name and a private twin _name of
+it."""
 import ast
 import pathlib
 
@@ -50,6 +51,18 @@ def test_no_unused_imports():
     assert not unused, f"imported but never used: {unused}"
 
 
+def test_imports_at_module_level():
+    # one import style: every import sits at the top of its module, none in
+    # a function or class body
+    nested = set()
+    for name, tree in _modules().items():
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested |= {f"{name}:{node.lineno}" for node in ast.walk(scope)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert not nested, f"imports inside a function or class body: {sorted(nested)}"
+
+
 def test_classes_are_referenced():
     # a module-level class counts as used when code outside its own body
     # names it, or when its module exports it through __all__
@@ -77,16 +90,6 @@ def test_private_functions_are_referenced():
     assert not dead, f"private functions nothing in the package calls: {dead}"
 
 
-# Private module-level names that share a name with a public one, each with
-# its reason.
-PRIVATE_TWINS = {
-    # takes K(S) and the fiber region, so that the check context can share
-    # them; is_canonical computes both itself, and duality cannot import the
-    # context from theorems
-    "duality._is_canonical",
-}
-
-
 def _module_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in tree.body:
@@ -106,7 +109,6 @@ def test_no_private_twins():
         defined = _module_names(tree)
         twins += [f"{name[:-3]}.{n}" for n in sorted(defined)
                   if n.startswith("_") and not n.startswith("__") and n[1:] in defined]
-    twins = [t for t in twins if t not in PRIVATE_TWINS]
     assert not twins, f"private twins of public names: {twins}"
 
 

@@ -12,7 +12,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gsi.constructors as constructors
+import gsi.theorems as theorems
 from gsi.constructors import from_small_elements, node, numerical, product, random_good
 from gsi.duality import canonical_ideal, cd_difference, is_gorenstein
 from gsi.fiber import maximals
@@ -180,7 +180,7 @@ def test_product_check_flags_high_r(monkeypatch):
     for A, B in _high_r_pairs():
         KA, KB = canonical_ideal(A), canonical_ideal(B)
         AB = product(A, B)
-        monkeypatch.setattr(constructors, "random_good", _product_draws(A, B))
+        monkeypatch.setattr(theorems, "random_good", _product_draws(A, B))
         triples = [((A, A), (B, B)), ((KA, A), (KB, B)), ((A, KA), (B, KB))]
         for (EJA, EIA), (EJB, EIB) in triples[:1 if AB.r == 8 else 3]:
             fa, fb = (_flags(check_all(*trip)) for trip in ((A, EJA, EIA), (B, EJB, EIB)))

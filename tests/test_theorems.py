@@ -213,27 +213,27 @@ def test_check_all_matches_golden_reports(ex2, node2, node3, data_dir):
 def test_check_all_computes_each_value_once(ex2, node2, node3, monkeypatch):
     import collections
 
-    import gsi.theorems as theorems
+    import gsi.duality as duality
 
     calls = collections.Counter()
 
     def counted(name):
-        original = getattr(theorems, name)
+        original = getattr(duality, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name, args] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(theorems, name, wrapper)
+        monkeypatch.setattr(duality, name, wrapper)
 
-    for name in ("cd_difference", "_fiber_region", "canonical_ideal", "_is_canonical"):
+    for name in ("cd_difference", "_fiber_region", "canonical_ideal", "is_canonical"):
         counted(name)
     for S, EJ, EI in _golden_triples(ex2, node2, node3).values():
         calls.clear()
         check_all(S, EJ, EI)
         assert calls and set(calls.values()) == {1}, calls.most_common(3)
         names = collections.Counter(name for name, _ in calls)
-        assert names["canonical_ideal"] == names["_is_canonical"] == 1
+        assert names["canonical_ideal"] == names["is_canonical"] == 1
 
 
 def test_check_all_promotes_no_fiber_dual(ex2, node2, node3, monkeypatch):
@@ -243,7 +243,6 @@ def test_check_all_promotes_no_fiber_dual(ex2, node2, node3, monkeypatch):
     import collections
 
     import gsi.duality as duality
-    import gsi.theorems as theorems
 
     calls = collections.Counter()
 
@@ -258,8 +257,8 @@ def test_check_all_promotes_no_fiber_dual(ex2, node2, node3, monkeypatch):
 
     counted(duality, "_promote_region")
     counted(duality, "fiber_dual")
-    counted(theorems, "cd_difference")
-    counted(theorems, "canonical_ideal")
+    counted(duality, "cd_difference")
+    counted(duality, "canonical_ideal")
     for S, EJ, EI in _golden_triples(ex2, node2, node3).values():
         calls.clear()
         check_all(S, EJ, EI)

@@ -24,12 +24,13 @@ validated once; any failure there is an internal bug, never expected on
 valid inputs.
 
 A private check context holds what the checks of a triple share: each
-dual and fiber-dual region, K(S) and the canonicity of EJ, computed once on
-first use and keyed by value (SmallRep is canonical).  ``is_canonical`` and
-``is_gorenstein`` read K(S) and the region from the one passed as ``ctx``,
-or from a fresh one.  It lives for one call of ``theorems.check_all``,
-which adds the equality flags of its sweeps, and holds values, never
-reports.
+dual and fiber-dual region and the canonicity of EJ, computed once on first
+use and keyed by value (SmallRep is canonical); ``is_canonical`` reads the
+region from the one passed as ``ctx``, or from a fresh one.  It lives for
+one call of ``theorems.check_all``, which adds its sweeps' equality flags,
+and holds values, never reports.  K(S) lives on S: ``canonical_ideal``
+keeps it in S's ``__dict__``, as ``cached_property`` keeps the grid, so a
+value-equal copy computes it again and a call that raises stores nothing.
 """
 from __future__ import annotations
 
@@ -138,8 +139,10 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     BoundaryInstabilityError, naming the lexicographically least such member.
     Postconditions are asserted: the Frobenius vector is preserved, S is
     contained in the result, and the result, validated on promotion, is
-    compatible with S.
+    compatible with S.  The result is kept on S and returned by later calls.
     """
+    if "canonical_ideal" in vars(S):
+        return vars(S)["canonical_ideal"]
     if not S.contains(zero(S.r)):
         raise ValueError("canonical ideal needs a good semigroup (0 missing)")
     e = ones(S.r)
@@ -163,6 +166,7 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     failure = _compatibility_failure(rep, S)
     if failure is not None:
         raise SoundnessError(f"canonical ideal is not an ideal of S: {failure}")
+    vars(S)["canonical_ideal"] = rep
     return rep
 
 
@@ -181,9 +185,6 @@ class _CheckContext:
     def fiber_region(self, EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
         return self._get(("fiber_region", EJ, EI), lambda: _fiber_region(EJ, EI))
 
-    def canonical(self, S: SmallRep) -> SmallRep:
-        return self._get(("canonical", S), lambda: canonical_ideal(S))
-
     def is_canonical(self, EJ: SmallRep, S: SmallRep) -> bool:
         return self._get(("is_canonical", EJ, S), lambda: is_canonical(EJ, S, ctx=self))
 
@@ -199,7 +200,7 @@ def is_canonical(EJ: SmallRep, S: SmallRep, *,
     _require_same_r(EJ, S)
     ctx = ctx or _CheckContext()
     shift = vsub(frobenius(EJ), frobenius(S))
-    by_translate = equals(EJ, translate(ctx.canonical(S), shift))
+    by_translate = equals(EJ, translate(canonical_ideal(S), shift))
     lo, hi, mask = ctx.fiber_region(EJ, S)
     by_fixpoint = _window(EJ, lo, hi) == mask
     if by_translate != by_fixpoint:
@@ -209,10 +210,10 @@ def is_canonical(EJ: SmallRep, S: SmallRep, *,
     return by_translate
 
 
-def is_gorenstein(S: SmallRep, *, ctx: _CheckContext | None = None) -> bool:
+def is_gorenstein(S: SmallRep) -> bool:
     """A good semigroup is Gorenstein exactly when it is its own canonical
-    ideal (symmetry); K(S) comes from ``ctx``, or from a fresh context."""
-    return equals(S, (ctx or _CheckContext()).canonical(S))
+    ideal (symmetry)."""
+    return equals(S, canonical_ideal(S))
 
 
 def bidual(EJ: SmallRep, EI: SmallRep) -> SmallRep:

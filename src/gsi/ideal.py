@@ -436,8 +436,10 @@ def frobenius(E: SmallRep) -> Point:
 
 
 def translate(E: SmallRep, delta: Point) -> SmallRep:
-    """The shifted ideal delta + E."""
+    """The shifted ideal delta + E; E itself when delta is zero."""
     check_same_dim(delta, E.m)
+    if not any(delta):
+        return E
     return SmallRep(
         E.r,
         vadd(E.m, delta),
@@ -469,6 +471,8 @@ def equals(E1: SmallRep, E2: SmallRep) -> bool:
     both sides is forced by their meet-with-conductor rules.
     """
     _require_same_r(E1, E2)
+    if E1 == E2:
+        return True
     box = _decision_box(E1, E2)
     return _window(E1, *box) == _window(E2, *box)
 

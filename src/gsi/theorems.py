@@ -29,7 +29,7 @@ from functools import reduce
 from operator import or_
 
 from .constructors import random_good
-from .duality import _CheckContext, cd_difference, is_gorenstein
+from .duality import _CheckContext, canonical_ideal, cd_difference, is_gorenstein
 from .errors import InvalidIndexSet
 from .fiber import maximals, p_value, q_value
 from .ideal import (
@@ -336,7 +336,7 @@ def _gorenstein_consistency(ctx: _CheckContext, S: SmallRep, EJ: SmallRep,
     decided on the EI = S pair, which the proofs single out.  Per-pair
     equality against other EI without canonicity is recorded, not failed.
     """
-    can_s = ctx.canonical(S)
+    can_s = canonical_ideal(S)
     sample: list[tuple[str, SmallRep]] = [("S", S), ("canonical", can_s)]
     sample.append(("canonical+e", translate(can_s, ones(S.r))))
     sample.append(("EI", EI))
@@ -345,7 +345,7 @@ def _gorenstein_consistency(ctx: _CheckContext, S: SmallRep, EJ: SmallRep,
     rep = CheckReport(
         "consistency", True,
         f"EJ fixed, EI sampled over {[name for name, _ in sample]}, seed={seed}")
-    gor = is_gorenstein(S, ctx=ctx)
+    gor = is_gorenstein(S)
     can_j = ctx.is_canonical(EJ, S)
     rep.flags["gorenstein"] = gor
     rep.flags["ej_canonical"] = can_j

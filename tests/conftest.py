@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from gsi import constructors
+from gsi import constructors, duality
+from gsi.ideal import frobenius
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -42,3 +43,23 @@ def prod22():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+@pytest.fixture
+def canonical_runs(monkeypatch):
+    """The ideals S, one entry per run, whose K(S) body runs during the test.
+
+    The body reads S's empty mask reflected at frobenius(S) over a box with
+    top S.c.  A fiber region over S reflects at some f with top f + 2e - m_S,
+    never f + e, since an argument of canonical_ideal holds 0 (m_S <= 0).
+    Count with ``is``: value-equal copies are distinct runs.
+    """
+    runs = []
+
+    def counted(E, f, lo, hi, original=duality._empty_mask):
+        if hi == E.c and f == frobenius(E):
+            runs.append(E)
+        return original(E, f, lo, hi)
+
+    monkeypatch.setattr(duality, "_empty_mask", counted)
+    return runs

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 import gsi.duality as duality
-from gsi.constructors import random_good
+from gsi.constructors import node, random_good
 from gsi.duality import (
     bidual,
     canonical_ideal,
@@ -11,9 +13,10 @@ from gsi.duality import (
     is_gorenstein,
 )
 from gsi.errors import BoundaryInstabilityError
-from gsi.ideal import Layout, equals, frobenius, is_subset, translate, validate
+from gsi.ideal import Layout, SmallRep, equals, frobenius, is_subset, translate, validate
 from gsi.lattice import box_points, ones, vadd, vsub
 from gsi.oracle import brute_canonical, brute_dual
+from gsi.theorems import check_all
 
 
 def test_canonical_face_error_names_least_point(ex2, monkeypatch):
@@ -25,7 +28,7 @@ def test_canonical_face_error_names_least_point(ex2, monkeypatch):
     monkeypatch.setattr(duality, "_empty_mask", lambda E, f, lo, hi: sum(
         1 << Layout.of(lo, hi).index(p) for p in face))
     with pytest.raises(BoundaryInstabilityError) as err:
-        canonical_ideal(ex2)
+        canonical_ideal(replace(ex2))  # a fresh ex2, whose K(S) is not yet kept
     assert str(err.value) == (
         "canonical-ideal member (-6, -5) touches the search-box face at (-6, -6)")
 
@@ -156,22 +159,64 @@ def test_is_canonical_promotes_once(ex2, node3, monkeypatch):
     monkeypatch.setattr(duality, "_promote_region", counted)
     for S in (ex2, node3):
         for EJ in (S, canonical_ideal(S)):
-            calls[0] = 0
-            is_canonical(EJ, S)
-            assert calls[0] == 1, (S, EJ, calls[0])
+            # a fresh S, whose K(S) the call computes; a second call reuses it
+            fresh = replace(S)
+            for want in (1, 0):
+                calls[0] = 0
+                is_canonical(EJ, fresh)
+                assert calls[0] == want, (S, EJ, calls[0])
 
 
 def test_canonicity_same_with_and_without_context(n1, n2, ex2, node2, node3):
-    # a shared context changes where K(S) and the fiber-dual region come
-    # from, not the answers; one context serves every call over S
+    # a shared context changes where the fiber-dual region comes from, not
+    # the answers; one context serves every call over S, and K(S) is kept
+    # on S, not in the context
     for S in (n1, n2, ex2, node2, node3):
         ctx = duality._CheckContext()
-        assert is_gorenstein(S, ctx=ctx) == is_gorenstein(S)
         K = canonical_ideal(S)
+        assert is_gorenstein(S) == equals(S, K)
         for EJ in (S, K, translate(K, ones(S.r)), random_good(S, 1)):
             assert is_canonical(EJ, S, ctx=ctx) == is_canonical(EJ, S), (S, EJ)
             assert ctx.is_canonical(EJ, S) == is_canonical(EJ, S), (S, EJ)
-        assert ctx.values["canonical", S] == K
+        assert canonical_ideal(S) is K
+        assert all(key[0] != "canonical" for key in ctx.values), ctx.values
+
+
+def test_canonical_ideal_kept_on_the_semigroup(n1, ex2, node3):
+    for S in (n1, ex2, node3):
+        S = replace(S)
+        assert canonical_ideal(S) is canonical_ideal(S)
+
+
+def test_canonical_ideal_computed_once_per_semigroup(n1, ex2, node2, node3,
+                                                      canonical_runs):
+    # every public reader of K(S) on one S runs its body once; a value-equal
+    # copy is another object and computes it again
+    for S in (n1, ex2, node2, node3):
+        S = replace(S)
+        K = canonical_ideal(S)
+        is_gorenstein(S)
+        is_canonical(K, S)
+        check_all(S, K, S)
+        assert sum(E is S for E in canonical_runs) == 1, S
+        copy = SmallRep(S.r, S.m, S.c, S.small)
+        assert canonical_ideal(copy) == K and canonical_ideal(copy) is not K
+        assert sum(E is copy for E in canonical_runs) == 1, S
+
+
+def test_failing_canonical_ideal_raises_on_every_call(ex2, monkeypatch):
+    # a call that raises keeps nothing, so the next call runs the body again
+    S = replace(ex2)
+    with monkeypatch.context() as patch:
+        patch.setattr(duality, "_empty_mask", lambda E, f, lo, hi: 1)
+        for _ in range(2):
+            with pytest.raises(BoundaryInstabilityError):
+                canonical_ideal(S)
+    assert canonical_ideal(S) == canonical_ideal(ex2)
+    no_zero = translate(node(2), (1, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="0 missing"):
+            canonical_ideal(no_zero)
 
 
 def test_is_gorenstein_examples(n1, n2, node2, node3, ex2):
@@ -237,7 +282,7 @@ def test_each_built_ideal_validated_once(monkeypatch, ex2, node2):
 
     for module in (gsi.constructors, gsi.duality):
         monkeypatch.setattr(module, "validate", counted)
-    for S in (ex2, node2):
+    for S in (replace(ex2), replace(node2)):
         for build in (lambda: canonical_ideal(S),
                       lambda: cd_difference(S, S),
                       lambda: random_good(S, 3)):

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -883,7 +884,7 @@ class _OldContext(_CheckContext):
 
     def is_canonical(self, EJ: SmallRep, S: SmallRep) -> bool:
         return self._get(("is_canonical", EJ, S), lambda: _old_is_canonical(
-            EJ, S, self.canonical(S), self.fiber_dual(EJ, S)))
+            EJ, S, canonical_ideal(S), self.fiber_dual(EJ, S)))
 
 
 def _old_is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep, fd: RegionSet) -> bool:
@@ -956,11 +957,10 @@ def _fiber_dual_reports(old: _CheckContext, new: _CheckContext, EJ: SmallRep,
     return want
 
 
-def _is_canonical(EJ: SmallRep, S: SmallRep, K: SmallRep,
-                  region: tuple[Point, Point, int]) -> bool:
-    """is_canonical with K and the fiber-dual region seeded in its context."""
+def _is_canonical(EJ: SmallRep, S: SmallRep, region: tuple[Point, Point, int]) -> bool:
+    """is_canonical with the fiber-dual region seeded in its context."""
     ctx = _CheckContext()
-    ctx.values["canonical", S], ctx.values["fiber_region", EJ, S] = K, region
+    ctx.values["fiber_region", EJ, S] = region
     return is_canonical(EJ, S, ctx=ctx)
 
 
@@ -977,7 +977,7 @@ def test_fiber_dual_checks_match_point_set_reference():
                 seen["differs"] += not duality["flags"]["equal"]
                 seen["canonical"] += duality["flags"]["ej_canonical"]
             want = _old_is_canonical(EJ, S, K, fiber_dual(EJ, S))
-            assert _is_canonical(EJ, S, K, _fiber_region(EJ, S)) == want, (name, EJ)
+            assert _is_canonical(EJ, S, _fiber_region(EJ, S)) == want, (name, EJ)
             seen["not_canonical"] += not want
     # non-canonical EJ: strict inclusions and differing duals
     assert min(seen.values()) >= 20, seen
@@ -1016,7 +1016,7 @@ def test_fiber_dual_checks_match_reference_on_planted_regions():
                     if EI == S:
                         region_set = old.values["fiber_dual", EJ, EI]
                         want = _outcome(_old_is_canonical, EJ, S, K, region_set)
-                        got = _outcome(_is_canonical, EJ, S, K, (lo, hi, mask))
+                        got = _outcome(_is_canonical, EJ, S, (lo, hi, mask))
                         assert got == want, (name, EJ, mask)
                         seen["disagree"] += isinstance(want, tuple)
     assert min(seen.values()) >= 10, seen
@@ -1053,7 +1053,7 @@ def test_sweeps_work_bounded_by_reports(ex2, node3, monkeypatch):
         D = cd_difference(K, S)
         lo, hi = _sweep_box(S, D, K.c, 2)
         assert len(list(box_points(lo, hi))) >= 100
-        sweeps = [lambda: canonical_ideal(S), lambda: fiber_dual(K, S),
+        sweeps = [lambda: canonical_ideal(replace(S)), lambda: fiber_dual(K, S),
                   lambda: fiber_dual(S, S), lambda: check_length_pairing(K, S, D),
                   lambda: check_length_pairing(S, S), lambda: check_rho(S, K, S),
                   lambda: check_rho(S, S, S)]

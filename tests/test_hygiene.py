@@ -2,8 +2,9 @@
 import sits at module level, no module imports a name it never uses, every
 module-level class not exported through __all__, every private module-level
 function and every method or property of a class is referenced somewhere in
-the package, and no module defines both a name and a private twin _name of
-it."""
+the package, no module defines both a name and a private twin _name of
+it, and no module keeps a cache or container at module level beyond its
+named exemptions."""
 import ast
 import pathlib
 
@@ -131,3 +132,48 @@ def test_methods_are_referenced():
             and not (item.name.startswith("__") and item.name.endswith("__"))
             and item.name not in used]
     assert not dead, f"methods nothing in the package references: {dead}"
+
+
+# Module-level state that outlives a call, each with its reason.
+MODULE_CACHES = {
+    "__init__.__all__",  # the export list, never written
+    "cli._parser",  # the argument parser, built once per process
+    "oracle._checked_window",  # the oracle's bounded window memo
+}
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                    "WeakKeyDictionary", "WeakValueDictionary"}
+_CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set)
+
+
+def _called_name(node: ast.expr) -> str | None:
+    """The last name of a call's or a decorator's target: lru_cache for
+    functools.lru_cache(maxsize=8), cache for @cache."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def test_no_module_level_caches():
+    # a value computed once per object lives on the object (as SmallRep's
+    # cached properties and canonical_ideal's K(S) do), never in module
+    # state that keeps it, and every ideal it holds, for the process
+    found = set()
+    for name, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_called_name(d) in _CACHE_DECORATORS for d in node.decorator_list):
+                    found.add(f"{name[:-3]}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                value = node.value
+                if (isinstance(value, _CONTAINER_DISPLAYS)
+                        or (isinstance(value, ast.Call)
+                            and _called_name(value) in _CONTAINER_CALLS)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found.update(f"{name[:-3]}.{t.id}" for t in targets
+                                 if isinstance(t, ast.Name))
+    assert found == MODULE_CACHES, (
+        f"module-level caches: {sorted(found - MODULE_CACHES)}; "
+        f"stale exemptions: {sorted(MODULE_CACHES - found)}")

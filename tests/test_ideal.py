@@ -180,7 +180,7 @@ def test_translate_examples(n2, ex2, node2):
     t = translate(n2, (3,))
     assert sorted(t.small) == [(3,), (5,)]
     assert t.c == (5,)
-    assert equals(translate(ex2, (0, 0)), ex2)
+    assert translate(ex2, (0, 0)) is ex2
     neg = translate(node2, (-1, -1))
     assert sorted(neg.small) == [(-1, -1), (0, 0)]
     assert neg.c == (0, 0)
@@ -203,11 +203,27 @@ def test_equals_and_subset(n1, n2, ex2):
     assert contains(k1, (1,)) and not contains(n1, (1,))
 
 
-def test_equals_differently_normalized():
+def test_equals_on_equal_reps_builds_no_window(ex2, node3, monkeypatch):
+    import gsi.ideal as ideal
+
+    def no_window(*args):
+        raise AssertionError("equal representations built a window")
+
+    monkeypatch.setattr(ideal, "_window", no_window)
+    for E in (ex2, node3):
+        assert equals(E, E)
+        assert equals(E, SmallRep(E.r, E.m, E.c, E.small))
+
+
+def test_equals_differently_normalized(n1):
     # N as an ideal: singleton m = c = 0
     nat = from_small_elements(1, (0,), (0,), {(0,)})
     assert nat.c == (0,)
     assert equals(nat, node(1))
+    # N(3, 4, 5) written with the non-least conductor 5: another
+    # representation of the same set, so the windows decide
+    wide = SmallRep(1, (0,), (5,), frozenset({(0,), (3,), (4,), (5,)}))
+    assert wide != n1 and equals(wide, n1) and equals(n1, wide)
 
 
 def test_membership_against_oracle_exhaustive(ex2, n1, n2, node2):

@@ -1,16 +1,18 @@
 """Duals of good semigroup ideals and canonical-ideal tests.
 
 The CD-difference D = {beta : beta + EI <= EJ} is computed over the box
-[m_J - c_I, c_J - m_I + e]: below it beta + c_I drops under m_J, and from
-U = c_J - m_I upward beta + EI lands past the conductor of EJ.  The inner
-quantifier is truncated by the conductor cap: a failing alpha beyond the cap
-meets down to a failing alpha inside it.  It runs on the membership grid of
-``ideal`` (``ideal._quotient``): one window of EJ covers every sum beta +
-alpha, and its shift by alpha's offset answers the quantifier for every beta
-at once.  The members alpha of EI are the clamp classes of its small
-elements, and by E2 in EJ only the top class, c_I plus a box, needs the
-window ANDed over its box by doubling shifts; every other small element
-takes one shift of the plain window.
+[m_J - c_I, U], U = c_J - m_I, and promoted with top U: below the box
+beta + c_I drops under m_J, and past U_k every beta_k + alpha_k passes
+c_J,k, where EJ clamps, so D is clamp-invariant at U, its conductor.
+``_dual_box`` keeps [m_J - c_I, U + e] for the fiber dual and the
+reports.  The inner quantifier is truncated by the conductor cap: a failing
+alpha beyond the cap meets down to a failing alpha inside it.  It runs on
+the membership grid of ``ideal`` (``ideal._quotient``): one window of EJ
+covers every sum beta + alpha, and its shift by alpha's offset answers the
+quantifier for every beta at once.  The members alpha of EI are the clamp
+classes of its small elements, and by E2 in EJ only the top class, c_I plus
+a box, needs the window ANDed over its box by doubling shifts; every other
+small element takes one shift of the plain window.
 ``fiber_dual`` and ``canonical_ideal`` read their regions off one window
 instead of walking their boxes: the points beta with F(E, f - beta) empty
 are the box minus the window of E's layer P[1] (some singleton open fiber
@@ -19,7 +21,7 @@ indexing.  ``_fiber_region`` returns the fiber dual as that mask with its
 box; ``is_canonical`` and the check layer compare it with windows and
 never promote it, and only the public ``fiber_dual`` decodes it.
 Results are normalized to SmallRep by ``ideal._least_conductor``, which
-walks runs down the axes from the box top, as the constructors' data is, and
+walks runs down the axes from the top U, as the constructors' data is, and
 validated once; any failure there is an internal bug, never expected on
 valid inputs.
 
@@ -41,6 +43,7 @@ from .ideal import (
     Layout,
     RegionSet,
     SmallRep,
+    _box_mask,
     _compatibility_failure,
     _least_conductor,
     _quotient,
@@ -64,14 +67,15 @@ def _dual_box(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, Point]:
     return lo, hi, U
 
 
-def _promote_region(r: int, points: set[Point], hi: Point,
+def _promote_region(r: int, points: set[Point],
                     U: Point) -> tuple[SmallRep | None, str | None]:
     """Try to read a bounded point set as the box window of a good ideal.
 
-    Requires a minimum m and the point U (everything from U up is known to
-    belong), then normalises the points on [m, hi], hi the box top, with
-    ``_least_conductor`` and validates the axioms; below m the region and
-    its membership rule are both empty.  Any miss returns a reason instead.
+    The points lie at or below U, the box top, which is known to conduct
+    (everything from U up belongs).  Requires a minimum m and the point U,
+    then normalises the points on [m, U] with ``_least_conductor`` and
+    validates the axioms; below m the region and its membership rule are
+    both empty.  Any miss returns a reason instead.
     """
     if not points:
         return None, "empty region"
@@ -80,7 +84,7 @@ def _promote_region(r: int, points: set[Point], hi: Point,
         return None, f"no minimum: meet of region is {m}, not a region point"
     if U not in points:
         return None, f"expected conducting point {U} missing"
-    rep = _least_conductor(SmallRep(r, m, hi, frozenset(points)))
+    rep = _least_conductor(SmallRep(r, m, U, frozenset(points)))
     if isinstance(rep, str):
         return None, rep
     report = validate(rep)
@@ -90,15 +94,16 @@ def _promote_region(r: int, points: set[Point], hi: Point,
 
 
 def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
-    """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient)."""
+    """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient),
+    computed on [m_J - c_I, U], U = c_J - m_I, and promoted with top U."""
     _require_same_r(EJ, EI)
     e = ones(EJ.r)
-    lo, hi, U = _dual_box(EJ, EI)
+    lo, _, U = _dual_box(EJ, EI)
     # superset of every per-beta quantifier cap K(beta); quantifying over the
     # larger window is equivalent by the cap argument
     kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
-    points = _quotient(EJ, EI, lo, hi, kmax)
-    rep, failure = _promote_region(EJ.r, points, hi, U)
+    points = _quotient(EJ, EI, lo, U, kmax)
+    rep, failure = _promote_region(EJ.r, points, U)
     if rep is None:
         raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
     return rep
@@ -123,23 +128,32 @@ def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box.
 
     Goodness of this set is not guaranteed for non-canonical EJ, so the raw
-    region is returned with the outcome of a promotion attempt.
+    region is returned with the outcome of a promotion attempt.  The region
+    is clamp-invariant at U = hi - e (past U, f - beta drops below m_I - 1,
+    where EI's fiber index clamps), so only its points up to U are promoted.
     """
     _require_same_r(EJ, EI)
+    e = ones(EJ.r)
     lo, hi, region = _fiber_region(EJ, EI)
-    points = set(Layout.of(lo, hi).points(region))
-    rep, failure = _promote_region(EJ.r, points, hi, vsub(hi, ones(EJ.r)))
-    return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
+    U = vsub(hi, e)
+    layout = Layout.of(lo, hi)
+    below_U = _box_mask(layout.dims, vsub(layout.dims, e))
+    inner = layout.points(region & below_U)
+    rep, failure = _promote_region(EJ.r, set(inner), U)
+    points = frozenset(inner + layout.points(region & ~below_U))
+    return RegionSet(EJ.r, Box(lo, hi), points, rep, failure)
 
 
 def canonical_ideal(S: SmallRep) -> SmallRep:
     """The canonical ideal {alpha : F(S, frobenius(S) - alpha) = empty}.
 
-    A member on a low face of the search box raises
-    BoundaryInstabilityError, naming the lexicographically least such member.
-    Postconditions are asserted: the Frobenius vector is preserved, S is
-    contained in the result, and the result, validated on promotion, is
-    compatible with S.  The result is kept on S and returned by later calls.
+    A member on a low face of the search box [lo, c(S)] raises
+    BoundaryInstabilityError, naming the lexicographically least such member:
+    the lowest bit of the region outside [lo + e, c(S)].  The region is
+    promoted with top c(S).  Postconditions are asserted: the Frobenius
+    vector is preserved, S is contained in the result, and the result,
+    validated on promotion, is compatible with S.  The result is kept on S
+    and returned by later calls.
     """
     if "canonical_ideal" in vars(S):
         return vars(S)["canonical_ideal"]
@@ -150,12 +164,17 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     lo = vsub(vsub(S.m, span), e)
     hi = S.c
     f = frobenius(S)
-    points = set(Layout.of(lo, hi).points(_empty_mask(S, f, lo, hi)))
-    face = min((p for p in points if any(x == l for x, l in zip(p, lo))), default=None)
-    if face is not None:
+    layout = Layout.of(lo, hi)
+    region = _empty_mask(S, f, lo, hi)
+    # the members off the inner box [lo + e, hi], whose bits are those of
+    # the box of dims - e shifted up by the index of lo + e
+    inner = _box_mask(layout.dims, vsub(layout.dims, e)) << sum(layout.strides)
+    face = region & ~inner
+    if face:
         raise BoundaryInstabilityError(
-            f"canonical-ideal member {face} touches the search-box face at {lo}")
-    rep, failure = _promote_region(S.r, points, hi, S.c)
+            f"canonical-ideal member {layout.lowest(face)} touches the search-box "
+            f"face at {lo}")
+    rep, failure = _promote_region(S.r, set(layout.points(region)), hi)
     if rep is None:
         raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")
     if frobenius(rep) != f:

@@ -655,7 +655,8 @@ def _sum_failure(outer: SmallRep, inner: SmallRep,
     W = _window(target, lo, hi)
     _, dims, strides = Layout.of(lo, hi)
     P = _members_in(inner, vadd(inner.c, e), dims)
-    for off in _bits(_members_in(outer, vadd(outer.c, e), dims)):
+    O = P if outer is inner else _members_in(outer, vadd(outer.c, e), dims)
+    for off in _bits(O):
         bad = P & ~(W >> off)
         if bad:
             o = Layout(outer.m, dims, strides).point(off)
@@ -690,6 +691,11 @@ def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
     x = beta + s in EJ takes each step: x and beta + c_I + e - e_i agree at
     i and x is lower elsewhere, so E2 puts some x + t e_i, t >= 1, in EJ,
     and its meet with beta + c_I + e is x + e_i; repeat from there.
+
+    ``duality.cd_difference`` asks for [m_J - c_I, U], U = c_J - m_I: past
+    U_k, beta_k + alpha_k passes c_J,k for every member alpha, where EJ
+    clamps, so the answer is clamp-invariant at U and a row above it would
+    repeat row U.
     """
     e = ones(EJ.r)
     wlo, whi = vadd(lo, EI.m), vadd(hi, cap)
@@ -729,10 +735,11 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     """Check the good-semigroup-ideal axioms on the finite box [m, c + e].
 
     The structural part comes first: m <= c, both are small elements, and
-    every small element lies in [m, c], which holds exactly when the
-    per-axis minima and maxima of the small elements are m and c, so it
-    costs two passes over the coordinates; only when it fails are the small
-    elements walked in sorted order to name the first one outside.
+    every small element lies in [m, c].  The per-axis minima and maxima of
+    the small elements are read first, two passes over the coordinates;
+    when they are m and c, m <= c holds and no element lies outside, so only
+    the two memberships are tested.  Otherwise m <= c is tested and the
+    small elements are walked in sorted order to name the first one outside.
     Beyond the conductor, membership is monotone by construction of the rule,
     so the box quantifiers are exhaustive for the represented set.  E1 and E2
     pair the small elements alone, the clamps min(a, c) of the members a:
@@ -745,11 +752,10 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     masks, and the pair loops run only to name the first failing pair; on a
     larger grid they run instead.  The pair loops build no grid: E1 is a set
     lookup, and an E2 witness is looked up among the sorted small elements
-    (:func:`_in_fiber`), so a sparse ideal's grid stays unbuilt.  With
-    S given,
-    compatibility S + E <= E is checked over boxes; with ``semigroup``, 0 in
-    E and E + E <= E are checked as well.  The first failing axiom is
-    reported with its violating pair.
+    (:func:`_in_fiber`), so a sparse ideal's grid stays unbuilt; only they
+    sort the small elements.  With S given, compatibility S + E <= E is
+    checked over boxes; with ``semigroup``, 0 in E and E + E <= E are checked
+    as well.  The first failing axiom is reported with its violating pair.
     """
     r = E.r
     universe = f"axiom box [{list(E.m)}, {list(vadd(E.c, ones(r)))}]"
@@ -761,7 +767,9 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
         return rep
 
     # Structural part: reported as its own failure class, not an axiom.
-    if not leq(E.m, E.c):
+    bounded = (tuple(map(min, zip(*E.small))) == E.m
+               and tuple(map(max, zip(*E.small))) == E.c)
+    if not bounded and not leq(E.m, E.c):
         return fail("structural", reason="min exceeds conductor",
                     min=pt(E.m), conductor=pt(E.c))
     if E.m not in E.small:
@@ -769,9 +777,8 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     if E.c not in E.small:
         return fail("structural", reason="conductor not among small elements",
                     conductor=pt(E.c))
-    small = sorted(E.small)
-    if tuple(map(min, zip(*small))) != E.m or tuple(map(max, zip(*small))) != E.c:
-        for p in small:
+    if not bounded:
+        for p in sorted(E.small):
             if not (leq(E.m, p) and leq(p, E.c)):
                 return fail("structural", reason="small element outside [min, conductor]",
                             point=pt(p))
@@ -779,9 +786,10 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     # E1 and E2 on the masks when the grid has at most as many points as
     # there are pairs; the pair loops run otherwise, or to name the first
     # failing pair.
-    n = len(small)
+    n = len(E.small)
     volume = math.prod(c - m + 2 for m, c in zip(E.m, E.c))
     if volume > n * n or not _pairs_good(E):
+        small = sorted(E.small)
         # E1: closure under componentwise minimum.
         for idx, a in enumerate(small):
             for b in small[idx + 1:]:
@@ -801,10 +809,12 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
 
     # Conductor minimality: c - e_i must not conduct.  Every point above
     # c - e_i with coordinate i pinned to c_i - 1 meets down to c - e_i, so
-    # membership of that single point decides it.
+    # membership of that single point decides it, and as it lies below c,
+    # membership is being a small element.
+    c = E.c
     for i in range(r):
-        down = tuple(E.c[k] - 1 if k == i else E.c[k] for k in range(r))
-        if E.contains(down):
+        down = c[:i] + (c[i] - 1,) + c[i + 1:]
+        if down in E.small:
             return fail("conductor", coordinate=i + 1, point=pt(down),
                         reason="conductor not minimal: c - e_i already conducts")
 

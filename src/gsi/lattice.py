@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidIndexSet
@@ -60,12 +61,12 @@ def partial_cmp(a: Point, b: Point) -> Cmp:
 
 def vadd(a: Point, b: Point) -> Point:
     check_same_dim(a, b)
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Point, b: Point) -> Point:
     check_same_dim(a, b)
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def zero(r: int) -> Point:

@@ -19,7 +19,7 @@ from gsi.constructors import (
 from gsi.errors import GenerationError, ValidationError
 from gsi.fiber import fiber_empty, maximals
 from gsi.gsi_format import emit_gsi
-from gsi.ideal import SmallRep, _e2_fiber, _least_conductor, frobenius, validate
+from gsi.ideal import SmallRep, _e2_fiber, _least_conductor, frobenius, members, validate
 from gsi.lattice import Point, box_points, leq, meet, ones, vadd, zero
 
 
@@ -344,15 +344,22 @@ def test_least_conductor_matches_box_sweep_on_dual_regions(monkeypatch):
         inputs.append(P)
         return _least_conductor(P)
 
-    # the promoted regions of duals and canonical ideals, and the raw data
-    # from_small_elements normalises for random_good, r = 4 included
+    # the promoted regions of duals and canonical ideals, the raw data
+    # from_small_elements normalises for random_good, r = 4 included, and
+    # documents declared one step past their conductor.  Duals and canonical
+    # ideals are promoted with their conductor as top and do not shrink, so
+    # the shrinking inputs are the documents and random_good's data.
     monkeypatch.setattr(duality, "_least_conductor", record)
     monkeypatch.setattr(constructors, "_least_conductor", record)
     for S in _semigroups().values():
         K = duality.canonical_ideal(S)
-        for EJ, EI in ((S, S), (K, S), (S, K), (K, random_good(S, 1))):
+        R = random_good(S, 1)
+        for EJ, EI in ((S, S), (K, S), (S, K), (K, R)):
             duality.cd_difference(EJ, EI)
             duality.fiber_dual(EJ, EI)
+        for E in (S, K, R):
+            top = vadd(E.c, ones(E.r))
+            from_small_elements(E.r, E.m, top, members(E, E.m, top))
     for S in (node(4), product(numerical([2, 3]), node(3))):
         for seed in range(4):
             random_good(S, seed, max_width=3)

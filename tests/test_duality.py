@@ -251,23 +251,61 @@ def test_promotion_rejects_non_good_regions():
     from gsi.duality import _promote_region
 
     # not meet-closed: (0,1) and (1,0) without (0,0)
-    rep, why = _promote_region(2, {(0, 1), (1, 0), (1, 1), (2, 2)}, (2, 2), (1, 1))
+    rep, why = _promote_region(2, {(0, 1), (1, 0), (1, 1), (2, 2)}, (2, 2))
     assert rep is None and "minimum" in why
-    # fine region: the node shape
-    rep, why = _promote_region(2, {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)},
-                               (2, 2), (1, 1))
+    # fine region: the node shape, its conductor shrunk from the top (2,2)
+    rep, why = _promote_region(2, {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)}, (2, 2))
     assert why is None and rep is not None and rep.c == (1, 1)
-    # the top corner (2,2) is missing, so no point heads a full sub-box
-    rep, why = _promote_region(2, {(0, 0), (1, 1)}, (2, 2), (1, 1))
-    assert rep is None and why == "no conducting candidate"
+    # the top (2,2) is missing, so it cannot conduct
+    rep, why = _promote_region(2, {(0, 0), (1, 1)}, (2, 2))
+    assert rep is None and why == "expected conducting point (2, 2) missing"
     # (0,2) and (2,0) head full sub-boxes, their meet (0,0) does not
     rep, why = _promote_region(2, {(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)},
-                               (2, 2), (1, 1))
+                               (2, 2))
     assert rep is None and why == "conducting candidates are not meet-closed"
     # least conductor (2,2); the rule puts (0,3) in with (0,2), the region not
     top = {(x, y) for x in (2, 3) for y in (2, 3)}
-    rep, why = _promote_region(2, {(0, 0), (0, 2)} | top, (3, 3), (2, 2))
+    rep, why = _promote_region(2, {(0, 0), (0, 2)} | top, (3, 3))
     assert rep is None and why == "membership rule disagrees with region at (0, 3)"
+
+
+def _dual_pairs():
+    """(EJ, EI) for EJ and EI in {S, K(S), random_good(S, s)} over fresh
+    copies of the semigroups of test_grid, whose K(S) is not yet kept."""
+    from test_grid import _semigroups
+
+    for S in _semigroups().values():
+        S = replace(S)
+        ideals = [S, canonical_ideal(S)] + [random_good(S, seed) for seed in (1, 4)]
+        yield S, [(EJ, EI) for EJ in ideals for EI in ideals]
+
+
+def test_dual_conductor_is_c_J_minus_m_I():
+    # beta = U - e_k has beta + m_I = c_J - e_k, not in EJ, while U conducts
+    for _, pairs in _dual_pairs():
+        for EJ, EI in pairs:
+            assert cd_difference(EJ, EI).c == vsub(EJ.c, EI.m), (EJ, EI)
+
+
+def test_dual_and_canonical_promotions_keep_their_top(monkeypatch):
+    # cd_difference promotes on [lo, U] and canonical_ideal on [lo, c(S)],
+    # and both tops are the conductors, so the normaliser returns its input
+    kept = []
+
+    def record(P, original=duality._least_conductor):
+        out = original(P)
+        kept.append(out is P)
+        return out
+
+    monkeypatch.setattr(duality, "_least_conductor", record)
+    for S, pairs in _dual_pairs():
+        kept.clear()
+        canonical_ideal(replace(S))  # S already keeps its K(S)
+        assert kept == [True], S
+        for EJ, EI in pairs:
+            kept.clear()
+            cd_difference(EJ, EI)
+            assert kept == [True], (EJ, EI)
 
 
 def test_each_built_ideal_validated_once(monkeypatch, ex2, node2):

@@ -8,10 +8,11 @@ per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
 ``fiber_dual`` and ``canonical_ideal``, the two fiber-table routines that
 ``ideal._closed_fibers`` replaced, the structural loop of
 ``from_small_elements``, the per-row recursion of ``_window``, the
-``members`` scan of ``search_member`` and the point-set reads of the fiber
-dual in the fibra and duality checks and in ``is_canonical``.  The fast
-paths must give the same reports, regions and first counterexamples, byte
-for byte.
+``members`` scan of ``search_member``, the point-set reads of the fiber
+dual in the fibra and duality checks and in ``is_canonical``, the mask-path
+``validate`` that sorted its small elements first, and the promotion of a
+dual on the box [lo, U + e] with its top row.  The fast paths must give the
+same reports, regions and first counterexamples, byte for byte.
 """
 import collections
 import functools
@@ -26,7 +27,6 @@ from gsi.constructors import _Box, from_small_elements, node, numerical, product
 from gsi.duality import (
     _dual_box,
     _fiber_region,
-    _promote_region,
     canonical_ideal,
     cd_difference,
     fiber_dual,
@@ -49,9 +49,15 @@ from gsi.ideal import (
     _box_mask,
     _closed_fibers,
     _compatibility_failure,
+    _e2_fiber,
+    _in_fiber,
     _least_conductor,
+    _pairs_good,
+    _quotient,
     _repeat,
+    _require_same_r,
     _reversed_bits,
+    _sum_failure,
     _window,
     equals,
     frobenius,
@@ -221,6 +227,90 @@ def _old_validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = F
     return rep
 
 
+def _old_sorted_validate(E: SmallRep, S: SmallRep | None = None, *,
+                         semigroup: bool = False) -> CheckReport:
+    """The former mask-path ``validate``: it sorted the small elements
+    first, tested m <= c and walked the sorted elements whenever the
+    per-axis bounds failed, and read conductor minimality through
+    ``contains``."""
+    r = E.r
+    universe = f"axiom box [{list(E.m)}, {list(vadd(E.c, ones(r)))}]"
+    rep = CheckReport("validate", True, universe)
+
+    def fail(axiom: str, **data) -> CheckReport:
+        rep.passed = False
+        rep.counterexamples.append({"axiom": axiom, **data})
+        return rep
+
+    # Structural part: reported as its own failure class, not an axiom.
+    if not leq(E.m, E.c):
+        return fail("structural", reason="min exceeds conductor",
+                    min=pt(E.m), conductor=pt(E.c))
+    if E.m not in E.small:
+        return fail("structural", reason="min not among small elements", min=pt(E.m))
+    if E.c not in E.small:
+        return fail("structural", reason="conductor not among small elements",
+                    conductor=pt(E.c))
+    small = sorted(E.small)
+    if tuple(map(min, zip(*small))) != E.m or tuple(map(max, zip(*small))) != E.c:
+        for p in small:
+            if not (leq(E.m, p) and leq(p, E.c)):
+                return fail("structural", reason="small element outside [min, conductor]",
+                            point=pt(p))
+
+    # E1 and E2 on the masks when the grid has at most as many points as
+    # there are pairs; the pair loops run otherwise, or to name the first
+    # failing pair.
+    n = len(small)
+    volume = math.prod(c - m + 2 for m, c in zip(E.m, E.c))
+    if volume > n * n or not _pairs_good(E):
+        # E1: closure under componentwise minimum.
+        for idx, a in enumerate(small):
+            for b in small[idx + 1:]:
+                g = tuple(map(min, a, b))
+                if g not in E.small:
+                    return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
+
+        # E2: exchange witness for every pair agreeing in some coordinate,
+        # looked up among the small elements.
+        for idx, a in enumerate(small):
+            for b in small[idx + 1:]:
+                for i in range(r):
+                    if a[i] == b[i]:
+                        x, J = _e2_fiber(a, b, i)
+                        if not _in_fiber(small, meet(x, E.c), J):
+                            return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
+
+    # Conductor minimality: c - e_i must not conduct.  Every point above
+    # c - e_i with coordinate i pinned to c_i - 1 meets down to c - e_i, so
+    # membership of that single point decides it.
+    for i in range(r):
+        down = tuple(E.c[k] - 1 if k == i else E.c[k] for k in range(r))
+        if E.contains(down):
+            return fail("conductor", coordinate=i + 1, point=pt(down),
+                        reason="conductor not minimal: c - e_i already conducts")
+
+    if S is not None:
+        if S.r != r:
+            return fail("structural", reason="semigroup dimension mismatch")
+        failure = _compatibility_failure(E, S)
+        if failure is not None:
+            return fail("compatibility", **failure)
+
+    if semigroup:
+        z = (0,) * r
+        if not E.contains(z):
+            return fail("semigroup", reason="0 not a member")
+        # the first failing pair has b >= a: a failing (b, a) with b < a
+        # would have come first
+        failure = _sum_failure(E, E, E)
+        if failure is not None:
+            a, b, q = failure
+            return fail("semigroup", pair=[pt(a), pt(b)], sum=pt(q))
+
+    return rep
+
+
 def _old_check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> CheckReport:
     """beta in D and alpha in EI always sum into EJ (sum rule)."""
     if D is None:
@@ -242,6 +332,62 @@ def _old_check_sum(EJ: SmallRep, EI: SmallRep, D: SmallRep | None = None) -> Che
     return rep
 
 
+def _old_promote_region(r: int, points: set[Point], hi: Point,
+                        U: Point) -> tuple[SmallRep | None, str | None]:
+    """Try to read a bounded point set as the box window of a good ideal.
+
+    Requires a minimum m and the point U (everything from U up is known to
+    belong), then normalises the points on [m, hi], hi the box top, with
+    ``_least_conductor`` and validates the axioms; below m the region and
+    its membership rule are both empty.  Any miss returns a reason instead.
+    """
+    if not points:
+        return None, "empty region"
+    m = tuple(map(min, zip(*points)))
+    if m not in points:
+        return None, f"no minimum: meet of region is {m}, not a region point"
+    if U not in points:
+        return None, f"expected conducting point {U} missing"
+    rep = _least_conductor(SmallRep(r, m, hi, frozenset(points)))
+    if isinstance(rep, str):
+        return None, rep
+    report = _old_sorted_validate(rep)
+    if not report.passed:
+        return None, f"axiom validation failed: {report.summary()}"
+    return rep, None
+
+
+# The former mask paths of cd_difference and fiber_dual, kept verbatim but
+# for the promotion they call: the quotient ran on [lo, U + e] and the whole
+# fiber region was promoted, both with top U + e.
+def _old_full_box_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
+    """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient)."""
+    _require_same_r(EJ, EI)
+    e = ones(EJ.r)
+    lo, hi, U = _dual_box(EJ, EI)
+    # superset of every per-beta quantifier cap K(beta); quantifying over the
+    # larger window is equivalent by the cap argument
+    kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
+    points = _quotient(EJ, EI, lo, hi, kmax)
+    rep, failure = _old_promote_region(EJ.r, points, hi, U)
+    if rep is None:
+        raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
+    return rep
+
+
+def _old_full_box_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
+    """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box.
+
+    Goodness of this set is not guaranteed for non-canonical EJ, so the raw
+    region is returned with the outcome of a promotion attempt.
+    """
+    _require_same_r(EJ, EI)
+    lo, hi, region = _fiber_region(EJ, EI)
+    points = set(Layout.of(lo, hi).points(region))
+    rep, failure = _old_promote_region(EJ.r, points, hi, vsub(hi, ones(EJ.r)))
+    return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
+
+
 def _old_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient)."""
     e = ones(EJ.r)
@@ -254,7 +400,7 @@ def _old_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     for beta in box_points(lo, hi):
         if all(EJ.contains(vadd(beta, a)) for a in alphas):
             points.add(beta)
-    rep, failure = _promote_region(EJ.r, points, hi, U)
+    rep, failure = _old_promote_region(EJ.r, points, hi, U)
     if rep is None:
         raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
     return rep
@@ -329,7 +475,7 @@ def _old_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     f = frobenius(EJ)
     points = {beta for beta in box_points(lo, hi)
               if fiber_empty(EI, vsub(f, beta))}
-    rep, failure = _promote_region(EJ.r, points, hi, U)
+    rep, failure = _old_promote_region(EJ.r, points, hi, U)
     return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
 
 
@@ -352,7 +498,7 @@ def _old_canonical_ideal(S: SmallRep) -> SmallRep:
         if any(x == l for x, l in zip(p, lo)):
             raise BoundaryInstabilityError(
                 f"canonical-ideal member {p} touches the search-box face at {lo}")
-    rep, failure = _promote_region(S.r, points, hi, S.c)
+    rep, failure = _old_promote_region(S.r, points, hi, S.c)
     if rep is None:
         raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")
     if frobenius(rep) != f:
@@ -1218,3 +1364,88 @@ def test_structural_failures_name_the_former_point():
         "axiom": "structural", "reason": "small element outside [min, conductor]",
         "point": [1, -1]}]
     assert validate(E).to_dict() == _old_validate(E).to_dict()
+
+
+def _structural_documents() -> list[SmallRep]:
+    """Documents, unvalidated, that fail each structural reason, E1, E2 and
+    conductor minimality, and one that passes."""
+    texts = [
+        # min exceeds conductor, with both bounds off
+        "r 2\nmin 3 3\nconductor 1 1\nelem 3 3\nelem 1 1\n",
+        # min exceeds conductor on one axis, min missing too
+        "r 2\nmin 0 4\nconductor 2 2\nelem 2 2\nelem 1 1\n",
+        # min not among small elements
+        "r 2\nmin 0 0\nconductor 2 2\nelem 1 1\nelem 2 2\n",
+        # conductor not among small elements
+        "r 2\nmin 0 0\nconductor 2 2\nelem 0 0\nelem 1 1\n",
+        # small elements outside [min, conductor], above and below
+        "r 2\nmin 0 0\nconductor 3 3\nelem 0 0\nelem 3 3\nelem 4 1\nelem 1 -1\n",
+        "r 3\nmin 0 0 0\nconductor 1 1 1\nelem 0 0 0\nelem 1 1 1\nelem 1 2 0\n",
+        # E1: the meet (1, 1) of (1, 2) and (2, 1) is missing
+        "r 2\nmin 0 0\nconductor 2 2\nelem 0 0\nelem 1 2\nelem 2 1\nelem 2 2\n",
+        # E2: (0, 0) and (1, 0) agree at 2 with no witness above them
+        "r 2\nmin 0 0\nconductor 2 2\nelem 0 0\nelem 1 0\nelem 2 2\n",
+        # conductor not minimal: (2, 1) already conducts
+        "r 2\nmin 0 0\nconductor 2 2\nelem 0 0\nelem 1 1\nelem 1 2\n"
+        "elem 2 1\nelem 2 2\n",
+        # the node of Z^2, which passes
+        "r 2\nmin 0 0\nconductor 1 1\nelem 0 0\nelem 1 1\n",
+    ]
+    return [_document_rep(text) for text in texts]
+
+
+def test_validate_matches_former_sorted_validate(data_dir):
+    # validate reads the structural bounds from per-axis minima and maxima
+    # before any sort, and tests conductor minimality as a set lookup; the
+    # reports must be those of the former validate, which sorted first
+    from test_constructors import _random_point_sets
+
+    rng = random.Random(20262)
+    semigroups = _semigroups()
+    cases = [(SmallRep(len(c), m, c, frozenset(pts)), None)
+             for m, c, pts in _random_point_sets(20263)]
+    cases += [(E, None) for E in _structural_documents()]
+    cases += [(_document_rep(path.read_text(encoding="utf-8")), None)
+              for path in sorted(data_dir.glob("*.gsi"))]
+    cases += [(_dense_rep(rng, rng.randint(1, 3)), None) for _ in range(100)]
+    for _ in range(200):
+        S = semigroups[rng.choice(sorted(semigroups))]
+        cases.append((_random_rep(rng, S), S))
+    seen = set()
+    for E, S in cases:
+        for S_arg, semigroup in ((None, False), (S, False), (None, True)):
+            want = _old_sorted_validate(E, S_arg, semigroup=semigroup).to_dict()
+            got = validate(E, S_arg, semigroup=semigroup).to_dict()
+            assert got == want, (E, S_arg, semigroup)
+            seen.update((c["axiom"], c.get("reason")) for c in got["counterexamples"])
+    structural = {"min exceeds conductor", "min not among small elements",
+                  "conductor not among small elements",
+                  "small element outside [min, conductor]"}
+    assert {("structural", reason) for reason in structural} <= seen, seen
+    conductor = "conductor not minimal: c - e_i already conducts"
+    assert {("E1", None), ("E2", None), ("conductor", conductor),
+            ("compatibility", None), ("semigroup", None)} <= seen, seen
+
+
+def test_dual_promotion_matches_former_full_box():
+    # cd_difference promotes its region on [lo, U] and fiber_dual its points
+    # up to U; the former promotion, on [lo, U + e] with the top row, must
+    # give the same reps and the same failure texts, on good pairs with
+    # non-canonical EJ and on seeded point sets, whose regions fail
+    rng = random.Random(47)
+    seen = collections.Counter()
+    for name, S in sorted(_semigroups().items()):
+        K = canonical_ideal(S)
+        ideals = [S, K] + [random_good(S, seed) for seed in (1, 4)]
+        ideals += [_random_rep(rng, S) for _ in range(6)]
+        for EJ in ideals:
+            for EI in ideals:
+                got = _outcome(cd_difference, EJ, EI)
+                want = _outcome(_old_full_box_cd_difference, EJ, EI)
+                assert got == want, (name, EJ, EI)
+                seen["dual " + ("failed" if isinstance(got, tuple) else "promoted")] += 1
+                fd = fiber_dual(EJ, EI)
+                assert fd == _old_full_box_fiber_dual(EJ, EI), (name, EJ, EI)
+                seen["fiber dual " + ("promoted" if fd.promoted else "failed")] += 1
+    assert seen["dual failed"] >= 10 and seen["fiber dual failed"] >= 50, seen
+    assert seen["dual promoted"] >= 500 and seen["fiber dual promoted"] >= 500, seen

@@ -109,19 +109,13 @@ def _grid_plot(E: SmallRep) -> str:
     e = ones(E.r)
     lo = vsub(E.m, e)
     hi = vadd(E.c, e)
-    maxpts = {info.point for info in maximals(E)}
     lines = []
     if E.r == 1:
-        row = []
-        for (x,) in box_points(lo, hi):
-            if (x,) in maxpts:
-                row.append("*")
-            elif E.contains((x,)):
-                row.append("o")
-            else:
-                row.append(".")
-        lines.append(f"x in [{lo[0]}, {hi[0]}]: " + "".join(row))
+        # r = 1: no maximal points, as the open {1}-fiber of alpha is {alpha}
+        row = "".join("o" if E.contains(p) else "." for p in box_points(lo, hi))
+        lines.append(f"x in [{lo[0]}, {hi[0]}]: " + row)
     else:
+        maxpts = {info.point for info in maximals(E)}
         for y in range(hi[1], lo[1] - 1, -1):
             row = []
             for x in range(lo[0], hi[0] + 1):

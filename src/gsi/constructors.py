@@ -13,6 +13,7 @@ inputs plus seed.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from .errors import GenerationError, ValidationError
@@ -24,6 +25,7 @@ from .ideal import (
     _closed_fibers,
     _compatibility_failure,
     _doubling_steps,
+    _fold,
     _least_conductor,
     _repeat,
     _split_pairs,
@@ -157,12 +159,8 @@ class _Box:
         for k, dk in enumerate(d):
             if dk:
                 s, low = self.layout.strides[k], self.layout.dims[k] - 1 - dk
-                fold, width = M, 1
-                while width <= dk:
-                    step = min(width, dk + 1 - width)
-                    fold |= fold >> step * s
-                    width += step
-                M = (M & self.below[k][low] | fold & self.eq[k][low]) << dk * s
+                top = _fold(M, s, dk + 1, operator.or_)
+                M = (M & self.below[k][low] | top & self.eq[k][low]) << dk * s
         return M
 
 

@@ -34,10 +34,11 @@ building grids only to name the first point where the two disagree.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .lattice import (
@@ -179,13 +180,15 @@ class SmallRep:
     def open_table(self) -> tuple[int, ...]:
         """Occupied open fibers as grid masks, indexed like
         :attr:`fiber_table`.  The open J-fiber of t is the closed one at
-        t + 1 on the free axes, clamped, so each closed entry is stepped
-        :meth:`up` once along every free axis."""
+        t + 1 on the free axes, clamped, so each closed entry is stepped one
+        row up along every free axis k (bit t reads t + e_k), the top row of
+        k staying put."""
         table = list(self.fiber_table)
-        for J in range(1, len(table)):
-            for k in range(self.r):
+        for k, (s, keep) in enumerate(zip(self.layout.strides, self._below_top)):
+            for J in range(1, len(table)):
                 if not J >> k & 1:
-                    table[J] = self.up(table[J], k)
+                    t = table[J]
+                    table[J] = t >> s & keep | t & ~keep
         return tuple(table)
 
     @cached_property
@@ -194,13 +197,6 @@ class SmallRep:
         dims = self.layout.dims
         return tuple(_box_mask(dims, dims[:k] + (dims[k] - 1,) + dims[k + 1:])
                      for k in range(self.r))
-
-    def up(self, mask: int, k: int) -> int:
-        """A grid mask stepped one row up along axis k: bit t reads the mask
-        at t + e_k, clamped into the grid as :meth:`index` clamps, so the top
-        row stays put."""
-        keep = self._below_top[k]
-        return mask >> self.layout.strides[k] & keep | mask & ~keep
 
     @cached_property
     def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -489,15 +485,13 @@ def _least_conductor(P: SmallRep) -> SmallRep | str:
     window of a good ideal.
 
     P holds the set on [m, c], m its minimum and c the box top, which the
-    set treats as conducting, and no point outside [m, c]; P need not be
-    valid otherwise.  The candidates are the h with [h, c] in the set, and
-    their meet g must be one of them.  With small the points below g, the
-    rule ``q in E <=> meet(q, g) in small`` must agree with the set on P's
-    grid [m - e, c].
+    set treats as conducting, with c in the set and no point outside
+    [m, c]; P need not be valid otherwise.  The candidates are the h with
+    [h, c] in the set, and their meet g must be one of them.  With small
+    the points below g, the rule ``q in E <=> meet(q, g) in small`` must
+    agree with the set on P's grid [m - e, c].
     """
     c, small = P.c, P.small
-    if c not in small:
-        return "no conducting candidate"
     # A candidate h has [h_k, c_k] on the k-line through c in the set, so h
     # is at least g, the ends of the runs down from c, which are candidates.
     g = list(c)
@@ -505,12 +499,12 @@ def _least_conductor(P: SmallRep) -> SmallRep | str:
         while c[:k] + (g[k] - 1,) + c[k + 1:] in small:
             g[k] -= 1
     g = tuple(g)
-    if not all(q in small for q in box_points(g, c)):
-        return "conducting candidates are not meet-closed"
-    # With g == c, meet(q, c) = q on the box, so the rule reads the set
-    # unchanged and cannot disagree with it.
+    # With g == c, [g, c] is {c}, in the set, and meet(q, c) = q on the
+    # box, so the rule reads the set unchanged and cannot disagree with it.
     if g == c:
         return P
+    if not all(q in small for q in box_points(g, c)):
+        return "conducting candidates are not meet-closed"
     # The rule's set on [m, c] is the disjoint union of the clamp classes
     # {q : meet(q, g) = s} of the s in small below g, and the class of s has
     # prod(c_k - g_k + 1) points over the axes with s_k = g_k.  The set lies
@@ -602,8 +596,10 @@ def _pairs_good(E: SmallRep) -> bool:
     agrees on K (0 < K < full) and meets at x, with Ja the axes where
     a = x < b and Jb the rest of J = full ^ K, has a in the open
     (K | Ja)-fiber of x and b in the open (K | Jb)-fiber; its witness at
-    i in K is the closed J-fiber of x + e_i, the entry T[J] stepped
-    :meth:`SmallRep.up` along i.
+    i in K is the closed J-fiber of x + e_i, T[J] shifted down a row along
+    i.  The top row of i is not tested: the grid clamps x + e_i to x there,
+    and x, the meet of a member pair, is in E by E1, checked first, so in
+    its own closed J-fiber.
     """
     T, O = E.fiber_table, E.open_table
     full = (1 << E.r) - 1
@@ -611,12 +607,13 @@ def _pairs_good(E: SmallRep) -> bool:
     for J in range(1, full, 2):  # each split once, axis 0 in J
         if T[J] & T[full ^ J] & outside:
             return False
+    strides, below_top = E.layout.strides, E._below_top
     for K in range(1, full):
         J = full ^ K
         pairs = _split_pairs(O, K, J)
         if pairs:
             for i in range(E.r):
-                if K >> i & 1 and pairs & ~E.up(T[J], i):
+                if K >> i & 1 and pairs & below_top[i] & ~(T[J] >> strides[i]):
                     return False
     return True
 
@@ -665,14 +662,14 @@ def _sum_failure(outer: SmallRep, inner: SmallRep,
     return None
 
 
-def _and_run(mask: int, stride: int, n: int) -> int:
-    """The AND of mask >> t * stride over t in [0, n), by doubling shifts:
-    before a step of s a bit holds the AND of width shifts, after it of
-    width + s."""
+def _fold(mask: int, stride: int, n: int, op: Callable[[int, int], int]) -> int:
+    """op (``operator.and_`` or ``operator.or_``) of mask >> t * stride over
+    t in [0, n), n >= 1, by doubling shifts: before a step of s a bit holds
+    op of width shifts, after it of width + s."""
     width = 1
     while width < n:
         step = min(width, n - width)
-        mask &= mask >> step * stride
+        mask = op(mask, mask >> step * stride)
         width += step
     return mask
 
@@ -695,7 +692,8 @@ def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
     ``duality.cd_difference`` asks for [m_J - c_I, U], U = c_J - m_I: past
     U_k, beta_k + alpha_k passes c_J,k for every member alpha, where EJ
     clamps, so the answer is clamp-invariant at U and a row above it would
-    repeat row U.
+    repeat row U.  There U's bit is never cleared, as U + alpha >= c_J for
+    every alpha >= m_I, so the AND runs over every small element.
     """
     e = ones(EJ.r)
     wlo, whi = vadd(lo, EI.m), vadd(hi, cap)
@@ -706,10 +704,8 @@ def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
     for s in sorted(EI.small):
         if s == EI.c:  # the last small element, as all lie below c_I
             for k, st in enumerate(strides):
-                W = _and_run(W, st, cap[k] - EI.c[k] + 1)
+                W = _fold(W, st, cap[k] - EI.c[k] + 1, operator.and_)
         acc &= W >> alphas.index(s)
-        if not acc:
-            break
     return set(Layout(lo, dims, strides).points(acc))
 
 

@@ -8,8 +8,8 @@ import sys
 import gsi
 from gsi import cli
 from gsi.cli import main
-from gsi.gsi_format import parse_gsi
-from gsi.ideal import RegionSet
+from gsi.gsi_format import emit_gsi, parse_gsi
+from gsi.ideal import RegionSet, translate
 from gsi.lattice import Box
 
 
@@ -207,6 +207,24 @@ def test_module_entrypoint_smoke(data_dir):
     proc = _child("-m", "gsi", "gorenstein", str(data_dir / "n2.gsi"))
     assert proc.returncode == 0
     assert "gorenstein: true" in proc.stdout
+
+
+def test_module_entrypoint_validate(data_dir):
+    ex2 = str(data_dir / "ex2.gsi")
+    proc = _child("-m", "gsi", "validate", ex2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{ex2}: valid\n", "")
+
+
+def test_semigroup_arguments_rejected_unless_good(capsys, data_dir, tmp_path):
+    # ex2 moved up by e is a good ideal but not a semigroup: 0 is no member
+    ex2, shifted = data_dir / "ex2.gsi", tmp_path / "shifted.gsi"
+    shifted.write_text(emit_gsi(translate(parse_gsi(ex2.read_text()), (1, 1))))
+    ex2, S = str(ex2), str(shifted)
+    err = (f"{S} is not a good semigroup: validate: FAIL (first counterexample: "
+           "{'axiom': 'semigroup', 'reason': '0 not a member'})\n")
+    for argv in (["canonical", S], ["gorenstein", S],
+                 ["check", "all", ex2, ex2, "--semigroup", S]):
+        assert run(capsys, *argv) == (2, "", err), argv
 
 
 def _reuse_sequence(data_dir):

@@ -174,6 +174,25 @@ def test_node_fixtures(node2):
     assert n.c == (0,) and sorted(n.small) == [(0,)]
 
 
+def test_node_rejects_dimension_zero():
+    with pytest.raises(ValueError, match=r"^dimension must be >= 1$"):
+        node(0)
+
+
+def test_product_validates_its_result(n2, data_dir):
+    # broken.gsi's points, unvalidated, miss the meet (3, 3) of (3, 4) and
+    # (4, 3), and so does their product with N(2, 3), on either side
+    from test_grid import _document_rep
+
+    broken = _document_rep((data_dir / "broken.gsi").read_text())
+    for A, B, pair, meet_ in ((broken, n2, [[3, 4, 0], [4, 3, 0]], [3, 3, 0]),
+                              (n2, broken, [[0, 3, 4], [0, 4, 3]], [0, 3, 3])):
+        with pytest.raises(ValidationError) as err:
+            product(A, B)
+        assert err.value.report.counterexamples == [
+            {"axiom": "E1", "pair": pair, "missing_meet": meet_}]
+
+
 def test_product_examples(n1, n2):
     P = product(n2, n2)
     assert P.c == (2, 2)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -26,7 +27,7 @@ from gsi.fiber import (
     p_value,
     q_value,
 )
-from gsi.ideal import frobenius, members, translate
+from gsi.ideal import SmallRep, frobenius, members, translate, validate
 from gsi.lattice import box_points, leq, ones, unit_vector, vadd, vsub
 from gsi.oracle import brute_fiber, materialize
 from gsi.theorems import length_step
@@ -379,3 +380,38 @@ def test_maximals_match_member_walk():
         assert got == _old_maximals(E), E
         with_maximals += bool(got)
     assert with_maximals >= 10, (with_maximals, len(ideals))
+
+
+def _numerical_semigroups(conductor: int) -> list[SmallRep]:
+    """Every numerical semigroup of conductor at most the given one, grown
+    from N by removing, one at a time, a minimal generator above the
+    Frobenius number (each semigroup is reached once)."""
+    out, stack = [], [frozenset()]
+    while stack:
+        gaps = stack.pop()
+        c = max(gaps, default=-1) + 1
+        out.append(SmallRep(1, (0,), (c,),
+                            frozenset((n,) for n in range(c + 1) if n not in gaps)))
+        for g in range(c, conductor):  # g becomes the Frobenius number
+            if g and all(a in gaps or g - a in gaps for a in range(1, g)):
+                stack.append(gaps | {g})
+    return out
+
+
+def test_one_dimensional_ideals_have_no_maximals():
+    # a member's open fiber with a single index is, at r = 1, the member
+    # itself, so P[1] is the whole grid and no point is maximal
+    semigroups = _numerical_semigroups(24)
+    assert len({S.small for S in semigroups}) == len(semigroups)
+    # N, then the known counts per Frobenius number 1, ..., 23
+    per_frobenius = collections.Counter(S.c[0] - 1 for S in semigroups)
+    assert [per_frobenius[f] for f in range(-1, 24)] == [
+        1, 0, 1, 1, 2, 2, 5, 4, 11, 10, 21, 22, 51, 40, 106, 103, 200, 205,
+        465, 405, 961, 900, 1828, 1913, 4096]
+    for S in semigroups[::97]:
+        assert validate(S, semigroup=True).passed, S
+    for i, S in enumerate(semigroups):
+        assert maximals(S) == [], S
+        if i % 5 == 0:
+            E = random_good(S, i)
+            assert maximals(E) == [], (S, i)

@@ -11,13 +11,16 @@ per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
 ``members`` scan of ``search_member``, the point-set reads of the fiber
 dual in the fibra and duality checks and in ``is_canonical``, the mask-path
 ``validate`` that sorted its small elements first, and the promotion of a
-dual on the box [lo, U + e] with its top row.  The fast paths must give the
-same reports, regions and first counterexamples, byte for byte.
+dual on the box [lo, U + e] with its top row, the open table and mask E1/E2
+test that stepped entries with ``SmallRep.up``, and the two doubling loops
+that ``ideal._fold`` replaced.  The fast paths must give the same reports,
+regions and first counterexamples, byte for byte.
 """
 import collections
 import functools
 import json
 import math
+import operator
 import random
 from dataclasses import replace
 
@@ -50,6 +53,7 @@ from gsi.ideal import (
     _closed_fibers,
     _compatibility_failure,
     _e2_fiber,
+    _fold,
     _in_fiber,
     _least_conductor,
     _pairs_good,
@@ -57,6 +61,7 @@ from gsi.ideal import (
     _repeat,
     _require_same_r,
     _reversed_bits,
+    _split_pairs,
     _sum_failure,
     _window,
     equals,
@@ -1449,3 +1454,140 @@ def test_dual_promotion_matches_former_full_box():
                 seen["fiber dual " + ("promoted" if fd.promoted else "failed")] += 1
     assert seen["dual failed"] >= 10 and seen["fiber dual failed"] >= 50, seen
     assert seen["dual promoted"] >= 500 and seen["fiber dual promoted"] >= 500, seen
+
+
+# The open table and the mask E1/E2 test as they stepped entries with the
+# former ``SmallRep.up`` (a method then, ``self`` read as E here), kept
+# verbatim as the reference for the one-axis-at-a-time step and for the E2
+# test that leaves the top row of i untested.
+def _old_up(E: SmallRep, mask: int, k: int) -> int:
+    keep = E._below_top[k]
+    return mask >> E.layout.strides[k] & keep | mask & ~keep
+
+
+def _old_open_table(E: SmallRep) -> tuple[int, ...]:
+    table = list(E.fiber_table)
+    for J in range(1, len(table)):
+        for k in range(E.r):
+            if not J >> k & 1:
+                table[J] = _old_up(E, table[J], k)
+    return tuple(table)
+
+
+def _old_pairs_good(E: SmallRep) -> bool:
+    T, O = E.fiber_table, _old_open_table(E)
+    full = (1 << E.r) - 1
+    outside = ~E.grid
+    for J in range(1, full, 2):  # each split once, axis 0 in J
+        if T[J] & T[full ^ J] & outside:
+            return False
+    for K in range(1, full):
+        J = full ^ K
+        pairs = _split_pairs(O, K, J)
+        if pairs:
+            for i in range(E.r):
+                if K >> i & 1 and pairs & ~_old_up(E, T[J], i):
+                    return False
+    return True
+
+
+def _top_row_pairs(E: SmallRep) -> bool:
+    """Whether some E2 demand of E sits on the top row of its axis i, where
+    the mask test no longer looks."""
+    O, full = E.open_table, (1 << E.r) - 1
+    return any(K >> i & 1 and _split_pairs(O, K, full ^ K) & ~E._below_top[i]
+               for K in range(1, full) for i in range(E.r))
+
+
+def test_open_table_and_pairs_good_match_former_step_up():
+    from test_constructors import _random_point_sets
+
+    rng = random.Random(20281)
+    reps = [SmallRep(len(c), m, c, frozenset(pts))
+            for m, c, pts in _random_point_sets(20282)]
+    reps += _structural_documents()
+    reps += [_dense_rep(rng, rng.randint(1, 3)) for _ in range(300)]
+    for S in _semigroups().values():
+        reps += [S, canonical_ideal(S), random_good(S, 5)]
+    seen = collections.Counter()
+    for E in reps:
+        if [c["axiom"] for c in validate(E).counterexamples] == ["structural"]:
+            continue  # the tables and _pairs_good take structurally valid reps
+        assert E.open_table == _old_open_table(E), E
+        got = _pairs_good(E)
+        assert got == _old_pairs_good(E), E
+        seen[got, _top_row_pairs(E)] += 1
+    # the dropped top-row demands occur on passing and failing reps alike
+    assert min(seen[True, True], seen[False, True], seen[True, False]) >= 20, seen
+
+
+# The two doubling loops that ``ideal._fold`` replaced, kept verbatim: the
+# quotient's AND over a run of shifts and the OR of ``_Box.shift`` over the
+# top dk + 1 rows.
+def _old_and_run(mask: int, stride: int, n: int) -> int:
+    width = 1
+    while width < n:
+        step = min(width, n - width)
+        mask &= mask >> step * stride
+        width += step
+    return mask
+
+
+def _old_shift_fold(M: int, s: int, dk: int) -> int:
+    fold, width = M, 1
+    while width <= dk:
+        step = min(width, dk + 1 - width)
+        fold |= fold >> step * s
+        width += step
+    return fold
+
+
+def test_fold_matches_former_doubling_loops():
+    rng = random.Random(20284)
+    for _ in range(3000):
+        stride, n = rng.randint(1, 9), rng.randint(1, 20)
+        mask = rng.choice((0, (1 << rng.randint(1, 300)) - 1, rng.getrandbits(300)))
+        anded = _fold(mask, stride, n, operator.and_)
+        ored = _fold(mask, stride, n, operator.or_)
+        assert anded == _old_and_run(mask, stride, n), (mask, stride, n)
+        assert ored == _old_shift_fold(mask, stride, n - 1), (mask, stride, n)
+        shifts = [mask >> t * stride for t in range(n)]
+        assert anded == functools.reduce(operator.and_, shifts)
+        assert ored == functools.reduce(operator.or_, shifts)
+
+
+def test_normaliser_and_quotient_preconditions(monkeypatch):
+    # _least_conductor is only handed sets that hold their box top c
+    # (from_small_elements adds c, _promote_region requires it), and the
+    # quotient of cd_difference always keeps its top U, as U + alpha >= c_J
+    # for every alpha >= m_I: so neither needs a test for an empty answer
+    import gsi.constructors as constructors
+    import gsi.duality as duality
+    from test_constructors import _random_point_sets
+
+    holds_top, keeps_top = [], []
+
+    def normalised(P):
+        holds_top.append(P.c in P.small)
+        return _least_conductor(P)
+
+    def quotient(EJ, EI, lo, hi, cap):
+        points = _quotient(EJ, EI, lo, hi, cap)
+        keeps_top.append(hi in points)
+        return points
+
+    monkeypatch.setattr(constructors, "_least_conductor", normalised)
+    monkeypatch.setattr(duality, "_least_conductor", normalised)
+    monkeypatch.setattr(duality, "_quotient", quotient)
+    for m, c, pts in _random_point_sets(20286):
+        _outcome(from_small_elements, len(c), m, c, pts - {c})
+    rng = random.Random(20287)
+    for S in _semigroups().values():
+        ideals = [S, canonical_ideal(S), random_good(S, 2)]
+        ideals += [_random_rep(rng, S) for _ in range(4)]
+        for EJ in ideals:
+            for EI in ideals:
+                _outcome(cd_difference, EJ, EI)
+                _outcome(fiber_dual, EJ, EI)
+    assert len(holds_top) > 1000 and all(holds_top)
+    assert len(keeps_top) > 300 and all(keeps_top)

@@ -88,3 +88,20 @@ def test_axiom_failure_names_line(data_dir):
 def test_min_must_be_listed():
     with pytest.raises(ParseError):
         parse_gsi("gsi 1\nr 1\nmin 0\nconductor 2\nelem 2\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", None, "empty document"),
+    ("# only a comment\n", None, "empty document"),
+    ("gsi 1\nr 1 2\n", 2, "r needs a single positive integer"),
+    ("gsi 1\nr 0\n", 2, "r needs a single positive integer"),
+    ("gsi 1\nr 1\nmin 0\nconductor 0\nfoo 1\n", 5, "expected 'elem' line, got 'foo'"),
+    ("gsi 1\nr 1\nmin 0\nconductor 0\n", 4, "no 'elem' lines"),
+    ("gsi 1\nr 1\nmin 0\nconductor 2\nelem 0\n", 5,
+     "conductor is not listed among the elements"),
+])
+def test_parse_errors_pinned(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_gsi(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")

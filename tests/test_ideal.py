@@ -10,6 +10,7 @@ from gsi.errors import DimensionMismatch
 from gsi.gsi_format import parse_gsi
 from gsi.ideal import (
     Layout,
+    RegionSet,
     SmallRep,
     conductor,
     contains,
@@ -21,7 +22,7 @@ from gsi.ideal import (
     translate,
     validate,
 )
-from gsi.lattice import box_points, ones, vadd, vsub
+from gsi.lattice import Box, box_points, ones, vadd, vsub
 from gsi.oracle import brute_contains, oracle_box
 from gsi.duality import canonical_ideal, cd_difference
 
@@ -37,6 +38,39 @@ def test_contains_examples(ex2, n1):
 def test_contains_dimension_mismatch(ex2):
     with pytest.raises(DimensionMismatch):
         contains(ex2, (1, 2, 3))
+
+
+def test_contains_operator(ex2, n2):
+    assert (3, 3) in ex2 and (6, 7) in ex2
+    assert (1, 1) not in ex2 and (3, 5) not in ex2
+    # an ideal is no point: `in` takes the length of its left side
+    with pytest.raises(TypeError, match=r"^object of type 'SmallRep' has no len\(\)$"):
+        ex2 in n2
+
+
+def test_smallrep_rejects_malformed_fields():
+    with pytest.raises(ValueError, match=r"^dimension must be >= 1$"):
+        SmallRep(0, (), (), frozenset({()}))
+    with pytest.raises(DimensionMismatch, match=r"^min/conductor dimension does not match r$"):
+        SmallRep(2, (0,), (1, 1), frozenset({(0, 0)}))
+    with pytest.raises(ValueError, match=r"^small element set must be nonempty$"):
+        SmallRep(2, (0, 0), (1, 1), frozenset())
+    with pytest.raises(DimensionMismatch, match=r"^small element \(1,\) has wrong dimension$"):
+        SmallRep(2, (0, 0), (1, 1), frozenset({(0, 0), (1,)}))
+
+
+def test_cross_dimension_inputs(ex2, n2):
+    with pytest.raises(DimensionMismatch, match=r"^ideals of different dimension$"):
+        equals(ex2, n2)
+    rep = validate(ex2, n2)
+    assert not rep.passed
+    assert rep.counterexamples == [
+        {"axiom": "structural", "reason": "semigroup dimension mismatch"}]
+
+
+def test_region_point_outside_box():
+    with pytest.raises(ValueError, match=r"^region point \(2, 2\) outside box$"):
+        RegionSet(2, Box((0, 0), (1, 1)), frozenset({(0, 0), (2, 2)}))
 
 
 def test_validate_fixtures(ex2, n1, n2, node2):

@@ -10,6 +10,7 @@ from gsi.lattice import (
     join,
     leq,
     meet,
+    normalize_index_set,
     partial_cmp,
     project,
     unit_vector,
@@ -52,6 +53,16 @@ def test_unit_vector_examples():
     assert unit_vector(2, set()) == (0, 0)
     with pytest.raises(InvalidIndexSet):
         unit_vector(2, {3})
+
+
+def test_index_set_out_of_range():
+    with pytest.raises(InvalidIndexSet, match=r"^indices \(3,\) out of range 1\.\.2$"):
+        normalize_index_set(2, [3])
+
+
+def test_box_dimension():
+    assert Box((0, 0), (1, 1)).r == 2
+    assert Box((4,), (-1,)).r == 1
 
 
 def test_project_examples():

@@ -11,6 +11,7 @@ from gsi.lattice import box_points, join, meet, ones, vadd, vsub
 from gsi.report import CheckReport, pt
 from gsi.theorems import (
     _CheckContext,
+    _gorenstein_consistency,
     check_all,
     check_duality,
     check_fibra,
@@ -447,3 +448,46 @@ def test_maximal_symmetry_wrong_bidual_fails_p_side(ex2):
         for c in typed:
             assert c["formula_type"][0] != c["dual_type"][0]
             assert c["formula_type"][1] == c["dual_type"][1]
+
+
+def test_maximal_symmetry_wrong_dual_fails_both_pairings(ex2):
+    # a dual planted one step up leaves the conditional pairing with a point
+    # maximal on one side only, and the unconditional (canonical) pairing
+    # with every dual maximal point off by e
+    K = canonical_ideal(ex2)
+    ctx = _CheckContext()
+    ctx.values["dual", K, ex2] = translate(cd_difference(K, ex2), (1, 1))
+    rep = check_maximal_symmetry(ex2, K, ex2, ctx=ctx)
+    assert not rep.passed
+    assert rep.flags["canonical_mode"] is True
+    assert rep.flags["pairs_checked"] == 0
+    assert rep.counterexamples == [
+        {"alpha": [0, 0], "beta": [4, 4],
+         "maximal_in_EI": True, "maximal_in_dual": False},
+        {"note": "unconditional pairing or type map broken",
+         "expected": [([0, 1], [1, 2]), ([1, 0], [1, 2]), ([4, 4], [1, 2])],
+         "got": [([1, 2], [1, 2]), ([2, 1], [1, 2]), ([5, 5], [1, 2])]},
+    ]
+
+
+def test_gorenstein_consistency_planted_flags_fail(ex2):
+    K = canonical_ideal(ex2)
+    # K is canonical, so a pair over it without equality fails; EI is S
+    # here, so the planted pair is both the S and the EI entry
+    ctx = _CheckContext()
+    ctx.values["equality", K, ex2] = (False, False, False)
+    rep = _gorenstein_consistency(ctx, ex2, K, ex2, 0)
+    assert not rep.passed
+    assert rep.flags == {"gorenstein": False, "ej_canonical": True}
+    flags = {"EJ": "EJ", "length": False, "rho": False, "duality": False,
+             "note": "canonical reference but equality fails"}
+    assert rep.counterexamples == [{**flags, "EI": "S"}, {**flags, "EI": "EI"}]
+    # ex2 is not Gorenstein, so equality on the decisive (S, S) pair
+    # contradicts it
+    ctx = _CheckContext()
+    ctx.values["equality", ex2, ex2] = (True, True, True)
+    rep = _gorenstein_consistency(ctx, ex2, K, ex2, 0)
+    assert not rep.passed
+    assert rep.counterexamples == [
+        {"EJ": "S", "EI": "S", "length": True, "rho": True, "duality": True,
+         "note": "decisive EI = S pair contradicts canonicity"}]

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable
 
 from . import constructors, duality, theorems
 from .errors import GsiError, ParseError, ValidationError
@@ -45,8 +46,8 @@ class _InputError(Exception):
     pass
 
 
-def _load_semigroup(path: str) -> SmallRep:
-    S = _load(path)
+def _load_semigroup(path: str, load: Callable[[str], SmallRep] = _load) -> SmallRep:
+    S = load(path)
     report = validate(S, semigroup=True)
     if not report.passed:
         raise _InputError(f"{path} is not a good semigroup: {report.summary()}")
@@ -194,9 +195,10 @@ def _cmd_gorenstein(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    EJ = _load(args.J)
-    EI = _load(args.I)
-    S = _load_semigroup(args.semigroup) if args.semigroup else None
+    load = functools.cache(_load)  # each distinct path parsed once
+    EJ = load(args.J)
+    EI = load(args.I)
+    S = _load_semigroup(args.semigroup, load) if args.semigroup else None
     if S is not None:
         _require_ideal_of(args.J, EJ, args.semigroup, S)
         _require_ideal_of(args.I, EI, args.semigroup, S)

@@ -1,18 +1,18 @@
 """Duals of good semigroup ideals and canonical-ideal tests.
 
-The CD-difference D = {beta : beta + EI <= EJ} is computed over the box
-[m_J - c_I, U], U = c_J - m_I, and promoted with top U: below the box
-beta + c_I drops under m_J, and past U_k every beta_k + alpha_k passes
+The CD-difference D = {beta : beta + EI <= EJ} of good ideals is computed
+over the box [c_J - c_I, U], U = c_J - m_I, and promoted with top U.  Below
+the box nothing belongs: beta in D makes beta + c_I conduct in EJ, and the
+conducting points of EJ are c_J + N^r, as meet(z + x, z' + x) =
+meet(z, z') + x is in EJ by E1.  Past U_k every beta_k + alpha_k passes
 c_J,k, where EJ clamps, so D is clamp-invariant at U, its conductor.
-``_dual_box`` keeps [m_J - c_I, U + e] for the fiber dual and the
-reports.  The inner quantifier is truncated by the conductor cap: a failing
-alpha beyond the cap meets down to a failing alpha inside it.  It runs on
-the membership grid of ``ideal`` (``ideal._quotient``): one window of EJ
-covers every sum beta + alpha, and its shift by alpha's offset answers the
-quantifier for every beta at once.  The members alpha of EI are the clamp
-classes of its small elements, and by E2 in EJ only the top class, c_I plus
-a box, needs the window ANDed over its box by doubling shifts; every other
-small element takes one shift of the plain window.
+``_dual_box`` keeps [m_J - c_I, U + e] for the fiber dual and the reports.
+The quotient runs on the membership grid of ``ideal`` (``ideal._quotient``):
+one window of EJ covers every sum beta + alpha, and its shift by alpha's
+offset answers the quantifier for every beta at once.  On the box the top
+clamp class of EI, c_I + N^r, always lands in EJ, and by E2 in EJ every
+other small element takes one shift of the window, so a principal
+EI = c_I + N^r needs none.
 ``fiber_dual`` and ``canonical_ideal`` read their regions off one window
 instead of walking their boxes: the points beta with F(E, f - beta) empty
 are the box minus the window of E's layer P[1] (some singleton open fiber
@@ -56,7 +56,7 @@ from .ideal import (
     translate,
     validate,
 )
-from .lattice import Box, Point, join, ones, vadd, vsub, zero
+from .lattice import Box, Point, ones, vadd, vsub, zero
 
 
 def _dual_box(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, Point]:
@@ -94,15 +94,14 @@ def _promote_region(r: int, points: set[Point],
 
 
 def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
-    """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient),
-    computed on [m_J - c_I, U], U = c_J - m_I, and promoted with top U."""
+    """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient)
+    of good ideals EJ and EI of one dimension, computed on [c_J - c_I, U],
+    U = c_J - m_I, and promoted with top U.  If EJ or EI fails ``validate``
+    the result is unspecified: a good ideal that need not be D, or
+    SoundnessError."""
     _require_same_r(EJ, EI)
-    e = ones(EJ.r)
-    lo, _, U = _dual_box(EJ, EI)
-    # superset of every per-beta quantifier cap K(beta); quantifying over the
-    # larger window is equivalent by the cap argument
-    kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
-    points = _quotient(EJ, EI, lo, U, kmax)
+    U = vsub(EJ.c, EI.m)
+    points = _quotient(EJ, EI, vsub(EJ.c, EI.c), U)
     rep, failure = _promote_region(EJ.r, points, U)
     if rep is None:
         raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")

@@ -25,16 +25,15 @@ than the number of pairs.  Box questions read masks: ``members`` lists the set b
 of whole-integer shifts and masks, one per axis), ``search_member`` reads
 its lowest set bit, ``equals`` and ``is_subset`` compare windows, the sum
 sweeps shift them, and the quotient behind ``duality.cd_difference`` shifts
-one window per small element of the divisor (for the top class ANDed over
-its box), so no box is walked point by point.  ``_least_conductor`` reads a
-point set's least conductor off the runs down the axes from its box top and
-checks the membership rule against the set by counting its clamp classes,
-building grids only to name the first point where the two disagree.
+one window per small element of the divisor but its conductor, so no box is
+walked point by point.  ``_least_conductor`` reads a point set's least
+conductor off the runs down the axes from its box top and checks the
+membership rule against the set by counting its clamp classes, building
+grids only to name the first point where the two disagree.
 """
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -674,38 +673,31 @@ def _fold(mask: int, stride: int, n: int, op: Callable[[int, int], int]) -> int:
     return mask
 
 
-def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
-              cap: Point) -> set[Point]:
+def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point) -> set[Point]:
     """The beta of [lo, hi] with beta + alpha in EJ for every member alpha
-    of EI in [m_I, cap], where beta + cap >= c_J + e.
+    of EI, where lo + c_I >= c_J, so that beta + c_I + N^r, the top clamp
+    class of EI moved by beta, lies in EJ for every beta of the box.
 
-    One window W of EJ covers every sum, with beta at bit offset(beta - lo),
-    so W >> offset(alpha - m_I) reads beta + alpha there.  The answer is the
-    AND of W >> offset(s - m_I) over the small elements s, with W ANDed over
-    [0, cap - c_I] by doubling shifts for s = c_I, cut to the box of betas.
-    That puts beta + c_I + N^r in EJ, as EJ clamps past beta + cap.  The
-    rest of the clamp class of s steps along the axes i with s_i = c_i, and
-    x = beta + s in EJ takes each step: x and beta + c_I + e - e_i agree at
-    i and x is lower elsewhere, so E2 puts some x + t e_i, t >= 1, in EJ,
-    and its meet with beta + c_I + e is x + e_i; repeat from there.
-
-    ``duality.cd_difference`` asks for [m_J - c_I, U], U = c_J - m_I: past
-    U_k, beta_k + alpha_k passes c_J,k for every member alpha, where EJ
-    clamps, so the answer is clamp-invariant at U and a row above it would
-    repeat row U.  There U's bit is never cleared, as U + alpha >= c_J for
-    every alpha >= m_I, so the AND runs over every small element.
+    One window W of EJ over [lo + m_I, hi + c_I] covers every sum, with
+    beta at bit offset(beta - lo), so W >> offset(alpha - m_I) reads
+    beta + alpha there.  The answer is the AND of W >> offset(s - m_I) over
+    the small elements s other than c_I, cut to the box of betas; when c_I
+    is the only one (EI = c_I + N^r), it is the whole box and no window is
+    built.  The rest of the clamp class of s steps along the axes i with
+    s_i = c_i, and x = beta + s in EJ takes each step: x and
+    beta + c_I + e - e_i agree at i and x is lower elsewhere, so E2 puts
+    some x + t e_i, t >= 1, in EJ, and its meet with beta + c_I + e is
+    x + e_i; repeat from there.
     """
-    e = ones(EJ.r)
-    wlo, whi = vadd(lo, EI.m), vadd(hi, cap)
+    wlo, whi = vadd(lo, EI.m), vadd(hi, EI.c)
     _, dims, strides = Layout.of(wlo, whi)
-    alphas = Layout(EI.m, dims, strides)
-    W = _window(EJ, wlo, whi)
-    acc = _box_mask(dims, vadd(vsub(hi, lo), e))
-    for s in sorted(EI.small):
-        if s == EI.c:  # the last small element, as all lie below c_I
-            for k, st in enumerate(strides):
-                W = _fold(W, st, cap[k] - EI.c[k] + 1, operator.and_)
-        acc &= W >> alphas.index(s)
+    acc = _box_mask(dims, vadd(vsub(hi, lo), ones(EJ.r)))
+    rest = EI.small - {EI.c}
+    if rest:
+        W = _window(EJ, wlo, whi)
+        alphas = Layout(EI.m, dims, strides)
+        for s in rest:
+            acc &= W >> alphas.index(s)
     return set(Layout(lo, dims, strides).points(acc))
 
 

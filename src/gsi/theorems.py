@@ -232,8 +232,12 @@ def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None, *,
     layout = Layout.of(lo, hi)
     box = layout.whole
     P, Q = EI.fiber_layers[0], D.fiber_layers[1]
-    A = [0, *(_window(EI, lo, hi, P[k]) for k in range(1, r + 1)), box]
-    B = [box, *(_reflected(D, f, lo, hi, Q[k]) for k in range(1, r + 1)), box]
+    ks = range(1, r + 1)
+    # the layers of successive k often hold one mask: window each once
+    Pw = {mask: _window(EI, lo, hi, mask) for mask in {P[k] for k in ks}}
+    Qw = {mask: _reflected(D, f, lo, hi, mask) for mask in {Q[k] for k in ks}}
+    A = [0, *(Pw[P[k]] for k in ks), box]
+    B = [box, *(Qw[Q[k]] for k in ks), box]
     below = _first(layout, [reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))])
     above = _first(layout, [box & ~reduce(or_, (A[a + 1] & B[r + 1 - a]
                                                 for a in range(r + 1)))])

@@ -227,6 +227,39 @@ def test_semigroup_arguments_rejected_unless_good(capsys, data_dir, tmp_path):
         assert run(capsys, *argv) == (2, "", err), argv
 
 
+def test_check_parses_each_distinct_path_once(capsys, data_dir, tmp_path, monkeypatch):
+    # one path given as J, I and S is parsed once; the output is that of
+    # three copies of the file, each parsed on its own
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_gsi(text)
+
+    monkeypatch.setattr(cli, "parse_gsi", counted)
+    ex2 = data_dir / "ex2.gsi"
+    copies = []
+    for name in ("J.gsi", "I.gsi", "S.gsi"):
+        (tmp_path / name).write_text(ex2.read_text())
+        copies.append(str(tmp_path / name))
+    shifted = tmp_path / "shifted.gsi"
+    shifted.write_text(emit_gsi(translate(parse_gsi(ex2.read_text()), (1, 1))))
+    for which in ("all", "rho", "sum"):
+        parsed.clear()
+        same = run(capsys, "check", which, str(ex2), str(ex2), "--semigroup", str(ex2))
+        assert len(parsed) == 1
+        parsed.clear()
+        apart = run(capsys, "check", which, *copies[:2], "--semigroup", copies[2])
+        assert len(parsed) == 3
+        assert same == apart, which
+    parsed.clear()
+    err = (f"{shifted} is not a good semigroup: validate: FAIL (first counterexample: "
+           "{'axiom': 'semigroup', 'reason': '0 not a member'})\n")
+    argv = ["check", "all", str(shifted), str(shifted), "--semigroup", str(shifted)]
+    assert run(capsys, *argv) == (2, "", err)
+    assert len(parsed) == 1
+
+
 def _reuse_sequence(data_dir):
     ex2, broken = str(data_dir / "ex2.gsi"), str(data_dir / "broken.gsi")
     return [

@@ -308,6 +308,59 @@ def test_dual_and_canonical_promotions_keep_their_top(monkeypatch):
             assert kept == [True], (EJ, EI)
 
 
+def test_dual_of_principal_ideal_is_principal():
+    # (EJ : m + N^r) = c_J - m + N^r, read off the definition alone: for
+    # every m in a range around EI's minima, and for EJ = S, K(S), K(S) + e
+    # and random_good(S, 3), the dual is the principal ideal at c_J - m
+    from test_grid import _semigroups
+
+    n = 0
+    for S in _semigroups().values():
+        r = S.r
+        K = canonical_ideal(S)
+        for EJ in (S, K, translate(K, ones(r)), random_good(S, 3)):
+            for t in range(-1, 3):
+                for u in range(3):  # m = t e + u e_1
+                    m = (t + u, *(t,) * (r - 1))
+                    U = vsub(EJ.c, m)
+                    D = cd_difference(EJ, SmallRep(r, m, m, frozenset({m})))
+                    assert D == SmallRep(r, U, U, frozenset({U})), (EJ, m)
+                    n += 1
+    assert n == 384
+
+
+def test_dual_builds_one_window_on_its_box(monkeypatch):
+    # the quotient windows EJ once, over [c_J - c_I + m_I, c_J - m_I + c_I],
+    # 2 (c_I - m_I) + 1 rows per axis; a principal EI needs no window
+    import gsi.ideal as ideal
+
+    rows = []
+
+    def counted_window(E, lo, hi, mask=None, window=ideal._window):
+        rows.append(vadd(vsub(hi, lo), ones(E.r)))
+        return window(E, lo, hi, mask)
+
+    monkeypatch.setattr(ideal, "_window", counted_window)
+    principal = 0
+    for _, pairs in _dual_pairs():
+        for EJ, EI in pairs:
+            rows.clear()
+            cd_difference(EJ, EI)
+            if EI.small == {EI.c}:
+                principal += 1
+                assert rows == [], (EJ, EI)
+            else:
+                want = tuple(2 * (c - m) + 1 for c, m in zip(EI.c, EI.m))
+                assert rows == [want], (EJ, EI)
+    assert principal > 0
+    for r in (3, 4):
+        S = node(r)
+        K = canonical_ideal(S)
+        rows.clear()
+        cd_difference(K, SmallRep(r, S.c, S.c, frozenset({S.c})))
+        assert rows == []
+
+
 def test_each_built_ideal_validated_once(monkeypatch, ex2, node2):
     import gsi.constructors
     import gsi.duality

@@ -12,9 +12,11 @@ per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
 dual in the fibra and duality checks and in ``is_canonical``, the mask-path
 ``validate`` that sorted its small elements first, and the promotion of a
 dual on the box [lo, U + e] with its top row, the open table and mask E1/E2
-test that stepped entries with ``SmallRep.up``, and the two doubling loops
-that ``ideal._fold`` replaced.  The fast paths must give the same reports,
-regions and first counterexamples, byte for byte.
+test that stepped entries with ``SmallRep.up``, the two doubling loops
+that ``ideal._fold`` replaced, and the quotient of ``cd_difference`` on
+[m_J - c_I, U] with its capped fold over the top class of EI.  The fast
+paths must give the same reports, regions and first counterexamples, byte
+for byte.
 """
 import collections
 import functools
@@ -30,6 +32,7 @@ from gsi.constructors import _Box, from_small_elements, node, numerical, product
 from gsi.duality import (
     _dual_box,
     _fiber_region,
+    _promote_region,
     canonical_ideal,
     cd_difference,
     fiber_dual,
@@ -364,16 +367,13 @@ def _old_promote_region(r: int, points: set[Point], hi: Point,
 
 # The former mask paths of cd_difference and fiber_dual, kept verbatim but
 # for the promotion they call: the quotient ran on [lo, U + e] and the whole
-# fiber region was promoted, both with top U + e.
+# fiber region was promoted, both with top U + e.  The quotient is now the
+# one of today, on [c_J - c_I, U + e], so that only the promotion differs.
 def _old_full_box_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient)."""
     _require_same_r(EJ, EI)
-    e = ones(EJ.r)
-    lo, hi, U = _dual_box(EJ, EI)
-    # superset of every per-beta quantifier cap K(beta); quantifying over the
-    # larger window is equivalent by the cap argument
-    kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
-    points = _quotient(EJ, EI, lo, hi, kmax)
+    _, hi, U = _dual_box(EJ, EI)
+    points = _quotient(EJ, EI, vsub(EJ.c, EI.c), hi)
     rep, failure = _old_promote_region(EJ.r, points, hi, U)
     if rep is None:
         raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
@@ -1432,17 +1432,25 @@ def test_validate_matches_former_sorted_validate(data_dir):
             ("compatibility", None), ("semigroup", None)} <= seen, seen
 
 
+def _seeded_dual_ideals():
+    """(name, ideals) per semigroup of ``_semigroups``: S, K(S), two
+    ``random_good`` draws and six seeded ``_random_rep`` point sets, of
+    which many fail ``validate``."""
+    rng = random.Random(47)
+    for name, S in sorted(_semigroups().items()):
+        K = canonical_ideal(S)
+        ideals = [S, K] + [random_good(S, seed) for seed in (1, 4)]
+        ideals += [_random_rep(rng, S) for _ in range(6)]
+        yield name, ideals
+
+
 def test_dual_promotion_matches_former_full_box():
     # cd_difference promotes its region on [lo, U] and fiber_dual its points
     # up to U; the former promotion, on [lo, U + e] with the top row, must
     # give the same reps and the same failure texts, on good pairs with
     # non-canonical EJ and on seeded point sets, whose regions fail
-    rng = random.Random(47)
     seen = collections.Counter()
-    for name, S in sorted(_semigroups().items()):
-        K = canonical_ideal(S)
-        ideals = [S, K] + [random_good(S, seed) for seed in (1, 4)]
-        ideals += [_random_rep(rng, S) for _ in range(6)]
+    for name, ideals in _seeded_dual_ideals():
         for EJ in ideals:
             for EI in ideals:
                 got = _outcome(cd_difference, EJ, EI)
@@ -1454,6 +1462,62 @@ def test_dual_promotion_matches_former_full_box():
                 seen["fiber dual " + ("promoted" if fd.promoted else "failed")] += 1
     assert seen["dual failed"] >= 10 and seen["fiber dual failed"] >= 50, seen
     assert seen["dual promoted"] >= 500 and seen["fiber dual promoted"] >= 500, seen
+
+
+# The quotient and cd_difference as they ran on [m_J - c_I, U], kept
+# verbatim: the window of EJ reached up to U + kmax, and the top class of EI
+# ANDed it over [0, kmax - c_I] by doubling shifts.
+def _old_capped_quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
+                         cap: Point) -> set[Point]:
+    e = ones(EJ.r)
+    wlo, whi = vadd(lo, EI.m), vadd(hi, cap)
+    _, dims, strides = Layout.of(wlo, whi)
+    alphas = Layout(EI.m, dims, strides)
+    W = _window(EJ, wlo, whi)
+    acc = _box_mask(dims, vadd(vsub(hi, lo), e))
+    for s in sorted(EI.small):
+        if s == EI.c:  # the last small element, as all lie below c_I
+            for k, st in enumerate(strides):
+                W = _fold(W, st, cap[k] - EI.c[k] + 1, operator.and_)
+        acc &= W >> alphas.index(s)
+    return set(Layout(lo, dims, strides).points(acc))
+
+
+def _old_capped_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
+    """The good ideal D = {beta : beta + EI <= EJ} (value-set ideal quotient),
+    computed on [m_J - c_I, U], U = c_J - m_I, and promoted with top U."""
+    _require_same_r(EJ, EI)
+    e = ones(EJ.r)
+    lo, _, U = _dual_box(EJ, EI)
+    # superset of every per-beta quantifier cap K(beta); quantifying over the
+    # larger window is equivalent by the cap argument
+    kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
+    points = _old_capped_quotient(EJ, EI, lo, U, kmax)
+    rep, failure = _promote_region(EJ.r, points, U)
+    if rep is None:
+        raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
+    return rep
+
+
+def test_dual_box_matches_former_capped_fold():
+    # the quotient on [c_J - c_I, U] must give the reps and failure texts of
+    # the former one on [m_J - c_I, U] wherever EJ is good, EI good or not;
+    # on an EJ that fails validate, cd_difference is outside its domain
+    pairs = [(EJ, EI) for _, ideals in _seeded_dual_ideals()
+             for EJ in ideals if validate(EJ).passed for EI in ideals]
+    for r in (6, 7, 8):
+        S = node(r)
+        K = canonical_ideal(S)
+        ideals = [S, K, translate(K, ones(r))]
+        pairs += [(EJ, EI) for EJ in ideals for EI in ideals]
+    seen = collections.Counter()
+    for EJ, EI in pairs:
+        got = _outcome(cd_difference, EJ, EI)
+        assert got == _outcome(_old_capped_cd_difference, EJ, EI), (EJ, EI)
+        if isinstance(got, SmallRep):
+            assert leq(vsub(EJ.c, EI.c), got.m), (EJ, EI)
+        seen[isinstance(got, SmallRep), validate(EI).passed] += 1
+    assert seen == {(True, True): 410, (True, False): 167}, seen
 
 
 # The open table and the mask E1/E2 test as they stepped entries with the
@@ -1571,8 +1635,8 @@ def test_normaliser_and_quotient_preconditions(monkeypatch):
         holds_top.append(P.c in P.small)
         return _least_conductor(P)
 
-    def quotient(EJ, EI, lo, hi, cap):
-        points = _quotient(EJ, EI, lo, hi, cap)
+    def quotient(EJ, EI, lo, hi):
+        points = _quotient(EJ, EI, lo, hi)
         keeps_top.append(hi in points)
         return points
 

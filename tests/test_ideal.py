@@ -172,11 +172,12 @@ def test_validate_leaves_sparse_grid_unbuilt():
 
 
 def test_cd_difference_work_bounded_by_small_elements(monkeypatch):
-    # {0} together with c + N^2 for c = (300, 300): its quotient by itself
-    # quantifies over the 91,205 members of [0, cap], cap = (601, 601).  Every
-    # member is in the clamp class of one of the two small elements, so the
-    # quotient shifts its window once per small element, plus the doubling
-    # shifts that AND the 302 rows [c_k, cap_k] of each axis together.
+    # {0} together with c + N^2 for c = (300, 300).  Every member is in the
+    # clamp class of one of the two small elements, so the quotient shifts
+    # its window once per small element but c, whose class lands in E on
+    # the whole box [c - c, c - 0]; the former quotient, on [0 - c, c - 0],
+    # also ANDed the 302 rows [c_k, cap_k], cap = (601, 601), of each axis
+    # by doubling shifts, which the first bound allows.
     import gsi.ideal as ideal
 
     shifts = []
@@ -200,6 +201,7 @@ def test_cd_difference_work_bounded_by_small_elements(monkeypatch):
     assert equals(cd_difference(E, E), E)
     doubling = 2 * (302 - 1).bit_length()
     assert 0 < len(shifts) <= len(E.small) + doubling, len(shifts)
+    assert len(shifts) == len(E.small) - 1, shifts
 
 
 def test_min_conductor_frobenius(ex2, n1, node2):

@@ -71,6 +71,42 @@ def test_check_rho(ex2, n1):
     assert rep.passed and rep.flags["equality_everywhere"]
 
 
+def test_check_rho_windows_each_distinct_layer_once(ex2, node2, node3, monkeypatch):
+    # layers P[k] of EI and Q[k] of the dual often repeat along k; each
+    # distinct mask is windowed once, and the reports do not change
+    import gsi.theorems as theorems
+
+    masks = {"_window": [], "_reflected": []}
+
+    def counted(name):
+        original = getattr(theorems, name)
+
+        def wrapper(E, *args):
+            masks[name].append(args[-1])
+            return original(E, *args)
+
+        monkeypatch.setattr(theorems, name, wrapper)
+
+    pairs = []
+    for S in (ex2, node2, node3):
+        ideals = [S, canonical_ideal(S), random_good(S, 2)]
+        pairs += [(S, EJ, EI) for EJ in ideals for EI in ideals]
+    want = [check_rho(EI, EJ, S).to_dict() for S, EJ, EI in pairs]
+    counted("_window")
+    counted("_reflected")
+    repeats = 0
+    for (S, EJ, EI), report in zip(pairs, want):
+        for found in masks.values():
+            found.clear()
+        assert check_rho(EI, EJ, S).to_dict() == report, (EJ, EI)
+        D, r = cd_difference(EJ, EI), EJ.r
+        P, Q = EI.fiber_layers[0][1:r + 1], D.fiber_layers[1][1:r + 1]
+        assert sorted(masks["_window"]) == sorted(set(P)), (EJ, EI)
+        assert sorted(masks["_reflected"]) == sorted(set(Q)), (EJ, EI)
+        repeats += 2 * r - len(set(P)) - len(set(Q))
+    assert repeats > 0
+
+
 def test_check_sum_and_fibra(ex2, n1):
     for EJ, EI in ((ex2, ex2), (canonical_ideal(ex2), ex2), (n1, n1)):
         assert check_sum(EJ, EI).passed

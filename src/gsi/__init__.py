@@ -18,7 +18,6 @@ from .duality import (
 from .errors import (
     BoundaryInstabilityError,
     DimensionMismatch,
-    GenerationError,
     GsiError,
     InvalidIndexSet,
     ParseError,
@@ -71,7 +70,6 @@ __all__ = [
     "CheckReport",
     "Cmp",
     "DimensionMismatch",
-    "GenerationError",
     "GsiError",
     "InvalidIndexSet",
     "MaximalInfo",

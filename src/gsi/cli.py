@@ -163,8 +163,9 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    EJ = _load(args.J)
-    EI = _load(args.I)
+    load = functools.cache(_load)  # a path given twice is parsed once
+    EJ = load(args.J)
+    EI = load(args.I)
     if args.method == "cd":
         D = duality.cd_difference(EJ, EI)
         _write_out(emit_gsi(D), args.output)
@@ -180,8 +181,9 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_is_canonical(args) -> int:
-    EJ = _load(args.J)
-    S = _load_semigroup(args.semigroup_file)
+    load = functools.cache(_load)  # a path given twice is parsed once
+    EJ = load(args.J)
+    S = _load_semigroup(args.semigroup_file, load)
     result = duality.is_canonical(EJ, S)
     print(f"canonical: {'true' if result else 'false'}")
     return 0 if result else 1

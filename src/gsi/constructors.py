@@ -4,10 +4,12 @@ Every constructor normalizes its data (clip to the conductor, then shrink
 the conductor of that provisional rep to the least one consistent with the
 stored elements, through the same ``ideal._least_conductor`` that promotes
 computed duals) and runs full axiom validation once before returning.
-``random_good`` first grows its sample by rounds of meets, compatibility
-with S and E2 witnesses on one bit mask of its box (``_closure_fixpoint``),
-each step a few shifts, ANDs and ORs of masks, and decodes the mask once
-for ``from_small_elements``.  All constructors are deterministic given their
+``random_good`` draws once: it grows its sample by rounds of meets,
+compatibility with S and E2 witnesses on one bit mask of its box
+(``_closure_fixpoint``), each step a few shifts, ANDs and ORs of masks, and
+decodes the mask once for ``from_small_elements``.  That fixpoint is always
+a good ideal compatible with S (the proof is in ``_closure_fixpoint``), so
+the draw needs no retry.  All constructors are deterministic given their
 inputs plus seed.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import operator
 import random
 
-from .errors import GenerationError, ValidationError
+from .errors import SoundnessError, ValidationError
 from .ideal import (
     Layout,
     SmallRep,
@@ -32,7 +34,6 @@ from .ideal import (
     validate,
 )
 from .lattice import Point, leq, meet, ones, zero
-from .report import CheckReport
 
 
 def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
@@ -261,6 +262,39 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     fiber is x = meet(a, b) + e_k pinned where a and b differ, and x is
     added when no point of M lies in it, in the order of the pairs and k
     (``_e2_repairs``).
+
+    The fixpoint P, read by the membership rule, is a good ideal, and with
+    S one compatible with S.  Call h a candidate when [h, c] lies in P, and
+    let g be the meet of the candidates.
+
+    1. Candidates are meet-closed: a point q of [meet(h1, h2), c] is
+       meet(join(q, h1), join(q, h2)), a meet of two points of P.  So g is
+       a candidate, and it is the end of the runs down from c that
+       ``ideal._least_conductor`` walks: each run end, pinned into c, is a
+       candidate, and every candidate lies above all of them.
+    2. Step: if p is in P and g_k <= p_k < c_k, then p + e_k is in P.  For
+       p >= g this is [g, c] in P.  Otherwise v = join(p, g) is in P and
+       equals p exactly on the axes A where p_j >= g_j, k among them.  The
+       E2 demand of (p, v) at k gives w in P equal to p off A and at least
+       p + e_k on A, and meet(w, join(p + e_k, g)) = p + e_k.
+    3. So a q of [m, c] is in P iff meet(q, g) is: one way by meets with g,
+       the other by steps up from meet(q, g) to q.  The rule
+       q in E <=> meet(q, g) in P agrees with P on [m, c], and
+       ``_least_conductor`` returns g.  g - e_i is not in P, as the run
+       along i stopped at the point c - (c_i - g_i + 1) e_i, whose meet with
+       g it is (or it lies below m), so g is the least conductor.
+    4. E1 holds as P is meet-closed.  For E2, take points a, b of P below g
+       that agree at i, and x = meet(a, b) + e_i.  If a_i < g_i, the
+       demand's witness w in P clamps to meet(w, g), which lies in the
+       closed fiber of x = meet(x, g); else meet(x, g) = meet(a, b), in P.
+    5. The top box is in P, so g <= min(m + c(S), c).  For s in S and p in
+       E, let s' = meet(s, c(S)) and p' = meet(p, c), in P by 3.  Then
+       meet(s + p, g) = meet(min(s' + p', c), g), since on an axis where
+       s or p was clamped both sides are g_k (s' >= 0, p' >= m).  The shift
+       by min(s', c - m) put min(s' + p', c) in P, so s + p is in E.
+
+    So ``from_small_elements`` accepts P and ``_compatibility_failure``
+    finds nothing, and ``random_good`` needs no second draw.
     """
     box = _Box(m, c)
     layout = box.layout
@@ -296,34 +330,29 @@ _OFFSET = 2  # each coordinate of the box minimum is drawn from [-_OFFSET, _OFFS
 
 
 def random_good(S: SmallRep, seed: int, *, max_width: int = 4,
-                samples: int = 6, retries: int = 20) -> SmallRep:
+                samples: int = 6) -> SmallRep:
     """A seeded random good semigroup ideal E with S + E <= E.
 
-    Sample points in a bounded box, close under meet, force compatibility,
-    repair E2 with minimal witnesses, iterate to a fixpoint, then normalize and
-    validate the axioms once (``from_small_elements``) and compatibility with
-    S.  Deterministic per (S, seed, bounds).
+    Draw m, c and ``samples`` points of the box [m, c], grow them to the
+    fixpoint of ``_closure_fixpoint``, then normalize and validate the
+    axioms once (``from_small_elements``).  The fixpoint is a good ideal
+    compatible with S, as its docstring proves, so the draw never fails:
+    validation and the compatibility test are postconditions, and a failure
+    of either raises SoundnessError.  Deterministic per (S, seed, bounds).
     """
     r = S.r
     rng = random.Random(f"{seed}:{max_width}:{samples}:{_OFFSET}")
-    last_report = None
-    for _ in range(retries):
-        m = tuple(rng.randint(-_OFFSET, _OFFSET) for _ in range(r))
-        c = tuple(m[k] + rng.randint(0, max_width) for k in range(r))
-        pts = {m, c}
-        for _ in range(samples):
-            pts.add(tuple(rng.randint(m[k], c[k]) for k in range(r)))
-        pts = _closure_fixpoint(r, m, c, pts, S)
-        try:
-            rep = from_small_elements(r, m, c, pts)
-        except ValidationError as err:
-            last_report = err.report
-            continue
-        failure = _compatibility_failure(rep, S)
-        if failure is None:
-            return rep
-        last_report = CheckReport("validate", False, "compatibility with S",
-                                  counterexamples=[{"axiom": "compatibility", **failure}])
-    raise GenerationError(
-        f"no valid ideal after {retries} attempts (seed {seed}); "
-        f"last failure: {last_report.summary() if last_report else 'none'}")
+    m = tuple(rng.randint(-_OFFSET, _OFFSET) for _ in range(r))
+    c = tuple(m[k] + rng.randint(0, max_width) for k in range(r))
+    pts = {m, c}
+    for _ in range(samples):
+        pts.add(tuple(rng.randint(m[k], c[k]) for k in range(r)))
+    pts = _closure_fixpoint(r, m, c, pts, S)
+    try:
+        rep = from_small_elements(r, m, c, pts)
+    except ValidationError as err:
+        raise SoundnessError(f"random_good draw {seed} is not a good ideal: {err}") from err
+    failure = _compatibility_failure(rep, S)
+    if failure is not None:
+        raise SoundnessError(f"random_good draw {seed} is not compatible with S: {failure}")
+    return rep

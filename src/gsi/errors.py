@@ -31,10 +31,6 @@ class BoundaryInstabilityError(GsiError, RuntimeError):
     cannot be certified from the swept box."""
 
 
-class GenerationError(GsiError, RuntimeError):
-    """Random ideal generation exhausted its retry budget."""
-
-
 class ParseError(GsiError, ValueError):
     """Syntax error in a GSI file.  ``line`` is 1-based when known."""
 

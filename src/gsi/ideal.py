@@ -152,15 +152,23 @@ class SmallRep:
     def grid(self) -> int:
         """The small elements as a mask in :attr:`layout`.
 
+        The bit indices are summed one axis at a time over all the points.
         Small elements outside [m, c], which only a rep failing
-        :func:`validate` has, are left out.
+        :func:`validate` has, are left out; the per-point test runs only
+        when the per-axis minima and maxima show that there are some.
         """
         g = self.layout
+        pts, lo, c = self.small, g.lo, self.c
+        cols = list(zip(*pts))
+        if not all(l < min(col) and max(col) <= h for l, h, col in zip(lo, c, cols)):
+            pts = [p for p in pts if all(l < x <= h for l, x, h in zip(lo, p, c))]
+            cols = list(zip(*pts))
+        idx = [0] * len(pts)
+        for l, s, col in zip(lo, g.strides, cols):
+            idx = [i + (x - l) * s for i, x in zip(idx, col)]
         bits = bytearray((math.prod(g.dims) + 7) // 8)
-        for p in self.small:
-            if all(l < x <= c for l, x, c in zip(g.lo, p, self.c)):
-                i = g.index(p)
-                bits[i >> 3] |= 1 << (i & 7)
+        for i in idx:
+            bits[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(bits, "little")
 
     @cached_property
@@ -689,15 +697,16 @@ def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point) -> set[Point]:
     some x + t e_i, t >= 1, in EJ, and its meet with beta + c_I + e is
     x + e_i; repeat from there.
     """
+    rest = EI.small - {EI.c}
+    if not rest:
+        return set(box_points(lo, hi))
     wlo, whi = vadd(lo, EI.m), vadd(hi, EI.c)
     _, dims, strides = Layout.of(wlo, whi)
     acc = _box_mask(dims, vadd(vsub(hi, lo), ones(EJ.r)))
-    rest = EI.small - {EI.c}
-    if rest:
-        W = _window(EJ, wlo, whi)
-        alphas = Layout(EI.m, dims, strides)
-        for s in rest:
-            acc &= W >> alphas.index(s)
+    W = _window(EJ, wlo, whi)
+    alphas = Layout(EI.m, dims, strides)
+    for s in rest:
+        acc &= W >> alphas.index(s)
     return set(Layout(lo, dims, strides).points(acc))
 
 
@@ -724,7 +733,7 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
 
     The structural part comes first: m <= c, both are small elements, and
     every small element lies in [m, c].  The per-axis minima and maxima of
-    the small elements are read first, two passes over the coordinates;
+    the small elements are read first, off one transpose of them;
     when they are m and c, m <= c holds and no element lies outside, so only
     the two memberships are tested.  Otherwise m <= c is tested and the
     small elements are walked in sorted order to name the first one outside.
@@ -746,7 +755,7 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     as well.  The first failing axiom is reported with its violating pair.
     """
     r = E.r
-    universe = f"axiom box [{list(E.m)}, {list(vadd(E.c, ones(r)))}]"
+    universe = f"axiom box [{list(E.m)}, {[x + 1 for x in E.c]}]"
     rep = CheckReport("validate", True, universe)
 
     def fail(axiom: str, **data) -> CheckReport:
@@ -755,8 +764,8 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
         return rep
 
     # Structural part: reported as its own failure class, not an axiom.
-    bounded = (tuple(map(min, zip(*E.small))) == E.m
-               and tuple(map(max, zip(*E.small))) == E.c)
+    cols = list(zip(*E.small))
+    bounded = tuple(map(min, cols)) == E.m and tuple(map(max, cols)) == E.c
     if not bounded and not leq(E.m, E.c):
         return fail("structural", reason="min exceeds conductor",
                     min=pt(E.m), conductor=pt(E.c))

@@ -260,6 +260,31 @@ def test_check_parses_each_distinct_path_once(capsys, data_dir, tmp_path, monkey
     assert len(parsed) == 1
 
 
+def test_dual_and_is_canonical_parse_a_repeated_path_once(capsys, data_dir, tmp_path,
+                                                          monkeypatch):
+    # as for check: one path given twice is parsed once, with the output of
+    # two copies of the file parsed apart
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_gsi(text)
+
+    monkeypatch.setattr(cli, "parse_gsi", counted)
+    ex2 = str(data_dir / "ex2.gsi")
+    copy = tmp_path / "copy.gsi"
+    copy.write_text((data_dir / "ex2.gsi").read_text())
+    for argv in (["dual", ex2, ex2], ["dual", ex2, ex2, "--method", "fiber"],
+                 ["is-canonical", ex2, ex2]):
+        parsed.clear()
+        same = run(capsys, *argv)
+        assert len(parsed) == 1, argv
+        parsed.clear()
+        apart = run(capsys, argv[0], ex2, str(copy), *argv[3:])
+        assert len(parsed) == 2, argv
+        assert same == apart, argv
+
+
 def _reuse_sequence(data_dir):
     ex2, broken = str(data_dir / "ex2.gsi"), str(data_dir / "broken.gsi")
     return [

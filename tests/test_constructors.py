@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -16,7 +17,7 @@ from gsi.constructors import (
     product,
     random_good,
 )
-from gsi.errors import GenerationError, ValidationError
+from gsi.errors import SoundnessError, ValidationError
 from gsi.fiber import fiber_empty, maximals
 from gsi.gsi_format import emit_gsi
 from gsi.ideal import SmallRep, _e2_fiber, _least_conductor, frobenius, members, validate
@@ -251,13 +252,39 @@ def test_random_good_postconditions(ex2, node2):
             assert validate(E, S).passed
 
 
-def test_random_good_gives_up_on_incompatible_ideals(monkeypatch, ex2):
-    import gsi.constructors
-
-    monkeypatch.setattr(gsi.constructors, "_compatibility_failure",
+def test_random_good_raises_when_compatibility_fails(monkeypatch, ex2):
+    monkeypatch.setattr(constructors, "_compatibility_failure",
                         lambda E, S: {"s": [0, 0], "p": [1, 1], "sum": [1, 1]})
-    with pytest.raises(GenerationError, match="after 2 attempts .*'compatibility'"):
-        random_good(ex2, 0, retries=2)
+    with pytest.raises(SoundnessError,
+                       match=r"draw 0 is not compatible with S: .*'sum': \[1, 1\]"):
+        random_good(ex2, 0)
+
+
+def test_random_good_raises_when_the_draw_is_not_good(monkeypatch, ex2):
+    # the raw sample of seed 3, left unclosed, lacks the meet (0, 3)
+    monkeypatch.setattr(constructors, "_closure_fixpoint", lambda r, m, c, pts, S: pts)
+    with pytest.raises(SoundnessError,
+                       match=r"draw 3 is not a good ideal: .*'E1'.*\[0, 3\]") as info:
+        random_good(ex2, 3)
+    assert isinstance(info.value.__cause__, ValidationError)
+    assert not info.value.__cause__.report.passed
+
+
+def test_random_good_draws_pinned():
+    # emit_gsi of every draw below, hashed in order: the draws, and the
+    # order in which each takes its numbers from the rng, are pinned byte
+    # for byte
+    n23 = numerical([2, 3])
+    semigroups = [numerical([3, 4, 5]), n23, node(2), node(3), product(n23, n23),
+                  product(n23, node(2))]
+    h = hashlib.sha256()
+    for S in semigroups:
+        for seed in range(6):
+            for width in (2, 4):
+                for samples in (2, 6):
+                    E = random_good(S, seed, max_width=width, samples=samples)
+                    h.update(emit_gsi(E).encode())
+    assert h.hexdigest() == "e7d40e6ba612aac551d8125b5fa59477f9c5e526796e3056b3e9b9c3f634d94b"
 
 
 @settings(max_examples=25, deadline=None)
@@ -464,13 +491,6 @@ def _old_closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     return pts
 
 
-def _random_good_outcome(S: SmallRep, seed: int, width: int) -> str:
-    try:
-        return emit_gsi(random_good(S, seed, max_width=width))
-    except GenerationError as err:
-        return str(err)
-
-
 def test_closure_fixpoint_matches_point_set_reference(monkeypatch):
     from test_grid import _semigroups
 
@@ -481,8 +501,8 @@ def test_closure_fixpoint_matches_point_set_reference(monkeypatch):
             return got
         return run
 
-    # random_good draws, r <= 5: every fixpoint call of each draw (retries
-    # included) returns the same set, and the emitted ideal is the same.
+    # random_good draws, r <= 5: the one fixpoint call of each draw returns
+    # the same set, and the emitted ideal is the same.
     # Over N(5,7) x N(5,6), with 143 small elements, c - m lies below c(S)
     # on some axes and above it on others.
     n23 = numerical([2, 3])
@@ -502,10 +522,10 @@ def test_closure_fixpoint_matches_point_set_reference(monkeypatch):
         for fixpoint in (_old_closure_fixpoint, _closure_fixpoint):
             sets = []
             monkeypatch.setattr(constructors, "_closure_fixpoint", recording(fixpoint, sets))
-            runs.append((_random_good_outcome(S, seed, width), sets))
+            runs.append((emit_gsi(random_good(S, seed, max_width=width)), sets))
         assert runs[0] == runs[1], (S, seed, width)
         calls += len(runs[0][1])
-    assert calls >= len(draws)
+    assert calls == len(draws)
     monkeypatch.undo()
 
     # S given on seeded samples in wider boxes, r <= 3.  The first input

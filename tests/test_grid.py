@@ -14,7 +14,8 @@ dual in the fibra and duality checks and in ``is_canonical``, the mask-path
 dual on the box [lo, U + e] with its top row, the open table and mask E1/E2
 test that stepped entries with ``SmallRep.up``, the two doubling loops
 that ``ideal._fold`` replaced, and the quotient of ``cd_difference`` on
-[m_J - c_I, U] with its capped fold over the top class of EI.  The fast
+[m_J - c_I, U] with its capped fold over the top class of EI, and the
+per-point loop of ``SmallRep.grid``.  The fast
 paths must give the same reports, regions and first counterexamples, byte
 for byte.
 """
@@ -583,6 +584,43 @@ def _dense_rep(rng: random.Random, r: int) -> SmallRep:
     if rng.randrange(4):
         pts = _meet_closure(pts)
     return SmallRep(r, m, c, frozenset(pts))
+
+
+def _old_grid(E: SmallRep) -> int:
+    """The small elements as a mask in :attr:`layout`.
+
+    Small elements outside [m, c], which only a rep failing
+    :func:`validate` has, are left out.
+    """
+    g = E.layout
+    bits = bytearray((math.prod(g.dims) + 7) // 8)
+    for p in E.small:
+        if all(l < x <= c for l, x, c in zip(g.lo, p, E.c)):
+            i = g.index(p)
+            bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
+def test_grid_matches_former_point_loop():
+    # dense reps, S, K(S) and a draw of each semigroup, and point sets with
+    # small elements outside [m, c], which only the per-point test drops
+    # (all of them in the last rep, whose grid is empty)
+    rng = random.Random(20261)
+    reps = [_dense_rep(rng, rng.randint(1, 4)) for _ in range(300)]
+    for S in _semigroups().values():
+        reps += [S, canonical_ideal(S), random_good(S, 1)]
+    for _ in range(300):
+        m = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
+        c = tuple(x + rng.randint(0, 3) for x in m)
+        pts = {tuple(rng.randint(x - 2, y + 2) for x, y in zip(m, c))
+               for _ in range(rng.randint(1, 8))}
+        reps.append(SmallRep(len(m), m, c, frozenset(pts)))
+    reps.append(SmallRep(2, (0, 0), (2, 2), frozenset({(-1, 0), (3, 1)})))
+    outside = 0
+    for E in reps:
+        assert E.grid == _old_grid(E), E
+        outside += not all(leq(E.m, p) and leq(p, E.c) for p in E.small)
+    assert outside > 200 and reps[-1].grid == 0, outside
 
 
 def _document_rep(text: str) -> SmallRep:

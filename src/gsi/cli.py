@@ -12,6 +12,11 @@ benchmark, embedders) would otherwise pay it per call; a one-shot ``gsi``
 process builds it once either way, and ``import gsi`` does not build it.
 Reuse is safe: parsing does not change the parser, ``prog`` is fixed, and
 help and errors look up ``sys.stdout`` and ``sys.stderr`` when they print.
+
+Each call of ``main`` makes one loader, a cache of :func:`_load` that lives
+for that call, and hands it to the command it runs, so a path given more
+than once (``check all A A --semigroup A``, ``gen product A A``) is read and
+parsed once, and nothing parsed outlives the call.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from typing import Callable
 
 from . import constructors, duality, theorems
 from .errors import GsiError, ParseError, ValidationError
-from .fiber import maximals
+from .fiber import MaximalInfo, maximals
 from .gsi_format import emit_gsi, parse_gsi
 from .ideal import SmallRep, _compatibility_failure, frobenius, validate
 from .lattice import box_points, join, ones, unit_vector, vadd, vsub
@@ -46,7 +51,7 @@ class _InputError(Exception):
     pass
 
 
-def _load_semigroup(path: str, load: Callable[[str], SmallRep] = _load) -> SmallRep:
+def _load_semigroup(path: str, load: Callable[[str], SmallRep]) -> SmallRep:
     S = load(path)
     report = validate(S, semigroup=True)
     if not report.passed:
@@ -95,9 +100,9 @@ def _print_report(rep: CheckReport) -> None:
         print(f"  counterexample: {ce}")
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, load) -> int:
     try:
-        _load(args.file)
+        load(args.file)
     except ValidationError as err:
         print(f"{args.file}: invalid")
         _print_report(err.report)
@@ -106,7 +111,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _grid_plot(E: SmallRep) -> str:
+def _grid_plot(E: SmallRep, infos: list[MaximalInfo]) -> str:
     e = ones(E.r)
     lo = vsub(E.m, e)
     hi = vadd(E.c, e)
@@ -116,7 +121,7 @@ def _grid_plot(E: SmallRep) -> str:
         row = "".join("o" if E.contains(p) else "." for p in box_points(lo, hi))
         lines.append(f"x in [{lo[0]}, {hi[0]}]: " + row)
     else:
-        maxpts = {info.point for info in maximals(E)}
+        maxpts = {info.point for info in infos}
         for y in range(hi[1], lo[1] - 1, -1):
             row = []
             for x in range(lo[0], hi[0] + 1):
@@ -136,8 +141,8 @@ def _grid_plot(E: SmallRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_info(args) -> int:
-    E = _load(args.file)
+def _cmd_info(args, load) -> int:
+    E = load(args.file)
     print(f"r: {E.r}")
     print("min:", " ".join(map(str, E.m)))
     print("conductor:", " ".join(map(str, E.c)))
@@ -151,19 +156,18 @@ def _cmd_info(args) -> int:
         if E.r > 2:
             print("--plot supports r <= 2 only", file=sys.stderr)
             return USAGE_ERROR
-        sys.stdout.write(_grid_plot(E))
+        sys.stdout.write(_grid_plot(E, infos))
     return 0
 
 
-def _cmd_canonical(args) -> int:
-    S = _load_semigroup(args.file)
+def _cmd_canonical(args, load) -> int:
+    S = _load_semigroup(args.file, load)
     K = duality.canonical_ideal(S)
     _write_out(emit_gsi(K), args.output)
     return 0
 
 
-def _cmd_dual(args) -> int:
-    load = functools.cache(_load)  # a path given twice is parsed once
+def _cmd_dual(args, load) -> int:
     EJ = load(args.J)
     EI = load(args.I)
     if args.method == "cd":
@@ -180,8 +184,7 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _cmd_is_canonical(args) -> int:
-    load = functools.cache(_load)  # a path given twice is parsed once
+def _cmd_is_canonical(args, load) -> int:
     EJ = load(args.J)
     S = _load_semigroup(args.semigroup_file, load)
     result = duality.is_canonical(EJ, S)
@@ -189,15 +192,14 @@ def _cmd_is_canonical(args) -> int:
     return 0 if result else 1
 
 
-def _cmd_gorenstein(args) -> int:
-    S = _load_semigroup(args.file)
+def _cmd_gorenstein(args, load) -> int:
+    S = _load_semigroup(args.file, load)
     result = duality.is_gorenstein(S)
     print(f"gorenstein: {'true' if result else 'false'}")
     return 0 if result else 1
 
 
-def _cmd_check(args) -> int:
-    load = functools.cache(_load)  # each distinct path parsed once
+def _cmd_check(args, load) -> int:
     EJ = load(args.J)
     EI = load(args.I)
     S = _load_semigroup(args.semigroup, load) if args.semigroup else None
@@ -232,7 +234,7 @@ def _cmd_check(args) -> int:
     return 0 if passed else 1
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, load) -> int:
     kind = args.kind
     if kind == "numerical":
         if not args.args:
@@ -246,11 +248,11 @@ def _cmd_gen(args) -> int:
     elif kind == "product":
         if len(args.args) != 2:
             raise _InputError("gen product needs two input files")
-        E = constructors.product(_load(args.args[0]), _load(args.args[1]))
+        E = constructors.product(load(args.args[0]), load(args.args[1]))
     else:  # random, the last of the parser's choices
         if args.semigroup is None:
             raise _InputError("gen random requires --semigroup")
-        S = _load_semigroup(args.semigroup)
+        S = _load_semigroup(args.semigroup, load)
         E = constructors.random_good(S, args.seed)
     _write_out(emit_gsi(E), args.output)
     return 0
@@ -326,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else USAGE_ERROR
     try:
-        return args.func(args)
+        return args.func(args, functools.cache(_load))  # each distinct path parsed once
     except _InputError as err:
         print(str(err), file=sys.stderr)
         return USAGE_ERROR

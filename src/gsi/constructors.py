@@ -15,7 +15,6 @@ inputs plus seed.
 from __future__ import annotations
 
 import math
-import operator
 import random
 
 from .errors import SoundnessError, ValidationError
@@ -26,8 +25,6 @@ from .ideal import (
     _box_mask,
     _closed_fibers,
     _compatibility_failure,
-    _doubling_steps,
-    _fold,
     _least_conductor,
     _repeat,
     _split_pairs,
@@ -127,19 +124,22 @@ class _Box:
     an ideal, has no row below m and nothing past c.  Per axis k and row
     offset v, ``below[k][v]`` is the mask of the points p with
     t_k = p_k - m_k < v, and ``eq`` and ``ge`` those with t_k = v and
-    t_k >= v (so t_k > v is ``ge[k][v + 1]``).  ``steps`` holds the
-    doubling steps of each axis (``ideal._doubling_steps``), kept for the
-    fiber tables (``ideal._closed_fibers``) of every round."""
+    t_k >= v (so t_k > v is ``ge[k][v + 1]``).  ``steps[k]`` holds the
+    doubling steps of a suffix OR along axis k, the (shift, keep) pairs of
+    ``ideal._doubling_steps``: a step of v = 1, 2, 4, ... < d_k rows keeps
+    ``below[k][d_k - v]``.  The fiber tables (``ideal._closed_fibers``) of
+    every round and ``shift`` take them."""
 
     def __init__(self, m: Point, c: Point):
         self.layout = layout = Layout.of(m, c)
         size = math.prod(layout.dims)
         whole = layout.whole
-        self.steps = [list(_doubling_steps(layout, k)) for k in range(len(m))]
-        self.below, self.eq, self.ge = [], [], []
+        self.steps, self.below, self.eq, self.ge = [], [], [], []
         for d, s in zip(layout.dims, layout.strides):
             starts = _repeat(1, d * s, size // (d * s))  # bit 0 of each k-line
             below = [((1 << v * s) - 1) * starts for v in range(d + 1)]
+            self.steps.append([(s << i, below[d - (1 << i)])
+                               for i in range((d - 1).bit_length())])
             self.below.append(below)
             self.eq.append([below[v + 1] ^ below[v] for v in range(d)])
             self.ge.append([whole ^ b for b in below])
@@ -155,12 +155,15 @@ class _Box:
 
     def shift(self, M: int, d: tuple[int, ...]) -> int:
         """T_d(M): every t of M sent to min(t + d, c - m), one axis at a
-        time: rows move up d_k, and the top d_k + 1 rows, ORed together by
-        doubling shifts, land on the top row."""
+        time: rows move up d_k, and the top d_k + 1 rows, ORed together on
+        row low = c_k - m_k - d_k by the suffix OR of ``steps[k]``, land on
+        the top row."""
         for k, dk in enumerate(d):
             if dk:
                 s, low = self.layout.strides[k], self.layout.dims[k] - 1 - dk
-                top = _fold(M, s, dk + 1, operator.or_)
+                top = M
+                for shift, keep in self.steps[k]:
+                    top |= top >> shift & keep
                 M = (M & self.below[k][low] | top & self.eq[k][low]) << dk * s
         return M
 

@@ -6,7 +6,8 @@ the box nothing belongs: beta in D makes beta + c_I conduct in EJ, and the
 conducting points of EJ are c_J + N^r, as meet(z + x, z' + x) =
 meet(z, z') + x is in EJ by E1.  Past U_k every beta_k + alpha_k passes
 c_J,k, where EJ clamps, so D is clamp-invariant at U, its conductor.
-``_dual_box`` keeps [m_J - c_I, U + e] for the fiber dual and the reports.
+The fiber dual and the reports keep the box [m_J - c_I, U + e]
+(``_fiber_region``).
 The quotient runs on the membership grid of ``ideal`` (``ideal._quotient``):
 one window of EJ covers every sum beta + alpha, and its shift by alpha's
 offset answers the quantifier for every beta at once.  On the box the top
@@ -59,14 +60,6 @@ from .ideal import (
 from .lattice import Box, Point, ones, vadd, vsub, zero
 
 
-def _dual_box(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, Point]:
-    e = ones(EJ.r)
-    lo = vsub(EJ.m, EI.c)
-    U = vsub(EJ.c, EI.m)
-    hi = vadd(U, e)
-    return lo, hi, U
-
-
 def _promote_region(r: int, points: set[Point],
                     U: Point) -> tuple[SmallRep | None, str | None]:
     """Try to read a bounded point set as the box window of a good ideal.
@@ -116,10 +109,11 @@ def _empty_mask(E: SmallRep, f: Point, lo: Point, hi: Point) -> int:
 
 
 def _fiber_region(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
-    """The dual box [lo, hi] and the mask, in its layout, of the fiber dual
+    """The dual box [lo, hi] = [m_J - c_I, U + e], U = c_J - m_I, and the
+    mask, in its layout, of the fiber dual
     {beta : F(EI, frobenius(EJ) - beta) = empty}, neither decoded nor
     promoted."""
-    lo, hi, _ = _dual_box(EJ, EI)
+    lo, hi = vsub(EJ.m, EI.c), vadd(vsub(EJ.c, EI.m), ones(EJ.r))
     return lo, hi, _empty_mask(EI, frobenius(EJ), lo, hi)
 
 

@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .lattice import (
@@ -667,18 +667,6 @@ def _sum_failure(outer: SmallRep, inner: SmallRep,
             i = Layout(inner.m, dims, strides).lowest(bad)
             return o, i, vadd(o, i)
     return None
-
-
-def _fold(mask: int, stride: int, n: int, op: Callable[[int, int], int]) -> int:
-    """op (``operator.and_`` or ``operator.or_``) of mask >> t * stride over
-    t in [0, n), n >= 1, by doubling shifts: before a step of s a bit holds
-    op of width shifts, after it of width + s."""
-    width = 1
-    while width < n:
-        step = min(width, n - width)
-        mask = op(mask, mask >> step * stride)
-        width += step
-    return mask
 
 
 def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point) -> set[Point]:

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import gsi
 from gsi import cli
 from gsi.cli import main
@@ -227,62 +229,60 @@ def test_semigroup_arguments_rejected_unless_good(capsys, data_dir, tmp_path):
         assert run(capsys, *argv) == (2, "", err), argv
 
 
-def test_check_parses_each_distinct_path_once(capsys, data_dir, tmp_path, monkeypatch):
-    # one path given as J, I and S is parsed once; the output is that of
-    # three copies of the file, each parsed on its own
+_NOT_A_SEMIGROUP = ("{} is not a good semigroup: validate: FAIL (first counterexample: "
+                    "{{'axiom': 'semigroup', 'reason': '0 not a member'}})\n")
+
+
+@pytest.mark.parametrize("source, argv, code, err", [
+    pytest.param("ex2", ["validate", "{}"], 0, "", id="validate"),
+    pytest.param("ex2", ["info", "{}", "--plot"], 0, "", id="info"),
+    pytest.param("ex2", ["canonical", "{}"], 0, "", id="canonical"),
+    pytest.param("ex2", ["gorenstein", "{}"], 1, "", id="gorenstein"),
+    pytest.param("ex2", ["dual", "{}", "{}"], 0, "", id="dual-cd"),
+    pytest.param("ex2", ["dual", "{}", "{}", "--method", "fiber"], 0, "", id="dual-fiber"),
+    pytest.param("ex2", ["is-canonical", "{}", "{}"], 1, "", id="is-canonical"),
+    pytest.param("ex2", ["check", "all", "{}", "{}", "--semigroup", "{}"], 0, "",
+                 id="check-all"),
+    pytest.param("ex2", ["check", "rho", "{}", "{}", "--semigroup", "{}"], 0, "",
+                 id="check-rho"),
+    pytest.param("ex2", ["check", "sum", "{}", "{}", "--semigroup", "{}"], 0, "",
+                 id="check-sum"),
+    pytest.param("shifted", ["check", "all", "{}", "{}", "--semigroup", "{}"], 2,
+                 _NOT_A_SEMIGROUP, id="check-rejected-semigroup"),
+    pytest.param("ex2", ["gen", "product", "{}", "{}"], 0, "", id="gen-product"),
+    pytest.param("ex2", ["gen", "random", "--semigroup", "{}"], 0, "", id="gen-random"),
+])
+def test_each_distinct_path_parsed_once(capsys, data_dir, tmp_path, monkeypatch,
+                                        source, argv, code, err):
+    # one path in every path slot is parsed once, and the output is that of
+    # a copy of the file in each slot, each parsed on its own, with the
+    # copies' names read as the original's
     parsed = []
 
     def counted(text):
         parsed.append(text)
         return parse_gsi(text)
 
-    monkeypatch.setattr(cli, "parse_gsi", counted)
     ex2 = data_dir / "ex2.gsi"
-    copies = []
-    for name in ("J.gsi", "I.gsi", "S.gsi"):
-        (tmp_path / name).write_text(ex2.read_text())
-        copies.append(str(tmp_path / name))
-    shifted = tmp_path / "shifted.gsi"
-    shifted.write_text(emit_gsi(translate(parse_gsi(ex2.read_text()), (1, 1))))
-    for which in ("all", "rho", "sum"):
-        parsed.clear()
-        same = run(capsys, "check", which, str(ex2), str(ex2), "--semigroup", str(ex2))
-        assert len(parsed) == 1
-        parsed.clear()
-        apart = run(capsys, "check", which, *copies[:2], "--semigroup", copies[2])
-        assert len(parsed) == 3
-        assert same == apart, which
-    parsed.clear()
-    err = (f"{shifted} is not a good semigroup: validate: FAIL (first counterexample: "
-           "{'axiom': 'semigroup', 'reason': '0 not a member'})\n")
-    argv = ["check", "all", str(shifted), str(shifted), "--semigroup", str(shifted)]
-    assert run(capsys, *argv) == (2, "", err)
-    assert len(parsed) == 1
-
-
-def test_dual_and_is_canonical_parse_a_repeated_path_once(capsys, data_dir, tmp_path,
-                                                          monkeypatch):
-    # as for check: one path given twice is parsed once, with the output of
-    # two copies of the file parsed apart
-    parsed = []
-
-    def counted(text):
-        parsed.append(text)
-        return parse_gsi(text)
-
+    path = tmp_path / "shifted.gsi" if source == "shifted" else ex2
+    if source == "shifted":  # a good ideal, not a semigroup: 0 is no member
+        path.write_text(emit_gsi(translate(parse_gsi(ex2.read_text()), (1, 1))))
+    copies = [str(path)]
+    for i in range(1, argv.count("{}")):
+        copies.append(str(tmp_path / f"copy{i}.gsi"))
+        pathlib.Path(copies[-1]).write_text(path.read_text())
     monkeypatch.setattr(cli, "parse_gsi", counted)
-    ex2 = str(data_dir / "ex2.gsi")
-    copy = tmp_path / "copy.gsi"
-    copy.write_text((data_dir / "ex2.gsi").read_text())
-    for argv in (["dual", ex2, ex2], ["dual", ex2, ex2, "--method", "fiber"],
-                 ["is-canonical", ex2, ex2]):
-        parsed.clear()
-        same = run(capsys, *argv)
-        assert len(parsed) == 1, argv
-        parsed.clear()
-        apart = run(capsys, argv[0], ex2, str(copy), *argv[3:])
-        assert len(parsed) == 2, argv
-        assert same == apart, argv
+    same = run(capsys, *(str(path) if a == "{}" else a for a in argv))
+    assert len(parsed) == 1
+    # a usage error prints to stderr alone
+    assert (same[0], same[1] == "", same[2]) == (code, code == 2, err.format(path))
+    parsed.clear()
+    slots = iter(copies)
+    apart = run(capsys, *(next(slots) if a == "{}" else a for a in argv))
+    assert len(parsed) == len(copies)
+    for copy in copies[1:]:
+        apart = (apart[0], apart[1].replace(copy, str(path)), apart[2].replace(copy, str(path)))
+    assert same == apart
 
 
 def _reuse_sequence(data_dir):

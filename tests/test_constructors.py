@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gsi import constructors, duality
 from gsi.constructors import (
+    _Box,
     _closure_fixpoint,
     from_small_elements,
     node,
@@ -20,8 +21,16 @@ from gsi.constructors import (
 from gsi.errors import SoundnessError, ValidationError
 from gsi.fiber import fiber_empty, maximals
 from gsi.gsi_format import emit_gsi
-from gsi.ideal import SmallRep, _e2_fiber, _least_conductor, frobenius, members, validate
-from gsi.lattice import Point, box_points, leq, meet, ones, vadd, zero
+from gsi.ideal import (
+    SmallRep,
+    _doubling_steps,
+    _e2_fiber,
+    _least_conductor,
+    frobenius,
+    members,
+    validate,
+)
+from gsi.lattice import Point, box_points, leq, meet, ones, vadd, vsub, zero
 
 
 # The former conductor normaliser of from_small_elements, kept verbatim as the
@@ -572,6 +581,26 @@ def test_closure_fixpoint_matches_point_set_reference(monkeypatch):
         assert _closure_fixpoint(len(m), m, c, set(pts), None) == want, (m, c, sorted(pts))
         grown += want != pts
     assert grown >= 100, grown
+
+
+def test_box_shift_is_its_definition():
+    # T_d(M) = {min(t + d, c - m) : t in M}, read on points of [m, c] as
+    # min(p + d, c), for every d in [0, c - m]; the steps of a box are those
+    # of ideal._doubling_steps
+    rng = random.Random(33)
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        m = tuple(rng.randint(-2, 2) for _ in range(r))
+        c = tuple(x + rng.randint(0, 5) for x in m)
+        box = _Box(m, c)
+        layout = box.layout
+        assert box.steps == [list(_doubling_steps(layout, k)) for k in range(r)]
+        density = rng.choice((0.0, 0.1, 0.5, 1.0))
+        pts = {p for p in box_points(m, c) if rng.random() < density}
+        M = sum(1 << layout.index(p) for p in pts)
+        for d in box_points(zero(r), vsub(c, m)):
+            want = {tuple(map(min, vadd(p, d), c)) for p in pts}
+            assert set(layout.points(box.shift(M, d))) == want, (m, c, sorted(pts), d)
 
 
 def test_closure_fixpoint_makes_no_meet_or_vadd_calls(monkeypatch):

@@ -12,8 +12,9 @@ per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
 dual in the fibra and duality checks and in ``is_canonical``, the mask-path
 ``validate`` that sorted its small elements first, and the promotion of a
 dual on the box [lo, U + e] with its top row, the open table and mask E1/E2
-test that stepped entries with ``SmallRep.up``, the two doubling loops
-that ``ideal._fold`` replaced, and the quotient of ``cd_difference`` on
+test that stepped entries with ``SmallRep.up``, the doubling loop of
+``_Box.shift`` that the suffix OR of ``_Box.steps`` replaced, the dual box
+of ``duality._dual_box``, and the quotient of ``cd_difference`` on
 [m_J - c_I, U] with its capped fold over the top class of EI, and the
 per-point loop of ``SmallRep.grid``.  The fast
 paths must give the same reports, regions and first counterexamples, byte
@@ -31,7 +32,6 @@ import pytest
 
 from gsi.constructors import _Box, from_small_elements, node, numerical, product, random_good
 from gsi.duality import (
-    _dual_box,
     _fiber_region,
     _promote_region,
     canonical_ideal,
@@ -57,7 +57,6 @@ from gsi.ideal import (
     _closed_fibers,
     _compatibility_failure,
     _e2_fiber,
-    _fold,
     _in_fiber,
     _least_conductor,
     _pairs_good,
@@ -90,6 +89,16 @@ from gsi.theorems import (
     length_step,
     rho,
 )
+
+
+def _dual_box(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, Point]:
+    """The former ``duality._dual_box``, kept verbatim for the references
+    below: [m_J - c_I, U + e] with U = c_J - m_I."""
+    e = ones(EJ.r)
+    lo = vsub(EJ.m, EI.c)
+    U = vsub(EJ.c, EI.m)
+    hi = vadd(U, e)
+    return lo, hi, U
 
 
 def _old_e2_witness_ranges(a: Point, b: Point, i: int, c: Point) -> list[tuple[int, int]]:
@@ -1504,7 +1513,17 @@ def test_dual_promotion_matches_former_full_box():
 
 # The quotient and cd_difference as they ran on [m_J - c_I, U], kept
 # verbatim: the window of EJ reached up to U + kmax, and the top class of EI
-# ANDed it over [0, kmax - c_I] by doubling shifts.
+# ANDed it over [0, kmax - c_I] by doubling shifts (``_old_and_run``, the
+# AND over a run of shifts as the quotient once ran it).
+def _old_and_run(mask: int, stride: int, n: int) -> int:
+    width = 1
+    while width < n:
+        step = min(width, n - width)
+        mask &= mask >> step * stride
+        width += step
+    return mask
+
+
 def _old_capped_quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
                          cap: Point) -> set[Point]:
     e = ones(EJ.r)
@@ -1516,7 +1535,7 @@ def _old_capped_quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point,
     for s in sorted(EI.small):
         if s == EI.c:  # the last small element, as all lie below c_I
             for k, st in enumerate(strides):
-                W = _fold(W, st, cap[k] - EI.c[k] + 1, operator.and_)
+                W = _old_and_run(W, st, cap[k] - EI.c[k] + 1)
         acc &= W >> alphas.index(s)
     return set(Layout(lo, dims, strides).points(acc))
 
@@ -1623,18 +1642,8 @@ def test_open_table_and_pairs_good_match_former_step_up():
     assert min(seen[True, True], seen[False, True], seen[True, False]) >= 20, seen
 
 
-# The two doubling loops that ``ideal._fold`` replaced, kept verbatim: the
-# quotient's AND over a run of shifts and the OR of ``_Box.shift`` over the
-# top dk + 1 rows.
-def _old_and_run(mask: int, stride: int, n: int) -> int:
-    width = 1
-    while width < n:
-        step = min(width, n - width)
-        mask &= mask >> step * stride
-        width += step
-    return mask
-
-
+# The doubling loop of ``_Box.shift`` before it read the suffix OR of
+# ``_Box.steps``, kept verbatim: the OR of the top dk + 1 rows.
 def _old_shift_fold(M: int, s: int, dk: int) -> int:
     fold, width = M, 1
     while width <= dk:
@@ -1644,18 +1653,35 @@ def _old_shift_fold(M: int, s: int, dk: int) -> int:
     return fold
 
 
-def test_fold_matches_former_doubling_loops():
+def _old_box_shift(box: _Box, M: int, d: tuple[int, ...]) -> int:
+    """The former ``_Box.shift``, through ``_old_shift_fold``."""
+    for k, dk in enumerate(d):
+        if dk:
+            s, low = box.layout.strides[k], box.layout.dims[k] - 1 - dk
+            fold = _old_shift_fold(M, s, dk)
+            M = (M & box.below[k][low] | fold & box.eq[k][low]) << dk * s
+    return M
+
+
+def test_box_shift_matches_former_doubling_loops():
     rng = random.Random(20284)
     for _ in range(3000):
         stride, n = rng.randint(1, 9), rng.randint(1, 20)
         mask = rng.choice((0, (1 << rng.randint(1, 300)) - 1, rng.getrandbits(300)))
-        anded = _fold(mask, stride, n, operator.and_)
-        ored = _fold(mask, stride, n, operator.or_)
-        assert anded == _old_and_run(mask, stride, n), (mask, stride, n)
-        assert ored == _old_shift_fold(mask, stride, n - 1), (mask, stride, n)
+        anded = _old_and_run(mask, stride, n)
+        ored = _old_shift_fold(mask, stride, n - 1)
         shifts = [mask >> t * stride for t in range(n)]
         assert anded == functools.reduce(operator.and_, shifts)
         assert ored == functools.reduce(operator.or_, shifts)
+    # the suffix OR of _Box.steps gives the former shift on every box axis
+    for _ in range(600):
+        r = rng.randint(1, 4)
+        m = tuple(rng.randint(-2, 2) for _ in range(r))
+        c = tuple(x + rng.randint(0, 9) for x in m)
+        box = _Box(m, c)
+        M = rng.choice((0, box.layout.whole, rng.getrandbits(math.prod(box.layout.dims))))
+        d = tuple(rng.randint(0, y - x) for x, y in zip(m, c))
+        assert box.shift(M, d) == _old_box_shift(box, M, d), (m, c, M, d)
 
 
 def test_normaliser_and_quotient_preconditions(monkeypatch):

@@ -4,9 +4,12 @@ module-level class not exported through __all__, every private module-level
 function and every method or property of a class is referenced somewhere in
 the package, no module defines both a name and a private twin _name of
 it, and no module keeps a cache or container at module level beyond its
-named exemptions."""
+named exemptions.  The line counter ``tools/loc.py`` runs."""
 import ast
 import pathlib
+import re
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsi"
 
@@ -177,3 +180,12 @@ def test_no_module_level_caches():
     assert found == MODULE_CACHES, (
         f"module-level caches: {sorted(found - MODULE_CACHES)}; "
         f"stale exemptions: {sorted(MODULE_CACHES - found)}")
+
+
+def test_loc_tool_runs():
+    # a smoke run: it counts the package and prints both numbers
+    tool = PACKAGE.parents[1] / "tools" / "loc.py"
+    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines, code = map(int, re.fullmatch(r"lines (\d+), code (\d+)\n", proc.stdout).groups())
+    assert 0 < code < lines

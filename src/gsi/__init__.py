@@ -16,7 +16,6 @@ from .duality import (
     is_gorenstein,
 )
 from .errors import (
-    BoundaryInstabilityError,
     DimensionMismatch,
     GsiError,
     InvalidIndexSet,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box",
-    "BoundaryInstabilityError",
     "CheckReport",
     "Cmp",
     "DimensionMismatch",

@@ -341,7 +341,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory: the input is too large", file=sys.stderr)
         return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

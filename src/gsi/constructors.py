@@ -25,6 +25,7 @@ from .ideal import (
     _box_mask,
     _closed_fibers,
     _compatibility_failure,
+    _doubling_steps,
     _least_conductor,
     _repeat,
     _split_pairs,
@@ -126,20 +127,18 @@ class _Box:
     t_k = p_k - m_k < v, and ``eq`` and ``ge`` those with t_k = v and
     t_k >= v (so t_k > v is ``ge[k][v + 1]``).  ``steps[k]`` holds the
     doubling steps of a suffix OR along axis k, the (shift, keep) pairs of
-    ``ideal._doubling_steps``: a step of v = 1, 2, 4, ... < d_k rows keeps
-    ``below[k][d_k - v]``.  The fiber tables (``ideal._closed_fibers``) of
-    every round and ``shift`` take them."""
+    ``ideal._doubling_steps``, taken once per box: the fiber tables
+    (``ideal._closed_fibers``) of every round and ``shift`` take them."""
 
     def __init__(self, m: Point, c: Point):
         self.layout = layout = Layout.of(m, c)
         size = math.prod(layout.dims)
         whole = layout.whole
-        self.steps, self.below, self.eq, self.ge = [], [], [], []
+        self.steps = [list(_doubling_steps(layout, k)) for k in range(len(m))]
+        self.below, self.eq, self.ge = [], [], []
         for d, s in zip(layout.dims, layout.strides):
             starts = _repeat(1, d * s, size // (d * s))  # bit 0 of each k-line
             below = [((1 << v * s) - 1) * starts for v in range(d + 1)]
-            self.steps.append([(s << i, below[d - (1 << i)])
-                               for i in range((d - 1).bit_length())])
             self.below.append(below)
             self.eq.append([below[v + 1] ^ below[v] for v in range(d)])
             self.ge.append([whole ^ b for b in below])

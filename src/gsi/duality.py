@@ -7,7 +7,8 @@ conducting points of EJ are c_J + N^r, as meet(z + x, z' + x) =
 meet(z, z') + x is in EJ by E1.  Past U_k every beta_k + alpha_k passes
 c_J,k, where EJ clamps, so D is clamp-invariant at U, its conductor.
 The fiber dual and the reports keep the box [m_J - c_I, U + e]
-(``_fiber_region``).
+(``_fiber_region``).  K(S) is read on S's own grid [m_S - e, c_S] and
+promoted with top c_S; ``canonical_ideal`` proves that the grid holds it.
 The quotient runs on the membership grid of ``ideal`` (``ideal._quotient``):
 one window of EJ covers every sum beta + alpha, and its shift by alpha's
 offset answers the quantifier for every beta at once.  On the box the top
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .errors import BoundaryInstabilityError, SoundnessError
+from .errors import SoundnessError
 from .ideal import (
     Layout,
     RegionSet,
@@ -140,34 +141,33 @@ def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
 def canonical_ideal(S: SmallRep) -> SmallRep:
     """The canonical ideal {alpha : F(S, frobenius(S) - alpha) = empty}.
 
-    A member on a low face of the search box [lo, c(S)] raises
-    BoundaryInstabilityError, naming the lexicographically least such member:
-    the lowest bit of the region outside [lo + e, c(S)].  The region is
-    promoted with top c(S).  Postconditions are asserted: the Frobenius
-    vector is preserved, S is contained in the result, and the result,
-    validated on promotion, is compatible with S.  The result is kept on S
-    and returned by later calls.
+    The region is read on S's own grid [m - e, c] (``S.layout``) and
+    promoted with top c.  That grid holds every member up to c: (1) if
+    alpha_k < 0, then x = f - alpha, f = c - e, has x_k >= c_k, and the
+    point equal to x at k and to max(x_j + 1, c_j) elsewhere lies in
+    c + N^r, so in S, and in x's open {k}-fiber; so no member lies below
+    0, and m <= 0 as S holds 0 (m = 0 for a good semigroup, whose
+    canonical ideal lies in N^r).  (2) A point p with some p_k < 0 that a
+    fault puts in the region cannot reach a result either: promotion, the
+    subset check or the compatibility check fails, or else p + c and c
+    both conduct in the promoted ideal (p + S lies in it, and c + N^r in
+    S), so by E1 meet(p + c, c), which is below c at k, conducts too: the
+    promoted conductor is below c at k, and the Frobenius postcondition
+    fails.  So no test of the grid's low faces could change a result.
+
+    Postconditions are asserted: the Frobenius vector is preserved, S is
+    contained in the result, and the result, validated on promotion, is
+    compatible with S.  The result is kept on S and returned by later
+    calls.
     """
     if "canonical_ideal" in vars(S):
         return vars(S)["canonical_ideal"]
     if not S.contains(zero(S.r)):
         raise ValueError("canonical ideal needs a good semigroup (0 missing)")
-    e = ones(S.r)
-    span = vsub(S.c, S.m)
-    lo = vsub(vsub(S.m, span), e)
-    hi = S.c
     f = frobenius(S)
-    layout = Layout.of(lo, hi)
-    region = _empty_mask(S, f, lo, hi)
-    # the members off the inner box [lo + e, hi], whose bits are those of
-    # the box of dims - e shifted up by the index of lo + e
-    inner = _box_mask(layout.dims, vsub(layout.dims, e)) << sum(layout.strides)
-    face = region & ~inner
-    if face:
-        raise BoundaryInstabilityError(
-            f"canonical-ideal member {layout.lowest(face)} touches the search-box "
-            f"face at {lo}")
-    rep, failure = _promote_region(S.r, set(layout.points(region)), hi)
+    layout = S.layout
+    region = _empty_mask(S, f, layout.lo, S.c)
+    rep, failure = _promote_region(S.r, set(layout.points(region)), S.c)
     if rep is None:
         raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")
     if frobenius(rep) != f:

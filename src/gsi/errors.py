@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class is raised somewhere in the package or is a base of one that
+is (``test_hygiene.test_error_classes_are_raised``).
+"""
 
 
 class GsiError(Exception):
@@ -24,11 +28,6 @@ class ValidationError(GsiError, ValueError):
 class SoundnessError(GsiError, RuntimeError):
     """An internal consistency assertion failed.  Always an implementation bug,
     never expected on valid inputs."""
-
-
-class BoundaryInstabilityError(GsiError, RuntimeError):
-    """A computed set touched the edge of its search region, so the result
-    cannot be certified from the swept box."""
 
 
 class ParseError(GsiError, ValueError):

@@ -49,9 +49,10 @@ def data_dir():
 def canonical_runs(monkeypatch):
     """The ideals S, one entry per run, whose K(S) body runs during the test.
 
-    The body reads S's empty mask reflected at frobenius(S) over a box with
-    top S.c.  A fiber region over S reflects at some f with top f + 2e - m_S,
-    never f + e, since an argument of canonical_ideal holds 0 (m_S <= 0).
+    The body reads S's empty mask reflected at frobenius(S) over S's own
+    grid [m_S - e, c_S], whose top is S.c.  A fiber region over S reflects
+    at some f with top f + 2e - m_S, never f + e, since an argument of
+    canonical_ideal holds 0 (m_S <= 0).
     Count with ``is``: value-equal copies are distinct runs.
     """
     runs = []

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import gsi.duality as duality
-from gsi.constructors import node, random_good
+from gsi.constructors import node, numerical, product, random_good
 from gsi.duality import (
     bidual,
     canonical_ideal,
@@ -12,25 +12,54 @@ from gsi.duality import (
     is_canonical,
     is_gorenstein,
 )
-from gsi.errors import BoundaryInstabilityError
-from gsi.ideal import Layout, SmallRep, equals, frobenius, is_subset, translate, validate
+from gsi.errors import SoundnessError
+from gsi.ideal import SmallRep, equals, frobenius, is_subset, translate, validate
 from gsi.lattice import box_points, ones, vadd, vsub
 from gsi.oracle import brute_canonical, brute_dual
 from gsi.theorems import check_all
 
 
-def test_canonical_face_error_names_least_point(ex2, monkeypatch):
-    # ex2's search box starts at lo = m - (c - m) - e = (-6, -6); of two
-    # members on its faces the error names the lexicographically least,
-    # which is not the one a set iterates first
-    face = {(-6, -5), (-3, -6)}
-    assert next(iter(face)) != min(face)
-    monkeypatch.setattr(duality, "_empty_mask", lambda E, f, lo, hi: sum(
-        1 << Layout.of(lo, hi).index(p) for p in face))
-    with pytest.raises(BoundaryInstabilityError) as err:
-        canonical_ideal(replace(ex2))  # a fresh ex2, whose K(S) is not yet kept
-    assert str(err.value) == (
-        "canonical-ideal member (-6, -5) touches the search-box face at (-6, -6)")
+def _inject_below_m(monkeypatch, S, points):
+    """Make ``_empty_mask`` put points of S's row m - 1 into K(S)'s region,
+    read on S's grid, as a fault would."""
+    bits = sum(1 << S.layout.index(p) for p in points)
+
+    def injected(E, f, lo, hi, original=duality._empty_mask):
+        return original(E, f, lo, hi) | bits
+
+    monkeypatch.setattr(duality, "_empty_mask", injected)
+
+
+def test_canonical_members_below_m_raise(ex2, monkeypatch):
+    # K(S) is read on S's grid [m - e, c], whose row m - 1 holds no member;
+    # a point a fault puts there fails a postcondition: the corner m - e
+    # reaches the compatibility check, a face point fails E2 on promotion,
+    # and so does the whole row
+    lo = ex2.layout.lo
+    row = [p for p in box_points(lo, ex2.c) if p[0] == lo[0]]
+    for points, match in (([lo], "not an ideal of S: .*conductor exceeds min"),
+                          ([(lo[0], 0)], "not a good ideal: .*E2"),
+                          (row, "not a good ideal: .*E2")):
+        with monkeypatch.context() as patch:
+            _inject_below_m(patch, ex2, points)
+            with pytest.raises(SoundnessError, match=match):
+                canonical_ideal(replace(ex2))  # a fresh ex2, whose K(S) is not yet kept
+
+
+def test_canonical_ideal_on_the_semigroup_grid(ex2):
+    # K(S) has S's minimum and conductor, so it lives on S's grid; N = node(1)
+    # gives products an axis with c_k = 0
+    from test_grid import _semigroups
+
+    numericals = [numerical(g) for g in ((2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 5),
+                                          (4, 6, 7), (5, 6, 7), (3, 7, 8), (5, 7, 9),
+                                          (4, 9, 11), (6, 7, 8, 9))]
+    N = node(1)
+    products = [product(N, numerical([3, 5])), product(numerical([4, 6, 7]), N)]
+    semigroups = ([ex2, *_semigroups().values()] + [node(r) for r in range(1, 6)]
+                  + numericals + products)
+    for S in semigroups:
+        assert canonical_ideal(S).layout == S.layout, S
 
 
 def test_cd_identity(n1, n2, ex2):
@@ -136,9 +165,6 @@ def test_is_canonical_examples(n1, ex2):
 
 
 def test_is_canonical_runs_both_tests(ex2, monkeypatch):
-    import gsi.duality as duality
-    from gsi.errors import SoundnessError
-
     kx = canonical_ideal(ex2)
     lo, hi, _ = duality._fiber_region(kx, ex2)
     # an empty fiber dual fails the fixpoint test while the translate test holds
@@ -208,9 +234,9 @@ def test_failing_canonical_ideal_raises_on_every_call(ex2, monkeypatch):
     # a call that raises keeps nothing, so the next call runs the body again
     S = replace(ex2)
     with monkeypatch.context() as patch:
-        patch.setattr(duality, "_empty_mask", lambda E, f, lo, hi: 1)
+        _inject_below_m(patch, S, [S.layout.lo])
         for _ in range(2):
-            with pytest.raises(BoundaryInstabilityError):
+            with pytest.raises(SoundnessError):
                 canonical_ideal(S)
     assert canonical_ideal(S) == canonical_ideal(ex2)
     no_zero = translate(node(2), (1, 1))
@@ -288,8 +314,9 @@ def test_dual_conductor_is_c_J_minus_m_I():
 
 
 def test_dual_and_canonical_promotions_keep_their_top(monkeypatch):
-    # cd_difference promotes on [lo, U] and canonical_ideal on [lo, c(S)],
-    # and both tops are the conductors, so the normaliser returns its input
+    # cd_difference promotes on [lo, U] and canonical_ideal on S's grid
+    # [m - e, c(S)], and both tops are the conductors, so the normaliser
+    # returns its input
     kept = []
 
     def record(P, original=duality._least_conductor):

@@ -5,7 +5,8 @@ point-by-point ``members`` they all enumerate with, the box sweeps of
 ``validate`` (its E2 witness search included), of the compatibility test and
 of ``check_sum``, the per-point quantifier of ``cd_difference``, the
 per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
-``fiber_dual`` and ``canonical_ideal``, the two fiber-table routines that
+``fiber_dual`` and of ``canonical_ideal`` on its former search box, face
+test included, the two fiber-table routines that
 ``ideal._closed_fibers`` replaced, the structural loop of
 ``from_small_elements``, the per-row recursion of ``_window``, the
 ``members`` scan of ``search_member``, the point-set reads of the fiber
@@ -40,7 +41,6 @@ from gsi.duality import (
     is_canonical,
 )
 from gsi.errors import (
-    BoundaryInstabilityError,
     DimensionMismatch,
     GsiError,
     SoundnessError,
@@ -492,6 +492,11 @@ def _old_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
               if fiber_empty(EI, vsub(f, beta))}
     rep, failure = _old_promote_region(EJ.r, points, hi, U)
     return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
+
+
+class BoundaryInstabilityError(GsiError, RuntimeError):
+    """The former error of a member on the face of the canonical search box,
+    kept for ``_old_canonical_ideal``; the package no longer has it."""
 
 
 def _old_canonical_ideal(S: SmallRep) -> SmallRep:

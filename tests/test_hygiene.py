@@ -3,8 +3,10 @@ import sits at module level, no module imports a name it never uses, every
 module-level class not exported through __all__, every private module-level
 function and every method or property of a class is referenced somewhere in
 the package, no module defines both a name and a private twin _name of
-it, and no module keeps a cache or container at module level beyond its
-named exemptions.  The line counter ``tools/loc.py`` runs."""
+it, every error class is raised or is a base of one that is, and no
+module keeps a cache or container at module level beyond its named
+exemptions.  The line counter ``tools/loc.py`` and the output digest
+``tools/identity.py`` run."""
 import ast
 import pathlib
 import re
@@ -81,6 +83,31 @@ def test_classes_are_referenced():
                 if cls.name not in set().union(*rest):
                     dead.append(f"{name}:{cls.lineno} {cls.name}")
     assert not dead, f"classes nothing in the package references: {dead}"
+
+
+def _raised(tree: ast.Module) -> set[str]:
+    """The names of the exceptions a module raises: ``raise X`` and
+    ``raise X(...)``, X a name or an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(getattr(exc, "attr", getattr(exc, "id", None)))
+    return names
+
+
+def test_error_classes_are_raised():
+    # an error class lives while the package raises it or one of its
+    # subclasses; being exported is not enough, as nothing can catch an
+    # error that is never raised
+    modules = _modules()
+    live = set().union(*map(_raised, modules.values()))
+    classes = [node for node in modules["errors.py"].body if isinstance(node, ast.ClassDef)]
+    for cls in reversed(classes):  # a base is defined before its subclasses
+        if cls.name in live:
+            live.update(base.id for base in cls.bases if isinstance(base, ast.Name))
+    dead = [f"errors.py:{cls.lineno} {cls.name}" for cls in classes if cls.name not in live]
+    assert not dead, f"error classes the package never raises: {dead}"
 
 
 def test_private_functions_are_referenced():
@@ -189,3 +216,14 @@ def test_loc_tool_runs():
     assert proc.returncode == 0, proc.stderr
     lines, code = map(int, re.fullmatch(r"lines (\d+), code (\d+)\n", proc.stdout).groups())
     assert 0 < code < lines
+
+
+def test_identity_tool_runs():
+    # a smoke run: it digests the CLI, the draws and the canonical ideals,
+    # and pins no digest
+    tool = PACKAGE.parents[1] / "tools" / "identity.py"
+    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for name, _, _ in rows] == ["cli", "draws", "canonical"]
+    assert all(int(n) > 0 and re.fullmatch(r"[0-9a-f]{64}", digest) for _, n, digest in rows)

@@ -1,0 +1,137 @@
+"""Digest what the package outputs, to compare two checkouts byte for byte.
+
+Standard library only; it imports the package from its own checkout's
+``src`` and reads that checkout's ``tests/data``.  Run it from anywhere:
+
+    python tools/identity.py
+
+It prints three rows, ``<name> <count> <sha256>``:
+
+- ``cli``: ``gsi.cli.main`` run in-process, from the checkout root with
+  relative paths, on every subcommand over every file of ``tests/data``
+  (ordered pairs for the two-ideal commands, triples for
+  ``check ... --semigroup``), plus usage errors and a missing path.  The
+  digest covers argv, exit code, stdout and stderr.
+- ``draws``: ``random_good`` over six semigroups, seeds 0-19,
+  ``max_width`` 2 and 4 and ``samples`` 2 and 6.
+- ``canonical``: ``emit_gsi(canonical_ideal(S))`` and ``is_gorenstein(S)``
+  over a fixed list of numerical semigroups, nodes and products.
+
+An error is digested as its type and text, so a changed error changes the
+digest.  To compare a change with its parent, copy this file into a parent
+checkout and run both copies; equal rows mean equal outputs.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import math
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import gsi  # noqa: E402  (the checkout's own package, after the path)
+from gsi import cli  # noqa: E402
+
+CHECKS = ("sum", "fibra", "length", "rho", "maxsym", "all")
+USAGE = ([], ["bogus"], ["--help"], ["gen", "node"], ["gen", "numerical"],
+         ["gen", "numerical", "3", "5"], ["gen", "node", "3"],
+         ["info", "tests/data/missing.gsi"])
+
+
+def _digest(records) -> tuple[int, str]:
+    """The number of records and the sha256 of their reprs, one a line."""
+    h, n = hashlib.sha256(), 0
+    for rec in records:
+        h.update(repr(rec).encode() + b"\n")
+        n += 1
+    return n, h.hexdigest()
+
+
+def _outcome(f, *args):
+    """f(*args), or the type name and text of the error it raised."""
+    try:
+        return f(*args)
+    except (gsi.GsiError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def _cli_argvs():
+    files = sorted(f"tests/data/{p.name}" for p in (ROOT / "tests" / "data").iterdir())
+    for f in files:
+        yield from (["validate", f], ["info", f], ["info", "--plot", f],
+                    ["canonical", f], ["gorenstein", f],
+                    ["gen", "random", "--semigroup", f, "--seed", "3"])
+    for a, b in itertools.product(files, repeat=2):
+        yield from (["dual", a, b], ["dual", "--method", "fiber", a, b],
+                    ["is-canonical", a, b], ["gen", "product", a, b])
+        yield from (["check", which, a, b] for which in CHECKS)
+    for a, b, s in itertools.product(files, repeat=3):
+        yield from (["check", which, a, b, "--semigroup", s] for which in CHECKS)
+    yield from USAGE
+
+
+def _cli():
+    for argv in _cli_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        yield argv, code, out.getvalue(), err.getvalue()
+
+
+def _draw_semigroups():
+    ex2 = gsi.parse_gsi((ROOT / "tests" / "data" / "ex2.gsi").read_text(encoding="utf-8"))
+    return [gsi.numerical([3, 5]), gsi.numerical([4, 6, 7]), gsi.node(2), gsi.node(3),
+            ex2, gsi.product(gsi.numerical([2, 3]), gsi.numerical([3, 4]))]
+
+
+def _draws():
+    for i, S in enumerate(_draw_semigroups()):
+        for seed, width, samples in itertools.product(range(20), (2, 4), (2, 6)):
+            E = _outcome(lambda: gsi.random_good(S, seed, max_width=width, samples=samples))
+            yield i, seed, width, samples, gsi.emit_gsi(E) if isinstance(E, gsi.SmallRep) else E
+
+
+def _numerical_semigroups():
+    """The distinct numerical semigroups with two to four generators in
+    [2, 13] and conductor at most 24, in the order first generated."""
+    seen = []
+    for n in (2, 3, 4):
+        for gens in itertools.combinations(range(2, 14), n):
+            if math.gcd(*gens) == 1:
+                S = gsi.numerical(list(gens))
+                if S.c[0] <= 24 and S not in seen:
+                    seen.append(S)
+    return seen
+
+
+def _canonical_semigroups():
+    numerical = _numerical_semigroups()
+    N = gsi.node(1)
+    nodes = [gsi.node(r) for r in range(1, 7)]
+    pairs = [gsi.product(A, B) for A, B in zip(numerical[:24:2], numerical[1:24:2])]
+    with_N = [gsi.product(N, S) for S in numerical[:3]] + [gsi.product(S, N) for S in numerical[:3]]
+    return numerical + nodes + pairs + with_N
+
+
+def _canonical():
+    for S in _canonical_semigroups():
+        K = _outcome(gsi.canonical_ideal, S)
+        yield (gsi.emit_gsi(S), gsi.emit_gsi(K) if isinstance(K, gsi.SmallRep) else K,
+               _outcome(gsi.is_gorenstein, S))
+
+
+def main() -> None:
+    os.chdir(ROOT)  # the CLI's paths are relative to the checkout root
+    for name, records in (("cli", _cli()), ("draws", _draws()), ("canonical", _canonical())):
+        n, digest = _digest(records)
+        print(f"{name} {n} {digest}")
+
+
+if __name__ == "__main__":
+    main()

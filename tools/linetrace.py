@@ -13,7 +13,7 @@ count and pytest's exit code.  A statement counts as run when any line of its
 own (for a compound statement, of its header, decorators included) raised a
 line event.  Statements no line event can mark, such as a bare ``try:`` or a
 function's docstring, are left out.  Code that only a subprocess runs
-(``__main__``, the CLI's ``SystemExit`` line) is reported as unexecuted.
+(``__main__.py``) is reported as unexecuted.
 The trace makes the suite several times slower, so it is no part of tier-1.
 """
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Every constructor normalizes its data (clip to the conductor, then shrink
 the conductor of that provisional rep to the least one consistent with the
-stored elements, through the same ``ideal._least_conductor`` that promotes
-computed duals) and runs full axiom validation once before returning.
+stored elements, through ``ideal._least_conductor``, which serves parsed
+and drawn data only) and runs full axiom validation once before returning.
 ``random_good`` draws once: it grows its sample by rounds of meets,
 compatibility with S and E2 witnesses on one bit mask of its box
 (``_closure_fixpoint``), each step a few shifts, ANDs and ORs of masks, and
@@ -39,7 +39,7 @@ def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
 
     Points are clipped by meet with the conductor, and ``_least_conductor``
     shrinks their provisional rep on [m, c] to the least conductor the data
-    supports; when it finds none, the rep is kept and validation judges.
+    supports; when it finds none, it keeps the rep and validation judges.
     Raises ValidationError carrying the failing axiom otherwise.
     """
     pts = {meet(tuple(p), c) for p in elems}
@@ -57,10 +57,7 @@ def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
                         "point": list(p)})
                 raise ValidationError(report)
     pts.add(c)
-    P = SmallRep(r, m, c, frozenset(pts))
-    rep = _least_conductor(P)
-    if isinstance(rep, str):
-        rep = P
+    rep = _least_conductor(SmallRep(r, m, c, frozenset(pts)))
     report = validate(rep)
     if not report.passed:
         raise ValidationError(report)
@@ -239,8 +236,9 @@ def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
 def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
                       S: SmallRep | None) -> set[Point]:
     """Grow pts inside [m, c] by rounds of three steps until a round adds
-    nothing.  Every input point must lie in [m, c], as both callers ensure,
-    and S, when given, is a semigroup (its small elements are >= 0).
+    nothing.  Every input point must lie in [m, c], as its one caller
+    ``random_good`` ensures, and S, when given, is a semigroup (its small
+    elements are >= 0).
 
     The set is one mask M over the box (``_Box``), decoded once at the end.
     With S, the top sub-box [min(m + c(S), c), c] is put in first, since

@@ -22,10 +22,15 @@ occupied) over the reflected box f - box, bit-reversed to the box's own
 indexing.  ``_fiber_region`` returns the fiber dual as that mask with its
 box; ``is_canonical`` and the check layer compare it with windows and
 never promote it, and only the public ``fiber_dual`` decodes it.
-Results are normalized to SmallRep by ``ideal._least_conductor``, which
-walks runs down the axes from the top U, as the constructors' data is, and
-validated once; any failure there is an internal bug, never expected on
-valid inputs.
+Each region is promoted to a SmallRep with its box top U as conductor:
+c_J - m_I for a dual or fiber dual and c_S for K(S), the conductors the
+duality fixes (c(EJ - EI) = c_J - m_I and c(K(S)) = c(S); D'Anna 1997,
+Korell, Schulze and Tozzo 2019).  Each caller proves in its docstring that
+no U - e_k lies in its region, so U is least and nothing normalises it
+(``ideal._least_conductor`` serves parsed and drawn data only).
+``validate`` certifies every promoted rep once; its conductor check
+rejects a region that a fault lowers, and on valid inputs any failure
+there is an internal bug.
 
 A private check context holds what the checks of a triple share: each
 dual and fiber-dual region and the canonicity of EJ, computed once on first
@@ -47,7 +52,6 @@ from .ideal import (
     SmallRep,
     _box_mask,
     _compatibility_failure,
-    _least_conductor,
     _quotient,
     _reflected,
     _require_same_r,
@@ -66,10 +70,11 @@ def _promote_region(r: int, points: set[Point],
     """Try to read a bounded point set as the box window of a good ideal.
 
     The points lie at or below U, the box top, which is known to conduct
-    (everything from U up belongs).  Requires a minimum m and the point U,
-    then normalises the points on [m, U] with ``_least_conductor`` and
-    validates the axioms; below m the region and its membership rule are
-    both empty.  Any miss returns a reason instead.
+    (everything from U up belongs) and which the caller proves least.
+    Requires a minimum m and the point U, then validates the points on
+    [m, U] as they stand, conductor minimality among the axioms; below m
+    the region and its membership rule are both empty.  Any miss returns
+    a reason instead.
     """
     if not points:
         return None, "empty region"
@@ -78,9 +83,7 @@ def _promote_region(r: int, points: set[Point],
         return None, f"no minimum: meet of region is {m}, not a region point"
     if U not in points:
         return None, f"expected conducting point {U} missing"
-    rep = _least_conductor(SmallRep(r, m, U, frozenset(points)))
-    if isinstance(rep, str):
-        return None, rep
+    rep = SmallRep(r, m, U, frozenset(points))
     report = validate(rep)
     if not report.passed:
         return None, f"axiom validation failed: {report.summary()}"
@@ -92,7 +95,15 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     of good ideals EJ and EI of one dimension, computed on [c_J - c_I, U],
     U = c_J - m_I, and promoted with top U.  If EJ or EI fails ``validate``
     the result is unspecified: a good ideal that need not be D, or
-    SoundnessError."""
+    SoundnessError.
+
+    No U - e_k is in the region, so U is its least conductor.  A principal
+    EI (m_I = c_I) gives the one-point box {U}.  Otherwise m_I is a small
+    element other than c_I, and ``_quotient`` ANDs its shift, which reads
+    U - e_k + m_I = c_J - e_k in EJ.  That point is not in EJ: every
+    z >= c_J - e_k meets c_J in c_J - e_k or c_J, so c_J - e_k would
+    conduct, below the conductor of a valid EJ.
+    """
     _require_same_r(EJ, EI)
     U = vsub(EJ.c, EI.m)
     points = _quotient(EJ, EI, vsub(EJ.c, EI.c), U)
@@ -121,10 +132,14 @@ def _fiber_region(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
 def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box.
 
-    Goodness of this set is not guaranteed for non-canonical EJ, so the raw
-    region is returned with the outcome of a promotion attempt.  The region
-    is clamp-invariant at U = hi - e (past U, f - beta drops below m_I - 1,
-    where EI's fiber index clamps), so only its points up to U are promoted.
+    EJ and EI must pass ``validate``, as for ``cd_difference``; otherwise
+    the region and its promotion are unspecified.  Goodness of this set is
+    not guaranteed for non-canonical EJ, so the raw region is returned with
+    the outcome of a promotion attempt.  The region is clamp-invariant at
+    U = hi - e (past U, f - beta drops below m_I - 1, where EI's fiber
+    index clamps), so only its points up to U are promoted, with top U.
+    No U - e_k is among them: f - (U - e_k) = m_I - e + e_k, f = c_J - e,
+    and the open {k}-fiber of that point holds m_I, a member of EI.
     """
     _require_same_r(EJ, EI)
     e = ones(EJ.r)
@@ -147,18 +162,20 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     point equal to x at k and to max(x_j + 1, c_j) elsewhere lies in
     c + N^r, so in S, and in x's open {k}-fiber; so no member lies below
     0, and m <= 0 as S holds 0 (m = 0 for a good semigroup, whose
-    canonical ideal lies in N^r).  (2) A point p with some p_k < 0 that a
-    fault puts in the region cannot reach a result either: promotion, the
-    subset check or the compatibility check fails, or else p + c and c
-    both conduct in the promoted ideal (p + S lies in it, and c + N^r in
-    S), so by E1 meet(p + c, c), which is below c at k, conducts too: the
-    promoted conductor is below c at k, and the Frobenius postcondition
-    fails.  So no test of the grid's low faces could change a result.
+    canonical ideal lies in N^r).  (2) No c - e_k is in the region, so c
+    is its least conductor and K(S) keeps the Frobenius vector f:
+    f - (c - e_k) = e_k - e, and its open {k}-fiber holds 0, in S.
+    (3) A point p with some p_k < 0 that a fault puts in the region cannot
+    reach a result either: promotion (validate's conductor check among
+    them), the subset check or the compatibility check fails.  Else p + c
+    and c both conduct in the promoted ideal (p + S lies in it, and c + N^r
+    in S), so by E1 meet(p + c, c), which is below c at k, conducts too,
+    and so does c - e_k, which validate's conductor check rejects.  So no
+    test of the grid's low faces could change a result.
 
-    Postconditions are asserted: the Frobenius vector is preserved, S is
-    contained in the result, and the result, validated on promotion, is
-    compatible with S.  The result is kept on S and returned by later
-    calls.
+    Postconditions are asserted: S is contained in the result, and the
+    result, validated on promotion, is compatible with S.  The result is
+    kept on S and returned by later calls.
     """
     if "canonical_ideal" in vars(S):
         return vars(S)["canonical_ideal"]
@@ -170,9 +187,6 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     rep, failure = _promote_region(S.r, set(layout.points(region)), S.c)
     if rep is None:
         raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")
-    if frobenius(rep) != f:
-        raise SoundnessError(
-            f"canonical ideal changed the Frobenius vector: {frobenius(rep)} != {f}")
     if not is_subset(S, rep):
         raise SoundnessError("canonical ideal does not contain the semigroup")
     failure = _compatibility_failure(rep, S)

@@ -28,8 +28,11 @@ sweeps shift them, and the quotient behind ``duality.cd_difference`` shifts
 one window per small element of the divisor but its conductor, so no box is
 walked point by point.  ``_least_conductor`` reads a point set's least
 conductor off the runs down the axes from its box top and checks the
-membership rule against the set by counting its clamp classes, building
-grids only to name the first point where the two disagree.
+membership rule against the set by counting its clamp classes, with no
+grid; when the two disagree it keeps the set as given.  It normalises
+parsed and drawn data only (``constructors.from_small_elements``):
+computed duals and canonical ideals are promoted at conductors their
+docstrings prove least (``duality``).
 """
 from __future__ import annotations
 
@@ -487,16 +490,17 @@ def is_subset(E1: SmallRep, E2: SmallRep) -> bool:
     return _window(E1, *box) & ~_window(E2, *box) == 0
 
 
-def _least_conductor(P: SmallRep) -> SmallRep | str:
-    """P normalised to its least conductor, or why its point set is not the
-    window of a good ideal.
+def _least_conductor(P: SmallRep) -> SmallRep:
+    """P with its conductor shrunk to the least one its point set
+    supports, or P itself when no conductor below c does.
 
     P holds the set on [m, c], m its minimum and c the box top, which the
     set treats as conducting, with c in the set and no point outside
-    [m, c]; P need not be valid otherwise.  The candidates are the h with
-    [h, c] in the set, and their meet g must be one of them.  With small
-    the points below g, the rule ``q in E <=> meet(q, g) in small`` must
-    agree with the set on P's grid [m - e, c].
+    [m, c]; P need not be valid otherwise, and ``validate`` judges what is
+    returned.  The candidates are the h with [h, c] in the set, and their
+    meet g must be one of them.  With small the points below g, the rule
+    ``q in E <=> meet(q, g) in small`` must agree with the set on P's grid
+    [m - e, c].
     """
     c, small = P.c, P.small
     # A candidate h has [h_k, c_k] on the k-line through c in the set, so h
@@ -510,22 +514,17 @@ def _least_conductor(P: SmallRep) -> SmallRep | str:
     # box, so the rule reads the set unchanged and cannot disagree with it.
     if g == c:
         return P
-    if not all(q in small for q in box_points(g, c)):
-        return "conducting candidates are not meet-closed"
     # The rule's set on [m, c] is the disjoint union of the clamp classes
     # {q : meet(q, g) = s} of the s in small below g, and the class of s has
     # prod(c_k - g_k + 1) points over the axes with s_k = g_k.  The set lies
     # in that union iff the meets with g of its points are all in it, and
-    # then equals it iff the sizes agree; only a disagreement builds grids.
+    # then equals it iff the sizes agree.  As c is in the set, g is among
+    # the meets, and its class is [g, c]: so g is a candidate too.
     meets = frozenset(tuple(map(min, p, g)) for p in small)
     rep = SmallRep(P.r, P.m, g, meets & small)  # the points below g
     size = sum(math.prod(y - x + 1 for u, x, y in zip(s, g, c) if u == x)
                for s in rep.small)
-    if meets <= small and size == len(small):
-        return rep
-    # bit order is lexicographic, so the lowest wrong bit is the least point
-    wrong = P.grid ^ _window(rep, P.layout.lo, c)
-    return f"membership rule disagrees with region at {P.layout.lowest(wrong)}"
+    return rep if meets <= small and size == len(small) else P
 
 
 @dataclass(frozen=True)

@@ -342,23 +342,24 @@ def _random_point_sets(seed: int):
 
 
 def _normalised(points: set[Point], m: Point,
-                c: Point) -> tuple[Point, frozenset[Point]] | str:
+                c: Point) -> tuple[Point, frozenset[Point]]:
     """ideal._least_conductor on the provisional rep of points on [m, c],
-    read back as the (g, small) pair or the reason the references return."""
+    read back as the (g, small) pair the references return."""
     found = _least_conductor(SmallRep(len(c), m, c, frozenset(points)))
-    if isinstance(found, str):
-        return found
     assert found.m == m, (found, m)
     return found.c, found.small
 
 
 def _sparse_documents(n: int):
-    """Two sparse documents of conductor (n, n), as from_small_elements hands
-    them over: {0, c}, which keeps c, and five elements whose top 2 x 2
-    block shrinks c to (n - 1, n - 1)."""
+    """Three sparse documents of conductor (n, n), as from_small_elements
+    hands them over: {0, c}, which keeps c; five elements whose top 2 x 2
+    block shrinks c to (n - 1, n - 1); and {0, (n - 1, n), c, (n, 5)},
+    whose run down from c ends at (n - 1, n) while the rule of that
+    conductor puts (n - 1, 5) in, the set not (it fails E1)."""
     m, c = (0, 0), (n, n)
     yield m, c, {m, c}
     yield m, c, {m, c} | {(x, y) for x in (n - 1, n) for y in (n - 1, n)}
+    yield m, c, {m, (n - 1, n), c, (n, 5)}
 
 
 def test_least_conductor_matches_shrink_conductor():
@@ -366,51 +367,63 @@ def test_least_conductor_matches_shrink_conductor():
     shrunk = 0
     for m, c, pts in (*_random_point_sets(20241), *_sparse_documents(300)):
         found = _normalised(pts, m, c)
-        # the full result, reason text and reported point included
-        assert found == _old_least_conductor(pts, m, c), (m, c, sorted(pts))
-        if isinstance(found, str):
-            reasons.add(found.split(" at ")[0])
-            found = c, frozenset(pts)
-        elif found[0] != c:
-            shrunk += 1
+        want = _old_least_conductor(pts, m, c)
+        if isinstance(want, str):
+            # where the former routine gave a reason, P is kept as given
+            reasons.add(want.split(" at ")[0])
+            assert found == (c, frozenset(pts)), (m, c, sorted(pts))
+        else:
+            assert found == want, (m, c, sorted(pts))
+            shrunk += found[0] != c
         assert found == _shrink_conductor(m, c, pts), (m, c, sorted(pts))
-    # every path of the routine is exercised
+    # every path of the routine is exercised, and both former reasons occur
     assert shrunk >= 20
     assert reasons == {"conducting candidates are not meet-closed",
                             "membership rule disagrees with region"}
 
 
-def test_least_conductor_builds_no_grid_for_sparse_documents():
-    # the shrunk rule is checked by counting its clamp classes, so neither
-    # the 4M-bit grid of the provisional rep nor that of the result is built
-    m, c, pts = list(_sparse_documents(2000))[1]
-    E = from_small_elements(2, m, c, pts)
+def test_least_conductor_builds_no_grid_for_sparse_documents(monkeypatch):
+    # the shrunk rule is checked by counting its clamp classes, so no
+    # 4M-bit grid is built: not that of the provisional rep, nor that of
+    # the result, nor one to name where the rule and the set disagree; the
+    # disagreeing document fails E1 in validate's pair loops
+    built = []
+    grid = SmallRep.grid
+    monkeypatch.setattr(SmallRep, "grid", property(lambda P: built.append(P) or grid.func(P)))
+    (m, c, keeps), (_, _, shrinks), (_, _, fails) = _sparse_documents(2000)
+    E = from_small_elements(2, m, c, keeps)
+    assert E.c == c and E.small == {m, c}
+    E = from_small_elements(2, m, c, shrinks)
     assert E.c == (1999, 1999) and E.small == {m, E.c}
-    assert "grid" not in vars(E), sorted(vars(E))
+    with pytest.raises(ValidationError) as err:
+        from_small_elements(2, m, c, fails)
+    assert err.value.report.counterexamples[0] == {
+        "axiom": "E1", "pair": [[1999, 2000], [2000, 5]], "missing_meet": [1999, 5]}
+    assert not built, built
 
 
 def test_least_conductor_matches_box_sweep_on_dual_regions(monkeypatch):
     from test_grid import _semigroups
 
-    inputs = []
+    inputs, promoted = [], []
 
     def record(P):
         inputs.append(P)
         return _least_conductor(P)
 
-    # the promoted regions of duals and canonical ideals, the raw data
-    # from_small_elements normalises for random_good, r = 4 included, and
-    # documents declared one step past their conductor.  Duals and canonical
-    # ideals are promoted with their conductor as top and do not shrink, so
-    # the shrinking inputs are the documents and random_good's data.
-    monkeypatch.setattr(duality, "_least_conductor", record)
+    # the raw data from_small_elements normalises for random_good, r = 4
+    # included, and documents declared one step past their conductor, which
+    # shrink; and the promoted duals, fiber duals and canonical ideals, whose
+    # tops their docstrings prove least, so the normaliser returns them as
+    # they are
     monkeypatch.setattr(constructors, "_least_conductor", record)
     for S in _semigroups().values():
         K = duality.canonical_ideal(S)
         R = random_good(S, 1)
+        promoted.append(K)
         for EJ, EI in ((S, S), (K, S), (S, K), (K, R)):
-            duality.cd_difference(EJ, EI)
-            duality.fiber_dual(EJ, EI)
+            promoted.append(duality.cd_difference(EJ, EI))
+            promoted.append(duality.fiber_dual(EJ, EI).promoted)
         for E in (S, K, R):
             top = vadd(E.c, ones(E.r))
             from_small_elements(E.r, E.m, top, members(E, E.m, top))
@@ -418,13 +431,18 @@ def test_least_conductor_matches_box_sweep_on_dual_regions(monkeypatch):
         for seed in range(4):
             random_good(S, seed, max_width=3)
     monkeypatch.undo()
+    promoted = [D for D in promoted if D is not None]
+    assert len(promoted) >= 70, len(promoted)
+    for D in promoted:
+        assert _least_conductor(D) is D, D
+        assert _old_least_conductor(set(D.small), D.m, D.c) == (D.c, D.small), D
     shrunk = 0
     assert any(P.r == 4 for P in inputs)
     for P in inputs:
         points, lo, hi = set(P.small), P.m, P.c
         found = _normalised(points, lo, hi)
         assert found == _old_least_conductor(points, lo, hi), (lo, hi, sorted(points))
-        shrunk += not isinstance(found, str) and found[0] != hi
+        shrunk += found[0] != hi
     # the rule-agreement test runs on these; the failure reasons are covered
     # by the random point sets above
     assert shrunk >= 20, (shrunk, len(inputs))

@@ -13,7 +13,7 @@ from gsi.duality import (
     is_gorenstein,
 )
 from gsi.errors import SoundnessError
-from gsi.ideal import SmallRep, equals, frobenius, is_subset, translate, validate
+from gsi.ideal import SmallRep, _window, equals, frobenius, is_subset, translate, validate
 from gsi.lattice import box_points, ones, vadd, vsub
 from gsi.oracle import brute_canonical, brute_dual
 from gsi.theorems import check_all
@@ -44,6 +44,18 @@ def test_canonical_members_below_m_raise(ex2, monkeypatch):
             _inject_below_m(patch, ex2, points)
             with pytest.raises(SoundnessError, match=match):
                 canonical_ideal(replace(ex2))  # a fresh ex2, whose K(S) is not yet kept
+    # a region that is K(S) - e_k on S's grid is a good ideal's window whose
+    # conductor c - e_k lies below its top c, so validate's conductor check
+    # fails on promotion
+    for S in (ex2, numerical([3, 5]), product(numerical([2, 3]), numerical([3, 4]))):
+        K = canonical_ideal(S)
+        for k in range(S.r):
+            lowered = translate(K, tuple(-(j == k) for j in range(S.r)))
+            region = _window(lowered, S.layout.lo, S.c)
+            with monkeypatch.context() as patch:
+                patch.setattr(duality, "_empty_mask", lambda E, f, lo, hi: region)
+                with pytest.raises(SoundnessError, match="'axiom': 'conductor'"):
+                    canonical_ideal(replace(S))
 
 
 def test_canonical_ideal_on_the_semigroup_grid(ex2):
@@ -276,23 +288,30 @@ def test_bidual_contains_everywhere(ex2, node2):
 def test_promotion_rejects_non_good_regions():
     from gsi.duality import _promote_region
 
+    failed = "axiom validation failed: validate: FAIL (first counterexample: "
     # not meet-closed: (0,1) and (1,0) without (0,0)
     rep, why = _promote_region(2, {(0, 1), (1, 0), (1, 1), (2, 2)}, (2, 2))
     assert rep is None and "minimum" in why
-    # fine region: the node shape, its conductor shrunk from the top (2,2)
+    # the node shape on [(0,0), (2,2)]: its least conductor is (1,1), so the
+    # top (2,2) is not least, and validate's conductor check says so
     rep, why = _promote_region(2, {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)}, (2, 2))
-    assert why is None and rep is not None and rep.c == (1, 1)
+    assert rep is None and why == failed + (
+        "{'axiom': 'conductor', 'coordinate': 1, 'point': [1, 2], "
+        "'reason': 'conductor not minimal: c - e_i already conducts'})")
     # the top (2,2) is missing, so it cannot conduct
     rep, why = _promote_region(2, {(0, 0), (1, 1)}, (2, 2))
     assert rep is None and why == "expected conducting point (2, 2) missing"
     # (0,2) and (2,0) head full sub-boxes, their meet (0,0) does not
     rep, why = _promote_region(2, {(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)},
                                (2, 2))
-    assert rep is None and why == "conducting candidates are not meet-closed"
-    # least conductor (2,2); the rule puts (0,3) in with (0,2), the region not
+    assert rep is None and why == failed + (
+        "{'axiom': 'E1', 'pair': [[0, 2], [1, 1]], 'missing_meet': [0, 1]})")
+    # least conductor (2,2); the rule puts (0,3) in with (0,2), the region
+    # not, and (0,0), (0,2) have no E2 witness
     top = {(x, y) for x in (2, 3) for y in (2, 3)}
     rep, why = _promote_region(2, {(0, 0), (0, 2)} | top, (3, 3))
-    assert rep is None and why == "membership rule disagrees with region at (0, 3)"
+    assert rep is None and why == failed + (
+        "{'axiom': 'E2', 'pair': [[0, 0], [0, 2]], 'coordinate': 1})")
 
 
 def _dual_pairs():
@@ -307,32 +326,16 @@ def _dual_pairs():
 
 
 def test_dual_conductor_is_c_J_minus_m_I():
-    # beta = U - e_k has beta + m_I = c_J - e_k, not in EJ, while U conducts
-    for _, pairs in _dual_pairs():
-        for EJ, EI in pairs:
-            assert cd_difference(EJ, EI).c == vsub(EJ.c, EI.m), (EJ, EI)
-
-
-def test_dual_and_canonical_promotions_keep_their_top(monkeypatch):
-    # cd_difference promotes on [lo, U] and canonical_ideal on S's grid
-    # [m - e, c(S)], and both tops are the conductors, so the normaliser
-    # returns its input
-    kept = []
-
-    def record(P, original=duality._least_conductor):
-        out = original(P)
-        kept.append(out is P)
-        return out
-
-    monkeypatch.setattr(duality, "_least_conductor", record)
+    # beta = U - e_k has beta + m_I = c_J - e_k, not in EJ, while U conducts;
+    # the fiber dual, when it promotes, and K(S) keep their tops too, as the
+    # docstrings of fiber_dual and canonical_ideal prove
     for S, pairs in _dual_pairs():
-        kept.clear()
-        canonical_ideal(replace(S))  # S already keeps its K(S)
-        assert kept == [True], S
+        assert canonical_ideal(S).c == S.c, S
         for EJ, EI in pairs:
-            kept.clear()
-            cd_difference(EJ, EI)
-            assert kept == [True], (EJ, EI)
+            U = vsub(EJ.c, EI.m)
+            assert cd_difference(EJ, EI).c == U, (EJ, EI)
+            promoted = fiber_dual(EJ, EI).promoted
+            assert promoted is None or promoted.c == U, (EJ, EI)
 
 
 def test_dual_of_principal_ideal_is_principal():

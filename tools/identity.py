@@ -5,7 +5,7 @@ Standard library only; it imports the package from its own checkout's
 
     python tools/identity.py
 
-It prints three rows, ``<name> <count> <sha256>``:
+It prints four rows, ``<name> <count> <sha256>``:
 
 - ``cli``: ``gsi.cli.main`` run in-process, from the checkout root with
   relative paths, on every subcommand over every file of ``tests/data``
@@ -16,6 +16,12 @@ It prints three rows, ``<name> <count> <sha256>``:
   ``max_width`` 2 and 4 and ``samples`` 2 and 6.
 - ``canonical``: ``emit_gsi(canonical_ideal(S))`` and ``is_gorenstein(S)``
   over a fixed list of numerical semigroups, nodes and products.
+- ``duals``: ``cd_difference``, ``bidual`` and ``fiber_dual`` (its box,
+  points, promoted rep and failure text) over the ordered pairs of S,
+  K(S), K(S) + e and three ``random_good`` draws, for every fourth
+  semigroup of that list.  The fiber dual reads EJ only through its
+  Frobenius vector, so on these valid pairs it always promotes, EJ
+  canonical or not.
 
 An error is digested as its type and text, so a changed error changes the
 digest.  To compare a change with its parent, copy this file into a parent
@@ -61,6 +67,11 @@ def _outcome(f, *args):
         return type(err).__name__, str(err)
 
 
+def _emitted(outcome):
+    """A rep as its GSI text; any other outcome as it is."""
+    return gsi.emit_gsi(outcome) if isinstance(outcome, gsi.SmallRep) else outcome
+
+
 def _cli_argvs():
     files = sorted(f"tests/data/{p.name}" for p in (ROOT / "tests" / "data").iterdir())
     for f in files:
@@ -94,7 +105,7 @@ def _draws():
     for i, S in enumerate(_draw_semigroups()):
         for seed, width, samples in itertools.product(range(20), (2, 4), (2, 6)):
             E = _outcome(lambda: gsi.random_good(S, seed, max_width=width, samples=samples))
-            yield i, seed, width, samples, gsi.emit_gsi(E) if isinstance(E, gsi.SmallRep) else E
+            yield i, seed, width, samples, _emitted(E)
 
 
 def _numerical_semigroups():
@@ -121,14 +132,32 @@ def _canonical_semigroups():
 
 def _canonical():
     for S in _canonical_semigroups():
-        K = _outcome(gsi.canonical_ideal, S)
-        yield (gsi.emit_gsi(S), gsi.emit_gsi(K) if isinstance(K, gsi.SmallRep) else K,
+        yield (gsi.emit_gsi(S), _emitted(_outcome(gsi.canonical_ideal, S)),
                _outcome(gsi.is_gorenstein, S))
+
+
+def _fiber_dual(EJ, EI):
+    fd = _outcome(gsi.fiber_dual, EJ, EI)
+    if isinstance(fd, gsi.RegionSet):
+        return fd.box, sorted(fd.points), _emitted(fd.promoted), fd.promotion_failure
+    return fd
+
+
+def _duals():
+    for S in _canonical_semigroups()[::4]:
+        K = gsi.canonical_ideal(S)
+        ideals = [S, K, gsi.translate(K, (1,) * S.r)]
+        ideals += [gsi.random_good(S, seed) for seed in range(3)]
+        for EJ, EI in itertools.product(ideals, repeat=2):
+            yield (gsi.emit_gsi(EJ), gsi.emit_gsi(EI),
+                   _emitted(_outcome(gsi.cd_difference, EJ, EI)),
+                   _emitted(_outcome(gsi.bidual, EJ, EI)), _fiber_dual(EJ, EI))
 
 
 def main() -> None:
     os.chdir(ROOT)  # the CLI's paths are relative to the checkout root
-    for name, records in (("cli", _cli()), ("draws", _draws()), ("canonical", _canonical())):
+    for name, records in (("cli", _cli()), ("draws", _draws()), ("canonical", _canonical()),
+                          ("duals", _duals())):
         n, digest = _digest(records)
         print(f"{name} {n} {digest}")
 

@@ -172,15 +172,9 @@ def _cmd_dual(args, load) -> int:
     EI = load(args.I)
     if args.method == "cd":
         D = duality.cd_difference(EJ, EI)
-        _write_out(emit_gsi(D), args.output)
-        return 0
-    region = duality.fiber_dual(EJ, EI)
-    if region.promoted is None:
-        print(f"fiber dual is not a good ideal: {region.promotion_failure}")
-        print(f"region box [{list(region.box.lo)}, {list(region.box.hi)}], "
-              f"{len(region.points)} points")
-        return 1
-    _write_out(emit_gsi(region.promoted), args.output)
+    else:
+        D = duality.fiber_dual(EJ, EI).promoted
+    _write_out(emit_gsi(D), args.output)
     return 0
 
 

@@ -28,9 +28,13 @@ duality fixes (c(EJ - EI) = c_J - m_I and c(K(S)) = c(S); D'Anna 1997,
 Korell, Schulze and Tozzo 2019).  Each caller proves in its docstring that
 no U - e_k lies in its region, so U is least and nothing normalises it
 (``ideal._least_conductor`` serves parsed and drawn data only).
-``validate`` certifies every promoted rep once; its conductor check
-rejects a region that a fault lowers, and on valid inputs any failure
-there is an internal bug.
+Every region is a good ideal on valid inputs: D by definition, K(S) as
+the canonical ideal, and the fiber dual as K_J - EI, the dual of EI into
+the translate K_J of a canonical ideal whose Frobenius vector is f_J
+(``fiber_dual`` proves it).  So ``_promote_region`` returns the rep or
+raises SoundnessError.  ``validate`` certifies every promoted rep once; its
+conductor check rejects a region that a fault lowers, and on valid inputs
+any failure there is an internal bug.
 
 A private check context holds what the checks of a triple share: each
 dual and fiber-dual region and the canonicity of EJ, computed once on first
@@ -65,29 +69,31 @@ from .ideal import (
 from .lattice import Box, Point, ones, vadd, vsub, zero
 
 
-def _promote_region(r: int, points: set[Point],
-                    U: Point) -> tuple[SmallRep | None, str | None]:
-    """Try to read a bounded point set as the box window of a good ideal.
+def _promote_region(what: str, r: int, points: set[Point], U: Point) -> SmallRep:
+    """Read a bounded point set as the box window of a good ideal.
 
     The points lie at or below U, the box top, which is known to conduct
     (everything from U up belongs) and which the caller proves least.
     Requires a minimum m and the point U, then validates the points on
     [m, U] as they stand, conductor minimality among the axioms; below m
-    the region and its membership rule are both empty.  Any miss returns
-    a reason instead.
+    the region and its membership rule are both empty.  Each caller proves
+    its region good, so any miss is an internal bug and raises
+    SoundnessError "<what> is not a good ideal: <reason>".
     """
-    if not points:
-        return None, "empty region"
     m = tuple(map(min, zip(*points)))
-    if m not in points:
-        return None, f"no minimum: meet of region is {m}, not a region point"
-    if U not in points:
-        return None, f"expected conducting point {U} missing"
-    rep = SmallRep(r, m, U, frozenset(points))
-    report = validate(rep)
-    if not report.passed:
-        return None, f"axiom validation failed: {report.summary()}"
-    return rep, None
+    if not points:
+        reason = "empty region"
+    elif m not in points:
+        reason = f"no minimum: meet of region is {m}, not a region point"
+    elif U not in points:
+        reason = f"expected conducting point {U} missing"
+    else:
+        rep = SmallRep(r, m, U, frozenset(points))
+        report = validate(rep)
+        if report.passed:
+            return rep
+        reason = f"axiom validation failed: {report.summary()}"
+    raise SoundnessError(f"{what} is not a good ideal: {reason}")
 
 
 def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
@@ -107,10 +113,7 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     _require_same_r(EJ, EI)
     U = vsub(EJ.c, EI.m)
     points = _quotient(EJ, EI, vsub(EJ.c, EI.c), U)
-    rep, failure = _promote_region(EJ.r, points, U)
-    if rep is None:
-        raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
-    return rep
+    return _promote_region("cd_difference result", EJ.r, points, U)
 
 
 def _empty_mask(E: SmallRep, f: Point, lo: Point, hi: Point) -> int:
@@ -130,16 +133,38 @@ def _fiber_region(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
 
 
 def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
-    """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box.
+    """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box,
+    decoded, and promoted as the good ideal K_J - EI defined below.
 
     EJ and EI must pass ``validate``, as for ``cd_difference``; otherwise
-    the region and its promotion are unspecified.  Goodness of this set is
-    not guaranteed for non-canonical EJ, so the raw region is returned with
-    the outcome of a promotion attempt.  The region is clamp-invariant at
+    the region is unspecified and its promotion may raise SoundnessError.
+    EJ enters only through f = frobenius(EJ) = c_J - e.
+
+    The region is K_J - EI = {beta : beta + EI <= K_J}, for a canonical
+    ideal K_J with Frobenius vector f.  Let t = max(1, max_k(c_I,k - m_I,k))
+    and S_t = {0} | (t e + N^r), a good semigroup (E1 and E2 hold on
+    t e + N^r, and 0 lies below it and shares no coordinate with it) in
+    which 0 is the only element with a zero coordinate.  EI is a good
+    relative ideal of S_t: for alpha in EI and s in t e + N^r,
+    alpha + s >= m_I + t e >= c_I, so EI + S_t <= EI, and
+    t e - m_I + EI <= S_t.  For a good relative ideal E of a good
+    semigroup with a canonical ideal K, K - E is a good relative ideal and
+    equals {beta : F(E, f_K - beta) = empty} (D'Anna 1997; Korell, Schulze
+    and Tozzo 2019).  K(S_t) keeps f(S_t) (``canonical_ideal``, point (2)),
+    so K_J = K(S_t) + (f - f(S_t)) is a canonical ideal with f_K = f, and
+    the formula with K = K_J and E = EI reads the region.
+
+    The box holds all of it.  Below lo = m_J - c_I nothing belongs: if
+    beta_k < lo_k, then x = f - beta has x_k >= c_I,k, and the point equal
+    to x at k and to max(x_j + 1, c_I,j) elsewhere lies in c_I + N^r, so
+    in EI, and in x's open {k}-fiber.  The region is clamp-invariant at
     U = hi - e (past U, f - beta drops below m_I - 1, where EI's fiber
     index clamps), so only its points up to U are promoted, with top U.
-    No U - e_k is among them: f - (U - e_k) = m_I - e + e_k, f = c_J - e,
-    and the open {k}-fiber of that point holds m_I, a member of EI.
+    U is in it (f - U = m_I - e, whose open fibers lie outside m_I + N^r),
+    and no U - e_k is: f - (U - e_k) = m_I - e + e_k, and the open
+    {k}-fiber of that point holds m_I, a member of EI.  So the promotion
+    is a postcondition: on valid inputs it returns K_J - EI with conductor
+    U, and a failure is an internal bug.
     """
     _require_same_r(EJ, EI)
     e = ones(EJ.r)
@@ -148,9 +173,9 @@ def fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     layout = Layout.of(lo, hi)
     below_U = _box_mask(layout.dims, vsub(layout.dims, e))
     inner = layout.points(region & below_U)
-    rep, failure = _promote_region(EJ.r, set(inner), U)
+    rep = _promote_region("fiber dual", EJ.r, set(inner), U)
     points = frozenset(inner + layout.points(region & ~below_U))
-    return RegionSet(EJ.r, Box(lo, hi), points, rep, failure)
+    return RegionSet(EJ.r, Box(lo, hi), points, rep)
 
 
 def canonical_ideal(S: SmallRep) -> SmallRep:
@@ -184,9 +209,7 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     f = frobenius(S)
     layout = S.layout
     region = _empty_mask(S, f, layout.lo, S.c)
-    rep, failure = _promote_region(S.r, set(layout.points(region)), S.c)
-    if rep is None:
-        raise SoundnessError(f"canonical ideal is not a good ideal: {failure}")
+    rep = _promote_region("canonical ideal", S.r, set(layout.points(region)), S.c)
     if not is_subset(S, rep):
         raise SoundnessError("canonical ideal does not contain the semigroup")
     failure = _compatibility_failure(rep, S)

@@ -529,18 +529,14 @@ def _least_conductor(P: SmallRep) -> SmallRep:
 
 @dataclass(frozen=True)
 class RegionSet:
-    """A raw bounded point set with its bounding box.
-
-    Used for computed duals before goodness promotion; ``promoted`` holds the
-    SmallRep when promotion succeeded, otherwise ``promotion_failure`` says
-    why it did not.
+    """A raw bounded point set with its bounding box, and the good ideal
+    ``promoted`` that it is the box window of (the fiber dual).
     """
 
     r: int
     box: Box
     points: frozenset[Point]
-    promoted: SmallRep | None = None
-    promotion_failure: str | None = None
+    promoted: SmallRep
 
     def __post_init__(self) -> None:
         for p in self.points:

@@ -11,8 +11,7 @@ import gsi
 from gsi import cli
 from gsi.cli import main
 from gsi.gsi_format import emit_gsi, parse_gsi
-from gsi.ideal import RegionSet, translate
-from gsi.lattice import Box
+from gsi.ideal import translate
 
 
 def run(capsys, *argv):
@@ -380,9 +379,10 @@ def test_gen_argument_errors(capsys, data_dir):
 
 
 def test_dual_fiber_failure_output(capsys, data_dir, monkeypatch):
+    # the fiber dual of a valid pair is always good (fiber_dual proves it),
+    # so only a fault reaches its promotion failure: a SoundnessError, exit 2
     ex2 = str(data_dir / "ex2.gsi")
-    region = RegionSet(2, Box((0, 0), (1, 1)), frozenset({(0, 0)}), None, "empty region")
-    monkeypatch.setattr(cli.duality, "fiber_dual", lambda EJ, EI: region)
+    monkeypatch.setattr(cli.duality, "_fiber_region",
+                        lambda EJ, EI: ((0, 0), (1, 1), 0))
     assert run(capsys, "dual", ex2, ex2, "--method", "fiber") == (
-        1, "fiber dual is not a good ideal: empty region\n"
-           "region box [[0, 0], [1, 1]], 1 points\n", "")
+        2, "", "error: fiber dual is not a good ideal: empty region\n")

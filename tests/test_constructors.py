@@ -431,7 +431,6 @@ def test_least_conductor_matches_box_sweep_on_dual_regions(monkeypatch):
         for seed in range(4):
             random_good(S, seed, max_width=3)
     monkeypatch.undo()
-    promoted = [D for D in promoted if D is not None]
     assert len(promoted) >= 70, len(promoted)
     for D in promoted:
         assert _least_conductor(D) is D, D

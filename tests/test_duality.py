@@ -1,9 +1,12 @@
+import collections
+import functools
+import itertools
 from dataclasses import replace
 
 import pytest
 
 import gsi.duality as duality
-from gsi.constructors import node, numerical, product, random_good
+from gsi.constructors import from_small_elements, node, numerical, product, random_good
 from gsi.duality import (
     bidual,
     canonical_ideal,
@@ -14,7 +17,7 @@ from gsi.duality import (
 )
 from gsi.errors import SoundnessError
 from gsi.ideal import SmallRep, _window, equals, frobenius, is_subset, translate, validate
-from gsi.lattice import box_points, ones, vadd, vsub
+from gsi.lattice import box_points, ones, vadd, vsub, zero
 from gsi.oracle import brute_canonical, brute_dual
 from gsi.theorems import check_all
 
@@ -117,11 +120,8 @@ def test_translate_covariance(ex2):
 
 
 def test_fiber_dual_examples(n1, n2, ex2):
-    fd = fiber_dual(n2, n2)
-    assert fd.promoted is not None and equals(fd.promoted, n2)
-    fd1 = fiber_dual(n1, n1)
-    assert fd1.promoted is not None
-    assert equals(fd1.promoted, canonical_ideal(n1))
+    assert equals(fiber_dual(n2, n2).promoted, n2)
+    assert equals(fiber_dual(n1, n1).promoted, canonical_ideal(n1))
     fdx = fiber_dual(ex2, ex2)
     assert (4, 4) in fdx.points and not ex2.contains((4, 4))
 
@@ -143,6 +143,66 @@ def test_canonical_examples(n1, n2, node2, node3):
     assert k3.contains((1, 0, 0)) and not node3.contains((1, 0, 0))
     assert sorted(k3.small) == [
         (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_canonical_ideal_of_node_closed_form(r):
+    """K(node(r)) has m = 0, c = e and the small elements
+    {alpha in {0,1}^r : |alpha| != r - 1}, 2^r - r of them.
+
+    node(r) = {0} | (e + N^r) has c = e and f = 0.  K(S) lies in N^r
+    (point (1) of ``canonical_ideal``'s docstring) and has conductor e
+    (point (2)), so its small elements are the alpha in {0,1}^r with
+    F(S, -alpha) empty.  A point z of S in the open {k}-fiber of -alpha has
+    z_k = -alpha_k >= 0, so alpha_k = 0 and z = 0, the one point of S with a
+    zero coordinate; then 0 > -alpha_j needs alpha_j = 1 for every j != k.
+    So exactly the r points e - e_k leave K, and K = S, whose small
+    elements are 0 and e, iff 2^r - r = 2, that is iff r <= 2.  This is
+    independent of the oracle, which stops at small r.
+    """
+    S = node(r)
+    K = canonical_ideal(S)
+    assert (K.m, K.c) == (zero(r), ones(r))
+    assert K.small == {a for a in itertools.product((0, 1), repeat=r) if sum(a) != r - 1}
+    assert len(K.small) == 2 ** r - r
+    assert is_gorenstein(S) == (r <= 2)
+
+
+def test_canonical_ideal_of_node_1():
+    # node(1) normalises to N, with c = 0, so the closed form above (which
+    # would drop e - e_1 = 0) does not apply: N is its own canonical ideal
+    S = node(1)
+    assert (S.m, S.c, S.small) == ((0,), (0,), {(0,)})
+    assert canonical_ideal(S) == S and is_gorenstein(S)
+
+
+def _local_semigroup(r: int, t: int) -> SmallRep:
+    """S_t = {0} | (t e + N^r), for t >= 1."""
+    return from_small_elements(r, zero(r), (t,) * r, [zero(r), (t,) * r])
+
+
+def test_fiber_dual_is_dual_into_translated_canonical_ideal():
+    # the theorem of fiber_dual's docstring: with t = max(1, c_I - m_I) and
+    # K_J = K(S_t) + (f_J - f(S_t)), the promoted fiber dual is K_J - EI,
+    # for every valid pair of one dimension, EJ and EI from different
+    # semigroups too
+    from test_grid import _semigroups
+
+    by_r = collections.defaultdict(list)
+    for S in _semigroups().values():
+        K = canonical_ideal(S)
+        assert fiber_dual(S, S).promoted == K, S
+        by_r[S.r] += [S, K, translate(K, ones(S.r))] + [random_good(S, s) for s in (1, 4)]
+    local = functools.cache(_local_semigroup)
+    pairs = 0
+    for r, ideals in by_r.items():
+        for EJ in ideals:
+            for EI in ideals:
+                S_t = local(r, max(1, *vsub(EI.c, EI.m)))
+                K_J = translate(canonical_ideal(S_t), vsub(frobenius(EJ), frobenius(S_t)))
+                assert fiber_dual(EJ, EI).promoted == cd_difference(K_J, EI), (EJ, EI)
+                pairs += 1
+    assert pairs == 550, pairs
 
 
 def test_canonical_postconditions(n1, n2, node2, node3, ex2, prod22):
@@ -288,30 +348,33 @@ def test_bidual_contains_everywhere(ex2, node2):
 def test_promotion_rejects_non_good_regions():
     from gsi.duality import _promote_region
 
+    def why(points, U):
+        """The reason of the SoundnessError that promotion raises."""
+        with pytest.raises(SoundnessError) as err:
+            _promote_region("the region", 2, points, U)
+        prefix = "the region is not a good ideal: "
+        assert str(err.value).startswith(prefix), str(err.value)
+        return str(err.value).removeprefix(prefix)
+
     failed = "axiom validation failed: validate: FAIL (first counterexample: "
     # not meet-closed: (0,1) and (1,0) without (0,0)
-    rep, why = _promote_region(2, {(0, 1), (1, 0), (1, 1), (2, 2)}, (2, 2))
-    assert rep is None and "minimum" in why
+    assert "minimum" in why({(0, 1), (1, 0), (1, 1), (2, 2)}, (2, 2))
     # the node shape on [(0,0), (2,2)]: its least conductor is (1,1), so the
     # top (2,2) is not least, and validate's conductor check says so
-    rep, why = _promote_region(2, {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)}, (2, 2))
-    assert rep is None and why == failed + (
+    assert why({(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)}, (2, 2)) == failed + (
         "{'axiom': 'conductor', 'coordinate': 1, 'point': [1, 2], "
         "'reason': 'conductor not minimal: c - e_i already conducts'})")
     # the top (2,2) is missing, so it cannot conduct
-    rep, why = _promote_region(2, {(0, 0), (1, 1)}, (2, 2))
-    assert rep is None and why == "expected conducting point (2, 2) missing"
+    assert why({(0, 0), (1, 1)}, (2, 2)) == "expected conducting point (2, 2) missing"
     # (0,2) and (2,0) head full sub-boxes, their meet (0,0) does not
-    rep, why = _promote_region(2, {(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)},
-                               (2, 2))
-    assert rep is None and why == failed + (
+    assert why({(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}, (2, 2)) == failed + (
         "{'axiom': 'E1', 'pair': [[0, 2], [1, 1]], 'missing_meet': [0, 1]})")
     # least conductor (2,2); the rule puts (0,3) in with (0,2), the region
     # not, and (0,0), (0,2) have no E2 witness
     top = {(x, y) for x in (2, 3) for y in (2, 3)}
-    rep, why = _promote_region(2, {(0, 0), (0, 2)} | top, (3, 3))
-    assert rep is None and why == failed + (
+    assert why({(0, 0), (0, 2)} | top, (3, 3)) == failed + (
         "{'axiom': 'E2', 'pair': [[0, 0], [0, 2]], 'coordinate': 1})")
+    assert why(set(), (0, 0)) == "empty region"
 
 
 def _dual_pairs():
@@ -327,15 +390,14 @@ def _dual_pairs():
 
 def test_dual_conductor_is_c_J_minus_m_I():
     # beta = U - e_k has beta + m_I = c_J - e_k, not in EJ, while U conducts;
-    # the fiber dual, when it promotes, and K(S) keep their tops too, as the
-    # docstrings of fiber_dual and canonical_ideal prove
+    # the fiber dual and K(S) keep their tops too, as the docstrings of
+    # fiber_dual and canonical_ideal prove
     for S, pairs in _dual_pairs():
         assert canonical_ideal(S).c == S.c, S
         for EJ, EI in pairs:
             U = vsub(EJ.c, EI.m)
             assert cd_difference(EJ, EI).c == U, (EJ, EI)
-            promoted = fiber_dual(EJ, EI).promoted
-            assert promoted is None or promoted.c == U, (EJ, EI)
+            assert fiber_dual(EJ, EI).promoted.c == U, (EJ, EI)
 
 
 def test_dual_of_principal_ideal_is_principal():

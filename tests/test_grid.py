@@ -390,7 +390,7 @@ def _old_full_box_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     return rep
 
 
-def _old_full_box_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
+def _old_full_box_fiber_dual(EJ: SmallRep, EI: SmallRep) -> tuple:
     """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box.
 
     Goodness of this set is not guaranteed for non-canonical EJ, so the raw
@@ -400,7 +400,7 @@ def _old_full_box_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     lo, hi, region = _fiber_region(EJ, EI)
     points = set(Layout.of(lo, hi).points(region))
     rep, failure = _old_promote_region(EJ.r, points, hi, vsub(hi, ones(EJ.r)))
-    return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
+    return EJ.r, Box(lo, hi), frozenset(points), rep, failure
 
 
 def _old_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
@@ -480,7 +480,7 @@ def _old_check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
     return rep
 
 
-def _old_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
+def _old_fiber_dual(EJ: SmallRep, EI: SmallRep) -> tuple:
     """{beta : F(EI, frobenius(EJ) - beta) = empty} over the dual box.
 
     Goodness of this set is not guaranteed for non-canonical EJ, so the raw
@@ -491,7 +491,17 @@ def _old_fiber_dual(EJ: SmallRep, EI: SmallRep) -> RegionSet:
     points = {beta for beta in box_points(lo, hi)
               if fiber_empty(EI, vsub(f, beta))}
     rep, failure = _old_promote_region(EJ.r, points, hi, U)
-    return RegionSet(EJ.r, Box(lo, hi), frozenset(points), rep, failure)
+    return EJ.r, Box(lo, hi), frozenset(points), rep, failure
+
+
+def _former_fiber_dual(region: tuple):
+    """What ``_outcome(fiber_dual, ...)`` gives for a former fiber dual, the
+    fields (r, box, points, promoted, failure) of its RegionSet: the region
+    with its promotion, or the SoundnessError that carries the failure."""
+    r, box, points, rep, failure = region
+    if rep is None:
+        return SoundnessError, f"fiber dual is not a good ideal: {failure}"
+    return RegionSet(r, box, points, rep)
 
 
 class BoundaryInstabilityError(GsiError, RuntimeError):
@@ -1068,7 +1078,8 @@ def test_fiber_dual_and_canonical_match_point_sweeps():
         # EJ only sets the reflection point f, so seeded point sets serve too
         for EJ in ideals[:3] + ideals[4:5] + [_random_rep(rng, S) for _ in range(2)]:
             for EI in ideals:
-                assert fiber_dual(EJ, EI) == _old_fiber_dual(EJ, EI), (name, EJ, EI)
+                want = _former_fiber_dual(_old_fiber_dual(EJ, EI))
+                assert _outcome(fiber_dual, EJ, EI) == want, (name, EJ, EI)
         # canonical_ideal of sets that hold 0 but need not be semigroups: the
         # same ideal, or the same error
         for E in ideals + [_random_rep(rng, S) for _ in range(10)]:
@@ -1080,7 +1091,11 @@ def test_fiber_dual_and_canonical_match_point_sweeps():
 # The former point-set reads of the fiber dual, kept verbatim: the context
 # held fiber_dual's decoded and promoted RegionSet, and the fibra and
 # duality checks and the fixpoint test of is_canonical compared its points
-# with the members of D or EJ.
+# with the members of D or EJ.  They read its box and points only, which is
+# all a planted region (``_Region``) has.
+_Region = collections.namedtuple("_Region", "box points")
+
+
 class _OldContext(_CheckContext):
     def fiber_dual(self, EJ: SmallRep, EI: SmallRep) -> RegionSet:
         return self._get(("fiber_dual", EJ, EI), lambda: fiber_dual(EJ, EI))
@@ -1208,8 +1223,8 @@ def test_fiber_dual_checks_match_reference_on_planted_regions():
                     old, new = _OldContext(), _CheckContext()
                     old.values["is_canonical", EJ, S] = can
                     new.values["is_canonical", EJ, S] = can
-                    old.values["fiber_dual", EJ, EI] = RegionSet(
-                        S.r, Box(lo, hi), frozenset(Layout.of(lo, hi).points(mask)))
+                    old.values["fiber_dual", EJ, EI] = _Region(
+                        Box(lo, hi), frozenset(Layout.of(lo, hi).points(mask)))
                     new.values["fiber_region", EJ, EI] = lo, hi, mask
                     fibra, duality, _ = map(json.loads, _fiber_dual_reports(
                         old, new, EJ, EI, S))
@@ -1501,10 +1516,11 @@ def test_dual_promotion_matches_former_full_box():
     # up to U, both with top U and no normaliser; the former promotion, on
     # [lo, U + e] with the top row and the normaliser, must give the same
     # reps and the same failure texts wherever EJ is good, EI good or not,
-    # and for the fiber dual on every pair.  On an EJ that fails validate,
-    # cd_difference is outside its domain: where the former normaliser
-    # shrank the region's conductor below U, validate's conductor check now
-    # rejects the region
+    # and for the fiber dual on every pair, where a former failure text is
+    # now the text of the SoundnessError that its promotion raises.  On an
+    # EJ that fails validate, cd_difference is outside its domain: where the
+    # former normaliser shrank the region's conductor below U, validate's
+    # conductor check now rejects the region
     seen = collections.Counter()
     for name, ideals in _seeded_dual_ideals():
         for EJ in ideals:
@@ -1523,9 +1539,10 @@ def test_dual_promotion_matches_former_full_box():
                     assert "'axiom': 'conductor'" in got[1], (name, EJ, EI)
                     seen["changed, EJ fails " + report.counterexamples[0]["axiom"]] += 1
                 seen["dual " + ("failed" if isinstance(got, tuple) else "promoted")] += 1
-                fd = fiber_dual(EJ, EI)
-                assert fd == _old_full_box_fiber_dual(EJ, EI), (name, EJ, EI)
-                seen["fiber dual " + ("promoted" if fd.promoted else "failed")] += 1
+                fd = _outcome(fiber_dual, EJ, EI)
+                assert fd == _former_fiber_dual(_old_full_box_fiber_dual(EJ, EI)), (
+                    name, EJ, EI)
+                seen["fiber dual " + ("failed" if isinstance(fd, tuple) else "promoted")] += 1
     assert seen["good EJ"] == 550 and seen["good EJ, bad EI"] == 167, seen
     assert (seen["changed, EJ fails conductor"], seen["changed, EJ fails E2"],
             seen["changed, EJ fails E1"]) == (84, 11, 5), seen
@@ -1572,10 +1589,7 @@ def _old_capped_cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
     # larger window is equivalent by the cap argument
     kmax = vadd(join(EI.c, vsub(EJ.c, lo)), e)
     points = _old_capped_quotient(EJ, EI, lo, U, kmax)
-    rep, failure = _promote_region(EJ.r, points, U)
-    if rep is None:
-        raise SoundnessError(f"cd_difference result is not a good ideal: {failure}")
-    return rep
+    return _promote_region("cd_difference result", EJ.r, points, U)
 
 
 def test_dual_box_matches_former_capped_fold():

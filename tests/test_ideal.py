@@ -68,9 +68,9 @@ def test_cross_dimension_inputs(ex2, n2):
         {"axiom": "structural", "reason": "semigroup dimension mismatch"}]
 
 
-def test_region_point_outside_box():
+def test_region_point_outside_box(node2):
     with pytest.raises(ValueError, match=r"^region point \(2, 2\) outside box$"):
-        RegionSet(2, Box((0, 0), (1, 1)), frozenset({(0, 0), (2, 2)}))
+        RegionSet(2, Box((0, 0), (1, 1)), frozenset({(0, 0), (2, 2)}), node2)
 
 
 def test_validate_fixtures(ex2, n1, n2, node2):

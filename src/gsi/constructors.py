@@ -7,10 +7,12 @@ and drawn data only) and runs full axiom validation once before returning.
 ``random_good`` draws once: it grows its sample by rounds of meets,
 compatibility with S and E2 witnesses on one bit mask of its box
 (``_closure_fixpoint``), each step a few shifts, ANDs and ORs of masks, and
-decodes the mask once for ``from_small_elements``.  That fixpoint is always
-a good ideal compatible with S (the proof is in ``_closure_fixpoint``), so
-the draw needs no retry.  All constructors are deterministic given their
-inputs plus seed.
+decodes the mask once for ``from_small_elements``.  Its meets and E2
+demands are read through the helpers that ``validate`` reads them through
+(``ideal._meets``, ``ideal._open_fibers`` and ``ideal._failing_demands``).
+That fixpoint is always a good ideal compatible with S (the proof is in
+``_closure_fixpoint``), so the draw needs no retry.  All constructors are
+deterministic given their inputs plus seed.
 """
 from __future__ import annotations
 
@@ -26,9 +28,11 @@ from .ideal import (
     _closed_fibers,
     _compatibility_failure,
     _doubling_steps,
+    _failing_demands,
     _least_conductor,
+    _meets,
+    _open_fibers,
     _repeat,
-    _split_pairs,
     validate,
 )
 from .lattice import Point, leq, meet, ones, zero
@@ -119,13 +123,18 @@ def product(A: SmallRep, B: SmallRep) -> SmallRep:
 class _Box:
     """The box [m, c] as bit masks in ``layout`` (``ideal.Layout``, whose
     bit order is lexicographic order), holding a point set, which, unlike
-    an ideal, has no row below m and nothing past c.  Per axis k and row
+    an ideal, has no row below m and nothing past c; its open fibers still
+    keep the top row, as on an ideal's grid (``ideal._open_fibers``, and
+    ``_e2_repairs`` for why that changes no repair).  Per axis k and row
     offset v, ``below[k][v]`` is the mask of the points p with
-    t_k = p_k - m_k < v, and ``eq`` and ``ge`` those with t_k = v and
-    t_k >= v (so t_k > v is ``ge[k][v + 1]``).  ``steps[k]`` holds the
-    doubling steps of a suffix OR along axis k, the (shift, keep) pairs of
-    ``ideal._doubling_steps``, taken once per box: the fiber tables
-    (``ideal._closed_fibers``) of every round and ``shift`` take them."""
+    t_k = p_k - m_k < v (``below[k][d_k - 1]``, the points below the top
+    row, is the ``below_top`` of the E1/E2 helpers of ``ideal``), and
+    ``eq`` and ``ge`` those with t_k = v and t_k >= v (so t_k > v is
+    ``ge[k][v + 1]``).
+    ``steps[k]`` holds the doubling steps of a suffix OR along axis k, the
+    (shift, keep) pairs of ``ideal._doubling_steps``, taken once per box:
+    the fiber tables (``ideal._closed_fibers``) of every round and
+    ``shift`` take them."""
 
     def __init__(self, m: Point, c: Point):
         self.layout = layout = Layout.of(m, c)
@@ -168,15 +177,23 @@ def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
     """The points the E2 step adds to M, as a mask, T the closed fibers of
     M (``ideal._closed_fibers``).
 
-    A pair a < b of M that agrees exactly on K meets at t with a in the
-    open (K | Ja)-fiber of t and b in the open (K | Jb)-fiber, Ja and Jb
-    the axes of J = full ^ K where a and b equal t.  So the t with such a
-    pair are ``pairs``, the OR over the unordered splits of J of the ANDs of
-    open-table entries (``ideal._split_pairs``; the open J-fiber of t being
-    the closed one at t + 1 on the free axes, empty past c).  At k in K with
-    t_k < c_k the pair demands a point of M in the closed J-fiber of
-    x = t + e_k; the demands failing on M are ``pairs`` below the top row of
-    k and off T[J] read at t + e_k (T[J] shifted down one row along k).
+    A pair of M that agrees exactly on K and meets at t demands, at k in K
+    with t_k < c_k, a point of M in the closed J-fiber of x = t + e_k,
+    J = full ^ K; ``ideal._failing_demands`` gives those failing on M, read
+    off T and the open fibers O (``ideal._open_fibers``) over the box.
+
+    O keeps the top row of each free axis, as on an ideal's grid, though M
+    has nothing past c.  Where t is below the top row on every axis of J,
+    the two rules read the same bits.  At a t on the top row of an axis j
+    of J, O shows pairs whose points both sit at c_j, so they agree on
+    K | e_j.  In the box, the closed J-fiber of x equals the closed
+    (J ^ e_j)-fiber, as x_j = c_j, and O's entries at t equal those with j
+    pinned, so K's pairs and failing demands at t are among those of
+    K | e_j; over every such axis, they repeat demands of a larger K whose
+    t is below the top row on every axis of its J.  A repeat would find x
+    or an earlier point in the same fiber and add nothing, at the cost of
+    a key search, so the replay keeps only the meets below the top row on
+    every axis of J: the demands of open fibers empty past c.
 
     Replayed in the order of the first point a of their first pair, a
     failing demand adds x iff its fiber holds none of the points added
@@ -195,25 +212,15 @@ def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
     the least point left has one.
     """
     _, dims, strides = box.layout
-    r = len(dims)
-    offsets = Layout(zero(r), dims, strides)  # bits read as row offsets t
-    full = (1 << r) - 1
-    O = list(T)  # open fibers
-    for J in range(1, full):
-        for k in range(r):
-            if not J >> k & 1:
-                O[J] = O[J] >> strides[k] & box.below[k][dims[k] - 1]
+    offsets = Layout(zero(len(dims)), dims, strides)  # bits read as row offsets t
+    full = len(T) - 1
+    below_top = [below[d - 1] for below, d in zip(box.below, dims)]
+    O = _open_fibers(T, strides, below_top)
     demands = []
-    for K in range(1, full):
+    for K, union, failing in _failing_demands(T, O, strides, below_top):
         J = full ^ K
-        pairs = _split_pairs(O, K, J)
-        failing, union = {}, 0
-        for k in range(r):
-            if K >> k & 1:
-                F = pairs & box.below[k][dims[k] - 1] & ~(T[J] >> strides[k])
-                if F:
-                    failing[k] = F
-                    union |= F
+        for j in _bits(J):  # the meets on the top row of j repeat demands of K | e_j
+            union &= below_top[j]
         for i in _bits(union):
             t = offsets.point(i)
             G = box.fiber(M, t, K, True)
@@ -247,8 +254,8 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     Meet: meet(a, b) over the pairs of the round's M.  t is meet(a, b)
     exactly when, for J the axes where a equals t, a lies in the closed
     J-fiber of t and b in the closed (full ^ J)-fiber, so M gains
-    T[J] & T[full ^ J] over the splits of the axes, T the closed fibers
-    (``ideal._closed_fibers``).
+    T[J] & T[full ^ J] over the splits of the axes (``ideal._meets``), T
+    the closed fibers (``ideal._closed_fibers``).
 
     Compatibility: for each small s of S in order, meet(s + p, c) over the
     p of M as it stands, M |= T_d(M).  As s >= 0 and p >= m, the k-th
@@ -311,13 +318,11 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
             d = tuple(map(min, s, top))
             if any(d) and d != top:
                 shifts.append(d)
-    full = (1 << r) - 1
     prev = None
     while M != prev:
         prev = M
         T = _closed_fibers(M, box.steps)
-        for J in range(1, full, 2):  # each split once, axis 0 in J
-            M |= T[J] & T[full ^ J]
+        M |= _meets(T)
         for d in shifts:
             M |= box.shift(M, d)
         if M != prev:  # else the round's fibers are still M's

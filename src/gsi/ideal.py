@@ -20,7 +20,14 @@ order lexicographic order, so a mask's lowest set bit, read as a point by
 index set, closed and open) and the (p, q) layers (a mask per fiber size)
 live on that grid too.  ``validate`` decides E1 and E2 for all pairs of
 small elements from a few ANDs of table entries when the grid is no larger
-than the number of pairs.  Box questions read masks: ``members`` lists the set bits of E's window over a box
+than the number of pairs (``_pairs_good``).  The mask algebra of the two
+axioms has one home, three helpers that read a closed table and, for E2,
+the strides of its layout and, per axis, the points below the top row:
+``_meets`` (E1's meets), ``_open_fibers`` (the one step from closed fibers
+to open ones, the top row kept) and ``_failing_demands`` (E2's failing
+demands).  ``validate`` reads them on an ideal's grid and
+``constructors.random_good`` on its draw box [m, c].  Box questions read
+masks: ``members`` lists the set bits of E's window over a box
 (``_window``, which cuts a table entry or layer the same way, in r passes
 of whole-integer shifts and masks, one per axis), ``search_member`` reads
 its lowest set bit, ``equals`` and ``is_subset`` compare windows, the sum
@@ -30,9 +37,9 @@ walked point by point.  ``_least_conductor`` reads a point set's least
 conductor off the runs down the axes from its box top and checks the
 membership rule against the set by counting its clamp classes, with no
 grid; when the two disagree it keeps the set as given.  It normalises
-parsed and drawn data only (``constructors.from_small_elements``):
-computed duals and canonical ideals are promoted at conductors their
-docstrings prove least (``duality``).
+parsed and drawn data only (``constructors.from_small_elements``): computed
+duals and canonical ideals are promoted at conductors their docstrings
+prove least (``duality``).
 """
 from __future__ import annotations
 
@@ -189,17 +196,9 @@ class SmallRep:
     @cached_property
     def open_table(self) -> tuple[int, ...]:
         """Occupied open fibers as grid masks, indexed like
-        :attr:`fiber_table`.  The open J-fiber of t is the closed one at
-        t + 1 on the free axes, clamped, so each closed entry is stepped one
-        row up along every free axis k (bit t reads t + e_k), the top row of
-        k staying put."""
-        table = list(self.fiber_table)
-        for k, (s, keep) in enumerate(zip(self.layout.strides, self._below_top)):
-            for J in range(1, len(table)):
-                if not J >> k & 1:
-                    t = table[J]
-                    table[J] = t >> s & keep | t & ~keep
-        return tuple(table)
+        :attr:`fiber_table`: the open J-fiber of t is the closed one at
+        t + 1 on the free axes, clamped into the grid (:func:`_open_fibers`)."""
+        return tuple(_open_fibers(self.fiber_table, self.layout.strides, self._below_top))
 
     @cached_property
     def _below_top(self) -> tuple[int, ...]:
@@ -246,11 +245,14 @@ class SmallRep:
 
     def fiber_occupied(self, alpha: Point, J: int, closed: bool = False) -> bool:
         """Whether the J-fiber of alpha (J a bitmask of 0-based axes) meets E:
-        one bit of :attr:`fiber_table`.  The open fiber is the closed fiber
-        at alpha + 1 on the free axes."""
-        if not closed:
-            alpha = tuple(a if J >> k & 1 else a + 1 for k, a in enumerate(alpha))
-        return self.fiber_table[J] >> self.index(alpha) & 1 == 1
+        one bit of :attr:`fiber_table` (closed) or :attr:`open_table`
+        (open), read at alpha clamped (:meth:`index`).  Read there, the open
+        entry is the closed fiber at alpha + 1 on the free axes, clamped:
+        where alpha_k < m_k - 1 it reads row m_k and the closed fiber at
+        alpha + e_k row m_k - 1, which agree as row m_k - 1 holds no
+        member."""
+        table = self.fiber_table if closed else self.open_table
+        return table[J] >> self.index(alpha) & 1 == 1
 
 
 def _repeat(block: int, width: int, n: int) -> int:
@@ -577,7 +579,7 @@ def _in_fiber(points: list[Point], x: Point, J: int) -> bool:
 
 def _split_pairs(O: Sequence[int], K: int, J: int) -> int:
     """The OR of O[K | Ja] & O[K | Jb] over the splits of J into Ja and Jb,
-    O an open table: each unordered split once, as Jb runs over the subsets
+    O a fiber table: each unordered split once, as Jb runs over the subsets
     of J without its lowest axis and Ja is the rest of J."""
     rest = J & J - 1
     Jb, pairs = rest, 0
@@ -588,36 +590,76 @@ def _split_pairs(O: Sequence[int], K: int, J: int) -> int:
         Jb = Jb - 1 & rest
 
 
-def _pairs_good(E: SmallRep) -> bool:
-    """Whether every pair of small elements passes E1 and E2, read off the
-    fiber table T and the open table O.  E must be structurally valid.
+def _meets(T: Sequence[int]) -> int:
+    """The meets of the pairs of a point set, T its closed fibers: t is
+    meet(a, b) exactly when, for Ja the axes where a equals t, a lies in the
+    closed Ja-fiber of t and b in the closed (full ^ Ja)-fiber, so the meets
+    are the OR of T[Ja] & T[full ^ Ja] over the splits of all the axes
+    (the split of full into full and nothing reads T[0] = 0)."""
+    return _split_pairs(T, 0, len(T) - 1)
 
-    E1: a pair meets at x exactly when, for J the axes where a equals x, a
-    lies in the closed J-fiber of x and b in the closed (full ^ J)-fiber,
-    so T[J] & T[full ^ J] must lie inside the grid mask.  E2: a pair that
-    agrees on K (0 < K < full) and meets at x, with Ja the axes where
-    a = x < b and Jb the rest of J = full ^ K, has a in the open
-    (K | Ja)-fiber of x and b in the open (K | Jb)-fiber; its witness at
-    i in K is the closed J-fiber of x + e_i, T[J] shifted down a row along
-    i.  The top row of i is not tested: the grid clamps x + e_i to x there,
-    and x, the meet of a member pair, is in E by E1, checked first, so in
-    its own closed J-fiber.
-    """
-    T, O = E.fiber_table, E.open_table
-    full = (1 << E.r) - 1
-    outside = ~E.grid
-    for J in range(1, full, 2):  # each split once, axis 0 in J
-        if T[J] & T[full ^ J] & outside:
-            return False
-    strides, below_top = E.layout.strides, E._below_top
+
+def _open_fibers(T: Sequence[int], strides: Sequence[int],
+                 below_top: Sequence[int]) -> list[int]:
+    """The open fibers of a point set, T its closed fibers: the open
+    J-fiber of t is the closed one at t + 1 on the free axes, clamped, so
+    each closed entry is stepped one row up along every free axis k (bit t
+    reads t + e_k), the top row of k staying put.  This is the one place
+    closed fibers become open ones."""
+    O = list(T)
+    for k, (s, keep) in enumerate(zip(strides, below_top)):
+        top = ~keep
+        for J in range(1, len(O)):
+            if not J >> k & 1:
+                O[J] = O[J] >> s & keep | O[J] & top
+    return O
+
+
+def _failing_demands(T: Sequence[int], O: Sequence[int], strides: Sequence[int],
+                     below_top: Sequence[int]) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """The E2 demands that fail, per set K of agreeing axes (0 < K < full,
+    ascending) that has one: K, the mask of the meets t with a failing
+    demand, and per axis i of K with failures the mask of those failing
+    at i.
+
+    A pair a < b that agrees exactly on K and meets at t, with Ja the axes
+    of J = full ^ K where a = t < b and Jb the rest, has a in the open
+    (K | Ja)-fiber of t and b in the open (K | Jb)-fiber, so the t with
+    such a pair are ``pairs`` (:func:`_split_pairs`).  At i in K the pair
+    demands a point in the closed J-fiber of t + e_i, T[J] shifted down a
+    row along i; the failing ones are ``pairs & below_top[i] &
+    ~(T[J] >> strides[i])``.  The top row of i is not tested, where t + e_i
+    leaves the box.  A K with no pairs shifts no entry."""
+    full = len(T) - 1
     for K in range(1, full):
         J = full ^ K
         pairs = _split_pairs(O, K, J)
         if pairs:
-            for i in range(E.r):
-                if K >> i & 1 and pairs & below_top[i] & ~(T[J] >> strides[i]):
-                    return False
-    return True
+            failing, union = {}, 0
+            for i in range(len(strides)):
+                if K >> i & 1:
+                    F = pairs & below_top[i] & ~(T[J] >> strides[i])
+                    if F:
+                        failing[i] = F
+                        union |= F
+            if union:
+                yield K, union, failing
+
+
+def _pairs_good(E: SmallRep) -> bool:
+    """Whether every pair of small elements passes E1 and E2, read off the
+    fiber table T and the open table O.  E must be structurally valid.
+
+    E1: the meets of member pairs (:func:`_meets`) must lie inside the grid
+    mask.  E2: no demand may fail (:func:`_failing_demands`).  The top row
+    of i is not tested: the grid clamps t + e_i to t there, and t, the meet
+    of a member pair, is in E by E1, checked first, so in its own closed
+    J-fiber.
+    """
+    T = E.fiber_table
+    if _meets(T) & ~E.grid:
+        return False
+    return not any(_failing_demands(T, E.open_table, E.layout.strides, E._below_top))
 
 
 def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -22,9 +23,14 @@ from gsi.errors import SoundnessError, ValidationError
 from gsi.fiber import fiber_empty, maximals
 from gsi.gsi_format import emit_gsi
 from gsi.ideal import (
+    Layout,
     SmallRep,
+    _bits,
     _e2_fiber,
+    _failing_demands,
     _least_conductor,
+    _open_fibers,
+    _split_pairs,
     frobenius,
     members,
     validate,
@@ -648,3 +654,113 @@ def test_closure_fixpoint_makes_no_meet_or_vadd_calls(monkeypatch):
     for S, seed in ((node(5), 2), (n57xn56, 0), (n57xn56, 1)):
         random_good(S, seed)
     assert calls["fixpoint"] == 0 and calls["elsewhere"] > 0, calls
+
+
+# The E2 step of constructors._closure_fixpoint as it was while its open
+# fibers were empty past c, kept verbatim (under an _old_ name) as the
+# reference for the step on the grid's open-fiber rule, which keeps the top
+# row (ideal._open_fibers).
+def _old_e2_repairs(box: _Box, M: int, T: list[int]) -> int:
+    """The points the E2 step adds to M, as a mask, T the closed fibers of
+    M (``ideal._closed_fibers``).
+
+    A pair a < b of M that agrees exactly on K meets at t with a in the
+    open (K | Ja)-fiber of t and b in the open (K | Jb)-fiber, Ja and Jb
+    the axes of J = full ^ K where a and b equal t.  So the t with such a
+    pair are ``pairs``, the OR over the unordered splits of J of the ANDs of
+    open-table entries (``ideal._split_pairs``; the open J-fiber of t being
+    the closed one at t + 1 on the free axes, empty past c).  At k in K with
+    t_k < c_k the pair demands a point of M in the closed J-fiber of
+    x = t + e_k; the demands failing on M are ``pairs`` below the top row of
+    k and off T[J] read at t + e_k (T[J] shifted down one row along k).
+
+    Replayed in the order of the first point a of their first pair, a
+    failing demand adds x iff its fiber holds none of the points added
+    before it.  This is the pair loop's outcome: M only grows, so a demand
+    that passes on M passes all along, and after its first occurrence a
+    demand's fiber holds x or an earlier point.  The rest of the loop's
+    order (b, then k) cannot matter, because two demands with the same a
+    have the same x or each x outside the other's fiber: if
+    x1 = t1 + e_k1 lies in the closed J2-fiber of x2 = t2 + e_k2, then at
+    k2, where t2 equals a, x1_k2 >= a_k2 + 1, which t1 <= a allows only
+    for k1 = k2; so t1 >= t2 = a on the rest of K2 and t1 = t2 on J2, and
+    x1 = x2.  The a of a demand is found from masks: it is the least point
+    of the closed K-fiber of t with a partner there, and having one depends
+    only on the axes Z of J where the point equals t (the partner lies in
+    the open (K | J ^ Z)-fiber of t), so whole patterns Z are dropped until
+    the least point left has one.
+    """
+    _, dims, strides = box.layout
+    r = len(dims)
+    offsets = Layout(zero(r), dims, strides)  # bits read as row offsets t
+    full = (1 << r) - 1
+    O = list(T)  # open fibers
+    for J in range(1, full):
+        for k in range(r):
+            if not J >> k & 1:
+                O[J] = O[J] >> strides[k] & box.below[k][dims[k] - 1]
+    demands = []
+    for K in range(1, full):
+        J = full ^ K
+        pairs = _split_pairs(O, K, J)
+        failing, union = {}, 0
+        for k in range(r):
+            if K >> k & 1:
+                F = pairs & box.below[k][dims[k] - 1] & ~(T[J] >> strides[k])
+                if F:
+                    failing[k] = F
+                    union |= F
+        for i in _bits(union):
+            t = offsets.point(i)
+            G = box.fiber(M, t, K, True)
+            while True:
+                a = (G & -G).bit_length() - 1
+                Z = sum(1 << j for j, (u, v) in enumerate(zip(offsets.point(a), t))
+                        if J >> j & 1 and u == v)
+                if O[K | J ^ Z] >> i & 1:
+                    break
+                G &= ~box.fiber(-1, t, K | Z, False)
+            demands += [(a, i + strides[k], J, t[:k] + (t[k] + 1,) + t[k + 1:])
+                        for k, F in failing.items() if F >> i & 1]
+    added = 0
+    for _, bit, J, x in sorted(demands):
+        if not box.fiber(added, x, J, True):
+            added |= 1 << bit
+    return added
+
+
+def _failing_bits(T: list[int], O: list[int], strides, below_top) -> set[tuple[int, int]]:
+    """The (K, t) of the failing E2 demands, t a meet of a pair agreeing
+    exactly on K."""
+    return {(K, t) for K, union, _ in _failing_demands(T, O, strides, below_top)
+            for t in _bits(union)}
+
+
+def test_e2_repairs_match_empty_past_c_reference(monkeypatch):
+    # every round of these draws adds the same points on either open-fiber
+    # rule, though in many of them the kept top row adds failing demands:
+    # the repeats of other demands that _e2_repairs drops before keying
+    from test_grid import _semigroups
+
+    seen = collections.Counter()
+
+    def checked(box, M, T, e2_repairs=constructors._e2_repairs):
+        got = e2_repairs(box, M, T)
+        assert got == _old_e2_repairs(box, M, T), (box.layout, M)
+        _, dims, strides = box.layout
+        below_top = [below[d - 1] for below, d in zip(box.below, dims)]
+        empty = list(T)  # the open fibers empty past c
+        for J in range(1, len(T) - 1):
+            for k, (s, keep) in enumerate(zip(strides, below_top)):
+                if not J >> k & 1:
+                    empty[J] = empty[J] >> s & keep
+        kept = _failing_bits(T, _open_fibers(T, strides, below_top), strides, below_top)
+        seen["rounds"] += 1
+        seen["top row only"] += not kept <= _failing_bits(T, empty, strides, below_top)
+        return got
+
+    monkeypatch.setattr(constructors, "_e2_repairs", checked)
+    for S in [*_semigroups().values(), node(1), node(4)]:
+        for seed, width in itertools.product(range(40), (0, 2, 4)):
+            random_good(S, seed, max_width=width)
+    assert seen["top row only"] >= 100, seen

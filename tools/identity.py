@@ -5,7 +5,7 @@ Standard library only; it imports the package from its own checkout's
 
     python tools/identity.py
 
-It prints four rows, ``<name> <count> <sha256>``:
+It prints five rows, ``<name> <count> <sha256>``:
 
 - ``cli``: ``gsi.cli.main`` run in-process, from the checkout root with
   relative paths, on every subcommand over every file of ``tests/data``
@@ -21,6 +21,11 @@ It prints four rows, ``<name> <count> <sha256>``:
   three ``random_good`` draws, for every fourth semigroup of that list.
   The fiber dual of a valid pair is always good (``fiber_dual`` proves
   it), EJ canonical or not.
+- ``validate``: ``validate(E).to_dict()`` for every draw E of ``draws``,
+  then for E with its middle small element other than m and c removed, and
+  with the middle point of [m, c] outside E added, when there is one.  The
+  altered sets mostly fail E1 or E2, so the pair loops that name the first
+  failing pair run after the mask test.
 
 An error is digested as its type and text, so a changed error changes the
 digest.  To compare a change with its parent, copy this file into a parent
@@ -42,6 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import gsi  # noqa: E402  (the checkout's own package, after the path)
 from gsi import cli  # noqa: E402
+from gsi.lattice import box_points  # noqa: E402
 
 CHECKS = ("sum", "fibra", "length", "rho", "maxsym", "all")
 USAGE = ([], ["bogus"], ["--help"], ["gen", "node"], ["gen", "numerical"],
@@ -100,11 +106,31 @@ def _draw_semigroups():
             ex2, gsi.product(gsi.numerical([2, 3]), gsi.numerical([3, 4]))]
 
 
-def _draws():
+def _draw_outcomes():
+    """(semigroup index, seed, max_width, samples) and the draw's outcome."""
     for i, S in enumerate(_draw_semigroups()):
         for seed, width, samples in itertools.product(range(20), (2, 4), (2, 6)):
             E = _outcome(lambda: gsi.random_good(S, seed, max_width=width, samples=samples))
-            yield i, seed, width, samples, _emitted(E)
+            yield (i, seed, width, samples), E
+
+
+def _draws():
+    for key, E in _draw_outcomes():
+        yield *key, _emitted(E)
+
+
+def _validate():
+    for key, E in _draw_outcomes():
+        if not isinstance(E, gsi.SmallRep):
+            continue
+        inner = sorted(E.small - {E.m, E.c})
+        outside = sorted(set(box_points(E.m, E.c)) - E.small)
+        variants = [E.small]
+        variants += [E.small - {inner[len(inner) // 2]}] if inner else []
+        variants += [E.small | {outside[len(outside) // 2]}] if outside else []
+        for small in variants:
+            report = gsi.validate(gsi.SmallRep(E.r, E.m, E.c, small))
+            yield *key, sorted(small), report.to_dict()
 
 
 def _numerical_semigroups():
@@ -156,7 +182,7 @@ def _duals():
 def main() -> None:
     os.chdir(ROOT)  # the CLI's paths are relative to the checkout root
     for name, records in (("cli", _cli()), ("draws", _draws()), ("canonical", _canonical()),
-                          ("duals", _duals())):
+                          ("duals", _duals()), ("validate", _validate())):
         n, digest = _digest(records)
         print(f"{name} {n} {digest}")
 

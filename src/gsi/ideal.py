@@ -324,7 +324,8 @@ def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
 
     Bit t is the mask's bit at :meth:`SmallRep.index` of the box point t,
     each coordinate clamped into [m - e, c], so the box may reach below m
-    and beyond c anywhere.  The rows of axis 0 that the box clamps to are
+    and beyond c anywhere; over the grid [m - e, c] itself it is the mask
+    as it is.  Otherwise the rows of axis 0 that the box clamps to are
     cut out first; then the axes are turned from the grid's layout into the
     box's one at a time, the last first, each by a few operations on the
     whole integer (Warren, *Hacker's Delight*, ch. 7).  Before the pass of
@@ -346,6 +347,8 @@ def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
     if min(dims) <= 0:
         return 0
     g = E.layout
+    if lo == g.lo and hi == E.c:
+        return mask
     kept = [(min(max(l, o), c) - o, min(max(h, o), c) - o)  # rows [first, top]
             for l, h, o, c in zip(lo, hi, g.lo, E.c)]
     # axis 0 is one line, so its cut is one shift and one mask, and a box

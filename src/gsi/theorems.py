@@ -1,14 +1,18 @@
 """Executable verification of the duality and symmetry results.
 
-The length and rho checks sweep a finite box covering every point where the
-quantities involved are not yet stabilized by the membership rule, with
-margin, so the boundary behavior of the all-of-Z^r quantifiers is exercised
-and wider sweeps would be redundant; the maximal-symmetry check reads the
-maximal points, which lie in its box, and their types from ``maximals``.
-The length sweep reads windows (``ideal._window``) of singleton
-fiber-table entries, the rho sweep of (p, q) layers: the EI side over the
-box, the dual side over its reflection (f - box for a point f),
-bit-reversed so that both are indexed like the box.  Each relation is an
+The length and rho checks report a finite box covering every point where
+the quantities involved are not yet stabilized by the membership rule,
+with margin, so the boundary behavior of the all-of-Z^r quantifiers is
+exercised and wider sweeps would be redundant; the maximal-symmetry check
+reads the maximal points, which lie in its box, and their types from
+``maximals``.  The length and rho sweeps read the core of their box
+(``_core``), outside which every mask is constant per axis, and put the
+points they report back into the box (``_first``; the proof is in
+``check_length_pairing``).  The length sweep reads windows
+(``ideal._window``) of singleton fiber-table entries of EI and open-table
+entries of the dual, the rho sweep of (p, q) layers: the EI side over the
+core, the dual side over its reflection (f - core, f = frobenius(EJ)),
+bit-reversed so that both are indexed like the core.  Each relation is an
 AND or OR of masks, the first counterexample and equality witness in sweep
 order are lowest set bits, and the per-point ``length_step`` and ``rho``
 are left for the public API and for the values a report shows.  The fibra
@@ -42,7 +46,7 @@ from .ideal import (
     frobenius,
     translate,
 )
-from .lattice import Point, check_same_dim, join, meet, ones, unit_vector, vadd, vsub
+from .lattice import Point, check_same_dim, join, meet, ones, vadd, vsub
 from .report import CheckReport, pt
 
 
@@ -67,6 +71,28 @@ def _sweep_box(EI: SmallRep, D: SmallRep, top: Point, margin: int) -> tuple[Poin
     e = (margin,) * EI.r
     return (vsub(meet(EI.m, vsub(top, D.c)), e),
             vadd(join(EI.c, vsub(top, D.m)), e))
+
+
+def _core(EI: SmallRep, D: SmallRep, f: Point) -> tuple[Point, Point]:
+    """The core of the length and rho sweeps: the hull of EI's grid
+    [m_I - e, c_I] and of f minus D's grid, f - [m_D - e, c_D], where every
+    box row outside it is in the clamp class of its end row on both sides
+    (``check_length_pairing``)."""
+    e = ones(EI.r)
+    return (meet(vsub(EI.m, e), vsub(f, D.c)), join(EI.c, vadd(vsub(f, D.m), e)))
+
+
+def _first(core: Layout, masks: list[int], lo: Point) -> tuple[Point, int] | None:
+    """The least (point, index) over the set bits of masks over a sweep's
+    core, None if none, as a point of the box with low corner lo: the
+    lowest bits m & -m order as their points do, and a coordinate on the
+    core's low face stands for the box rows down to lo_k, of which lo_k is
+    the least."""
+    first = min(((m & -m, i) for i, m in enumerate(masks) if m), default=None)
+    if first is None:
+        return None
+    p = core.lowest(first[0])
+    return tuple([l if x == c else x for x, c, l in zip(p, core.lo, lo)]), first[1]
 
 
 def length_step(E: SmallRep, alpha: Point, i: int) -> int:
@@ -160,27 +186,45 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
     For every alpha in the sweep box, with beta = c(EJ) - alpha and every i:
     step(EI, alpha, i) + step(D, beta - e_i, i) <= 1.  The
     ``equality_everywhere`` flag records whether the sum is 1 throughout.
-    Per i, the EI side is EI's closed {i} window over the box and the D side
-    D's closed {i} window over c(EJ) - e_i - box, reversed; the first
-    (alpha, i) in sweep order is the least (point, i) of their AND, and the
-    first equality gap the least of their NOR.
+    Per i, the EI side is EI's closed {i} window and the D side D's closed
+    {i} entry at c(EJ) - e_i - alpha = (f - alpha) + (e - e_i), f =
+    frobenius(EJ): the closed {i} entry one row up on the free axes, which
+    is D's open {i} entry at f - alpha.  Read clamped, the two differ only
+    where f_k - alpha_k < m_D,k - 1 on a free axis k, where the closed
+    entry reads row m_D,k - 1 and the open one row m_D,k; a closed fiber
+    free on k is the same at both rows, as row m_D,k - 1 holds no member.
+    So both sides are windows reflected at f, as in ``check_rho``.
+
+    The sweep reads them on the core C of the box (``_core``): per axis k,
+    C.lo_k = min(m_I,k - 1, f_k - c_D,k) and C.hi_k = max(c_I,k, f_k -
+    m_D,k + 1).  Below C.lo_k, EI reads its row m_I,k - 1 and D its row
+    c_D,k; above C.hi_k, EI reads row c_I,k and D row m_D,k - 1.  So every
+    box row outside C is in the clamp class of C's end row on its side,
+    and a set of points that the masks compute is a union of products of
+    classes.  ``_sweep_box``'s margins put C inside the box, so the least
+    point of such a set in the box is its least point in C with each
+    coordinate C.lo_k put at the box's lo_k (``_first``), and every value
+    shown there is the one at the core point.  The first (alpha, i) in
+    sweep order is the least (point, i) of the AND of the two sides, and
+    the first equality gap the least of their NOR.
     """
     if D is None:
         D = cd_difference(EJ, EI)
     r = EJ.r
+    f = frobenius(EJ)
     lo, hi = _sweep_box(EI, D, EJ.c, 2)
     rep = CheckReport("length", True,
                       f"alpha over [{list(lo)}, {list(hi)}], i in 1..{r}")
-    layout = Layout.of(lo, hi)
-    box = layout.whole
+    clo, chi = _core(EI, D, f)
+    layout = Layout.of(clo, chi)
+    whole = layout.whole
     both, neither = [], []
     for k in range(r):
-        a = _window(EI, lo, hi, EI.fiber_table[1 << k])
-        b = _reflected(D, vsub(EJ.c, unit_vector(r, [k + 1])), lo, hi,
-                       D.fiber_table[1 << k])
+        a = _window(EI, clo, chi, EI.fiber_table[1 << k])
+        b = _reflected(D, f, clo, chi, D.open_table[1 << k])
         both.append(a & b)
-        neither.append(box & ~(a | b))
-    bad, gap = _first(layout, both), _first(layout, neither)
+        neither.append(whole & ~(a | b))
+    bad, gap = _first(layout, both, lo), _first(layout, neither, lo)
     if gap is not None and (bad is None or gap < bad):
         rep.witnesses.append({"alpha": pt(gap[0]), "i": gap[1] + 1,
                               "note": "equality gap"})
@@ -193,13 +237,6 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
         return rep
     rep.flags["equality_everywhere"] = gap is None
     return rep
-
-
-def _first(layout: Layout, masks: list[int]) -> tuple[Point, int] | None:
-    """The least (point, index) over the set bits of the masks in a layout,
-    None if none: the lowest bits m & -m order as their points do."""
-    first = min(((m & -m, i) for i, m in enumerate(masks) if m), default=None)
-    return None if first is None else (layout.lowest(first[0]), first[1])
 
 
 def rho(EI: SmallRep, EJ: SmallRep, alpha: Point,
@@ -215,13 +252,19 @@ def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None, *,
     """rho >= r on a full sweep; equality everywhere is the canonicity flag.
 
     Cross-references is_canonical(EJ, S) when a semigroup context is
-    supplied.  The sweep runs on masks over the box, indexed like it.
-    With f = frobenius(EJ), A_k (p < k at alpha) is the window of EI's layer
-    P[k] over the box, and B_k (q <= k at f - alpha) the window of D's layer
-    Q[k] over f - box, reversed; A_{r+1} and B_{r+1} are the whole box.
+    supplied.  The sweep runs on masks over the core C of the box
+    (``_core``), indexed like it; by the proof in ``check_length_pairing``
+    the least point of each set below is found in C and put into the box
+    by ``_first``, and rho there is its value at the core point.  With f =
+    frobenius(EJ), A_k (p < k at alpha) is the window of EI's layer P[k]
+    over C, and B_k (q <= k at f - alpha) the window of D's layer Q[k]
+    over f - C, reversed; A_{r+1} and B_{r+1} are the whole core.
     rho < r is the OR over a < r of A_{a+1} & B_{r-a}, rho > r the
     complement of the OR over a <= r of A_{a+1} & B_{r+1-a}, and rho itself
-    is evaluated only where reported.
+    is evaluated only where reported.  When D is the computed dual
+    ``cd_difference(EJ, EI)``, c_D = c_J - m_I and m_D >= c_J - c_I, so C
+    is EI's grid: EI's layers are read as they are, and only D's side is
+    cut and reflected.
     """
     ctx = ctx or _CheckContext()
     D = ctx.dual(EJ, EI)
@@ -229,18 +272,19 @@ def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None, *,
     f = frobenius(EJ)
     lo, hi = _sweep_box(EI, D, f, 2)
     rep = CheckReport("rho", True, f"alpha over [{list(lo)}, {list(hi)}]")
-    layout = Layout.of(lo, hi)
-    box = layout.whole
+    clo, chi = _core(EI, D, f)
+    layout = Layout.of(clo, chi)
+    whole = layout.whole
     P, Q = EI.fiber_layers[0], D.fiber_layers[1]
     ks = range(1, r + 1)
     # the layers of successive k often hold one mask: window each once
-    Pw = {mask: _window(EI, lo, hi, mask) for mask in {P[k] for k in ks}}
-    Qw = {mask: _reflected(D, f, lo, hi, mask) for mask in {Q[k] for k in ks}}
-    A = [0, *(Pw[P[k]] for k in ks), box]
-    B = [box, *(Qw[Q[k]] for k in ks), box]
-    below = _first(layout, [reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))])
-    above = _first(layout, [box & ~reduce(or_, (A[a + 1] & B[r + 1 - a]
-                                                for a in range(r + 1)))])
+    Pw = {mask: _window(EI, clo, chi, mask) for mask in {P[k] for k in ks}}
+    Qw = {mask: _reflected(D, f, clo, chi, mask) for mask in {Q[k] for k in ks}}
+    A = [0, *(Pw[P[k]] for k in ks), whole]
+    B = [whole, *(Qw[Q[k]] for k in ks), whole]
+    below = _first(layout, [reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))], lo)
+    above = _first(layout, [whole & ~reduce(or_, (A[a + 1] & B[r + 1 - a]
+                                                  for a in range(r + 1)))], lo)
     if above is not None and (below is None or above < below):
         alpha = above[0]
         rep.witnesses.append({"alpha": pt(alpha), "rho": rho(EI, EJ, alpha, D),

@@ -28,9 +28,12 @@ import math
 import operator
 import random
 from dataclasses import replace
+from functools import reduce
+from operator import or_
 
 import pytest
 
+import gsi.theorems as theorems
 from gsi.constructors import _Box, from_small_elements, node, numerical, product, random_good
 from gsi.duality import (
     _fiber_region,
@@ -61,6 +64,7 @@ from gsi.ideal import (
     _least_conductor,
     _pairs_good,
     _quotient,
+    _reflected,
     _repeat,
     _require_same_r,
     _reversed_bits,
@@ -75,7 +79,19 @@ from gsi.ideal import (
     translate,
     validate,
 )
-from gsi.lattice import Box, Point, box_points, join, leq, meet, ones, vadd, vsub, zero
+from gsi.lattice import (
+    Box,
+    Point,
+    box_points,
+    join,
+    leq,
+    meet,
+    ones,
+    unit_vector,
+    vadd,
+    vsub,
+    zero,
+)
 from gsi.oracle import materialize
 from gsi.report import CheckReport, pt
 from gsi.theorems import (
@@ -475,6 +491,102 @@ def _old_check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
             rep.witnesses.append({"alpha": pt(alpha), "rho": val,
                                   "note": "strictly above r"})
     rep.flags["equality_everywhere"] = equality
+    if S is not None:
+        rep.flags["ej_canonical"] = ctx.is_canonical(EJ, S)
+    return rep
+
+
+def _old_box_check_length_pairing(EJ: SmallRep, EI: SmallRep,
+                                  D: SmallRep | None = None) -> CheckReport:
+    """Length pairing: the two one-step lengths at complementary points never
+    both fire, and they complement exactly when EJ is canonical.
+
+    For every alpha in the sweep box, with beta = c(EJ) - alpha and every i:
+    step(EI, alpha, i) + step(D, beta - e_i, i) <= 1.  The
+    ``equality_everywhere`` flag records whether the sum is 1 throughout.
+    Per i, the EI side is EI's closed {i} window over the box and the D side
+    D's closed {i} window over c(EJ) - e_i - box, reversed; the first
+    (alpha, i) in sweep order is the least (point, i) of their AND, and the
+    first equality gap the least of their NOR.
+    """
+    if D is None:
+        D = cd_difference(EJ, EI)
+    r = EJ.r
+    lo, hi = _sweep_box(EI, D, EJ.c, 2)
+    rep = CheckReport("length", True,
+                      f"alpha over [{list(lo)}, {list(hi)}], i in 1..{r}")
+    layout = Layout.of(lo, hi)
+    box = layout.whole
+    both, neither = [], []
+    for k in range(r):
+        a = _window(EI, lo, hi, EI.fiber_table[1 << k])
+        b = _reflected(D, vsub(EJ.c, unit_vector(r, [k + 1])), lo, hi,
+                       D.fiber_table[1 << k])
+        both.append(a & b)
+        neither.append(box & ~(a | b))
+    bad, gap = _old_first(layout, both), _old_first(layout, neither)
+    if gap is not None and (bad is None or gap < bad):
+        rep.witnesses.append({"alpha": pt(gap[0]), "i": gap[1] + 1,
+                              "note": "equality gap"})
+    if bad is not None:
+        alpha = bad[0]
+        rep.passed = False
+        rep.counterexamples.append(
+            {"alpha": pt(alpha), "beta": pt(vsub(EJ.c, alpha)), "i": bad[1] + 1,
+             "lhs": 1, "rhs": 1})
+        return rep
+    rep.flags["equality_everywhere"] = gap is None
+    return rep
+
+
+def _old_first(layout: Layout, masks: list[int]) -> tuple[Point, int] | None:
+    """The least (point, index) over the set bits of the masks in a layout,
+    None if none: the lowest bits m & -m order as their points do."""
+    first = min(((m & -m, i) for i, m in enumerate(masks) if m), default=None)
+    return None if first is None else (layout.lowest(first[0]), first[1])
+
+
+def _old_box_check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
+                       S: SmallRep | None = None) -> CheckReport:
+    """rho >= r on a full sweep; equality everywhere is the canonicity flag.
+
+    Cross-references is_canonical(EJ, S) when a semigroup context is
+    supplied.  The sweep runs on masks over the box, indexed like it.
+    With f = frobenius(EJ), A_k (p < k at alpha) is the window of EI's layer
+    P[k] over the box, and B_k (q <= k at f - alpha) the window of D's layer
+    Q[k] over f - box, reversed; A_{r+1} and B_{r+1} are the whole box.
+    rho < r is the OR over a < r of A_{a+1} & B_{r-a}, rho > r the
+    complement of the OR over a <= r of A_{a+1} & B_{r+1-a}, and rho itself
+    is evaluated only where reported.
+    """
+    D = ctx.dual(EJ, EI)
+    r = EJ.r
+    f = frobenius(EJ)
+    lo, hi = _sweep_box(EI, D, f, 2)
+    rep = CheckReport("rho", True, f"alpha over [{list(lo)}, {list(hi)}]")
+    layout = Layout.of(lo, hi)
+    box = layout.whole
+    P, Q = EI.fiber_layers[0], D.fiber_layers[1]
+    ks = range(1, r + 1)
+    # the layers of successive k often hold one mask: window each once
+    Pw = {mask: _window(EI, lo, hi, mask) for mask in {P[k] for k in ks}}
+    Qw = {mask: _reflected(D, f, lo, hi, mask) for mask in {Q[k] for k in ks}}
+    A = [0, *(Pw[P[k]] for k in ks), box]
+    B = [box, *(Qw[Q[k]] for k in ks), box]
+    below = _old_first(layout, [reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))])
+    above = _old_first(layout, [box & ~reduce(or_, (A[a + 1] & B[r + 1 - a]
+                                                    for a in range(r + 1)))])
+    if above is not None and (below is None or above < below):
+        alpha = above[0]
+        rep.witnesses.append({"alpha": pt(alpha), "rho": rho(EI, EJ, alpha, D),
+                              "note": "strictly above r"})
+    if below is not None:
+        alpha = below[0]
+        rep.passed = False
+        rep.counterexamples.append({"alpha": pt(alpha), "rho": rho(EI, EJ, alpha, D),
+                                    "r": r})
+        return rep
+    rep.flags["equality_everywhere"] = above is None
     if S is not None:
         rep.flags["ej_canonical"] = ctx.is_canonical(EJ, S)
     return rep
@@ -1059,6 +1171,62 @@ def test_length_and_rho_match_point_sweeps():
                         seen["rho_witness_first"] += fail and bool(want["witnesses"])
                         seen["rho_above"] += bool(want["witnesses"])
     assert min(seen.values()) >= 50, seen
+
+
+def test_length_and_rho_match_box_sweeps_high_r():
+    # the planted duals of the point-sweep test at r = 6-8, past the point
+    # sweeps' reach: the references are the former sweeps over the whole
+    # margin box, which the core sweeps must match report for report
+    from test_metamorphic import _high_r_pairs
+    rng = random.Random(43)
+    seen = collections.Counter()
+    for A, B in _high_r_pairs():
+        S = product(A, B)
+        K = canonical_ideal(S)
+        e = ones(S.r)
+        ideals = [S, K, translate(K, e), product(random_good(A, 5), random_good(B, 5))]
+        for EJ in ideals[:2]:
+            duals = [cd_difference(EJ, EI) for EI in ideals]
+            for EI, D in zip(ideals, duals):
+                for cand in (D, translate(D, e), translate(D, vsub(zero(S.r), e)),
+                             rng.choice(duals)):
+                    want = _old_box_check_length_pairing(EJ, EI, cand).to_dict()
+                    assert check_length_pairing(EJ, EI, cand).to_dict() == want, \
+                        (S, EJ, EI, cand)
+                    seen["length", want["passed"], bool(want["witnesses"])] += 1
+                    old, new = _CheckContext(), _CheckContext()
+                    old.values["dual", EJ, EI] = new.values["dual", EJ, EI] = cand
+                    want = _old_box_check_rho(old, EI, EJ).to_dict()
+                    assert check_rho(EI, EJ, ctx=new).to_dict() == want, (S, EJ, EI, cand)
+                    seen["rho", want["passed"], bool(want["witnesses"])] += 1
+    # failing sweeps, with and without an equality witness first, and
+    # passing ones with and without equality everywhere
+    assert len(seen) == 8, seen
+
+
+def test_sweeps_read_no_more_than_the_ei_grid(monkeypatch):
+    # with the computed dual, the core of both sweeps is EI's grid
+    # [m_I - e, c_I]: no window the length and rho checks read is larger
+    volumes = []
+
+    def volume(lo, hi):
+        volumes.append(math.prod(h - l + 1 for l, h in zip(lo, hi)))
+
+    monkeypatch.setattr(theorems, "_window", lambda E, lo, hi, mask=None:
+                        volume(lo, hi) or _window(E, lo, hi, mask))
+    monkeypatch.setattr(theorems, "_reflected", lambda E, f, lo, hi, mask:
+                        volume(lo, hi) or _reflected(E, f, lo, hi, mask))
+    semigroups = [*_semigroups().values(), *(node(r) for r in range(2, 7))]
+    for S in semigroups:
+        K = canonical_ideal(S)
+        ideals = _mixed_ideals(S, K, 7)
+        for EJ in ideals[:3]:
+            for EI in ideals:
+                grid = math.prod(EI.layout.dims)
+                volumes.clear()
+                check_length_pairing(EJ, EI, cd_difference(EJ, EI))
+                check_rho(EI, EJ)
+                assert volumes and max(volumes) <= grid, (S, EJ, EI, volumes, grid)
 
 
 def _outcome(f, *args):

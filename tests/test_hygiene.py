@@ -220,11 +220,11 @@ def test_loc_tool_runs():
 
 def test_identity_tool_runs():
     # a smoke run: it digests the CLI, the draws, the canonical ideals, the
-    # duals and the validate reports, and pins no digest
+    # duals, the validate reports and the check reports, and pins no digest
     tool = PACKAGE.parents[1] / "tools" / "identity.py"
     proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert [name for name, _, _ in rows] == ["cli", "draws", "canonical", "duals",
-                                           "validate"]
+                                           "validate", "checks"]
     assert all(int(n) > 0 and re.fullmatch(r"[0-9a-f]{64}", digest) for _, n, digest in rows)

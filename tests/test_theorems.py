@@ -207,6 +207,20 @@ def test_equality_flags_track_canonicity(node2, ex2):
             assert lf == rf == df == can
 
 
+@pytest.mark.parametrize("r", range(3, 10))
+def test_node_sweeps_certify_canonicity_past_the_oracle(r):
+    # node(r) is not Gorenstein for r >= 3 (K(node(r)) has 2^r - r small
+    # elements), so the length and rho sweeps show equality everywhere
+    # against K and not against S itself; at r = 9 each sweep reads 3^9
+    # points where the margin box has 7^9
+    S = node(r)
+    K = canonical_ideal(S)
+    assert check_rho(S, K, S).flags["equality_everywhere"]
+    assert check_length_pairing(K, S).flags["equality_everywhere"]
+    assert not check_rho(S, S, S).flags["equality_everywhere"]
+    assert not check_length_pairing(S, S).flags["equality_everywhere"]
+
+
 def test_flags_agree_pairwise(ex2):
     # per-pair agreement of the three equality flags on assorted EI
     for seed in range(4):

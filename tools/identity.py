@@ -5,7 +5,7 @@ Standard library only; it imports the package from its own checkout's
 
     python tools/identity.py
 
-It prints five rows, ``<name> <count> <sha256>``:
+It prints six rows, ``<name> <count> <sha256>``:
 
 - ``cli``: ``gsi.cli.main`` run in-process, from the checkout root with
   relative paths, on every subcommand over every file of ``tests/data``
@@ -26,6 +26,11 @@ It prints five rows, ``<name> <count> <sha256>``:
   with the middle point of [m, c] outside E added, when there is one.  The
   altered sets mostly fail E1 or E2, so the pair loops that name the first
   failing pair run after the mask test.
+- ``checks``: the ``check_all(S, EJ, EI, seed=0)`` reports for (S, S, S),
+  (S, K, S), (S, S, E) and (S, K, E), K = K(S) and E = ``random_good(S,
+  0)``, for every fourth semigroup of that list; then, for the same (EJ,
+  EI) pairs, the length and rho reports with the dual translated by e and
+  by -e, which mostly fail, so their first counterexamples are digested.
 
 An error is digested as its type and text, so a changed error changes the
 digest.  To compare a change with its parent, copy this file into a parent
@@ -47,6 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import gsi  # noqa: E402  (the checkout's own package, after the path)
 from gsi import cli  # noqa: E402
+from gsi.duality import _CheckContext  # noqa: E402
 from gsi.lattice import box_points  # noqa: E402
 
 CHECKS = ("sum", "fibra", "length", "rho", "maxsym", "all")
@@ -179,10 +185,26 @@ def _duals():
                    _emitted(_outcome(gsi.bidual, EJ, EI)), _fiber_dual(EJ, EI))
 
 
+def _checks():
+    for S in _canonical_semigroups()[::4]:
+        K, E = gsi.canonical_ideal(S), gsi.random_good(S, 0)
+        e = (1,) * S.r
+        for EJ, EI in ((S, S), (K, S), (S, E), (K, E)):
+            yield [report.to_dict() for report in gsi.check_all(S, EJ, EI, seed=0)]
+            D = gsi.cd_difference(EJ, EI)
+            for shift in (e, tuple(-x for x in e)):
+                planted = gsi.translate(D, shift)
+                ctx = _CheckContext()
+                ctx.values["dual", EJ, EI] = planted
+                yield (gsi.check_length_pairing(EJ, EI, planted).to_dict(),
+                       gsi.check_rho(EI, EJ, ctx=ctx).to_dict())
+
+
 def main() -> None:
     os.chdir(ROOT)  # the CLI's paths are relative to the checkout root
     for name, records in (("cli", _cli()), ("draws", _draws()), ("canonical", _canonical()),
-                          ("duals", _duals()), ("validate", _validate())):
+                          ("duals", _duals()), ("validate", _validate()),
+                          ("checks", _checks())):
         n, digest = _digest(records)
         print(f"{name} {n} {digest}")
 

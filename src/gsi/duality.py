@@ -8,7 +8,8 @@ meet(z, z') + x is in EJ by E1.  Past U_k every beta_k + alpha_k passes
 c_J,k, where EJ clamps, so D is clamp-invariant at U, its conductor.
 The fiber dual and the reports keep the box [m_J - c_I, U + e]
 (``_fiber_region``).  K(S) is read on S's own grid [m_S - e, c_S] and
-promoted with top c_S; ``canonical_ideal`` proves that the grid holds it.
+promoted with top c_S; ``canonical_ideal`` proves that the grid holds it,
+and the region mask becomes K(S)'s grid, as the two share the layout.
 The quotient runs on the membership grid of ``ideal`` (``ideal._quotient``):
 one window of EJ covers every sum beta + alpha, and its shift by alpha's
 offset answers the quantifier for every beta at once.  On the box the top
@@ -69,7 +70,8 @@ from .ideal import (
 from .lattice import Box, Point, ones, vadd, vsub, zero
 
 
-def _promote_region(what: str, r: int, points: set[Point], U: Point) -> SmallRep:
+def _promote_region(what: str, r: int, points: set[Point], U: Point,
+                    grid: tuple[Layout, int] | None = None) -> SmallRep:
     """Read a bounded point set as the box window of a good ideal.
 
     The points lie at or below U, the box top, which is known to conduct
@@ -79,6 +81,10 @@ def _promote_region(what: str, r: int, points: set[Point], U: Point) -> SmallRep
     the region and its membership rule are both empty.  Each caller proves
     its region good, so any miss is an internal bug and raises
     SoundnessError "<what> is not a good ideal: <reason>".
+
+    ``grid`` is the points as a mask in a layout, when the caller has one.
+    If that layout is the rep's own, [m - e, U], the mask is the rep's grid
+    (the points lie in [m, U]), and the rep keeps it before it is validated.
     """
     m = tuple(map(min, zip(*points)))
     if not points:
@@ -89,6 +95,8 @@ def _promote_region(what: str, r: int, points: set[Point], U: Point) -> SmallRep
         reason = f"expected conducting point {U} missing"
     else:
         rep = SmallRep(r, m, U, frozenset(points))
+        if grid is not None and rep.layout == grid[0]:
+            vars(rep)["grid"] = grid[1]
         report = validate(rep)
         if report.passed:
             return rep
@@ -198,6 +206,14 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     and so does c - e_k, which validate's conductor check rejects.  So no
     test of the grid's low faces could change a result.
 
+    So on valid input K(S) has S's minimum 0 (S lies in K(S), and by (1)
+    no member lies below 0) and, by (2), S's conductor, and with them S's
+    layout: the region mask is its grid, which the promotion hands to it
+    before validating it (``_promote_region``).  A faulty region with a
+    point in row m - 1 has another minimum and layout, and its rep builds
+    its own grid.  On one layout ``equals`` and ``is_subset`` compare grids,
+    so the subset test below reads the two masks and cuts no window.
+
     Postconditions are asserted: S is contained in the result, and the
     result, validated on promotion, is compatible with S.  The result is
     kept on S and returned by later calls.
@@ -209,7 +225,8 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     f = frobenius(S)
     layout = S.layout
     region = _empty_mask(S, f, layout.lo, S.c)
-    rep = _promote_region("canonical ideal", S.r, set(layout.points(region)), S.c)
+    rep = _promote_region("canonical ideal", S.r, set(layout.points(region)), S.c,
+                          (layout, region))
     if not is_subset(S, rep):
         raise SoundnessError("canonical ideal does not contain the semigroup")
     failure = _compatibility_failure(rep, S)

@@ -30,13 +30,15 @@ demands).  ``validate`` reads them on an ideal's grid and
 masks: ``members`` lists the set bits of E's window over a box
 (``_window``, which cuts a table entry or layer the same way, in r passes
 of whole-integer shifts and masks, one per axis), ``search_member`` reads
-its lowest set bit, ``equals`` and ``is_subset`` compare windows, the sum
-sweeps shift them, and the quotient behind ``duality.cd_difference`` shifts
-one window per small element of the divisor but its conductor, so no box is
-walked point by point.  ``_least_conductor`` reads a point set's least
-conductor off the runs down the axes from its box top and checks the
-membership rule against the set by counting its clamp classes, with no
-grid; when the two disagree it keeps the set as given.  It normalises
+its lowest set bit, ``equals`` and ``is_subset`` compare windows, or the
+grids of two ideals on one layout, the sum sweeps AND a window over the
+clamp classes of one side (``_class_and``), and the quotient behind
+``duality.cd_difference`` shifts one window per small element of the
+divisor but its conductor, so no box is walked point by point.
+``_least_conductor`` reads a point set's least conductor off the runs
+down the axes from its box top and checks the membership rule against the
+set by counting its clamp classes, with no grid; when the two disagree it
+keeps the set as given.  It normalises
 parsed and drawn data only (``constructors.from_small_elements``): computed
 duals and canonical ideals are promoted at conductors their docstrings
 prove least (``duality``).
@@ -141,9 +143,9 @@ class SmallRep:
             raise DimensionMismatch("min/conductor dimension does not match r")
         if not self.small:
             raise ValueError("small element set must be nonempty")
-        for p in self.small:
-            if len(p) != self.r:
-                raise DimensionMismatch(f"small element {p} has wrong dimension")
+        if set(map(len, self.small)) != {self.r}:
+            p = next(p for p in self.small if len(p) != self.r)
+            raise DimensionMismatch(f"small element {p} has wrong dimension")
 
     def contains(self, alpha: Point) -> bool:
         check_same_dim(alpha, self.c)
@@ -164,17 +166,12 @@ class SmallRep:
 
         The bit indices are summed one axis at a time over all the points.
         Small elements outside [m, c], which only a rep failing
-        :func:`validate` has, are left out; the per-point test runs only
-        when the per-axis minima and maxima show that there are some.
+        :func:`validate` has, are left out (:func:`_columns`).
         """
         g = self.layout
-        pts, lo, c = self.small, g.lo, self.c
-        cols = list(zip(*pts))
-        if not all(l < min(col) and max(col) <= h for l, h, col in zip(lo, c, cols)):
-            pts = [p for p in pts if all(l < x <= h for l, x, h in zip(lo, p, c))]
-            cols = list(zip(*pts))
-        idx = [0] * len(pts)
-        for l, s, col in zip(lo, g.strides, cols):
+        cols = _columns(self.small, self.m, self.c)
+        idx = [0] * len(cols[0]) if cols else []
+        for l, s, col in zip(g.lo, g.strides, cols):
             idx = [i + (x - l) * s for i, x in zip(idx, col)]
         bits = bytearray((math.prod(g.dims) + 7) // 8)
         for i in idx:
@@ -253,6 +250,16 @@ class SmallRep:
         member."""
         table = self.fiber_table if closed else self.open_table
         return table[J] >> self.index(alpha) & 1 == 1
+
+
+def _columns(pts: Iterable[Point], lo: Point, hi: Point) -> list[tuple[int, ...]]:
+    """The coordinate columns of the points that lie in [lo, hi]; the
+    per-point test runs only when the per-axis minima and maxima show that
+    some point lies outside."""
+    cols = list(zip(*pts))
+    if not all(l <= min(col) and max(col) <= h for l, h, col in zip(lo, hi, cols)):
+        cols = list(zip(*[p for p in pts if all(l <= x <= h for l, x, h in zip(lo, p, hi))]))
+    return cols
 
 
 def _repeat(block: int, width: int, n: int) -> int:
@@ -480,17 +487,30 @@ def equals(E1: SmallRep, E2: SmallRep) -> bool:
 
     Decided on [meet(m1,m2), join(c1,c2) + e]: outside that box membership of
     both sides is forced by their meet-with-conductor rules.
+
+    Two reps on one layout compare their grids instead.  A layout fixes m
+    (its corner is m - e) and, when no dim is 0, c (its top), so the box is
+    [m, c + e] and each window copies its grid bit for bit: bit t reads the
+    grid bit at min(t, c).  The copy reads every grid row but m_k - 1,
+    which :attr:`SmallRep.grid` leaves empty, so the windows are equal, or
+    one inside the other, exactly when the grids are.  A dim of 0 puts
+    c_k below m_k - 1 for both: both grids and both windows are 0.
     """
     _require_same_r(E1, E2)
     if E1 == E2:
         return True
+    if E1.layout == E2.layout:
+        return E1.grid == E2.grid
     box = _decision_box(E1, E2)
     return _window(E1, *box) == _window(E2, *box)
 
 
 def is_subset(E1: SmallRep, E2: SmallRep) -> bool:
-    """Inclusion of represented sets, decided on the shared box."""
+    """Inclusion of represented sets, decided on the shared box, or on the
+    grids when the two reps share a layout (see :func:`equals`)."""
     _require_same_r(E1, E2)
+    if E1.layout == E2.layout:
+        return E1.grid & ~E2.grid == 0
     box = _decision_box(E1, E2)
     return _window(E1, *box) & ~_window(E2, *box) == 0
 
@@ -544,6 +564,13 @@ class RegionSet:
     promoted: SmallRep
 
     def __post_init__(self) -> None:
+        # one dimension check, then the coordinate columns' extremes against
+        # the box; the points are walked only to name the first offender
+        lo, hi = self.box.lo, self.box.hi
+        if set(map(len, self.points)) <= {len(lo)} and all(
+                l <= min(col) and max(col) <= h
+                for l, h, col in zip(lo, hi, zip(*self.points))):
+            return
         for p in self.points:
             if p not in self.box:
                 raise ValueError(f"region point {p} outside box")
@@ -675,11 +702,54 @@ def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:
     return Layout.of(lo, hi).lowest(W) if W else None
 
 
-def _members_in(E: SmallRep, top: Point, dims: tuple[int, ...]) -> int:
-    """E's members over [m, top] in the layout of dims, based at m."""
-    e = ones(E.r)
-    return (_window(E, E.m, vadd(E.m, vsub(dims, e)))
-            & _box_mask(dims, vadd(vsub(top, E.m), e)))
+def _classes(E: SmallRep, strides: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """E's members in [m, c + e] as clamp classes, grouped as (K, offsets):
+    the members clamping to a small element s are s + {0,1}^K, K the
+    bitmask of the axes where s_k = c_k, and s sits at
+    sum((s_k - m_k) * strides[k]).  The offsets and K are summed one axis
+    at a time over all the small elements.  Small elements outside [m, c],
+    which only a rep failing :func:`validate` has, are left out, as
+    :attr:`SmallRep.grid` leaves them out (:func:`_columns`)."""
+    cols = _columns(E.small, E.m, E.c)
+    offs = Ks = [0] * len(cols[0]) if cols else []
+    for k, (a, b, stride, col) in enumerate(zip(E.m, E.c, strides, cols)):
+        offs = [o + (x - a) * stride for o, x in zip(offs, col)]
+        Ks = [K | (x == b) << k for K, x in zip(Ks, col)]
+    groups: dict[int, list[int]] = {}
+    for K, off in zip(Ks, offs):
+        groups.setdefault(K, []).append(off)
+    return list(groups.items())
+
+
+def _class_and(W: int, strides: Sequence[int], groups: list[tuple[int, list[int]]],
+               k: int = 0) -> int:
+    """The AND of W_K >> offset over the (K, offsets) of groups, W_K the
+    AND of W >> offset(t) over the t of the box {0,1}^K: bit x is set when
+    W holds x + offset + t for every t, read on x's whole class.
+
+    The axes go up from k.  At axis k a group with no axis left reads W as
+    it is; the groups with axis k go on with W & W >> strides[k], W ANDed
+    along k, and the rest with W, by recursion.  So each W_K prefix is
+    built once, and W is ANDed once per small element.
+    """
+    acc = -1
+    while groups:
+        on, rest = [], []
+        for group in groups:
+            K = group[0] >> k
+            if not K:
+                for off in group[1]:
+                    acc &= W >> off
+            elif K & 1:
+                on.append(group)
+            else:
+                rest.append(group)
+        if rest:
+            acc &= _class_and(W, strides, rest, k + 1)
+        if on:
+            W &= W >> strides[k]
+        groups, k = on, k + 1
+    return acc
 
 
 def _sum_failure(outer: SmallRep, inner: SmallRep,
@@ -689,24 +759,43 @@ def _sum_failure(outer: SmallRep, inner: SmallRep,
     as (o, i, o + i); None when every sum lands in target.
 
     One window W of target covers all the sums, with o + i at bit
-    offset(o - m_o) + offset(i - m_i).  For each o, the bits of the inner
-    members P that W >> offset(o - m_o) lacks are the failing i, and the
-    lowest one is the first.
+    offset(o - m_o) + offset(i - m_i).  The o whose sums all land in W are
+    the bits of the AND of W >> offset(i - m_i) over the members i of
+    inner, taken over inner's clamp classes (:func:`_classes`,
+    :func:`_class_and`), so the AND is one shift per small element and one
+    per prefix of class axes, not one per member.  The failing o are the
+    members of outer missing from it, the first is the lowest of them, and
+    its first failing i is the lowest member of inner that W >> offset(o)
+    lacks.  As the sum is symmetric, when outer is another ideal with no
+    more small elements than inner, the AND over its classes first gives
+    the i whose sums all land in W.  When that holds every member of inner
+    nothing fails and no members of outer are cut; only a failure takes
+    the AND over inner's classes to name it.
     """
     e = ones(target.r)
     lo = vadd(outer.m, inner.m)
     hi = vadd(vadd(outer.c, inner.c), vadd(e, e))
     W = _window(target, lo, hi)
     _, dims, strides = Layout.of(lo, hi)
-    P = _members_in(inner, vadd(inner.c, e), dims)
-    O = P if outer is inner else _members_in(outer, vadd(outer.c, e), dims)
-    for off in _bits(O):
-        bad = P & ~(W >> off)
-        if bad:
-            o = Layout(outer.m, dims, strides).point(off)
-            i = Layout(inner.m, dims, strides).lowest(bad)
-            return o, i, vadd(o, i)
-    return None
+
+    def members(E: SmallRep) -> int:
+        # E's members over [m, c + e], based at m; W is E's own window when
+        # E is the target and lo = m, as when outer holds 0 at its minimum
+        window = W if E is target and E.m == lo else _window(E, E.m, vadd(E.m, vsub(dims, e)))
+        return window & _box_mask(dims, vadd(vsub(E.c, E.m), vadd(e, e)))
+
+    P = members(inner)
+    if (outer is not inner and len(outer.small) <= len(inner.small)
+            and not P & ~_class_and(W, strides, _classes(outer, strides))):
+        return None
+    O = P if outer is inner else members(outer)
+    failing = O & ~_class_and(W, strides, _classes(inner, strides))
+    if not failing:
+        return None
+    off = (failing & -failing).bit_length() - 1
+    o = Layout(outer.m, dims, strides).point(off)
+    i = Layout(inner.m, dims, strides).lowest(P & ~(W >> off))
+    return o, i, vadd(o, i)
 
 
 def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point) -> set[Point]:

@@ -74,7 +74,10 @@ def test_canonical_ideal_on_the_semigroup_grid(ex2):
     semigroups = ([ex2, *_semigroups().values()] + [node(r) for r in range(1, 6)]
                   + numericals + products)
     for S in semigroups:
-        assert canonical_ideal(S).layout == S.layout, S
+        K = canonical_ideal(S)
+        assert K.layout == S.layout, S
+        # the region mask, handed over on promotion, is the grid K builds
+        assert vars(K)["grid"] == SmallRep(K.r, K.m, K.c, K.small).grid, S
 
 
 def test_cd_identity(n1, n2, ex2):

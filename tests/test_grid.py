@@ -16,13 +16,16 @@ dual on the box [lo, U + e] with its top row, the open table and mask E1/E2
 test that stepped entries with ``SmallRep.up``, the doubling loop of
 ``_Box.shift`` that the suffix OR of ``_Box.steps`` replaced, the dual box
 of ``duality._dual_box``, and the quotient of ``cd_difference`` on
-[m_J - c_I, U] with its capped fold over the top class of EI, and the
-per-point loop of ``SmallRep.grid``.  The fast
+[m_J - c_I, U] with its capped fold over the top class of EI, the
+per-point loop of ``SmallRep.grid``, the window comparisons of ``equals``
+and ``is_subset`` on reps of one layout, and the per-member loop of
+``_sum_failure``.  The fast
 paths must give the same reports, regions and first counterexamples, byte
 for byte.
 """
 import collections
 import functools
+import itertools
 import json
 import math
 import operator
@@ -59,6 +62,7 @@ from gsi.ideal import (
     _box_mask,
     _closed_fibers,
     _compatibility_failure,
+    _decision_box,
     _e2_fiber,
     _in_fiber,
     _least_conductor,
@@ -839,6 +843,144 @@ def test_first_counterexamples_match_point_sweeps():
                     assert check_sum(EJ, EI, cand).to_dict() == want, (name, EJ, EI)
                     failures["sum"] += not want["passed"]
     assert min(failures.values()) >= 20, failures
+
+
+def _old_members_in(E: SmallRep, top: Point, dims: tuple[int, ...]) -> int:
+    """E's members over [m, top] in the layout of dims, based at m."""
+    e = ones(E.r)
+    return (_window(E, E.m, vadd(E.m, vsub(dims, e)))
+            & _box_mask(dims, vadd(vsub(top, E.m), e)))
+
+
+def _old_sum_failure(outer: SmallRep, inner: SmallRep,
+                     target: SmallRep) -> tuple[Point, Point, Point] | None:
+    """The first o + i outside target, for o over the members of outer in
+    [m, c + e] and then i over those of inner, both in lexicographic order,
+    as (o, i, o + i); None when every sum lands in target.
+
+    One window W of target covers all the sums, with o + i at bit
+    offset(o - m_o) + offset(i - m_i).  For each o, the bits of the inner
+    members P that W >> offset(o - m_o) lacks are the failing i, and the
+    lowest one is the first.
+    """
+    e = ones(target.r)
+    lo = vadd(outer.m, inner.m)
+    hi = vadd(vadd(outer.c, inner.c), vadd(e, e))
+    W = _window(target, lo, hi)
+    _, dims, strides = Layout.of(lo, hi)
+    P = _old_members_in(inner, vadd(inner.c, e), dims)
+    O = P if outer is inner else _old_members_in(outer, vadd(outer.c, e), dims)
+    for off in _bits(O):
+        bad = P & ~(W >> off)
+        if bad:
+            o = Layout(outer.m, dims, strides).point(off)
+            i = Layout(inner.m, dims, strides).lowest(bad)
+            return o, i, vadd(o, i)
+    return None
+
+
+def _old_equals(E1: SmallRep, E2: SmallRep) -> bool:
+    """Equality of the represented (infinite) sets.
+
+    Decided on [meet(m1,m2), join(c1,c2) + e]: outside that box membership of
+    both sides is forced by their meet-with-conductor rules.
+    """
+    _require_same_r(E1, E2)
+    if E1 == E2:
+        return True
+    box = _decision_box(E1, E2)
+    return _window(E1, *box) == _window(E2, *box)
+
+
+def _old_is_subset(E1: SmallRep, E2: SmallRep) -> bool:
+    """Inclusion of represented sets, decided on the shared box."""
+    _require_same_r(E1, E2)
+    box = _decision_box(E1, E2)
+    return _window(E1, *box) & ~_window(E2, *box) == 0
+
+
+def _sweep_family() -> list[list[SmallRep]]:
+    """Per semigroup S of ``_semigroups()`` and node(1)-node(5): S, K(S)
+    and six ``random_good`` draws, each followed by its variants of one
+    layout (:func:`_one_layout_variants`)."""
+    semigroups = [*_semigroups().values(), *(node(r) for r in range(1, 6))]
+    family = []
+    for S in semigroups:
+        ideals = [S, canonical_ideal(S), *(random_good(S, seed) for seed in range(6))]
+        family.append([V for E in ideals for V in (E, *_one_layout_variants(E))])
+    return family
+
+
+def _one_layout_variants(E: SmallRep) -> list[SmallRep]:
+    """E with its middle small element other than m and c removed, with the
+    middle point of [m, c] outside E added, and with c + e added, when
+    there are such: reps on E's layout that mostly fail ``validate``."""
+    out = []
+    inner = sorted(E.small - {E.m, E.c})
+    if inner:
+        out.append(replace(E, small=E.small - {inner[len(inner) // 2]}))
+    gaps = [p for p in box_points(E.m, E.c) if p not in E.small]
+    if gaps:
+        out.append(replace(E, small=E.small | {gaps[len(gaps) // 2]}))
+    out.append(replace(E, small=E.small | {vadd(E.c, ones(E.r))}))
+    return out
+
+
+def test_equals_and_is_subset_on_one_layout_match_windows():
+    # reps on one layout compare grids; the former window bodies decide
+    # every ordered pair of one layout alike, invalid reps included
+    pairs = 0
+    for ideals in _sweep_family():
+        by_layout = collections.defaultdict(list)
+        for E in ideals:
+            by_layout[E.layout].append(E)
+        for group in by_layout.values():
+            for E1 in group:
+                for E2 in group:
+                    assert equals(E1, E2) == _old_equals(E1, E2), (E1, E2)
+                    assert is_subset(E1, E2) == _old_is_subset(E1, E2), (E1, E2)
+                    pairs += E1 != E2
+    assert pairs >= 700, pairs
+
+
+def _outer_first(outer: SmallRep, inner: SmallRep) -> bool:
+    """Whether ``_sum_failure`` ANDs over outer's clamp classes first."""
+    return outer is not inner and len(outer.small) <= len(inner.small)
+
+
+def test_sum_failure_matches_per_member_loop(data_dir):
+    # the same first (o, i, o + i) as the former loop over outer's members,
+    # on every triple of S, K(S) and the draws, so that semigroup and
+    # compatibility failures compare their first counterexamples, and the
+    # loop over outer's classes runs with and without a failure to name
+    sides = collections.Counter()
+    for ideals in _sweep_family():
+        valid = [E for E in ideals if validate(E).passed]
+        for outer in valid:
+            for inner in valid:
+                for target in valid:
+                    got = _sum_failure(outer, inner, target)
+                    assert got == _old_sum_failure(outer, inner, target), (outer, inner, target)
+                    sides[_outer_first(outer, inner), got is None] += 1
+        # E + E <= E and S + E <= E on the reps of one layout that fail validate
+        S = ideals[0]
+        for E in ideals:
+            for outer in (E, S):
+                got = _sum_failure(outer, E, E)
+                assert got == _old_sum_failure(outer, E, E), (outer, E)
+                sides[_outer_first(outer, E), got is None] += 1
+    # the failing documents: broken.gsi misses a meet, and the E1 and
+    # conductor examples of from_small_elements, unvalidated
+    documents = [_document_rep((data_dir / "broken.gsi").read_text()),
+                 SmallRep(2, (0, 0), (5, 5), frozenset({(0, 0), (3, 4), (4, 3), (5, 5)})),
+                 SmallRep(2, (0, 0), (2, 2), frozenset({(0, 0), (1, 2), (2, 1), (2, 2)}))]
+    semigroups = [S for S in _semigroups().values() if S.r == 2]
+    for E in documents:
+        for outer in (E, *semigroups):
+            got = _sum_failure(outer, E, E)
+            assert got == _old_sum_failure(outer, E, E), (outer, E)
+            sides[_outer_first(outer, E), got is None] += 1
+    assert min(sides[key] for key in itertools.product((True, False), repeat=2)) >= 20, sides
 
 
 def test_cd_difference_matches_point_quantifier():

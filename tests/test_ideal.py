@@ -71,6 +71,8 @@ def test_cross_dimension_inputs(ex2, n2):
 def test_region_point_outside_box(node2):
     with pytest.raises(ValueError, match=r"^region point \(2, 2\) outside box$"):
         RegionSet(2, Box((0, 0), (1, 1)), frozenset({(0, 0), (2, 2)}), node2)
+    with pytest.raises(DimensionMismatch, match=r"^points of dimension 2 and 3$"):
+        RegionSet(2, Box((0, 0), (1, 1)), frozenset({(0, 0), (1, 1, 1)}), node2)
 
 
 def test_validate_fixtures(ex2, n1, n2, node2):
@@ -245,10 +247,15 @@ def test_equals_on_equal_reps_builds_no_window(ex2, node3, monkeypatch):
     def no_window(*args):
         raise AssertionError("equal representations built a window")
 
+    K = canonical_ideal(node3)  # node(3) is not Gorenstein: K differs from it
     monkeypatch.setattr(ideal, "_window", no_window)
     for E in (ex2, node3):
         assert equals(E, E)
         assert equals(E, SmallRep(E.r, E.m, E.c, E.small))
+    # unequal reps on one layout compare grids, and so does inclusion
+    assert K.layout == node3.layout
+    assert not equals(node3, K) and not equals(K, node3)
+    assert is_subset(node3, K) and not is_subset(K, node3)
 
 
 def test_equals_differently_normalized(n1):

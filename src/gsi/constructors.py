@@ -7,9 +7,11 @@ and drawn data only) and runs full axiom validation once before returning.
 ``random_good`` draws once: it grows its sample by rounds of meets,
 compatibility with S and E2 witnesses on one bit mask of its box
 (``_closure_fixpoint``), each step a few shifts, ANDs and ORs of masks, and
-decodes the mask once for ``from_small_elements``.  Its meets and E2
-demands are read through the helpers that ``validate`` reads them through
-(``ideal._meets``, ``ideal._open_fibers`` and ``ideal._failing_demands``).
+decodes the mask once for ``from_small_elements``.  Its row masks and
+moves come from the row family of its box (``ideal.Rows``), the one every
+ideal's grid has too, and its meets and E2 demands are read through the
+steps that ``validate`` reads them through (``ideal._meets``,
+``Rows.up`` and ``ideal._failing_demands``).
 That fixpoint is always a good ideal compatible with S (the proof is in
 ``_closure_fixpoint``), so the draw needs no retry.  All constructors are
 deterministic given their inputs plus seed.
@@ -22,17 +24,15 @@ import random
 from .errors import SoundnessError, ValidationError
 from .ideal import (
     Layout,
+    Rows,
     SmallRep,
     _bits,
     _box_mask,
     _closed_fibers,
     _compatibility_failure,
-    _doubling_steps,
     _failing_demands,
     _least_conductor,
     _meets,
-    _open_fibers,
-    _repeat,
     validate,
 )
 from .lattice import Point, leq, meet, ones, zero
@@ -120,71 +120,22 @@ def product(A: SmallRep, B: SmallRep) -> SmallRep:
     return rep
 
 
-class _Box:
-    """The box [m, c] as bit masks in ``layout`` (``ideal.Layout``, whose
-    bit order is lexicographic order), holding a point set, which, unlike
-    an ideal, has no row below m and nothing past c; its open fibers still
-    keep the top row, as on an ideal's grid (``ideal._open_fibers``, and
-    ``_e2_repairs`` for why that changes no repair).  Per axis k and row
-    offset v, ``below[k][v]`` is the mask of the points p with
-    t_k = p_k - m_k < v (``below[k][d_k - 1]``, the points below the top
-    row, is the ``below_top`` of the E1/E2 helpers of ``ideal``), and
-    ``eq`` and ``ge`` those with t_k = v and t_k >= v (so t_k > v is
-    ``ge[k][v + 1]``).
-    ``steps[k]`` holds the doubling steps of a suffix OR along axis k, the
-    (shift, keep) pairs of ``ideal._doubling_steps``, taken once per box:
-    the fiber tables (``ideal._closed_fibers``) of every round and
-    ``shift`` take them."""
-
-    def __init__(self, m: Point, c: Point):
-        self.layout = layout = Layout.of(m, c)
-        size = math.prod(layout.dims)
-        whole = layout.whole
-        self.steps = [list(_doubling_steps(layout, k)) for k in range(len(m))]
-        self.below, self.eq, self.ge = [], [], []
-        for d, s in zip(layout.dims, layout.strides):
-            starts = _repeat(1, d * s, size // (d * s))  # bit 0 of each k-line
-            below = [((1 << v * s) - 1) * starts for v in range(d + 1)]
-            self.below.append(below)
-            self.eq.append([below[v + 1] ^ below[v] for v in range(d)])
-            self.ge.append([whole ^ b for b in below])
-
-    def fiber(self, mask: int, t: Point, J: int, closed: bool) -> int:
-        """The points of mask equal to t on the axes of J and at least t
-        (closed) or above t (open) on the others."""
-        for k, v in enumerate(t):
-            if not mask:
-                break
-            mask &= self.eq[k][v] if J >> k & 1 else self.ge[k][v if closed else v + 1]
-        return mask
-
-    def shift(self, M: int, d: tuple[int, ...]) -> int:
-        """T_d(M): every t of M sent to min(t + d, c - m), one axis at a
-        time: rows move up d_k, and the top d_k + 1 rows, ORed together on
-        row low = c_k - m_k - d_k by the suffix OR of ``steps[k]``, land on
-        the top row."""
-        for k, dk in enumerate(d):
-            if dk:
-                s, low = self.layout.strides[k], self.layout.dims[k] - 1 - dk
-                top = M
-                for shift, keep in self.steps[k]:
-                    top |= top >> shift & keep
-                M = (M & self.below[k][low] | top & self.eq[k][low]) << dk * s
-        return M
-
-
-def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
-    """The points the E2 step adds to M, as a mask, T the closed fibers of
-    M (``ideal._closed_fibers``).
+def _e2_repairs(rows: Rows, M: int, T: list[int]) -> int:
+    """The points the E2 step adds to M, as a mask over the draw box [m, c]
+    of ``rows`` (``ideal.Rows``), T the closed fibers of M
+    (``ideal._closed_fibers``).
 
     A pair of M that agrees exactly on K and meets at t demands, at k in K
     with t_k < c_k, a point of M in the closed J-fiber of x = t + e_k,
     J = full ^ K; ``ideal._failing_demands`` gives those failing on M, read
-    off T and the open fibers O (``ideal._open_fibers``) over the box.
+    off T and the open fibers O (``Rows.up``) over the box.
 
-    O keeps the top row of each free axis, as on an ideal's grid, though M
-    has nothing past c.  Where t is below the top row on every axis of J,
-    the two rules read the same bits.  At a t on the top row of an axis j
+    The box, unlike an ideal's grid, has no row m - e; its bit order is
+    lexicographic order all the same, so the replay below, keyed by bits,
+    runs in the order of the points.  O keeps the top row of each free
+    axis, as on an ideal's grid, though M has nothing past c.  Where t is
+    below the top row on every axis of J, the two rules read the same
+    bits.  At a t on the top row of an axis j
     of J, O shows pairs whose points both sit at c_j, so they agree on
     K | e_j.  In the box, the closed J-fiber of x equals the closed
     (J ^ e_j)-fiber, as x_j = c_j, and O's entries at t equal those with j
@@ -211,31 +162,30 @@ def _e2_repairs(box: _Box, M: int, T: list[int]) -> int:
     the open (K | J ^ Z)-fiber of t), so whole patterns Z are dropped until
     the least point left has one.
     """
-    _, dims, strides = box.layout
+    _, dims, strides = rows.layout
     offsets = Layout(zero(len(dims)), dims, strides)  # bits read as row offsets t
     full = len(T) - 1
-    below_top = [below[d - 1] for below, d in zip(box.below, dims)]
-    O = _open_fibers(T, strides, below_top)
+    O = rows.up(T)
     demands = []
-    for K, union, failing in _failing_demands(T, O, strides, below_top):
+    for K, union, failing in _failing_demands(T, O, rows):
         J = full ^ K
         for j in _bits(J):  # the meets on the top row of j repeat demands of K | e_j
-            union &= below_top[j]
+            union &= rows.top[j]
         for i in _bits(union):
             t = offsets.point(i)
-            G = box.fiber(M, t, K, True)
+            G = rows.fiber(M, t, K, True)
             while True:
                 a = (G & -G).bit_length() - 1
                 Z = sum(1 << j for j, (u, v) in enumerate(zip(offsets.point(a), t))
                         if J >> j & 1 and u == v)
                 if O[K | J ^ Z] >> i & 1:
                     break
-                G &= ~box.fiber(-1, t, K | Z, False)
+                G &= ~rows.fiber(-1, t, K | Z, False)
             demands += [(a, i + strides[k], J, t[:k] + (t[k] + 1,) + t[k + 1:])
                         for k, F in failing.items() if F >> i & 1]
     added = 0
     for _, bit, J, x in sorted(demands):
-        if not box.fiber(added, x, J, True):
+        if not rows.fiber(added, x, J, True):
             added |= 1 << bit
     return added
 
@@ -247,7 +197,9 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     ``random_good`` ensures, and S, when given, is a semigroup (its small
     elements are >= 0).
 
-    The set is one mask M over the box (``_Box``), decoded once at the end.
+    The set is one mask M over the box, decoded once at the end; its row
+    masks are those of the box's row family (``ideal.Rows``), every row and
+    each axis's suffix-OR steps built once per call.
     With S, the top sub-box [min(m + c(S), c), c] is put in first, since
     c <= m + c(S) must hold.  Each round then runs:
 
@@ -261,7 +213,7 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     p of M as it stands, M |= T_d(M).  As s >= 0 and p >= m, the k-th
     coordinate min(s_k + p_k, c_k) equals min(d_k + p_k, c_k) for
     d = min(s, c - m): both are c_k once s_k >= c_k - m_k.  So T_d depends
-    on d alone and acts on each axis's rows apart (``_Box.shift``).  d = 0
+    on d alone and acts on each axis's rows apart (``Rows.shift``).  d = 0
     is the identity, and d = c - m sends every point to c, which is in M;
     both are skipped.
 
@@ -303,8 +255,9 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     So ``from_small_elements`` accepts P and ``_compatibility_failure``
     finds nothing, and ``random_good`` needs no second draw.
     """
-    box = _Box(m, c)
-    layout = box.layout
+    rows = Rows(Layout.of(m, c))
+    layout = rows.layout
+    steps = [list(rows.steps(k)) for k in range(r)]
     M = 0
     for p in pts:
         M |= 1 << layout.index(p)
@@ -321,13 +274,13 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     prev = None
     while M != prev:
         prev = M
-        T = _closed_fibers(M, box.steps)
+        T = _closed_fibers(M, steps)
         M |= _meets(T)
         for d in shifts:
-            M |= box.shift(M, d)
+            M |= rows.shift(M, d, steps)
         if M != prev:  # else the round's fibers are still M's
-            T = _closed_fibers(M, box.steps)
-        M |= _e2_repairs(box, M, T)
+            T = _closed_fibers(M, steps)
+        M |= _e2_repairs(rows, M, T)
     return set(layout.points(M))
 
 

@@ -3,13 +3,14 @@
 For a nonempty J inside {1..r}, the open fiber of alpha holds the members
 agreeing with alpha on J and strictly larger elsewhere; the closed fiber
 relaxes strict to weak.  Each answer is one bit, at alpha clamped into
-[m - e, c] (:meth:`SmallRep.index`), of the fiber table for a single fiber
-and of the (p, q) layers (:attr:`SmallRep.fiber_layers`) for emptiness, p, q
-and maximal points.  Once the table says a fiber is occupied,
-:func:`fiber_witness` names its first member in a capped box it builds
-itself (the pinned axes at alpha, each free axis from alpha or alpha + 1 up
-to the conductor); the maximal points are the grid mask's set bits off the
-layer P[1].
+[m - e, c] (:meth:`SmallRep.index`), of the closed fiber table for a single
+fiber (an open one reads it at alpha + e on the free axes,
+:meth:`SmallRep.fiber_occupied`) and of the (p, q) layers
+(:attr:`SmallRep.fiber_layers`) for emptiness, p, q and maximal points.
+Once the table says a fiber is occupied, :func:`fiber_witness` names its
+first member in a capped box it builds itself (the pinned axes at alpha,
+each free axis from alpha or alpha + 1 up to the conductor); the maximal
+points are the grid mask's set bits off the layer P[1].
 """
 from __future__ import annotations
 

@@ -20,13 +20,17 @@ order lexicographic order, so a mask's lowest set bit, read as a point by
 index set, closed and open) and the (p, q) layers (a mask per fiber size)
 live on that grid too.  ``validate`` decides E1 and E2 for all pairs of
 small elements from a few ANDs of table entries when the grid is no larger
-than the number of pairs (``_pairs_good``).  The mask algebra of the two
-axioms has one home, three helpers that read a closed table and, for E2,
-the strides of its layout and, per axis, the points below the top row:
-``_meets`` (E1's meets), ``_open_fibers`` (the one step from closed fibers
-to open ones, the top row kept) and ``_failing_demands`` (E2's failing
-demands).  ``validate`` reads them on an ideal's grid and
-``constructors.random_good`` on its draw box [m, c].  Box questions read
+than the number of pairs (``_pairs_good``).  Every per-axis row mask of a
+layout comes from its one row family, :class:`Rows`: the rows below a
+row, the suffix-OR steps behind the closed tables, the points on and at
+or above each row, and the moves built of them (a read-up, an up-move and
+a fiber cut).  A rep keeps its grid's family (:attr:`SmallRep.rows`).
+The mask algebra of the two axioms has one home, three steps that read
+a closed table and the family of its layout: ``_meets`` (E1's meets),
+:meth:`Rows.up` (the one step from closed fibers to open ones, the top
+row kept) and ``_failing_demands`` (E2's failing demands).  ``validate``
+reads them on an ideal's grid and ``constructors.random_good`` on its
+draw box [m, c].  Box questions read
 masks: ``members`` lists the set bits of E's window over a box
 (``_window``, which cuts a table entry or layer the same way, in r passes
 of whole-integer shifts and masks, one per axis), ``search_member`` reads
@@ -49,6 +53,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
@@ -187,22 +193,21 @@ class SmallRep:
         point on J and at least it elsewhere) of grid point t is nonempty
         (:func:`_closed_fibers`).
         """
-        return tuple(_closed_fibers(
-            self.grid, [_doubling_steps(self.layout, k) for k in range(self.r)]))
+        return tuple(_closed_fibers(self.grid, [self.rows.steps(k) for k in range(self.r)]))
 
     @cached_property
     def open_table(self) -> tuple[int, ...]:
         """Occupied open fibers as grid masks, indexed like
         :attr:`fiber_table`: the open J-fiber of t is the closed one at
-        t + 1 on the free axes, clamped into the grid (:func:`_open_fibers`)."""
-        return tuple(_open_fibers(self.fiber_table, self.layout.strides, self._below_top))
+        t + 1 on the free axes, clamped into the grid (:meth:`Rows.up`)."""
+        return tuple(self.rows.up(self.fiber_table))
 
     @cached_property
-    def _below_top(self) -> tuple[int, ...]:
-        """Per axis k, the grid points below the top row of axis k."""
-        dims = self.layout.dims
-        return tuple(_box_mask(dims, dims[:k] + (dims[k] - 1,) + dims[k + 1:])
-                     for k in range(self.r))
+    def rows(self) -> Rows:
+        """The row family of :attr:`layout`.  The rep reads its ``top``
+        only; the fiber table takes its steps as they are built, so no step
+        or other row is kept (a grid may have thousands of rows)."""
+        return Rows(self.layout)
 
     @cached_property
     def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -242,14 +247,19 @@ class SmallRep:
 
     def fiber_occupied(self, alpha: Point, J: int, closed: bool = False) -> bool:
         """Whether the J-fiber of alpha (J a bitmask of 0-based axes) meets E:
-        one bit of :attr:`fiber_table` (closed) or :attr:`open_table`
-        (open), read at alpha clamped (:meth:`index`).  Read there, the open
-        entry is the closed fiber at alpha + 1 on the free axes, clamped:
-        where alpha_k < m_k - 1 it reads row m_k and the closed fiber at
-        alpha + e_k row m_k - 1, which agree as row m_k - 1 holds no
-        member."""
-        table = self.fiber_table if closed else self.open_table
-        return table[J] >> self.index(alpha) & 1 == 1
+        one bit of :attr:`fiber_table` entry J, read at alpha clamped
+        (:meth:`index`) when closed.  The open J-fiber of alpha is the
+        closed one at alpha + 1 on the free axes, so the open bit is the
+        closed entry read at that point clamped, the read-up of
+        :meth:`Rows.up` in index form, and :attr:`open_table` is not
+        built.
+        It is the open entry's bit at alpha: on a free axis the clamp of
+        alpha_k + 1 is the row above alpha's clamped row, or the top row
+        c_k when alpha_k >= c_k, and where alpha_k < m_k - 1 it is row
+        m_k - 1 and the open entry reads row m_k, which agree as row
+        m_k - 1 holds no member."""
+        alpha = alpha if closed else tuple([a + (~J >> k & 1) for k, a in enumerate(alpha)])
+        return self.fiber_table[J] >> self.index(alpha) & 1 == 1
 
 
 def _columns(pts: Iterable[Point], lo: Point, hi: Point) -> list[tuple[int, ...]]:
@@ -286,6 +296,97 @@ def _box_mask(dims: tuple[int, ...], sub: tuple[int, ...]) -> int:
     return mask
 
 
+class Rows:
+    """The row masks of one :class:`Layout`, all of them runs from one
+    formula, :meth:`below`: per axis k, ``top`` holds the points below the
+    top row, :meth:`steps` the doubling steps of a suffix OR along k, and
+    ``eq`` and ``ge`` the points on and at or above each row (so
+    t_k > v is ``ge[k][v + 1]``).  On them sit the read-up (:meth:`up`),
+    the up-move T_d (:meth:`shift`) and the cut of a fiber
+    (:meth:`fiber`).  ``top``, ``eq`` and ``ge`` are built on first use
+    and steps when taken: a rep's family (:attr:`SmallRep.rows`) keeps
+    ``top`` only, and a draw (``constructors._closure_fixpoint``) lists
+    every row and its steps once for its small box."""
+
+    def __init__(self, layout: Layout):
+        self.layout = layout
+
+    def below(self, k: int, v: int) -> int:
+        """The points with t_k < v: a run of v rows repeated once per
+        k-line, the lines being as many as the points of the earlier
+        axes."""
+        dims, s = self.layout.dims, self.layout.strides[k]
+        return _repeat((1 << v * s) - 1, dims[k] * s, math.prod(dims[:k]))
+
+    @cached_property
+    def top(self) -> tuple[int, ...]:
+        """Per axis k, the points below the top row of k."""
+        return tuple([self.below(k, d - 1) for k, d in enumerate(self.layout.dims)])
+
+    def steps(self, k: int) -> Iterator[tuple[int, int]]:
+        """The steps s = 1, 2, 4, ... < d_k of a suffix OR along axis k, as
+        (shift, keep) pairs built when taken: before a step a bit holds the
+        OR of s bits, after it of 2s, and the keep mask ``below(k, d_k - s)``
+        stops a shifted bit from crossing into the next k-line."""
+        d, stride = self.layout.dims[k], self.layout.strides[k]
+        for i in range((d - 1).bit_length()):
+            yield stride << i, self.below(k, d - (1 << i))
+
+    @cached_property
+    def eq(self) -> tuple[tuple[int, ...], ...]:
+        """Per axis k and row v < d_k, the points with t_k = v: row 0,
+        ``below(k, 1)``, moved up v rows."""
+        _, dims, strides = self.layout
+        firsts = [self.below(k, 1) for k in range(len(dims))]
+        return tuple([tuple([row << v * s for v in range(d)])
+                      for row, d, s in zip(firsts, dims, strides)])
+
+    @cached_property
+    def ge(self) -> tuple[tuple[int, ...], ...]:
+        """Per axis k and row v <= d_k, the points with t_k >= v: the OR of
+        the rows from v up."""
+        return tuple([tuple(accumulate(reversed(eq), or_, initial=0))[::-1] for eq in self.eq])
+
+    def up(self, T: Sequence[int]) -> list[int]:
+        """The read-up of a table T of masks indexed by bitmasks J of axes,
+        closed fibers to open ones: entry J has bit t read at t + e_k along
+        every axis k that J leaves free, clamped into the box, so on the
+        top row of k, where t + e_k leaves it, at t_k itself.  This is the
+        one place closed fibers become open ones.  The mask shifted down a
+        row is merged into the mask through ``top[k]`` as
+        a ^ (a ^ b) & top, which holds fewer whole-grid temporaries at once
+        than two ANDs and an OR."""
+        O = list(T)
+        for k, (s, keep) in enumerate(zip(self.layout.strides, self.top)):
+            for J in range(len(O)):
+                if not J >> k & 1:
+                    O[J] = (O[J] >> s ^ O[J]) & keep ^ O[J]
+        return O
+
+    def fiber(self, mask: int, t: Point, J: int, closed: bool) -> int:
+        """The points of mask equal to the row offsets t on the axes of J and
+        at least t (closed) or above t (open) on the others."""
+        for k, v in enumerate(t):
+            if not mask:
+                break
+            mask &= self.eq[k][v] if J >> k & 1 else self.ge[k][v if closed else v + 1]
+        return mask
+
+    def shift(self, M: int, d: Point, steps: Sequence[list[tuple[int, int]]]) -> int:
+        """T_d(M): every t of M sent to min(t + d, dims - e), one axis at a
+        time: rows move up d_k, and the top d_k + 1 rows of the n rows of
+        k, ORed together on row low = n - 1 - d_k by the suffix OR of
+        ``steps[k]`` (:meth:`steps`, listed once by the caller), land on
+        the top row."""
+        for k, (dk, n, s) in enumerate(zip(d, self.layout.dims, self.layout.strides)):
+            if dk:
+                low, fold = n - 1 - dk, M
+                for shift, keep in steps[k]:
+                    fold |= fold >> shift & keep
+                M = (M & ~self.ge[k][low] | fold & self.eq[k][low]) << dk * s
+        return M
+
+
 def _closed_fibers(mask: int, steps: Sequence[Iterable[tuple[int, int]]]) -> list[int]:
     """The closed fibers of a point set, one mask per bitmask J of axes:
     bit t of entry J is set when some point of the mask equals t on the
@@ -295,7 +396,7 @@ def _closed_fibers(mask: int, steps: Sequence[Iterable[tuple[int, int]]]) -> lis
     suffix-ORs the entry with its lowest free axis k pinned along k, so a
     bit takes the OR of the bits at or above it on its k-line, by
     shift-and-OR with the doubling steps ``steps[k]`` of
-    :func:`_doubling_steps`.  The entries of k depend only on entries of
+    :meth:`Rows.steps`.  The entries of k depend only on entries of
     higher axes, so the axes run from the last down, and each step of k is
     taken once for all entries of k.
     """
@@ -310,19 +411,6 @@ def _closed_fibers(mask: int, steps: Sequence[Iterable[tuple[int, int]]]) -> lis
             for J in group:
                 T[J] |= T[J] >> shift & keep
     return T
-
-
-def _doubling_steps(layout: Layout, k: int) -> Iterator[tuple[int, int]]:
-    """The steps s = 1, 2, 4, ... < d_k of a suffix OR along axis k of a
-    layout, as (shift, keep) pairs built when taken: before a step a bit
-    holds the OR of s bits, after it of 2s, and the keep mask (the points
-    with t_k < d_k - s, a run of d_k - s rows repeated once per k-line)
-    stops a shifted bit from crossing into the next k-line."""
-    d, stride = layout.dims[k], layout.strides[k]
-    lines = math.prod(layout.dims) // (d * stride)
-    for i in range((d - 1).bit_length()):
-        s = 1 << i
-        yield s * stride, _repeat((1 << (d - s) * stride) - 1, d * stride, lines)
 
 
 def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
@@ -629,24 +717,8 @@ def _meets(T: Sequence[int]) -> int:
     return _split_pairs(T, 0, len(T) - 1)
 
 
-def _open_fibers(T: Sequence[int], strides: Sequence[int],
-                 below_top: Sequence[int]) -> list[int]:
-    """The open fibers of a point set, T its closed fibers: the open
-    J-fiber of t is the closed one at t + 1 on the free axes, clamped, so
-    each closed entry is stepped one row up along every free axis k (bit t
-    reads t + e_k), the top row of k staying put.  This is the one place
-    closed fibers become open ones."""
-    O = list(T)
-    for k, (s, keep) in enumerate(zip(strides, below_top)):
-        top = ~keep
-        for J in range(1, len(O)):
-            if not J >> k & 1:
-                O[J] = O[J] >> s & keep | O[J] & top
-    return O
-
-
-def _failing_demands(T: Sequence[int], O: Sequence[int], strides: Sequence[int],
-                     below_top: Sequence[int]) -> Iterator[tuple[int, int, dict[int, int]]]:
+def _failing_demands(T: Sequence[int], O: Sequence[int],
+                     rows: Rows) -> Iterator[tuple[int, int, dict[int, int]]]:
     """The E2 demands that fail, per set K of agreeing axes (0 < K < full,
     ascending) that has one: K, the mask of the meets t with a failing
     demand, and per axis i of K with failures the mask of those failing
@@ -657,10 +729,11 @@ def _failing_demands(T: Sequence[int], O: Sequence[int], strides: Sequence[int],
     (K | Ja)-fiber of t and b in the open (K | Jb)-fiber, so the t with
     such a pair are ``pairs`` (:func:`_split_pairs`).  At i in K the pair
     demands a point in the closed J-fiber of t + e_i, T[J] shifted down a
-    row along i; the failing ones are ``pairs & below_top[i] &
+    row along i; the failing ones are ``pairs & rows.top[i] &
     ~(T[J] >> strides[i])``.  The top row of i is not tested, where t + e_i
     leaves the box.  A K with no pairs shifts no entry."""
     full = len(T) - 1
+    strides, top = rows.layout.strides, rows.top
     for K in range(1, full):
         J = full ^ K
         pairs = _split_pairs(O, K, J)
@@ -668,7 +741,7 @@ def _failing_demands(T: Sequence[int], O: Sequence[int], strides: Sequence[int],
             failing, union = {}, 0
             for i in range(len(strides)):
                 if K >> i & 1:
-                    F = pairs & below_top[i] & ~(T[J] >> strides[i])
+                    F = pairs & top[i] & ~(T[J] >> strides[i])
                     if F:
                         failing[i] = F
                         union |= F
@@ -689,7 +762,7 @@ def _pairs_good(E: SmallRep) -> bool:
     T = E.fiber_table
     if _meets(T) & ~E.grid:
         return False
-    return not any(_failing_demands(T, E.open_table, E.layout.strides, E._below_top))
+    return not any(_failing_demands(T, E.open_table, E.rows))
 
 
 def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:

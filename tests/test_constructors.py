@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gsi import constructors, duality
 from gsi.constructors import (
-    _Box,
     _closure_fixpoint,
     from_small_elements,
     node,
@@ -24,12 +23,12 @@ from gsi.fiber import fiber_empty, maximals
 from gsi.gsi_format import emit_gsi
 from gsi.ideal import (
     Layout,
+    Rows,
     SmallRep,
     _bits,
     _e2_fiber,
     _failing_demands,
     _least_conductor,
-    _open_fibers,
     _split_pairs,
     frobenius,
     members,
@@ -613,14 +612,15 @@ def test_box_shift_is_its_definition():
         r = rng.randint(1, 3)
         m = tuple(rng.randint(-2, 2) for _ in range(r))
         c = tuple(x + rng.randint(0, 5) for x in m)
-        box = _Box(m, c)
-        layout = box.layout
+        rows = Rows(Layout.of(m, c))
+        layout = rows.layout
+        steps = [list(rows.steps(k)) for k in range(r)]
         density = rng.choice((0.0, 0.1, 0.5, 1.0))
         pts = {p for p in box_points(m, c) if rng.random() < density}
         M = sum(1 << layout.index(p) for p in pts)
         for d in box_points(zero(r), vsub(c, m)):
             want = {tuple(map(min, vadd(p, d), c)) for p in pts}
-            assert set(layout.points(box.shift(M, d))) == want, (m, c, sorted(pts), d)
+            assert set(layout.points(rows.shift(M, d, steps))) == want, (m, c, sorted(pts), d)
 
 
 def test_closure_fixpoint_makes_no_meet_or_vadd_calls(monkeypatch):
@@ -659,8 +659,8 @@ def test_closure_fixpoint_makes_no_meet_or_vadd_calls(monkeypatch):
 # The E2 step of constructors._closure_fixpoint as it was while its open
 # fibers were empty past c, kept verbatim (under an _old_ name) as the
 # reference for the step on the grid's open-fiber rule, which keeps the top
-# row (ideal._open_fibers).
-def _old_e2_repairs(box: _Box, M: int, T: list[int]) -> int:
+# row (ideal.Rows.up).
+def _old_e2_repairs(rows: Rows, M: int, T: list[int]) -> int:
     """The points the E2 step adds to M, as a mask, T the closed fibers of
     M (``ideal._closed_fibers``).
 
@@ -690,7 +690,7 @@ def _old_e2_repairs(box: _Box, M: int, T: list[int]) -> int:
     the open (K | J ^ Z)-fiber of t), so whole patterns Z are dropped until
     the least point left has one.
     """
-    _, dims, strides = box.layout
+    _, dims, strides = rows.layout
     r = len(dims)
     offsets = Layout(zero(r), dims, strides)  # bits read as row offsets t
     full = (1 << r) - 1
@@ -698,7 +698,7 @@ def _old_e2_repairs(box: _Box, M: int, T: list[int]) -> int:
     for J in range(1, full):
         for k in range(r):
             if not J >> k & 1:
-                O[J] = O[J] >> strides[k] & box.below[k][dims[k] - 1]
+                O[J] = O[J] >> strides[k] & rows.top[k]
     demands = []
     for K in range(1, full):
         J = full ^ K
@@ -706,33 +706,33 @@ def _old_e2_repairs(box: _Box, M: int, T: list[int]) -> int:
         failing, union = {}, 0
         for k in range(r):
             if K >> k & 1:
-                F = pairs & box.below[k][dims[k] - 1] & ~(T[J] >> strides[k])
+                F = pairs & rows.top[k] & ~(T[J] >> strides[k])
                 if F:
                     failing[k] = F
                     union |= F
         for i in _bits(union):
             t = offsets.point(i)
-            G = box.fiber(M, t, K, True)
+            G = rows.fiber(M, t, K, True)
             while True:
                 a = (G & -G).bit_length() - 1
                 Z = sum(1 << j for j, (u, v) in enumerate(zip(offsets.point(a), t))
                         if J >> j & 1 and u == v)
                 if O[K | J ^ Z] >> i & 1:
                     break
-                G &= ~box.fiber(-1, t, K | Z, False)
+                G &= ~rows.fiber(-1, t, K | Z, False)
             demands += [(a, i + strides[k], J, t[:k] + (t[k] + 1,) + t[k + 1:])
                         for k, F in failing.items() if F >> i & 1]
     added = 0
     for _, bit, J, x in sorted(demands):
-        if not box.fiber(added, x, J, True):
+        if not rows.fiber(added, x, J, True):
             added |= 1 << bit
     return added
 
 
-def _failing_bits(T: list[int], O: list[int], strides, below_top) -> set[tuple[int, int]]:
+def _failing_bits(T: list[int], O: list[int], rows: Rows) -> set[tuple[int, int]]:
     """The (K, t) of the failing E2 demands, t a meet of a pair agreeing
     exactly on K."""
-    return {(K, t) for K, union, _ in _failing_demands(T, O, strides, below_top)
+    return {(K, t) for K, union, _ in _failing_demands(T, O, rows)
             for t in _bits(union)}
 
 
@@ -744,19 +744,17 @@ def test_e2_repairs_match_empty_past_c_reference(monkeypatch):
 
     seen = collections.Counter()
 
-    def checked(box, M, T, e2_repairs=constructors._e2_repairs):
-        got = e2_repairs(box, M, T)
-        assert got == _old_e2_repairs(box, M, T), (box.layout, M)
-        _, dims, strides = box.layout
-        below_top = [below[d - 1] for below, d in zip(box.below, dims)]
+    def checked(rows, M, T, e2_repairs=constructors._e2_repairs):
+        got = e2_repairs(rows, M, T)
+        assert got == _old_e2_repairs(rows, M, T), (rows.layout, M)
         empty = list(T)  # the open fibers empty past c
         for J in range(1, len(T) - 1):
-            for k, (s, keep) in enumerate(zip(strides, below_top)):
+            for k, (s, keep) in enumerate(zip(rows.layout.strides, rows.top)):
                 if not J >> k & 1:
                     empty[J] = empty[J] >> s & keep
-        kept = _failing_bits(T, _open_fibers(T, strides, below_top), strides, below_top)
+        kept = _failing_bits(T, rows.up(T), rows)
         seen["rounds"] += 1
-        seen["top row only"] += not kept <= _failing_bits(T, empty, strides, below_top)
+        seen["top row only"] += not kept <= _failing_bits(T, empty, rows)
         return got
 
     monkeypatch.setattr(constructors, "_e2_repairs", checked)

@@ -13,9 +13,9 @@ test included, the two fiber-table routines that
 dual in the fibra and duality checks and in ``is_canonical``, the mask-path
 ``validate`` that sorted its small elements first, and the promotion of a
 dual on the box [lo, U + e] with its top row, the open table and mask E1/E2
-test that stepped entries with ``SmallRep.up``, the doubling loop of
-``_Box.shift`` that the suffix OR of ``_Box.steps`` replaced, the dual box
-of ``duality._dual_box``, and the quotient of ``cd_difference`` on
+test that stepped entries with ``SmallRep.up``, the doubling loop of the
+up-move ``Rows.shift`` that the suffix OR of ``Rows.steps`` replaced, the
+dual box of ``duality._dual_box``, and the quotient of ``cd_difference`` on
 [m_J - c_I, U] with its capped fold over the top class of EI, the
 per-point loop of ``SmallRep.grid``, the window comparisons of ``equals``
 and ``is_subset`` on reps of one layout, and the per-member loop of
@@ -37,7 +37,7 @@ from operator import or_
 import pytest
 
 import gsi.theorems as theorems
-from gsi.constructors import _Box, from_small_elements, node, numerical, product, random_good
+from gsi.constructors import from_small_elements, node, numerical, product, random_good
 from gsi.duality import (
     _fiber_region,
     _promote_region,
@@ -52,11 +52,12 @@ from gsi.errors import (
     SoundnessError,
     ValidationError,
 )
-from gsi.fiber import fiber_empty, p_value, q_value
+from gsi.fiber import fiber_empty, fiber_witness, p_value, q_value
 from gsi.gsi_format import parse_gsi
 from gsi.ideal import (
     Layout,
     RegionSet,
+    Rows,
     SmallRep,
     _bits,
     _box_mask,
@@ -1617,15 +1618,18 @@ def _old_fiber_table(E: SmallRep) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _old_box_table(box: _Box, M: int) -> list[int]:
-    """The former ``_Box.table``, with its keep masks read from ``below``."""
-    full = (1 << len(box.layout.dims)) - 1
+def _old_box_table(layout: Layout, M: int) -> list[int]:
+    """The former table of the draw box, with its keep masks, the points
+    with t_k < d - step, built by ``_box_mask`` as ``_old_suffix_or``'s
+    are."""
+    dims = layout.dims
+    full = (1 << len(dims)) - 1
     T = [0] * full + [M]
     for J in range(full - 1, 0, -1):
         k = ((full ^ J) & -(full ^ J)).bit_length() - 1
-        X, d, s, step = T[J | 1 << k], box.layout.dims[k], box.layout.strides[k], 1
+        X, d, s, step = T[J | 1 << k], dims[k], layout.strides[k], 1
         while step < d:
-            X |= X >> step * s & box.below[k][d - step]
+            X |= X >> step * s & _box_mask(dims, dims[:k] + (d - step,) + dims[k + 1:])
             step *= 2
         T[J] = X
     return T
@@ -1641,17 +1645,19 @@ def test_closed_fibers_match_former_tables():
     for name, S in sorted(semigroups.items()):
         for E in [S] + [random_good(S, seed) for seed in range(4)]:
             assert E.fiber_table == _old_fiber_table(E), (name, E)
-            box = _Box(E.m, E.c)
-            for M in (0, rng.getrandbits(math.prod(box.layout.dims)), box.layout.whole):
-                assert _closed_fibers(M, box.steps) == _old_box_table(box, M), (name, M)
-            sizes.add(box.layout.dims)
+            rows = Rows(Layout.of(E.m, E.c))
+            steps = [list(rows.steps(k)) for k in range(E.r)]
+            for M in (0, rng.getrandbits(math.prod(rows.layout.dims)), rows.layout.whole):
+                assert _closed_fibers(M, steps) == _old_box_table(rows.layout, M), (name, M)
+            sizes.add(rows.layout.dims)
     # a sparse grid with long lines, and boxes with a one-row axis
     E = SmallRep(3, (0, 0, 0), (40, 3, 57), frozenset({(0, 0, 0), (7, 1, 20), (40, 3, 57)}))
     assert E.fiber_table == _old_fiber_table(E)
     for dims in [(1,), (1, 4), (3, 1, 2), (2, 2, 2, 2, 2)]:
-        box = _Box((0,) * len(dims), tuple(d - 1 for d in dims))
+        rows = Rows(Layout.of((0,) * len(dims), tuple(d - 1 for d in dims)))
+        steps = [rows.steps(k) for k in range(len(dims))]  # taken as built, as a rep's are
         M = rng.getrandbits(math.prod(dims))
-        assert _closed_fibers(M, box.steps) == _old_box_table(box, M), dims
+        assert _closed_fibers(M, steps) == _old_box_table(rows.layout, M), dims
     assert any(len(d) >= 4 for d in sizes), sizes
 
 
@@ -1928,7 +1934,7 @@ def test_dual_box_matches_former_capped_fold():
 # verbatim as the reference for the one-axis-at-a-time step and for the E2
 # test that leaves the top row of i untested.
 def _old_up(E: SmallRep, mask: int, k: int) -> int:
-    keep = E._below_top[k]
+    keep = E.rows.top[k]
     return mask >> E.layout.strides[k] & keep | mask & ~keep
 
 
@@ -1962,7 +1968,7 @@ def _top_row_pairs(E: SmallRep) -> bool:
     """Whether some E2 demand of E sits on the top row of its axis i, where
     the mask test no longer looks."""
     O, full = E.open_table, (1 << E.r) - 1
-    return any(K >> i & 1 and _split_pairs(O, K, full ^ K) & ~E._below_top[i]
+    return any(K >> i & 1 and _split_pairs(O, K, full ^ K) & ~E.rows.top[i]
                for K in range(1, full) for i in range(E.r))
 
 
@@ -1988,8 +1994,9 @@ def test_open_table_and_pairs_good_match_former_step_up():
     assert min(seen[True, True], seen[False, True], seen[True, False]) >= 20, seen
 
 
-# The doubling loop of ``_Box.shift`` before it read the suffix OR of
-# ``_Box.steps``, kept verbatim: the OR of the top dk + 1 rows.
+# The doubling loop of the draw's up-move T_d (now ``Rows.shift``) before it
+# read the suffix OR of its steps, kept verbatim: the OR of the top dk + 1
+# rows.
 def _old_shift_fold(M: int, s: int, dk: int) -> int:
     fold, width = M, 1
     while width <= dk:
@@ -1999,13 +2006,16 @@ def _old_shift_fold(M: int, s: int, dk: int) -> int:
     return fold
 
 
-def _old_box_shift(box: _Box, M: int, d: tuple[int, ...]) -> int:
-    """The former ``_Box.shift``, through ``_old_shift_fold``."""
+def _old_box_shift(layout: Layout, M: int, d: tuple[int, ...]) -> int:
+    """The former up-move, through ``_old_shift_fold``, with its row masks
+    (the points with t_k < low and with t_k = low) built by ``_box_mask``."""
+    dims = layout.dims
     for k, dk in enumerate(d):
         if dk:
-            s, low = box.layout.strides[k], box.layout.dims[k] - 1 - dk
+            s, low = layout.strides[k], dims[k] - 1 - dk
+            below = [_box_mask(dims, dims[:k] + (v,) + dims[k + 1:]) for v in (low, low + 1)]
             fold = _old_shift_fold(M, s, dk)
-            M = (M & box.below[k][low] | fold & box.eq[k][low]) << dk * s
+            M = (M & below[0] | fold & below[1] & ~below[0]) << dk * s
     return M
 
 
@@ -2019,15 +2029,107 @@ def test_box_shift_matches_former_doubling_loops():
         shifts = [mask >> t * stride for t in range(n)]
         assert anded == functools.reduce(operator.and_, shifts)
         assert ored == functools.reduce(operator.or_, shifts)
-    # the suffix OR of _Box.steps gives the former shift on every box axis
+    # the suffix OR of Rows.steps gives the former shift on every box axis
     for _ in range(600):
         r = rng.randint(1, 4)
         m = tuple(rng.randint(-2, 2) for _ in range(r))
         c = tuple(x + rng.randint(0, 9) for x in m)
-        box = _Box(m, c)
-        M = rng.choice((0, box.layout.whole, rng.getrandbits(math.prod(box.layout.dims))))
+        rows = Rows(Layout.of(m, c))
+        steps = [list(rows.steps(k)) for k in range(r)]
+        layout = rows.layout
+        M = rng.choice((0, layout.whole, rng.getrandbits(math.prod(layout.dims))))
         d = tuple(rng.randint(0, y - x) for x, y in zip(m, c))
-        assert box.shift(M, d) == _old_box_shift(box, M, d), (m, c, M, d)
+        assert rows.shift(M, d, steps) == _old_box_shift(layout, M, d), (m, c, M, d)
+
+
+def test_row_family_masks_are_their_definitions():
+    # every mask of Rows against the points it stands for, decoded with
+    # Layout.points: the rows below v, top, eq and ge, each step's keep
+    # mask, the read-up of a table and the fiber cut, on random layouts
+    # with one-row axes and r up to 5
+    rng = random.Random(20411)
+    seen = collections.Counter()
+    for _ in range(200):
+        r = rng.randint(1, 5)
+        lo = tuple(rng.randint(-2, 2) for _ in range(r))
+        dims = tuple(rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(r))
+        layout = Layout.of(lo, tuple(x + d - 1 for x, d in zip(lo, dims)))
+        rows = Rows(layout)
+        pts = list(box_points(layout.lo, tuple(x + d - 1 for x, d in zip(lo, dims))))
+        M = rng.getrandbits(len(pts))
+        members = set(layout.points(M))
+
+        def where(test):
+            return [p for p in pts if test(tuple(x - l for x, l in zip(p, lo)))]
+
+        for k, d in enumerate(dims):
+            seen[d == 1] += 1
+            for v in range(d + 1):
+                assert layout.points(rows.below(k, v)) == where(lambda t: t[k] < v)
+                assert layout.points(rows.ge[k][v]) == where(lambda t: t[k] >= v)
+            assert [layout.points(x) for x in rows.eq[k]] == [
+                where(lambda t: t[k] == v) for v in range(d)]
+            assert layout.points(rows.top[k]) == where(lambda t: t[k] < d - 1)
+            steps = list(rows.steps(k))
+            assert [shift for shift, _ in steps] == [
+                s * layout.strides[k] for s in (1, 2, 4, 8) if s < d]
+            for shift, keep in steps:
+                s = shift // layout.strides[k]
+                assert layout.points(keep) == where(lambda t: t[k] < d - s)
+        # the read-up of a table: entry J reads t + e_k on every axis k
+        # that J leaves free, or t_k itself on the top row of k
+        for J, entry in enumerate(rows.up([M] * (1 << r))):
+            read = [p for p in pts if tuple(
+                x + 1 if not J >> k & 1 and x - l < d - 1 else x
+                for k, (x, l, d) in enumerate(zip(p, lo, dims))) in members]
+            assert layout.points(entry) == read, (dims, J)
+        for _ in range(4):
+            t = tuple(rng.randrange(d) for d in dims)
+            J, closed = rng.randrange(1 << r), rng.random() < 0.5
+            fiber = where(lambda u: all(
+                a == b if J >> j & 1 else (a >= b if closed else a > b)
+                for j, (a, b) in enumerate(zip(u, t))))
+            got = layout.points(rows.fiber(M, t, J, closed))
+            assert got == [p for p in fiber if p in members], (dims, t, J, closed)
+    assert seen[True] >= 100 and seen[False] >= 100, seen
+
+
+def test_rep_row_family_keeps_top_only():
+    # a rep's family builds the rows below the top row and nothing else:
+    # its steps are taken as built, and no per-row list is made, so a grid
+    # of thousands of rows per axis keeps r masks beside its tables
+    E = SmallRep(3, (0, 0, 0), (40, 3, 57), frozenset({(0, 0, 0), (7, 1, 20), (40, 3, 57)}))
+    validate(E)
+    assert E.fiber_layers and E.open_table
+    assert set(vars(E.rows)) == {"layout", "top"}
+    assert len(E.rows.top) == 3
+
+
+def test_open_fiber_bits_read_the_closed_table():
+    # fiber_occupied reads an open fiber off the closed table at alpha + e
+    # on the free axes, clamped, and builds no open table; its bit is the
+    # open table's at alpha, for every J and every box point up to 3 past
+    # each side of the grid (up to 2 at r = 3 and 1 at r >= 4)
+    fresh = replace(node(6))
+    assert fiber_witness(fresh, zero(6), (1,)) is None  # the open fiber is empty
+    assert "fiber_table" in vars(fresh) and "open_table" not in vars(fresh)
+    semigroups = _semigroups()
+    semigroups.update({f"node{r}": node(r) for r in range(1, 6)})
+    queries = 0
+    for name, S in sorted(semigroups.items()):
+        for E in [S] + [random_good(S, seed) for seed in range(4)]:
+            E = replace(E)
+            margin = (3, 3, 3, 2, 1, 1)[E.r]
+            lo = tuple(x - 1 - margin for x in E.m)
+            hi = tuple(x + margin for x in E.c)
+            reads = [[E.fiber_occupied(alpha, J) for J in range(1, 1 << E.r)]
+                     for alpha in box_points(lo, hi)]
+            assert "open_table" not in vars(E), name
+            want = [[E.open_table[J] >> E.index(alpha) & 1 == 1 for J in range(1, 1 << E.r)]
+                    for alpha in box_points(lo, hi)]
+            assert reads == want, (name, E)
+            queries += len(reads) * ((1 << E.r) - 1)
+    assert queries > 250_000, queries
 
 
 def test_normaliser_and_quotient_preconditions(monkeypatch):

@@ -3,10 +3,11 @@ import sits at module level, no module imports a name it never uses, every
 module-level class not exported through __all__, every private module-level
 function and every method or property of a class is referenced somewhere in
 the package, no module defines both a name and a private twin _name of
-it, every error class is raised or is a base of one that is, and no
-module keeps a cache or container at module level beyond its named
-exemptions.  The line counter ``tools/loc.py`` and the output digest
-``tools/identity.py`` run."""
+it, every error class is raised or is a base of one that is, no module
+keeps a cache or container at module level beyond its named exemptions,
+and only the row family ``ideal.Rows`` and two named helpers build runs
+with ``ideal._repeat``.  The line counter ``tools/loc.py`` and the output
+digest ``tools/identity.py`` run."""
 import ast
 import pathlib
 import re
@@ -207,6 +208,17 @@ def test_no_module_level_caches():
     assert found == MODULE_CACHES, (
         f"module-level caches: {sorted(found - MODULE_CACHES)}; "
         f"stale exemptions: {sorted(MODULE_CACHES - found)}")
+
+
+def test_one_row_builder():
+    # every per-axis row mask of a layout comes from ideal.Rows: the run
+    # builder ideal._repeat is named, in src/gsi, only by Rows, by
+    # _box_mask (the low-corner sub-boxes of fresh layouts) and by _window
+    # (its per-axis passes), so no second row builder can come back
+    named = {f"{name[:-3]}.{getattr(scope, 'name', scope.lineno)}"
+             for name, tree in _modules().items() for scope in tree.body
+             if "_repeat" in _referenced(scope)}
+    assert named == {"ideal._box_mask", "ideal._window", "ideal.Rows"}, sorted(named)
 
 
 def test_loc_tool_runs():

@@ -3,14 +3,17 @@
 Every constructor normalizes its data (clip to the conductor, then shrink
 the conductor of that provisional rep to the least one consistent with the
 stored elements, through ``ideal._least_conductor``, which serves parsed
-and drawn data only) and runs full axiom validation once before returning.
+and drawn data only) and certifies the axioms once before returning,
+through the report-free kernel ``ideal._axiom_failure`` (``_certified``):
+``validate``'s report is built only for the ValidationError of a rep that
+fails.
 ``random_good`` draws once: it grows its sample by rounds of meets,
 compatibility with S and E2 witnesses on one bit mask of its box
 (``_closure_fixpoint``), each step a few shifts, ANDs and ORs of masks, and
 decodes the mask once for ``from_small_elements``.  Its row masks and
 moves come from the row family of its box (``ideal.Rows``), the one every
 ideal's grid has too, and its meets and E2 demands are read through the
-steps that ``validate`` reads them through (``ideal._meets``,
+steps that the axiom kernel reads them through (``ideal._meets``,
 ``Rows.up`` and ``ideal._failing_demands``).
 That fixpoint is always a good ideal compatible with S (the proof is in
 ``_closure_fixpoint``), so the draw needs no retry.  All constructors are
@@ -26,6 +29,7 @@ from .ideal import (
     Layout,
     Rows,
     SmallRep,
+    _axiom_failure,
     _bits,
     _box_mask,
     _closed_fibers,
@@ -35,18 +39,24 @@ from .ideal import (
     _meets,
     validate,
 )
-from .lattice import Point, leq, meet, ones, zero
+from .lattice import Point, check_same_dim, leq, meet, ones, zero
 
 
 def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
     """Normalize raw small-element data and validate it once.
 
-    Points are clipped by meet with the conductor, and ``_least_conductor``
-    shrinks their provisional rep on [m, c] to the least conductor the data
-    supports; when it finds none, it keeps the rep and validation judges.
-    Raises ValidationError carrying the failing axiom otherwise.
+    Points are clipped by meet with the conductor, each after a length
+    check that names the first point of another dimension, and
+    ``_least_conductor`` shrinks their provisional rep on [m, c] to the
+    least conductor the data supports; when it finds none, it keeps the rep
+    and validation judges.  Raises ValidationError carrying the failing
+    axiom otherwise.
     """
-    pts = {meet(tuple(p), c) for p in elems}
+    pts = set()
+    for p in elems:
+        if len(p) != len(c):
+            check_same_dim(p, c)  # raises, naming both dimensions
+        pts.add(tuple(map(min, p, c)))
     pts.add(meet(m, c))
     # every point is >= m iff the per-axis minima are; the loop names the
     # first point below m in the set's order
@@ -61,10 +71,15 @@ def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
                         "point": list(p)})
                 raise ValidationError(report)
     pts.add(c)
-    rep = _least_conductor(SmallRep(r, m, c, frozenset(pts)))
-    report = validate(rep)
-    if not report.passed:
-        raise ValidationError(report)
+    return _certified(_least_conductor(SmallRep(r, m, c, frozenset(pts))))
+
+
+def _certified(rep: SmallRep, semigroup: bool = False) -> SmallRep:
+    """rep, once ``ideal._axiom_failure`` finds no failing axiom; else
+    ValidationError carrying ``validate``'s report, which is built only
+    then."""
+    if _axiom_failure(rep, semigroup=semigroup) is not None:
+        raise ValidationError(validate(rep, semigroup=semigroup))
     return rep
 
 
@@ -87,11 +102,7 @@ def numerical(generators: list[int]) -> SmallRep:
         reach[n] = any(g <= n and reach[n - g] for g in gens)
     cond = max((n + 1 for n in range(bound + 1) if not reach[n]), default=0)
     small = frozenset((n,) for n in range(cond + 1) if reach[n])
-    rep = SmallRep(1, (0,), (cond,), small)
-    report = validate(rep, semigroup=True)
-    if not report.passed:
-        raise ValidationError(report)
-    return rep
+    return _certified(SmallRep(1, (0,), (cond,), small), semigroup=True)
 
 
 def node(r: int) -> SmallRep:
@@ -102,22 +113,14 @@ def node(r: int) -> SmallRep:
     if r < 1:
         raise ValueError("dimension must be >= 1")
     e = ones(r)
-    rep = from_small_elements(r, zero(r), e, {zero(r), e})
-    report = validate(rep, semigroup=True)
-    if not report.passed:
-        raise ValidationError(report)
-    return rep
+    return _certified(from_small_elements(r, zero(r), e, {zero(r), e}), semigroup=True)
 
 
 def product(A: SmallRep, B: SmallRep) -> SmallRep:
     """Concatenation of coordinates; axioms verified post hoc, not assumed."""
     r = A.r + B.r
     small = frozenset(a + b for a in A.small for b in B.small)
-    rep = SmallRep(r, A.m + B.m, A.c + B.c, small)
-    report = validate(rep)
-    if not report.passed:
-        raise ValidationError(report)
-    return rep
+    return _certified(SmallRep(r, A.m + B.m, A.c + B.c, small))
 
 
 def _e2_repairs(rows: Rows, M: int, T: list[int]) -> int:

@@ -33,9 +33,12 @@ Every region is a good ideal on valid inputs: D by definition, K(S) as
 the canonical ideal, and the fiber dual as K_J - EI, the dual of EI into
 the translate K_J of a canonical ideal whose Frobenius vector is f_J
 (``fiber_dual`` proves it).  So ``_promote_region`` returns the rep or
-raises SoundnessError.  ``validate`` certifies every promoted rep once; its
+raises SoundnessError.  ``ideal._axiom_failure``, the axiom kernel of
+``validate``, certifies every promoted rep once and builds no report: only
+a failure is wrapped in ``validate``'s report, for the error's text.  Its
 conductor check rejects a region that a fault lowers, and on valid inputs
-any failure there is an internal bug.
+any failure there is an internal bug.  A principal EI gives a one-point
+region, which the kernel passes after its structural part alone.
 
 A private check context holds what the checks of a triple share: each
 dual and fiber-dual region and the canonicity of EJ, computed once on first
@@ -55,6 +58,7 @@ from .ideal import (
     Layout,
     RegionSet,
     SmallRep,
+    _axiom_failure,
     _box_mask,
     _compatibility_failure,
     _quotient,
@@ -76,11 +80,13 @@ def _promote_region(what: str, r: int, points: set[Point], U: Point,
 
     The points lie at or below U, the box top, which is known to conduct
     (everything from U up belongs) and which the caller proves least.
-    Requires a minimum m and the point U, then validates the points on
-    [m, U] as they stand, conductor minimality among the axioms; below m
-    the region and its membership rule are both empty.  Each caller proves
-    its region good, so any miss is an internal bug and raises
-    SoundnessError "<what> is not a good ideal: <reason>".
+    Requires a minimum m and the point U, then certifies the points on
+    [m, U] as they stand with ``ideal._axiom_failure``, conductor
+    minimality among the axioms, and builds no report unless they fail;
+    below m the region and its membership rule are both empty.  Each
+    caller proves its region good, so any miss is an internal bug and
+    raises SoundnessError "<what> is not a good ideal: <reason>", the
+    reason naming ``validate``'s report.
 
     ``grid`` is the points as a mask in a layout, when the caller has one.
     If that layout is the rep's own, [m - e, U], the mask is the rep's grid
@@ -97,10 +103,9 @@ def _promote_region(what: str, r: int, points: set[Point], U: Point,
         rep = SmallRep(r, m, U, frozenset(points))
         if grid is not None and rep.layout == grid[0]:
             vars(rep)["grid"] = grid[1]
-        report = validate(rep)
-        if report.passed:
+        if _axiom_failure(rep) is None:
             return rep
-        reason = f"axiom validation failed: {report.summary()}"
+        reason = f"axiom validation failed: {validate(rep).summary()}"
     raise SoundnessError(f"{what} is not a good ideal: {reason}")
 
 
@@ -199,12 +204,12 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
     is its least conductor and K(S) keeps the Frobenius vector f:
     f - (c - e_k) = e_k - e, and its open {k}-fiber holds 0, in S.
     (3) A point p with some p_k < 0 that a fault puts in the region cannot
-    reach a result either: promotion (validate's conductor check among
-    them), the subset check or the compatibility check fails.  Else p + c
-    and c both conduct in the promoted ideal (p + S lies in it, and c + N^r
-    in S), so by E1 meet(p + c, c), which is below c at k, conducts too,
-    and so does c - e_k, which validate's conductor check rejects.  So no
-    test of the grid's low faces could change a result.
+    reach a result either: promotion (the axiom kernel's conductor check
+    among them), the subset check or the compatibility check fails.  Else
+    p + c and c both conduct in the promoted ideal (p + S lies in it, and
+    c + N^r in S), so by E1 meet(p + c, c), which is below c at k, conducts
+    too, and so does c - e_k, which the kernel's conductor check rejects.
+    So no test of the grid's low faces could change a result.
 
     So on valid input K(S) has S's minimum 0 (S lies in K(S), and by (1)
     no member lies below 0) and, by (2), S's conductor, and with them S's

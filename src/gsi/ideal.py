@@ -18,7 +18,10 @@ bit layout of every box mask here: the last axis fastest, which makes bit
 order lexicographic order, so a mask's lowest set bit, read as a point by
 :meth:`Layout.lowest`, is its least point.  The fiber tables (a mask per
 index set, closed and open) and the (p, q) layers (a mask per fiber size)
-live on that grid too.  ``validate`` decides E1 and E2 for all pairs of
+live on that grid too.  The axiom kernel ``_axiom_failure`` returns the
+first failing axiom's record, or None, and builds no report: every
+promotion and constructor certifies through it, and ``validate`` only
+wraps its record in a report.  It decides E1 and E2 for all pairs of
 small elements from a few ANDs of table entries when the grid is no larger
 than the number of pairs (``_pairs_good``).  Every per-axis row mask of a
 layout comes from its one row family, :class:`Rows`: the rows below a
@@ -28,7 +31,7 @@ a fiber cut).  A rep keeps its grid's family (:attr:`SmallRep.rows`).
 The mask algebra of the two axioms has one home, three steps that read
 a closed table and the family of its layout: ``_meets`` (E1's meets),
 :meth:`Rows.up` (the one step from closed fibers to open ones, the top
-row kept) and ``_failing_demands`` (E2's failing demands).  ``validate``
+row kept) and ``_failing_demands`` (E2's failing demands).  The kernel
 reads them on an ideal's grid and ``constructors.random_good`` on its
 draw box [m, c].  Box questions read
 masks: ``members`` lists the set bits of E's window over a box
@@ -918,8 +921,13 @@ def _compatibility_failure(E: SmallRep, S: SmallRep) -> dict | None:
     return None
 
 
-def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False) -> CheckReport:
-    """Check the good-semigroup-ideal axioms on the finite box [m, c + e].
+def _axiom_failure(E: SmallRep, S: SmallRep | None = None, *,
+                   semigroup: bool = False) -> dict | None:
+    """The first failing axiom of E as its counterexample record,
+    ``{"axiom": ..., **data}``, or None when every axiom holds on the finite
+    box [m, c + e].  ``validate`` wraps the record in its report; every
+    computed or parsed ideal is certified here, with no report built unless
+    it fails.
 
     The structural part comes first: m <= c, both are small elements, and
     every small element lies in [m, c].  The per-axis minima and maxima of
@@ -940,87 +948,100 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     larger grid they run instead.  The pair loops build no grid: E1 is a set
     lookup, and an E2 witness is looked up among the sorted small elements
     (:func:`_in_fiber`), so a sparse ideal's grid stays unbuilt; only they
-    sort the small elements.  With S given, compatibility S + E <= E is
-    checked over boxes; with ``semigroup``, 0 in E and E + E <= E are checked
-    as well.  The first failing axiom is reported with its violating pair.
+    sort the small elements.
+
+    A rep with one small element that passes the structural part has
+    m = c, that element: it is m and it is c.  It has no pair, so E1 and E2
+    hold, and c - e_i, which is not c, is no small element, so c is the
+    least conductor.  So it skips the volume test, the pair loops and the
+    conductor loop, and a principal dual (``duality.cd_difference``) costs
+    the structural part only.
+
+    With S given, compatibility S + E <= E is checked over boxes; with
+    ``semigroup``, 0 in E and E + E <= E are checked as well.
     """
     r = E.r
-    universe = f"axiom box [{list(E.m)}, {[x + 1 for x in E.c]}]"
-    rep = CheckReport("validate", True, universe)
-
-    def fail(axiom: str, **data) -> CheckReport:
-        rep.passed = False
-        rep.counterexamples.append({"axiom": axiom, **data})
-        return rep
-
     # Structural part: reported as its own failure class, not an axiom.
     cols = list(zip(*E.small))
     bounded = tuple(map(min, cols)) == E.m and tuple(map(max, cols)) == E.c
     if not bounded and not leq(E.m, E.c):
-        return fail("structural", reason="min exceeds conductor",
+        return dict(axiom="structural", reason="min exceeds conductor",
                     min=pt(E.m), conductor=pt(E.c))
     if E.m not in E.small:
-        return fail("structural", reason="min not among small elements", min=pt(E.m))
+        return dict(axiom="structural", reason="min not among small elements", min=pt(E.m))
     if E.c not in E.small:
-        return fail("structural", reason="conductor not among small elements",
+        return dict(axiom="structural", reason="conductor not among small elements",
                     conductor=pt(E.c))
     if not bounded:
         for p in sorted(E.small):
             if not (leq(E.m, p) and leq(p, E.c)):
-                return fail("structural", reason="small element outside [min, conductor]",
+                return dict(axiom="structural", reason="small element outside [min, conductor]",
                             point=pt(p))
 
-    # E1 and E2 on the masks when the grid has at most as many points as
-    # there are pairs; the pair loops run otherwise, or to name the first
-    # failing pair.
     n = len(E.small)
-    volume = math.prod(c - m + 2 for m, c in zip(E.m, E.c))
-    if volume > n * n or not _pairs_good(E):
-        small = sorted(E.small)
-        # E1: closure under componentwise minimum.
-        for idx, a in enumerate(small):
-            for b in small[idx + 1:]:
-                g = tuple(map(min, a, b))
-                if g not in E.small:
-                    return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
+    if n > 1:  # else m = c is the one small element, and the axioms hold
+        # E1 and E2 on the masks when the grid has at most as many points
+        # as there are pairs; the pair loops run otherwise, or to name the
+        # first failing pair.
+        volume = math.prod(c - m + 2 for m, c in zip(E.m, E.c))
+        if volume > n * n or not _pairs_good(E):
+            small = sorted(E.small)
+            # E1: closure under componentwise minimum.
+            for idx, a in enumerate(small):
+                for b in small[idx + 1:]:
+                    g = tuple(map(min, a, b))
+                    if g not in E.small:
+                        return dict(axiom="E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
 
-        # E2: exchange witness for every pair agreeing in some coordinate,
-        # looked up among the small elements.
-        for idx, a in enumerate(small):
-            for b in small[idx + 1:]:
-                for i in range(r):
-                    if a[i] == b[i]:
-                        x, J = _e2_fiber(a, b, i)
-                        if not _in_fiber(small, meet(x, E.c), J):
-                            return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
+            # E2: exchange witness for every pair agreeing in some
+            # coordinate, looked up among the small elements.
+            for idx, a in enumerate(small):
+                for b in small[idx + 1:]:
+                    for i in range(r):
+                        if a[i] == b[i]:
+                            x, J = _e2_fiber(a, b, i)
+                            if not _in_fiber(small, meet(x, E.c), J):
+                                return dict(axiom="E2", pair=[pt(a), pt(b)],
+                                            coordinate=i + 1)
 
-    # Conductor minimality: c - e_i must not conduct.  Every point above
-    # c - e_i with coordinate i pinned to c_i - 1 meets down to c - e_i, so
-    # membership of that single point decides it, and as it lies below c,
-    # membership is being a small element.
-    c = E.c
-    for i in range(r):
-        down = c[:i] + (c[i] - 1,) + c[i + 1:]
-        if down in E.small:
-            return fail("conductor", coordinate=i + 1, point=pt(down),
-                        reason="conductor not minimal: c - e_i already conducts")
+        # Conductor minimality: c - e_i must not conduct.  Every point above
+        # c - e_i with coordinate i pinned to c_i - 1 meets down to c - e_i,
+        # so membership of that single point decides it, and as it lies
+        # below c, membership is being a small element.
+        c = E.c
+        for i in range(r):
+            down = c[:i] + (c[i] - 1,) + c[i + 1:]
+            if down in E.small:
+                return dict(axiom="conductor", coordinate=i + 1, point=pt(down),
+                            reason="conductor not minimal: c - e_i already conducts")
 
     if S is not None:
         if S.r != r:
-            return fail("structural", reason="semigroup dimension mismatch")
+            return dict(axiom="structural", reason="semigroup dimension mismatch")
         failure = _compatibility_failure(E, S)
         if failure is not None:
-            return fail("compatibility", **failure)
+            return dict(axiom="compatibility", **failure)
 
     if semigroup:
         z = (0,) * r
         if not E.contains(z):
-            return fail("semigroup", reason="0 not a member")
+            return dict(axiom="semigroup", reason="0 not a member")
         # the first failing pair has b >= a: a failing (b, a) with b < a
         # would have come first
         failure = _sum_failure(E, E, E)
         if failure is not None:
             a, b, q = failure
-            return fail("semigroup", pair=[pt(a), pt(b)], sum=pt(q))
+            return dict(axiom="semigroup", pair=[pt(a), pt(b)], sum=pt(q))
 
-    return rep
+    return None
+
+
+def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False) -> CheckReport:
+    """Check the good-semigroup-ideal axioms on the finite box [m, c + e],
+    with S given the compatibility S + E <= E, and with ``semigroup`` also
+    0 in E and E + E <= E.  The first failing axiom is reported with its
+    violating pair, as :func:`_axiom_failure` finds it."""
+    failure = _axiom_failure(E, S, semigroup=semigroup)
+    universe = f"axiom box [{list(E.m)}, {[x + 1 for x in E.c]}]"
+    return CheckReport("validate", failure is None, universe,
+                       counterexamples=[] if failure is None else [failure])

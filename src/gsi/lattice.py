@@ -140,5 +140,7 @@ class Box:
 
 
 def box_points(lo: Point, hi: Point) -> Iterator[Point]:
-    """Lexicographic iteration over [lo, hi]; empty when lo exceeds hi."""
-    yield from Box(lo, hi)
+    """Lexicographic iteration over [lo, hi]; empty when lo exceeds hi, as
+    a reversed range is.  The dimensions are checked when it is called."""
+    check_same_dim(lo, hi)
+    return itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)])

@@ -18,7 +18,7 @@ from gsi.constructors import (
     product,
     random_good,
 )
-from gsi.errors import SoundnessError, ValidationError
+from gsi.errors import DimensionMismatch, SoundnessError, ValidationError
 from gsi.fiber import fiber_empty, maximals
 from gsi.gsi_format import emit_gsi
 from gsi.ideal import (
@@ -249,6 +249,20 @@ def test_from_small_elements_singleton():
 def test_from_small_elements_clips_to_conductor():
     rep = from_small_elements(2, (0, 0), (1, 1), {(0, 0), (1, 1), (1, 3)})
     assert sorted(rep.small) == [(0, 0), (1, 1)]
+
+
+def test_from_small_elements_names_the_first_point_of_another_dimension():
+    # each point is length-checked before it is clipped, and the first one
+    # of another dimension, in the order given, raises the text of the
+    # former per-point meet with the conductor
+    for elems, text in (([(0, 1, 2)], "points of dimension 3 and 2"),
+                        ([(0, 0), (1,), (1, 1, 1)], "points of dimension 1 and 2"),
+                        ([(0, 0), [1, 1, 1], (1,)], "points of dimension 3 and 2")):
+        with pytest.raises(DimensionMismatch) as want:
+            meet(tuple(next(p for p in elems if len(p) != 2)), (1, 1))
+        assert str(want.value) == text
+        with pytest.raises(DimensionMismatch, match=f"^{text}$"):
+            from_small_elements(2, (0, 0), (1, 1), elems)
 
 
 def test_random_good_deterministic(ex2):

@@ -16,8 +16,8 @@ from gsi.duality import (
     is_gorenstein,
 )
 from gsi.errors import SoundnessError
-from gsi.ideal import SmallRep, _window, equals, frobenius, is_subset, translate, validate
-from gsi.lattice import box_points, ones, vadd, vsub, zero
+from gsi.ideal import SmallRep, _axiom_failure, _window, equals, frobenius, is_subset, translate
+from gsi.lattice import Box, box_points, ones, vadd, vsub, zero
 from gsi.oracle import brute_canonical, brute_dual
 from gsi.theorems import check_all
 
@@ -464,10 +464,10 @@ def test_each_built_ideal_validated_once(monkeypatch, ex2, node2):
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return validate(*args, **kwargs)
+        return _axiom_failure(*args, **kwargs)
 
     for module in (gsi.constructors, gsi.duality):
-        monkeypatch.setattr(module, "validate", counted)
+        monkeypatch.setattr(module, "_axiom_failure", counted)
     for S in (replace(ex2), replace(node2)):
         for build in (lambda: canonical_ideal(S),
                       lambda: cd_difference(S, S),
@@ -475,6 +475,46 @@ def test_each_built_ideal_validated_once(monkeypatch, ex2, node2):
             calls.clear()
             E = build()
             assert calls == [E]
+
+
+def _agrees_with_brute_dual(EJ, EI, D) -> bool | None:
+    """Whether D is brute_dual(EJ, EI) over the brute-force box
+    [m_J - c_I - e, c_J - m_I + 2e]; None when that box has more than 1000
+    points."""
+    e = ones(EJ.r)
+    lo, hi = vsub(vsub(EJ.m, EI.c), e), vadd(vsub(EJ.c, EI.m), vadd(e, e))
+    if len(Box(lo, hi)) > 1000:
+        return None
+    bd = brute_dual(EJ, EI)
+    return all(D.contains(p) == (p in bd) for p in box_points(lo, hi))
+
+
+def test_principal_dual_is_one_point():
+    # the dual of a principal EI = c + N^r is (c_J - c) + N^r (Korell,
+    # Schulze and Tozzo 2019), the one-element rep at c_J - c, and the
+    # bidual into a canonical ideal gives EI back; both agree with the
+    # brute-force dual where its box has at most 1000 points
+    from test_grid import _semigroups
+
+    semigroups = [*_semigroups().values(), *(node(r) for r in range(1, 6))]
+    checked = collections.Counter()
+    for S in semigroups:
+        r, K = S.r, canonical_ideal(S)
+        e = ones(r)
+        for EJ in (S, K, *(random_good(S, seed) for seed in (2, 5))):
+            for c in {zero(r), EJ.m, EJ.c, vadd(EJ.c, e), vsub(EJ.m, e), S.c,
+                      tuple(range(-1, r - 1))}:
+                EI = SmallRep(r, c, c, frozenset({c}))
+                D = cd_difference(EJ, EI)
+                top = vsub(EJ.c, c)
+                assert D == SmallRep(r, top, top, frozenset({top})), (EJ, c)
+                DK = cd_difference(K, EI)
+                assert bidual(K, EI) == EI, (K, c)
+                for key, agrees in (("dual", _agrees_with_brute_dual(EJ, EI, D)),
+                                    ("bidual", _agrees_with_brute_dual(K, DK, EI))):
+                    assert agrees is not False, (key, EJ, c)
+                    checked[key] += agrees is True
+    assert min(checked.values()) >= 100, checked
 
 
 def test_lemma_fibra_inclusion(ex2, n1, node2):

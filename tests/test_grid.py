@@ -19,7 +19,8 @@ dual box of ``duality._dual_box``, and the quotient of ``cd_difference`` on
 [m_J - c_I, U] with its capped fold over the top class of EI, the
 per-point loop of ``SmallRep.grid``, the window comparisons of ``equals``
 and ``is_subset`` on reps of one layout, and the per-member loop of
-``_sum_failure``.  The fast
+``_sum_failure``, and ``validate`` as it was before its report-free
+kernel ``_axiom_failure`` was split off.  The fast
 paths must give the same reports, regions and first counterexamples, byte
 for byte.
 """
@@ -59,6 +60,7 @@ from gsi.ideal import (
     RegionSet,
     Rows,
     SmallRep,
+    _axiom_failure,
     _bits,
     _box_mask,
     _closed_fibers,
@@ -262,6 +264,115 @@ def _old_validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = F
                 q = vadd(a, b)
                 if not E.contains(q):
                     return fail("semigroup", pair=[pt(a), pt(b)], sum=pt(q))
+
+    return rep
+
+
+def _old_report_validate(E: SmallRep, S: SmallRep | None = None, *,
+                          semigroup: bool = False) -> CheckReport:
+    """Check the good-semigroup-ideal axioms on the finite box [m, c + e].
+
+    The structural part comes first: m <= c, both are small elements, and
+    every small element lies in [m, c].  The per-axis minima and maxima of
+    the small elements are read first, off one transpose of them;
+    when they are m and c, m <= c holds and no element lies outside, so only
+    the two memberships are tested.  Otherwise m <= c is tested and the
+    small elements are walked in sorted order to name the first one outside.
+    Beyond the conductor, membership is monotone by construction of the rule,
+    so the box quantifiers are exhaustive for the represented set.  E1 and E2
+    pair the small elements alone, the clamps min(a, c) of the members a:
+    clamping commutes with meet, a member pair has the E2 witness fiber of its
+    clamped pair, and that pair lies below it, hence comes first in
+    lexicographic order, so the first failing member pair is a small one
+    (pairs whose clamps coincide, or that agree at a coordinate >= c_i, pass).
+    When the grid [m - e, c] has at most n^2 points for n small elements,
+    :func:`_pairs_good` decides both axioms for every pair on the fiber-table
+    masks, and the pair loops run only to name the first failing pair; on a
+    larger grid they run instead.  The pair loops build no grid: E1 is a set
+    lookup, and an E2 witness is looked up among the sorted small elements
+    (:func:`_in_fiber`), so a sparse ideal's grid stays unbuilt; only they
+    sort the small elements.  With S given, compatibility S + E <= E is
+    checked over boxes; with ``semigroup``, 0 in E and E + E <= E are checked
+    as well.  The first failing axiom is reported with its violating pair.
+    """
+    r = E.r
+    universe = f"axiom box [{list(E.m)}, {[x + 1 for x in E.c]}]"
+    rep = CheckReport("validate", True, universe)
+
+    def fail(axiom: str, **data) -> CheckReport:
+        rep.passed = False
+        rep.counterexamples.append({"axiom": axiom, **data})
+        return rep
+
+    # Structural part: reported as its own failure class, not an axiom.
+    cols = list(zip(*E.small))
+    bounded = tuple(map(min, cols)) == E.m and tuple(map(max, cols)) == E.c
+    if not bounded and not leq(E.m, E.c):
+        return fail("structural", reason="min exceeds conductor",
+                    min=pt(E.m), conductor=pt(E.c))
+    if E.m not in E.small:
+        return fail("structural", reason="min not among small elements", min=pt(E.m))
+    if E.c not in E.small:
+        return fail("structural", reason="conductor not among small elements",
+                    conductor=pt(E.c))
+    if not bounded:
+        for p in sorted(E.small):
+            if not (leq(E.m, p) and leq(p, E.c)):
+                return fail("structural", reason="small element outside [min, conductor]",
+                            point=pt(p))
+
+    # E1 and E2 on the masks when the grid has at most as many points as
+    # there are pairs; the pair loops run otherwise, or to name the first
+    # failing pair.
+    n = len(E.small)
+    volume = math.prod(c - m + 2 for m, c in zip(E.m, E.c))
+    if volume > n * n or not _pairs_good(E):
+        small = sorted(E.small)
+        # E1: closure under componentwise minimum.
+        for idx, a in enumerate(small):
+            for b in small[idx + 1:]:
+                g = tuple(map(min, a, b))
+                if g not in E.small:
+                    return fail("E1", pair=[pt(a), pt(b)], missing_meet=pt(g))
+
+        # E2: exchange witness for every pair agreeing in some coordinate,
+        # looked up among the small elements.
+        for idx, a in enumerate(small):
+            for b in small[idx + 1:]:
+                for i in range(r):
+                    if a[i] == b[i]:
+                        x, J = _e2_fiber(a, b, i)
+                        if not _in_fiber(small, meet(x, E.c), J):
+                            return fail("E2", pair=[pt(a), pt(b)], coordinate=i + 1)
+
+    # Conductor minimality: c - e_i must not conduct.  Every point above
+    # c - e_i with coordinate i pinned to c_i - 1 meets down to c - e_i, so
+    # membership of that single point decides it, and as it lies below c,
+    # membership is being a small element.
+    c = E.c
+    for i in range(r):
+        down = c[:i] + (c[i] - 1,) + c[i + 1:]
+        if down in E.small:
+            return fail("conductor", coordinate=i + 1, point=pt(down),
+                        reason="conductor not minimal: c - e_i already conducts")
+
+    if S is not None:
+        if S.r != r:
+            return fail("structural", reason="semigroup dimension mismatch")
+        failure = _compatibility_failure(E, S)
+        if failure is not None:
+            return fail("compatibility", **failure)
+
+    if semigroup:
+        z = (0,) * r
+        if not E.contains(z):
+            return fail("semigroup", reason="0 not a member")
+        # the first failing pair has b >= a: a failing (b, a) with b < a
+        # would have come first
+        failure = _sum_failure(E, E, E)
+        if failure is not None:
+            a, b, q = failure
+            return fail("semigroup", pair=[pt(a), pt(b)], sum=pt(q))
 
     return rep
 
@@ -1556,8 +1667,9 @@ def test_sweeps_work_bounded_by_reports(ex2, node3, monkeypatch):
     # fiber-table entries and layers, so their per-point grid lookups (the
     # clamp of SmallRep.index, which every single fiber, p and q query
     # takes) do not grow with the volume of the sweep box: the only ones
-    # left are the two of each rho value a rho report shows.  validate, run
-    # on promotion, queries per pair of small elements and is not counted.
+    # left are the two of each rho value a rho report shows.  The axiom
+    # kernel, run on promotion, queries per pair of small elements and is
+    # not counted.
     import gsi.duality as duality
     from gsi.theorems import check_rho
 
@@ -1569,14 +1681,14 @@ def test_sweeps_work_bounded_by_reports(ex2, node3, monkeypatch):
 
     monkeypatch.setattr(SmallRep, "index", counted)
 
-    def uncounted_validate(*args, validate=duality.validate, **kwargs):
+    def uncounted_axioms(*args, axioms=duality._axiom_failure, **kwargs):
         paused.append(True)
         try:
-            return validate(*args, **kwargs)
+            return axioms(*args, **kwargs)
         finally:
             paused.pop()
 
-    monkeypatch.setattr(duality, "validate", uncounted_validate)
+    monkeypatch.setattr(duality, "_axiom_failure", uncounted_axioms)
     for S in (ex2, node3):
         K = canonical_ideal(S)
         D = cd_difference(K, S)
@@ -2167,3 +2279,54 @@ def test_normaliser_and_quotient_preconditions(monkeypatch):
     # every point set reaches the normaliser, and random_good's draws do too
     assert len(holds_top) > 300 and all(holds_top)
     assert len(keeps_top) > 300 and all(keeps_top)
+
+
+def _kernel_cases() -> list[tuple[SmallRep, SmallRep | None, bool]]:
+    """(E, S, semigroup) arguments of ``validate`` that reach every branch
+    of its kernel: the reps of ``_sweep_family`` and their variants alone
+    and against each semigroup of ``_semigroups`` (of every dimension, so
+    compatibility fails and S's dimension may differ); the semigroups and
+    the family's reps as semigroups, most of which fail; the one-element
+    reps at m and at c, with and without S; and per rep each structural
+    failure: min above the conductor, min or conductor missing, and an
+    element below m or above c."""
+    semigroups = list(_semigroups().values())
+    family = [E for group in _sweep_family() for E in group]
+    own = {S.r: S for S in reversed(semigroups)} | {r: node(r) for r in (4, 5)}
+    cases = [(E, None, False) for E in family]
+    cases += [(E, S, False) for E in family for S in semigroups]
+    cases += [(S, None, True) for S in semigroups + family]
+    for E in family:
+        e = ones(E.r)
+        below, above = vsub(E.m, e), vadd(E.c, e)
+        for p in (E.m, E.c):
+            point = SmallRep(E.r, p, p, frozenset({p}))
+            cases += [(point, None, False), (point, own[E.r], False)]
+        cases += [(SmallRep(E.r, m, c, small), None, False) for m, c, small in (
+            (E.c, E.m, E.small | {E.m, E.c}), (below, E.c, E.small),
+            (E.m, above, E.small), (E.m, E.c, E.small | {below}),
+            (E.m, E.c, E.small | {above}))]
+    return cases
+
+
+def test_axiom_kernel_matches_former_validate():
+    # validate wraps the record of the report-free kernel _axiom_failure,
+    # which every promotion and constructor calls alone; its reports must
+    # be those of the former validate, which built its report as it went
+    seen = collections.Counter()
+    for E, S, semigroup in _kernel_cases():
+        want = _old_report_validate(E, S, semigroup=semigroup).to_dict()
+        assert validate(E, S, semigroup=semigroup).to_dict() == want, (E, S, semigroup)
+        first = want["counterexamples"][0] if want["counterexamples"] else None
+        assert _axiom_failure(E, S, semigroup=semigroup) == first, (E, S, semigroup)
+        seen[(first["axiom"], first.get("reason")) if first else "pass", len(E.small) == 1] += 1
+    reasons = ["min exceeds conductor", "min not among small elements",
+               "conductor not among small elements",
+               "small element outside [min, conductor]", "semigroup dimension mismatch"]
+    kinds = [("structural", reason) for reason in reasons] + [
+        ("E1", None), ("E2", None), ("compatibility", None),
+        ("compatibility", "conductor exceeds min + c(S)"), ("semigroup", None),
+        ("semigroup", "0 not a member"),
+        ("conductor", "conductor not minimal: c - e_i already conducts"), "pass"]
+    assert all(seen[kind, False] >= 5 for kind in kinds), seen
+    assert seen["pass", True] >= 50 and seen[("semigroup", None), True] >= 5, seen

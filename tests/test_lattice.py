@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,6 +105,23 @@ def test_box_iteration(lo_width):
 def test_empty_box():
     b = Box((0, 0), (-1, 2))
     assert b.is_empty and len(b) == 0 and list(b) == []
+
+
+def test_box_points_is_box_iteration():
+    # box_points is itertools.product over the ranges, Box's iteration, on
+    # every box of r = 1..4 with each width in -1..2 (a width of -1 is an
+    # empty axis), and raises Box's error on mismatched dimensions
+    for r in range(1, 5):
+        for width in itertools.product(range(-1, 3), repeat=r):
+            lo = tuple(range(-1, r - 1))
+            hi = tuple(l + w for l, w in zip(lo, width))
+            assert list(box_points(lo, hi)) == list(Box(lo, hi)), (lo, hi)
+            assert (min(width) < 0) == (list(box_points(lo, hi)) == [])
+    for lo, hi in (((0, 0), (1, 1, 1)), ((0, 0, 0), (1,))):
+        with pytest.raises(DimensionMismatch) as want:
+            Box(lo, hi)
+        with pytest.raises(DimensionMismatch, match=f"^{str(want.value)}$"):
+            list(box_points(lo, hi))
 
 
 def test_join():

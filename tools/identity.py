@@ -25,7 +25,14 @@ It prints six rows, ``<name> <count> <sha256>``:
   then for E with its middle small element other than m and c removed, and
   with the middle point of [m, c] outside E added, when there is one.  The
   altered sets mostly fail E1 or E2, so the pair loops that name the first
-  failing pair run after the mask test.
+  failing pair run after the mask test.  Then ``validate(E, S)`` for every
+  draw E against each semigroup, its own and others, so compatibility
+  passes and fails and S's dimension may differ;
+  ``validate(S, semigroup=True)`` for the semigroups and the draws, which
+  mostly fail it; the one-element reps at m and at c of every draw, with
+  and without its semigroup; and per draw the structural failures: min
+  above the conductor, min or conductor missing, and an element outside
+  [m, c].
 - ``checks``: the ``check_all(S, EJ, EI, seed=0)`` reports for (S, S, S),
   (S, K, S), (S, S, E) and (S, K, E), K = K(S) and E = ``random_good(S,
   0)``, for every fourth semigroup of that list; then, for the same (EJ,
@@ -53,7 +60,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import gsi  # noqa: E402  (the checkout's own package, after the path)
 from gsi import cli  # noqa: E402
 from gsi.duality import _CheckContext  # noqa: E402
-from gsi.lattice import box_points  # noqa: E402
+from gsi.lattice import box_points, vadd, vsub  # noqa: E402
 
 CHECKS = ("sum", "fibra", "length", "rho", "maxsym", "all")
 USAGE = ([], ["bogus"], ["--help"], ["gen", "node"], ["gen", "numerical"],
@@ -125,10 +132,23 @@ def _draws():
         yield *key, _emitted(E)
 
 
+def _structural(E):
+    """E with min above the conductor, with min and then conductor missing,
+    and with a point below m and one above c added: each fails the
+    structural part of ``validate``."""
+    e = (1,) * E.r
+    below, above = vsub(E.m, e), vadd(E.c, e)
+    yield E.c, E.m, E.small | {E.c, E.m}
+    yield below, E.c, E.small
+    yield E.m, above, E.small
+    yield E.m, E.c, E.small | {below}
+    yield E.m, E.c, E.small | {above}
+
+
 def _validate():
-    for key, E in _draw_outcomes():
-        if not isinstance(E, gsi.SmallRep):
-            continue
+    semigroups = _draw_semigroups()
+    draws = [(key, E) for key, E in _draw_outcomes() if isinstance(E, gsi.SmallRep)]
+    for key, E in draws:
         inner = sorted(E.small - {E.m, E.c})
         outside = sorted(set(box_points(E.m, E.c)) - E.small)
         variants = [E.small]
@@ -137,6 +157,19 @@ def _validate():
         for small in variants:
             report = gsi.validate(gsi.SmallRep(E.r, E.m, E.c, small))
             yield *key, sorted(small), report.to_dict()
+    for key, E in draws:
+        for j, S in enumerate(semigroups):
+            yield *key, j, gsi.validate(E, S).to_dict()
+    for S in semigroups + [E for _, E in draws]:
+        yield sorted(S.small), gsi.validate(S, semigroup=True).to_dict()
+    for key, E in draws:
+        S = semigroups[key[0]]
+        for p in (E.m, E.c):
+            point = gsi.SmallRep(E.r, p, p, frozenset({p}))
+            yield *key, p, gsi.validate(point).to_dict(), gsi.validate(point, S).to_dict()
+        for m, c, small in _structural(E):
+            report = gsi.validate(gsi.SmallRep(E.r, m, c, small))
+            yield *key, m, c, sorted(small), report.to_dict()
 
 
 def _numerical_semigroups():

@@ -15,14 +15,17 @@ one window of EJ covers every sum beta + alpha, and its shift by alpha's
 offset answers the quantifier for every beta at once.  On the box the top
 clamp class of EI, c_I + N^r, always lands in EJ, and by E2 in EJ every
 other small element takes one shift of the window, so a principal
-EI = c_I + N^r needs none.
+EI = c_I + N^r needs none: its box is the one point c_J - c_I, returned
+as it is.
 ``fiber_dual`` and ``canonical_ideal`` read their regions off one window
 instead of walking their boxes: the points beta with F(E, f - beta) empty
 are the box minus the window of E's layer P[1] (some singleton open fiber
 occupied) over the reflected box f - box, bit-reversed to the box's own
-indexing.  ``_fiber_region`` returns the fiber dual as that mask with its
-box; ``is_canonical`` and the check layer compare it with windows and
-never promote it, and only the public ``fiber_dual`` decodes it.
+indexing.  P[1] is read off E's grid (``SmallRep.p1``), so E's fiber
+tables and layers stay unbuilt.  ``_fiber_region`` returns the fiber dual
+as that mask with its box; ``is_canonical`` and the check layer compare it
+with windows and never promote it, and only the public ``fiber_dual``
+decodes it.
 Each region is promoted to a SmallRep with its box top U as conductor:
 c_J - m_I for a dual or fiber dual and c_S for K(S), the conductors the
 duality fixes (c(EJ - EI) = c_J - m_I and c(K(S)) = c(S); D'Anna 1997,
@@ -38,11 +41,12 @@ raises SoundnessError.  ``ideal._axiom_failure``, the axiom kernel of
 a failure is wrapped in ``validate``'s report, for the error's text.  Its
 conductor check rejects a region that a fault lowers, and on valid inputs
 any failure there is an internal bug.  A principal EI gives a one-point
-region, which the kernel passes after its structural part alone.
+region, which the kernel passes with no check of its own.
 
 A private check context holds what the checks of a triple share: each
 dual and fiber-dual region and the canonicity of EJ, computed once on first
-use and keyed by value (SmallRep is canonical); ``is_canonical`` reads the
+use and keyed by value (SmallRep is canonical), a region by what it reads
+of EJ, m_J and c_J, so S and K(S) share theirs; ``is_canonical`` reads the
 region from the one passed as ``ctx``, or from a fresh one.  It lives for
 one call of ``theorems.check_all``, which adds its sweeps' equality flags,
 and holds values, never reports.  K(S) lives on S: ``canonical_ideal``
@@ -132,8 +136,9 @@ def cd_difference(EJ: SmallRep, EI: SmallRep) -> SmallRep:
 def _empty_mask(E: SmallRep, f: Point, lo: Point, hi: Point) -> int:
     """The mask, in the layout of [lo, hi], of the beta with F(E, f - beta)
     empty: the box minus E's reflected window of the layer P[1], F being
-    the union of the singleton open fibers."""
-    return Layout.of(lo, hi).whole & ~_reflected(E, f, lo, hi, E.fiber_layers[0][1])
+    the union of the singleton open fibers.  P[1] is read off E's grid
+    (:attr:`SmallRep.p1`), so E's fiber tables stay unbuilt."""
+    return Layout.of(lo, hi).whole & ~_reflected(E, f, lo, hi, E.p1)
 
 
 def _fiber_region(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
@@ -254,7 +259,9 @@ class _CheckContext:
         return self._get(("dual", EJ, EI), lambda: cd_difference(EJ, EI))
 
     def fiber_region(self, EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
-        return self._get(("fiber_region", EJ, EI), lambda: _fiber_region(EJ, EI))
+        # keyed by what the region reads of EJ, its m and c, so S and K(S),
+        # which share both, share their regions
+        return self._get(("fiber_region", EJ.m, EJ.c, EI), lambda: _fiber_region(EJ, EI))
 
     def is_canonical(self, EJ: SmallRep, S: SmallRep) -> bool:
         return self._get(("is_canonical", EJ, S), lambda: is_canonical(EJ, S, ctx=self))

@@ -6,7 +6,9 @@ relaxes strict to weak.  Each answer is one bit, at alpha clamped into
 [m - e, c] (:meth:`SmallRep.index`), of the closed fiber table for a single
 fiber (an open one reads it at alpha + e on the free axes,
 :meth:`SmallRep.fiber_occupied`) and of the (p, q) layers
-(:attr:`SmallRep.fiber_layers`) for emptiness, p, q and maximal points.
+(:attr:`SmallRep.fiber_layers`) for p, q and maximal points.  Emptiness
+reads the layer P[1] alone, off the grid (:attr:`SmallRep.p1`), with no
+table built.
 Once the table says a fiber is occupied, :func:`fiber_witness` names its
 first member in a capped box it builds itself (the pinned axes at alpha,
 each free axis from alpha or alpha + 1 up to the conductor); the maximal
@@ -49,9 +51,10 @@ def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
 
 
 def fiber_empty(E: SmallRep, alpha: Point) -> bool:
-    """Emptiness of F(E, alpha), the union of the singleton open fibers."""
+    """Emptiness of F(E, alpha), the union of the singleton open fibers:
+    one bit of the layer P[1], read off the grid (:attr:`SmallRep.p1`)."""
     check_same_dim(alpha, E.c)
-    return not E.fiber_layers[0][1] >> E.index(alpha) & 1
+    return not E.p1 >> E.index(alpha) & 1
 
 
 def is_maximal(E: SmallRep, alpha: Point) -> bool:

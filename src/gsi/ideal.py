@@ -18,20 +18,24 @@ bit layout of every box mask here: the last axis fastest, which makes bit
 order lexicographic order, so a mask's lowest set bit, read as a point by
 :meth:`Layout.lowest`, is its least point.  The fiber tables (a mask per
 index set, closed and open) and the (p, q) layers (a mask per fiber size)
-live on that grid too.  The axiom kernel ``_axiom_failure`` returns the
+live on that grid too, and so does the layer P[1] alone
+(:attr:`SmallRep.p1`), read off the grid with no table for the duality
+layer.  The axiom kernel ``_axiom_failure`` returns the
 first failing axiom's record, or None, and builds no report: every
 promotion and constructor certifies through it, and ``validate`` only
 wraps its record in a report.  It decides E1 and E2 for all pairs of
 small elements from a few ANDs of table entries when the grid is no larger
-than the number of pairs (``_pairs_good``).  Every per-axis row mask of a
+than the number of pairs (``_pairs_good``), and passes a rep whose one
+small element is m = c with no work of its own.  Every per-axis row mask of a
 layout comes from its one row family, :class:`Rows`: the rows below a
 row, the suffix-OR steps behind the closed tables, the points on and at
 or above each row, and the moves built of them (a read-up, an up-move and
 a fiber cut).  A rep keeps its grid's family (:attr:`SmallRep.rows`).
 The mask algebra of the two axioms has one home, three steps that read
 a closed table and the family of its layout: ``_meets`` (E1's meets),
-:meth:`Rows.up` (the one step from closed fibers to open ones, the top
-row kept) and ``_failing_demands`` (E2's failing demands).  The kernel
+:meth:`Rows.read_up` (the one step from closed fibers to open ones, the
+top row kept, which :meth:`Rows.up` takes over a table) and
+``_failing_demands`` (E2's failing demands).  The kernel
 reads them on an ideal's grid and ``constructors.random_good`` on its
 draw box [m, c].  Box questions read
 masks: ``members`` lists the set bits of E's window over a box
@@ -41,7 +45,8 @@ its lowest set bit, ``equals`` and ``is_subset`` compare windows, or the
 grids of two ideals on one layout, the sum sweeps AND a window over the
 clamp classes of one side (``_class_and``), and the quotient behind
 ``duality.cd_difference`` shifts one window per small element of the
-divisor but its conductor, so no box is walked point by point.
+divisor but its conductor, so no box is walked point by point (a
+principal divisor's one-point box is returned as it is).
 ``_least_conductor`` reads a point set's least conductor off the runs
 down the axes from its box top and checks the membership rule against the
 set by counting its clamp classes, with no grid; when the two disagree it
@@ -55,7 +60,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -234,6 +239,29 @@ class SmallRep:
             Q[k] &= Q[k + 1]
         return tuple(P), tuple(Q)
 
+    @cached_property
+    def p1(self) -> int:
+        """The layer P[1] of :attr:`fiber_layers`, the grid points with some
+        singleton open fiber occupied, read off the grid with no table
+        built: the OR over k of the open {k}-fiber entry O[k].  The closed
+        entry is the grid suffix-ORed along every axis j other than k with
+        the steps of :meth:`Rows.steps`, as :func:`_closed_fibers` builds
+        it (the ORs along different axes commute), and the open entry reads
+        it one row up along each such j (:meth:`Rows.read_up`, the top row
+        kept), as :attr:`open_table` does.  The axes j run outermost, so
+        each step of j is built once for the r - 1 entries it serves: r
+        step lists and r (r - 1) suffix ORs and read-ups of the grid, where
+        the tables cost 2^r entries."""
+        rows, r = self.rows, self.r
+        O = [self.grid] * r
+        for j in range(r):
+            others = [k for k in range(r) if k != j]
+            for shift, keep in rows.steps(j):
+                for k in others:
+                    O[k] |= O[k] >> shift & keep
+            rows.read_up(O, j, others)
+        return reduce(or_, O)
+
     def index(self, alpha: Point) -> int:
         """The grid bit of alpha clamped into [m - e, c], where every table
         entry and layer reads alpha.  The clamp is exact: membership is
@@ -304,7 +332,8 @@ class Rows:
     formula, :meth:`below`: per axis k, ``top`` holds the points below the
     top row, :meth:`steps` the doubling steps of a suffix OR along k, and
     ``eq`` and ``ge`` the points on and at or above each row (so
-    t_k > v is ``ge[k][v + 1]``).  On them sit the read-up (:meth:`up`),
+    t_k > v is ``ge[k][v + 1]``).  On them sit the read-up
+    (:meth:`read_up`, over a table :meth:`up`),
     the up-move T_d (:meth:`shift`) and the cut of a fiber
     (:meth:`fiber`).  ``top``, ``eq`` and ``ge`` are built on first use
     and steps when taken: a rep's family (:attr:`SmallRep.rows`) keeps
@@ -350,20 +379,25 @@ class Rows:
         the rows from v up."""
         return tuple([tuple(accumulate(reversed(eq), or_, initial=0))[::-1] for eq in self.eq])
 
+    def read_up(self, O: list[int], k: int, entries: Iterable[int]) -> None:
+        """Read the entries of O up along k, in place: bit t of each is
+        read at t + e_k, clamped into the box, so on the top row of k, where
+        t + e_k leaves it, at t_k itself.  This is the one step that turns
+        closed fibers into open ones.  The mask shifted down a row is
+        merged into the mask through ``top[k]`` as a ^ (a ^ b) & top, which
+        holds fewer whole-grid temporaries at once than two ANDs and an
+        OR."""
+        s, keep = self.layout.strides[k], self.top[k]
+        for J in entries:
+            O[J] = (O[J] >> s ^ O[J]) & keep ^ O[J]
+
     def up(self, T: Sequence[int]) -> list[int]:
         """The read-up of a table T of masks indexed by bitmasks J of axes,
-        closed fibers to open ones: entry J has bit t read at t + e_k along
-        every axis k that J leaves free, clamped into the box, so on the
-        top row of k, where t + e_k leaves it, at t_k itself.  This is the
-        one place closed fibers become open ones.  The mask shifted down a
-        row is merged into the mask through ``top[k]`` as
-        a ^ (a ^ b) & top, which holds fewer whole-grid temporaries at once
-        than two ANDs and an OR."""
+        closed fibers to open ones: entry J read up (:meth:`read_up`) along
+        every axis k that J leaves free."""
         O = list(T)
-        for k, (s, keep) in enumerate(zip(self.layout.strides, self.top)):
-            for J in range(len(O)):
-                if not J >> k & 1:
-                    O[J] = (O[J] >> s ^ O[J]) & keep ^ O[J]
+        for k in range(len(self.layout.dims)):
+            self.read_up(O, k, [J for J in range(len(O)) if not J >> k & 1])
         return O
 
     def fiber(self, mask: int, t: Point, J: int, closed: bool) -> int:
@@ -882,17 +916,20 @@ def _quotient(EJ: SmallRep, EI: SmallRep, lo: Point, hi: Point) -> set[Point]:
     One window W of EJ over [lo + m_I, hi + c_I] covers every sum, with
     beta at bit offset(beta - lo), so W >> offset(alpha - m_I) reads
     beta + alpha there.  The answer is the AND of W >> offset(s - m_I) over
-    the small elements s other than c_I, cut to the box of betas; when c_I
-    is the only one (EI = c_I + N^r), it is the whole box and no window is
-    built.  The rest of the clamp class of s steps along the axes i with
-    s_i = c_i, and x = beta + s in EJ takes each step: x and
-    beta + c_I + e - e_i agree at i and x is lower elsewhere, so E2 puts
-    some x + t e_i, t >= 1, in EJ, and its meet with beta + c_I + e is
-    x + e_i; repeat from there.
+    the small elements s other than c_I, cut to the box of betas.  When
+    c_I is the only one, no window is built and the answer is the whole
+    box, returned as {lo} when the box is that one point.  A valid such EI
+    is c_I + N^r, whose m_I = c_I makes the dual's box [c_J - c_I,
+    c_J - m_I] one point; a larger box comes only from an invalid EI with
+    m_I < c_I, and is walked.  The rest of the clamp class of s steps
+    along the axes i with s_i = c_i, and x = beta + s in EJ takes each
+    step: x and beta + c_I + e - e_i agree at i and x is lower elsewhere,
+    so E2 puts some x + t e_i, t >= 1, in EJ, and its meet with
+    beta + c_I + e is x + e_i; repeat from there.
     """
     rest = EI.small - {EI.c}
     if not rest:
-        return set(box_points(lo, hi))
+        return {lo} if lo == hi else set(box_points(lo, hi))
     wlo, whi = vadd(lo, EI.m), vadd(hi, EI.c)
     _, dims, strides = Layout.of(wlo, whi)
     acc = _box_mask(dims, vadd(vsub(hi, lo), ones(EJ.r)))
@@ -950,35 +987,39 @@ def _axiom_failure(E: SmallRep, S: SmallRep | None = None, *,
     (:func:`_in_fiber`), so a sparse ideal's grid stays unbuilt; only they
     sort the small elements.
 
-    A rep with one small element that passes the structural part has
-    m = c, that element: it is m and it is c.  It has no pair, so E1 and E2
-    hold, and c - e_i, which is not c, is no small element, so c is the
-    least conductor.  So it skips the volume test, the pair loops and the
-    conductor loop, and a principal dual (``duality.cd_difference``) costs
-    the structural part only.
+    A rep whose one small element is m = c passes the structural part: m
+    and c are small elements, and nothing lies outside [m, c] = {c}.  It
+    has no pair, so E1 and E2 hold, and c - e_i, which is not c, is no
+    small element, so c is the least conductor.  So those three facts are
+    read first, from n = len(small) before any transpose, and such a rep
+    goes straight to the S and semigroup checks: a principal dual
+    (``duality.cd_difference``) costs three tests.  Any other one-element
+    rep fails the structural part (were m and c both its element, m = c),
+    which names the failure as before, so no record changes.
 
     With S given, compatibility S + E <= E is checked over boxes; with
     ``semigroup``, 0 in E and E + E <= E are checked as well.
     """
-    r = E.r
+    r, n = E.r, len(E.small)
     # Structural part: reported as its own failure class, not an axiom.
-    cols = list(zip(*E.small))
-    bounded = tuple(map(min, cols)) == E.m and tuple(map(max, cols)) == E.c
-    if not bounded and not leq(E.m, E.c):
-        return dict(axiom="structural", reason="min exceeds conductor",
-                    min=pt(E.m), conductor=pt(E.c))
-    if E.m not in E.small:
-        return dict(axiom="structural", reason="min not among small elements", min=pt(E.m))
-    if E.c not in E.small:
-        return dict(axiom="structural", reason="conductor not among small elements",
-                    conductor=pt(E.c))
-    if not bounded:
-        for p in sorted(E.small):
-            if not (leq(E.m, p) and leq(p, E.c)):
-                return dict(axiom="structural", reason="small element outside [min, conductor]",
-                            point=pt(p))
+    if n > 1 or E.m != E.c or E.c not in E.small:
+        cols = list(zip(*E.small))
+        bounded = tuple(map(min, cols)) == E.m and tuple(map(max, cols)) == E.c
+        if not bounded and not leq(E.m, E.c):
+            return dict(axiom="structural", reason="min exceeds conductor",
+                        min=pt(E.m), conductor=pt(E.c))
+        if E.m not in E.small:
+            return dict(axiom="structural", reason="min not among small elements",
+                        min=pt(E.m))
+        if E.c not in E.small:
+            return dict(axiom="structural", reason="conductor not among small elements",
+                        conductor=pt(E.c))
+        if not bounded:
+            for p in sorted(E.small):
+                if not (leq(E.m, p) and leq(p, E.c)):
+                    return dict(axiom="structural",
+                                reason="small element outside [min, conductor]", point=pt(p))
 
-    n = len(E.small)
     if n > 1:  # else m = c is the one small element, and the axioms hold
         # E1 and E2 on the masks when the grid has at most as many points
         # as there are pairs; the pair loops run otherwise, or to name the

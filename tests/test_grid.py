@@ -1600,7 +1600,7 @@ def _fiber_dual_reports(old: _CheckContext, new: _CheckContext, EJ: SmallRep,
 def _is_canonical(EJ: SmallRep, S: SmallRep, region: tuple[Point, Point, int]) -> bool:
     """is_canonical with the fiber-dual region seeded in its context."""
     ctx = _CheckContext()
-    ctx.values["fiber_region", EJ, S] = region
+    ctx.values["fiber_region", EJ.m, EJ.c, S] = region
     return is_canonical(EJ, S, ctx=ctx)
 
 
@@ -1647,7 +1647,7 @@ def test_fiber_dual_checks_match_reference_on_planted_regions():
                     new.values["is_canonical", EJ, S] = can
                     old.values["fiber_dual", EJ, EI] = _Region(
                         Box(lo, hi), frozenset(Layout.of(lo, hi).points(mask)))
-                    new.values["fiber_region", EJ, EI] = lo, hi, mask
+                    new.values["fiber_region", EJ.m, EJ.c, EI] = lo, hi, mask
                     fibra, duality, _ = map(json.loads, _fiber_dual_reports(
                         old, new, EJ, EI, S))
                     seen["fibra_fail"] += not fibra["passed"]
@@ -2287,9 +2287,12 @@ def _kernel_cases() -> list[tuple[SmallRep, SmallRep | None, bool]]:
     and against each semigroup of ``_semigroups`` (of every dimension, so
     compatibility fails and S's dimension may differ); the semigroups and
     the family's reps as semigroups, most of which fail; the one-element
-    reps at m and at c, with and without S; and per rep each structural
-    failure: min above the conductor, min or conductor missing, and an
-    element below m or above c."""
+    reps {p} with m = c = p at m and at c, with and without S, alone and
+    as semigroups; the malformed one-element reps on [m, c] with m != c
+    holding m, c, or a point x that is neither (c + e, or an inner small
+    element); and per rep each structural failure: min above the
+    conductor, min or conductor missing, and an element below m or
+    above c."""
     semigroups = list(_semigroups().values())
     family = [E for group in _sweep_family() for E in group]
     own = {S.r: S for S in reversed(semigroups)} | {r: node(r) for r in (4, 5)}
@@ -2301,7 +2304,12 @@ def _kernel_cases() -> list[tuple[SmallRep, SmallRep | None, bool]]:
         below, above = vsub(E.m, e), vadd(E.c, e)
         for p in (E.m, E.c):
             point = SmallRep(E.r, p, p, frozenset({p}))
-            cases += [(point, None, False), (point, own[E.r], False)]
+            cases += [(point, S, semigroup) for S in (None, own[E.r])
+                      for semigroup in (False, True)]
+        inner = sorted(E.small - {E.m, E.c})
+        if E.m != E.c:
+            cases += [(SmallRep(E.r, E.m, E.c, frozenset({x})), None, False)
+                      for x in (E.m, E.c, above, *inner[len(inner) // 2:][:1])]
         cases += [(SmallRep(E.r, m, c, small), None, False) for m, c, small in (
             (E.c, E.m, E.small | {E.m, E.c}), (below, E.c, E.small),
             (E.m, above, E.small), (E.m, E.c, E.small | {below}),
@@ -2330,3 +2338,76 @@ def test_axiom_kernel_matches_former_validate():
         ("conductor", "conductor not minimal: c - e_i already conducts"), "pass"]
     assert all(seen[kind, False] >= 5 for kind in kinds), seen
     assert seen["pass", True] >= 50 and seen[("semigroup", None), True] >= 5, seen
+    # the one-element reps: m = c passes alone and against S of its
+    # dimension, and as a semigroup passes or fails; m != c fails the
+    # structural part
+    one = [("semigroup", "0 not a member"), ("semigroup", None), ("structural", reasons[1]),
+           ("structural", reasons[2]), ("structural", reasons[4])]
+    assert all(seen[kind, True] >= 5 for kind in one), seen
+
+
+def test_p1_is_the_layer_of_the_open_table():
+    # SmallRep.p1 reads P[1] off the grid, building no table; it must be
+    # the layer P[1] that fiber_layers ORs from the open table, each read on
+    # a copy of its own: over the sweep family (S, K(S) and six draws per
+    # semigroup of _semigroups and node(1)-node(5), and their invalid
+    # variants of one layout), node(1)-node(8) and draws over node(6)
+    reps = [E for group in _sweep_family() for E in group]
+    reps += [node(r) for r in range(1, 9)]
+    reps += [random_good(node(6), seed) for seed in range(3)]
+    invalid = 0
+    for E in reps:
+        copy = replace(E)
+        assert copy.p1 == replace(E).fiber_layers[0][1], E
+        assert "fiber_table" not in vars(copy) and "open_table" not in vars(copy), E
+        invalid += not validate(E).passed
+    assert len(reps) >= 250 and invalid >= 50, (len(reps), invalid)
+
+
+def test_duality_layer_builds_no_fiber_tables():
+    # canonical_ideal, fiber_dual, is_canonical and fiber_empty read P[1]
+    # off the grid (SmallRep.p1), so on fresh reps they leave the fiber
+    # tables and the (p, q) layers of S, EI and E unbuilt
+    tables = {"fiber_table", "open_table", "fiber_layers"}
+    for S in [*_semigroups().values(), node(4), node(5), node(8)]:
+        fresh = replace(S)
+        K = canonical_ideal(fresh)
+        assert not tables & set(vars(fresh)), S
+        for E in (S, K, random_good(S, 1), translate(K, ones(S.r))):
+            EI = replace(E)
+            fiber_dual(K, EI)
+            assert not tables & set(vars(EI)), (S, E)
+            E = replace(E)
+            for alpha in (E.m, frobenius(E), E.c):
+                fiber_empty(E, alpha)
+            assert not tables & set(vars(E)), (S, E)
+        fresh = replace(S)
+        assert is_canonical(K, fresh)
+        assert not tables & set(vars(fresh)), S
+
+
+def test_quotient_one_point_box():
+    # a principal EI = p + N^r has m_I = c_I = p, so the dual's box
+    # [c_J - c_I, c_J - m_I] is the one point c_J - p, which _quotient
+    # returns with no window and no box walk, and which cd_difference
+    # promotes to c_J - p + N^r.  An EI whose one small element is c_I but
+    # with m_I < c_I fails validate; its box is larger and the quotient
+    # keeps the former whole box, whose promotion fails the conductor check
+    # (c_J - m_I - e_k lies in it)
+    seen = collections.Counter()
+    for name, S in sorted(_semigroups().items()):
+        e = ones(S.r)
+        for EJ in (S, canonical_ideal(S), random_good(S, 2)):
+            for p in (S.m, S.c, vadd(S.c, e), vsub(S.m, e), *sorted(S.small)[:3]):
+                EI = SmallRep(S.r, p, p, frozenset({p}))
+                lo = vsub(EJ.c, p)
+                assert _quotient(EJ, EI, lo, lo) == {lo} == set(box_points(lo, lo)), (name, p)
+                assert cd_difference(EJ, EI) == SmallRep(S.r, lo, lo, frozenset({lo}))
+                seen["principal"] += 1
+            EI = SmallRep(S.r, S.m, S.c, frozenset({S.c}))
+            lo, hi = vsub(EJ.c, EI.c), vsub(EJ.c, EI.m)
+            assert lo != hi and _quotient(EJ, EI, lo, hi) == set(box_points(lo, hi)), name
+            kind, text = _outcome(cd_difference, EJ, EI)
+            assert kind is SoundnessError and "'axiom': 'conductor'" in text, (name, text)
+            seen["whole box"] += 1
+    assert seen["principal"] >= 100 and seen["whole box"] >= 20, seen

@@ -330,9 +330,10 @@ def test_equals_subset_agree_with_pointwise_oracle(node2):
 
 def test_parse_and_validate_leave_layers_unbuilt(data_dir):
     # the (p, q) layers cost 2^r stepped table entries; ideals that are only
-    # parsed and validated, as most ingested ones are, never pay for them
+    # parsed and validated, as most ingested ones are, never pay for them,
+    # and an emptiness query reads P[1] off the grid without them
     from gsi.errors import ValidationError
-    from gsi.fiber import fiber_empty
+    from gsi.fiber import fiber_empty, p_value
     from gsi.gsi_format import parse_gsi
 
     for path in sorted(data_dir.glob("*.gsi")):
@@ -341,8 +342,10 @@ def test_parse_and_validate_leave_layers_unbuilt(data_dir):
         except ValidationError:
             continue  # broken.gsi: a document that fails validation
         validate(E, E, semigroup=True)
-        assert "fiber_layers" not in vars(E), path.name
+        assert "fiber_layers" not in vars(E) and "p1" not in vars(E), path.name
         fiber_empty(E, E.m)
+        assert "p1" in vars(E) and "fiber_layers" not in vars(E), path.name
+        p_value(E, E.m)
         assert "fiber_layers" in vars(E), path.name
 
 

@@ -294,6 +294,38 @@ def test_check_all_computes_each_value_once(ex2, node2, node3, monkeypatch,
         assert names["canonical_ideal"] == names["is_canonical"] == 1
 
 
+def test_check_all_cuts_one_fiber_region_per_conductor(ex2, node3, monkeypatch):
+    # the fiber-dual region reads EJ only through m_J and c_J, which S and
+    # K(S) share: check_all(S, K, E) asks for the regions of (S, x) and of
+    # (K, x) for each sampled x, and the context cuts each once
+    import collections
+
+    import gsi.duality as duality
+
+    asked, cut = collections.Counter(), collections.Counter()
+
+    def region(EJ, EI, original=duality._fiber_region):
+        cut[EJ.m, EJ.c, EI] += 1
+        return original(EJ, EI)
+
+    def fiber_region(self, EJ, EI, original=duality._CheckContext.fiber_region):
+        asked[EJ, EI] += 1
+        return original(self, EJ, EI)
+
+    monkeypatch.setattr(duality, "_fiber_region", region)
+    monkeypatch.setattr(duality._CheckContext, "fiber_region", fiber_region)
+    for S in (ex2, node3, numerical([3, 5, 7])):
+        K, E = canonical_ideal(S), random_good(S, 0)
+        assert K != S
+        asked.clear()
+        cut.clear()
+        check_all(S, K, E)
+        by_S = {EI for EJ, EI in asked if EJ == S}
+        by_K = {EI for EJ, EI in asked if EJ == K}
+        assert {S, E} <= by_S & by_K, (by_S, by_K)
+        assert set(cut.values()) == {1} and len(cut) == len(by_S | by_K), cut
+
+
 def test_check_all_promotes_no_fiber_dual(ex2, node2, node3, monkeypatch,
                                           canonical_runs):
     # the fibra and duality checks and the canonicity fixpoint read the fiber

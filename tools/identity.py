@@ -20,7 +20,11 @@ It prints six rows, ``<name> <count> <sha256>``:
   points and promoted rep) over the ordered pairs of S, K(S), K(S) + e and
   three ``random_good`` draws, for every fourth semigroup of that list.
   The fiber dual of a valid pair is always good (``fiber_dual`` proves
-  it), EJ canonical or not.
+  it), EJ canonical or not.  Then the same three with EJ one of those six
+  and EI one-element: principal at m_S, c_S and c_S + e, and the
+  principal-looking {c_S} on [m_S, c_S], which fails ``validate``, so its
+  duals raise.  Then S and K(S) against the principal ideals p + N^r at
+  every p in [0, c_S] for node(4) and node(5).
 - ``validate``: ``validate(E).to_dict()`` for every draw E of ``draws``,
   then for E with its middle small element other than m and c removed, and
   with the middle point of [m, c] outside E added, when there is one.  The
@@ -207,15 +211,33 @@ def _fiber_dual(EJ, EI):
     return fd
 
 
+def _dual_row(EJ, EI):
+    return (gsi.emit_gsi(EJ), gsi.emit_gsi(EI), _emitted(_outcome(gsi.cd_difference, EJ, EI)),
+            _emitted(_outcome(gsi.bidual, EJ, EI)), _fiber_dual(EJ, EI))
+
+
+def _point(r, m, c):
+    """The rep on [m, c] whose one small element is c: c + N^r when m = c."""
+    return gsi.SmallRep(r, m, c, frozenset({c}))
+
+
 def _duals():
     for S in _canonical_semigroups()[::4]:
         K = gsi.canonical_ideal(S)
-        ideals = [S, K, gsi.translate(K, (1,) * S.r)]
+        e = (1,) * S.r
+        ideals = [S, K, gsi.translate(K, e)]
         ideals += [gsi.random_good(S, seed) for seed in range(3)]
         for EJ, EI in itertools.product(ideals, repeat=2):
-            yield (gsi.emit_gsi(EJ), gsi.emit_gsi(EI),
-                   _emitted(_outcome(gsi.cd_difference, EJ, EI)),
-                   _emitted(_outcome(gsi.bidual, EJ, EI)), _fiber_dual(EJ, EI))
+            yield _dual_row(EJ, EI)
+        points = [_point(S.r, p, p) for p in (S.m, S.c, vadd(S.c, e))]
+        points.append(_point(S.r, S.m, S.c))
+        for EJ, EI in itertools.product(ideals, points):
+            yield _dual_row(EJ, EI)
+    for S in (gsi.node(4), gsi.node(5)):
+        ideals = [S, gsi.canonical_ideal(S)]
+        points = [_point(S.r, p, p) for p in box_points((0,) * S.r, S.c)]
+        for EJ, EI in itertools.product(ideals, points):
+            yield _dual_row(EJ, EI)
 
 
 def _checks():

@@ -20,8 +20,10 @@ order lexicographic order, so a mask's lowest set bit, read as a point by
 index set, closed and open) and the (p, q) layers (a mask per fiber size)
 live on that grid too, and so does the layer P[1] alone
 (:attr:`SmallRep.p1`), read off the grid with no table for the duality
-layer.  The axiom kernel ``_axiom_failure`` returns the
-first failing axiom's record, or None, and builds no report: every
+layer.  They depend on the grid's dims and mask only, so they live in one
+holder per shape, :class:`Tables` (:attr:`SmallRep.tables`), which
+translates of one ideal can share.  The axiom kernel ``_axiom_failure``
+returns the first failing axiom's record, or None, and builds no report: every
 promotion and constructor certifies through it, and ``validate`` only
 wraps its record in a report.  It decides E1 and E2 for all pairs of
 small elements from a few ANDs of table entries when the grid is no larger
@@ -30,7 +32,8 @@ small element is m = c with no work of its own.  Every per-axis row mask of a
 layout comes from its one row family, :class:`Rows`: the rows below a
 row, the suffix-OR steps behind the closed tables, the points on and at
 or above each row, and the moves built of them (a read-up, an up-move and
-a fiber cut).  A rep keeps its grid's family (:attr:`SmallRep.rows`).
+a fiber cut).  A rep's holder keeps its grid's family
+(:attr:`Tables.rows`).
 The mask algebra of the two axioms has one home, three steps that read
 a closed table and the family of its layout: ``_meets`` (E1's meets),
 :meth:`Rows.read_up` (the one step from closed fibers to open ones, the
@@ -139,10 +142,10 @@ class SmallRep:
     are small elements, every small element lies in [m, c], small is closed
     under meet, the exchange axiom E2 holds, and c is the least conductor.
 
-    The membership grid, the fiber tables and the layers are built on first
-    use and then kept on the instance for as long as the ideal lives.  They
-    are pure functions of the four fields, so they take no part in equality
-    or hashing.
+    The membership grid and the holder of the fiber tables and layers
+    (:attr:`tables`) are built on first use and then kept on the instance
+    for as long as the ideal lives.  They are pure functions of the four
+    fields, so they take no part in equality or hashing.
     """
 
     r: int
@@ -193,74 +196,36 @@ class SmallRep:
         return int.from_bytes(bits, "little")
 
     @cached_property
-    def fiber_table(self) -> tuple[int, ...]:
-        """Occupied closed fibers as grid masks, indexed by a bitmask J of
-        0-based axes.
+    def tables(self) -> Tables:
+        """The holder of this grid's fiber tables and layers, built on
+        first read.  They are functions of the layout's dims and the grid
+        alone, so reps of one shape, translates among them, may share one
+        holder: ``duality._CheckContext`` hands its holder of a shape to
+        every rep of that shape it reads, in ``__dict__``."""
+        return Tables(self.layout, self.grid)
 
-        Bit t of entry J is set when the closed J-fiber (members equal to the
-        point on J and at least it elsewhere) of grid point t is nonempty
-        (:func:`_closed_fibers`).
-        """
-        return tuple(_closed_fibers(self.grid, [self.rows.steps(k) for k in range(self.r)]))
+    # The rep keeps what it reads of its holder, so a later read is one
+    # lookup in its own ``__dict__``, and the dict shows what it has read.
+
+    @cached_property
+    def fiber_table(self) -> tuple[int, ...]:
+        """:attr:`Tables.fiber_table` of :attr:`tables`."""
+        return self.tables.fiber_table
 
     @cached_property
     def open_table(self) -> tuple[int, ...]:
-        """Occupied open fibers as grid masks, indexed like
-        :attr:`fiber_table`: the open J-fiber of t is the closed one at
-        t + 1 on the free axes, clamped into the grid (:meth:`Rows.up`)."""
-        return tuple(self.rows.up(self.fiber_table))
-
-    @cached_property
-    def rows(self) -> Rows:
-        """The row family of :attr:`layout`.  The rep reads its ``top``
-        only; the fiber table takes its steps as they are built, so no step
-        or other row is kept (a grid may have thousands of rows)."""
-        return Rows(self.layout)
+        """:attr:`Tables.open_table` of :attr:`tables`."""
+        return self.tables.open_table
 
     @cached_property
     def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The (p, q) layers (P, Q), grid masks for k = 0..r + 1: bit t of
-        P[k] is set when some open fiber of grid point t with at most k
-        indices is occupied (p < k), of Q[k] when all with at least k are
-        (q <= k).  Each :attr:`open_table` entry is ORed into P[|J|] and
-        ANDed into Q[|J|]; a prefix OR and a suffix AND finish, and
-        P[r + 1] = Q[r + 1] is the whole grid."""
-        r = self.r
-        whole = self.layout.whole
-        P, Q = [0] * (r + 1) + [whole], [whole] * (r + 2)
-        for J in range(1, 1 << r):
-            entry = self.open_table[J]
-            n = J.bit_count()
-            P[n] |= entry
-            Q[n] &= entry
-        for k in range(1, r + 1):
-            P[k] |= P[k - 1]
-        for k in range(r, -1, -1):
-            Q[k] &= Q[k + 1]
-        return tuple(P), tuple(Q)
+        """:attr:`Tables.fiber_layers` of :attr:`tables`."""
+        return self.tables.fiber_layers
 
     @cached_property
     def p1(self) -> int:
-        """The layer P[1] of :attr:`fiber_layers`, the grid points with some
-        singleton open fiber occupied, read off the grid with no table
-        built: the OR over k of the open {k}-fiber entry O[k].  The closed
-        entry is the grid suffix-ORed along every axis j other than k with
-        the steps of :meth:`Rows.steps`, as :func:`_closed_fibers` builds
-        it (the ORs along different axes commute), and the open entry reads
-        it one row up along each such j (:meth:`Rows.read_up`, the top row
-        kept), as :attr:`open_table` does.  The axes j run outermost, so
-        each step of j is built once for the r - 1 entries it serves: r
-        step lists and r (r - 1) suffix ORs and read-ups of the grid, where
-        the tables cost 2^r entries."""
-        rows, r = self.rows, self.r
-        O = [self.grid] * r
-        for j in range(r):
-            others = [k for k in range(r) if k != j]
-            for shift, keep in rows.steps(j):
-                for k in others:
-                    O[k] |= O[k] >> shift & keep
-            rows.read_up(O, j, others)
-        return reduce(or_, O)
+        """:attr:`Tables.p1` of :attr:`tables`."""
+        return self.tables.p1
 
     def index(self, alpha: Point) -> int:
         """The grid bit of alpha clamped into [m - e, c], where every table
@@ -336,7 +301,7 @@ class Rows:
     (:meth:`read_up`, over a table :meth:`up`),
     the up-move T_d (:meth:`shift`) and the cut of a fiber
     (:meth:`fiber`).  ``top``, ``eq`` and ``ge`` are built on first use
-    and steps when taken: a rep's family (:attr:`SmallRep.rows`) keeps
+    and steps when taken: a holder's family (:attr:`Tables.rows`) keeps
     ``top`` only, and a draw (``constructors._closure_fixpoint``) lists
     every row and its steps once for its small box."""
 
@@ -448,6 +413,88 @@ def _closed_fibers(mask: int, steps: Sequence[Iterable[tuple[int, int]]]) -> lis
             for J in group:
                 T[J] |= T[J] >> shift & keep
     return T
+
+
+class Tables:
+    """The fiber tables and (p, q) layers of one grid mask, built on first
+    read and kept.  They read only the layout's dims and strides and the
+    mask, never the layout's corner, so the holder serves every rep of one
+    shape (:attr:`SmallRep.tables`), each reading the masks through its own
+    :meth:`SmallRep.index`.  ``rows`` is the row family of the layout; the
+    holder reads its ``top`` only, and the fiber table takes its steps as
+    they are built, so no step or other row is kept (a grid may have
+    thousands of rows)."""
+
+    def __init__(self, layout: Layout, grid: int):
+        self.layout, self.grid = layout, grid
+
+    @cached_property
+    def rows(self) -> Rows:
+        return Rows(self.layout)
+
+    @cached_property
+    def fiber_table(self) -> tuple[int, ...]:
+        """Occupied closed fibers as grid masks, indexed by a bitmask J of
+        0-based axes.
+
+        Bit t of entry J is set when the closed J-fiber (members equal to the
+        point on J and at least it elsewhere) of grid point t is nonempty
+        (:func:`_closed_fibers`).
+        """
+        r = len(self.layout.dims)
+        return tuple(_closed_fibers(self.grid, [self.rows.steps(k) for k in range(r)]))
+
+    @cached_property
+    def open_table(self) -> tuple[int, ...]:
+        """Occupied open fibers as grid masks, indexed like
+        :attr:`fiber_table`: the open J-fiber of t is the closed one at
+        t + 1 on the free axes, clamped into the grid (:meth:`Rows.up`)."""
+        return tuple(self.rows.up(self.fiber_table))
+
+    @cached_property
+    def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (p, q) layers (P, Q), grid masks for k = 0..r + 1: bit t of
+        P[k] is set when some open fiber of grid point t with at most k
+        indices is occupied (p < k), of Q[k] when all with at least k are
+        (q <= k).  Each :attr:`open_table` entry is ORed into P[|J|] and
+        ANDed into Q[|J|]; a prefix OR and a suffix AND finish, and
+        P[r + 1] = Q[r + 1] is the whole grid."""
+        r = len(self.layout.dims)
+        whole = self.layout.whole
+        P, Q = [0] * (r + 1) + [whole], [whole] * (r + 2)
+        for J in range(1, 1 << r):
+            entry = self.open_table[J]
+            n = J.bit_count()
+            P[n] |= entry
+            Q[n] &= entry
+        for k in range(1, r + 1):
+            P[k] |= P[k - 1]
+        for k in range(r, -1, -1):
+            Q[k] &= Q[k + 1]
+        return tuple(P), tuple(Q)
+
+    @cached_property
+    def p1(self) -> int:
+        """The layer P[1] of :attr:`fiber_layers`, the grid points with some
+        singleton open fiber occupied, read off the grid with no table
+        built: the OR over k of the open {k}-fiber entry O[k].  The closed
+        entry is the grid suffix-ORed along every axis j other than k with
+        the steps of :meth:`Rows.steps`, as :func:`_closed_fibers` builds
+        it (the ORs along different axes commute), and the open entry reads
+        it one row up along each such j (:meth:`Rows.read_up`, the top row
+        kept), as :attr:`open_table` does.  The axes j run outermost, so
+        each step of j is built once for the r - 1 entries it serves: r
+        step lists and r (r - 1) suffix ORs and read-ups of the grid, where
+        the tables cost 2^r entries."""
+        rows, r = self.rows, len(self.layout.dims)
+        O = [self.grid] * r
+        for j in range(r):
+            others = [k for k in range(r) if k != j]
+            for shift, keep in rows.steps(j):
+                for k in others:
+                    O[k] |= O[k] >> shift & keep
+            rows.read_up(O, j, others)
+        return reduce(or_, O)
 
 
 def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
@@ -799,7 +846,7 @@ def _pairs_good(E: SmallRep) -> bool:
     T = E.fiber_table
     if _meets(T) & ~E.grid:
         return False
-    return not any(_failing_demands(T, E.open_table, E.rows))
+    return not any(_failing_demands(T, E.open_table, E.tables.rows))
 
 
 def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:

@@ -24,8 +24,13 @@ relations; a counterexample to one of the unconditional claims means an
 implementation bug and fails the build.
 
 check_all passes one check context (``duality._CheckContext``) to the public
-checks as ``ctx``, and memoizes the equality flags per sampled pair in it; a
-check called without one makes its own.
+checks as ``ctx``, hands S, EJ, EI and the sampled ideals to it, so that
+reps of one shape read one set of fiber tables, and memoizes the equality
+flags per sampled pair in it; a check called without one makes its own.
+Each sweep's relation is one mask kernel (``_length_masks``,
+``_rho_masks``, ``_duality_diffs``): the public checks build their
+reports from it, and the consistency sweep reads its flags straight off
+it (``_equality``), with no report built.
 """
 from __future__ import annotations
 
@@ -51,10 +56,19 @@ from .report import CheckReport, pt
 
 
 def _equality(ctx: _CheckContext, EJ: SmallRep, EI: SmallRep) -> tuple[bool, bool, bool]:
-    """The equality flags of the length, rho and duality sweeps of a pair."""
-    return ctx._get(("equality", EJ, EI), lambda: _equality_flags(
-        check_length_pairing(EJ, EI, ctx.dual(EJ, EI)),
-        check_rho(EI, EJ, ctx=ctx), check_duality(EJ, EI, ctx=ctx)))
+    """The equality flags of the length, rho and duality sweeps of a pair,
+    read off their masks with no report built: length holds with equality
+    when no point has both one-step lengths or neither, rho when it is
+    neither below nor above r anywhere, duality when the two duals do not
+    differ.  A report with a counterexample sets no flag, so these are the
+    flags the reports give (``_equality_flags``)."""
+    def flags() -> tuple[bool, bool, bool]:
+        D = ctx.dual(EJ, EI)
+        _, both, neither = _length_masks(EJ, EI, D)
+        _, below, above = _rho_masks(EI, EJ, D)
+        return (not any(both) and not any(neither), not below and not above,
+                not _duality_diffs(EJ, EI, ctx)[2])
+    return ctx._get(("equality", EJ, EI), flags)
 
 
 def _equality_flags(length: CheckReport, rho_rep: CheckReport,
@@ -153,15 +167,22 @@ def check_fibra(EJ: SmallRep, EI: SmallRep, *,
     return rep
 
 
+def _duality_diffs(EJ: SmallRep, EI: SmallRep,
+                   ctx: _CheckContext) -> tuple[Point, Point, int]:
+    """The dual box [lo, hi] and the mask, in its layout, of the beta where
+    the CD-difference and the fiber dual differ."""
+    D = ctx.dual(EJ, EI)
+    lo, hi, region = ctx.fiber_region(EJ, EI)
+    return lo, hi, region ^ _window(D, lo, hi)
+
+
 def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None, *,
                   ctx: _CheckContext | None = None) -> CheckReport:
     """Set equality of CD-difference and fiber dual over the dual box,
     cross-referenced with canonicity of EJ when a semigroup is supplied."""
     ctx = ctx or _CheckContext()
-    D = ctx.dual(EJ, EI)
-    lo, hi, region = ctx.fiber_region(EJ, EI)
+    lo, hi, diffs = _duality_diffs(EJ, EI, ctx)
     rep = CheckReport("duality", True, f"beta over dual box [{list(lo)}, {list(hi)}]")
-    diffs = region ^ _window(D, lo, hi)
     rep.flags["equal"] = not diffs
     if diffs:
         first = Layout.of(lo, hi).lowest(diffs)
@@ -176,6 +197,24 @@ def check_duality(EJ: SmallRep, EI: SmallRep, S: SmallRep | None = None, *,
                 {"beta": pt(first),
                  "note": "EJ canonical but CD-difference misses this point"})
     return rep
+
+
+def _length_masks(EJ: SmallRep, EI: SmallRep,
+                  D: SmallRep) -> tuple[Layout, list[int], list[int]]:
+    """The layout of the length sweep's core and, per axis k, the masks
+    over it where both one-step lengths at k fire and where neither does
+    (``check_length_pairing``)."""
+    f = frobenius(EJ)
+    clo, chi = _core(EI, D, f)
+    layout = Layout.of(clo, chi)
+    whole = layout.whole
+    both, neither = [], []
+    for k in range(EJ.r):
+        a = _window(EI, clo, chi, EI.fiber_table[1 << k])
+        b = _reflected(D, f, clo, chi, D.open_table[1 << k])
+        both.append(a & b)
+        neither.append(whole & ~(a | b))
+    return layout, both, neither
 
 
 def check_length_pairing(EJ: SmallRep, EI: SmallRep,
@@ -210,20 +249,10 @@ def check_length_pairing(EJ: SmallRep, EI: SmallRep,
     """
     if D is None:
         D = cd_difference(EJ, EI)
-    r = EJ.r
-    f = frobenius(EJ)
     lo, hi = _sweep_box(EI, D, EJ.c, 2)
     rep = CheckReport("length", True,
-                      f"alpha over [{list(lo)}, {list(hi)}], i in 1..{r}")
-    clo, chi = _core(EI, D, f)
-    layout = Layout.of(clo, chi)
-    whole = layout.whole
-    both, neither = [], []
-    for k in range(r):
-        a = _window(EI, clo, chi, EI.fiber_table[1 << k])
-        b = _reflected(D, f, clo, chi, D.open_table[1 << k])
-        both.append(a & b)
-        neither.append(whole & ~(a | b))
+                      f"alpha over [{list(lo)}, {list(hi)}], i in 1..{EJ.r}")
+    layout, both, neither = _length_masks(EJ, EI, D)
     bad, gap = _first(layout, both, lo), _first(layout, neither, lo)
     if gap is not None and (bad is None or gap < bad):
         rep.witnesses.append({"alpha": pt(gap[0]), "i": gap[1] + 1,
@@ -245,6 +274,26 @@ def rho(EI: SmallRep, EJ: SmallRep, alpha: Point,
     if D is None:
         D = cd_difference(EJ, EI)
     return p_value(EI, alpha) + q_value(D, vsub(frobenius(EJ), alpha)) - 1
+
+
+def _rho_masks(EI: SmallRep, EJ: SmallRep, D: SmallRep) -> tuple[Layout, int, int]:
+    """The layout of the rho sweep's core and the masks over it where rho
+    is below r and where it is above r (``check_rho``)."""
+    r = EJ.r
+    f = frobenius(EJ)
+    clo, chi = _core(EI, D, f)
+    layout = Layout.of(clo, chi)
+    whole = layout.whole
+    P, Q = EI.fiber_layers[0], D.fiber_layers[1]
+    ks = range(1, r + 1)
+    # the layers of successive k often hold one mask: window each once
+    Pw = {mask: _window(EI, clo, chi, mask) for mask in {P[k] for k in ks}}
+    Qw = {mask: _reflected(D, f, clo, chi, mask) for mask in {Q[k] for k in ks}}
+    A = [0, *(Pw[P[k]] for k in ks), whole]
+    B = [whole, *(Qw[Q[k]] for k in ks), whole]
+    below = reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))
+    above = whole & ~reduce(or_, (A[a + 1] & B[r + 1 - a] for a in range(r + 1)))
+    return layout, below, above
 
 
 def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None, *,
@@ -269,22 +318,10 @@ def check_rho(EI: SmallRep, EJ: SmallRep, S: SmallRep | None = None, *,
     ctx = ctx or _CheckContext()
     D = ctx.dual(EJ, EI)
     r = EJ.r
-    f = frobenius(EJ)
-    lo, hi = _sweep_box(EI, D, f, 2)
+    lo, hi = _sweep_box(EI, D, frobenius(EJ), 2)
     rep = CheckReport("rho", True, f"alpha over [{list(lo)}, {list(hi)}]")
-    clo, chi = _core(EI, D, f)
-    layout = Layout.of(clo, chi)
-    whole = layout.whole
-    P, Q = EI.fiber_layers[0], D.fiber_layers[1]
-    ks = range(1, r + 1)
-    # the layers of successive k often hold one mask: window each once
-    Pw = {mask: _window(EI, clo, chi, mask) for mask in {P[k] for k in ks}}
-    Qw = {mask: _reflected(D, f, clo, chi, mask) for mask in {Q[k] for k in ks}}
-    A = [0, *(Pw[P[k]] for k in ks), whole]
-    B = [whole, *(Qw[Q[k]] for k in ks), whole]
-    below = _first(layout, [reduce(or_, (A[a + 1] & B[r - a] for a in range(r)))], lo)
-    above = _first(layout, [whole & ~reduce(or_, (A[a + 1] & B[r + 1 - a]
-                                                  for a in range(r + 1)))], lo)
+    layout, below_mask, above_mask = _rho_masks(EI, EJ, D)
+    below, above = _first(layout, [below_mask], lo), _first(layout, [above_mask], lo)
     if above is not None and (below is None or above < below):
         alpha = above[0]
         rep.witnesses.append({"alpha": pt(alpha), "rho": rho(EI, EJ, alpha, D),
@@ -390,6 +427,7 @@ def _gorenstein_consistency(ctx: _CheckContext, S: SmallRep, EJ: SmallRep,
     sample.append(("EI", EI))
     for k in range(2):
         sample.append((f"random{k}", random_good(S, seed + k)))
+    sample = [(name, ctx.share(E)) for name, E in sample]
     rep = CheckReport(
         "consistency", True,
         f"EJ fixed, EI sampled over {[name for name, _ in sample]}, seed={seed}")
@@ -427,6 +465,8 @@ def check_all(S: SmallRep, EJ: SmallRep, EI: SmallRep,
     """Run every check for the triple, plus the Gorenstein consistency sweep,
     all from one check context."""
     ctx = _CheckContext()
+    for E in (S, EJ, EI):
+        ctx.share(E)
     D = ctx.dual(EJ, EI)
     reports = [
         check_sum(EJ, EI, D),

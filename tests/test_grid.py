@@ -60,6 +60,7 @@ from gsi.ideal import (
     RegionSet,
     Rows,
     SmallRep,
+    Tables,
     _axiom_failure,
     _bits,
     _box_mask,
@@ -2046,7 +2047,7 @@ def test_dual_box_matches_former_capped_fold():
 # verbatim as the reference for the one-axis-at-a-time step and for the E2
 # test that leaves the top row of i untested.
 def _old_up(E: SmallRep, mask: int, k: int) -> int:
-    keep = E.rows.top[k]
+    keep = E.tables.rows.top[k]
     return mask >> E.layout.strides[k] & keep | mask & ~keep
 
 
@@ -2080,7 +2081,7 @@ def _top_row_pairs(E: SmallRep) -> bool:
     """Whether some E2 demand of E sits on the top row of its axis i, where
     the mask test no longer looks."""
     O, full = E.open_table, (1 << E.r) - 1
-    return any(K >> i & 1 and _split_pairs(O, K, full ^ K) & ~E.rows.top[i]
+    return any(K >> i & 1 and _split_pairs(O, K, full ^ K) & ~E.tables.rows.top[i]
                for K in range(1, full) for i in range(E.r))
 
 
@@ -2213,8 +2214,8 @@ def test_rep_row_family_keeps_top_only():
     E = SmallRep(3, (0, 0, 0), (40, 3, 57), frozenset({(0, 0, 0), (7, 1, 20), (40, 3, 57)}))
     validate(E)
     assert E.fiber_layers and E.open_table
-    assert set(vars(E.rows)) == {"layout", "top"}
-    assert len(E.rows.top) == 3
+    assert set(vars(E.tables.rows)) == {"layout", "top"}
+    assert len(E.tables.rows.top) == 3
 
 
 def test_open_fiber_bits_read_the_closed_table():
@@ -2411,3 +2412,91 @@ def test_quotient_one_point_box():
             assert kind is SoundnessError and "'axiom': 'conductor'" in text, (name, text)
             seen["whole box"] += 1
     assert seen["principal"] >= 100 and seen["whole box"] >= 20, seen
+
+
+def test_equality_flags_match_the_reports():
+    # the consistency sweep reads its length, rho and duality flags off the
+    # sweeps' masks (theorems._equality) and builds no report; they must be
+    # the flags the three reports give (theorems._equality_flags), for EJ
+    # in {S, K(S), K(S) + e} and EI those or a valid rep of the sweep
+    # family, and with the context's dual planted as D + e and as D - e,
+    # where the sweeps find counterexamples and the flags read False
+    seen = collections.Counter()
+    for ideals in _sweep_family():
+        S = ideals[0]
+        K, e = canonical_ideal(S), ones(S.r)
+        EJs = [S, K, translate(K, e)]
+        EIs = EJs + [E for E in ideals if E not in EJs and _axiom_failure(E, S) is None]
+        for EJ in EJs:
+            for EI in EIs:
+                D = cd_difference(EJ, EI)
+                for shift in (None, e, vsub(zero(S.r), e)):
+                    ctx = _CheckContext()
+                    if shift is not None:
+                        ctx.values["dual", EJ, EI] = translate(D, shift)
+                    got = theorems._equality(ctx, EJ, EI)
+                    want = theorems._equality_flags(
+                        check_length_pairing(EJ, EI, ctx.dual(EJ, EI)),
+                        check_rho(EI, EJ, ctx=ctx), check_duality(EJ, EI, ctx=ctx))
+                    assert got == want, (EJ, EI, shift, got, want)
+                    seen[shift is None, got] += 1
+    assert seen[True, (True, True, True)] >= 300, seen
+    assert seen[True, (False, False, False)] >= 20, seen
+    assert seen[False, (False, False, False)] >= 600, seen
+
+
+_TABLES = ("fiber_table", "open_table", "fiber_layers", "p1")
+
+
+def test_check_all_builds_each_table_once_per_shape(monkeypatch):
+    # one check_all hands one table holder per shape (dims, grid) to every
+    # rep it reads: S, EJ, EI, each dual and each sampled ideal.  On node(3)
+    # the translates K + e, D(EJ, K + e) = D(EJ, K) - e and the like share
+    # their holders, so no table or layer is built twice for one shape
+    builds = collections.Counter()
+    for name in _TABLES:
+        def counted(self, build=vars(Tables)[name].func, name=name):
+            builds[name, self.layout.dims, self.grid] += 1
+            return build(self)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Tables, name)
+        monkeypatch.setattr(Tables, name, prop)
+    S = node(3)
+    K, e = canonical_ideal(S), ones(3)
+    for EJ, EI in ((K, S), (S, translate(K, e)), (K, translate(K, e))):
+        builds.clear()
+        theorems.check_all(replace(S), replace(EJ), replace(EI))
+        assert builds and max(builds.values()) == 1, (EJ, EI, builds)
+
+
+def test_shared_table_holders_hold_each_reps_own_tables(monkeypatch):
+    # every holder a check context hands a rep, in check_all and directly,
+    # holds the tables a fresh copy of that rep builds for itself, also
+    # where reps had built tables in holders of their own first
+    shared = []
+    share = _CheckContext.share
+
+    def recording(ctx, rep):
+        shared.append(rep)
+        return share(ctx, rep)
+
+    monkeypatch.setattr(_CheckContext, "share", recording)
+    for S in _semigroups().values():
+        K, e = canonical_ideal(S), ones(S.r)
+        reps = [S, K, translate(K, e), translate(S, vsub(zero(S.r), e)),
+                random_good(S, 0), random_good(S, 1)]
+        ctx = _CheckContext()
+        for i, E in enumerate(reps):
+            E = replace(E)
+            if i % 2:
+                assert E.open_table  # in the rep's own holder
+            ctx.share(E)
+        for EJ in (S, K):
+            for EI in reps:
+                theorems.check_all(S, EJ, EI)
+    holders = {id(rep.tables) for rep in shared}
+    assert len(shared) >= 1000 and len(holders) < len(shared) / 4, (len(shared), len(holders))
+    for rep in {id(rep): rep for rep in shared}.values():
+        fresh = replace(rep)
+        for name in _TABLES:
+            assert getattr(rep.tables, name) == getattr(fresh, name), (rep, name)

@@ -41,7 +41,10 @@ It prints six rows, ``<name> <count> <sha256>``:
   (S, K, S), (S, S, E) and (S, K, E), K = K(S) and E = ``random_good(S,
   0)``, for every fourth semigroup of that list; then, for the same (EJ,
   EI) pairs, the length and rho reports with the dual translated by e and
-  by -e, which mostly fail, so their first counterexamples are digested.
+  by -e, which mostly fail, so their first counterexamples are digested;
+  then ``check_all`` with EJ in {S, K} and EI one of K + e and S - e,
+  translates whose fiber tables a check context shares with K and S.
+  Then (S, S, S) and (S, K, S) for node(4), node(5) and node(6).
 
 An error is digested as its type and text, so a changed error changes the
 digest.  To compare a change with its parent, copy this file into a parent
@@ -240,19 +243,30 @@ def _duals():
             yield _dual_row(EJ, EI)
 
 
+def _check_all(S, EJ, EI):
+    return [report.to_dict() for report in gsi.check_all(S, EJ, EI, seed=0)]
+
+
 def _checks():
     for S in _canonical_semigroups()[::4]:
         K, E = gsi.canonical_ideal(S), gsi.random_good(S, 0)
-        e = (1,) * S.r
+        e, minus_e = (1,) * S.r, (-1,) * S.r
         for EJ, EI in ((S, S), (K, S), (S, E), (K, E)):
-            yield [report.to_dict() for report in gsi.check_all(S, EJ, EI, seed=0)]
+            yield _check_all(S, EJ, EI)
             D = gsi.cd_difference(EJ, EI)
-            for shift in (e, tuple(-x for x in e)):
+            for shift in (e, minus_e):
                 planted = gsi.translate(D, shift)
                 ctx = _CheckContext()
                 ctx.values["dual", EJ, EI] = planted
                 yield (gsi.check_length_pairing(EJ, EI, planted).to_dict(),
                        gsi.check_rho(EI, EJ, ctx=ctx).to_dict())
+        translates = (gsi.translate(K, e), gsi.translate(S, minus_e))
+        for EJ, EI in itertools.product((S, K), translates):
+            yield _check_all(S, EJ, EI)
+    for r in (4, 5, 6):
+        S = gsi.node(r)
+        for EJ in (S, gsi.canonical_ideal(S)):
+            yield _check_all(S, EJ, S)
 
 
 def main() -> None:

@@ -21,7 +21,7 @@ as it is.
 instead of walking their boxes: the points beta with F(E, f - beta) empty
 are the box minus the window of E's layer P[1] (some singleton open fiber
 occupied) over the reflected box f - box, bit-reversed to the box's own
-indexing.  P[1] is read off E's grid (``SmallRep.p1``), so E's fiber
+indexing.  P[1] is read off E's grid (``Tables.p1``), so E's fiber
 tables and layers stay unbuilt.  ``_fiber_region`` returns the fiber dual
 as that mask with its box; ``is_canonical`` and the check layer compare it
 with windows and never promote it, and only the public ``fiber_dual``
@@ -142,8 +142,8 @@ def _empty_mask(E: SmallRep, f: Point, lo: Point, hi: Point) -> int:
     """The mask, in the layout of [lo, hi], of the beta with F(E, f - beta)
     empty: the box minus E's reflected window of the layer P[1], F being
     the union of the singleton open fibers.  P[1] is read off E's grid
-    (:attr:`SmallRep.p1`), so E's fiber tables stay unbuilt."""
-    return Layout.of(lo, hi).whole & ~_reflected(E, f, lo, hi, E.p1)
+    (:attr:`~gsi.ideal.Tables.p1`), so E's fiber tables stay unbuilt."""
+    return Layout.of(lo, hi).whole & ~_reflected(E, f, lo, hi, E.tables.p1)
 
 
 def _fiber_region(EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:

@@ -6,9 +6,9 @@ relaxes strict to weak.  Each answer is one bit, at alpha clamped into
 [m - e, c] (:meth:`SmallRep.index`), of the closed fiber table for a single
 fiber (an open one reads it at alpha + e on the free axes,
 :meth:`SmallRep.fiber_occupied`) and of the (p, q) layers
-(:attr:`SmallRep.fiber_layers`) for p, q and maximal points.  Emptiness
-reads the layer P[1] alone, off the grid (:attr:`SmallRep.p1`), with no
-table built.
+(:attr:`Tables.fiber_layers`, the holder :attr:`SmallRep.tables`) for p, q
+and maximal points.  Emptiness reads the layer P[1] alone, off the grid
+(:attr:`Tables.p1`), with no table built.
 Once the table says a fiber is occupied, :func:`fiber_witness` names its
 first member in a capped box it builds itself (the pinned axes at alpha,
 each free axis from alpha or alpha + 1 up to the conductor); the maximal
@@ -52,9 +52,9 @@ def fiber_witness(E: SmallRep, alpha: Point, J: Iterable[int],
 
 def fiber_empty(E: SmallRep, alpha: Point) -> bool:
     """Emptiness of F(E, alpha), the union of the singleton open fibers:
-    one bit of the layer P[1], read off the grid (:attr:`SmallRep.p1`)."""
+    one bit of the layer P[1], read off the grid (:attr:`Tables.p1`)."""
     check_same_dim(alpha, E.c)
-    return not E.p1 >> E.index(alpha) & 1
+    return not E.tables.p1 >> E.index(alpha) & 1
 
 
 def is_maximal(E: SmallRep, alpha: Point) -> bool:
@@ -64,7 +64,7 @@ def is_maximal(E: SmallRep, alpha: Point) -> bool:
 def _pq(E: SmallRep, i: int) -> tuple[int, int]:
     """(p, q) at grid bit i: the least k with bit i of P[k], minus 1, and
     the least k >= 1 with bit i of Q[k]."""
-    P, Q = E.fiber_layers
+    P, Q = E.tables.fiber_layers
     return (next(k for k in range(E.r + 2) if P[k] >> i & 1) - 1,
             next(k for k in range(1, E.r + 2) if Q[k] >> i & 1))
 
@@ -124,7 +124,7 @@ def maximals(E: SmallRep) -> list[MaximalInfo]:
     alpha + N(e - e_k), which meets down to c, in its open {k}-fiber.
     """
     out = []
-    for i in _bits(E.grid & ~E.fiber_layers[0][1]):
+    for i in _bits(E.grid & ~E.tables.fiber_layers[0][1]):
         p, q = _pq(E, i)
         out.append(MaximalInfo(E.layout.point(i), p, q, _classify(E.r, p, q)))
     return out

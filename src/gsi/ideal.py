@@ -19,11 +19,12 @@ order lexicographic order, so a mask's lowest set bit, read as a point by
 :meth:`Layout.lowest`, is its least point.  The fiber tables (a mask per
 index set, closed and open) and the (p, q) layers (a mask per fiber size)
 live on that grid too, and so does the layer P[1] alone
-(:attr:`SmallRep.p1`), read off the grid with no table for the duality
+(:attr:`Tables.p1`), read off the grid with no table for the duality
 layer.  They depend on the grid's dims and mask only, so they live in one
 holder per shape, :class:`Tables` (:attr:`SmallRep.tables`), which
-translates of one ideal can share.  The axiom kernel ``_axiom_failure``
-returns the first failing axiom's record, or None, and builds no report: every
+translates of one ideal can share, and every reader reads them there.
+The axiom kernel ``_axiom_failure`` returns the first failing axiom's
+record, or None, and builds no report: every
 promotion and constructor certifies through it, and ``validate`` only
 wraps its record in a report.  It decides E1 and E2 for all pairs of
 small elements from a few ANDs of table entries when the grid is no larger
@@ -204,29 +205,6 @@ class SmallRep:
         every rep of that shape it reads, in ``__dict__``."""
         return Tables(self.layout, self.grid)
 
-    # The rep keeps what it reads of its holder, so a later read is one
-    # lookup in its own ``__dict__``, and the dict shows what it has read.
-
-    @cached_property
-    def fiber_table(self) -> tuple[int, ...]:
-        """:attr:`Tables.fiber_table` of :attr:`tables`."""
-        return self.tables.fiber_table
-
-    @cached_property
-    def open_table(self) -> tuple[int, ...]:
-        """:attr:`Tables.open_table` of :attr:`tables`."""
-        return self.tables.open_table
-
-    @cached_property
-    def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """:attr:`Tables.fiber_layers` of :attr:`tables`."""
-        return self.tables.fiber_layers
-
-    @cached_property
-    def p1(self) -> int:
-        """:attr:`Tables.p1` of :attr:`tables`."""
-        return self.tables.p1
-
     def index(self, alpha: Point) -> int:
         """The grid bit of alpha clamped into [m - e, c], where every table
         entry and layer reads alpha.  The clamp is exact: membership is
@@ -243,11 +221,11 @@ class SmallRep:
 
     def fiber_occupied(self, alpha: Point, J: int, closed: bool = False) -> bool:
         """Whether the J-fiber of alpha (J a bitmask of 0-based axes) meets E:
-        one bit of :attr:`fiber_table` entry J, read at alpha clamped
+        one bit of :attr:`Tables.fiber_table` entry J, read at alpha clamped
         (:meth:`index`) when closed.  The open J-fiber of alpha is the
         closed one at alpha + 1 on the free axes, so the open bit is the
         closed entry read at that point clamped, the read-up of
-        :meth:`Rows.up` in index form, and :attr:`open_table` is not
+        :meth:`Rows.up` in index form, and :attr:`Tables.open_table` is not
         built.
         It is the open entry's bit at alpha: on a free axis the clamp of
         alpha_k + 1 is the row above alpha's clamped row, or the top row
@@ -255,7 +233,7 @@ class SmallRep:
         m_k - 1 and the open entry reads row m_k, which agree as row
         m_k - 1 holds no member."""
         alpha = alpha if closed else tuple([a + (~J >> k & 1) for k, a in enumerate(alpha)])
-        return self.fiber_table[J] >> self.index(alpha) & 1 == 1
+        return self.tables.fiber_table[J] >> self.index(alpha) & 1 == 1
 
 
 def _columns(pts: Iterable[Point], lo: Point, hi: Point) -> list[tuple[int, ...]]:
@@ -416,21 +394,19 @@ def _closed_fibers(mask: int, steps: Sequence[Iterable[tuple[int, int]]]) -> lis
 
 
 class Tables:
-    """The fiber tables and (p, q) layers of one grid mask, built on first
-    read and kept.  They read only the layout's dims and strides and the
-    mask, never the layout's corner, so the holder serves every rep of one
-    shape (:attr:`SmallRep.tables`), each reading the masks through its own
-    :meth:`SmallRep.index`.  ``rows`` is the row family of the layout; the
-    holder reads its ``top`` only, and the fiber table takes its steps as
-    they are built, so no step or other row is kept (a grid may have
-    thousands of rows)."""
+    """The fiber tables and (p, q) layers of one grid mask in a layout,
+    built on first read and kept.  The holder keeps the layout's shape
+    alone, its dims and strides with the corner moved to 0, so it serves
+    every rep of one shape (:attr:`SmallRep.tables`), each reading the
+    masks through its own :meth:`SmallRep.index`.  ``rows`` is the row
+    family of that layout; the holder reads its ``top`` only, and the fiber
+    table takes its steps as they are built, so no step or other row is
+    kept (a grid may have thousands of rows)."""
 
     def __init__(self, layout: Layout, grid: int):
-        self.layout, self.grid = layout, grid
-
-    @cached_property
-    def rows(self) -> Rows:
-        return Rows(self.layout)
+        self.grid = grid
+        self.layout = Layout((0,) * len(layout.dims), layout.dims, layout.strides)
+        self.rows = Rows(self.layout)
 
     @cached_property
     def fiber_table(self) -> tuple[int, ...]:
@@ -843,10 +819,11 @@ def _pairs_good(E: SmallRep) -> bool:
     of a member pair, is in E by E1, checked first, so in its own closed
     J-fiber.
     """
-    T = E.fiber_table
+    tables = E.tables
+    T = tables.fiber_table
     if _meets(T) & ~E.grid:
         return False
-    return not any(_failing_demands(T, E.open_table, E.tables.rows))
+    return not any(_failing_demands(T, tables.open_table, tables.rows))
 
 
 def search_member(E: SmallRep, ranges: list[tuple[int, int]]) -> Point | None:

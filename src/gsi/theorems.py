@@ -209,9 +209,10 @@ def _length_masks(EJ: SmallRep, EI: SmallRep,
     layout = Layout.of(clo, chi)
     whole = layout.whole
     both, neither = [], []
+    T, O = EI.tables.fiber_table, D.tables.open_table
     for k in range(EJ.r):
-        a = _window(EI, clo, chi, EI.fiber_table[1 << k])
-        b = _reflected(D, f, clo, chi, D.open_table[1 << k])
+        a = _window(EI, clo, chi, T[1 << k])
+        b = _reflected(D, f, clo, chi, O[1 << k])
         both.append(a & b)
         neither.append(whole & ~(a | b))
     return layout, both, neither
@@ -284,7 +285,7 @@ def _rho_masks(EI: SmallRep, EJ: SmallRep, D: SmallRep) -> tuple[Layout, int, in
     clo, chi = _core(EI, D, f)
     layout = Layout.of(clo, chi)
     whole = layout.whole
-    P, Q = EI.fiber_layers[0], D.fiber_layers[1]
+    P, Q = EI.tables.fiber_layers[0], D.tables.fiber_layers[1]
     ks = range(1, r + 1)
     # the layers of successive k often hold one mask: window each once
     Pw = {mask: _window(EI, clo, chi, mask) for mask in {P[k] for k in ks}}

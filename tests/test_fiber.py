@@ -257,7 +257,7 @@ def _assert_table_agrees_with_oracle(E, occupancy=_brute_occupancy):
         assert (p_value(E, alpha), q_value(E, alpha)) == (p, q), alpha
         # every layer bit, not only the least set one that p and q read;
         # Q[0] = Q[1], as every fiber has at least one index
-        P, Q = E.fiber_layers
+        P, Q = E.tables.fiber_layers
         bit = E.index(alpha)
         for k in range(r + 2):
             assert (P[k] >> bit & 1 == 1) == (p < k), (alpha, "P", k)
@@ -354,7 +354,7 @@ def test_maximals_complete_random(name, kind, seed):
 # The former maximals, kept verbatim as the reference for the grid read: it
 # walked the members of [m, c - e] and kept those off the layer P[1].
 def _old_maximals(E):
-    P1 = E.fiber_layers[0][1]
+    P1 = E.tables.fiber_layers[0][1]
     out = []
     for alpha in members(E, E.m, vsub(E.c, ones(E.r))):
         i = E.index(alpha)

@@ -636,9 +636,9 @@ def _old_box_check_length_pairing(EJ: SmallRep, EI: SmallRep,
     box = layout.whole
     both, neither = [], []
     for k in range(r):
-        a = _window(EI, lo, hi, EI.fiber_table[1 << k])
+        a = _window(EI, lo, hi, EI.tables.fiber_table[1 << k])
         b = _reflected(D, vsub(EJ.c, unit_vector(r, [k + 1])), lo, hi,
-                       D.fiber_table[1 << k])
+                       D.tables.fiber_table[1 << k])
         both.append(a & b)
         neither.append(box & ~(a | b))
     bad, gap = _old_first(layout, both), _old_first(layout, neither)
@@ -683,7 +683,7 @@ def _old_box_check_rho(ctx: _CheckContext, EI: SmallRep, EJ: SmallRep,
     rep = CheckReport("rho", True, f"alpha over [{list(lo)}, {list(hi)}]")
     layout = Layout.of(lo, hi)
     box = layout.whole
-    P, Q = EI.fiber_layers[0], D.fiber_layers[1]
+    P, Q = EI.tables.fiber_layers[0], D.tables.fiber_layers[1]
     ks = range(1, r + 1)
     # the layers of successive k often hold one mask: window each once
     Pw = {mask: _window(EI, lo, hi, mask) for mask in {P[k] for k in ks}}
@@ -1245,9 +1245,9 @@ def test_window_matches_former_recursion():
     rng = random.Random(53)
     seen = {"empty": 0, "one_row": 0, "nonzero": 0}
     for E in _window_ideals():
-        P, Q = E.fiber_layers
+        P, Q = E.tables.fiber_layers
         size = math.prod(E.layout.dims)
-        masks = [E.grid, 0, *E.fiber_table, *E.open_table, *P, *Q]
+        masks = [E.grid, 0, *E.tables.fiber_table, *E.tables.open_table, *P, *Q]
         masks += [1 << rng.randrange(size) | 1 << rng.randrange(size) for _ in range(3)]
         masks += [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)]
         boxes = [(vsub(E.m, ones(E.r)), E.c)]
@@ -1285,7 +1285,7 @@ def test_window_work_grows_with_log_rows(monkeypatch):
     c = (300, 300)
     E = SmallRep(2, (0, 0), c, frozenset({(0, 0), c}))
     lo, hi = (-150, -150), (449, 449)
-    whole = E.fiber_layers[0][E.r + 1]
+    whole = E.tables.fiber_layers[0][E.r + 1]
     bound = 2 * E.r * math.log2(hi[0] - lo[0] + 1)
     want = _old_window(E, lo, hi, whole)
     monkeypatch.setattr(ideal, "_repeat", counted)
@@ -1361,7 +1361,7 @@ def test_fiber_windows_match_fiber_occupied():
             (vadd(E.c, e), vadd(E.c, vadd(e2, e))),   # wholly past c
             ((E.m[0] - 4,) + E.c[1:], (E.m[0] - 2,) + vadd(E.c, e2)[1:]),
         ]
-        P, Q = E.fiber_layers
+        P, Q = E.tables.fiber_layers
         for lo, hi in boxes:
             points = list(box_points(lo, hi))
 
@@ -1369,7 +1369,7 @@ def test_fiber_windows_match_fiber_occupied():
                 return sum(1 << i for i, p in enumerate(points) if holds(p))
 
             for J in range(1, 1 << E.r):
-                W = _window(E, lo, hi, E.fiber_table[J])
+                W = _window(E, lo, hi, E.tables.fiber_table[J])
                 assert W == want(lambda p: E.fiber_occupied(p, J, closed=True)), \
                     (E, lo, hi, J)
             # Q[0] = Q[1], as every fiber has at least one index
@@ -1721,7 +1721,7 @@ def _old_suffix_or(mask: int, layout: Layout, k: int) -> int:
 
 
 def _old_fiber_table(E: SmallRep) -> tuple[int, ...]:
-    """The former ``SmallRep.fiber_table``, through ``_old_suffix_or``."""
+    """The former fiber table, through ``_old_suffix_or``."""
     full = (1 << E.r) - 1
     table = [0] * (full + 1)
     table[full] = E.grid
@@ -1749,7 +1749,7 @@ def _old_box_table(layout: Layout, M: int) -> list[int]:
 
 
 def test_closed_fibers_match_former_tables():
-    # SmallRep.fiber_table and the closure's box tables share one routine;
+    # Tables.fiber_table and the closure's box tables share one routine;
     # both must give the tables of the routines each used before
     semigroups = _semigroups()
     semigroups.update(node4=node(4), node5=node(5))
@@ -1757,7 +1757,7 @@ def test_closed_fibers_match_former_tables():
     sizes = set()
     for name, S in sorted(semigroups.items()):
         for E in [S] + [random_good(S, seed) for seed in range(4)]:
-            assert E.fiber_table == _old_fiber_table(E), (name, E)
+            assert E.tables.fiber_table == _old_fiber_table(E), (name, E)
             rows = Rows(Layout.of(E.m, E.c))
             steps = [list(rows.steps(k)) for k in range(E.r)]
             for M in (0, rng.getrandbits(math.prod(rows.layout.dims)), rows.layout.whole):
@@ -1765,7 +1765,7 @@ def test_closed_fibers_match_former_tables():
             sizes.add(rows.layout.dims)
     # a sparse grid with long lines, and boxes with a one-row axis
     E = SmallRep(3, (0, 0, 0), (40, 3, 57), frozenset({(0, 0, 0), (7, 1, 20), (40, 3, 57)}))
-    assert E.fiber_table == _old_fiber_table(E)
+    assert E.tables.fiber_table == _old_fiber_table(E)
     for dims in [(1,), (1, 4), (3, 1, 2), (2, 2, 2, 2, 2)]:
         rows = Rows(Layout.of((0,) * len(dims), tuple(d - 1 for d in dims)))
         steps = [rows.steps(k) for k in range(len(dims))]  # taken as built, as a rep's are
@@ -2052,7 +2052,7 @@ def _old_up(E: SmallRep, mask: int, k: int) -> int:
 
 
 def _old_open_table(E: SmallRep) -> tuple[int, ...]:
-    table = list(E.fiber_table)
+    table = list(E.tables.fiber_table)
     for J in range(1, len(table)):
         for k in range(E.r):
             if not J >> k & 1:
@@ -2061,7 +2061,7 @@ def _old_open_table(E: SmallRep) -> tuple[int, ...]:
 
 
 def _old_pairs_good(E: SmallRep) -> bool:
-    T, O = E.fiber_table, _old_open_table(E)
+    T, O = E.tables.fiber_table, _old_open_table(E)
     full = (1 << E.r) - 1
     outside = ~E.grid
     for J in range(1, full, 2):  # each split once, axis 0 in J
@@ -2080,7 +2080,7 @@ def _old_pairs_good(E: SmallRep) -> bool:
 def _top_row_pairs(E: SmallRep) -> bool:
     """Whether some E2 demand of E sits on the top row of its axis i, where
     the mask test no longer looks."""
-    O, full = E.open_table, (1 << E.r) - 1
+    O, full = E.tables.open_table, (1 << E.r) - 1
     return any(K >> i & 1 and _split_pairs(O, K, full ^ K) & ~E.tables.rows.top[i]
                for K in range(1, full) for i in range(E.r))
 
@@ -2099,7 +2099,7 @@ def test_open_table_and_pairs_good_match_former_step_up():
     for E in reps:
         if [c["axiom"] for c in validate(E).counterexamples] == ["structural"]:
             continue  # the tables and _pairs_good take structurally valid reps
-        assert E.open_table == _old_open_table(E), E
+        assert E.tables.open_table == _old_open_table(E), E
         got = _pairs_good(E)
         assert got == _old_pairs_good(E), E
         seen[got, _top_row_pairs(E)] += 1
@@ -2213,9 +2213,16 @@ def test_rep_row_family_keeps_top_only():
     # of thousands of rows per axis keeps r masks beside its tables
     E = SmallRep(3, (0, 0, 0), (40, 3, 57), frozenset({(0, 0, 0), (7, 1, 20), (40, 3, 57)}))
     validate(E)
-    assert E.fiber_layers and E.open_table
+    assert E.tables.fiber_layers and E.tables.open_table
     assert set(vars(E.tables.rows)) == {"layout", "top"}
     assert len(E.tables.rows.top) == 3
+
+
+def _built(E: SmallRep) -> set[str]:
+    """What E has built and kept: its own cached values and, once it has a
+    table holder, the tables and layers built in that holder."""
+    holder = vars(E).get("tables")
+    return set(vars(E)) | (set(vars(holder)) if holder is not None else set())
 
 
 def test_open_fiber_bits_read_the_closed_table():
@@ -2225,7 +2232,7 @@ def test_open_fiber_bits_read_the_closed_table():
     # each side of the grid (up to 2 at r = 3 and 1 at r >= 4)
     fresh = replace(node(6))
     assert fiber_witness(fresh, zero(6), (1,)) is None  # the open fiber is empty
-    assert "fiber_table" in vars(fresh) and "open_table" not in vars(fresh)
+    assert "fiber_table" in _built(fresh) and "open_table" not in _built(fresh)
     semigroups = _semigroups()
     semigroups.update({f"node{r}": node(r) for r in range(1, 6)})
     queries = 0
@@ -2237,8 +2244,8 @@ def test_open_fiber_bits_read_the_closed_table():
             hi = tuple(x + margin for x in E.c)
             reads = [[E.fiber_occupied(alpha, J) for J in range(1, 1 << E.r)]
                      for alpha in box_points(lo, hi)]
-            assert "open_table" not in vars(E), name
-            want = [[E.open_table[J] >> E.index(alpha) & 1 == 1 for J in range(1, 1 << E.r)]
+            assert "open_table" not in _built(E), name
+            want = [[E.tables.open_table[J] >> E.index(alpha) & 1 == 1 for J in range(1, 1 << E.r)]
                     for alpha in box_points(lo, hi)]
             assert reads == want, (name, E)
             queries += len(reads) * ((1 << E.r) - 1)
@@ -2348,7 +2355,7 @@ def test_axiom_kernel_matches_former_validate():
 
 
 def test_p1_is_the_layer_of_the_open_table():
-    # SmallRep.p1 reads P[1] off the grid, building no table; it must be
+    # Tables.p1 reads P[1] off the grid, building no table; it must be
     # the layer P[1] that fiber_layers ORs from the open table, each read on
     # a copy of its own: over the sweep family (S, K(S) and six draws per
     # semigroup of _semigroups and node(1)-node(5), and their invalid
@@ -2359,32 +2366,32 @@ def test_p1_is_the_layer_of_the_open_table():
     invalid = 0
     for E in reps:
         copy = replace(E)
-        assert copy.p1 == replace(E).fiber_layers[0][1], E
-        assert "fiber_table" not in vars(copy) and "open_table" not in vars(copy), E
+        assert copy.tables.p1 == replace(E).tables.fiber_layers[0][1], E
+        assert "fiber_table" not in _built(copy) and "open_table" not in _built(copy), E
         invalid += not validate(E).passed
     assert len(reps) >= 250 and invalid >= 50, (len(reps), invalid)
 
 
 def test_duality_layer_builds_no_fiber_tables():
     # canonical_ideal, fiber_dual, is_canonical and fiber_empty read P[1]
-    # off the grid (SmallRep.p1), so on fresh reps they leave the fiber
+    # off the grid (Tables.p1), so on fresh reps they leave the fiber
     # tables and the (p, q) layers of S, EI and E unbuilt
     tables = {"fiber_table", "open_table", "fiber_layers"}
     for S in [*_semigroups().values(), node(4), node(5), node(8)]:
         fresh = replace(S)
         K = canonical_ideal(fresh)
-        assert not tables & set(vars(fresh)), S
+        assert not tables & _built(fresh), S
         for E in (S, K, random_good(S, 1), translate(K, ones(S.r))):
             EI = replace(E)
             fiber_dual(K, EI)
-            assert not tables & set(vars(EI)), (S, E)
+            assert not tables & _built(EI), (S, E)
             E = replace(E)
             for alpha in (E.m, frobenius(E), E.c):
                 fiber_empty(E, alpha)
-            assert not tables & set(vars(E)), (S, E)
+            assert not tables & _built(E), (S, E)
         fresh = replace(S)
         assert is_canonical(K, fresh)
-        assert not tables & set(vars(fresh)), S
+        assert not tables & _built(fresh), S
 
 
 def test_quotient_one_point_box():
@@ -2472,7 +2479,8 @@ def test_check_all_builds_each_table_once_per_shape(monkeypatch):
 def test_shared_table_holders_hold_each_reps_own_tables(monkeypatch):
     # every holder a check context hands a rep, in check_all and directly,
     # holds the tables a fresh copy of that rep builds for itself, also
-    # where reps had built tables in holders of their own first
+    # where reps had built tables in holders of their own first, and keeps
+    # the rep's shape with no corner, so no rep reads another's points
     shared = []
     share = _CheckContext.share
 
@@ -2489,7 +2497,7 @@ def test_shared_table_holders_hold_each_reps_own_tables(monkeypatch):
         for i, E in enumerate(reps):
             E = replace(E)
             if i % 2:
-                assert E.open_table  # in the rep's own holder
+                assert E.tables.open_table  # in the rep's own holder
             ctx.share(E)
         for EJ in (S, K):
             for EI in reps:
@@ -2498,5 +2506,6 @@ def test_shared_table_holders_hold_each_reps_own_tables(monkeypatch):
     assert len(shared) >= 1000 and len(holders) < len(shared) / 4, (len(shared), len(holders))
     for rep in {id(rep): rep for rep in shared}.values():
         fresh = replace(rep)
+        assert rep.tables.layout == rep.layout._replace(lo=zero(rep.r)), rep
         for name in _TABLES:
-            assert getattr(rep.tables, name) == getattr(fresh, name), (rep, name)
+            assert getattr(rep.tables, name) == getattr(fresh.tables, name), (rep, name)

@@ -100,7 +100,7 @@ def test_check_rho_windows_each_distinct_layer_once(ex2, node2, node3, monkeypat
             found.clear()
         assert check_rho(EI, EJ, S).to_dict() == report, (EJ, EI)
         D, r = cd_difference(EJ, EI), EJ.r
-        P, Q = EI.fiber_layers[0][1:r + 1], D.fiber_layers[1][1:r + 1]
+        P, Q = EI.tables.fiber_layers[0][1:r + 1], D.tables.fiber_layers[1][1:r + 1]
         assert sorted(masks["_window"]) == sorted(set(P)), (EJ, EI)
         assert sorted(masks["_reflected"]) == sorted(set(Q)), (EJ, EI)
         repeats += 2 * r - len(set(P)) - len(set(Q))

@@ -12,9 +12,9 @@ compatibility with S and E2 witnesses on one bit mask of its box
 (``_closure_fixpoint``), each step a few shifts, ANDs and ORs of masks, and
 decodes the mask once for ``from_small_elements``.  Its row masks and
 moves come from the row family of its box (``ideal.Rows``), the one every
-ideal's grid has too, and its meets and E2 demands are read through the
-steps that the axiom kernel reads them through (``ideal._meets``,
-``Rows.up`` and ``ideal._failing_demands``).
+ideal's grid has too, and its fiber tables, meets and E2 demands are
+built and read by the code the axiom kernel uses (``ideal._fibers``,
+``ideal._meets`` and ``ideal._failing_demands``).
 That fixpoint is always a good ideal compatible with S (the proof is in
 ``_closure_fixpoint``), so the draw needs no retry.  All constructors are
 deterministic given their inputs plus seed.
@@ -32,9 +32,9 @@ from .ideal import (
     _axiom_failure,
     _bits,
     _box_mask,
-    _closed_fibers,
     _compatibility_failure,
     _failing_demands,
+    _fibers,
     _least_conductor,
     _meets,
     validate,
@@ -123,15 +123,15 @@ def product(A: SmallRep, B: SmallRep) -> SmallRep:
     return _certified(SmallRep(r, A.m + B.m, A.c + B.c, small))
 
 
-def _e2_repairs(rows: Rows, M: int, T: list[int]) -> int:
+def _e2_repairs(rows: Rows, M: int, T: list[int], O: list[int]) -> int:
     """The points the E2 step adds to M, as a mask over the draw box [m, c]
-    of ``rows`` (``ideal.Rows``), T the closed fibers of M
-    (``ideal._closed_fibers``).
+    of ``rows`` (``ideal.Rows``), T and O the closed and open fibers of M
+    (``ideal._fibers``).
 
     A pair of M that agrees exactly on K and meets at t demands, at k in K
     with t_k < c_k, a point of M in the closed J-fiber of x = t + e_k,
     J = full ^ K; ``ideal._failing_demands`` gives those failing on M, read
-    off T and the open fibers O (``Rows.up``) over the box.
+    off T and O over the box.
 
     The box, unlike an ideal's grid, has no row m - e; its bit order is
     lexicographic order all the same, so the replay below, keyed by bits,
@@ -168,7 +168,6 @@ def _e2_repairs(rows: Rows, M: int, T: list[int]) -> int:
     _, dims, strides = rows.layout
     offsets = Layout(zero(len(dims)), dims, strides)  # bits read as row offsets t
     full = len(T) - 1
-    O = rows.up(T)
     demands = []
     for K, union, failing in _failing_demands(T, O, rows):
         J = full ^ K
@@ -202,7 +201,7 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
 
     The set is one mask M over the box, decoded once at the end; its row
     masks are those of the box's row family (``ideal.Rows``), every row and
-    each axis's suffix-OR steps built once per call.
+    each axis's suffix-OR steps for the up-moves built once per call.
     With S, the top sub-box [min(m + c(S), c), c] is put in first, since
     c <= m + c(S) must hold.  Each round then runs:
 
@@ -210,7 +209,7 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     exactly when, for J the axes where a equals t, a lies in the closed
     J-fiber of t and b in the closed (full ^ J)-fiber, so M gains
     T[J] & T[full ^ J] over the splits of the axes (``ideal._meets``), T
-    the closed fibers (``ideal._closed_fibers``).
+    the closed fibers (``ideal._fibers``).
 
     Compatibility: for each small s of S in order, meet(s + p, c) over the
     p of M as it stands, M |= T_d(M).  As s >= 0 and p >= m, the k-th
@@ -223,7 +222,7 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     E2: for each pair of M and axis k with a_k = b_k < c_k, the witness
     fiber is x = meet(a, b) + e_k pinned where a and b differ, and x is
     added when no point of M lies in it, in the order of the pairs and k
-    (``_e2_repairs``).
+    (``_e2_repairs``, on M's two fiber tables from ``ideal._fibers``).
 
     The fixpoint P, read by the membership rule, is a good ideal, and with
     S one compatible with S.  Call h a candidate when [h, c] lies in P, and
@@ -277,13 +276,13 @@ def _closure_fixpoint(r: int, m: Point, c: Point, pts: set[Point],
     prev = None
     while M != prev:
         prev = M
-        T = _closed_fibers(M, steps)
+        T = _fibers(rows, M)
         M |= _meets(T)
         for d in shifts:
             M |= rows.shift(M, d, steps)
         if M != prev:  # else the round's fibers are still M's
-            T = _closed_fibers(M, steps)
-        M |= _e2_repairs(rows, M, T)
+            T = _fibers(rows, M)
+        M |= _e2_repairs(rows, M, T, _fibers(rows, M, True))
     return set(layout.points(M))
 
 

@@ -31,16 +31,14 @@ small elements from a few ANDs of table entries when the grid is no larger
 than the number of pairs (``_pairs_good``), and passes a rep whose one
 small element is m = c with no work of its own.  Every per-axis row mask of a
 layout comes from its one row family, :class:`Rows`: the rows below a
-row, the suffix-OR steps behind the closed tables, the points on and at
+row, the suffix-OR steps behind the fiber tables, the points on and at
 or above each row, and the moves built of them (a read-up, an up-move and
 a fiber cut).  A rep's holder keeps its grid's family
 (:attr:`Tables.rows`).
-The mask algebra of the two axioms has one home, three steps that read
-a closed table and the family of its layout: ``_meets`` (E1's meets),
-:meth:`Rows.read_up` (the one step from closed fibers to open ones, the
-top row kept, which :meth:`Rows.up` takes over a table) and
-``_failing_demands`` (E2's failing demands).  The kernel
-reads them on an ideal's grid and ``constructors.random_good`` on its
+The mask algebra of the two axioms has one home: ``_fibers`` builds the
+closed and the open fiber table of a mask by one recurrence, and
+``_meets`` (E1's meets) and ``_failing_demands`` (E2's failing demands)
+read them.  The kernel reads them on an ideal's grid and ``constructors.random_good`` on its
 draw box [m, c].  Box questions read
 masks: ``members`` lists the set bits of E's window over a box
 (``_window``, which cuts a table entry or layer the same way, in r passes
@@ -224,10 +222,9 @@ class SmallRep:
         one bit of :attr:`Tables.fiber_table` entry J, read at alpha clamped
         (:meth:`index`) when closed.  The open J-fiber of alpha is the
         closed one at alpha + 1 on the free axes, so the open bit is the
-        closed entry read at that point clamped, the read-up of
-        :meth:`Rows.up` in index form, and :attr:`Tables.open_table` is not
-        built.
-        It is the open entry's bit at alpha: on a free axis the clamp of
+        closed entry read at that point clamped, the read-up along every
+        free axis in index form, and :attr:`Tables.open_table` is not
+        built.  It is the open entry's bit at alpha: on a free axis the clamp of
         alpha_k + 1 is the row above alpha's clamped row, or the top row
         c_k when alpha_k >= c_k, and where alpha_k < m_k - 1 it is row
         m_k - 1 and the open entry reads row m_k, which agree as row
@@ -275,10 +272,9 @@ class Rows:
     formula, :meth:`below`: per axis k, ``top`` holds the points below the
     top row, :meth:`steps` the doubling steps of a suffix OR along k, and
     ``eq`` and ``ge`` the points on and at or above each row (so
-    t_k > v is ``ge[k][v + 1]``).  On them sit the read-up
-    (:meth:`read_up`, over a table :meth:`up`),
-    the up-move T_d (:meth:`shift`) and the cut of a fiber
-    (:meth:`fiber`).  ``top``, ``eq`` and ``ge`` are built on first use
+    t_k > v is ``ge[k][v + 1]``).  On them sit the read-up (:meth:`read_up`),
+    the up-move T_d (:meth:`shift`) and the cut of a fiber (:meth:`fiber`).
+    ``top``, ``eq`` and ``ge`` are built on first use
     and steps when taken: a holder's family (:attr:`Tables.rows`) keeps
     ``top`` only, and a draw (``constructors._closure_fixpoint``) lists
     every row and its steps once for its small box."""
@@ -302,10 +298,14 @@ class Rows:
         """The steps s = 1, 2, 4, ... < d_k of a suffix OR along axis k, as
         (shift, keep) pairs built when taken: before a step a bit holds the
         OR of s bits, after it of 2s, and the keep mask ``below(k, d_k - s)``
-        stops a shifted bit from crossing into the next k-line."""
-        d, stride = self.layout.dims[k], self.layout.strides[k]
+        stops a shifted bit from crossing into the next k-line.  It is
+        ``top[k]`` for s = 1 and keep & keep >> s stride_k for 2s, exactly:
+        a point with t_k < d_k - s stays on its k-line moved s rows up."""
+        d, stride, keep = self.layout.dims[k], self.layout.strides[k], self.top[k]
         for i in range((d - 1).bit_length()):
-            yield stride << i, self.below(k, d - (1 << i))
+            if i:
+                keep &= keep >> (stride << i - 1)
+            yield stride << i, keep
 
     @cached_property
     def eq(self) -> tuple[tuple[int, ...], ...]:
@@ -325,23 +325,14 @@ class Rows:
     def read_up(self, O: list[int], k: int, entries: Iterable[int]) -> None:
         """Read the entries of O up along k, in place: bit t of each is
         read at t + e_k, clamped into the box, so on the top row of k, where
-        t + e_k leaves it, at t_k itself.  This is the one step that turns
-        closed fibers into open ones.  The mask shifted down a row is
+        t + e_k leaves it, at t_k itself: the one step from closed fibers
+        to open ones (:func:`_fibers`).  The mask shifted down a row is
         merged into the mask through ``top[k]`` as a ^ (a ^ b) & top, which
         holds fewer whole-grid temporaries at once than two ANDs and an
         OR."""
         s, keep = self.layout.strides[k], self.top[k]
         for J in entries:
             O[J] = (O[J] >> s ^ O[J]) & keep ^ O[J]
-
-    def up(self, T: Sequence[int]) -> list[int]:
-        """The read-up of a table T of masks indexed by bitmasks J of axes,
-        closed fibers to open ones: entry J read up (:meth:`read_up`) along
-        every axis k that J leaves free."""
-        O = list(T)
-        for k in range(len(self.layout.dims)):
-            self.read_up(O, k, [J for J in range(len(O)) if not J >> k & 1])
-        return O
 
     def fiber(self, mask: int, t: Point, J: int, closed: bool) -> int:
         """The points of mask equal to the row offsets t on the axes of J and
@@ -367,29 +358,40 @@ class Rows:
         return M
 
 
-def _closed_fibers(mask: int, steps: Sequence[Iterable[tuple[int, int]]]) -> list[int]:
-    """The closed fibers of a point set, one mask per bitmask J of axes:
-    bit t of entry J is set when some point of the mask equals t on the
-    axes of J and is at least t on the others.
+def _fibers(rows: Rows, mask: int, opened: bool = False) -> list[int]:
+    """The fiber table of a point set in the layout of ``rows``, one mask
+    per bitmask J of axes: bit t of entry J is set when some point of the
+    mask equals t on J and is at least t elsewhere (closed), or, when
+    ``opened``, at least t + e_k on each free axis k but its top row, where
+    t_k will do (open: the closed entry read up a row along each free axis).
 
-    Entry 0 is 0 and the full entry is the mask.  Every other entry
-    suffix-ORs the entry with its lowest free axis k pinned along k, so a
-    bit takes the OR of the bits at or above it on its k-line, by
-    shift-and-OR with the doubling steps ``steps[k]`` of
-    :meth:`Rows.steps`.  The entries of k depend only on entries of
-    higher axes, so the axes run from the last down, and each step of k is
-    taken once for all entries of k.
+    Entry 0 is 0 and the full entry is the mask.  Entry J is entry J | e_k,
+    k its lowest free axis, suffix-ORed along k with the doubling steps of
+    :meth:`Rows.steps`, and when opened read up a row along k
+    (:meth:`Rows.read_up`).  The entries of k read only those of higher
+    axes, so the axes run from the last down and each step of k is built
+    and taken once for all entries of k.
+
+    This is exact: a suffix OR or a read-up along k sets bit t from bits
+    that differ from t at k alone, at rows fixed by t_k alone, so those
+    along different axes commute, and the open entry, a read-up after a
+    suffix OR along each free axis, is the closed entry read up along
+    every free axis.  A suffix OR then a read-up along k is the open suffix
+    along k: bit t ORs the rows of its k-line from t_k + 1 up, or row t_k
+    alone on the top row.
     """
-    r = len(steps)
+    r = len(rows.layout.dims)
     full = (1 << r) - 1
     T = [0] * full + [mask]
     for k in range(r - 1, -1, -1):
         group = range((1 << k) - 1 or 2, full, 2 << k)  # J: axes below k pinned, k free
         for J in group:
             T[J] = T[J | 1 << k]
-        for shift, keep in steps[k]:
+        for shift, keep in rows.steps(k):
             for J in group:
                 T[J] |= T[J] >> shift & keep
+        if opened:
+            rows.read_up(T, k, group)
     return T
 
 
@@ -399,9 +401,10 @@ class Tables:
     alone, its dims and strides with the corner moved to 0, so it serves
     every rep of one shape (:attr:`SmallRep.tables`), each reading the
     masks through its own :meth:`SmallRep.index`.  ``rows`` is the row
-    family of that layout; the holder reads its ``top`` only, and the fiber
-    table takes its steps as they are built, so no step or other row is
-    kept (a grid may have thousands of rows)."""
+    family of that layout; the holder reads its ``top`` only, and each
+    table is built from the grid alone, taking its steps as they are
+    built, so no step or other row is kept (a grid may have thousands of
+    rows)."""
 
     def __init__(self, layout: Layout, grid: int):
         self.grid = grid
@@ -415,17 +418,17 @@ class Tables:
 
         Bit t of entry J is set when the closed J-fiber (members equal to the
         point on J and at least it elsewhere) of grid point t is nonempty
-        (:func:`_closed_fibers`).
+        (:func:`_fibers`).
         """
-        r = len(self.layout.dims)
-        return tuple(_closed_fibers(self.grid, [self.rows.steps(k) for k in range(r)]))
+        return tuple(_fibers(self.rows, self.grid))
 
     @cached_property
     def open_table(self) -> tuple[int, ...]:
         """Occupied open fibers as grid masks, indexed like
-        :attr:`fiber_table`: the open J-fiber of t is the closed one at
-        t + 1 on the free axes, clamped into the grid (:meth:`Rows.up`)."""
-        return tuple(self.rows.up(self.fiber_table))
+        :attr:`fiber_table` but read off the grid with no closed table
+        (:func:`_fibers`): the open J-fiber of t is the closed one at t + 1
+        on the free axes, clamped into the grid."""
+        return tuple(_fibers(self.rows, self.grid, True))
 
     @cached_property
     def fiber_layers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -453,15 +456,12 @@ class Tables:
     def p1(self) -> int:
         """The layer P[1] of :attr:`fiber_layers`, the grid points with some
         singleton open fiber occupied, read off the grid with no table
-        built: the OR over k of the open {k}-fiber entry O[k].  The closed
-        entry is the grid suffix-ORed along every axis j other than k with
-        the steps of :meth:`Rows.steps`, as :func:`_closed_fibers` builds
-        it (the ORs along different axes commute), and the open entry reads
-        it one row up along each such j (:meth:`Rows.read_up`, the top row
-        kept), as :attr:`open_table` does.  The axes j run outermost, so
-        each step of j is built once for the r - 1 entries it serves: r
-        step lists and r (r - 1) suffix ORs and read-ups of the grid, where
-        the tables cost 2^r entries."""
+        built: the OR over k of the open {k}-fiber entry O[k], the grid
+        suffix-ORed and read up along every axis j other than k, in any
+        order of the axes (:func:`_fibers` proves it free).  The axes j run
+        outermost, so each step of j is built once for the r - 1 entries it
+        serves: r step lists and r (r - 1) suffix ORs and read-ups of the
+        grid, where the tables cost 2^r entries."""
         rows, r = self.rows, len(self.layout.dims)
         O = [self.grid] * r
         for j in range(r):

@@ -28,6 +28,7 @@ from gsi.ideal import (
     _bits,
     _e2_fiber,
     _failing_demands,
+    _fibers,
     _least_conductor,
     _split_pairs,
     frobenius,
@@ -673,7 +674,7 @@ def test_closure_fixpoint_makes_no_meet_or_vadd_calls(monkeypatch):
 # The E2 step of constructors._closure_fixpoint as it was while its open
 # fibers were empty past c, kept verbatim (under an _old_ name) as the
 # reference for the step on the grid's open-fiber rule, which keeps the top
-# row (ideal.Rows.up).
+# row (ideal._fibers with opened, through ideal.Rows.read_up).
 def _old_e2_repairs(rows: Rows, M: int, T: list[int]) -> int:
     """The points the E2 step adds to M, as a mask, T the closed fibers of
     M (``ideal._closed_fibers``).
@@ -758,15 +759,16 @@ def test_e2_repairs_match_empty_past_c_reference(monkeypatch):
 
     seen = collections.Counter()
 
-    def checked(rows, M, T, e2_repairs=constructors._e2_repairs):
-        got = e2_repairs(rows, M, T)
+    def checked(rows, M, T, O, e2_repairs=constructors._e2_repairs):
+        got = e2_repairs(rows, M, T, O)
         assert got == _old_e2_repairs(rows, M, T), (rows.layout, M)
         empty = list(T)  # the open fibers empty past c
         for J in range(1, len(T) - 1):
             for k, (s, keep) in enumerate(zip(rows.layout.strides, rows.top)):
                 if not J >> k & 1:
                     empty[J] = empty[J] >> s & keep
-        kept = _failing_bits(T, rows.up(T), rows)
+        assert O == _fibers(rows, M, True), (rows.layout, M)  # M's own
+        kept = _failing_bits(T, O, rows)
         seen["rounds"] += 1
         seen["top row only"] += not kept <= _failing_bits(T, empty, rows)
         return got

@@ -148,7 +148,7 @@ def test_canonical_examples(n1, n2, node2, node3):
         (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
 
 
-@pytest.mark.parametrize("r", range(2, 11))
+@pytest.mark.parametrize("r", range(2, 12))
 def test_canonical_ideal_of_node_closed_form(r):
     """K(node(r)) has m = 0, c = e and the small elements
     {alpha in {0,1}^r : |alpha| != r - 1}, 2^r - r of them.

@@ -7,7 +7,7 @@ of ``check_sum``, the per-point quantifier of ``cd_difference``, the
 per-point length and rho sweeps, the per-point ``fiber_empty`` sweeps of
 ``fiber_dual`` and of ``canonical_ideal`` on its former search box, face
 test included, the two fiber-table routines that
-``ideal._closed_fibers`` replaced, the structural loop of
+``ideal._fibers`` replaced, the structural loop of
 ``from_small_elements``, the per-row recursion of ``_window``, the
 ``members`` scan of ``search_member``, the point-set reads of the fiber
 dual in the fibra and duality checks and in ``is_canonical``, the mask-path
@@ -53,7 +53,7 @@ from gsi.errors import (
     SoundnessError,
     ValidationError,
 )
-from gsi.fiber import fiber_empty, fiber_witness, p_value, q_value
+from gsi.fiber import fiber_empty, fiber_witness, maximals, p_value, q_value
 from gsi.gsi_format import parse_gsi
 from gsi.ideal import (
     Layout,
@@ -64,10 +64,10 @@ from gsi.ideal import (
     _axiom_failure,
     _bits,
     _box_mask,
-    _closed_fibers,
     _compatibility_failure,
     _decision_box,
     _e2_fiber,
+    _fibers,
     _in_fiber,
     _least_conductor,
     _pairs_good,
@@ -1759,18 +1759,16 @@ def test_closed_fibers_match_former_tables():
         for E in [S] + [random_good(S, seed) for seed in range(4)]:
             assert E.tables.fiber_table == _old_fiber_table(E), (name, E)
             rows = Rows(Layout.of(E.m, E.c))
-            steps = [list(rows.steps(k)) for k in range(E.r)]
             for M in (0, rng.getrandbits(math.prod(rows.layout.dims)), rows.layout.whole):
-                assert _closed_fibers(M, steps) == _old_box_table(rows.layout, M), (name, M)
+                assert _fibers(rows, M) == _old_box_table(rows.layout, M), (name, M)
             sizes.add(rows.layout.dims)
     # a sparse grid with long lines, and boxes with a one-row axis
     E = SmallRep(3, (0, 0, 0), (40, 3, 57), frozenset({(0, 0, 0), (7, 1, 20), (40, 3, 57)}))
     assert E.tables.fiber_table == _old_fiber_table(E)
     for dims in [(1,), (1, 4), (3, 1, 2), (2, 2, 2, 2, 2)]:
         rows = Rows(Layout.of((0,) * len(dims), tuple(d - 1 for d in dims)))
-        steps = [rows.steps(k) for k in range(len(dims))]  # taken as built, as a rep's are
         M = rng.getrandbits(math.prod(dims))
-        assert _closed_fibers(M, steps) == _old_box_table(rows.layout, M), dims
+        assert _fibers(rows, M) == _old_box_table(rows.layout, M), dims
     assert any(len(d) >= 4 for d in sizes), sizes
 
 
@@ -2095,6 +2093,8 @@ def test_open_table_and_pairs_good_match_former_step_up():
     reps += [_dense_rep(rng, rng.randint(1, 3)) for _ in range(300)]
     for S in _semigroups().values():
         reps += [S, canonical_ideal(S), random_good(S, 5)]
+    reps += [node(r) for r in range(1, 9)]
+    reps += [random_good(node(6), seed) for seed in range(3)]
     seen = collections.Counter()
     for E in reps:
         if [c["axiom"] for c in validate(E).counterexamples] == ["structural"]:
@@ -2158,8 +2158,8 @@ def test_box_shift_matches_former_doubling_loops():
 def test_row_family_masks_are_their_definitions():
     # every mask of Rows against the points it stands for, decoded with
     # Layout.points: the rows below v, top, eq and ge, each step's keep
-    # mask, the read-up of a table and the fiber cut, on random layouts
-    # with one-row axes and r up to 5
+    # mask, the closed and open fiber tables that _fibers builds with them
+    # and the fiber cut, on random layouts with one-row axes and r up to 5
     rng = random.Random(20411)
     seen = collections.Counter()
     for _ in range(200):
@@ -2189,13 +2189,26 @@ def test_row_family_masks_are_their_definitions():
             for shift, keep in steps:
                 s = shift // layout.strides[k]
                 assert layout.points(keep) == where(lambda t: t[k] < d - s)
-        # the read-up of a table: entry J reads t + e_k on every axis k
-        # that J leaves free, or t_k itself on the top row of k
-        for J, entry in enumerate(rows.up([M] * (1 << r))):
-            read = [p for p in pts if tuple(
-                x + 1 if not J >> k & 1 and x - l < d - 1 else x
-                for k, (x, l, d) in enumerate(zip(p, lo, dims))) in members]
-            assert layout.points(entry) == read, (dims, J)
+        # the fiber tables of M: bit t of entry J holds a member equal to t
+        # on J and, on every axis k that J leaves free, at least t_k
+        # (closed) or above it (open), or at least t_k on the top row of k
+        # (open, the top row kept)
+        tables = [_fibers(rows, M), _fibers(rows, M, True)]
+        assert [len(T) for T in tables] == [1 << r] * 2 and tables[0][0] == tables[1][0] == 0
+        for J in range(1, 1 << r):
+            pinned = [k for k in range(r) if J >> k & 1]
+            free = [k for k in range(r) if not J >> k & 1]
+            by_pinned = collections.defaultdict(list)  # free coordinates by pinned ones
+            for q in members:
+                by_pinned[tuple([q[k] for k in pinned])].append([q[k] for k in free])
+            for opened, table in enumerate(tables):
+                fiber = []
+                for p in pts:
+                    least = [p[k] + (opened and p[k] - lo[k] < dims[k] - 1) for k in free]
+                    if any(all(map(operator.ge, q, least))
+                           for q in by_pinned[tuple([p[k] for k in pinned])]):
+                        fiber.append(p)
+                assert layout.points(table[J]) == fiber, (dims, J, opened)
         for _ in range(4):
             t = tuple(rng.randrange(d) for d in dims)
             J, closed = rng.randrange(1 << r), rng.random() < 0.5
@@ -2392,6 +2405,17 @@ def test_duality_layer_builds_no_fiber_tables():
         fresh = replace(S)
         assert is_canonical(K, fresh)
         assert not tables & _built(fresh), S
+
+
+def test_maximals_builds_no_closed_table():
+    # maximals reads the layer P[1] of fiber_layers, which reads the open
+    # table, and _fibers builds that from the grid: so the closed table
+    # stays unbuilt, on node(4), a draw and a sparse rep with long lines
+    sparse = from_small_elements(2, (0, 0), (30, 41), {(0, 0), (3, 7), (30, 41)})
+    for E in (node(4), random_good(node(4), 2), sparse):
+        fresh = replace(E)
+        assert maximals(fresh) == maximals(E), E
+        assert "open_table" in _built(fresh) and "fiber_table" not in _built(fresh), E
 
 
 def test_quotient_one_point_box():

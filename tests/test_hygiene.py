@@ -6,9 +6,11 @@ the package, no module defines both a name and a private twin _name of
 it, every error class is raised or is a base of one that is, no module
 keeps a cache or container at module level beyond its named exemptions,
 and only the row family ``ideal.Rows`` and two named helpers build runs
-with ``ideal._repeat``.  The line counter ``tools/loc.py`` and the output
-digest ``tools/identity.py`` run."""
+with ``ideal._repeat``.  The line counter ``tools/loc.py`` runs, and the
+output digests of ``tools/identity.py`` are the rows pinned in
+``tests/identity.json``."""
 import ast
+import json
 import pathlib
 import re
 import subprocess
@@ -230,13 +232,19 @@ def test_loc_tool_runs():
     assert 0 < code < lines
 
 
-def test_identity_tool_runs():
-    # a smoke run: it digests the CLI, the draws, the canonical ideals, the
-    # duals, the validate reports and the check reports, and pins no digest
-    tool = PACKAGE.parents[1] / "tools" / "identity.py"
-    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
+def test_identity_rows_match_pinned():
+    # the tool digests the CLI, the draws, the canonical ideals, the duals,
+    # the validate reports and the check reports; its (row, count, digest)
+    # triples must be those pinned in tests/identity.json, which a change
+    # meant to alter an output updates.  The file is kept out of
+    # tests/data, whose every file the tool's CLI row reads.
+    root = PACKAGE.parents[1]
+    proc = subprocess.run([sys.executable, str(root / "tools" / "identity.py")],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert [name for name, _, _ in rows] == ["cli", "draws", "canonical", "duals",
                                            "validate", "checks"]
     assert all(int(n) > 0 and re.fullmatch(r"[0-9a-f]{64}", digest) for _, n, digest in rows)
+    pinned = json.loads((root / "tests" / "identity.json").read_text(encoding="utf-8"))
+    assert [[name, int(n), digest] for name, n, digest in rows] == pinned

@@ -16,7 +16,9 @@ help and errors look up ``sys.stdout`` and ``sys.stderr`` when they print.
 Each call of ``main`` makes one loader, a cache of :func:`_load` that lives
 for that call, and hands it to the command it runs, so a path given more
 than once (``check all A A --semigroup A``, ``gen product A A``) is read and
-parsed once, and nothing parsed outlives the call.
+parsed once, and nothing parsed outlives the call.  Parsing certifies a
+file's ideal axioms, so a ``--semigroup`` file (:func:`_load_semigroup`) is
+then checked for 0 in S and S + S <= S alone.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from . import constructors, duality, theorems
 from .errors import GsiError, ParseError, ValidationError
 from .fiber import MaximalInfo, maximals
 from .gsi_format import emit_gsi, parse_gsi
-from .ideal import SmallRep, _compatibility_failure, frobenius, validate
+from .ideal import SmallRep, _compatibility_failure, frobenius
 from .lattice import box_points, join, ones, unit_vector, vadd, vsub
 from .report import CheckReport
 
@@ -52,11 +54,15 @@ class _InputError(Exception):
 
 
 def _load_semigroup(path: str, load: Callable[[str], SmallRep]) -> SmallRep:
+    """The semigroup in ``path``, read through ``load``.  The parse has
+    certified its ideal axioms, so only 0 in S and S + S <= S are checked
+    here (``constructors._semigroup``); ``validate``'s report, for the
+    error's text, is built only when one fails."""
     S = load(path)
-    report = validate(S, semigroup=True)
-    if not report.passed:
-        raise _InputError(f"{path} is not a good semigroup: {report.summary()}")
-    return S
+    try:
+        return constructors._semigroup(S)
+    except ValidationError as err:
+        raise _InputError(f"{path} is not a good semigroup: {err.report.summary()}") from None
 
 
 def _require_ideal_of(path: str, E: SmallRep, s_path: str, S: SmallRep) -> None:

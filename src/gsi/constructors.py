@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import gt
 
 from .errors import SoundnessError, ValidationError
 from .ideal import (
@@ -37,6 +38,7 @@ from .ideal import (
     _fibers,
     _least_conductor,
     _meets,
+    _semigroup_failure,
     validate,
 )
 from .lattice import Point, check_same_dim, leq, meet, ones, zero
@@ -45,18 +47,24 @@ from .lattice import Point, check_same_dim, leq, meet, ones, zero
 def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
     """Normalize raw small-element data and validate it once.
 
-    Points are clipped by meet with the conductor, each after a length
-    check that names the first point of another dimension, and
+    One set of the points' lengths checks their dimension; when it holds
+    another than c's, the first such point in ``elems`` is named.  Points
+    are clipped by meet with the conductor, a step taken only when some
+    column's maximum exceeds c.  Either way their set is built in
+    ``elems``' order, which names the first point below m.
     ``_least_conductor`` shrinks their provisional rep on [m, c] to the
     least conductor the data supports; when it finds none, it keeps the rep
     and validation judges.  Raises ValidationError carrying the failing
     axiom otherwise.
     """
-    pts = set()
-    for p in elems:
-        if len(p) != len(c):
-            check_same_dim(p, c)  # raises, naming both dimensions
-        pts.add(tuple(map(min, p, c)))
+    elems = list(elems)
+    if set(map(len, elems)) - {len(c)}:
+        for p in elems:
+            check_same_dim(p, c)  # raises at the first point of another dimension
+    if any(map(gt, map(max, zip(*elems)), c)):
+        pts = {tuple(map(min, p, c)) for p in elems}
+    else:
+        pts = set(map(tuple, elems))  # added one by one, as the clip adds them
     pts.add(meet(m, c))
     # every point is >= m iff the per-axis minima are; the loop names the
     # first point below m in the set's order
@@ -81,6 +89,16 @@ def _certified(rep: SmallRep, semigroup: bool = False) -> SmallRep:
     if _axiom_failure(rep, semigroup=semigroup) is not None:
         raise ValidationError(validate(rep, semigroup=semigroup))
     return rep
+
+
+def _semigroup(E: SmallRep) -> SmallRep:
+    """E, an ideal whose axioms are certified, once 0 in E and E + E <= E
+    hold as well (``ideal._semigroup_failure``); else ValidationError
+    carrying ``validate(E, semigroup=True)``'s report, which is built only
+    then and names the same failure, as E's ideal axioms hold."""
+    if _semigroup_failure(E) is not None:
+        raise ValidationError(validate(E, semigroup=True))
+    return E
 
 
 def numerical(generators: list[int]) -> SmallRep:
@@ -113,7 +131,7 @@ def node(r: int) -> SmallRep:
     if r < 1:
         raise ValueError("dimension must be >= 1")
     e = ones(r)
-    return _certified(from_small_elements(r, zero(r), e, {zero(r), e}), semigroup=True)
+    return _semigroup(from_small_elements(r, zero(r), e, {zero(r), e}))
 
 
 def product(A: SmallRep, B: SmallRep) -> SmallRep:

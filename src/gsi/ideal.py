@@ -1022,7 +1022,8 @@ def _axiom_failure(E: SmallRep, S: SmallRep | None = None, *,
     which names the failure as before, so no record changes.
 
     With S given, compatibility S + E <= E is checked over boxes; with
-    ``semigroup``, 0 in E and E + E <= E are checked as well.
+    ``semigroup``, 0 in E and E + E <= E are checked as well
+    (:func:`_semigroup_failure`).
     """
     r, n = E.r, len(E.small)
     # Structural part: reported as its own failure class, not an axiom.
@@ -1087,17 +1088,22 @@ def _axiom_failure(E: SmallRep, S: SmallRep | None = None, *,
         if failure is not None:
             return dict(axiom="compatibility", **failure)
 
-    if semigroup:
-        z = (0,) * r
-        if not E.contains(z):
-            return dict(axiom="semigroup", reason="0 not a member")
-        # the first failing pair has b >= a: a failing (b, a) with b < a
-        # would have come first
-        failure = _sum_failure(E, E, E)
-        if failure is not None:
-            a, b, q = failure
-            return dict(axiom="semigroup", pair=[pt(a), pt(b)], sum=pt(q))
+    return _semigroup_failure(E) if semigroup else None
 
+
+def _semigroup_failure(E: SmallRep) -> dict | None:
+    """The first failure of 0 in E and E + E <= E as its counterexample
+    record, or None: the part ``semigroup`` adds to :func:`_axiom_failure`.
+    A caller that holds E certified as an ideal checks a semigroup with this
+    alone."""
+    if not E.contains((0,) * E.r):
+        return dict(axiom="semigroup", reason="0 not a member")
+    # the first failing pair has b >= a: a failing (b, a) with b < a
+    # would have come first
+    failure = _sum_failure(E, E, E)
+    if failure is not None:
+        a, b, q = failure
+        return dict(axiom="semigroup", pair=[pt(a), pt(b)], sum=pt(q))
     return None
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import gsi
-from gsi import cli
+from gsi import cli, constructors, ideal
 from gsi.cli import main
 from gsi.gsi_format import emit_gsi, parse_gsi
 from gsi.ideal import translate
@@ -225,6 +225,63 @@ def test_semigroup_arguments_rejected_unless_good(capsys, data_dir, tmp_path):
            "{'axiom': 'semigroup', 'reason': '0 not a member'})\n")
     for argv in (["canonical", S], ["gorenstein", S],
                  ["check", "all", ex2, ex2, "--semigroup", S]):
+        assert run(capsys, *argv) == (2, "", err), argv
+
+
+@pytest.fixture
+def axiom_runs(monkeypatch):
+    """The reps, one entry per run, on which the ideal axiom kernel runs,
+    whether through a constructor's certificate or through ``validate``;
+    and the semigroups ``_load_semigroup`` returns.  Count with ``is``."""
+    runs, loaded = [], []
+
+    def counted(E, *args, original=ideal._axiom_failure, **kwargs):
+        runs.append(E)
+        return original(E, *args, **kwargs)
+
+    def load_semigroup(path, load, original=cli._load_semigroup):
+        loaded.append(original(path, load))
+        return loaded[-1]
+
+    monkeypatch.setattr(ideal, "_axiom_failure", counted)
+    monkeypatch.setattr(constructors, "_axiom_failure", counted)
+    monkeypatch.setattr(cli, "_load_semigroup", load_semigroup)
+    return runs, loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random", "--semigroup", "S", "--seed", "3"],
+    ["check", "all", "J", "I", "--semigroup", "S"],
+], ids=["gen-random", "check-all"])
+def test_semigroup_ideal_axioms_run_once(capsys, data_dir, tmp_path, axiom_runs, argv):
+    # the parse certifies S's ideal axioms; loading S as a semigroup adds
+    # 0 in S and S + S <= S alone, so the kernel runs on S once
+    ex2 = (data_dir / "ex2.gsi").read_text()
+    for name in ("S", "J", "I"):  # distinct paths, so distinct parsed objects
+        (tmp_path / f"{name}.gsi").write_text(ex2)
+    runs, loaded = axiom_runs
+    code, _, err = run(capsys, *(str(tmp_path / f"{a}.gsi") if a in ("S", "J", "I") else a
+                                 for a in argv))
+    assert (code, err) == (0, "")
+    [S] = loaded
+    assert sum(E is S for E in runs) == 1
+
+
+@pytest.mark.parametrize("doc, record", [
+    ("gsi 1\nr 1\nmin 1\nconductor 1\nelem 1\n",
+     "{'axiom': 'semigroup', 'reason': '0 not a member'}"),
+    ("gsi 1\nr 1\nmin 0\nconductor 5\nelem 0\nelem 2\nelem 3\nelem 5\n",
+     "{'axiom': 'semigroup', 'pair': [[2], [2]], 'sum': [4]}"),
+], ids=["no-zero", "not-closed"])
+def test_good_ideal_that_is_no_semigroup_rejected(capsys, data_dir, tmp_path, doc, record):
+    # a --semigroup file that parses as a good ideal fails its semigroup
+    # check with validate's report, as when every axiom ran on it again
+    S = tmp_path / "S.gsi"
+    S.write_text(doc)
+    n1 = str(data_dir / "n1.gsi")
+    err = f"{S} is not a good semigroup: validate: FAIL (first counterexample: {record})\n"
+    for argv in (["gen", "random", "--semigroup", str(S)],
+                 ["check", "all", n1, n1, "--semigroup", str(S)]):
         assert run(capsys, *argv) == (2, "", err), argv
 
 

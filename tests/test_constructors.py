@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsi import constructors, duality
+from gsi import constructors, duality, ideal
 from gsi.constructors import (
     _closure_fixpoint,
     from_small_elements,
@@ -187,6 +187,24 @@ def test_node_fixtures(node2):
     # r = 1 normalizes to N: the stored conductor shrinks to the least one
     n = node(1)
     assert n.c == (0,) and sorted(n.small) == [(0,)]
+
+
+def test_node_runs_the_ideal_axioms_once(monkeypatch):
+    # from_small_elements certifies node(r) as an ideal; node adds the
+    # semigroup part alone, so the axiom kernel runs once, on the result
+    runs = []
+
+    def counted(E, *args, original=constructors._axiom_failure, **kwargs):
+        runs.append(E)
+        return original(E, *args, **kwargs)
+
+    monkeypatch.setattr(constructors, "_axiom_failure", counted)
+    monkeypatch.setattr(ideal, "_axiom_failure", counted)
+    for r in (1, 2, 3):
+        runs.clear()
+        E = node(r)
+        assert len(runs) == 1 and runs[0] is E
+        assert validate(E, semigroup=True).passed
 
 
 def test_node_rejects_dimension_zero():

@@ -234,7 +234,8 @@ def test_loc_tool_runs():
 
 def test_identity_rows_match_pinned():
     # the tool digests the CLI, the draws, the canonical ideals, the duals,
-    # the validate reports and the check reports; its (row, count, digest)
+    # the validate reports, the check reports and the parse outcomes of its
+    # generated documents; its (row, count, digest)
     # triples must be those pinned in tests/identity.json, which a change
     # meant to alter an output updates.  The file is kept out of
     # tests/data, whose every file the tool's CLI row reads.
@@ -244,7 +245,7 @@ def test_identity_rows_match_pinned():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert [name for name, _, _ in rows] == ["cli", "draws", "canonical", "duals",
-                                           "validate", "checks"]
+                                           "validate", "checks", "parse"]
     assert all(int(n) > 0 and re.fullmatch(r"[0-9a-f]{64}", digest) for _, n, digest in rows)
     pinned = json.loads((root / "tests" / "identity.json").read_text(encoding="utf-8"))
     assert [[name, int(n), digest] for name, n, digest in rows] == pinned

@@ -5,7 +5,7 @@ Standard library only; it imports the package from its own checkout's
 
     python tools/identity.py
 
-It prints six rows, ``<name> <count> <sha256>``:
+It prints seven rows, ``<name> <count> <sha256>``:
 
 - ``cli``: ``gsi.cli.main`` run in-process, from the checkout root with
   relative paths, on every subcommand over every file of ``tests/data``
@@ -45,6 +45,16 @@ It prints six rows, ``<name> <count> <sha256>``:
   then ``check_all`` with EJ in {S, K} and EI one of K + e and S - e,
   translates whose fiber tables a check context shares with K and S.
   Then (S, S, S) and (S, K, S) for node(4), node(5) and node(6).
+- ``parse``: each document of :func:`documents` with the outcome of
+  ``parse_gsi`` on it: the emitted text of the rep, or the error's type,
+  text, line and, for a ValidationError, its report with the line
+  annotations.  The documents are every file of ``tests/data``, the
+  emitted semigroups of ``draws``, three draws of each and two products,
+  and seeded mutations of each: comments and blank lines, other line ends
+  and tabs, joined and split lines, wrong keywords and missing headers,
+  wrong coordinate counts, non-integer tokens, bad versions and r,
+  duplicate and missing elements, and axiom, below-min and conductor
+  failures.
 
 An error is digested as its type and text, so a changed error changes the
 digest.  To compare a change with its parent, copy this file into a parent
@@ -58,6 +68,7 @@ import io
 import itertools
 import math
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -67,7 +78,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import gsi  # noqa: E402  (the checkout's own package, after the path)
 from gsi import cli  # noqa: E402
 from gsi.duality import _CheckContext  # noqa: E402
-from gsi.lattice import box_points, vadd, vsub  # noqa: E402
+from gsi.lattice import box_points, unit_vector, vadd, vsub  # noqa: E402
 
 CHECKS = ("sum", "fibra", "length", "rho", "maxsym", "all")
 USAGE = ([], ["bogus"], ["--help"], ["gen", "node"], ["gen", "numerical"],
@@ -269,11 +280,152 @@ def _checks():
             yield _check_all(S, EJ, S)
 
 
+# coordinate tokens: int() rejects six, and reads 1_0, +3 and the Arabic-Indic
+# digit three as the integers 10, 3 and 3
+TOKENS = ("x", "1.0", "1_0", "+3", "\u0663", "-", "0x1", "1e2", "--1")
+LINE_ENDS = ("\r\n", "\r", "\x0c", "\u2028", "\x0b", "\x85")
+
+
+def _document(r, m, c, pts):
+    """The GSI text with this header and one elem line per point, in order."""
+    fmt = " %d" * r
+    return "\n".join(["gsi 1", f"r {r}", "min" + fmt % m, "conductor" + fmt % c]
+                     + ["elem" + fmt % tuple(p) for p in pts]) + "\n"
+
+
+def _line_mutations(text, rng):
+    """Syntax mutations of a document of header and elem lines."""
+    lines = text.splitlines()
+    header, elems = lines[:4], lines[4:]
+
+    def edit(k, line):
+        return "\n".join(lines[:k] + [line] + lines[k + 1:]) + "\n"
+
+    def tokens(k):
+        return lines[k].split()
+
+    for _ in range(3):  # comments and blank lines anywhere
+        out = list(lines)
+        for _ in range(rng.randint(1, 4)):
+            out.insert(rng.randrange(len(out) + 1),
+                       rng.choice(["", "   ", "\t", "# comment", "  # elem 0 0", "#"]))
+        yield "\n".join(out) + "\n"
+    k = rng.randrange(len(lines))
+    yield edit(k, lines[k] + rng.choice([" # trailing", "#", "\t#x 1 2", "#elem 1"]))
+    yield edit(k, lines[k] + " # 1 # elem 2")  # the first # starts the comment
+    k = rng.randrange(len(lines))
+    head, _, tail = lines[k].rpartition(" ")
+    yield edit(k, head + "#" + tail)  # a comment that cuts the last field
+    for end in LINE_ENDS:
+        yield end.join(lines) + end
+    yield "".join(line + rng.choice(LINE_ENDS + ("\n",)) for line in lines)  # mixed
+    yield "\n".join(lines)  # no final line end
+    yield "\n".join(" ".join(t + rng.choice([" ", "\t", "  ", " \t "]) for t in line.split())
+                     for line in lines) + "\n"
+    k = rng.randrange(len(lines) - 1)  # two lines on one
+    for j in (0, 2, k):
+        yield "\n".join(lines[:j] + [lines[j] + " " + lines[j + 1]] + lines[j + 2:]) + "\n"
+    k = rng.randrange(len(lines))  # one line in two
+    t = tokens(k)
+    cut = rng.randrange(1, len(t)) if len(t) > 1 else 1
+    yield edit(k, " ".join(t[:cut]) + "\n" + " ".join(t[cut:]))
+    for word in ("elm", "Elem", "gsi", "min", "r", "conductor"):
+        k = rng.randrange(len(lines))
+        yield edit(k, " ".join([word] + tokens(k)[1:]))
+    for k in range(4):  # a missing header line
+        yield "\n".join(lines[:k] + lines[k + 1:]) + "\n"
+    yield "\n".join([header[0], header[2], header[1]] + lines[3:]) + "\n"
+    for k in (2, 3, rng.randrange(4, len(lines))):  # extra or missing coordinates
+        yield edit(k, lines[k] + " 0")
+        yield edit(k, " ".join(tokens(k)[:-1]))
+    for word in TOKENS:
+        k = rng.randrange(2, len(lines))
+        t = tokens(k)
+        t[rng.randrange(1, len(t))] = word
+        yield edit(k, " ".join(t))
+    for line in ("gsi 01", "gsi 1.0", "gsi", "gsi 1 1", "GSI 1", "gsi +1"):
+        yield edit(0, line)
+    r = tokens(1)[1]
+    for line in ("r 0", "r -1", "r 1 1", "r x", "r", "r +" + r,
+                 "r " + "".join(chr(0x660 + int(d)) for d in r)):  # Arabic-Indic digits
+        yield edit(1, line)
+    dup = elems + [rng.choice(elems) for _ in range(3)]
+    rng.shuffle(dup)
+    yield "\n".join(header + dup) + "\n"
+    for k in (2, 3):  # min or conductor not listed
+        coords = tokens(k)[1:]
+        kept = [line for line in elems if line.split()[1:] != coords]
+        yield "\n".join(header + kept) + "\n"
+    for k in range(4):  # the document cut short
+        yield "\n".join(lines[:k]) + "\n"
+
+
+def _rep_mutations(E, rng):
+    """Documents of E's data altered to fail an axiom, to list a point below
+    m or above c, or to declare a conductor that is not the least."""
+    r, m, c = E.r, E.m, E.c
+    pts = sorted(E.small)
+    units = [unit_vector(r, [k + 1]) for k in range(r)]
+    for unit in units:
+        yield _document(r, m, c, pts + [vsub(m, unit)])  # below min
+        yield _document(r, m, c, pts + [vadd(c, unit)])  # clipped to c
+        yield _document(r, m, c, pts + [vsub(c, unit)])  # c - e_k listed
+    below = pts + [vsub(m, (2,) * r)] + [vsub(m, unit) for unit in units]
+    rng.shuffle(below)  # several points below m, the first named in set order
+    yield _document(r, m, c, below)
+    inner = [p for p in pts if p not in (m, c)]
+    outside = [p for p in box_points(m, c) if p not in E.small]
+    for _ in range(3):
+        if inner:
+            gone = rng.choice(inner)
+            yield _document(r, m, c, [p for p in pts if p != gone])
+        if outside:
+            yield _document(r, m, c, pts + [rng.choice(outside)])
+    for k in (1, 2):  # a conductor above the least one
+        top = vadd(c, (k,) * r)
+        yield _document(r, m, top, [p for p in box_points(m, top) if E.contains(p)])
+        yield _document(r, m, top, pts + [top])
+
+
+def documents():
+    """The GSI texts of the ``parse`` row, in a fixed order."""
+    bases = [p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "tests" / "data").glob("*.gsi"))]
+    semigroups = _draw_semigroups()
+    reps = semigroups + [gsi.random_good(S, seed) for S in semigroups for seed in range(3)]
+    reps += [gsi.product(gsi.node(2), gsi.numerical([3, 4])),
+             gsi.product(gsi.numerical([2, 5]), gsi.node(1))]
+    bases += [gsi.emit_gsi(E) for E in reps]
+    rng = random.Random("parse")
+    for text in bases:
+        yield text
+        E = _outcome(gsi.parse_gsi, text)
+        for _ in range(3):  # rounds of seeded choices
+            yield from _line_mutations(text, rng)
+            if isinstance(E, gsi.SmallRep):
+                yield from _rep_mutations(E, rng)
+
+
+def _parsed(text):
+    """parse_gsi's outcome on text: the emitted rep, or the error's type,
+    text, line and, for a ValidationError, its report."""
+    try:
+        return gsi.emit_gsi(gsi.parse_gsi(text))
+    except (gsi.GsiError, ValueError) as err:
+        report = err.report.to_dict() if isinstance(err, gsi.ValidationError) else None
+        return type(err).__name__, str(err), getattr(err, "line", None), report
+
+
+def _parse():
+    for text in documents():
+        yield text, _parsed(text)
+
+
 def main() -> None:
     os.chdir(ROOT)  # the CLI's paths are relative to the checkout root
     for name, records in (("cli", _cli()), ("draws", _draws()), ("canonical", _canonical()),
                           ("duals", _duals()), ("validate", _validate()),
-                          ("checks", _checks())):
+                          ("checks", _checks()), ("parse", _parse())):
         n, digest = _digest(records)
         print(f"{name} {n} {digest}")
 

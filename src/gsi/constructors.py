@@ -82,12 +82,12 @@ def from_small_elements(r: int, m: Point, c: Point, elems) -> SmallRep:
     return _certified(_least_conductor(SmallRep(r, m, c, frozenset(pts))))
 
 
-def _certified(rep: SmallRep, semigroup: bool = False) -> SmallRep:
+def _certified(rep: SmallRep) -> SmallRep:
     """rep, once ``ideal._axiom_failure`` finds no failing axiom; else
     ValidationError carrying ``validate``'s report, which is built only
     then."""
-    if _axiom_failure(rep, semigroup=semigroup) is not None:
-        raise ValidationError(validate(rep, semigroup=semigroup))
+    if _axiom_failure(rep) is not None:
+        raise ValidationError(validate(rep))
     return rep
 
 
@@ -120,7 +120,7 @@ def numerical(generators: list[int]) -> SmallRep:
         reach[n] = any(g <= n and reach[n - g] for g in gens)
     cond = max((n + 1 for n in range(bound + 1) if not reach[n]), default=0)
     small = frozenset((n,) for n in range(cond + 1) if reach[n])
-    return _certified(SmallRep(1, (0,), (cond,), small), semigroup=True)
+    return _semigroup(_certified(SmallRep(1, (0,), (cond,), small)))
 
 
 def node(r: int) -> SmallRep:

@@ -47,12 +47,12 @@ A private check context holds what the checks of a triple share: each
 dual and fiber-dual region and the canonicity of EJ, computed once on first
 use and keyed by value (SmallRep is canonical), a region by what it reads
 of EJ, m_J and c_J, so S and K(S) share theirs; ``is_canonical`` reads the
-region from the one passed as ``ctx``, or from a fresh one.  It also holds
-one fiber-table holder (``ideal.Tables``) per shape, the grid's dims and
-mask, and hands it to every rep whose tables the checks read (S, EJ, EI,
-each dual and each sampled ideal), so translates build their tables once.
-It lives for one call of ``theorems.check_all``, which adds its sweeps'
-equality flags, and holds values, never reports.  K(S) lives on S:
+region from the one passed as ``ctx``, or from a fresh one.  It lives for
+one call of ``theorems.check_all``, which adds its sweeps' equality flags,
+and holds values only, never reports or fiber tables: which reps share
+tables is decided in ``ideal`` alone (``SmallRep.tables``, one holder per
+shape), so a dual's certificate and the checks read one set of tables
+for every rep of a shape.  K(S) lives on S:
 ``canonical_ideal`` keeps it in S's ``__dict__``, as ``cached_property``
 keeps the grid, so a value-equal copy computes it again and a call that
 raises stores nothing.
@@ -66,7 +66,6 @@ from .ideal import (
     Layout,
     RegionSet,
     SmallRep,
-    Tables,
     _axiom_failure,
     _box_mask,
     _compatibility_failure,
@@ -254,33 +253,19 @@ def canonical_ideal(S: SmallRep) -> SmallRep:
 class _CheckContext:
     """What the checks of one call share, each computed once: values keyed
     by kind and argument ideals (duals, fiber-dual regions, canonicity and
-    the sweeps' equality flags), and one table holder per shape (dims,
-    grid), which :meth:`share` hands to the reps the checks read.  A rep
-    outside any context builds its own holder."""
+    the sweeps' equality flags).  It holds values only; the reps it holds
+    share their fiber tables by shape through ``SmallRep.tables``."""
 
     def __init__(self) -> None:
         self.values: dict[tuple, Any] = {}  # (kind, *argument ideals) -> value
-        self.holders: dict[tuple[tuple[int, ...], int], Tables] = {}  # (dims, grid) -> holder
 
     def _get(self, key: tuple, compute: Callable[[], Any]) -> Any:
         if key not in self.values:
             self.values[key] = compute()
         return self.values[key]
 
-    def share(self, rep: SmallRep) -> SmallRep:
-        """rep, reading its fiber tables from the context's holder of its
-        shape (dims, grid), which is rep's own holder if it is the first of
-        that shape.  The tables are functions of the shape alone, so every
-        rep of a shape reads the same masks, and they are built once."""
-        key = rep.layout.dims, rep.grid
-        if key in self.holders:
-            vars(rep)["tables"] = self.holders[key]
-        else:
-            self.holders[key] = rep.tables
-        return rep
-
     def dual(self, EJ: SmallRep, EI: SmallRep) -> SmallRep:
-        return self._get(("dual", EJ, EI), lambda: self.share(cd_difference(EJ, EI)))
+        return self._get(("dual", EJ, EI), lambda: cd_difference(EJ, EI))
 
     def fiber_region(self, EJ: SmallRep, EI: SmallRep) -> tuple[Point, Point, int]:
         # keyed by what the region reads of EJ, its m and c, so S and K(S),

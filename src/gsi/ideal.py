@@ -21,8 +21,11 @@ index set, closed and open) and the (p, q) layers (a mask per fiber size)
 live on that grid too, and so does the layer P[1] alone
 (:attr:`Tables.p1`), read off the grid with no table for the duality
 layer.  They depend on the grid's dims and mask only, so they live in one
-holder per shape, :class:`Tables` (:attr:`SmallRep.tables`), which
-translates of one ideal can share, and every reader reads them there.
+holder per shape, :class:`Tables`, and every reader reads them there:
+:attr:`SmallRep.tables` looks its shape up in a weak map of this module,
+so every live rep of one shape, translates and the certificates of
+computed duals among them, reads one holder, and the holder goes with the
+last rep that reads it.  Only this module decides which reps share one.
 The axiom kernel ``_axiom_failure`` returns the first failing axiom's
 record, or None, and builds no report: every
 promotion and constructor certifies through it, and ``validate`` only
@@ -60,6 +63,7 @@ prove least (``duality``).
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -141,10 +145,11 @@ class SmallRep:
     are small elements, every small element lies in [m, c], small is closed
     under meet, the exchange axiom E2 holds, and c is the least conductor.
 
-    The membership grid and the holder of the fiber tables and layers
-    (:attr:`tables`) are built on first use and then kept on the instance
-    for as long as the ideal lives.  They are pure functions of the four
-    fields, so they take no part in equality or hashing.
+    The membership grid is built, and the holder of the fiber tables and
+    layers (:attr:`tables`) found or made, on first use; both are then kept
+    on the instance for as long as the ideal lives.  They are pure
+    functions of the four fields, so they take no part in equality or
+    hashing.
     """
 
     r: int
@@ -196,12 +201,17 @@ class SmallRep:
 
     @cached_property
     def tables(self) -> Tables:
-        """The holder of this grid's fiber tables and layers, built on
-        first read.  They are functions of the layout's dims and the grid
-        alone, so reps of one shape, translates among them, may share one
-        holder: ``duality._CheckContext`` hands its holder of a shape to
-        every rep of that shape it reads, in ``__dict__``."""
-        return Tables(self.layout, self.grid)
+        """The holder of this grid's fiber tables and layers.  They are
+        functions of the layout's dims and the grid alone, so every live
+        rep of one shape, translates among them, reads one holder: the one
+        :data:`_holders` maps the shape (dims, grid) to, made on a miss.
+        The rep keeps it, so it lives as long as some rep of the shape
+        reads it."""
+        key = self.layout.dims, self.grid
+        holder = _holders.get(key)
+        if holder is None:
+            holder = _holders[key] = Tables(self.layout, self.grid)
+        return holder
 
     def index(self, alpha: Point) -> int:
         """The grid bit of alpha clamped into [m - e, c], where every table
@@ -399,9 +409,10 @@ class Tables:
     """The fiber tables and (p, q) layers of one grid mask in a layout,
     built on first read and kept.  The holder keeps the layout's shape
     alone, its dims and strides with the corner moved to 0, so it serves
-    every rep of one shape (:attr:`SmallRep.tables`), each reading the
-    masks through its own :meth:`SmallRep.index`.  ``rows`` is the row
-    family of that layout; the holder reads its ``top`` only, and each
+    every rep of one shape (:attr:`SmallRep.tables`, through
+    :data:`_holders`, which holds it weakly), each reading the masks
+    through its own :meth:`SmallRep.index`.  ``rows`` is the row family
+    of that layout; the holder reads its ``top`` only, and each
     table is built from the grid alone, taking its steps as they are
     built, so no step or other row is kept (a grid may have thousands of
     rows)."""
@@ -471,6 +482,12 @@ class Tables:
                     O[k] |= O[k] >> shift & keep
             rows.read_up(O, j, others)
         return reduce(or_, O)
+
+
+# (dims, grid) -> the holder every live rep of that shape reads; an entry
+# goes with the last rep that keeps its holder.  Two threads that miss at
+# once make two holders of one shape, both correct, so no lock is needed
+_holders: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
@@ -982,8 +999,7 @@ def _compatibility_failure(E: SmallRep, S: SmallRep) -> dict | None:
     return None
 
 
-def _axiom_failure(E: SmallRep, S: SmallRep | None = None, *,
-                   semigroup: bool = False) -> dict | None:
+def _axiom_failure(E: SmallRep, S: SmallRep | None = None) -> dict | None:
     """The first failing axiom of E as its counterexample record,
     ``{"axiom": ..., **data}``, or None when every axiom holds on the finite
     box [m, c + e].  ``validate`` wraps the record in its report; every
@@ -1016,14 +1032,14 @@ def _axiom_failure(E: SmallRep, S: SmallRep | None = None, *,
     has no pair, so E1 and E2 hold, and c - e_i, which is not c, is no
     small element, so c is the least conductor.  So those three facts are
     read first, from n = len(small) before any transpose, and such a rep
-    goes straight to the S and semigroup checks: a principal dual
+    goes straight to the S check: a principal dual
     (``duality.cd_difference``) costs three tests.  Any other one-element
     rep fails the structural part (were m and c both its element, m = c),
     which names the failure as before, so no record changes.
 
-    With S given, compatibility S + E <= E is checked over boxes; with
-    ``semigroup``, 0 in E and E + E <= E are checked as well
-    (:func:`_semigroup_failure`).
+    With S given, compatibility S + E <= E is checked over boxes.  The
+    semigroup axioms 0 in E and E + E <= E have their own kernel,
+    :func:`_semigroup_failure`, run once these pass.
     """
     r, n = E.r, len(E.small)
     # Structural part: reported as its own failure class, not an axiom.
@@ -1087,15 +1103,14 @@ def _axiom_failure(E: SmallRep, S: SmallRep | None = None, *,
         failure = _compatibility_failure(E, S)
         if failure is not None:
             return dict(axiom="compatibility", **failure)
-
-    return _semigroup_failure(E) if semigroup else None
+    return None
 
 
 def _semigroup_failure(E: SmallRep) -> dict | None:
     """The first failure of 0 in E and E + E <= E as its counterexample
-    record, or None: the part ``semigroup`` adds to :func:`_axiom_failure`.
-    A caller that holds E certified as an ideal checks a semigroup with this
-    alone."""
+    record, or None: what ``validate``'s ``semigroup`` checks once
+    :func:`_axiom_failure` finds nothing.  A caller that holds E certified
+    as an ideal checks a semigroup with this alone."""
     if not E.contains((0,) * E.r):
         return dict(axiom="semigroup", reason="0 not a member")
     # the first failing pair has b >= a: a failing (b, a) with b < a
@@ -1111,8 +1126,11 @@ def validate(E: SmallRep, S: SmallRep | None = None, *, semigroup: bool = False)
     """Check the good-semigroup-ideal axioms on the finite box [m, c + e],
     with S given the compatibility S + E <= E, and with ``semigroup`` also
     0 in E and E + E <= E.  The first failing axiom is reported with its
-    violating pair, as :func:`_axiom_failure` finds it."""
-    failure = _axiom_failure(E, S, semigroup=semigroup)
+    violating pair, as :func:`_axiom_failure` finds it, and then
+    :func:`_semigroup_failure`."""
+    failure = _axiom_failure(E, S)
+    if failure is None and semigroup:
+        failure = _semigroup_failure(E)
     universe = f"axiom box [{list(E.m)}, {[x + 1 for x in E.c]}]"
     return CheckReport("validate", failure is None, universe,
                        counterexamples=[] if failure is None else [failure])

@@ -24,9 +24,10 @@ relations; a counterexample to one of the unconditional claims means an
 implementation bug and fails the build.
 
 check_all passes one check context (``duality._CheckContext``) to the public
-checks as ``ctx``, hands S, EJ, EI and the sampled ideals to it, so that
-reps of one shape read one set of fiber tables, and memoizes the equality
-flags per sampled pair in it; a check called without one makes its own.
+checks as ``ctx`` and memoizes the equality flags per sampled pair in it;
+a check called without one makes its own.  The context holds values only:
+reps of one shape read one set of fiber tables through ``SmallRep.tables``,
+which ``ideal`` keys by shape, so no check hands tables around.
 Each sweep's relation is one mask kernel (``_length_masks``,
 ``_rho_masks``, ``_duality_diffs``): the public checks build their
 reports from it, and the consistency sweep reads its flags straight off
@@ -428,7 +429,6 @@ def _gorenstein_consistency(ctx: _CheckContext, S: SmallRep, EJ: SmallRep,
     sample.append(("EI", EI))
     for k in range(2):
         sample.append((f"random{k}", random_good(S, seed + k)))
-    sample = [(name, ctx.share(E)) for name, E in sample]
     rep = CheckReport(
         "consistency", True,
         f"EJ fixed, EI sampled over {[name for name, _ in sample]}, seed={seed}")
@@ -466,8 +466,6 @@ def check_all(S: SmallRep, EJ: SmallRep, EI: SmallRep,
     """Run every check for the triple, plus the Gorenstein consistency sweep,
     all from one check context."""
     ctx = _CheckContext()
-    for E in (S, EJ, EI):
-        ctx.share(E)
     D = ctx.dual(EJ, EI)
     reports = [
         check_sum(EJ, EI, D),

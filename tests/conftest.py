@@ -1,9 +1,14 @@
+import collections
+import functools
 import pathlib
+import weakref
 
 import pytest
 
-from gsi import constructors, duality
-from gsi.ideal import frobenius
+from gsi import constructors, duality, ideal
+from gsi.ideal import Tables, frobenius
+
+TABLES = ("fiber_table", "open_table", "fiber_layers", "p1")
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -64,3 +69,28 @@ def canonical_runs(monkeypatch):
 
     monkeypatch.setattr(duality, "_empty_mask", counted)
     return runs
+
+
+@pytest.fixture
+def holders(monkeypatch):
+    """An empty registry of fiber-table holders (``ideal._holders``) for
+    the test, so that its reps share tables only with one another; clearing
+    it gives the next rep read a holder of its own."""
+    registry = weakref.WeakValueDictionary()
+    monkeypatch.setattr(ideal, "_holders", registry)
+    return registry
+
+
+@pytest.fixture
+def table_builds(holders, monkeypatch):
+    """The tables and layers built during the test, in an empty holder
+    registry, counted per (name, dims, grid)."""
+    builds = collections.Counter()
+    for name in TABLES:
+        def counted(self, build=vars(Tables)[name].func, name=name):
+            builds[name, self.layout.dims, self.grid] += 1
+            return build(self)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Tables, name)
+        monkeypatch.setattr(Tables, name, prop)
+    return builds

@@ -328,6 +328,27 @@ def test_is_gorenstein_examples(n1, n2, node2, node3, ex2):
     assert not is_gorenstein(ex2)
 
 
+def test_gorenstein_products(n1, n2):
+    # the product rule: for S = A x B, coordinates concatenated, the open
+    # {k}-fiber of (a, b) at an axis k of A is occupied in S exactly when
+    # that of a is in A, as B holds points above b on every axis of its own
+    # (c_B + N^s lies in B).  So F(S, (a, b)) is empty exactly when
+    # F(A, a) and F(B, b) are, f(S) = (f(A), f(B)), K(S) = K(A) x K(B),
+    # and S is Gorenstein exactly when every factor is.  N(2, 3) is
+    # symmetric and N(3, 4, 5) is not: N(2, 3)^r is Gorenstein for every r,
+    # and N(2, 3)^r x N(3, 4, 5) for none
+    S = n2
+    for r in range(1, 9):
+        assert S.r == r and is_gorenstein(S), r
+        if r <= 6:
+            T = product(S, n1)
+            assert not is_gorenstein(T), r
+            K = product(canonical_ideal(S), canonical_ideal(n1))
+            assert equals(canonical_ideal(T), K), r
+        S = product(S, n2)
+    assert not is_gorenstein(n1)
+
+
 def test_gorenstein_witness(ex2):
     kx = canonical_ideal(ex2)
     assert kx.contains((4, 4)) and not ex2.contains((4, 4))

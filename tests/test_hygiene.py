@@ -171,6 +171,9 @@ def test_methods_are_referenced():
 MODULE_CACHES = {
     "__init__.__all__",  # the export list, never written
     "cli._parser",  # the argument parser, built once per process
+    # one fiber-table holder per shape (dims, grid), held weakly: an entry
+    # lives only while some rep keeps its holder, so it keeps no ideal alive
+    "ideal._holders",
     "oracle._checked_window",  # the oracle's bounded window memo
 }
 _CACHE_DECORATORS = {"cache", "lru_cache"}
@@ -210,6 +213,27 @@ def test_no_module_level_caches():
     assert found == MODULE_CACHES, (
         f"module-level caches: {sorted(found - MODULE_CACHES)}; "
         f"stale exemptions: {sorted(MODULE_CACHES - found)}")
+
+
+def test_holder_registry_holds_no_rep():
+    # the exemption of ideal._holders: every rep of a shape reads one
+    # holder, and once the last rep of the shape is gone, so is its entry
+    import gc
+
+    from gsi import ideal
+
+    S = ideal.SmallRep(2, (0, 0), (13, 17), frozenset({(0, 0), (13, 17)}))
+    key = S.layout.dims, S.grid
+    assert key not in ideal._holders
+    T = ideal.translate(S, (5, -3))
+    assert T.tables is S.tables and S.tables.fiber_table
+    assert ideal._holders[key] is S.tables
+    del S
+    gc.collect()
+    assert key in ideal._holders  # T still reads the holder
+    del T
+    gc.collect()
+    assert key not in ideal._holders
 
 
 def test_one_row_builder():

@@ -2,6 +2,7 @@ import random
 import sys
 
 import pytest
+from conftest import TABLES
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -147,6 +148,21 @@ def _built(E: SmallRep) -> set[str]:
     table holder, the tables and layers built in that holder."""
     holder = vars(E).get("tables")
     return set(vars(E)) | (set(vars(holder)) if holder is not None else set())
+
+
+def test_translate_validates_on_its_semigroups_tables(table_builds):
+    # a translate S + e has S's shape (dims, grid), so it reads the holder
+    # S built: once S's tables are built, validate(S + e, S), whose kernel
+    # decides E1 and E2 on the tables of these small grids, builds none
+    for S in (product(numerical([3, 5]), numerical([2, 3])), numerical([3, 5]),
+              product(numerical([4, 5]), numerical([2, 3]))):
+        for name in TABLES:
+            getattr(S.tables, name)
+        E = translate(S, ones(S.r))
+        table_builds.clear()
+        assert validate(E, S).passed
+        assert "tables" in vars(E) and not table_builds, (S, table_builds)
+        assert E.tables is S.tables
 
 
 def test_validate_leaves_sparse_grid_unbuilt():
@@ -335,10 +351,11 @@ def test_equals_subset_agree_with_pointwise_oracle(node2):
         assert is_subset(E1, E2) == (s1 <= s2)
 
 
-def test_parse_and_validate_leave_layers_unbuilt(data_dir):
+def test_parse_and_validate_leave_layers_unbuilt(data_dir, holders):
     # the (p, q) layers cost 2^r stepped table entries; ideals that are only
     # parsed and validated, as most ingested ones are, never pay for them,
-    # and an emptiness query reads P[1] off the grid without them
+    # and an emptiness query reads P[1] off the grid without them.  The
+    # holder registry starts empty, so no rep of another test shares one
     from gsi.errors import ValidationError
     from gsi.fiber import fiber_empty, p_value
     from gsi.gsi_format import parse_gsi

@@ -8,10 +8,12 @@ Standard library only; it imports the package from its own checkout's
 It prints seven rows, ``<name> <count> <sha256>``:
 
 - ``cli``: ``gsi.cli.main`` run in-process, from the checkout root with
-  relative paths, on every subcommand over every file of ``tests/data``
-  (ordered pairs for the two-ideal commands, triples for
-  ``check ... --semigroup``), plus usage errors and a missing path.  The
-  digest covers argv, exit code, stdout and stderr.
+  relative paths, on every subcommand over every GSI file (``*.gsi``) of
+  ``tests/data`` (ordered pairs for the two-ideal commands, triples for
+  ``check ... --semigroup``), plus usage errors, a missing path and one
+  file that is no GSI document (``check_all_golden.json``), so other data
+  files in ``tests/data`` leave the row alone.  The digest covers argv,
+  exit code, stdout and stderr.
 - ``draws``: ``random_good`` over six semigroups, seeds 0-19,
   ``max_width`` 2 and 4 and ``samples`` 2 and 6.
 - ``canonical``: ``emit_gsi(canonical_ideal(S))`` and ``is_gorenstein(S)``
@@ -43,12 +45,12 @@ It prints seven rows, ``<name> <count> <sha256>``:
   EI) pairs, the length and rho reports with the dual translated by e and
   by -e, which mostly fail, so their first counterexamples are digested;
   then ``check_all`` with EJ in {S, K} and EI one of K + e and S - e,
-  translates whose fiber tables a check context shares with K and S.
+  translates that read the fiber tables of K and S (one holder per shape).
   Then (S, S, S) and (S, K, S) for node(4), node(5) and node(6).
 - ``parse``: each document of :func:`documents` with the outcome of
   ``parse_gsi`` on it: the emitted text of the rep, or the error's type,
   text, line and, for a ValidationError, its report with the line
-  annotations.  The documents are every file of ``tests/data``, the
+  annotations.  The documents are every GSI file of ``tests/data``, the
   emitted semigroups of ``draws``, three draws of each and two products,
   and seeded mutations of each: comments and blank lines, other line ends
   and tabs, joined and split lines, wrong keywords and missing headers,
@@ -83,7 +85,8 @@ from gsi.lattice import box_points, unit_vector, vadd, vsub  # noqa: E402
 CHECKS = ("sum", "fibra", "length", "rho", "maxsym", "all")
 USAGE = ([], ["bogus"], ["--help"], ["gen", "node"], ["gen", "numerical"],
          ["gen", "numerical", "3", "5"], ["gen", "node", "3"],
-         ["info", "tests/data/missing.gsi"])
+         ["info", "tests/data/missing.gsi"],
+         ["validate", "tests/data/check_all_golden.json"])
 
 
 def _digest(records) -> tuple[int, str]:
@@ -109,7 +112,7 @@ def _emitted(outcome):
 
 
 def _cli_argvs():
-    files = sorted(f"tests/data/{p.name}" for p in (ROOT / "tests" / "data").iterdir())
+    files = sorted(f"tests/data/{p.name}" for p in (ROOT / "tests" / "data").glob("*.gsi"))
     for f in files:
         yield from (["validate", f], ["info", f], ["info", "--plot", f],
                     ["canonical", f], ["gorenstein", f],

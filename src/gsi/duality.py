@@ -45,8 +45,10 @@ region, which the kernel passes with no check of its own.
 
 A private check context holds what the checks of a triple share: each
 dual and fiber-dual region and the canonicity of EJ, computed once on first
-use and keyed by value (SmallRep is canonical), a region by what it reads
-of EJ, m_J and c_J, so S and K(S) share theirs; ``is_canonical`` reads the
+use and keyed by value (SmallRep is canonical, and hashes as its small set,
+which the frozenset keeps), a region by what it reads of EJ, m_J and c_J,
+so S and K(S) share theirs.  A hit is one dict lookup, as no value it holds
+is None; a compute that raises stores nothing.  ``is_canonical`` reads the
 region from the one passed as ``ctx``, or from a fresh one.  It lives for
 one call of ``theorems.check_all``, which adds its sweeps' equality flags,
 and holds values only, never reports or fiber tables: which reps share
@@ -260,9 +262,11 @@ class _CheckContext:
         self.values: dict[tuple, Any] = {}  # (kind, *argument ideals) -> value
 
     def _get(self, key: tuple, compute: Callable[[], Any]) -> Any:
-        if key not in self.values:
-            self.values[key] = compute()
-        return self.values[key]
+        # one lookup answers a hit, as no value is None
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = compute()
+        return value
 
     def dual(self, EJ: SmallRep, EI: SmallRep) -> SmallRep:
         return self._get(("dual", EJ, EI), lambda: cd_difference(EJ, EI))

@@ -44,14 +44,18 @@ closed and the open fiber table of a mask by one recurrence, and
 read them.  The kernel reads them on an ideal's grid and ``constructors.random_good`` on its
 draw box [m, c].  Box questions read
 masks: ``members`` lists the set bits of E's window over a box
-(``_window``, which cuts a table entry or layer the same way, in r passes
-of whole-integer shifts and masks, one per axis), ``search_member`` reads
+(``_window``, which cuts a table entry or layer the same way: one loop
+reads each axis's kept rows and clamped-off counts by plain comparisons,
+then r passes of whole-integer shifts and masks, one per axis, turn the
+grid's layout into the box's), ``search_member`` reads
 its lowest set bit, ``equals`` and ``is_subset`` compare windows, or the
 grids of two ideals on one layout, the sum sweeps AND a window over the
 clamp classes of one side (``_class_and``), and the quotient behind
 ``duality.cd_difference`` shifts one window per small element of the
 divisor but its conductor, so no box is walked point by point (a
 principal divisor's one-point box is returned as it is).
+A rep hashes as its small set, which the frozenset keeps once computed,
+so dicts keyed by reps (``duality``'s check context) hash no points again.
 ``_least_conductor`` reads a point set's least conductor off the runs
 down the axes from its box top and checks the membership rule against the
 set by counting its clamp classes, with no grid; when the two disagree it
@@ -149,13 +153,19 @@ class SmallRep:
     layers (:attr:`tables`) found or made, on first use; both are then kept
     on the instance for as long as the ideal lives.  They are pure
     functions of the four fields, so they take no part in equality or
-    hashing.
+    hashing.  The hash is the small set's, which the frozenset keeps once
+    computed: equal reps have equal small sets, so it agrees with the
+    field-wise equality, and a lookup keyed by reps hashes no tuple of
+    points.
     """
 
     r: int
     m: Point
     c: Point
     small: frozenset[Point]
+
+    def __hash__(self) -> int:
+        return hash(self.small)
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -497,64 +507,70 @@ def _window(E: SmallRep, lo: Point, hi: Point, mask: int | None = None) -> int:
     Bit t is the mask's bit at :meth:`SmallRep.index` of the box point t,
     each coordinate clamped into [m - e, c], so the box may reach below m
     and beyond c anywhere; over the grid [m - e, c] itself it is the mask
-    as it is.  Otherwise the rows of axis 0 that the box clamps to are
-    cut out first; then the axes are turned from the grid's layout into the
-    box's one at a time, the last first, each by a few operations on the
-    whole integer (Warren, *Hacker's Delight*, ch. 7).  Before the pass of
-    axis k, a row of k is B bits, B the product of the box dims of the
-    later axes, and the mask holds L lines of g_k rows, L the product of the
-    grid dims g of the earlier axes (g_0 counting the kept rows only).  The
-    pass keeps the rows [first, top]
-    that the box clamps to, moves line i from bit i * g_k * B to
-    i * d_k * B (d_k the box dim) in log2(L) steps, step t moving the lines
-    with bit t of i set by 2^t (d_k - g_k) B, and repeats the first and the
-    last kept row into the clamped-off rows by doubling shifts.  A step
-    selects its lines with one repeated run: when the lines widen, the high
-    bits of i go first, so that every moved line lands in space no line
-    holds; when they narrow, the low bits do.
+    as it is, and a box with an empty axis has no bits.  Otherwise one loop
+    over the axes reads, by plain comparisons, the box dim d, the kept
+    rows [first, top] that the box clamps to, and the box rows past the
+    first that clamp to row 0 (below) and to row c (above), each d - 1 when
+    the box lies wholly below m - e or above c.  The kept rows of axis 0
+    are cut out first, one shift and one mask, as axis 0 is one line; then
+    the axes are turned from the grid's layout into the box's one at a
+    time, the last first, each by a few operations on the whole integer
+    (Warren, *Hacker's Delight*, ch. 7).  Before the pass of axis k, a row
+    of k is B bits, B the product of the box dims of the later axes, and
+    the mask holds L lines of g_k rows, L the product of the grid dims g of
+    the earlier axes (g_0 counting the kept rows only).  The pass keeps the
+    kept rows, returning 0 when none of their bits is set, moves line i
+    from bit i * g_k * B to i * d * B in log2(L) steps, step t moving the
+    lines with bit t of i set by 2^t (d - g_k) B, and repeats the first and
+    the last kept row into the clamped-off rows by doubling shifts
+    (``_repeat``).  A step selects its lines with one repeated run: when the
+    lines widen, the high bits of i go first, so that every moved line
+    lands in space no line holds; when they narrow, the low bits do.  The
+    two directions are two loops.
     """
     if mask is None:
         mask = E.grid
-    dims = tuple(h - l + 1 for l, h in zip(lo, hi))
-    if min(dims) <= 0:
-        return 0
     g = E.layout
     if lo == g.lo and hi == E.c:
         return mask
-    kept = [(min(max(l, o), c) - o, min(max(h, o), c) - o)  # rows [first, top]
-            for l, h, o, c in zip(lo, hi, g.lo, E.c)]
+    axes = []
+    for l, h, o, c, gd in zip(lo, hi, g.lo, E.c, g.dims):
+        if h < l:
+            return 0
+        first = 0 if l <= o else c - o if l > c else l - o
+        top = 0 if h <= o else c - o if h > c else h - o
+        below = h - l if h < o else o - l
+        above = h - l if l > c else h - c
+        axes.append((gd, h - l + 1, first, top, below, above))
     # axis 0 is one line, so its cut is one shift and one mask, and a box
     # that keeps few of its rows leaves the passes little to turn
-    first, top = kept[0]
-    x = mask >> first * g.strides[0] & (1 << (top - first + 1) * g.strides[0]) - 1
-    gdims = (top - first + 1, *g.dims[1:])
-    kept[0] = (0, top - first)
-    B, L = 1, math.prod(gdims)
-    for k in range(E.r - 1, -1, -1):
-        l, h, origin, c, gd, d = lo[k], hi[k], g.lo[k], E.c[k], gdims[k], dims[k]
+    gd, d, first, top, below, above = axes[0]
+    n = top - first + 1
+    x = mask >> first * g.strides[0] & (1 << n * g.strides[0]) - 1
+    axes[0] = (n, d, 0, n - 1, below, above)
+    B, L = 1, n * g.strides[0]
+    for gd, d, first, top, below, above in reversed(axes):
         L //= gd
-        first, top = kept[k]
         n = top - first + 1
         a, b = gd * B, d * B  # line widths before and after
         if n < gd:
             x = x >> first * B & _repeat((1 << n * B) - 1, a, L)
             if not x:
                 return 0
-        if a != b:
-            steps = range((L - 1).bit_length())
-            for t in reversed(steps) if b > a else steps:
-                # widening, line j 2^(t+1) + u (u < 2^(t+1)) is at
-                # j 2^(t+1) b + u a, and u >= 2^t moves; narrowing, line
-                # j 2^t + u (u < 2^t) is at j 2^t a + u b, and odd j moves:
-                # either way the bits [2^t a, 2^(t+1) a) of each 2^(t+1)
-                # max(a, b) bits
+        # widening, line j 2^(t+1) + u (u < 2^(t+1)) is at j 2^(t+1) b + u a,
+        # and u >= 2^t moves; narrowing, line j 2^t + u (u < 2^t) is at
+        # j 2^t a + u b, and odd j moves: either way the bits [2^t a,
+        # 2^(t+1) a) of each 2^(t+1) max(a, b) bits
+        if b > a:
+            for t in range((L - 1).bit_length() - 1, -1, -1):
                 run = a << t
-                moved = x & _repeat(((1 << run) - 1) << run, max(a, b) << t + 1,
-                                    (L - 1 >> t + 1) + 1)
-                x ^= moved
-                x |= moved << (b - a << t) if b > a else moved >> (a - b << t)
-        below = min(h, origin) - l  # box rows past the first, clamped to row 0
-        above = h - max(l, c)       # box rows past the first, clamped to row c
+                moved = x & _repeat(((1 << run) - 1) << run, b << t + 1, (L - 1 >> t + 1) + 1)
+                x = x ^ moved | moved << (b - a << t)
+        elif b < a:
+            for t in range((L - 1).bit_length()):
+                run = a << t
+                moved = x & _repeat(((1 << run) - 1) << run, a << t + 1, (L - 1 >> t + 1) + 1)
+                x = x ^ moved | moved >> (a - b << t)
         if below > 0 or above > 0:
             # each line's row 0: x itself when it keeps one row
             row = _repeat((1 << B) - 1, b, L) if n > 1 else x

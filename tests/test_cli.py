@@ -195,13 +195,14 @@ def test_gen_commands(capsys, data_dir, tmp_path):
     parse_gsi(out)  # generated ideal parses and validates
 
 
-def _child(*args):
-    """A Python child run with args; it imports the same gsi as this
-    process, installed or not."""
+def _child(*args, **env):
+    """A Python child run with args and the environment variables env on
+    top of this process's; it imports the same gsi as this process,
+    installed or not."""
     root = str(pathlib.Path(gsi.__file__).parents[1])
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path, **env})
 
 
 def test_module_entrypoint_smoke(data_dir):
@@ -214,6 +215,20 @@ def test_module_entrypoint_validate(data_dir):
     ex2 = str(data_dir / "ex2.gsi")
     proc = _child("-m", "gsi", "validate", ex2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{ex2}: valid\n", "")
+
+
+def test_check_all_json_independent_of_hash_seed(data_dir):
+    # the check context is keyed by reps, which hash as their small sets,
+    # and by kind strings, whose hashes the seed changes: the report bytes
+    # (as text, decoded one way) must not depend on either.  The triples
+    # (S, S, S) sample random ideals for the consistency sweep
+    for name in ("ex2", "node2"):
+        S = str(data_dir / f"{name}.gsi")
+        argv = ["-m", "gsi", "check", "all", S, S, "--semigroup", S, "--json", "--seed", "3"]
+        runs = [_child(*argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+        assert [proc.returncode for proc in runs] == [0, 0], [proc.stderr for proc in runs]
+        assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr, name
+        assert json.loads(runs[0].stdout), name
 
 
 def test_semigroup_arguments_rejected_unless_good(capsys, data_dir, tmp_path):

@@ -283,6 +283,40 @@ def test_canonicity_same_with_and_without_context(n1, n2, ex2, node2, node3):
         assert all(key[0] != "canonical" for key in ctx.values), ctx.values
 
 
+def test_check_context_memo(ex2, node3):
+    # a hit returns the stored object, keyed by value; a nested read, as
+    # is_canonical makes through fiber_region, stores both keys; a stored
+    # False is a hit too; and a compute that raises stores nothing
+    K = canonical_ideal(ex2)
+    ctx = duality._CheckContext()
+    D = ctx.dual(K, ex2)
+    assert ctx.dual(K, ex2) is D and ctx.dual(replace(K), replace(ex2)) is D
+    assert ctx.is_canonical(K, ex2) is True
+    assert set(ctx.values) == {("dual", K, ex2), ("fiber_region", K.m, K.c, ex2),
+                               ("is_canonical", K, ex2)}
+    region = ctx.values[("fiber_region", K.m, K.c, ex2)]
+    assert ctx.fiber_region(K, ex2) is region
+
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return value
+
+    key = ("is_canonical", node3, node3)
+    assert ctx._get(key, lambda: counted(False)) is False
+    assert ctx._get(key, lambda: counted(True)) is False and calls == [False]
+
+    def raising():
+        raise SoundnessError("fault")
+
+    before = dict(ctx.values)
+    with pytest.raises(SoundnessError):
+        ctx._get(("dual", ex2, K), raising)
+    assert ctx.values == before
+    assert ctx._get(("dual", ex2, K), lambda: counted(D)) is D and calls == [False, D]
+
+
 def test_canonical_ideal_kept_on_the_semigroup(n1, ex2, node3):
     for S in (n1, ex2, node3):
         S = replace(S)

@@ -6,9 +6,9 @@ the package, no module defines both a name and a private twin _name of
 it, every error class is raised or is a base of one that is, no module
 keeps a cache or container at module level beyond its named exemptions,
 and only the row family ``ideal.Rows`` and two named helpers build runs
-with ``ideal._repeat``.  The line counter ``tools/loc.py`` runs, and the
-output digests of ``tools/identity.py`` are the rows pinned in
-``tests/identity.json``."""
+with ``ideal._repeat``.  The line counter ``tools/loc.py`` and the A/B
+pass tool ``tools/abpass.py`` run, and the output digests of
+``tools/identity.py`` are the rows pinned in ``tests/identity.json``."""
 import ast
 import json
 import pathlib
@@ -254,6 +254,25 @@ def test_loc_tool_runs():
     assert proc.returncode == 0, proc.stderr
     lines, code = map(int, re.fullmatch(r"lines (\d+), code (\d+)\n", proc.stdout).groups())
     assert 0 < code < lines
+
+
+def test_abpass_tool_runs():
+    # a smoke run with one checkout on both sides: two duals passes each,
+    # one line per side, and one output digest for both
+    root = PACKAGE.parents[1]
+    proc = subprocess.run([sys.executable, str(root / "tools" / "abpass.py"), str(root),
+                           str(root), "--workload", "duals", "--seed", "1", "--passes", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["duals seed 1, 2 passes per side",
+                         "side    pass_ms  op_p50_ms  won  digest"], lines
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["parent", "change"], rows
+    assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows), rows
+    won = [re.fullmatch(r"(\d)/2", row[3]) for row in rows]
+    assert all(won) and sum(int(w.group(1)) for w in won) <= 2, rows
+    assert rows[0][4] == rows[1][4] and re.fullmatch(r"[0-9a-f]{16}", rows[0][4]), rows
 
 
 def test_identity_rows_match_pinned():

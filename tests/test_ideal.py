@@ -400,3 +400,17 @@ def test_structural_checks_make_leq_calls_independent_of_small_elements(monkeypa
     assert len(node(3).small) == 2 and len(S.small) == 143
     assert counts["node3"] == counts["n57xn56"], counts
     assert max(counts["n57xn56"]) <= 3, counts
+
+
+def test_hash_is_the_small_sets(ex2, node3, n1):
+    # value-equal reps built from differently ordered elements hash and
+    # compare equal, and the hash is the small set's; a translate is
+    # another ideal, with another hash
+    for E in (ex2, node3, n1):
+        points = sorted(E.small)
+        a = SmallRep(E.r, E.m, E.c, frozenset(points))
+        b = SmallRep(E.r, E.m, E.c, frozenset(reversed(points)))
+        assert a == b == E and hash(a) == hash(b) == hash(E) == hash(E.small)
+        assert len({a, b, E}) == 1 and {a: 1}[b] == 1
+        moved = translate(E, ones(E.r))
+        assert moved != E and hash(moved) != hash(E)
